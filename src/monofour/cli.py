@@ -110,7 +110,8 @@ def _cmd_trace(args) -> int:
 
 
 def _verify_params(args) -> dict:
-    keys = ("q", "d", "chi", "n", "window", "ell", "r", "nprime", "seed")
+    """Every parameter some registered check reads, as far as it was given."""
+    keys = {k for spec in checks.CHECKS.values() for k in spec.defaults}
     return {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
 
 
@@ -189,6 +190,9 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--ell", type=int)
     p.add_argument("--r", type=int)
     p.add_argument("--nprime", type=int)
+    p.add_argument("--degree-bound", type=int)
+    p.add_argument("--count", type=int)
+    p.add_argument("--variant")
     p.add_argument("--seed", type=int)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=_cmd_verify)

@@ -32,7 +32,7 @@ from .scalars import (
     frac,
     partial_fractions,
     poly_gcd,
-    poly_smith,
+    poly_rank,
     rational_rank,
 )
 from .scalars.poly import poly_lcm
@@ -242,7 +242,7 @@ class LadderFamily:
     argument translation on the functions.
     """
 
-    __slots__ = ("label", "chi", "radius", "funcs")
+    __slots__ = ("label", "chi", "radius", "funcs", "_lattice")
 
     def __init__(self, label: str, funcs: dict[int, RatFun], chi=0):
         radius = max(abs(j) for j in funcs)
@@ -250,6 +250,7 @@ class LadderFamily:
         object.__setattr__(self, "chi", frac(chi))
         object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "funcs", dict(funcs))
+        object.__setattr__(self, "_lattice", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LadderFamily is immutable")
@@ -263,16 +264,20 @@ class LadderFamily:
         return sorted(self.funcs)
 
     def as_lattice(self) -> WindowedLattice:
-        idx = self.indices()
-        return WindowedLattice(
-            self.chi,
-            self.radius,
-            [self.funcs[j] for j in idx],
-            [f"{self.label}[{j}]" for j in idx],
-        )
+        """The lattice spanned by the window, built on the first call and
+        kept: its content costs a gcd/lcm sweep over every generator."""
+        if self._lattice is None:
+            idx = self.indices()
+            object.__setattr__(self, "_lattice", WindowedLattice(
+                self.chi,
+                self.radius,
+                [self.funcs[j] for j in idx],
+                [f"{self.label}[{j}]" for j in idx],
+            ))
+        return self._lattice
 
     def fiber(self, a, n: int = 1) -> Fiber:
-        return self.as_lattice().fiber(a, n)
+        return (self._lattice or self.as_lattice()).fiber(a, n)
 
 
 def pole_ladder(radius: int) -> LadderFamily:
@@ -535,19 +540,13 @@ def skyscraper_equivariant(fam: SkyscraperFamily) -> EquivariantModule:
 
 
 def monodromic_test(m: EquivariantModule) -> bool:
-    """True iff the presented module is k[s]-torsion: the Smith form of the
-    presentation matrix has full row rank with nonzero diagonal."""
+    """True iff the presented module is k[s]-torsion: the presentation
+    matrix has full row rank over k(s)."""
     if m.nrows == 0:
         return True
     if m.ncols == 0:
         return False
-    _, d, _ = poly_smith(m.rows())
-    rank = sum(
-        1
-        for i in range(min(m.nrows, m.ncols))
-        if not d[i][i].is_zero
-    )
-    return rank == m.nrows
+    return poly_rank(m.rows()) == m.nrows
 
 
 def torsion_by_point_ranks(m: EquivariantModule) -> bool:

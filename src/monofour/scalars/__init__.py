@@ -3,12 +3,13 @@ Smith normal forms, small finite fields, cyclotomic scalars, residue rings."""
 
 from fractions import Fraction
 
-from .poly import Poly, frac, poly_gcd, shift_poly
+from .poly import Poly, frac, poly_gcd
 from .ratfun import RatFun, UnsupportedInputError, partial_fractions
 from .snf import (
     int_smith,
     kernel_basis,
     poly_det,
+    poly_rank,
     poly_smith,
     rational_kernel_basis,
     rational_rank,
@@ -26,11 +27,11 @@ __all__ = [
     "frac",
     "Poly",
     "poly_gcd",
-    "shift_poly",
     "RatFun",
     "partial_fractions",
     "UnsupportedInputError",
     "poly_smith",
+    "poly_rank",
     "int_smith",
     "kernel_basis",
     "poly_det",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Union
 
 from .poly import Poly, frac
@@ -91,7 +92,7 @@ class CycScalar:
         n, m = self.conductor, other.conductor
         if n == m:
             return self, other
-        l = n * m // _gcd(n, m)
+        l = lcm(n, m)
         return self.promote(l), other.promote(l)
 
     def __add__(self, other):
@@ -218,9 +219,3 @@ def zeta(n: int, k: int = 1) -> CycScalar:
     mod = cyclotomic_poly(n)
     red = Poly.monomial(k, 1) % mod
     return CycScalar(n, red.coeffs)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

@@ -223,11 +223,6 @@ class Poly:
         return f"Poly({self.to_str()})"
 
 
-def shift_poly(p: Poly, c: Scalar) -> Poly:
-    """Substitute s + c for s in p."""
-    return p.shift(c)
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor; gcd(0, p) is the monic multiple of p."""
     while not b.is_zero:

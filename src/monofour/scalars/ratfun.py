@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 from .poly import Poly, frac, poly_gcd
@@ -203,7 +204,7 @@ def _find_rational_root(p: Poly) -> Fraction | None:
     # Clear denominators, then apply the rational root theorem.
     denom = 1
     for c in p.coeffs:
-        denom = denom * c.denominator // _gcd(denom, c.denominator)
+        denom = lcm(denom, c.denominator)
     ints = [int(c * denom) for c in p.coeffs]
     while ints and ints[0] == 0:
         # s = 0 is a root
@@ -219,12 +220,6 @@ def _find_rational_root(p: Poly) -> Fraction | None:
                 if p.eval(cand) == 0:
                     return cand
     return None
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a) if a else 1
 
 
 def _divisors(n: int) -> list[int]:

@@ -123,9 +123,43 @@ def poly_smith(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     return u, d, v
 
 
-def smith_diagonal(m: Matrix) -> list[Poly]:
-    _, d, _ = poly_smith(m)
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
+def poly_rank(m: Matrix) -> int:
+    """Rank over Q(s) of a polynomial matrix, by fraction-free (Bareiss)
+    elimination over Q[s].
+
+    After k pivots every trailing entry is a (k+1)-minor of M, so each
+    update p*a_ik - a_i*a_rk divides exactly by the previous pivot; a
+    nonzero remainder means the elimination went wrong and raises.
+    """
+    a = [list(row) for row in m]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    prev = Poly.const(1)
+    rank = 0
+    for c in range(cols):
+        if rank == rows:
+            break
+        piv = next((i for i in range(rank, rows) if not a[i][c].is_zero), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        top = a[rank]
+        p = top[c]
+        for i in range(rank + 1, rows):
+            row = a[i]
+            ai = row[c]
+            for k in range(c + 1, cols):
+                x = p * row[k]
+                if not (ai.is_zero or top[k].is_zero):
+                    x = x - ai * top[k]
+                if not x.is_zero:
+                    x, r = divmod(x, prev)
+                    if not r.is_zero:
+                        raise AssertionError("fraction-free elimination: inexact division")
+                row[k] = x
+        prev = p
+        rank += 1
+    return rank
 
 
 def kernel_basis(m: Matrix) -> list[list[Poly]]:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from monofour import checks
-from monofour.cli import main
+from monofour.cli import build_parser, main
 from monofour.reports import validate_report_dict
 
 
@@ -128,6 +128,37 @@ class TestVerify:
         )
         assert code == 0
         assert json.loads(out)["parameters"]["chi"] == "1/2"
+
+    def test_degree_bound_flag_reaches_check(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "propDmod1", "--window", "3", "--degree-bound", "2"
+        )
+        assert code == 0
+        assert json.loads(out)["parameters"]["degree_bound"] == 2
+
+    def test_count_flag_reaches_check(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "mon-test", "--count", "2", "--window", "2"
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["parameters"]["count"] == 2
+        assert data["witness"]["count"] == 2
+
+    def test_variant_flag_reaches_check(self, capsys):
+        # The plain twist admits no kernel-relation generator: a fail.
+        code, out, _ = run_cli(
+            capsys, "verify", "exp-square", "--variant", "plain", "--window", "3"
+        )
+        assert code == 1
+        data = json.loads(out)
+        assert data["parameters"]["variant"] == "plain"
+        assert data["verdict"] == "fail"
+
+    def test_every_check_parameter_has_a_flag(self):
+        options = vars(build_parser().parse_args(["verify", "appendix-tensor"]))
+        for spec in checks.CHECKS.values():
+            assert set(spec.defaults) <= set(options), spec.check_id
 
     def test_inapplicable_flag_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "verify", "keythm", "--ell", "3")

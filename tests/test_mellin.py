@@ -52,7 +52,7 @@ from monofour.mellin import (
     windowed_equivariant,
 )
 from monofour.ore import CyclicPresentation, ShiftOp, WeylOp, antipode, inversion_twist
-from monofour.scalars import Poly, RatFun, UnsupportedInputError
+from monofour.scalars import Poly, RatFun, UnsupportedInputError, poly_smith
 
 S = ShiftOp.s()
 T = ShiftOp.t_power(1)
@@ -276,6 +276,26 @@ class TestMonodromicTest:
             cases += 1
         assert cases == 20
 
+    def test_rank_test_agrees_with_smith_form(self):
+        # Every module whose verdict is frozen above: the rank routine and
+        # the Smith diagonal see the same rank, so each verdict is kept.
+        cyc, free = equivariant_cyclic(Poly.x()), equivariant_free(1)
+        modules = [
+            windowed_equivariant(CyclicPresentation("shift", (T - 1,)), 6),
+            windowed_equivariant(CyclicPresentation("shift", (S - Fraction(1, 2),)), 6),
+            windowed_equivariant(kernel_module(), 6),
+            windowed_equivariant(shift_exp_module(), 4),
+            skyscraper_equivariant(skyscraper_tower(0, 2, 4)),
+            tensor_equivariant(cyc, cyc),
+            tensor_equivariant(cyc, free),
+        ]
+        for em in modules:
+            _, d, _ = poly_smith(em.rows())
+            smith_rank = sum(
+                1 for i in range(min(em.nrows, em.ncols)) if not d[i][i].is_zero
+            )
+            assert monodromic_test(em) == (smith_rank == em.nrows)
+
     def test_window_stability(self):
         for pres in (
             CyclicPresentation("shift", (T - 1,)),
@@ -480,6 +500,47 @@ class TestLadders:
     def test_ladder_window_bounds(self):
         with pytest.raises(WindowError):
             exp_ladder(3).func(4)
+
+
+LADDERS = {
+    "pole": lambda: pole_ladder(4),
+    "exp": lambda: exp_ladder(4),
+    "twisted-affine": lambda: twisted_exp_ladder(4),
+    "twisted-plain": lambda: twisted_exp_ladder(4, "plain"),
+}
+
+
+def _fresh_lattice(ladder: LadderFamily) -> WindowedLattice:
+    idx = ladder.indices()
+    return WindowedLattice(
+        ladder.chi,
+        ladder.radius,
+        [ladder.func(j) for j in idx],
+        [f"{ladder.label}[{j}]" for j in idx],
+    )
+
+
+class TestLadderLatticeCache:
+    @pytest.mark.parametrize("kind", sorted(LADDERS))
+    def test_lattice_built_once(self, kind):
+        ladder = LADDERS[kind]()
+        assert ladder.as_lattice() is ladder.as_lattice()
+
+    @pytest.mark.parametrize("kind", sorted(LADDERS))
+    def test_fibers_match_fresh_lattice(self, kind):
+        ladder = LADDERS[kind]()
+        fresh = _fresh_lattice(ladder)
+        for a in fresh.window_points():
+            for n in (1, 2):
+                assert ladder.fiber(a, n) == fresh.fiber(a, n)
+        assert ladder.as_lattice().same_lattice(fresh)
+
+    def test_lattice_is_built_lazily(self):
+        ladder = exp_ladder(4)
+        ladder.func(2)
+        assert ladder._lattice is None
+        ladder.fiber(0)
+        assert ladder._lattice is ladder.as_lattice()
 
 
 class TestOrbitDecomposition:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,10 +17,12 @@ from monofour.scalars import (
     partial_fractions,
     poly_det,
     poly_gcd,
+    poly_rank,
     poly_smith,
-    shift_poly,
     zeta,
 )
+from monofour.scalars import snf
+from monofour.mellin import EquivariantModule, torsion_by_point_ranks
 
 S = Poly.x()
 
@@ -52,9 +55,9 @@ class TestPoly:
         assert poly_gcd(2 * S + 2, 4 * S + 4) == S + 1  # monic output
 
     def test_shift(self):
-        assert shift_poly(S, 1) == S + 1
-        assert shift_poly(S**2, 1) == S**2 + 2 * S + 1
-        assert shift_poly(S**2 - S, -1) == S**2 - 3 * S + 2
+        assert S.shift(1) == S + 1
+        assert (S**2).shift(1) == S**2 + 2 * S + 1
+        assert (S**2 - S).shift(-1) == S**2 - 3 * S + 2
 
     def test_eval_and_compose(self):
         p = S**3 - 2 * S + 1
@@ -222,6 +225,13 @@ class TestSmith:
                 assert prev.divides(cur)
             prev = cur
 
+    def test_failed_certificate_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            snf, "_mat_mul", lambda a, b: [[Poly() for _ in b[0]] for _ in a]
+        )
+        with pytest.raises(AssertionError, match="verification failed"):
+            poly_smith([[S]])
+
     def test_kernel_basis(self):
         # Row vector (s, s+1) has kernel generated by (s+1, -s).
         basis = kernel_basis([[S, S + 1]])
@@ -234,6 +244,70 @@ class TestSmith:
         assert d[0][0] == 2 and d[1][1] == 4
         _, d, _ = int_smith([[1, 0], [0, 0]])
         assert d[0][0] == 1 and d[1][1] == 0
+
+
+def _smith_rank(m):
+    _, d, _ = poly_smith(m)
+    return sum(1 for i in range(min(len(m), len(m[0]))) if not d[i][i].is_zero)
+
+
+def _random_matrix(rng, rows, cols):
+    def entry():
+        if rng.random() < 0.3:
+            return Poly()
+        return Poly([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
+
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+
+SHAPES = {"square": (3, 3), "wide": (2, 4), "tall": (4, 2), "wide3": (3, 5), "tall3": (5, 3)}
+
+
+class TestPolyRank:
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_matches_smith_and_evaluation_oracle(self, shape):
+        rows, cols = SHAPES[shape]
+        rng = random.Random(20260823 + rows * 10 + cols)
+        for _ in range(15):
+            m = _random_matrix(rng, rows, cols)
+            rank = poly_rank(m)
+            assert rank == _smith_rank(m)
+            if rows <= cols:
+                module = EquivariantModule(rows, tuple(tuple(r) for r in m))
+                assert torsion_by_point_ranks(module) == (rank == rows)
+
+    @pytest.mark.parametrize("shape", ("square", "wide", "wide3", "tall3"))
+    def test_dependent_row_lowers_rank(self, shape):
+        rows, cols = SHAPES[shape]
+        rng = random.Random(7 + rows * 10 + cols)
+        for _ in range(10):
+            m = _random_matrix(rng, rows, cols)
+            # the last row becomes a Q[s]-combination of the others
+            qs = [Poly([rng.randint(-2, 2) for _ in range(2)]) for _ in range(rows - 1)]
+            m[-1] = [sum((q * r[k] for q, r in zip(qs, m)), Poly()) for k in range(cols)]
+            rank = poly_rank(m)
+            assert rank < rows
+            assert rank == _smith_rank(m)
+            if rows <= cols:
+                module = EquivariantModule(rows, tuple(tuple(r) for r in m))
+                assert not torsion_by_point_ranks(module)
+
+    def test_zero_and_empty(self):
+        assert poly_rank([[Poly()] * 3 for _ in range(2)]) == 0
+        assert poly_rank([]) == 0
+        assert poly_rank([[S**2 - 1]]) == 1
+
+    def test_known_ranks(self):
+        assert poly_rank([[S, S + 1], [Poly(), S - 1]]) == 2
+        assert poly_rank([[S, S**2], [P(1), S]]) == 1  # second column is s times the first
+        assert poly_rank([[Poly(), S], [Poly(), P(1)]]) == 1
+
+    def test_inexact_division_raises(self, monkeypatch):
+        exact = Poly.__divmod__
+        monkeypatch.setattr(Poly, "__divmod__", lambda a, b: (exact(a, b)[0], P(1)))
+        m = [[S, P(1), Poly()], [P(1), S, P(1)], [Poly(), P(1), S]]
+        with pytest.raises(AssertionError, match="inexact division"):
+            poly_rank(m)
 
 
 class TestFq:
