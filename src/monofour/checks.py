@@ -3,9 +3,10 @@
 Each check id maps to exactly one operation in one engine module; the
 registry records that mapping together with a one-line statement of
 the property under test.  `run_check` produces a CheckReport and
-`run_all` executes a profile's whole parameter grid concurrently,
-merging reports in a fixed order so output is deterministic apart from
-wall times.
+`run_all` executes a profile's whole parameter grid, serially in the
+calling thread with one job and on a thread pool otherwise, merging
+reports in a fixed order so output is deterministic apart from wall
+times.
 """
 
 from __future__ import annotations
@@ -694,7 +695,13 @@ def profile_tasks(profile: str) -> list[tuple[str, dict]]:
 
 
 def run_all(profile: str = "quick", seed: int | None = None, jobs: int | None = None) -> dict:
-    """Run a profile's whole grid concurrently; deterministic merge order."""
+    """Run a profile's whole grid; deterministic merge order.
+
+    jobs=1 runs every check in the calling thread; more jobs (default 8)
+    run them on a thread pool.  jobs below 1 is refused.
+    """
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     tasks = profile_tasks(profile)
     ordered = []
     for check_id, params in tasks:
@@ -702,15 +709,11 @@ def run_all(profile: str = "quick", seed: int | None = None, jobs: int | None = 
         if seed is not None and CHECKS[check_id].seeded:
             effective["seed"] = seed
         ordered.append((check_id, effective))
-    reports: list[CheckReport | None] = [None] * len(ordered)
-    workers = jobs or 8
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            pool.submit(run_check, check_id, params): idx
-            for idx, (check_id, params) in enumerate(ordered)
-        }
-        for future, idx in futures.items():
-            reports[idx] = future.result()
+    if jobs == 1:
+        reports = [run_check(check_id, params) for check_id, params in ordered]
+    else:
+        with ThreadPoolExecutor(max_workers=jobs or 8) as pool:
+            reports = list(pool.map(lambda task: run_check(*task), ordered))
     order = {check_id: i for i, check_id in enumerate(CHECK_IDS)}
     indexed = sorted(
         range(len(reports)), key=lambda i: (order[reports[i].check], i)

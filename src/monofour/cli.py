@@ -32,6 +32,13 @@ class _ArgumentParser(argparse.ArgumentParser):
         return 1
 
 
+def _jobs(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def _emit(payload: dict, pretty_lines=None, pretty: bool = False) -> None:
     if pretty and pretty_lines is not None:
         for line in pretty_lines:
@@ -200,7 +207,7 @@ def build_parser() -> _ArgumentParser:
     p = sub.add_parser("verify-all", help="run a whole profile of checks")
     p.add_argument("--profile", choices=tuple(checks.PROFILES), default="quick")
     p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--jobs", type=_jobs)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=_cmd_verify_all)
 

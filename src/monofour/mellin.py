@@ -36,7 +36,7 @@ from .scalars import (
     rational_rank,
 )
 from .scalars.poly import poly_lcm
-from .scalars.ratfun import rational_roots
+from .scalars.ratfun import linear_factors, rational_roots
 from .ore import (
     CyclicPresentation,
     LaurentWeylOp,
@@ -137,15 +137,33 @@ def mellin_module(m: CyclicPresentation) -> CyclicPresentation:
 # ---------------------------------------------------------------------------
 
 
+def _factor(f: RatFun) -> tuple[dict[Fraction, int], Poly, Poly]:
+    """Split a nonzero f as prod (s-a)^v(a) * num/den: its valuation map
+    at rational points, and the numerator and denominator cofactors
+    without rational roots (num keeps the leading coefficient of f)."""
+    zeros, num = linear_factors(f.num)
+    poles, den = linear_factors(f.den)
+    valuations = dict(zeros)
+    for a, m in poles.items():
+        valuations[a] = -m
+    return valuations, num, den
+
+
 class WindowedLattice:
     """Finitely generated k[s]-submodule of k(s), windowed at chi + [-N, N].
 
-    The content generator (gcd of numerators over the common denominator)
-    exhibits the lattice as free of rank one; all fiber and comparison
-    questions reduce to valuations of the content.
+    Over the PID k[s] the lattice is free of rank one on its content
+    generator (gcd of numerators over the common denominator).  The
+    content is kept as its valuation map {point: valuation} over the
+    rational points, which is the pointwise minimum of the generators'
+    maps, times a residual gcd(residual numerators)/lcm(residual
+    denominators) for the generator factors without a rational root (a
+    constant for every lattice the checks build).  Fiber and comparison
+    questions are dict operations on the maps.
     """
 
-    __slots__ = ("chi", "radius", "generators", "labels", "content")
+    __slots__ = ("chi", "radius", "generators", "labels", "_factors",
+                 "_valuations", "_residual", "_content")
 
     def __init__(self, chi, radius: int, generators, labels=None):
         gens = tuple(_ratfun(g) for g in generators)
@@ -155,40 +173,67 @@ class WindowedLattice:
             raise ValueError("zero generator in lattice")
         if not gens:
             raise ValueError("empty lattice")
-        q = Poly.const(1)
-        for g in gens:
-            q = poly_lcm(q, g.den)
-        nums = [g.num * (q // g.den) for g in gens]
-        g0 = nums[0]
-        for p in nums[1:]:
-            g0 = poly_gcd(g0, p)
+        factors = tuple(_factor(g) for g in gens)
+        valuations = {}
+        for a in sorted(set().union(*(vals for vals, _, _ in factors))):
+            v = min(vals.get(a, 0) for vals, _, _ in factors)
+            if v:
+                valuations[a] = v
+        num = factors[0][1]
+        for _, rest_num, _ in factors[1:]:
+            # the monic gcd of a constant with anything is 1
+            num = poly_gcd(num, rest_num) if num.degree > 0 else Poly.const(1)
+        den = Poly.const(1)
+        for _, _, rest_den in factors:
+            if rest_den.degree > 0:
+                den = poly_lcm(den, rest_den)
         object.__setattr__(self, "chi", frac(chi))
         object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "labels", tuple(labels))
-        object.__setattr__(self, "content", RatFun(g0, q))
+        object.__setattr__(self, "_factors", factors)
+        object.__setattr__(self, "_valuations", valuations)
+        object.__setattr__(self, "_residual", (num, den))
+        object.__setattr__(self, "_content", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("WindowedLattice is immutable")
+
+    @property
+    def content(self) -> RatFun:
+        """The content generator, built from the valuation map on first use."""
+        if self._content is None:
+            num, den = self._residual
+            for a, v in self._valuations.items():
+                if v > 0:
+                    num = num * _linear_power(a, v)
+                else:
+                    den = den * _linear_power(a, -v)
+            object.__setattr__(self, "_content", RatFun(num, den))
+        return self._content
 
     def window_points(self) -> list[Fraction]:
         return [self.chi + i for i in range(-self.radius, self.radius + 1)]
 
     def valuation(self, a) -> int:
-        return self.content.valuation_at(frac(a))
+        return self._valuations.get(frac(a), 0)
 
     def contains(self, f) -> bool:
         f = _ratfun(f)
         if f.num.is_zero:
             return True
-        ratio = RatFun(f.num * self.content.den, f.den * self.content.num)
-        return ratio.den.degree == 0
+        vals, num, den = _factor(f)
+        own = self._valuations
+        if any(vals.get(a, 0) < own.get(a, 0) for a in vals.keys() | own.keys()):
+            return False
+        content_num, content_den = self._residual
+        return (den * content_num).divides(num * content_den)
 
     def same_lattice(self, other: "WindowedLattice") -> bool:
         """Equality as submodules of k(s) (contents agree up to a rational)."""
-        p = self.content.num * other.content.den
-        q = other.content.num * self.content.den
-        return p * q.lc == q * p.lc
+        p = self._residual[0] * other._residual[1]
+        q = other._residual[0] * self._residual[1]
+        return self._valuations == other._valuations and p * q.lc == q * p.lc
 
     def agrees_on_points(self, other: "WindowedLattice", points) -> bool:
         return all(
@@ -204,8 +249,8 @@ class WindowedLattice:
             gen, label = RatFun(1), "1"
         else:
             best = None
-            for k, g in enumerate(self.generators):
-                v = g.valuation_at(a)
+            for k, (vals, _, _) in enumerate(self._factors):
+                v = vals.get(a, 0)
                 if best is None or v <= best[0]:
                     best = (v, k)
             gen, label = self.generators[best[1]], self.labels[best[1]]
@@ -435,17 +480,18 @@ def orbit_decomposition_check(chi, n: int, N: int, samples: int = 5) -> dict:
     den = Poly.const(1)
     for i in range(-N, N + 1):
         den = den * _linear_power(chi + i, n)
+    cofactors = {
+        (i, k): den // _linear_power(chi + i, k)
+        for i in range(-N, N + 1)
+        for k in range(1, n + 1)
+    }
     failures = []
     for _ in range(samples):
-        table = {
-            (i, k): Fraction(rng.randint(-5, 5))
-            for i in range(-N, N + 1)
-            for k in range(1, n + 1)
-        }
+        table = {key: Fraction(rng.randint(-5, 5)) for key in cofactors}
         num = Poly()
-        for (i, k), c in table.items():
+        for key, c in table.items():
             if c:
-                num = num + (den // _linear_power(chi + i, k)) * Poly.const(c)
+                num = num + cofactors[key] * Poly.const(c)
         f = RatFun(num, den)
         _, parts = partial_fractions(f)
         got = {}
@@ -708,17 +754,24 @@ def hom_to_free_vanishes(m: WindowedLattice, degree_bound: int):
     """
     if m.radius <= degree_bound:
         raise WindowError("window radius must exceed the degree bound")
-    content = m.content
-    images = []
-    for g in m.generators:
-        ratio = RatFun(g.num * content.den, g.den * content.num)
-        if ratio.den.degree != 0:
+    content = m._valuations
+    content_num, content_den = m._residual
+    quotients = []
+    for vals, num, den in m._factors:
+        exponents = {a: vals.get(a, 0) - content.get(a, 0) for a in vals.keys() | content.keys()}
+        rest, r = divmod(num * content_den, den * content_num)
+        if not r.is_zero or any(e < 0 for e in exponents.values()):
             raise AssertionError("generator/content must be polynomial")
-        scale = Fraction(1) / ratio.den.coeffs[0]
-        images.append(ratio.num * Poly.const(scale))
-    max_degree = max((p.degree for p in images if not p.is_zero), default=0)
+        quotients.append((exponents, rest))
+    max_degree = max(sum(exps.values()) + rest.degree for exps, rest in quotients)
     if max_degree > degree_bound:
         return True, None
+    images = []
+    for exponents, rest in quotients:
+        for a in sorted(exponents):
+            if exponents[a]:
+                rest = rest * _linear_power(a, exponents[a])
+        images.append(rest)
     return False, images
 
 
@@ -732,15 +785,10 @@ def localization_identity_check(m: WindowedLattice, test_points) -> bool:
             raise OrbitPointError(f"test point {a} lies on the orbit {m.chi} + Z")
         if m.valuation(a) != 0:
             raise OrbitPointError(f"test point {a} lies in the pole set")
-    window_factor = Poly.const(1)
-    for i in range(-m.radius, m.radius + 1):
-        window_factor = window_factor * Poly((-(m.chi + i), 1))
-    residue = m.content.num
-    g = poly_gcd(residue, window_factor)
-    while g.degree > 0:
-        residue = residue // g
-        g = poly_gcd(residue, window_factor)
-    if residue.degree != 0:
+    window = set(m.window_points())
+    if m._residual[0].degree != 0 or any(
+        v > 0 and a not in window for a, v in m._valuations.items()
+    ):
         return False
     return all(m.valuation(frac(a)) == 0 for a in test_points)
 
@@ -775,7 +823,7 @@ def skyscraper_freeness_check(mod_kind: str, chi, n: int, N: int) -> dict:
         named = ladder.func(j)
         named_label = f"{ladder.label}[{j}]"
         v_named = named.valuation_at(a)
-        v_content = lattice.content.valuation_at(a)
+        v_content = lattice.valuation(a)
         free = v_named == v_content
         all_free = all_free and free
         exponents[i] = n

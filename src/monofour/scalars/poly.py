@@ -176,11 +176,7 @@ class Poly:
         c = frac(c)
         if c == 0 or self.is_zero:
             return self
-        shifted = Poly()
-        lin = Poly((c, 1))
-        for coef in reversed(self.coeffs):
-            shifted = shifted * lin + Poly.const(coef)
-        return shifted
+        return Poly(taylor_coeffs(plain_coeffs(self), plain(c)))
 
     def compose_linear(self, a: Scalar, b: Scalar) -> "Poly":
         """Return p(a*s + b)."""
@@ -221,6 +217,45 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.to_str()})"
+
+
+def plain(x: Fraction) -> int | Fraction:
+    """x as an int when it is integral: int arithmetic is many times
+    cheaper than Fraction arithmetic."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def plain_coeffs(p: Poly) -> list:
+    """The coefficients of p (ascending) with integral ones as ints."""
+    return [plain(c) for c in p.coeffs]
+
+
+def synthetic_division(coeffs: list, a) -> tuple[list, Scalar]:
+    """Divide sum(coeffs[i] * s**i) by (s - a) by Horner's scheme.
+
+    Returns (quotient coefficients, remainder) in whatever number type
+    the inputs have; no Poly is built.  The remainder is the value at a.
+    """
+    if not coeffs:
+        return [], 0
+    quotient = coeffs[1:]
+    acc = 0
+    for i in range(len(coeffs) - 1, 0, -1):
+        acc = acc * a + coeffs[i]
+        quotient[i - 1] = acc
+    return quotient, acc * a + coeffs[0]
+
+
+def taylor_coeffs(coeffs: list, a, order: int | None = None) -> list:
+    """The first `order` (default: all) coefficients of p(s + a), i.e. the
+    Taylor coefficients of p at a, as the remainders of repeated synthetic
+    division by (s - a) (the classical Taylor shift; von zur Gathen and
+    Gerhard, ISSAC 1997)."""
+    out = []
+    for _ in range(len(coeffs) if order is None else min(order, len(coeffs))):
+        coeffs, r = synthetic_division(coeffs, a)
+        out.append(r)
+    return out
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Union
 
-from .poly import Poly, frac, poly_gcd
+from .poly import Poly, frac, plain, plain_coeffs, poly_gcd, synthetic_division, taylor_coeffs
 
 Scalar = Union[int, Fraction]
 
@@ -122,18 +122,9 @@ class RatFun:
         """Order of vanishing at s = a; poles give negative values."""
         if self.is_zero:
             raise ValueError("valuation of zero is undefined")
-        a = frac(a)
-        lin = Poly((-a, 1))
-        v = 0
-        num = self.num
-        while num.eval(a) == 0:
-            num = num // lin
-            v += 1
-        den = self.den
-        while den.eval(a) == 0:
-            den = den // lin
-            v -= 1
-        return v
+        a = plain(frac(a))
+        return (_deflate(plain_coeffs(self.num), a)[0]
+                - _deflate(plain_coeffs(self.den), a)[0])
 
     def eval(self, a: Scalar) -> Fraction:
         d = self.den.eval(a)
@@ -161,78 +152,99 @@ def _coerce_ratfun(x):
     return NotImplemented
 
 
+def _deflate(coeffs: list, a) -> tuple[int, list]:
+    """Multiplicity of the root a of a nonzero coefficient list, and the
+    cofactor left after dividing out (s - a) that many times."""
+    mult = 0
+    while len(coeffs) > 1:
+        quotient, r = synthetic_division(coeffs, a)
+        if r:
+            break
+        coeffs = quotient
+        mult += 1
+    return mult, coeffs
+
+
+def linear_factors(p: Poly) -> tuple[dict[Fraction, int], Poly]:
+    """Rational roots of p with multiplicities, and the cofactor of p
+    (leading coefficient included) that has no rational root."""
+    if p.is_zero:
+        raise ValueError("zero polynomial")
+    coeffs = plain_coeffs(p)
+    roots: dict[Fraction, int] = {}
+    zeros = 0
+    while coeffs[zeros] == 0:
+        zeros += 1
+    if zeros:
+        roots[Fraction(0)] = zeros
+        coeffs = coeffs[zeros:]
+    while len(coeffs) > 1:
+        root = _find_rational_root(coeffs)
+        if root is None:
+            break
+        roots[root], coeffs = _deflate(coeffs, plain(root))
+    return roots, Poly(coeffs)
+
+
 def rational_roots(p: Poly) -> dict[Fraction, int]:
     """Rational roots of p with multiplicities, by trial division.
 
     Raises UnsupportedInputError if a nonconstant factor without rational
     roots remains.
     """
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    roots: dict[Fraction, int] = {}
-    # Search roots on the squarefree part: repeated factors would blow up
-    # the constant term and with it the rational-root trial division.
-    rem_sf = _squarefree_part(p)
-    while rem_sf.degree > 0:
-        root = _find_rational_root(rem_sf)
-        if root is None:
-            raise UnsupportedInputError(
-                f"nonconstant factor without rational roots: {rem_sf}"
-            )
-        lin = Poly((-root, 1))
-        rem_sf = rem_sf // lin
-        mult = 0
-        q = p
-        while True:
-            qq, r = divmod(q, lin)
-            if not r.is_zero:
-                break
-            q = qq
-            mult += 1
-        roots[root] = mult
+    roots, rest = linear_factors(p)
+    if rest.degree > 0:
+        raise UnsupportedInputError(f"nonconstant factor without rational roots: {rest}")
     return roots
 
 
-def _squarefree_part(p: Poly) -> Poly:
-    deriv = Poly(tuple(k * c for k, c in enumerate(p.coeffs) if k))
-    if deriv.is_zero:
-        return p
-    return p // poly_gcd(p, deriv)
+def _find_rational_root(coeffs: list) -> Fraction | None:
+    """A rational root of a polynomial with nonzero constant term, or None.
 
-
-def _find_rational_root(p: Poly) -> Fraction | None:
-    # Clear denominators, then apply the rational root theorem.
-    denom = 1
-    for c in p.coeffs:
-        denom = lcm(denom, c.denominator)
-    ints = [int(c * denom) for c in p.coeffs]
-    while ints and ints[0] == 0:
-        # s = 0 is a root
-        if p.eval(0) == 0:
-            return Fraction(0)
-        ints = ints[1:]
-    if not ints:
-        return Fraction(0)
-    const, lead = abs(ints[0]), abs(ints[-1])
-    for num in _divisors(const):
-        for den in _divisors(lead):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if p.eval(cand) == 0:
-                    return cand
+    Denominators are cleared, and each candidate n/d of the rational root
+    theorem is tested by homogeneous Horner in integers.  Numerators are
+    found by trial division up to the square root of the constant term, so
+    small roots are found after few trials.
+    """
+    denom = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (denom // c.denominator) for c in coeffs]
+    g = gcd(*ints)
+    ints = [c // g for c in reversed(ints)]  # leading coefficient first
+    const, dens = abs(ints[-1]), _divisors(ints[0])
+    d = 1
+    while d * d <= const:
+        if const % d == 0:
+            for num in (d, const // d):
+                for den in dens:
+                    for n in (num, -num):
+                        acc, scale = 0, 1
+                        for c in ints:
+                            acc = acc * n + c * scale
+                            scale *= den
+                        if acc == 0:
+                            return Fraction(n, den)
+        d += 1
     return None
 
 
 def _divisors(n: int) -> list[int]:
+    """Positive divisors of n != 0, from its factorization by trial
+    division; the bound shrinks as factors come out, so powers of small
+    primes (leading coefficients of cleared products) cost little."""
     n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    divs = [1]
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            divs = [d * p**e for d in divs for e in range(k + 1)]
+        p += 1
+    if n > 1:
+        divs += [d * n for d in divs]
+    return sorted(divs)
 
 
 def partial_fractions(
@@ -249,45 +261,50 @@ def partial_fractions(
     if rem.is_zero:
         return poly_part, []
     den_roots = rational_roots(f.den)
+    rem_c, den_c = plain_coeffs(rem), plain_coeffs(f.den)
     parts: list[tuple[Fraction, tuple[Fraction, ...]]] = []
+    cofactors = []
     for a in sorted(den_roots):
         m = den_roots[a]
-        lin = Poly((-a, 1))
-        g = f.den
+        pa = plain(a)
+        g = den_c
         for _ in range(m):
-            g = g // lin
+            g = synthetic_division(g, pa)[0]
+        cofactors.append(Poly(g))
         # Taylor-expand rem/g around s = a; the first m series coefficients
         # give the principal part: coefficient of 1/(s-a)^k is h[m-k].
-        num_sh = rem.shift(a)
-        g_sh = g.shift(a)
-        h = _series_quotient(num_sh, g_sh, m)
-        coefs = tuple(h[m - k] for k in range(1, m + 1))
-        parts.append((a, coefs))
+        h = _series_quotient(taylor_coeffs(rem_c, pa, m), taylor_coeffs(g, pa, m), m)
+        parts.append((a, tuple(h[m - k] for k in range(1, m + 1))))
     # Exactness guard: recombination must reproduce f.  Checked as a
     # polynomial identity over the common denominator to avoid
-    # normalizing intermediate sums.
+    # normalizing intermediate sums; the cofactors den/(s-a)^k are
+    # multiplied up from den/(s-a)^m, and must arrive back at den.
     acc = poly_part * f.den
-    for a, coefs in parts:
+    for (a, coefs), cofactor in zip(parts, cofactors):
         lin = Poly((-a, 1))
-        for k, c in enumerate(coefs, start=1):
+        for c in reversed(coefs):
             if c:
-                acc = acc + (f.den // lin**k) * Poly.const(c)
+                acc = acc + cofactor * c
+            cofactor = cofactor * lin
+        if cofactor != f.den:
+            raise AssertionError("partial fraction cofactor mismatch")
     if acc != f.num:
         raise AssertionError("partial fraction recombination mismatch")
     return poly_part, parts
 
 
-def _series_quotient(num: Poly, den: Poly, order: int) -> list[Fraction]:
-    """First `order` power series coefficients of num/den at 0 (den(0) != 0)."""
-    a = list(num.coeffs) + [Fraction(0)] * order
-    b = list(den.coeffs) + [Fraction(0)] * order
+def _series_quotient(num: list, den: list, order: int) -> list:
+    """First `order` power series coefficients at 0 of num/den, given
+    their first `order` coefficients (den[0] != 0)."""
+    a = list(num) + [0] * order
+    b = list(den) + [0] * order
     b0 = b[0]
     if b0 == 0:
         raise ZeroDivisionError("series division by vanishing constant term")
-    h: list[Fraction] = []
+    h: list = []
     for j in range(order):
         acc = a[j]
         for i in range(j):
             acc -= h[i] * b[j - i]
-        h.append(acc / b0)
+        h.append(frac(acc) / b0)
     return h

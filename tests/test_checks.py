@@ -1,6 +1,7 @@
 """Tests for the check registry, dispatch, and profile runner."""
 
 import json
+import threading
 
 import pytest
 
@@ -202,3 +203,28 @@ class TestRunAllSmall:
         out = checks.run_all("tiny")
         for rep in out["reports"]:
             validate_report_dict(rep)
+
+    def test_one_job_runs_in_calling_thread(self, tiny_profile, monkeypatch):
+        threads = []
+        run_check = checks.run_check
+
+        def recording(check_id, params):
+            threads.append(threading.get_ident())
+            return run_check(check_id, params)
+
+        monkeypatch.setattr(checks, "run_check", recording)
+        serial = checks.run_all("tiny", seed=5, jobs=1)
+        assert threads == [threading.get_ident()] * len(tiny_profile)
+        pooled = checks.run_all("tiny", seed=5, jobs=2)
+        assert [stripped(r) for r in serial["reports"]] == [
+            stripped(r) for r in pooled["reports"]
+        ]
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_refused(self, tiny_profile, monkeypatch, jobs):
+        def never(check_id, params):
+            raise AssertionError("no check may run")
+
+        monkeypatch.setattr(checks, "run_check", never)
+        with pytest.raises(ValueError, match="at least 1"):
+            checks.run_all("tiny", jobs=jobs)

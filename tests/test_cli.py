@@ -222,6 +222,16 @@ class TestVerifyAll:
         assert code == 0
         assert "verdict=pass" in out.splitlines()[-1]
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_usage_error(self, capsys, monkeypatch, jobs):
+        def never(*args, **kwargs):
+            raise AssertionError("no profile may run")
+
+        monkeypatch.setattr(checks, "run_all", never)
+        code, out, err = run_cli(capsys, "verify-all", "--jobs", jobs)
+        assert code == 1 and not out
+        assert "at least 1" in err
+
 
 class TestUsageErrors:
     def test_unknown_subcommand_exits_1(self, capsys):

@@ -51,8 +51,10 @@ from monofour.mellin import (
     weyl_kernel_module,
     windowed_equivariant,
 )
+from monofour import checks, mellin
 from monofour.ore import CyclicPresentation, ShiftOp, WeylOp, antipode, inversion_twist
-from monofour.scalars import Poly, RatFun, UnsupportedInputError, poly_smith
+from monofour.scalars import Poly, RatFun, UnsupportedInputError, poly_gcd, poly_smith
+from monofour.scalars.poly import poly_lcm
 
 S = ShiftOp.s()
 T = ShiftOp.t_power(1)
@@ -541,6 +543,170 @@ class TestLadderLatticeCache:
         assert ladder._lattice is None
         ladder.fiber(0)
         assert ladder._lattice is ladder.as_lattice()
+
+
+# ---------------------------------------------------------------------------
+# Content oracle: the lcm/gcd sweep over all generators, with valuations by
+# repeated division, against the lattice's valuation-map content.
+# ---------------------------------------------------------------------------
+
+
+def reference_content(gens) -> RatFun:
+    q = Poly.const(1)
+    for g in gens:
+        q = poly_lcm(q, g.den)
+    nums = [g.num * (q // g.den) for g in gens]
+    g0 = nums[0]
+    for p in nums[1:]:
+        g0 = poly_gcd(g0, p)
+    return RatFun(g0, q)
+
+
+def reference_valuation(f: RatFun, a) -> int:
+    lin = Poly((-Fraction(a), 1))
+
+    def order(p):
+        k = 0
+        while True:
+            q, r = divmod(p, lin)
+            if not r.is_zero:
+                return k
+            p, k = q, k + 1
+
+    return order(f.num) - order(f.den)
+
+
+def reference_contains(content: RatFun, f: RatFun) -> bool:
+    return f.num.is_zero or RatFun(f.num * content.den, f.den * content.num).den.degree == 0
+
+
+def reference_fiber_generator(lat: WindowedLattice, content: RatFun, a):
+    """(generator, label) of the fiber at a, as the lattice chose it
+    before the valuation maps: 1 when it generates, else the last
+    generator of least valuation."""
+    if reference_valuation(content, a) == 0 and reference_contains(content, RatFun(1)):
+        return RatFun(1), "1"
+    best = None
+    for k, g in enumerate(lat.generators):
+        v = reference_valuation(g, a)
+        if best is None or v <= best[0]:
+            best = (v, k)
+    return lat.generators[best[1]], lat.labels[best[1]]
+
+
+def reference_hom_images(lat: WindowedLattice, content: RatFun) -> list[Poly]:
+    images = []
+    for g in lat.generators:
+        ratio = RatFun(g.num * content.den, g.den * content.num)
+        assert ratio.den.degree == 0
+        images.append(ratio.num * Poly.const(1 / ratio.den.coeffs[0]))
+    return images
+
+
+def assert_matches_reference(lat: WindowedLattice, extra_points=()):
+    ref = reference_content(lat.generators)
+    assert lat.content.num == ref.num
+    assert lat.content.den == ref.den
+    for a in list(lat.window_points()) + list(extra_points):
+        a = Fraction(a)
+        assert lat.valuation(a) == reference_valuation(ref, a), a
+        gen, label = reference_fiber_generator(lat, ref, a)
+        for n in (1, 2):
+            assert lat.fiber(a, n) == Fiber(a, n, 1, n, gen, label), a
+    assert lat.contains(RatFun(1)) == reference_contains(ref, RatFun(1))
+    assert lat.contains(ref) and lat.same_lattice(WindowedLattice(lat.chi, lat.radius, [ref]))
+    return ref
+
+
+@pytest.fixture(scope="module")
+def quick_grid_lattices():
+    """Every distinct lattice the quick profile's mellin checks build."""
+    built = {}
+
+    class Recording(WindowedLattice):
+        __slots__ = ()
+
+        def __init__(self, chi, radius, generators, labels=None):
+            super().__init__(chi, radius, generators, labels)
+            built.setdefault((self.chi, self.radius, self.generators), self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mellin, "WindowedLattice", Recording)
+        for check_id, params in checks.profile_tasks("quick"):
+            if checks.CHECKS[check_id].engine.startswith("mellin."):
+                checks.run_check(check_id, params)
+    return list(built.values())
+
+
+def _random_factor_lattice(rng, chi, radius, off_orbit):
+    points = [chi + i for i in range(-radius - 1, radius + 2)] + off_orbit
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        num, den = Poly.const(rng.choice([1, -2, Fraction(3, 4), 5])), Poly.const(1)
+        for a in rng.sample(points, rng.randint(0, 4)):
+            e = rng.choice([-3, -2, -1, 1, 2])
+            if e > 0:
+                num = num * Poly((-a, 1)) ** e
+            else:
+                den = den * Poly((-a, 1)) ** -e
+        gens.append(RatFun(num, den))
+    return WindowedLattice(chi, radius, gens)
+
+
+class TestContentOracle:
+    def test_quick_grid_lattices_match_reference(self, quick_grid_lattices):
+        kinds = {(lat.chi, lat.radius, len(lat.generators)) for lat in quick_grid_lattices}
+        # orbit lattices on three orbits, both ladders, exp-square, embedding
+        assert len(quick_grid_lattices) >= 15 and len(kinds) >= 6
+        for lat in quick_grid_lattices:
+            assert_matches_reference(lat, [lat.chi + Fraction(2, 5)])
+
+    @pytest.mark.parametrize("kind", ["pole", "exp"])
+    def test_ladder_lattices_radius_nine(self, kind):
+        ladder = pole_ladder(9) if kind == "pole" else exp_ladder(9)
+        assert_matches_reference(ladder.as_lattice())
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_lattices_with_off_orbit_points(self, seed):
+        rng = random.Random(7000 + seed)
+        chi = rng.choice([Fraction(0), Fraction(1, 2), Fraction(1, 3)])
+        off_orbit = [chi + Fraction(2, 5), Fraction(-7, 3), Fraction(11, 4)]
+        lat = _random_factor_lattice(rng, chi, rng.randint(2, 5), off_orbit)
+        ref = assert_matches_reference(lat, off_orbit)
+        other = _random_factor_lattice(rng, chi, lat.radius, off_orbit)
+        for f in list(other.generators) + [RatFun(1), ref * Poly((1, 1)), ref * RatFun(1, Poly((3, 1)))]:
+            assert lat.contains(f) == reference_contains(ref, f)
+        assert lat.same_lattice(other) == (
+            reference_contains(ref, reference_content(other.generators))
+            and reference_contains(reference_content(other.generators), ref)
+        )
+        bound = lat.radius - 1
+        verdict, images = hom_to_free_vanishes(lat, bound)
+        want = reference_hom_images(lat, ref)
+        assert verdict == (max(p.degree for p in want) > bound)
+        assert images is None if verdict else images == want
+
+    def test_non_split_residual(self):
+        q = Poly((1, 0, 1))  # s^2 + 1
+        gens = [
+            RatFun(q * Poly((2, 1)), Poly((-1, 1)) ** 2),
+            RatFun(q * q * 3, Poly((0, 1))),
+            RatFun(q * Poly((Fraction(-1, 2), 1)), Poly((1, 0, 2)) * Poly((3, 1))),
+        ]
+        lat = WindowedLattice(0, 8, gens)
+        ref = assert_matches_reference(lat, [Fraction(1, 2), Fraction(-1, 2)])
+        assert ref.num.degree > 0 and (ref.num % q).is_zero
+        assert localization_identity_check(lat, [Fraction(2, 5)]) is False
+        assert hom_to_free_vanishes(lat, 7) == (False, reference_hom_images(lat, ref))
+        assert hom_to_free_vanishes(lat, 6) == (True, None)
+        assert lat.contains(ref) and not lat.contains(RatFun(1))
+        assert not lat.contains(RatFun(ref.num, ref.den * q))
+
+    def test_single_generator_content_keeps_its_constant(self):
+        g = RatFun(Poly((6, 3)), Poly((0, 2)))  # (3s + 6)/(2s)
+        lat = WindowedLattice(0, 3, [g])
+        assert lat.content == g
+        assert hom_to_free_vanishes(lat, 2) == (False, [Poly.const(1)])
 
 
 class TestOrbitDecomposition:

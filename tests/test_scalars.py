@@ -22,6 +22,8 @@ from monofour.scalars import (
     zeta,
 )
 from monofour.scalars import snf
+from monofour.scalars.poly import synthetic_division, taylor_coeffs
+from monofour.scalars.ratfun import linear_factors, rational_roots
 from monofour.mellin import EquivariantModule, torsion_by_point_ranks
 
 S = Poly.x()
@@ -169,6 +171,145 @@ class TestRatFun:
             for k, c in enumerate(coefs, start=1):
                 total = total + RatFun(Poly.const(c), (S - a) ** k)
         assert total == f
+
+
+# ---------------------------------------------------------------------------
+# The synthetic-division kernel against the Poly-level references it replaced.
+# ---------------------------------------------------------------------------
+
+
+def reference_shift(p: Poly, c) -> Poly:
+    """p(s + c) by Horner's scheme with Poly arithmetic."""
+    out = Poly()
+    for coef in reversed(p.coeffs):
+        out = out * Poly((Fraction(c), 1)) + Poly.const(coef)
+    return out
+
+
+def reference_valuation(p: Poly, a) -> int:
+    lin = Poly((-Fraction(a), 1))
+    k = 0
+    while True:
+        q, r = divmod(p, lin)
+        if not r.is_zero:
+            return k
+        p, k = q, k + 1
+
+
+def reference_partial_fractions(f: RatFun):
+    """Principal parts from the full Taylor shift of rem and cofactor."""
+    poly_part, rem = divmod(f.num, f.den)
+    if rem.is_zero:
+        return poly_part, []
+    roots = {a: reference_valuation(f.den, a) for a in rational_roots(f.den)}
+    parts = []
+    for a in sorted(roots):
+        m = roots[a]
+        g = f.den // Poly((-a, 1)) ** m
+        num, den = list(rem.shift(a).coeffs), list(g.shift(a).coeffs)
+        num += [Fraction(0)] * m
+        den += [Fraction(0)] * m
+        h = []
+        for j in range(m):
+            acc = num[j] - sum(h[i] * den[j - i] for i in range(j))
+            h.append(acc / den[0])
+        parts.append((a, tuple(h[m - k] for k in range(1, m + 1))))
+    return poly_part, parts
+
+
+def _random_poly(rng, degree, rational=True):
+    pool = [Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7] if rational else [1]))
+            for _ in range(degree + 1)]
+    pool[-1] = pool[-1] or Fraction(1)
+    return Poly(pool)
+
+
+def _product(factors) -> Poly:
+    """prod (d*s - n)^m over (n, d, m); scaled by a non-unit constant."""
+    out = Poly.const(-3)
+    for n, d, m in factors:
+        out = out * Poly((-n, d)) ** m
+    return out
+
+
+class TestSyntheticDivisionKernel:
+    def test_division_identity(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            p = _random_poly(rng, rng.randint(0, 9))
+            a = Fraction(rng.randint(-7, 7), rng.randint(1, 4))
+            q, r = synthetic_division(list(p.coeffs), a)
+            assert Poly(q) * Poly((-a, 1)) + Poly.const(r) == p
+            assert r == p.eval(a)
+        assert synthetic_division([], 3) == ([], 0)
+
+    def test_shift_matches_poly_horner_and_compose(self):
+        rng = random.Random(12)
+        for _ in range(80):
+            p = _random_poly(rng, rng.randint(0, 12), rational=rng.random() < 0.5)
+            c = rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 5))])
+            assert p.shift(c) == reference_shift(p, c)
+            assert p.shift(c) == p.compose_linear(1, c)
+            assert p.shift(c).shift(-c) == p
+
+    def test_truncated_taylor_is_a_prefix(self):
+        rng = random.Random(13)
+        for _ in range(40):
+            p = _random_poly(rng, rng.randint(0, 10))
+            a = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+            full = reference_shift(p, a).coeffs
+            for m in range(0, 4):
+                assert taylor_coeffs(list(p.coeffs), a, m) == list(full[:m])
+
+    def test_valuation_matches_repeated_division(self):
+        rng = random.Random(14)
+        for _ in range(60):
+            points = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(3)]
+            num = _product([(a.numerator, a.denominator, rng.randint(0, 4)) for a in points[:2]])
+            den = _product([(points[2].numerator, points[2].denominator, rng.randint(0, 3))])
+            num = num * _random_poly(rng, 2)
+            f = RatFun(num, den)
+            for a in points + [Fraction(1, 5), Fraction(0)]:
+                want = reference_valuation(f.num, a) - reference_valuation(f.den, a)
+                assert f.valuation_at(a) == want
+
+    def test_rational_roots_of_known_products(self):
+        rng = random.Random(15)
+        for _ in range(40):
+            roots = {}
+            for _ in range(rng.randint(1, 4)):
+                d = rng.choice([1, 1, 2, 3, 5])
+                n = rng.choice([0, rng.randint(-12, 12), rng.randint(1000, 1100)])
+                roots[Fraction(n, d)] = rng.randint(1, 4)
+            p = _product([(a.numerator, a.denominator, m) for a, m in roots.items()])
+            assert rational_roots(p) == roots
+            assert linear_factors(p) == (roots, Poly.const(p.lc))
+
+    def test_rational_roots_edge_cases(self):
+        # root at 0 of multiplicity 4, non-monic, constant term above 10^6
+        p = _product([(0, 1, 4), (1009, 2, 2), (-1013, 1, 1), (7, 3, 3)])
+        assert abs(Poly(p.coeffs[4:]).coeffs[0]) > 10**6
+        assert rational_roots(p) == {
+            Fraction(0): 4, Fraction(1009, 2): 2, Fraction(-1013): 1, Fraction(7, 3): 3
+        }
+        assert rational_roots(Poly.const(5)) == {}
+        with pytest.raises(ValueError):
+            rational_roots(Poly())
+        with pytest.raises(UnsupportedInputError):
+            rational_roots((S**2 + 1) * (S - 2))
+        roots, rest = linear_factors(2 * (S**2 + 2) ** 2 * (S - 2) ** 3 * S)
+        assert roots == {Fraction(2): 3, Fraction(0): 1}
+        assert rest == 2 * (S**2 + 2) ** 2
+
+    def test_partial_fractions_match_full_shift_reference(self):
+        rng = random.Random(16)
+        for _ in range(40):
+            poles = {}
+            for _ in range(rng.randint(1, 4)):
+                poles[Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))] = rng.randint(1, 4)
+            den = _product([(a.numerator, a.denominator, m) for a, m in poles.items()])
+            f = RatFun(_random_poly(rng, rng.randint(0, den.degree + 2)), den)
+            assert partial_fractions(f) == reference_partial_fractions(f)
 
 
 class TestSmith:
