@@ -5,7 +5,7 @@ Named checks, reports, and verification profiles
 Every identity the engines certify is also exposed as a named check:
 a registry entry that dispatches to one engine operation, returns a
 structured report with a plain-English statement, and serializes to
-JSON.  Profiles run whole parameter grids concurrently with a
+JSON.  Profiles run whole parameter grids serially with a
 deterministic merge order.
 """
 
@@ -40,7 +40,7 @@ print("\n" + diag.to_json(pretty=False, include_elapsed=False)[:120] + "...")
 tasks = checks.profile_tasks("quick")
 print(f"\nquick profile: {len(tasks)} tasks over {len({c for c, _ in tasks})} checks")
 
-# run_all executes the grid concurrently and merges results in
+# run_all executes the grid in this thread and merges results in
 # registry order; the aggregate verdict fails if any check fails.
 result = checks.run_all("quick", seed=1)
 print("aggregate:", result["verdict"], json.dumps(result["counts"]))

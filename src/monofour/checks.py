@@ -3,17 +3,15 @@
 Each check id maps to exactly one operation in one engine module; the
 registry records that mapping together with a one-line statement of
 the property under test.  `run_check` produces a CheckReport and
-`run_all` executes a profile's whole parameter grid, serially in the
-calling thread with one job and on a thread pool otherwise, merging
-reports in a fixed order so output is deterministic apart from wall
-times.
+`run_all` executes a profile's whole parameter grid serially in the
+calling thread, merging reports in a fixed order so output is
+deterministic apart from wall times.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,54 +41,11 @@ def _chi_fraction(value) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Runners.  Each returns (verdict_value, witness) where verdict_value is a
-# bool or the string "diagnostic".
+# Runners for checks that convert parameters or combine engine calls.  Each
+# returns (verdict_value, witness) where verdict_value is a bool or the
+# string "diagnostic".  A check without a runner calls its engine with the
+# merged parameters, and the engine's report is its witness.
 # ---------------------------------------------------------------------------
-
-
-def _run_keythm(p):
-    rep = trace.check_keythm(p["q"], p["d"], seed=p["seed"])
-    return rep["verdict"], rep
-
-
-def _run_cv(p):
-    rep = trace.check_CV(p["q"], p["d"])
-    return rep["verdict"], rep
-
-
-def _run_p2b(p):
-    rep = trace.check_P2B(p["q"])
-    return rep["verdict"], rep
-
-
-def _run_bl2(p):
-    rep = trace.check_BL2(p["q"], p["d"], seed=p["seed"])
-    return rep["verdict"], rep
-
-
-def _run_fbneq(p):
-    rep = trace.check_fbneq(p["q"])
-    return rep["verdict"], rep
-
-
-def _run_gauss_suite(p):
-    rep = trace.gauss_suite(p["q"], p["n"])
-    return rep["verdict"], rep
-
-
-def _run_gauss_g(p):
-    rep = trace.gauss_g_diagnostic(p["q"], p["n"])
-    return rep["verdict"], rep
-
-
-def _run_propB3(p):
-    rep = trace.diag_propB3(p["q"], p["n"])
-    return rep["verdict"], rep
-
-
-def _run_mon_equivalence(p):
-    rep = trace.check_mon_equivalence(p["q"], p["d"], p["n"])
-    return rep["verdict"], rep
 
 
 def _run_lem_mon_shadow(p):
@@ -272,11 +227,6 @@ def _run_fb_fl_agree(p):
     return control is not None, witness
 
 
-def _run_appendix_augmentation(p):
-    rep = groupalg.augmentation_kernel_check(p["ell"], p["r"], p["n"])
-    return rep["verdict"], rep
-
-
 def _run_appendix_nzd(p):
     main = groupalg.pro_nzd_check(p["ell"], p["r"], p["n"])
     control_applicable = p["ell"] ** p["r"] > 2
@@ -294,16 +244,6 @@ def _run_appendix_nzd(p):
     return verdict, witness
 
 
-def _run_appendix_units(p):
-    rep = groupalg.unit_surjectivity_check(p["ell"], p["r"], p["n"], p["nprime"])
-    return rep["verdict"], rep
-
-
-def _run_appendix_tensor(p):
-    rep = groupalg.twisted_tensor_check()
-    return rep["verdict"], rep
-
-
 # ---------------------------------------------------------------------------
 # Registry.
 # ---------------------------------------------------------------------------
@@ -314,8 +254,8 @@ class CheckSpec:
     check_id: str
     engine: str  # "module.operation" this check dispatches to
     statement: str
-    runner: object
     defaults: dict
+    runner: object = None
     seeded: bool = False
 
 
@@ -325,7 +265,6 @@ _SPECS = [
         "trace.check_keythm",
         "Applying the kernel transform twice equals -q^d times "
         "multiplicative convolution with the unit-restricted kernel.",
-        _run_keythm,
         {"q": 3, "d": 1, "seed": 0},
         seeded=True,
     ),
@@ -334,7 +273,6 @@ _SPECS = [
         "trace.check_CV",
         "On functions whose scaling-orbit sums vanish, the kernel "
         "transform squares to q^(d+1) and preserves the subspace.",
-        _run_cv,
         {"q": 3, "d": 1},
     ),
     CheckSpec(
@@ -342,7 +280,6 @@ _SPECS = [
         "trace.check_P2B",
         "The inverted-argument additive character sum reproduces the "
         "negative of the kernel function exactly in cyclotomic integers.",
-        _run_p2b,
         {"q": 3},
     ),
     CheckSpec(
@@ -350,7 +287,6 @@ _SPECS = [
         "trace.check_BL2",
         "The kernel transform factors as a multiplicative convolution "
         "applied after the additive-character transform.",
-        _run_bl2,
         {"q": 3, "d": 1, "seed": 0},
         seeded=True,
     ),
@@ -360,7 +296,6 @@ _SPECS = [
         "The kernel transform sends the delta at 0 to the constant -1 and "
         "the delta at 1 to the negated kernel, separating it from the "
         "additive-character transform.",
-        _run_fbneq,
         {"q": 3},
     ),
     CheckSpec(
@@ -368,7 +303,6 @@ _SPECS = [
         "trace.gauss_suite",
         "Power-count kernels match character sums and opposite Gauss sums "
         "multiply to q times the sign of the character at -1.",
-        _run_gauss_suite,
         {"q": 5, "n": 4},
     ),
     CheckSpec(
@@ -377,7 +311,6 @@ _SPECS = [
         "Measures the self-convolution of the transformed power-count "
         "kernel against scalar multiples of the kernel itself, reporting "
         "the observed scalar without asserting one.",
-        _run_gauss_g,
         {"q": 5, "n": 1},
     ),
     CheckSpec(
@@ -386,7 +319,6 @@ _SPECS = [
         "Measures convolution of the power-count kernel with the "
         "unit-restricted kernel against the bookkeeping scalar q, "
         "reporting the observed proportionality without asserting it.",
-        _run_propB3,
         {"q": 3, "n": 1},
     ),
     CheckSpec(
@@ -394,7 +326,6 @@ _SPECS = [
         "trace.check_mon_equivalence",
         "The kernel transform preserves the span of scaling "
         "eigenfunctions and is invertible on it over the cyclotomic field.",
-        _run_mon_equivalence,
         {"q": 3, "d": 1, "n": 2},
     ),
     CheckSpec(
@@ -402,48 +333,48 @@ _SPECS = [
         "trace.check_lem_mon_shadow",
         "Convolution with the power-count kernel scales a character "
         "eigenfunction by q-1 inside its eigenspace and kills it outside.",
-        _run_lem_mon_shadow,
         {"q": 7, "n": 3, "chi": 2},
+        runner=_run_lem_mon_shadow,
     ),
     CheckSpec(
         "mellin-b-embed",
         "mellin.embed_in_Ks",
         "The kernel module embeds into rational functions with generator "
         "image 1/(s+1), and the constant image 1 is refused.",
-        _run_mellin_b_embed,
         {"window": 8},
+        runner=_run_mellin_b_embed,
     ),
     CheckSpec(
         "propDmod1",
         "mellin.hom_to_free_vanishes",
         "Every polynomial-valued linear map out of the orbit pole lattice "
         "vanishes under the degree cap.",
-        _run_propDmod1,
         {"chi": "0", "n": 1, "window": 8, "degree_bound": 5},
+        runner=_run_propDmod1,
     ),
     CheckSpec(
         "propDmod2",
         "mellin.localization_identity_check",
         "Away from its orbit the pole lattice is the unit lattice: fibers "
         "at off-orbit points are free of rank one generated by 1.",
-        _run_propDmod2,
         {"chi": "0", "n": 1, "window": 8},
+        runner=_run_propDmod2,
     ),
     CheckSpec(
         "propDmod3",
         "mellin.skyscraper_freeness_check",
         "Order-n skyscraper fibers of the kernel and exponential modules "
         "are free of rank one with the expected named generators.",
-        _run_propDmod3,
         {"chi": "0", "n": 1, "window": 8},
+        runner=_run_propDmod3,
     ),
     CheckSpec(
         "dmodmon",
         "mellin.monodromization_check",
         "Tensoring a skyscraper tower with the kernel or exponential "
         "module reproduces the tower, matching the free-module control.",
-        _run_dmodmon,
         {"chi": "0", "n": 1, "window": 8},
+        runner=_run_dmodmon,
     ),
     CheckSpec(
         "exp-square",
@@ -451,16 +382,16 @@ _SPECS = [
         "The inverted exponential module tensored with the exponential "
         "module admits a generator satisfying the kernel relation; the "
         "plain product control finds none.",
-        _run_exp_square,
         {"window": 6, "variant": "affine"},
+        runner=_run_exp_square,
     ),
     CheckSpec(
         "mon-test",
         "mellin.monodromic_test",
         "Torsion detection on windowed equivariant modules agrees with a "
         "direct evaluation-rank oracle on random presentations.",
-        _run_mon_test,
         {"count": 20, "window": 3, "seed": 20260823},
+        runner=_run_mon_test,
         seeded=True,
     ),
     CheckSpec(
@@ -468,16 +399,16 @@ _SPECS = [
         "mellin.orbit_decomposition_check",
         "Partial fractions decompose the windowed orbit algebra into "
         "skyscraper summands with exact round-trip of coefficients.",
-        _run_eq3_decomp,
         {"chi": "0", "n": 2, "window": 5},
+        runner=_run_eq3_decomp,
     ),
     CheckSpec(
         "fourier-antipode",
         "ore.fourier_auto",
         "The transform substitution applied twice equals the antipode "
         "substitution on random differential operators.",
-        _run_fourier_antipode,
         {"count": 1000, "seed": 20260823},
+        runner=_run_fourier_antipode,
         seeded=True,
     ),
     CheckSpec(
@@ -486,15 +417,14 @@ _SPECS = [
         "The kernel-based transform of an eigen-presentation agrees with "
         "the substitution transform, and non-torsion inputs are refused "
         "with a diagnostic.",
-        _run_fb_fl_agree,
         {"chi": "1/2", "window": 6},
+        runner=_run_fb_fl_agree,
     ),
     CheckSpec(
         "appendix-augmentation",
         "groupalg.augmentation_kernel_check",
         "The coefficient-sum kernel of the cyclic group algebra is the "
         "ideal generated by t-1, with explicit cofactors.",
-        _run_appendix_augmentation,
         {"ell": 2, "r": 2, "n": 3},
     ),
     CheckSpec(
@@ -503,15 +433,14 @@ _SPECS = [
         "The annihilator of t-1 at a sufficiently deep level dies under "
         "transition, while the shallow-level control leaves a nonzero "
         "image.",
-        _run_appendix_nzd,
         {"ell": 2, "r": 2, "n": 3},
+        runner=_run_appendix_nzd,
     ),
     CheckSpec(
         "appendix-units",
         "groupalg.unit_surjectivity_check",
         "Transition maps between cyclic group algebras are surjective on "
         "unit groups.",
-        _run_appendix_units,
         {"ell": 2, "r": 1, "n": 1, "nprime": 3},
     ),
     CheckSpec(
@@ -519,12 +448,12 @@ _SPECS = [
         "groupalg.twisted_tensor_check",
         "Twist indices of formal rank-one modules add under tensor, "
         "associatively and compatibly with transitions.",
-        _run_appendix_tensor,
         {},
     ),
 ]
 
 CHECKS = {spec.check_id: spec for spec in _SPECS}
+_ENGINE_MODULES = {"trace": trace, "mellin": mellin, "groupalg": groupalg, "ore": ore}
 CHECK_IDS = tuple(spec.check_id for spec in _SPECS)
 
 
@@ -541,7 +470,13 @@ def run_check(check_id: str, params: dict | None = None) -> CheckReport:
             raise ValueError(f"check {check_id!r} takes no parameter {key!r}")
         merged[key] = value
     start = time.perf_counter()
-    verdict_value, witness = spec.runner(merged)
+    if spec.runner is None:
+        # looked up per call, so that a rebound engine attribute is used
+        module_name, fn_name = spec.engine.split(".")
+        witness = getattr(_ENGINE_MODULES[module_name], fn_name)(**merged)
+        verdict_value = witness["verdict"]
+    else:
+        verdict_value, witness = spec.runner(merged)
     elapsed = time.perf_counter() - start
     return CheckReport(
         check=check_id,
@@ -694,14 +629,15 @@ def profile_tasks(profile: str) -> list[tuple[str, dict]]:
     return PROFILES[profile]()
 
 
-def run_all(profile: str = "quick", seed: int | None = None, jobs: int | None = None) -> dict:
-    """Run a profile's whole grid; deterministic merge order.
-
-    jobs=1 runs every check in the calling thread; more jobs (default 8)
-    run them on a thread pool.  jobs below 1 is refused.
+def run_all(profile: str = "quick", seed: int | None = None, jobs: int = 1) -> dict:
+    """Run a profile's whole grid in the calling thread; deterministic
+    merge order.  The checks are CPU-bound Python, so jobs is 1: any other
+    value is refused.
     """
-    if jobs is not None and jobs < 1:
+    if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if jobs > 1:
+        raise ValueError(f"checks run serially; jobs must be 1, got {jobs}")
     tasks = profile_tasks(profile)
     ordered = []
     for check_id, params in tasks:
@@ -709,11 +645,7 @@ def run_all(profile: str = "quick", seed: int | None = None, jobs: int | None = 
         if seed is not None and CHECKS[check_id].seeded:
             effective["seed"] = seed
         ordered.append((check_id, effective))
-    if jobs == 1:
-        reports = [run_check(check_id, params) for check_id, params in ordered]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs or 8) as pool:
-            reports = list(pool.map(lambda task: run_check(*task), ordered))
+    reports = [run_check(check_id, params) for check_id, params in ordered]
     order = {check_id: i for i, check_id in enumerate(CHECK_IDS)}
     indexed = sorted(
         range(len(reports)), key=lambda i: (order[reports[i].check], i)

@@ -36,6 +36,8 @@ def _jobs(text: str) -> int:
     jobs = int(text)
     if jobs < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    if jobs > 1:
+        raise argparse.ArgumentTypeError(f"checks run serially; must be 1, got {jobs}")
     return jobs
 
 
@@ -207,7 +209,7 @@ def build_parser() -> _ArgumentParser:
     p = sub.add_parser("verify-all", help="run a whole profile of checks")
     p.add_argument("--profile", choices=tuple(checks.PROFILES), default="quick")
     p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=_jobs)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=_cmd_verify_all)
 

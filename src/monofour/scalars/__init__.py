@@ -5,16 +5,7 @@ from fractions import Fraction
 
 from .poly import Poly, frac, poly_gcd
 from .ratfun import RatFun, UnsupportedInputError, partial_fractions
-from .snf import (
-    int_smith,
-    kernel_basis,
-    poly_det,
-    poly_rank,
-    poly_smith,
-    rational_kernel_basis,
-    rational_rank,
-    rational_solve_dim,
-)
+from .snf import int_smith, poly_rank, poly_smith, rational_rank
 from .ffield import Fq
 from .cyclotomic import CycScalar, cyclotomic_poly, zeta
 from .residue import ResidueRingElem
@@ -33,11 +24,7 @@ __all__ = [
     "poly_smith",
     "poly_rank",
     "int_smith",
-    "kernel_basis",
-    "poly_det",
-    "rational_solve_dim",
     "rational_rank",
-    "rational_kernel_basis",
     "Fq",
     "CycScalar",
     "cyclotomic_poly",

@@ -27,32 +27,6 @@ from .scalars import CycScalar, Fq, frac, rational_rank, zeta
 Scalar = object  # Fraction | int | CycScalar
 
 
-def _addsc(a, b):
-    if isinstance(b, CycScalar):
-        return b + a
-    if isinstance(a, CycScalar):
-        return a + b
-    return a + b
-
-
-def _mulsc(a, b):
-    if isinstance(b, CycScalar):
-        return b * a
-    if isinstance(a, CycScalar):
-        return a * b
-    return a * b
-
-
-def _negsc(a):
-    return -a
-
-
-def _is_zero_sc(a) -> bool:
-    if isinstance(a, CycScalar):
-        return a.is_zero
-    return a == 0
-
-
 @dataclass(frozen=True)
 class TwistShift:
     """Bookkeeping record for twist/shift scalars on trace functions.
@@ -128,7 +102,7 @@ class TraceFunction:
         return zip(self.points(), self.values)
 
     def support(self):
-        return [p for p, v in self.items() if not _is_zero_sc(v)]
+        return [p for p, v in self.items() if v]
 
     # -- arithmetic -------------------------------------------------------
 
@@ -140,38 +114,35 @@ class TraceFunction:
         self._compat(other)
         return TraceFunction(
             self.field, self.rank,
-            [_addsc(a, b) for a, b in zip(self.values, other.values)],
+            [a + b for a, b in zip(self.values, other.values)],
         )
 
     def __sub__(self, other: "TraceFunction") -> "TraceFunction":
         self._compat(other)
         return TraceFunction(
             self.field, self.rank,
-            [_addsc(a, _negsc(b)) for a, b in zip(self.values, other.values)],
+            [a - b for a, b in zip(self.values, other.values)],
         )
 
     def __neg__(self) -> "TraceFunction":
-        return TraceFunction(self.field, self.rank, [_negsc(v) for v in self.values])
+        return TraceFunction(self.field, self.rank, [-v for v in self.values])
 
     def scale(self, c) -> "TraceFunction":
-        return TraceFunction(self.field, self.rank, [_mulsc(v, c) for v in self.values])
+        return TraceFunction(self.field, self.rank, [v * c for v in self.values])
 
     def twisted(self, ts: TwistShift) -> "TraceFunction":
         return self.scale(ts.scalar(self.q))
 
     @property
     def is_zero(self) -> bool:
-        return all(_is_zero_sc(v) for v in self.values)
+        return not any(self.values)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TraceFunction):
             return NotImplemented
         if self.field is not other.field or self.rank != other.rank:
             return False
-        return all(
-            _is_zero_sc(_addsc(a, _negsc(b)))
-            for a, b in zip(self.values, other.values)
-        )
+        return all(a == b for a, b in zip(self.values, other.values))
 
     __hash__ = None
 
@@ -335,14 +306,14 @@ def four_psi(f: TraceFunction, psi_index: int = 1, pairing=None) -> TraceFunctio
 def _kernel_transform(f: TraceFunction, kernel, pairing) -> TraceFunction:
     field, d = f.field, f.rank
     rows = _pairing_rows(field, d, pairing)
-    support = [(p, v) for p, v in f.items() if not _is_zero_sc(v)]
+    support = [(p, v) for p, v in f.items() if v]
     sign = Fraction((-1) ** (d % 2))
     out = []
     for xi in _points(field.q, d):
         acc = Fraction(0)
         for v, val in support:
-            acc = _addsc(acc, _mulsc(val, kernel[_pair_value(field, rows, v, xi)]))
-        out.append(_mulsc(acc, sign))
+            acc = acc + val * kernel[_pair_value(field, rows, v, xi)]
+        out.append(acc * sign)
     return TraceFunction(field, d, out)
 
 
@@ -359,7 +330,7 @@ def conv_Gm(g: TraceFunction, f: TraceFunction) -> TraceFunction:
         for lam in field.units():
             li = field.inv(lam)
             moved = tuple(field.mul(li, c) for c in v)
-            acc = _addsc(acc, _mulsc(g.values[lam], f.value(moved)))
+            acc = acc + g.values[lam] * f.value(moved)
         out.append(acc)
     return TraceFunction(field, d, out)
 
@@ -446,7 +417,7 @@ def check_keythm(q, d: int, trials: int = 4, seed: int = 0, pairing=None) -> dic
             return four_B(four_B(f, pairing), pairing)
         vals = [Fraction(0)] * qd
         for w, c in f.items():
-            if _is_zero_sc(c):
+            if not c:
                 continue
             for i, u in enumerate(_points(q, d)):
                 vals[i] += c * kernel_pair_sum(field, d, w, u, pairing)
@@ -497,13 +468,13 @@ def scaling_sum_zero_basis(q, d: int) -> list[TraceFunction]:
 
 def _in_scaling_sum_zero(f: TraceFunction) -> bool:
     field = f.field
-    if not _is_zero_sc(f.value(tuple([0] * f.rank))):
+    if f.value(tuple([0] * f.rank)):
         return False
     for orbit in scaling_orbits(field, f.rank):
         acc = Fraction(0)
         for v in orbit:
-            acc = _addsc(acc, f.value(v))
-        if not _is_zero_sc(acc):
+            acc = acc + f.value(v)
+        if acc:
             return False
     return True
 
@@ -552,15 +523,11 @@ def check_P2B(q, psi_index: int = 1) -> dict:
         acc = Fraction(0)
         for lam in field.units():
             li = field.inv(lam)
-            acc = _addsc(
-                acc,
-                _mulsc(
-                    table.psi(field.neg(li), psi_index),
-                    table.psi(field.mul(li, x), psi_index),
-                ),
+            acc = acc + table.psi(field.neg(li), psi_index) * table.psi(
+                field.mul(li, x), psi_index
             )
         values.append(acc)
-        if not _is_zero_sc(_addsc(acc, _negsc(target.value(x)))):
+        if acc != target.value(x):
             ok = False
     return {
         "verdict": ok,
@@ -655,7 +622,7 @@ def gauss_sum(q, k: int, psi_index: int = 1) -> CycScalar:
     table = CharacterTable(field)
     acc = Fraction(0)
     for x in field.units():
-        acc = _addsc(acc, _mulsc(table.chi(k, x), table.psi(x, psi_index)))
+        acc = acc + table.chi(k, x) * table.psi(x, psi_index)
     if not isinstance(acc, CycScalar):
         acc = CycScalar.from_rational(acc)
     return acc
@@ -675,8 +642,8 @@ def gauss_suite(q, n: int, psi_index: int = 1) -> dict:
     for x in field.units():
         acc = Fraction(0)
         for k in table.chars_with_order_dividing(n):
-            acc = _addsc(acc, table.chi(k, x))
-        if not _is_zero_sc(_addsc(acc, _negsc(t0.value(x)))):
+            acc = acc + table.chi(k, x)
+        if acc != t0.value(x):
             char_sum_ok = False
     products = {}
     product_ok = True
@@ -684,12 +651,13 @@ def gauss_suite(q, n: int, psi_index: int = 1) -> dict:
     for k in table.chars_with_order_dividing(n):
         if k % (q - 1) == 0:
             continue
-        prod = _mulsc(
-            _mulsc(gauss_sum(field, k, psi_index), gauss_sum(field, -k, psi_index)),
-            table.chi(k, minus_one),
+        prod = (
+            gauss_sum(field, k, psi_index)
+            * gauss_sum(field, -k, psi_index)
+            * table.chi(k, minus_one)
         )
         products[str(k)] = str(prod)
-        if not _is_zero_sc(_addsc(prod, _negsc(Fraction(q)))):
+        if prod != q:
             product_ok = False
     return {
         "verdict": char_sum_ok and product_ok,
@@ -710,27 +678,19 @@ def _proportionality(lhs: TraceFunction, candidates) -> tuple[bool, str | None, 
         ok = True
         for x in units:
             for y in units:
-                cross = _addsc(
-                    _mulsc(lhs.value(x), cand.value(y)),
-                    _negsc(_mulsc(lhs.value(y), cand.value(x))),
-                )
-                if not _is_zero_sc(cross):
+                if lhs.value(x) * cand.value(y) != lhs.value(y) * cand.value(x):
                     ok = False
                     break
             if not ok:
                 break
         if not ok:
             continue
-        anchor = next((x for x in units if not _is_zero_sc(cand.value(x))), None)
+        anchor = next((x for x in units if cand.value(x)), None)
         if anchor is None:
             continue
-        if any(
-            not _is_zero_sc(lhs.value(x))
-            for x in units
-            if _is_zero_sc(cand.value(x))
-        ):
+        if any(lhs.value(x) for x in units if not cand.value(x)):
             continue
-        c = _mulsc(lhs.value(anchor), Fraction(1) / Fraction(cand.value(anchor)))
+        c = lhs.value(anchor) * (Fraction(1) / Fraction(cand.value(anchor)))
         return True, name, str(c)
     return False, None, None
 

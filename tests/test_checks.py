@@ -1,5 +1,6 @@
 """Tests for the check registry, dispatch, and profile runner."""
 
+import inspect
 import json
 import threading
 
@@ -40,6 +41,27 @@ class TestRegistry:
     def test_every_engine_module_is_covered(self):
         modules = {spec.engine.split(".")[0] for spec in checks.CHECKS.values()}
         assert modules == set(ENGINES)
+
+    @pytest.mark.parametrize(
+        "check_id", [cid for cid in checks.CHECK_IDS if checks.CHECKS[cid].runner is None]
+    )
+    def test_runnerless_engine_binds_defaults(self, check_id):
+        spec = checks.CHECKS[check_id]
+        module_name, _, operation = spec.engine.partition(".")
+        inspect.signature(getattr(ENGINES[module_name], operation)).bind(**spec.defaults)
+
+    def test_runnerless_dispatch_resolves_engine_per_call(self, monkeypatch):
+        calls = []
+        engine = trace.check_fbneq
+
+        def recording(**params):
+            calls.append(params)
+            return engine(**params)
+
+        monkeypatch.setattr(trace, "check_fbneq", recording)
+        report = checks.run_check("fbneq", {"q": 2})
+        assert calls == [{"q": 2}]
+        assert report.verdict == "pass" and report.witness["q"] == 2
 
 
 class TestRunCheck:
@@ -213,12 +235,10 @@ class TestRunAllSmall:
             return run_check(check_id, params)
 
         monkeypatch.setattr(checks, "run_check", recording)
-        serial = checks.run_all("tiny", seed=5, jobs=1)
+        checks.run_all("tiny", seed=5, jobs=1)
         assert threads == [threading.get_ident()] * len(tiny_profile)
-        pooled = checks.run_all("tiny", seed=5, jobs=2)
-        assert [stripped(r) for r in serial["reports"]] == [
-            stripped(r) for r in pooled["reports"]
-        ]
+        checks.run_all("tiny", seed=5)
+        assert threads == [threading.get_ident()] * (2 * len(tiny_profile))
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_refused(self, tiny_profile, monkeypatch, jobs):
@@ -228,3 +248,13 @@ class TestRunAllSmall:
         monkeypatch.setattr(checks, "run_check", never)
         with pytest.raises(ValueError, match="at least 1"):
             checks.run_all("tiny", jobs=jobs)
+
+    def test_jobs_above_one_refused(self, tiny_profile, monkeypatch):
+        def never(check_id, params):
+            raise AssertionError("no check may run")
+
+        monkeypatch.setattr(checks, "run_check", never)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="must be 1"):
+            checks.run_all("tiny", jobs=2)
+        assert threading.active_count() == before

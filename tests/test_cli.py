@@ -232,6 +232,15 @@ class TestVerifyAll:
         assert code == 1 and not out
         assert "at least 1" in err
 
+    def test_jobs_above_one_is_usage_error(self, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("no profile may run")
+
+        monkeypatch.setattr(checks, "run_all", never)
+        code, out, err = run_cli(capsys, "verify-all", "--jobs", "2")
+        assert code == 1 and not out
+        assert "must be 1" in err
+
 
 class TestUsageErrors:
     def test_unknown_subcommand_exits_1(self, capsys):

@@ -13,12 +13,11 @@ from monofour.scalars import (
     UnsupportedInputError,
     cyclotomic_poly,
     int_smith,
-    kernel_basis,
     partial_fractions,
-    poly_det,
     poly_gcd,
     poly_rank,
     poly_smith,
+    rational_rank,
     zeta,
 )
 from monofour.scalars import snf
@@ -331,7 +330,7 @@ class TestSmith:
         m = [[S, S + 1], [Poly(), S - 1]]
         u, d, v = poly_smith(m)
         for t in (u, v):
-            det = poly_det(t)
+            det = t[0][0] * t[1][1] - t[0][1] * t[1][0]
             assert det.degree == 0 and not det.is_zero
 
     def test_divisibility_chain(self):
@@ -373,18 +372,31 @@ class TestSmith:
         with pytest.raises(AssertionError, match="verification failed"):
             poly_smith([[S]])
 
-    def test_kernel_basis(self):
-        # Row vector (s, s+1) has kernel generated by (s+1, -s).
-        basis = kernel_basis([[S, S + 1]])
-        assert len(basis) == 1
-        vec = basis[0]
-        assert (S * vec[0] + (S + 1) * vec[1]).is_zero
-
     def test_int_smith(self):
         _, d, _ = int_smith([[2, 4], [6, 8]])
         assert d[0][0] == 2 and d[1][1] == 4
         _, d, _ = int_smith([[1, 0], [0, 0]])
         assert d[0][0] == 1 and d[1][1] == 0
+
+    def test_int_smith_properties(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+            m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+            _, d, _ = int_smith(m)  # internal assertion checks U*M*V == D
+            for i in range(rows):
+                for j in range(cols):
+                    if i != j:
+                        assert d[i][j] == 0
+            diag = [d[i][i] for i in range(min(rows, cols))]
+            assert all(x >= 0 for x in diag)
+            for a, b in zip(diag, diag[1:]):
+                assert b % a == 0 if a else b == 0
+
+    def test_int_failed_certificate_raises(self, monkeypatch):
+        monkeypatch.setattr(snf, "_mat_mul", lambda a, b: [[0 for _ in b[0]] for _ in a])
+        with pytest.raises(AssertionError, match="verification failed"):
+            int_smith([[2, 4], [6, 8]])
 
 
 def _smith_rank(m):
@@ -449,6 +461,188 @@ class TestPolyRank:
         m = [[S, P(1), Poly()], [P(1), S, P(1)], [Poly(), P(1), S]]
         with pytest.raises(AssertionError, match="inexact division"):
             poly_rank(m)
+
+
+def reference_poly_smith(m):
+    """Smith form over Q[s] with its own elimination, kept from before the
+    Z and Q[s] routines were merged, as a reference for (U, D, V)."""
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    d = [list(row) for row in m]
+    u = [[P(1) if i == j else Poly() for j in range(rows)] for i in range(rows)]
+    v = [[P(1) if i == j else Poly() for j in range(cols)] for i in range(cols)]
+
+    def row_op(i, j, q):
+        for k in range(cols):
+            d[i][k] = d[i][k] - q * d[j][k]
+        for k in range(rows):
+            u[i][k] = u[i][k] - q * u[j][k]
+
+    def col_op(i, j, q):
+        for k in range(rows):
+            d[k][i] = d[k][i] - q * d[k][j]
+        for k in range(cols):
+            v[k][i] = v[k][i] - q * v[k][j]
+
+    t = 0
+    while t < min(rows, cols):
+        pivot, best = None, None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if not d[i][j].is_zero:
+                    deg = d[i][j].degree
+                    if best is None or deg < best:
+                        best, pivot = deg, (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        d[t], d[pi] = d[pi], d[t]
+        u[t], u[pi] = u[pi], u[t]
+        for k in range(rows):
+            d[k][t], d[k][pj] = d[k][pj], d[k][t]
+        for k in range(cols):
+            v[k][t], v[k][pj] = v[k][pj], v[k][t]
+        dirty = False
+        for i in range(t + 1, rows):
+            if not d[i][t].is_zero:
+                q, r = divmod(d[i][t], d[t][t])
+                row_op(i, t, q)
+                dirty = dirty or not r.is_zero
+        for j in range(t + 1, cols):
+            if not d[t][j].is_zero:
+                q, r = divmod(d[t][j], d[t][t])
+                col_op(j, t, q)
+                dirty = dirty or not r.is_zero
+        if dirty:
+            continue
+        offender = None
+        for i in range(t + 1, rows):
+            if any(not d[t][t].divides(d[i][j]) for j in range(t + 1, cols)):
+                offender = i
+                break
+        if offender is not None:
+            row_op(t, offender, P(-1))
+            continue
+        t += 1
+    for i in range(min(rows, cols)):
+        if not d[i][i].is_zero and d[i][i].lc != 1:
+            c = 1 / d[i][i].lc
+            d[i] = [x * c for x in d[i]]
+            u[i] = [x * c for x in u[i]]
+    return u, d, v
+
+
+def reference_int_smith(m):
+    """Smith form over Z with its own elimination, kept from before the
+    Z and Q[s] routines were merged, as a reference for (U, D, V)."""
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    d = [list(row) for row in m]
+    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+
+    def row_op(i, j, q):
+        for k in range(cols):
+            d[i][k] -= q * d[j][k]
+        for k in range(rows):
+            u[i][k] -= q * u[j][k]
+
+    def col_op(i, j, q):
+        for k in range(rows):
+            d[k][i] -= q * d[k][j]
+        for k in range(cols):
+            v[k][i] -= q * v[k][j]
+
+    t = 0
+    while t < min(rows, cols):
+        pivot, best = None, None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if d[i][j] != 0 and (best is None or abs(d[i][j]) < best):
+                    best, pivot = abs(d[i][j]), (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        d[t], d[pi] = d[pi], d[t]
+        u[t], u[pi] = u[pi], u[t]
+        for k in range(rows):
+            d[k][t], d[k][pj] = d[k][pj], d[k][t]
+        for k in range(cols):
+            v[k][t], v[k][pj] = v[k][pj], v[k][t]
+        dirty = False
+        for i in range(t + 1, rows):
+            if d[i][t]:
+                row_op(i, t, d[i][t] // d[t][t])
+                dirty = dirty or d[i][t] != 0
+        for j in range(t + 1, cols):
+            if d[t][j]:
+                col_op(j, t, d[t][j] // d[t][t])
+                dirty = dirty or d[t][j] != 0
+        if dirty:
+            continue
+        offender = None
+        for i in range(t + 1, rows):
+            if any(d[i][j] % d[t][t] != 0 for j in range(t + 1, cols)):
+                offender = i
+                break
+        if offender is not None:
+            row_op(t, offender, -1)
+            continue
+        t += 1
+    for i in range(min(rows, cols)):
+        if d[i][i] < 0:
+            d[i] = [-x for x in d[i]]
+            u[i] = [-x for x in u[i]]
+    return u, d, v
+
+
+class TestSmithMatchesReference:
+    @pytest.mark.parametrize("ell,r", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])
+    def test_int_smith_on_subgroup_shapes(self, ell, r):
+        # subgroup_order builds n x (n + k) matrices with entries up to ell^r
+        L = ell**r
+        rng = random.Random(1000 * ell + r)
+        for _ in range(40):
+            n, k = rng.randint(1, 8), rng.randint(0, 4)
+            m = [[rng.randint(-L, L) if rng.random() < 0.7 else 0 for _ in range(n + k)]
+                 for _ in range(n)]
+            assert int_smith(m) == reference_int_smith(m)
+
+    def test_int_smith_degenerate_shapes(self):
+        for m in ([], [[]], [[0, 0], [0, 0]], [[-3]], [[0], [-4], [6]], [[4, -6, 0]]):
+            assert int_smith(m) == reference_int_smith(m)
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_poly_smith(self, shape):
+        rows, cols = SHAPES[shape]
+        rng = random.Random(31 + rows * 10 + cols)
+        for _ in range(12):
+            m = _random_matrix(rng, rows, cols)
+            assert poly_smith(m) == reference_poly_smith(m)
+
+
+class TestRationalRank:
+    def test_planted_dependent_rows(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            m = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)]
+                 for _ in range(rows)]
+            for _ in range(rng.randint(0, 3)):
+                # append a rational combination of the rows so far
+                cs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in m]
+                m.append([sum((c * row[j] for c, row in zip(cs, m)), Fraction(0))
+                          for j in range(cols)])
+            rank = rational_rank(m)
+            assert rank <= min(rows, cols)
+            assert rank == poly_rank([[P(x) for x in row] for row in m])
+
+    def test_known_ranks(self):
+        assert rational_rank([]) == 0
+        assert rational_rank([[0, 0], [0, 0]]) == 0
+        assert rational_rank([[1, 2], [2, 4]]) == 1
+        assert rational_rank([[0, 1], [1, 0], [1, 1]]) == 2
+        assert rational_rank([[Fraction(1, 2), 1, 0], [0, 0, 3], [1, 2, 3]]) == 2
 
 
 class TestFq:
@@ -522,6 +716,23 @@ class TestCycScalar:
         assert z6**6 == 1
         assert z6**3 == -1
         assert not (z6**2 == 1)
+
+    def test_mixed_operands_both_orders(self):
+        # trace functions hold int, Fraction and CycScalar values side by
+        # side and combine them with plain operators in either order
+        z = zeta(3) + 2
+        for x in (2, Fraction(-3, 4), CycScalar.from_rational(Fraction(1, 2), 5), zeta(4)):
+            c = x if isinstance(x, CycScalar) else CycScalar.from_rational(x)
+            assert isinstance(x + z, CycScalar) and isinstance(x * z, CycScalar)
+            assert x + z == z + x == c + z
+            assert x - z == c - z and z - x == z - c
+            assert x * z == z * x == c * z
+            assert (x == z) is (c == z) is (z == x) is False
+            assert x + z - x == z and not (x - c)
+        for x in (3, Fraction(3), CycScalar.from_rational(3, 7)):
+            assert x == CycScalar.from_rational(3) and CycScalar.from_rational(3, 4) == x
+        assert not (zeta(2) + 1) and not (1 + zeta(2)) and not (Fraction(1) + zeta(2))
+        assert bool(zeta(3)) and not CycScalar.from_rational(0, 5)
 
     def test_rationality(self):
         a = zeta(5) + zeta(5, 2) + zeta(5, 3) + zeta(5, 4)
