@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import groupalg, mellin, ore, trace
 from .ore import CyclicPresentation, ShiftOp, WeylOp, antipode, fourier_auto
-from .reports import CheckReport, verdict_label
+from .reports import VERDICTS, CheckReport, verdict_label
 from .scalars import Poly, RatFun, frac
 
 
@@ -457,8 +457,9 @@ _ENGINE_MODULES = {"trace": trace, "mellin": mellin, "groupalg": groupalg, "ore"
 CHECK_IDS = tuple(spec.check_id for spec in _SPECS)
 
 
-def run_check(check_id: str, params: dict | None = None) -> CheckReport:
-    """Execute one named check and wrap the outcome in a CheckReport."""
+def _merged_params(check_id: str, params: dict | None) -> tuple[CheckSpec, dict]:
+    """The check's spec and its defaults overridden by the given
+    parameters; unknown check ids and parameters raise ValueError."""
     if check_id not in CHECKS:
         raise ValueError(f"unknown check {check_id!r}")
     spec = CHECKS[check_id]
@@ -469,6 +470,12 @@ def run_check(check_id: str, params: dict | None = None) -> CheckReport:
         if key not in spec.defaults:
             raise ValueError(f"check {check_id!r} takes no parameter {key!r}")
         merged[key] = value
+    return spec, merged
+
+
+def run_check(check_id: str, params: dict | None = None) -> CheckReport:
+    """Execute one named check and wrap the outcome in a CheckReport."""
+    spec, merged = _merged_params(check_id, params)
     start = time.perf_counter()
     if spec.runner is None:
         # looked up per call, so that a rebound engine attribute is used
@@ -633,31 +640,51 @@ def run_all(profile: str = "quick", seed: int | None = None, jobs: int = 1) -> d
     """Run a profile's whole grid in the calling thread; deterministic
     merge order.  The checks are CPU-bound Python, so jobs is 1: any other
     value is refused.
+
+    An unknown check id or parameter raises ValueError before that
+    check's engine runs.  A check whose engine raises becomes an `error`
+    report whose witness holds the exception's type and message, and the
+    run goes on; `monofour verify` on that check shows the traceback.  The
+    run's verdict is `error` if any check raised, else `fail` if any failed.
+    Each task goes through the module-global `run_check`, looked up per
+    call, so a wrapper bound there sees every check of the run.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if jobs > 1:
         raise ValueError(f"checks run serially; jobs must be 1, got {jobs}")
-    tasks = profile_tasks(profile)
-    ordered = []
-    for check_id, params in tasks:
-        effective = dict(params)
-        if seed is not None and CHECKS[check_id].seeded:
-            effective["seed"] = seed
-        ordered.append((check_id, effective))
-    reports = [run_check(check_id, params) for check_id, params in ordered]
+    reports = []
+    for check_id, params in profile_tasks(profile):
+        spec, merged = _merged_params(check_id, params)
+        if seed is not None and spec.seeded:
+            params = dict(params, seed=seed)
+            merged["seed"] = seed
+        start = time.perf_counter()
+        try:
+            reports.append(run_check(check_id, params))
+        except Exception as exc:  # one raising check must not abort the profile
+            reports.append(
+                CheckReport(
+                    check=spec.check_id,
+                    parameters=merged,
+                    verdict="error",
+                    witness={"type": type(exc).__name__, "message": str(exc)},
+                    statement=spec.statement,
+                    elapsed=time.perf_counter() - start,
+                )
+            )
     order = {check_id: i for i, check_id in enumerate(CHECK_IDS)}
     indexed = sorted(
         range(len(reports)), key=lambda i: (order[reports[i].check], i)
     )
     final = [reports[i] for i in indexed]
-    counts = {"pass": 0, "fail": 0, "diagnostic": 0}
+    counts = dict.fromkeys(VERDICTS, 0)
     for rep in final:
         counts[rep.verdict] += 1
     return {
         "profile": profile,
         "seed": seed,
         "counts": counts,
-        "verdict": "fail" if counts["fail"] else "pass",
+        "verdict": "error" if counts["error"] else "fail" if counts["fail"] else "pass",
         "reports": [rep.to_dict() for rep in final],
     }

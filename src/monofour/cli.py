@@ -5,7 +5,7 @@ shift operator), `fourier` (transform substitution), `trace` (value
 tables over a finite field), `verify` (one named check), `verify-all`
 (a whole profile grid).  Output is JSON on stdout, or aligned tables
 with --pretty.  Exit codes: 0 pass, 1 fail or usage/parse error,
-2 diagnostic-only verdict.
+2 diagnostic-only verdict, 3 a check raised during `verify-all`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 
 from . import checks, ore, trace
 from .parser import OperatorSyntaxError, parse_operator
-from .reports import jsonable
+from .reports import EXIT_CODES, jsonable
 from .scalars import UnsupportedInputError
 
 
@@ -151,11 +151,10 @@ def _cmd_verify_all(args) -> int:
     counts = result["counts"]
     lines.append(
         f"profile={result['profile']} verdict={result['verdict']} "
-        f"pass={counts['pass']} fail={counts['fail']} "
-        f"diagnostic={counts['diagnostic']}"
+        + " ".join(f"{label}={count}" for label, count in counts.items())
     )
     _emit(result, lines, args.pretty)
-    return 0 if result["verdict"] == "pass" else 1
+    return EXIT_CODES[result["verdict"]]
 
 
 def build_parser() -> _ArgumentParser:

@@ -9,8 +9,9 @@ in the limit), unit groups map onto unit groups along transitions, and
 twist indices of formal rank-one modules add under tensor.
 
 All verifications are exact: subgroup orders and membership questions
-over Z/l^r reduce to integer Smith normal forms, and unit tests reduce
-to polynomial gcds over the residue field F_l.
+over Z/l^r reduce to Hermite triangularisation mod l^r, kernels to
+integer Smith normal forms, and unit tests to polynomial gcds over the
+residue field F_l.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ def frobenius_unit(ell: int, r: int, n: int, q: int) -> GroupAlgebraElem:
 
 
 # ---------------------------------------------------------------------------
-# Exact subgroup arithmetic over Z/L via integer Smith normal form.
+# Exact subgroup arithmetic over Z/L.
 # ---------------------------------------------------------------------------
 
 
@@ -179,15 +180,35 @@ def solve_mod_kernel(rows, ncols: int, L: int) -> list[list[int]]:
 
 
 def subgroup_order(gens, ncols: int, L: int) -> int:
-    """Order of the subgroup of (Z/L)^ncols generated by the given vectors."""
-    cols = [list(g) for g in gens]
-    for i in range(ncols):
-        cols.append([L if j == i else 0 for j in range(ncols)])
-    mat = [[col[i] for col in cols] for i in range(ncols)]
-    _, D, _ = int_smith(mat)
+    """Order of the subgroup of (Z/L)^ncols generated by the given vectors.
+
+    That order is L^ncols over the index in Z^ncols of the lattice
+    spanned by the gens and L*Z^ncols, found by Hermite triangularisation
+    with entries reduced mod L (Domich, Kannan & Trotter, Math. Oper.
+    Res. 12, 1987).  Column by column, Euclid's algorithm on the rows
+    leaves one pivot row; the column adds the factor gcd(pivot, L) to the
+    index, and L/gcd(pivot, L) times the pivot row, which vanishes in
+    that column mod L, stays with the other rows.
+    """
+    rows = [[x % L for x in g] for g in gens]
     index = 1
-    for i in range(ncols):
-        index *= abs(D[i][i])
+    for _ in range(ncols):
+        pivot, rest = None, []
+        for row in rows:
+            if pivot is None and row[0]:
+                pivot = row
+                continue
+            while row[0]:
+                t = pivot[0] // row[0]
+                pivot, row = row, [(x - t * y) % L for x, y in zip(pivot, row)]
+            rest.append(row)
+        if pivot is None:
+            index *= L
+        else:
+            g = gcd(pivot[0], L)
+            index *= g
+            rest.append([(L // g) * x % L for x in pivot])
+        rows = [row[1:] for row in rest if any(row[1:])]
     return L**ncols // index
 
 

@@ -1,7 +1,8 @@
 """Report records for verification checks, with stable JSON output.
 
 A report carries the check name, the exact parameters used, a verdict
-(pass, fail, or diagnostic), a witness payload with whatever the check
+(pass, fail, or diagnostic from the engine; error when the engine
+raised inside a profile run), a witness payload with whatever the check
 measured, a one-line statement of the property under test, and the
 wall time.  Serialization is deterministic (sorted keys); comparisons
 for determinism strip the timing field.
@@ -13,9 +14,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-VERDICTS = ("pass", "fail", "diagnostic")
+_ENGINE_VERDICTS = ("pass", "fail", "diagnostic")
+VERDICTS = _ENGINE_VERDICTS + ("error",)
 
-_EXIT_CODES = {"pass": 0, "fail": 1, "diagnostic": 2}
+EXIT_CODES = {"pass": 0, "fail": 1, "diagnostic": 2, "error": 3}
 
 
 def verdict_label(value) -> str:
@@ -24,7 +26,7 @@ def verdict_label(value) -> str:
         return "pass"
     if value is False:
         return "fail"
-    if isinstance(value, str) and value in VERDICTS:
+    if isinstance(value, str) and value in _ENGINE_VERDICTS:
         return value
     raise ValueError(f"unrecognized verdict value {value!r}")
 
@@ -65,7 +67,7 @@ class CheckReport:
 
     @property
     def exit_code(self) -> int:
-        return _EXIT_CODES[self.verdict]
+        return EXIT_CODES[self.verdict]
 
     def to_dict(self, include_elapsed: bool = True) -> dict:
         out = {

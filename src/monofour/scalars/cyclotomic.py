@@ -35,15 +35,24 @@ def _phi(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _power_reductions(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """x^k mod Phi_n for k = 0 .. 2*phi(n)-2, as coefficient tuples."""
+def _zeta_powers(n: int) -> tuple[tuple[int, ...], ...]:
+    """x^k mod Phi_n for k = 0 .. n-1, as phi(n) integer coefficients each.
+
+    Phi_n is monic with integer coefficients, so every remainder is
+    integral; x^k comes from x^(k-1) by one shift and one subtraction of
+    a multiple of Phi_n.  Since x^n = 1 mod Phi_n, entry k mod n serves
+    every exponent k.
+    """
     phi = _phi(n)
-    mod = cyclotomic_poly(n)
-    out = []
-    for k in range(2 * phi - 1):
-        red = Poly.monomial(k, 1) % mod
-        cs = list(red.coeffs) + [Fraction(0)] * (phi - len(red.coeffs))
+    low = [-int(c) for c in cyclotomic_poly(n).coeffs[:phi]]  # x^phi mod Phi_n
+    out = [tuple(int(i == k) for i in range(phi)) for k in range(phi)]
+    cs = low
+    for _ in range(phi, n):
         out.append(tuple(cs))
+        top = cs[-1]
+        cs = [0] + cs[:-1]
+        if top:
+            cs = [c + top * r for c, r in zip(cs, low)]
     return tuple(out)
 
 
@@ -76,13 +85,14 @@ class CycScalar:
         if m % n != 0:
             raise ValueError("can only promote to a multiple conductor")
         stride = m // n
-        mod = cyclotomic_poly(m)
-        acc = Poly()
+        powers = _zeta_powers(m)
+        out = [0] * _phi(m)
         for i, c in enumerate(self.coeffs):
             if c:
-                acc = acc + Poly.monomial(i * stride, c)
-        acc = acc % mod
-        return CycScalar(m, acc.coeffs)
+                for j, z in enumerate(powers[i * stride]):
+                    if z:
+                        out[j] += c * z
+        return CycScalar(m, out)
 
     def _pair(self, other) -> tuple["CycScalar", "CycScalar"]:
         if isinstance(other, (int, Fraction)):
@@ -133,11 +143,12 @@ class CycScalar:
                 for j, y in enumerate(b.coeffs):
                     if y:
                         prod[i + j] += x * y
-        red = _power_reductions(a.conductor)
+        n = a.conductor
+        powers = _zeta_powers(n)
         out = [Fraction(0)] * phi
         for k, c in enumerate(prod):
             if c:
-                row = red[k]
+                row = powers[k % n]
                 for i in range(phi):
                     if row[i]:
                         out[i] += c * row[i]
@@ -215,7 +226,4 @@ class CycScalar:
 
 def zeta(n: int, k: int = 1) -> CycScalar:
     """The primitive n-th root of unity raised to the k-th power."""
-    k %= n
-    mod = cyclotomic_poly(n)
-    red = Poly.monomial(k, 1) % mod
-    return CycScalar(n, red.coeffs)
+    return CycScalar(n, _zeta_powers(n)[k % n])

@@ -1,8 +1,9 @@
 """Exact trace-function calculus on finite vector spaces.
 
 Functions F_q^d -> Q(zeta) are stored as dense tables with exact
-scalars (rationals, promoted to cyclotomics only when characters
-enter).  The central kernel is the function t_B on F_q: 1 away from 1
+scalars: Python ints where the values are integers, Fractions only
+where they are not, promoted to cyclotomics only when characters
+enter.  The central kernel is the function t_B on F_q: 1 away from 1
 and 1-q at 1, so that its total sum vanishes and its value at 0 is 1.
 The associated transform
 
@@ -70,7 +71,7 @@ class TraceFunction:
     @classmethod
     def zero(cls, q, rank: int = 1) -> "TraceFunction":
         qq = q.q if isinstance(q, Fq) else q
-        return cls(q, rank, [Fraction(0)] * qq**rank)
+        return cls(q, rank, [0] * qq**rank)
 
     @classmethod
     def constant(cls, q, rank: int, value) -> "TraceFunction":
@@ -81,8 +82,8 @@ class TraceFunction:
     def delta(cls, q, point) -> "TraceFunction":
         point = _point(point)
         qq = q.q if isinstance(q, Fq) else q
-        vals = [Fraction(0)] * qq ** len(point)
-        vals[_index(qq, point)] = Fraction(1)
+        vals = [0] * qq ** len(point)
+        vals[_index(qq, point)] = 1
         return cls(q, len(point), vals)
 
     @classmethod
@@ -200,9 +201,9 @@ class CharacterTable:
 
     def chi(self, k: int, a: int):
         if a == 0:
-            return Fraction(0)
+            return 0
         if self.q == 2:
-            return Fraction(1)
+            return 1
         return zeta(self.q - 1, k * self.field.dlog(a))
 
     def chi_function(self, k: int) -> TraceFunction:
@@ -230,8 +231,8 @@ class CharacterTable:
 def t_B(q) -> TraceFunction:
     """The kernel on F_q: value 1 away from 1 and 1-q at 1."""
     field = q if isinstance(q, Fq) else Fq(q)
-    vals = [Fraction(1)] * field.q
-    vals[1] = Fraction(1 - field.q)
+    vals = [1] * field.q
+    vals[1] = 1 - field.q
     return TraceFunction(field, 1, vals)
 
 
@@ -239,7 +240,7 @@ def t_B_units(q) -> TraceFunction:
     """t_B restricted to F_q^x (value 0 at the origin)."""
     f = t_B(q)
     vals = list(f.values)
-    vals[0] = Fraction(0)
+    vals[0] = 0
     return TraceFunction(f.field, 1, vals)
 
 
@@ -279,18 +280,6 @@ def _fq_rank(field: Fq, rows) -> int:
     return rank
 
 
-def _pair_value(field: Fq, rows, v: tuple, xi: tuple) -> int:
-    acc = 0
-    for i, vi in enumerate(v):
-        if vi == 0:
-            continue
-        row = rows[i]
-        for j, xj in enumerate(xi):
-            if xj != 0 and row[j] != 0:
-                acc = field.add(acc, field.mul(field.mul(vi, row[j]), xj))
-    return acc
-
-
 def four_B(f: TraceFunction, pairing=None) -> TraceFunction:
     """Kernel transform: g(xi) = (-1)^d sum_v f(v) t_B(<v, xi>)."""
     return _kernel_transform(f, t_B(f.field).values, pairing)
@@ -304,72 +293,118 @@ def four_psi(f: TraceFunction, psi_index: int = 1, pairing=None) -> TraceFunctio
 
 
 def _kernel_transform(f: TraceFunction, kernel, pairing) -> TraceFunction:
+    """(-1)^d sum_v f(v) kernel[<v, xi>] for every xi.
+
+    For each xi the linear form c = rows . xi is computed once, and each
+    support point's value goes to the bucket <v, xi> = sum_i v_i c_i;
+    the kernel is then applied once per bucket that received a value, so
+    the work per xi follows the support and a cyclotomic kernel costs at
+    most q products per xi.
+    """
     field, d = f.field, f.rank
     rows = _pairing_rows(field, d, pairing)
-    support = [(p, v) for p, v in f.items() if v]
-    sign = Fraction((-1) ** (d % 2))
+    add, mul = field._add, field._mul
+    points = _points(field.q, d)
+    support = [(v, val) for v, val in zip(points, f.values) if val]
     out = []
-    for xi in _points(field.q, d):
-        acc = Fraction(0)
+    for xi in points:
+        form = _linear_form(field, rows, xi)
+        buckets = {}
         for v, val in support:
-            acc = acc + val * kernel[_pair_value(field, rows, v, xi)]
-        out.append(acc * sign)
+            a = 0
+            for vi, c in zip(v, form):
+                a = add[a][mul[vi][c]]
+            buckets[a] = buckets[a] + val if a in buckets else val
+        acc = 0
+        for a, total in buckets.items():
+            acc = acc + kernel[a] * total
+        out.append(-acc if d % 2 else acc)
     return TraceFunction(field, d, out)
 
 
 def conv_Gm(g: TraceFunction, f: TraceFunction) -> TraceFunction:
-    """Multiplicative convolution: (g * f)(v) = sum_{l != 0} g(l) f(l^-1 v)."""
+    """Multiplicative convolution: (g * f)(v) = sum_{l != 0} g(l) f(l^-1 v).
+
+    Each value is written in the conductor the full per-term sum has.
+    """
     if g.rank != 1:
         raise ValueError("convolver must live on F_q")
     if g.field is not f.field:
         raise ValueError("field mismatch")
     field, d = f.field, f.rank
-    out = []
-    for v in f.points():
-        acc = Fraction(0)
-        for lam in field.units():
-            li = field.inv(lam)
-            moved = tuple(field.mul(li, c) for c in v)
-            acc = acc + g.values[lam] * f.value(moved)
-        out.append(acc)
+    q, fvals = field.q, f.values
+    # a zero term adds no value, but a cyclotomic one can widen the
+    # conductor of the sum; only terms that are rational zeros are skipped
+    rational_f = not any(isinstance(x, CycScalar) for x in fvals)
+    out = [0] * len(fvals)
+    for lam in field.units():
+        gl = g.values[lam]
+        if not gl and rational_f and not isinstance(gl, CycScalar):
+            continue
+        # index of l^-1 v for every v, in lexicographic order
+        row = field._mul[field._inv[lam]]
+        moved = [0]
+        for _ in range(d):
+            moved = [i * q + row[a] for i in moved for a in range(q)]
+        out = [acc + gl * fvals[j] for acc, j in zip(out, moved)]
     return TraceFunction(field, d, out)
+
+
+def _linear_form(field: Fq, rows, x) -> list[int]:
+    """The vector rows . x over F_q, from the field's tables."""
+    add, mul = field._add, field._mul
+    out = []
+    for row in rows:
+        c = 0
+        for r, y in zip(row, x):
+            c = add[c][mul[r][y]]
+        out.append(c)
+    return out
 
 
 def kernel_pair_sum(q, d: int, w: tuple, u: tuple, pairing=None) -> int:
     """Exact value of sum_xi t_B(<w, xi>) t_B(<xi, u>).
 
     Expanding t_B = 1 - q [argument = 1] reduces the sum to counts of
-    solutions of one or two affine-linear equations over F_q, so the
-    value is computed from small exact rank computations rather than a
+    solutions of one or two linear equations over F_q, so the value
+    comes from a dependence test on two linear forms rather than a
     q^d-term loop.
     """
     field = q if isinstance(q, Fq) else Fq(q)
-    qd = field.q**d
     rows = _pairing_rows(field, d, pairing)
-    w, u = _point(w), _point(u)
-    row_w = [
-        _pair_value(field, rows, w, tuple(1 if j == i else 0 for j in range(d)))
-        for i in range(d)
-    ]
-    row_u = [
-        _pair_value(
-            field, rows, tuple(1 if j == i else 0 for j in range(d)), u
-        )
-        for i in range(d)
-    ]
-    count_w = 0 if all(x == 0 for x in row_w) else qd // field.q
-    count_u = 0 if all(x == 0 for x in row_u) else qd // field.q
-    count_both = _affine_count(field, d, [row_w, row_u], [1, 1])
-    return qd - field.q * count_w - field.q * count_u + field.q**2 * count_both
+    return _pair_sum_row(field, rows, _point(w), [_point(u)])[0]
 
 
-def _affine_count(field: Fq, d: int, rows, rhs) -> int:
-    mat = [list(r) + [b] for r, b in zip(rows, rhs)]
-    coeff_rank = _fq_rank(field, [r[:-1] for r in mat])
-    aug_rank = _fq_rank(field, mat)
-    if aug_rank != coeff_rank:
-        return 0
-    return field.q ** (d - coeff_rank)
+def _pair_sum_row(field: Fq, rows, w: tuple, us) -> list[int]:
+    """sum_xi t_B(<w, xi>) t_B(<xi, u>) for each u in us, for validated rows.
+
+    With a = w^T rows and b = rows u, the sum is
+    q^d - q #{a.xi = 1} - q #{b.xi = 1} + q^2 #{a.xi = 1 = b.xi}.  One
+    equation has q^(d-1) solutions when its form is nonzero; two have
+    q^(d-2) when the forms are independent, q^(d-1) when they are equal,
+    and none otherwise.
+    """
+    q, d = field.q, len(rows)
+    mul, inv = field._mul, field._inv
+    qd = q**d
+    a = _linear_form(field, list(zip(*rows)), w)
+    lead = next((i for i, x in enumerate(a) if x), None)
+    base = qd if lead is None else 0  # q^d - q #{a.xi = 1}
+    out = []
+    for u in us:
+        b = _linear_form(field, rows, u)
+        if not any(b):
+            out.append(base)
+            continue
+        value = base - qd
+        if lead is not None:
+            lam = mul[b[lead]][inv[a[lead]]]  # b = lam a, if dependent
+            if any(mul[lam][x] != y for x, y in zip(a, b)):
+                value += qd
+            elif lam == 1:
+                value += q * qd
+        out.append(value)
+    return out
 
 
 def scaling_orbits(q, d: int) -> list[list[tuple]]:
@@ -410,17 +445,21 @@ def check_keythm(q, d: int, trials: int = 4, seed: int = 0, pairing=None) -> dic
     q = field.q
     qd = q**d
     tjb = t_B_units(field)
-    scale = Fraction(-(q**d))
+    scale = -qd
+    points = _points(q, d)
+    rows = _pairing_rows(field, d, pairing)
+    pair_rows = {}  # w -> [kernel pair sum at (w, u) for every u]
 
     def lhs(f: TraceFunction) -> TraceFunction:
         if qd <= _LITERAL_BOUND:
             return four_B(four_B(f, pairing), pairing)
-        vals = [Fraction(0)] * qd
-        for w, c in f.items():
+        vals = [0] * qd
+        for w, c in zip(points, f.values):
             if not c:
                 continue
-            for i, u in enumerate(_points(q, d)):
-                vals[i] += c * kernel_pair_sum(field, d, w, u, pairing)
+            if w not in pair_rows:
+                pair_rows[w] = _pair_sum_row(field, rows, w, points)
+            vals = [x + c * y for x, y in zip(vals, pair_rows[w])]
         return TraceFunction(field, d, vals)
 
     def rhs(f: TraceFunction) -> TraceFunction:
@@ -429,17 +468,15 @@ def check_keythm(q, d: int, trials: int = 4, seed: int = 0, pairing=None) -> dic
     cases = []
     if qd <= EXHAUSTIVE_BOUND:
         mode = "exhaustive"
-        for w in _points(q, d):
+        for w in points:
             cases.append(TraceFunction.delta(field, w))
-        cases.append(TraceFunction.constant(field, d, Fraction(1)))
+        cases.append(TraceFunction.constant(field, d, 1))
     else:
         mode = "random"
         rng = random.Random(seed)
         for _ in range(trials):
             cases.append(
-                TraceFunction(
-                    field, d, [Fraction(rng.randint(-3, 3)) for _ in range(qd)]
-                )
+                TraceFunction(field, d, [rng.randint(-3, 3) for _ in range(qd)])
             )
     failures = sum(1 for f in cases if lhs(f) != rhs(f))
     return {
@@ -471,7 +508,7 @@ def _in_scaling_sum_zero(f: TraceFunction) -> bool:
     if f.value(tuple([0] * f.rank)):
         return False
     for orbit in scaling_orbits(field, f.rank):
-        acc = Fraction(0)
+        acc = 0
         for v in orbit:
             acc = acc + f.value(v)
         if acc:
@@ -485,7 +522,7 @@ def check_CV(q, d: int) -> dict:
     field = q if isinstance(q, Fq) else Fq(q)
     q = field.q
     basis = scaling_sum_zero_basis(field, d)
-    factor = Fraction(q ** (d + 1))
+    factor = q ** (d + 1)
     stable = True
     identity_holds = True
     for f in basis:
@@ -494,7 +531,7 @@ def check_CV(q, d: int) -> dict:
             stable = False
         if four_B(g) != f.scale(factor):
             identity_holds = False
-    const = TraceFunction.constant(field, d, Fraction(1))
+    const = TraceFunction.constant(field, d, 1)
     control_in = _in_scaling_sum_zero(const)
     control_identity = four_B(four_B(const)) == const.scale(factor)
     return {
@@ -520,7 +557,7 @@ def check_P2B(q, psi_index: int = 1) -> dict:
     values = []
     ok = True
     for x in range(q):
-        acc = Fraction(0)
+        acc = 0
         for lam in field.units():
             li = field.inv(lam)
             acc = acc + table.psi(field.neg(li), psi_index) * table.psi(
@@ -546,7 +583,7 @@ def check_BL2(q, d: int = 1, psi_index: int = 1, trials: int = 2, seed: int = 0)
         raise ValueError("requires a prime field")
     q = field.q
     table = CharacterTable(field)
-    gvals = [Fraction(0)] + [
+    gvals = [0] + [
         table.psi(field.neg(field.inv(lam)), psi_index) for lam in field.units()
     ]
     g = TraceFunction(field, 1, gvals)
@@ -554,7 +591,7 @@ def check_BL2(q, d: int = 1, psi_index: int = 1, trials: int = 2, seed: int = 0)
     rng = random.Random(seed)
     for _ in range(trials):
         cases.append(
-            TraceFunction(field, d, [Fraction(rng.randint(-2, 2)) for _ in range(q**d)])
+            TraceFunction(field, d, [rng.randint(-2, 2) for _ in range(q**d)])
         )
     cases.append(TraceFunction.zero(field, d))
     failures = 0
@@ -585,7 +622,7 @@ def check_fbneq(q) -> dict:
     q = field.q
     d0 = four_B(TraceFunction.delta(field, 0))
     d1 = four_B(TraceFunction.delta(field, 1))
-    const_ok = d0 == TraceFunction.constant(field, 1, Fraction(-1))
+    const_ok = d0 == TraceFunction.constant(field, 1, -1)
     kernel_ok = d1 == -t_B(field)
     differs = None
     if field.e == 1 and q > 2:
@@ -613,14 +650,14 @@ def power_count_trace(q, n: int) -> TraceFunction:
     for y in field.units():
         counts[field.pow(y, n)] += 1
     counts[0] = 0
-    return TraceFunction(field, 1, [Fraction(c) for c in counts])
+    return TraceFunction(field, 1, counts)
 
 
 def gauss_sum(q, k: int, psi_index: int = 1) -> CycScalar:
     """Classical character sum sum_{x != 0} chi_k(x) psi(x)."""
     field = q if isinstance(q, Fq) else Fq(q)
     table = CharacterTable(field)
-    acc = Fraction(0)
+    acc = 0
     for x in field.units():
         acc = acc + table.chi(k, x) * table.psi(x, psi_index)
     if not isinstance(acc, CycScalar):
@@ -640,7 +677,7 @@ def gauss_suite(q, n: int, psi_index: int = 1) -> dict:
     t0 = power_count_trace(field, n)
     char_sum_ok = True
     for x in field.units():
-        acc = Fraction(0)
+        acc = 0
         for k in table.chars_with_order_dividing(n):
             acc = acc + table.chi(k, x)
         if acc != t0.value(x):
@@ -706,14 +743,14 @@ def gauss_g_diagnostic(q, n: int, psi_index: int = 1) -> dict:
     t0 = power_count_trace(field, n)
     tG_full = four_psi(t0, psi_index)
     gvals = list(tG_full.values)
-    gvals[0] = Fraction(0)
+    gvals[0] = 0
     tG = TraceFunction(field, 1, gvals)
-    ivals = [Fraction(0)] + [tG.value(field.inv(lam)) for lam in field.units()]
+    ivals = [0] + [tG.value(field.inv(lam)) for lam in field.units()]
     tIG = TraceFunction(field, 1, ivals)
     conv = conv_Gm(tIG, tG)
     reflected = TraceFunction(
         field, 1,
-        [Fraction(0)] + [t0.value(field.neg(x)) for x in field.units()],
+        [0] + [t0.value(field.neg(x)) for x in field.units()],
     )
     proportional, name, scalar = _proportionality(
         conv, [("power_count", t0), ("power_count_reflected", reflected)]
@@ -769,7 +806,7 @@ def check_lem_mon_shadow(q, n: int, chi_index: int) -> dict:
     f = table.chi_function(chi_index)
     order = table.chi_order(chi_index)
     in_eigenspace = n % order == 0
-    factor = Fraction(q - 1) if in_eigenspace else Fraction(0)
+    factor = q - 1 if in_eigenspace else 0
     conv = conv_Gm(power_count_trace(field, n), f)
     verdict = conv == f.scale(factor)
     return {
@@ -802,16 +839,16 @@ def monodromic_span_basis(q, d: int, n: int) -> list[TraceFunction]:
     basis = [TraceFunction.delta(field, tuple([0] * d))]
     orbits = scaling_orbits(field, d)
     for orbit in orbits:
-        vals = [Fraction(0)] * q**d
+        vals = [0] * q**d
         for v in orbit:
-            vals[_index(q, v)] = Fraction(1)
+            vals[_index(q, v)] = 1
         basis.append(TraceFunction(field, d, vals))
     for k in table.chars_with_order_dividing(n):
         if k % (q - 1) == 0:
             continue
         for orbit in orbits:
             rep = orbit[0]
-            vals = [Fraction(0)] * q**d
+            vals = [0] * q**d
             for lam in field.units():
                 moved = tuple(field.mul(lam, c) for c in rep)
                 vals[_index(q, moved)] = table.chi(k, lam)

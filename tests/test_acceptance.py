@@ -260,8 +260,8 @@ def test_criterion_11_determinism_and_budget():
         elapsed = time.perf_counter() - start
         second = checks.run_all("quick", seed=20260823)
         identical = strip(first) == strip(second)
-        no_failures = first["counts"]["fail"] == 0
-        ok = identical and no_failures and elapsed < 60.0
+        all_pass = first["verdict"] == "pass"
+        ok = identical and all_pass and elapsed < 60.0
         return ok, (
             f"{len(first['reports'])} reports, byte-identical minus timings, "
             f"{elapsed:.1f}s < 60s"

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from monofour import checks
+from monofour import checks, trace
 from monofour.cli import build_parser, main
 from monofour.reports import validate_report_dict
 
@@ -192,7 +192,7 @@ class TestVerifyAll:
         assert code == 0
         data = json.loads(out)
         assert data["verdict"] == "pass"
-        assert data["counts"] == {"pass": 1, "fail": 0, "diagnostic": 1}
+        assert data["counts"] == {"pass": 1, "fail": 0, "diagnostic": 1, "error": 0}
         for rep in data["reports"]:
             validate_report_dict(rep)
 
@@ -221,6 +221,25 @@ class TestVerifyAll:
         code, out, _ = run_cli(capsys, "verify-all", "--pretty")
         assert code == 0
         assert "verdict=pass" in out.splitlines()[-1]
+
+    def test_exit_3_when_a_check_raises(self, capsys, monkeypatch, tiny_profile):
+        def boom(**params):
+            raise ZeroDivisionError("engine broke")
+
+        monkeypatch.setattr(trace, "check_keythm", boom)
+        code, out, _ = run_cli(capsys, "verify-all", "--pretty")
+        assert code == 3
+        lines = out.splitlines()
+        assert lines[0].split()[:2] == ["error", "keythm"]
+        assert lines[-1].endswith("verdict=error pass=0 fail=0 diagnostic=1 error=1")
+
+    def test_verify_still_raises_from_the_engine(self, monkeypatch):
+        def boom(**params):
+            raise ZeroDivisionError("engine broke")
+
+        monkeypatch.setattr(trace, "check_keythm", boom)
+        with pytest.raises(ZeroDivisionError):
+            main(["verify", "keythm", "--q", "2", "--d", "1"])
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_is_usage_error(self, capsys, monkeypatch, jobs):

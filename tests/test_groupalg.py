@@ -10,6 +10,8 @@ import random
 
 import pytest
 
+from monofour import checks, groupalg
+from monofour.scalars import int_smith
 from monofour.groupalg import (
     GroupAlgebraElem,
     TwistedRankOneModule,
@@ -151,6 +153,59 @@ class TestSubgroupHelpers:
         gens = [[2, 2]]
         assert in_subgroup(gens, 2, 4, [2, 2])
         assert not in_subgroup(gens, 2, 4, [1, 1])
+
+
+def smith_subgroup_order(gens, ncols: int, L: int) -> int:
+    """Reference: L^n over the product of the Smith diagonal of the
+    matrix with the gens and L*e_i as columns."""
+    cols = [list(g) for g in gens]
+    cols += [[L if j == i else 0 for j in range(ncols)] for i in range(ncols)]
+    _, D, _ = int_smith([[col[i] for col in cols] for i in range(ncols)])
+    index = 1
+    for i in range(ncols):
+        index *= D[i][i]
+    return L**ncols // index
+
+
+class TestSubgroupOrderOracle:
+    """subgroup_order triangularises mod L; int_smith, which certifies
+    U*M*V = D, is the reference."""
+
+    def test_every_matrix_of_the_full_profiles_appendix_rows(self, monkeypatch):
+        seen = []
+
+        def record(name):
+            real = getattr(groupalg, name)
+
+            def wrapper(vectors, ncols, L):
+                seen.append(([list(v) for v in vectors], ncols, L))
+                return real(vectors, ncols, L)
+
+            monkeypatch.setattr(groupalg, name, wrapper)
+
+        record("subgroup_order")
+        record("solve_mod_kernel")
+        for check_id, params in checks.profile_tasks("full"):
+            if check_id.startswith("appendix-"):
+                checks.run_check(check_id, params)
+        monkeypatch.undo()
+        assert len(seen) == 360
+        for vectors, ncols, L in seen:
+            assert subgroup_order(vectors, ncols, L) == smith_subgroup_order(vectors, ncols, L)
+
+    def test_seeded_random_matrices(self):
+        rng = random.Random(2024)
+        for _ in range(400):
+            n = rng.randint(1, 6)
+            L = rng.choice([2, 4, 8, 3, 9, 27, 6, 12, 25, 1])
+            gens = [[rng.randint(-40, 40) for _ in range(n)] for _ in range(n + rng.randint(0, 3))]
+            if rng.random() < 0.3:
+                gens[0] = [sum(rng.randint(-2, 2) * g[i] for g in gens[1:]) for i in range(n)]
+            assert subgroup_order(gens, n, L) == smith_subgroup_order(gens, n, L)
+
+    def test_no_generators(self):
+        assert subgroup_order([], 3, 8) == 1
+        assert subgroup_order([[8, 16, -8]], 3, 8) == 1
 
 
 class TestAugmentationKernel:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -760,6 +761,76 @@ class TestCycScalar:
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
+
+
+# Reference oracles for the cached root-of-unity table: the Poly-remainder
+# forms of zeta, promote and the product, which reduce by Phi_n per call.
+
+
+def ref_zeta(n, k=1):
+    red = Poly.monomial(k % n, 1) % cyclotomic_poly(n)
+    return CycScalar(n, red.coeffs)
+
+
+def ref_promote(x, m):
+    stride = m // x.conductor
+    acc = Poly()
+    for i, c in enumerate(x.coeffs):
+        if c:
+            acc = acc + Poly.monomial(i * stride, c)
+    return CycScalar(m, (acc % cyclotomic_poly(m)).coeffs)
+
+
+def ref_mul(a, b):
+    m = a.conductor * b.conductor // gcd(a.conductor, b.conductor)
+    pa, pb = Poly(ref_promote(a, m).coeffs), Poly(ref_promote(b, m).coeffs)
+    return CycScalar(m, ((pa * pb) % cyclotomic_poly(m)).coeffs)
+
+
+# every conductor dividing p(q-1) for a field size q <= 11
+ORACLE_CONDUCTORS = sorted(
+    {n for q in (2, 3, 4, 5, 7, 8, 9, 11) for n in range(1, Fq(q).p * (q - 1) + 1)
+     if Fq(q).p * (q - 1) % n == 0}
+)
+
+
+def random_cyc(rng, n):
+    phi = cyclotomic_poly(n).degree
+    return CycScalar(n, [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3))) for _ in range(phi)])
+
+
+class TestCyclotomicOracles:
+    def test_conductor_list(self):
+        assert ORACLE_CONDUCTORS == [
+            1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 14, 20, 21, 22, 24, 42, 55, 110
+        ]
+
+    @pytest.mark.parametrize("n", ORACLE_CONDUCTORS)
+    def test_zeta_matches_poly_remainder(self, n):
+        for k in range(-n, 2 * n + 1):
+            got, want = zeta(n, k), ref_zeta(n, k)
+            assert (got.conductor, got.coeffs) == (want.conductor, want.coeffs)
+
+    @pytest.mark.parametrize("n", ORACLE_CONDUCTORS)
+    def test_promote_matches_poly_remainder(self, n):
+        rng = random.Random(n)
+        for m in ORACLE_CONDUCTORS:
+            if m % n:
+                continue
+            for x in (random_cyc(rng, n), zeta(n, rng.randrange(n)), CycScalar.from_rational(3, n)):
+                got, want = x.promote(m), ref_promote(x, m)
+                assert (got.conductor, got.coeffs) == (want.conductor, want.coeffs)
+
+    @pytest.mark.parametrize("n", ORACLE_CONDUCTORS)
+    def test_product_matches_poly_remainder(self, n):
+        rng = random.Random(1000 + n)
+        others = [m for m in ORACLE_CONDUCTORS if m <= 24 or m == n]
+        for m in others:
+            if (n * m // gcd(n, m)) > 110:
+                continue
+            a, b = random_cyc(rng, n), random_cyc(rng, m)
+            got, want = a * b, ref_mul(a, b)
+            assert (got.conductor, got.coeffs) == (want.conductor, want.coeffs)
 
 
 class TestResidueRing:

@@ -8,11 +8,13 @@ shortcuts, and character orthogonality is checked exhaustively for
 small fields.
 """
 
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from monofour import trace
 from monofour.scalars import CycScalar, Fq, zeta
 from monofour.trace import (
     CharacterTable,
@@ -37,6 +39,7 @@ from monofour.trace import (
     power_count_trace,
     scaling_orbits,
     scaling_sum_zero_basis,
+    _pairing_rows,
     t_B,
     t_B_units,
 )
@@ -263,6 +266,178 @@ class TestKernelPairSum:
         for w in product(range(q), repeat=2):
             for u in product(range(q), repeat=2):
                 assert kernel_pair_sum(q, 2, w, u) == brute_pair_sum(q, 2, w, u)
+
+
+# ---------------------------------------------------------------------------
+# Reference oracles: the per-term forms of the kernel transform and of the
+# multiplicative convolution.  The engine buckets support points by the
+# value of the pairing and maps indices through multiplication tables;
+# these loop over every term with Fraction accumulators and method calls.
+# ---------------------------------------------------------------------------
+
+
+def ref_pair_value(field, rows, v, xi):
+    acc = 0
+    for i, vi in enumerate(v):
+        if vi == 0:
+            continue
+        row = rows[i]
+        for j, xj in enumerate(xi):
+            if xj != 0 and row[j] != 0:
+                acc = field.add(acc, field.mul(field.mul(vi, row[j]), xj))
+    return acc
+
+
+def ref_kernel_transform(f, kernel, pairing):
+    field, d = f.field, f.rank
+    rows = _pairing_rows(field, d, pairing)
+    support = [(p, v) for p, v in f.items() if v]
+    sign = Fraction((-1) ** (d % 2))
+    out = []
+    for xi in product(range(field.q), repeat=d):
+        acc = Fraction(0)
+        for v, val in support:
+            acc = acc + val * kernel[ref_pair_value(field, rows, v, xi)]
+        out.append(acc * sign)
+    return TraceFunction(field, d, out)
+
+
+def ref_conv_Gm(g, f):
+    field, d = f.field, f.rank
+    out = []
+    for v in f.points():
+        acc = Fraction(0)
+        for lam in field.units():
+            li = field.inv(lam)
+            moved = tuple(field.mul(li, c) for c in v)
+            acc = acc + g.values[lam] * f.value(moved)
+        out.append(acc)
+    return TraceFunction(field, d, out)
+
+
+def ref_four_psi(f, psi_index, pairing):
+    table = CharacterTable(f.field)
+    kernel = [table.psi(a, psi_index) for a in range(f.q)]
+    return ref_kernel_transform(f, kernel, pairing)
+
+
+ORACLE_SPACES = [(q, d) for q in (2, 3, 4, 5, 7, 8, 9) for d in (1, 2)] + [(2, 3), (3, 3)]
+VALUE_KINDS = ("int", "fraction", "cyclotomic", "mixed")
+
+
+def skewed_pairing(field, d):
+    """An invertible pairing matrix, not symmetric when d > 1."""
+    g = field.generator
+    return [[g if j == i == 0 else 1 if j == i else g if j > i else 0 for j in range(d)]
+            for i in range(d)]
+
+
+def random_values(rng, field, n, kind):
+    conductors = sorted({field.p, max(field.q - 1, 1)})
+    vals = []
+    for _ in range(n):
+        pick = rng.choice(("int", "fraction", "cyclotomic")) if kind == "mixed" else kind
+        if rng.random() < 0.4:
+            vals.append(0)
+        elif pick == "int":
+            vals.append(rng.randint(-3, 3))
+        elif pick == "fraction":
+            vals.append(Fraction(rng.randint(-7, 7), rng.choice((2, 3, 4))))
+        else:
+            cond = rng.choice(conductors)
+            vals.append(zeta(cond, rng.randrange(cond)) * rng.randint(-2, 2)
+                        + Fraction(rng.randint(-2, 2), 3))
+    return vals
+
+
+def random_function(rng, field, d, kind):
+    return TraceFunction(field, d, random_values(rng, field, field.q**d, kind))
+
+
+def oracle_cases():
+    for q, d in ORACLE_SPACES:
+        for kind in VALUE_KINDS:
+            # cyclotomic values on the larger spaces make the per-term
+            # reference too slow to be worth it; ints cover them
+            if kind in ("cyclotomic", "mixed") and q**d > 25:
+                continue
+            yield q, d, kind
+
+
+def assert_same_table(got, want):
+    assert got == want
+    assert [str(v) for v in got.values] == [str(v) for v in want.values]
+
+
+class TestTransformOracles:
+    @pytest.mark.parametrize("q,d,kind", list(oracle_cases()))
+    def test_four_B_matches_per_term_reference(self, q, d, kind):
+        field = Fq(q)
+        rng = random.Random(q * 100 + d * 10 + VALUE_KINDS.index(kind))
+        kernel = t_B(field).values
+        for pairing in (None, skewed_pairing(field, d)):
+            for _ in range(2):
+                f = random_function(rng, field, d, kind)
+                assert_same_table(four_B(f, pairing), ref_kernel_transform(f, kernel, pairing))
+
+    @pytest.mark.parametrize("q,d,kind", list(oracle_cases()))
+    def test_four_psi_matches_per_term_reference(self, q, d, kind):
+        field = Fq(q)
+        rng = random.Random(q * 100 + d * 10 + VALUE_KINDS.index(kind) + 5)
+        index = 1 if field.p == 2 else 2
+        for pairing in (None, skewed_pairing(field, d)):
+            f = random_function(rng, field, d, kind)
+            assert_same_table(four_psi(f, index, pairing), ref_four_psi(f, index, pairing))
+
+    @pytest.mark.parametrize("q,d,kind", list(oracle_cases()))
+    def test_conv_Gm_matches_per_term_reference(self, q, d, kind):
+        field = Fq(q)
+        rng = random.Random(q * 100 + d * 10 + VALUE_KINDS.index(kind) + 7)
+        table = CharacterTable(field)
+        convolvers = [
+            t_B_units(field),
+            TraceFunction(field, 1, random_values(rng, field, q, kind)),
+            table.psi_function(1),
+            table.chi_function(1),
+            power_count_trace(field, 2),
+            # cyclotomic zeros: they add nothing but their conductor
+            TraceFunction(field, 1, [v * 0 for v in table.psi_function(1).values]),
+        ]
+        f = random_function(rng, field, d, kind)
+        for g in convolvers:
+            assert_same_table(conv_Gm(g, f), ref_conv_Gm(g, f))
+
+    @pytest.mark.parametrize("q,d", [(3, 3), (4, 2), (5, 2), (7, 1)])
+    def test_pair_sums_equal_the_literal_double_transform(self, q, d):
+        field = Fq(q)
+        for pairing in (None, skewed_pairing(field, d)):
+            points = list(product(range(q), repeat=d))
+            for w in points:
+                twice = four_B(four_B(TraceFunction.delta(field, w), pairing), pairing)
+                sums = [kernel_pair_sum(q, d, w, u, pairing) for u in points]
+                assert sums == list(twice.values)
+
+    @pytest.mark.parametrize("q,d", [(5, 2), (3, 3), (4, 2)])
+    @pytest.mark.parametrize("skewed", [False, True])
+    def test_keythm_counting_path_matches_literal_path(self, monkeypatch, q, d, skewed):
+        field = Fq(q)
+        pairing = skewed_pairing(field, d) if skewed else None
+        literal = check_keythm(field, d, pairing=pairing)
+        monkeypatch.setattr(trace, "_LITERAL_BOUND", 0)
+        assert check_keythm(field, d, pairing=pairing) == literal
+
+    def test_keythm_skewed_pairing_report(self):
+        # the identity needs a symmetric pairing; with this one it fails on
+        # 120 of the 122 cases, as it did with the per-term transform
+        field = Fq(11)
+        report = check_keythm(field, 2, pairing=skewed_pairing(field, 2))
+        assert (report["verdict"], report["cases"], report["failures"]) == (False, 122, 120)
+
+    def test_tables_hold_ints(self):
+        assert all(type(v) is int for v in t_B(5).values + t_B_units(5).values)
+        assert all(type(v) is int for v in TraceFunction.delta(3, (1, 2)).values)
+        assert all(type(v) is int for v in power_count_trace(7, 3).values)
+        assert all(type(v) is int for v in four_B(TraceFunction.delta(5, 2)).values)
 
 
 class TestTransformSquared:
