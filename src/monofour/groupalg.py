@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import gcd
+from math import gcd, isqrt
 
-from .scalars import int_smith
+from .scalars import UnsupportedInputError, int_smith
 
 
 @dataclass(frozen=True)
@@ -284,6 +284,17 @@ def augmentation_kernel_check(ell: int, r: int, n: int) -> dict:
     }
 
 
+def _require_levels(ell: int, r: int, *levels: int) -> None:
+    """Refuse a non-prime ell, r < 1 or a level below 1: the checks work
+    over the residue field F_ell and in (Z/ell^r)[Z/n] with n >= 1."""
+    if ell < 2 or any(ell % p == 0 for p in range(2, isqrt(ell) + 1)):
+        raise UnsupportedInputError(f"ell must be prime, got {ell}")
+    if r < 1 or min(levels) < 1:
+        raise UnsupportedInputError(
+            f"need r >= 1 and levels >= 1, got r = {r} and levels {', '.join(map(str, levels))}"
+        )
+
+
 def pro_nzd_check(ell: int, r: int, n: int, m: int | None = None) -> dict:
     """The annihilator of t-1 one level up dies under transition.
 
@@ -291,8 +302,10 @@ def pro_nzd_check(ell: int, r: int, n: int, m: int | None = None) -> dict:
     exact linear algebra; its transition image at level n is then
     inspected.  A vanishing image witnesses that t-1 becomes a
     non-zero-divisor in the limit over levels; an insufficient m (the
-    negative control) leaves a visible nonzero image.
+    negative control) leaves a visible nonzero image.  A non-prime ell or
+    a level below 1 raises UnsupportedInputError.
     """
+    _require_levels(ell, r, n)
     L = ell**r
     if m is None:
         m = n * L
@@ -392,8 +405,10 @@ def unit_surjectivity_check(ell: int, r: int, n: int, nprime: int) -> dict:
 
     Small source rings are enumerated outright; larger ones are handled
     per target unit by searching its transition fiber, which is a coset
-    of the transition kernel.
+    of the transition kernel.  A non-prime ell or a level below 1 raises
+    UnsupportedInputError.
     """
+    _require_levels(ell, r, n, nprime)
     L = ell**r
     if nprime > _UNIT_LEVEL_GUARD or L > _UNIT_MODULUS_GUARD:
         raise ValueError(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Union
 
 from .poly import Poly, frac
@@ -57,25 +57,45 @@ def _zeta_powers(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 class CycScalar:
-    """Element of the cyclotomic ring with a fixed conductor."""
+    """Element of the cyclotomic ring with a fixed conductor.
 
-    __slots__ = ("conductor", "coeffs")
+    Stored as integer `numerators` over one positive `denominator`, in
+    lowest terms: the denominator is coprime to the numerators' content,
+    and zero is 0/1, so equal values at one conductor have equal fields.
+    `coeffs` is the same value as a tuple of Fractions, built on first
+    use.
+    """
+
+    __slots__ = ("conductor", "numerators", "denominator", "_coeffs")
 
     def __init__(self, conductor: int, coeffs):
         phi = _phi(conductor)
         cs = [frac(c) for c in coeffs]
         if len(cs) > phi:
             raise ValueError("representative too long for conductor")
-        cs += [Fraction(0)] * (phi - len(cs))
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = lcm(*(c.denominator for c in cs))
+        nums = [c.numerator * (den // c.denominator) for c in cs]
+        _init(self, conductor, nums + [0] * (phi - len(cs)), den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycScalar is immutable")
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        cs = self._coeffs
+        if cs is None:
+            den = self.denominator
+            cs = tuple(Fraction(x, den) for x in self.numerators)
+            object.__setattr__(self, "_coeffs", cs)
+        return cs
+
     @classmethod
     def from_rational(cls, c: Scalar, conductor: int = 1) -> "CycScalar":
-        return cls(conductor, (frac(c),))
+        if not isinstance(c, int):
+            c = frac(c)
+        nums = [0] * _phi(conductor)
+        nums[0] = c.numerator
+        return _cyc(conductor, nums, c.denominator)
 
     def promote(self, m: int) -> "CycScalar":
         """Inflate to conductor m (the current conductor must divide m)."""
@@ -87,16 +107,16 @@ class CycScalar:
         stride = m // n
         powers = _zeta_powers(m)
         out = [0] * _phi(m)
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self.numerators):
             if c:
                 for j, z in enumerate(powers[i * stride]):
                     if z:
                         out[j] += c * z
-        return CycScalar(m, out)
+        return _cyc(m, out, self.denominator)
 
     def _pair(self, other) -> tuple["CycScalar", "CycScalar"]:
         if isinstance(other, (int, Fraction)):
-            other = CycScalar.from_rational(other)
+            return self, CycScalar.from_rational(other, self.conductor)
         if not isinstance(other, CycScalar):
             raise TypeError(f"cannot combine CycScalar with {type(other).__name__}")
         n, m = self.conductor, other.conductor
@@ -105,25 +125,31 @@ class CycScalar:
         l = lcm(n, m)
         return self.promote(l), other.promote(l)
 
+    def _plus(self, other, sign: int) -> "CycScalar":
+        """self + sign * other over the least common denominator."""
+        a, b = self._pair(other)
+        da, db = a.denominator, b.denominator
+        if da == db:
+            sa, sb, den = 1, sign, da
+        else:
+            den = lcm(da, db)
+            sa, sb = den // da, sign * (den // db)
+        nums = [x * sa + y * sb for x, y in zip(a.numerators, b.numerators)]
+        return _cyc(a.conductor, nums, den)
+
     def __add__(self, other):
         if isinstance(other, (int, Fraction, CycScalar)):
-            a, b = self._pair(other)
-            return CycScalar(
-                a.conductor, tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
-            )
+            return self._plus(other, 1)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycScalar(self.conductor, tuple(-c for c in self.coeffs))
+        return _cyc(self.conductor, [-x for x in self.numerators], self.denominator)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, CycScalar)):
-            a, b = self._pair(other)
-            return CycScalar(
-                a.conductor, tuple(x - y for x, y in zip(a.coeffs, b.coeffs))
-            )
+            return self._plus(other, -1)
         return NotImplemented
 
     def __rsub__(self, other):
@@ -131,28 +157,33 @@ class CycScalar:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = frac(other)
-            return CycScalar(self.conductor, tuple(x * c for x in self.coeffs))
+            c = other.numerator
+            return _cyc(
+                self.conductor,
+                [x * c for x in self.numerators],
+                self.denominator * other.denominator,
+            )
         if not isinstance(other, CycScalar):
             return NotImplemented
         a, b = self._pair(other)
-        phi = len(a.coeffs)
-        prod = [Fraction(0)] * (2 * phi - 1)
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        prod[i + j] += x * y
         n = a.conductor
+        phi = len(a.numerators)
+        terms = [(j, y) for j, y in enumerate(b.numerators) if y]
+        prod = [0] * (2 * phi - 1)
+        for i, x in enumerate(a.numerators):
+            if x:
+                for j, y in terms:
+                    prod[i + j] += x * y
+        # x^k for k >= phi comes back below degree phi through the table
+        out = prod[:phi]
         powers = _zeta_powers(n)
-        out = [Fraction(0)] * phi
-        for k, c in enumerate(prod):
+        for k in range(phi, 2 * phi - 1):
+            c = prod[k]
             if c:
-                row = powers[k % n]
-                for i in range(phi):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return CycScalar(a.conductor, out)
+                for i, z in enumerate(powers[k % n]):
+                    if z:
+                        out[i] += c * z
+        return _cyc(n, out, a.denominator * b.denominator)
 
     __rmul__ = __mul__
 
@@ -171,26 +202,21 @@ class CycScalar:
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, CycScalar)):
             a, b = self._pair(other)
-            return a.coeffs == b.coeffs
+            return a.denominator == b.denominator and a.numerators == b.numerators
         return NotImplemented
 
     __hash__ = None  # cross-conductor equality makes hashing unreliable
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.numerators)
 
     def __bool__(self) -> bool:
         return not self.is_zero
 
     @property
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return not any(self.numerators[1:])
 
     def to_str(self) -> str:
         n = self.conductor
@@ -224,6 +250,27 @@ class CycScalar:
         return f"CycScalar({self.conductor}, {self.to_str()})"
 
 
+def _init(out: CycScalar, conductor: int, nums, den: int) -> CycScalar:
+    """Fill the slots of `out` with nums/den reduced to lowest terms."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = [x // g for x in nums]
+    setter = object.__setattr__
+    setter(out, "conductor", conductor)
+    setter(out, "numerators", tuple(nums))
+    setter(out, "denominator", den)
+    setter(out, "_coeffs", None)
+    return out
+
+
+def _cyc(conductor: int, nums, den: int = 1) -> CycScalar:
+    """The CycScalar nums/den at `conductor`, from phi(conductor) integer
+    numerators and a positive integer denominator."""
+    return _init(object.__new__(CycScalar), conductor, nums, den)
+
+
 def zeta(n: int, k: int = 1) -> CycScalar:
     """The primitive n-th root of unity raised to the k-th power."""
-    return CycScalar(n, _zeta_powers(n)[k % n])
+    return _cyc(n, _zeta_powers(n)[k % n])

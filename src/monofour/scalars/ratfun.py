@@ -58,11 +58,6 @@ class RatFun:
     def is_poly(self) -> bool:
         return self.den.degree == 0
 
-    def as_poly(self) -> Poly:
-        if not self.is_poly:
-            raise ValueError("denominator is not constant")
-        return self.num
-
     def __bool__(self) -> bool:
         return not self.is_zero
 

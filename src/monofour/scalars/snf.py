@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .poly import Poly
 
@@ -150,21 +151,46 @@ def poly_rank(m: Matrix) -> int:
 
 
 def rational_rank(rows: list[list[Fraction]]) -> int:
-    """Rank of a matrix with rational entries, by forward elimination."""
-    mat = [[Fraction(c) for c in r] for r in rows]
-    ncols = len(mat[0]) if mat else 0
+    """Rank of a matrix with int or Fraction entries.
+
+    Each row is scaled by the lcm of its denominators, which keeps the
+    rank, and the integer matrix goes through fraction-free (Bareiss)
+    elimination as in poly_rank: every division by the previous pivot is
+    exact, and a nonzero remainder raises.
+    """
+    a = []
+    for r in rows:
+        den = lcm(*(x.denominator for x in r))
+        a.append([x.numerator * (den // x.denominator) for x in r])
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    prev = 1
     rank = 0
-    for col in range(ncols):
-        if rank == len(mat):
+    for c in range(ncols):
+        if rank == nrows:
             break
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        piv = next((i for i in range(rank, nrows) if a[i][c]), None)
         if piv is None:
             continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        top = mat[rank]
-        for i in range(rank + 1, len(mat)):
-            if mat[i][col]:
-                f = mat[i][col] / top[col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], top)]
+        a[rank], a[piv] = a[piv], a[rank]
+        top = a[rank]
+        p = top[c]
+        tail = top[c + 1:]
+        # column c is never read again, so only the entries right of it
+        # are updated
+        for i in range(rank + 1, nrows):
+            row = a[i]
+            ai = row[c]
+            if ai:
+                new = [p * x - ai * y for x, y in zip(row[c + 1:], tail)]
+            else:
+                new = [p * x for x in row[c + 1:]]
+            if prev != 1:
+                quo = [x // prev for x in new]
+                if any(x != y * prev for x, y in zip(new, quo)):
+                    raise AssertionError("fraction-free elimination: inexact division")
+                new = quo
+            row[c + 1:] = new
+        prev = p
         rank += 1
     return rank

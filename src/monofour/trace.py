@@ -21,9 +21,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
-from .scalars import CycScalar, Fq, frac, rational_rank, zeta
+from .scalars import CycScalar, Fq, UnsupportedInputError, rational_rank, zeta
 
 Scalar = object  # Fraction | int | CycScalar
 
@@ -244,6 +244,11 @@ def t_B_units(q) -> TraceFunction:
     return TraceFunction(f.field, 1, vals)
 
 
+def _require_dimension(d: int) -> None:
+    if d < 1:
+        raise UnsupportedInputError(f"dimension d must be at least 1, got {d}")
+
+
 def _pairing_rows(field: Fq, d: int, pairing):
     if pairing is None:
         rows = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
@@ -440,14 +445,21 @@ def check_keythm(q, d: int, trials: int = 4, seed: int = 0, pairing=None) -> dic
     q^d <= 625; otherwise `trials` random integer-valued functions.
     Small spaces apply the transform twice literally; larger ones use
     the exact linear-count expansion of the double sum.
+
+    The identity needs <v, xi> = <xi, v>: with <v, xi> = v^T P xi the
+    second transform would need P^T.  A non-symmetric pairing P, and
+    d < 1, raise UnsupportedInputError before any transform runs.
     """
     field = q if isinstance(q, Fq) else Fq(q)
     q = field.q
+    _require_dimension(d)
+    rows = _pairing_rows(field, d, pairing)
+    if any(rows[i][j] != rows[j][i] for i in range(d) for j in range(i)):
+        raise UnsupportedInputError("the transform-squared identity needs a symmetric pairing")
     qd = q**d
     tjb = t_B_units(field)
     scale = -qd
     points = _points(q, d)
-    rows = _pairing_rows(field, d, pairing)
     pair_rows = {}  # w -> [kernel pair sum at (w, u) for every u]
 
     def lhs(f: TraceFunction) -> TraceFunction:
@@ -858,27 +870,32 @@ def monodromic_span_basis(q, d: int, n: int) -> list[TraceFunction]:
 
 def _cyc_rank(vectors) -> int:
     """Rank over the cyclotomic field of row vectors with mixed
-    rational/cyclotomic entries, via rational flattening."""
+    rational/cyclotomic entries, via integer flattening.
+
+    A vector v, scaled by the lcm D of its entries' denominators, gives
+    the phi integer rows of zeta^j * D * v for j < phi, each entry written
+    as its phi numerators; the rational rank of all those rows is phi
+    times the cyclotomic rank.
+    """
     cond = 1
     for vec in vectors:
         for x in vec:
             if isinstance(x, CycScalar):
-                cond = cond * x.conductor // gcd(cond, x.conductor)
-    one = CycScalar.from_rational(Fraction(1)).promote(cond)
-    phi = len(one.coeffs)
+                cond = lcm(cond, x.conductor)
+    phi = len(zeta(cond).numerators)
+    powers = [zeta(cond, j) for j in range(phi)]
     rows = []
     for vec in vectors:
         promoted = [
-            (x if isinstance(x, CycScalar) else CycScalar.from_rational(frac(x))).promote(
-                cond
-            )
+            x.promote(cond) if isinstance(x, CycScalar) else CycScalar.from_rational(x, cond)
             for x in vec
         ]
-        for j in range(phi):
-            zj = zeta(cond, j) if cond > 1 else one
+        scale = lcm(*(x.denominator for x in promoted))
+        ints = [x * scale for x in promoted]
+        for zj in powers:
             row = []
-            for x in promoted:
-                row.extend((zj * x).coeffs)
+            for x in ints:
+                row.extend((zj * x).numerators)
             rows.append(row)
     rank = rational_rank(rows)
     if rank % phi:
@@ -888,7 +905,9 @@ def _cyc_rank(vectors) -> int:
 
 def check_mon_equivalence(q, d: int, n: int) -> dict:
     """The kernel transform restricted to the scaling-eigenfunction span
-    is invertible over the cyclotomic field and preserves the span."""
+    is invertible over the cyclotomic field and preserves the span.
+    d < 1 raises UnsupportedInputError."""
+    _require_dimension(d)
     field = q if isinstance(q, Fq) else Fq(q)
     q = field.q
     basis = monodromic_span_basis(field, d, n)

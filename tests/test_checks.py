@@ -9,6 +9,7 @@ import pytest
 
 from monofour import checks, groupalg, mellin, ore, trace
 from monofour.reports import validate_report_dict
+from monofour.scalars import UnsupportedInputError
 
 ENGINES = {"trace": trace, "mellin": mellin, "ore": ore, "groupalg": groupalg}
 
@@ -110,6 +111,26 @@ class TestRunCheck:
     def test_statement_embedded_in_report(self):
         report = checks.run_check("appendix-tensor")
         assert report.statement == checks.CHECKS["appendix-tensor"].statement
+
+    # degenerate input is refused with the typed error, never given a verdict
+    @pytest.mark.parametrize(
+        "check_id,params,first_work",
+        [
+            ("keythm", {"d": 0}, (trace, "t_B_units")),
+            ("mon-equivalence", {"d": 0}, (trace, "monodromic_span_basis")),
+            ("appendix-units", {"n": 0}, (groupalg, "_units_of")),
+            ("appendix-nzd", {"ell": 4}, (groupalg, "solve_mod_kernel")),
+        ],
+    )
+    def test_degenerate_parameters_refused_before_work(
+        self, monkeypatch, check_id, params, first_work
+    ):
+        def work(*args, **kwargs):
+            raise AssertionError("the engine ran on refused input")
+
+        monkeypatch.setattr(*first_work, work)
+        with pytest.raises(UnsupportedInputError):
+            checks.run_check(check_id, params)
 
 
 class TestNegativeControls:

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 from math import gcd
@@ -22,9 +23,11 @@ from monofour.scalars import (
     zeta,
 )
 from monofour.scalars import snf
-from monofour.scalars.poly import synthetic_division, taylor_coeffs
+from monofour.scalars.cyclotomic import _phi, _zeta_powers
+from monofour.scalars.poly import frac, synthetic_division, taylor_coeffs
 from monofour.scalars.ratfun import linear_factors, rational_roots
 from monofour.mellin import EquivariantModule, torsion_by_point_ranks
+from monofour.trace import _cyc_rank
 
 S = Poly.x()
 
@@ -737,7 +740,7 @@ class TestCycScalar:
 
     def test_rationality(self):
         a = zeta(5) + zeta(5, 2) + zeta(5, 3) + zeta(5, 4)
-        assert a.is_rational and a.as_rational() == -1
+        assert a.is_rational and a == -1
 
     def test_cyclotomic_polys(self):
         assert cyclotomic_poly(1) == S - 1
@@ -831,6 +834,298 @@ class TestCyclotomicOracles:
             a, b = random_cyc(rng, n), random_cyc(rng, m)
             got, want = a * b, ref_mul(a, b)
             assert (got.conductor, got.coeffs) == (want.conductor, want.coeffs)
+
+
+# References for the integer layer: CycScalar as a tuple of Fractions and
+# rational_rank as forward elimination on Fractions, both as they were
+# before integer numerators and Bareiss elimination.
+
+
+class RefCycScalar:
+    """Element of the cyclotomic ring with a fixed conductor, one Fraction
+    per coefficient."""
+
+    __slots__ = ("conductor", "coeffs")
+
+    def __init__(self, conductor, coeffs):
+        phi = _phi(conductor)
+        cs = [frac(c) for c in coeffs]
+        if len(cs) > phi:
+            raise ValueError("representative too long for conductor")
+        cs += [Fraction(0)] * (phi - len(cs))
+        object.__setattr__(self, "conductor", conductor)
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RefCycScalar is immutable")
+
+    @classmethod
+    def from_rational(cls, c, conductor=1):
+        return cls(conductor, (frac(c),))
+
+    def promote(self, m):
+        n = self.conductor
+        if m == n:
+            return self
+        if m % n != 0:
+            raise ValueError("can only promote to a multiple conductor")
+        stride = m // n
+        powers = _zeta_powers(m)
+        out = [0] * _phi(m)
+        for i, c in enumerate(self.coeffs):
+            if c:
+                for j, z in enumerate(powers[i * stride]):
+                    if z:
+                        out[j] += c * z
+        return RefCycScalar(m, out)
+
+    def _pair(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = RefCycScalar.from_rational(other)
+        n, m = self.conductor, other.conductor
+        if n == m:
+            return self, other
+        l = n * m // gcd(n, m)
+        return self.promote(l), other.promote(l)
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction, RefCycScalar)):
+            a, b = self._pair(other)
+            return RefCycScalar(a.conductor, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RefCycScalar(self.conductor, tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other):
+        if isinstance(other, (int, Fraction, RefCycScalar)):
+            a, b = self._pair(other)
+            return RefCycScalar(a.conductor, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        return NotImplemented
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            c = frac(other)
+            return RefCycScalar(self.conductor, tuple(x * c for x in self.coeffs))
+        if not isinstance(other, RefCycScalar):
+            return NotImplemented
+        a, b = self._pair(other)
+        phi = len(a.coeffs)
+        prod = [Fraction(0)] * (2 * phi - 1)
+        for i, x in enumerate(a.coeffs):
+            if x:
+                for j, y in enumerate(b.coeffs):
+                    if y:
+                        prod[i + j] += x * y
+        n = a.conductor
+        powers = _zeta_powers(n)
+        out = [Fraction(0)] * phi
+        for k, c in enumerate(prod):
+            if c:
+                row = powers[k % n]
+                for i in range(phi):
+                    if row[i]:
+                        out[i] += c * row[i]
+        return RefCycScalar(a.conductor, out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        out = RefCycScalar.from_rational(1, self.conductor)
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction, RefCycScalar)):
+            a, b = self._pair(other)
+            return a.coeffs == b.coeffs
+        return NotImplemented
+
+    __hash__ = None
+
+    to_str = CycScalar.to_str
+
+
+def ref_rational_rank(rows):
+    """Rank of a matrix with rational entries, by forward elimination."""
+    mat = [[Fraction(c) for c in r] for r in rows]
+    ncols = len(mat[0]) if mat else 0
+    rank = 0
+    for col in range(ncols):
+        if rank == len(mat):
+            break
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        top = mat[rank]
+        for i in range(rank + 1, len(mat)):
+            if mat[i][col]:
+                f = mat[i][col] / top[col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], top)]
+        rank += 1
+    return rank
+
+
+def ref_cyc_rank(vectors):
+    """_cyc_rank by Fraction flattening on RefCycScalar values."""
+    def ref(x):
+        return RefCycScalar(x.conductor, x.coeffs) if isinstance(x, CycScalar) else x
+
+    vectors = [[ref(x) for x in vec] for vec in vectors]
+    cond = 1
+    for vec in vectors:
+        for x in vec:
+            if isinstance(x, RefCycScalar):
+                cond = cond * x.conductor // gcd(cond, x.conductor)
+    phi = _phi(cond)
+    rows = []
+    for vec in vectors:
+        promoted = [
+            (x if isinstance(x, RefCycScalar) else RefCycScalar.from_rational(x)).promote(cond)
+            for x in vec
+        ]
+        for j in range(phi):
+            zj = RefCycScalar(cond, _zeta_powers(cond)[j])
+            row = []
+            for x in promoted:
+                row.extend((zj * x).coeffs)
+            rows.append(row)
+    return ref_rational_rank(rows) // phi
+
+
+MIXED_CONDUCTORS = (1, 2, 3, 4, 5, 6, 8, 10, 12)
+
+
+@st.composite
+def scalar_pairs(draw):
+    """(value, reference) for an int, a Fraction or a cyclotomic scalar."""
+    kind = draw(st.sampled_from(("int", "fraction", "cyclotomic")))
+    if kind == "int":
+        v = draw(st.integers(min_value=-6, max_value=6))
+        return v, v
+    if kind == "fraction":
+        v = draw(small_fracs)
+        return v, v
+    n = draw(st.sampled_from(MIXED_CONDUCTORS))
+    cs = draw(st.lists(small_fracs, max_size=_phi(n)))
+    return CycScalar(n, cs), RefCycScalar(n, cs)
+
+
+def assert_matches_reference(got, want):
+    if not isinstance(want, RefCycScalar):
+        assert type(got) is type(want) and got == want
+        return
+    assert isinstance(got, CycScalar)
+    assert (got.conductor, got.coeffs, str(got)) == (want.conductor, want.coeffs, want.to_str())
+    assert all(type(c) is Fraction for c in got.coeffs)
+    assert all(type(x) is int for x in got.numerators)
+    # canonical: lowest terms, and zero is 0/1
+    assert got.denominator > 0 and gcd(got.denominator, *got.numerators) == 1
+
+
+class TestIntegerCyclotomicOracle:
+    @given(scalar_pairs(), scalar_pairs(), st.integers(min_value=0, max_value=4))
+    @settings(max_examples=300, deadline=None)
+    def test_arithmetic_matches_fraction_reference(self, a, b, k):
+        (x, rx), (y, ry) = a, b
+        for op in (operator.add, operator.sub, operator.mul):
+            assert_matches_reference(op(x, y), op(rx, ry))
+            assert_matches_reference(op(y, x), op(ry, rx))
+        assert (x == y) is (rx == ry) and (y == x) is (ry == rx)
+        if isinstance(x, CycScalar):
+            assert_matches_reference(-x, -rx)
+            assert_matches_reference(x**k, rx**k)
+            assert (x.is_zero, x.is_rational) == (
+                all(c == 0 for c in rx.coeffs), all(c == 0 for c in rx.coeffs[1:])
+            )
+
+    @pytest.mark.parametrize("n", ORACLE_CONDUCTORS)
+    def test_zeta_and_promote_match_fraction_reference(self, n):
+        rng = random.Random(2000 + n)
+        for m in ORACLE_CONDUCTORS:
+            if m % n:
+                continue
+            x = random_cyc(rng, n)
+            assert_matches_reference(x.promote(m), RefCycScalar(n, x.coeffs).promote(m))
+        for k in range(n):
+            assert_matches_reference(zeta(n, k), RefCycScalar(n, _zeta_powers(n)[k]))
+
+
+def planted_rational_matrix(rng, rows, cols):
+    """rows x cols with independent rows of small fractions, then dependent,
+    zero and zero-column structure planted in, rows shuffled."""
+    indep = rng.randint(0, min(rows, cols))
+    m = [[Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7))) for _ in range(cols)]
+         for _ in range(indep)]
+    while len(m) < rows:
+        if not m or rng.random() < 0.2:
+            m.append([Fraction(0)] * cols)
+            continue
+        cs = [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in m]
+        m.append([sum((c * row[j] for c, row in zip(cs, m)), Fraction(0)) for j in range(cols)])
+    for j in rng.sample(range(cols), rng.randint(0, cols // 2)):
+        for row in m:
+            row[j] = Fraction(0)
+    rng.shuffle(m)
+    # integral entries as ints, as the callers pass them
+    return [[x.numerator if x.denominator == 1 else x for x in row] for row in m]
+
+
+class TestRationalRankOracle:
+    @pytest.mark.parametrize("shape", ["square", "wide", "tall"])
+    def test_matches_fraction_elimination(self, shape):
+        rng = random.Random(("square", "wide", "tall").index(shape) + 71)
+        for _ in range(80):
+            n, k = rng.randint(1, 7), rng.randint(1, 5)
+            rows, cols = {"square": (n, n), "wide": (n, n + k), "tall": (n + k, n)}[shape]
+            m = planted_rational_matrix(rng, rows, cols)
+            before = [list(row) for row in m]
+            assert rational_rank(m) == ref_rational_rank(m)
+            assert m == before  # the input is not modified
+
+    def test_large_integer_entries(self):
+        rng = random.Random(73)
+        for _ in range(20):
+            base = [[rng.randint(-10**12, 10**12) for _ in range(6)] for _ in range(4)]
+            m = base + [[a - 3 * b for a, b in zip(base[0], base[1])]]
+            assert rational_rank(m) == ref_rational_rank(m) == 4
+
+    def test_cyc_rank_on_planted_dependent_rows(self):
+        rng = random.Random(74)
+        for _ in range(25):
+            n = rng.choice((3, 4, 5, 8, 12))
+
+            def entry():
+                pick = rng.random()
+                if pick < 0.25:
+                    return rng.randint(-3, 3)
+                if pick < 0.4:
+                    return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                return random_cyc(rng, rng.choice([c for c in (1, 2, n) if n % c == 0]))
+
+            width = rng.randint(1, 4)
+            base = [[entry() for _ in range(width)] for _ in range(rng.randint(1, 3))]
+            planted = []
+            for _ in range(rng.randint(1, 2)):
+                cs = [random_cyc(rng, n) for _ in base]
+                planted.append([sum((c * row[j] for c, row in zip(cs, base)), 0)
+                                for j in range(width)])
+            m = base + planted
+            rng.shuffle(m)
+            rank = _cyc_rank(base)
+            assert _cyc_rank(m) == rank == ref_cyc_rank(m) == ref_cyc_rank(base)
+            assert rank <= min(len(base), width)
 
 
 class TestResidueRing:

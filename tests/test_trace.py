@@ -15,7 +15,7 @@ from itertools import product
 import pytest
 
 from monofour import trace
-from monofour.scalars import CycScalar, Fq, zeta
+from monofour.scalars import CycScalar, Fq, UnsupportedInputError, zeta
 from monofour.trace import (
     CharacterTable,
     TraceFunction,
@@ -332,6 +332,18 @@ def skewed_pairing(field, d):
             for i in range(d)]
 
 
+def symmetric_pairing(field, d):
+    """U^T U for the skewed U above: invertible, symmetric and, when d > 1,
+    not diagonal."""
+    u = skewed_pairing(field, d)
+    out = [[0] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                out[i][j] = field.add(out[i][j], field.mul(u[k][i], u[k][j]))
+    return out
+
+
 def random_values(rng, field, n, kind):
     conductors = sorted({field.p, max(field.q - 1, 1)})
     vals = []
@@ -418,20 +430,21 @@ class TestTransformOracles:
                 assert sums == list(twice.values)
 
     @pytest.mark.parametrize("q,d", [(5, 2), (3, 3), (4, 2)])
-    @pytest.mark.parametrize("skewed", [False, True])
-    def test_keythm_counting_path_matches_literal_path(self, monkeypatch, q, d, skewed):
+    @pytest.mark.parametrize("twisted", [False, True])
+    def test_keythm_counting_path_matches_literal_path(self, monkeypatch, q, d, twisted):
         field = Fq(q)
-        pairing = skewed_pairing(field, d) if skewed else None
+        pairing = symmetric_pairing(field, d) if twisted else None
         literal = check_keythm(field, d, pairing=pairing)
+        assert literal["verdict"] is True
         monkeypatch.setattr(trace, "_LITERAL_BOUND", 0)
         assert check_keythm(field, d, pairing=pairing) == literal
 
     def test_keythm_skewed_pairing_report(self):
-        # the identity needs a symmetric pairing; with this one it fails on
-        # 120 of the 122 cases, as it did with the per-term transform
+        # the identity needs a symmetric pairing, so this one is refused
+        # before any transform runs
         field = Fq(11)
-        report = check_keythm(field, 2, pairing=skewed_pairing(field, 2))
-        assert (report["verdict"], report["cases"], report["failures"]) == (False, 122, 120)
+        with pytest.raises(UnsupportedInputError, match="symmetric pairing"):
+            check_keythm(field, 2, pairing=skewed_pairing(field, 2))
 
     def test_tables_hold_ints(self):
         assert all(type(v) is int for v in t_B(5).values + t_B_units(5).values)
