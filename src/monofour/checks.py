@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import groupalg, mellin, ore, trace
 from .ore import CyclicPresentation, ShiftOp, WeylOp, antipode, fourier_auto
 from .reports import VERDICTS, CheckReport, verdict_label
-from .scalars import Poly, RatFun, frac
+from .scalars import Poly, RatFun, UnsupportedInputError, frac
 
 
 def _orbit_pole_lattice(chi: Fraction, n: int, N: int) -> mellin.WindowedLattice:
@@ -155,7 +155,14 @@ def _run_exp_square(p):
     return verdict, witness
 
 
+def _require_count(p) -> None:
+    """A sample of fewer than one case would pass or fail vacuously."""
+    if p["count"] < 1:
+        raise UnsupportedInputError(f"count must be at least 1, got {p['count']}")
+
+
 def _run_mon_test(p):
+    _require_count(p)
     rng = random.Random(p["seed"])
     agreements = 0
     cases = []
@@ -192,6 +199,7 @@ def _run_eq3_decomp(p):
 
 
 def _run_fourier_antipode(p):
+    _require_count(p)
     rng = random.Random(p["seed"])
     failures = 0
     for _ in range(p["count"]):

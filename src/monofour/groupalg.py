@@ -86,10 +86,6 @@ def ga_elem(ell: int, r: int, n: int, coeffs) -> GroupAlgebraElem:
     return GroupAlgebraElem(ell, r, n, tuple(coeffs))
 
 
-def ga_zero(ell: int, r: int, n: int) -> GroupAlgebraElem:
-    return GroupAlgebraElem(ell, r, n, (0,) * n)
-
-
 def ga_one(ell: int, r: int, n: int) -> GroupAlgebraElem:
     return ga_monomial(ell, r, n, 0)
 
@@ -129,10 +125,6 @@ def ga_mul(a: GroupAlgebraElem, b: GroupAlgebraElem) -> GroupAlgebraElem:
     return GroupAlgebraElem(a.ell, a.r, a.n, tuple(out))
 
 
-def ga_scale(a: GroupAlgebraElem, c: int) -> GroupAlgebraElem:
-    return GroupAlgebraElem(a.ell, a.r, a.n, tuple(c * x for x in a.coeffs))
-
-
 def augmentation(a: GroupAlgebraElem) -> int:
     return sum(a.coeffs) % a.modulus
 
@@ -145,16 +137,6 @@ def transition(a: GroupAlgebraElem, n_target: int) -> GroupAlgebraElem:
     for i, c in enumerate(a.coeffs):
         out[i % n_target] += c
     return GroupAlgebraElem(a.ell, a.r, n_target, tuple(out))
-
-
-def frobenius_unit(ell: int, r: int, n: int, q: int) -> GroupAlgebraElem:
-    """Transition image of the q-term geometric sum: sum_{a<q} t^(a mod n)."""
-    if q < 1:
-        raise ValueError("q must be positive")
-    out = [0] * n
-    for a in range(q):
-        out[a % n] += 1
-    return GroupAlgebraElem(ell, r, n, tuple(out))
 
 
 # ---------------------------------------------------------------------------

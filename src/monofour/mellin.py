@@ -43,7 +43,6 @@ from .ore import (
     ShiftOp,
     WeylOp,
     fourier_auto,
-    inversion_twist,
     mellin_op,
 )
 
@@ -541,10 +540,6 @@ def equivariant_free(rank: int = 1, label: str = "free") -> EquivariantModule:
     return EquivariantModule(rank, tuple(tuple() for _ in range(rank)), label)
 
 
-def equivariant_cyclic(p: Poly, label: str = "") -> EquivariantModule:
-    return EquivariantModule(1, ((p,),), label or f"k[s]/({p})")
-
-
 def windowed_equivariant(m: CyclicPresentation, N: int) -> EquivariantModule:
     """Windowed k[s]-module of a cyclic shift presentation: generators are
     the window translates of the cyclic generator, relations are the
@@ -570,19 +565,6 @@ def windowed_equivariant(m: CyclicPresentation, N: int) -> EquivariantModule:
             tuple(col[r] for col in cols) for r in range(nrows)
         )
     return EquivariantModule(nrows, matrix, "windowed cyclic")
-
-
-def skyscraper_equivariant(fam: SkyscraperFamily) -> EquivariantModule:
-    diag = []
-    for i in sorted(fam.exponents):
-        e = fam.exponents[i]
-        if e:
-            diag.append(_linear_power(fam.chi + i, e))
-    n = len(diag)
-    matrix = tuple(
-        tuple(diag[r] if r == c else Poly() for c in range(n)) for r in range(n)
-    )
-    return EquivariantModule(n, matrix, "skyscraper window")
 
 
 def monodromic_test(m: EquivariantModule) -> bool:

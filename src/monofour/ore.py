@@ -10,9 +10,10 @@ Two algebras are provided, with exact rational coefficients throughout:
 
 The module also houses the Mellin identification between the Laurent
 algebra and the shift algebra (x -> T, dx -> T^-1 s), the Fourier
-automorphism of the Weyl algebra (x -> -dx, dx -> x), the inversion
-twist of the shift algebra, and right reduction modulo a cyclic
-relation.
+automorphism of the Weyl algebra (x -> -dx, dx -> x) and the inversion
+twist of the shift algebra.  Products and the Fourier map share one
+normal-ordering kernel, the Leibniz rule
+dx^a x^b = sum_k C(a,k) b(b-1)...(b-k+1) x^(b-k) dx^(a-k).
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Union
 
-from .scalars import Poly, RatFun, UnsupportedInputError, frac
-from .scalars.ratfun import partial_fractions
+from .scalars import Poly, UnsupportedInputError, frac
 
 Scalar = Union[int, Fraction]
 
@@ -57,7 +57,7 @@ class ShiftOp:
                 if not isinstance(p, Poly):
                     p = Poly.const(p)
                 if not p.is_zero:
-                    clean[j] = clean.get(j, Poly()) + p if j in clean else p
+                    clean[j] = p
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
@@ -200,11 +200,6 @@ def _coerce_shift(x):
     return NotImplemented
 
 
-def ore_mul(a: ShiftOp, b: ShiftOp) -> ShiftOp:
-    """Product in the shift algebra (same as a * b)."""
-    return a * b
-
-
 class _WeylBase:
     """Shared implementation for the Weyl algebra and its Laurent variant."""
 
@@ -304,11 +299,7 @@ class _WeylBase:
             return NotImplemented
         out = dict(self.terms)
         for k, c in other.terms.items():
-            v = out.get(k, Fraction(0)) + c
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
+            out[k] = out.get(k, 0) + c
         return type(self)(self.rank, out)
 
     __radd__ = __add__
@@ -339,11 +330,7 @@ class _WeylBase:
             for (a2, b2), c2 in other.terms.items():
                 for alpha, beta, c in _normal_product(a1, b1, a2, b2):
                     k = (alpha, beta)
-                    v = out.get(k, Fraction(0)) + c1 * c2 * c
-                    if v:
-                        out[k] = v
-                    elif k in out:
-                        del out[k]
+                    out[k] = out.get(k, 0) + c1 * c2 * c
         return type(self)(self.rank, out)
 
     def __rmul__(self, other):
@@ -454,11 +441,6 @@ class LaurentWeylOp(_WeylBase):
         return cls(1, {((a,), (0,)): c})
 
 
-def weyl_mul(a: _WeylBase, b: _WeylBase) -> _WeylBase:
-    """Normal-ordered product (same as a * b)."""
-    return a * b
-
-
 def to_laurent(w: WeylOp) -> LaurentWeylOp:
     if w.rank != 1:
         raise ValueError("only rank-1 operators restrict to the torus")
@@ -472,10 +454,12 @@ def mellin_op(w: "LaurentWeylOp | WeylOp") -> ShiftOp:
     """
     if w.rank != 1:
         raise ValueError("the Mellin identification is rank 1")
-    out = ShiftOp.zero()
+    levels: dict[int, Poly] = {}
     for ((a,), (b,)), c in w.terms.items():
-        out = out + ShiftOp({a - b: falling_poly(b) * c})
-    return out
+        j = a - b
+        p = falling_poly(b) * c
+        levels[j] = levels[j] + p if j in levels else p
+    return ShiftOp(levels)
 
 
 def inverse_mellin_op(sh: ShiftOp) -> LaurentWeylOp:
@@ -486,41 +470,25 @@ def inverse_mellin_op(sh: ShiftOp) -> LaurentWeylOp:
         work = p
         b = 0
         while not work.is_zero:
-            c = work.eval(0) / factorial(b)
-            if c:
-                key = ((j + b,), (b,))
-                terms[key] = terms.get(key, Fraction(0)) + c
+            terms[((j + b,), (b,))] = work.eval(0) / factorial(b)
             work = work.shift(1) - work
             b += 1
-    return LaurentWeylOp(1, {k: v for k, v in terms.items() if v})
+    return LaurentWeylOp(1, terms)
 
 
 def fourier_auto(w: WeylOp) -> WeylOp:
     """Algebra automorphism x_i -> -dx_i, dx_i -> x_i, in normal form."""
     if not isinstance(w, WeylOp):
         raise UnsupportedInputError("the Fourier automorphism acts on the plain Weyl algebra")
-    rank = w.rank
-    out = WeylOp(rank)
+    # x^alpha dx^beta -> (-dx)^alpha x^beta = (-1)^|alpha| dx^alpha x^beta.
+    zero = (0,) * w.rank
+    out: dict = {}
     for (alpha, beta), c in w.terms.items():
-        combos = [((), (), Fraction(1))]
-        for i in range(rank):
-            # (-dx)^alpha_i * x^beta_i, normal ordered:
-            # dx^a x^b = sum_k C(a,k) falling(b,k) x^(b-k) dx^(a-k)
-            a, b = alpha[i], beta[i]
-            coords = []
-            sign = -1 if a % 2 else 1
-            for k in range(min(a, b) + 1):
-                cc = comb(a, k) * falling(b, k) * sign
-                if cc:
-                    coords.append((b - k, a - k, cc))
-            new = []
-            for al, be, acc in combos:
-                for xa, xb, cc in coords:
-                    new.append((al + (xa,), be + (xb,), acc * cc))
-            combos = new
-        for al, be, acc in combos:
-            out = out + WeylOp(rank, {(al, be): c * acc})
-    return out
+        if sum(alpha) % 2:
+            c = -c
+        for a, b, n in _normal_product(zero, alpha, beta, zero):
+            out[(a, b)] = out.get((a, b), 0) + c * n
+    return WeylOp(w.rank, out)
 
 
 def antipode(w: WeylOp) -> WeylOp:
@@ -556,7 +524,7 @@ def inversion_twist(sh: ShiftOp, variant: str = "affine") -> ShiftOp:
         q = p.compose_linear(-1, shift_const)
         if j % 2:
             q = -q
-        out[-j] = out.get(-j, Poly()) + q
+        out[-j] = q
     return ShiftOp(out)
 
 
@@ -584,167 +552,3 @@ class CyclicPresentation:
             raise UnsupportedInputError("only single-relation presentations supported")
         return nonzero[0] if nonzero else None
 
-
-def right_reduce(elem, presentation: CyclicPresentation):
-    """Canonical representative of (generator * elem) in D/(g)D.
-
-    Supports the confluent relation shapes used by the canonical modules:
-    single-level shift relations T^a p(s); two-adjacent-level shift
-    relations with a constant end (pushed up or down until no trigger
-    divides a coefficient); the simple-pole kernel relation (reduced
-    through its rational-function embedding); and the Weyl relations
-    c(1 - dx), x - c, and dx.
-    """
-    rel = presentation.single_relation()
-    if rel is None:
-        return elem
-    if presentation.algebra == "shift":
-        if not isinstance(elem, ShiftOp):
-            raise TypeError("expected a ShiftOp")
-        return _reduce_shift(elem, rel)
-    if not isinstance(elem, _WeylBase):
-        raise TypeError("expected a Weyl-type operator")
-    if presentation.rank != 1 or elem.rank != 1:
-        raise UnsupportedInputError("reduction is rank 1 only")
-    return _reduce_weyl(elem, rel)
-
-
-def _reduce_shift(elem: ShiftOp, rel: ShiftOp) -> ShiftOp:
-    levels = rel.levels()
-    if len(levels) == 1:
-        a = levels[0]
-        p = rel.coeff(a)
-        if p.degree == 0:
-            return ShiftOp.zero()
-        out = {}
-        for j, w in elem.terms.items():
-            out[j] = w % p.shift(j - a)
-        return ShiftOp(out)
-    if len(levels) == 2 and levels[1] == levels[0] + 1:
-        i = levels[0]
-        p, q = rel.coeff(i), rel.coeff(i + 1)
-        if p.degree == 0 and q.degree == 0:
-            # T^(j+1) u == -(p/q) T^j u: collapse every level to level 0.
-            ratio = -p.lc / q.lc
-            total = Poly()
-            for j, w in elem.terms.items():
-                total = total + w * ratio**j
-            return ShiftOp({0: total})
-        if q.degree == 0:
-            return _push(elem, trigger=lambda j: p.shift(j - i), step=+1,
-                         carry=lambda u: -(q.lc) * u)
-        if p.degree == 0:
-            return _push(elem, trigger=lambda j: q.shift(j - i - 1), step=-1,
-                         carry=lambda u: -(p.lc) * u)
-        return _reduce_via_embedding(elem, rel)
-    raise UnsupportedInputError(f"no confluent reduction for relation {rel}")
-
-
-def _push(elem: ShiftOp, trigger, step: int, carry) -> ShiftOp:
-    terms = {j: p for j, p in elem.terms.items()}
-    changed = True
-    while changed:
-        changed = False
-        for j in sorted(terms):
-            w = terms.get(j)
-            if w is None or w.is_zero:
-                continue
-            f = trigger(j)
-            u, r = divmod(w, f)
-            if u.is_zero:
-                continue
-            terms[j] = r
-            k = j + step
-            terms[k] = terms.get(k, Poly()) + carry(u)
-            changed = True
-            break
-    return ShiftOp({j: p for j, p in terms.items() if not p.is_zero})
-
-
-def _kernel_relation_match(rel: ShiftOp):
-    """Detect a rational multiple of the simple-pole kernel relation
-    (s+1) - T^-1 s; return the scalar or None."""
-    base = ShiftOp({0: Poly.x() + 1, -1: -Poly.x()})
-    lv = rel.levels()
-    if lv != [-1, 0]:
-        return None
-    c = rel.coeff(0).lc / (Poly.x() + 1).lc if rel.coeff(0).degree == 1 else None
-    if c is None:
-        return None
-    if rel == ShiftOp({j: p * c for j, p in base.terms.items()}):
-        return c
-    return None
-
-
-def _reduce_via_embedding(elem: ShiftOp, rel: ShiftOp) -> ShiftOp:
-    c = _kernel_relation_match(rel)
-    if c is None:
-        raise UnsupportedInputError(f"no confluent reduction for relation {rel}")
-    # The generator embeds as 1/(s+1); T^j p(s) acts as p(s)/(s+j+1).
-    image = RatFun(0)
-    for j, p in elem.terms.items():
-        image = image + RatFun(p, Poly((j + 1, 1)))
-    poly_part, parts = partial_fractions(image)
-    out = ShiftOp.from_poly(poly_part * (Poly.x() + 1))
-    for a, coefs in parts:
-        if len(coefs) != 1 or a.denominator != 1:
-            raise AssertionError("kernel-module image must have simple integer poles")
-        m = -int(a)
-        out = out + ShiftOp.t_power(m - 1, coefs[0])
-    return out
-
-
-def _reduce_weyl(elem: _WeylBase, rel: _WeylBase):
-    keys = sorted(rel.terms)
-    zero = ((0,), (0,))
-    if keys == [zero]:
-        return type(elem)(1)
-    if set(keys) <= {zero, ((0,), (1,))}:
-        # Relation c0 + c1 dx, so dx == -c0/c1; the product rule adds the
-        # usual derivative correction: x^a dx^b == lam x^a dx^(b-1)
-        #                                          - a x^(a-1) dx^(b-1).
-        lam = -rel.terms.get(zero, Fraction(0)) / rel.terms[((0,), (1,))]
-        return _weyl_push(
-            elem,
-            lambda a, b: [((a, b - 1), lam), ((a - 1, b - 1), Fraction(-a))],
-        )
-    if set(keys) <= {zero, ((1,), (0,))}:
-        # Relation c1 x - c0: substitute x = c0/c1 into every x-power.
-        cx = rel.terms[((1,), (0,))]
-        c = -rel.terms.get(zero, Fraction(0)) / cx
-        out: dict = {}
-        for ((a,), (b,)), coeff in elem.terms.items():
-            if a < 0 and c == 0:
-                raise UnsupportedInputError("negative x-power under the relation x")
-            key = ((0,), (b,))
-            v = out.get(key, Fraction(0)) + coeff * c**a
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-        return type(elem)(1, out)
-    raise UnsupportedInputError(f"no confluent reduction for relation {rel}")
-
-
-def _weyl_push(elem: _WeylBase, rewrite):
-    terms = {k: v for k, v in elem.terms.items()}
-    while True:
-        target = None
-        for (alpha, beta) in terms:
-            if beta[0] >= 1:
-                target = (alpha, beta)
-                break
-        if target is None:
-            break
-        coeff = terms.pop(target)
-        (a,), (b,) = target
-        for (na, nb), c in rewrite(a, b):
-            if c == 0:
-                continue
-            key = ((na,), (nb,))
-            v = terms.get(key, Fraction(0)) + coeff * c
-            if v:
-                terms[key] = v
-            elif key in terms:
-                del terms[key]
-    return type(elem)(1, terms)

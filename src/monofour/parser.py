@@ -2,7 +2,9 @@
 
 Atoms `x`, `dx` (differential algebra) and `s`, `T`, `Ti` (shift
 algebra), integer and `a/b` rational literals, the operators
-`+ - * ^`, and parentheses; whitespace is insignificant.  Parsing
+`+ - * ^`, and parentheses; whitespace is insignificant.  At rank d
+the differential atoms `x1`...`xd` and `dx1`...`dxd` name the
+coordinates, and bare `x`, `dx` mean coordinate 1.  Parsing
 produces normalized operators, so parse -> print -> parse is the
 identity on normal forms.  Errors carry the 0-based character offset
 where the problem was found.
@@ -68,6 +70,8 @@ def _tokenize(text: str):
         if ch.isalpha():
             j = i
             while j < n and text[j].isalpha():
+                j += 1
+            while j < n and text[j].isdigit():
                 j += 1
             tokens.append(_Token("name", text[i:j], i))
             i = j
@@ -159,10 +163,16 @@ class _Parser:
     def atom(self, tok: _Token):
         name = tok.value
         if self.algebra == "weyl":
-            if name == "x":
-                return WeylOp.x(0, self.rank)
-            if name == "dx":
-                return WeylOp.dx(0, self.rank)
+            base = name.rstrip("0123456789")
+            if base in WEYL_ATOMS:
+                i = int(name[len(base):] or 1)
+                if not 1 <= i <= self.rank:
+                    raise UnknownAtomError(
+                        f"atom {name!r} names coordinate {i}, outside 1..{self.rank}",
+                        tok.position,
+                    )
+                make = WeylOp.x if base == "x" else WeylOp.dx
+                return make(i - 1, self.rank)
             if name in SHIFT_ATOMS:
                 raise UnknownAtomError(
                     f"atom {name!r} belongs to the shift algebra, not weyl",

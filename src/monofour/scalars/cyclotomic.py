@@ -214,10 +214,6 @@ class CycScalar:
     def __bool__(self) -> bool:
         return not self.is_zero
 
-    @property
-    def is_rational(self) -> bool:
-        return not any(self.numerators[1:])
-
     def to_str(self) -> str:
         n = self.conductor
         var = f"z{n}"

@@ -41,9 +41,6 @@ class TwistShift:
     def scalar(self, q: int) -> Fraction:
         return Fraction((-1) ** (self.shift % 2)) * Fraction(q) ** (-self.twist)
 
-    def compose(self, other: "TwistShift") -> "TwistShift":
-        return TwistShift(self.twist + other.twist, self.shift + other.shift)
-
 
 class TraceFunction:
     """Dense exact-valued function on F_q^d, points in lexicographic order."""
@@ -85,11 +82,6 @@ class TraceFunction:
         vals = [0] * qq ** len(point)
         vals[_index(qq, point)] = 1
         return cls(q, len(point), vals)
-
-    @classmethod
-    def from_callable(cls, q, rank: int, fn) -> "TraceFunction":
-        qq = q.q if isinstance(q, Fq) else q
-        return cls(q, rank, [fn(p) for p in _points(qq, rank)])
 
     # -- access -----------------------------------------------------------
 

@@ -120,6 +120,8 @@ class TestRunCheck:
             ("mon-equivalence", {"d": 0}, (trace, "monodromic_span_basis")),
             ("appendix-units", {"n": 0}, (groupalg, "_units_of")),
             ("appendix-nzd", {"ell": 4}, (groupalg, "solve_mod_kernel")),
+            ("mon-test", {"count": -3}, (mellin, "windowed_equivariant")),
+            ("fourier-antipode", {"count": -1}, (checks, "fourier_auto")),
         ],
     )
     def test_degenerate_parameters_refused_before_work(

@@ -71,6 +71,22 @@ class TestMellinAndFourier:
         assert code == 0
         assert json.loads(out)["transformed"] == "x"
 
+    def test_fourier_rank_two_output_reparses(self, capsys):
+        code, out, _ = run_cli(capsys, "fourier", "--rank", "2", "x*dx + dx2*x2")
+        assert code == 0
+        data = json.loads(out)
+        assert data["normal_form"] == "1 + x2*dx2 + x1*dx1"
+        assert data["transformed"] == "-1 - x2*dx2 - x1*dx1"
+        # the printed forms parse back at the same rank
+        for printed in (data["normal_form"], data["transformed"]):
+            code, out, _ = run_cli(capsys, "fourier", "--rank", "2", printed)
+            assert code == 0
+            assert json.loads(out)["normal_form"] == printed
+        # coordinate 1 written with its index reduces at the default rank
+        code, out, _ = run_cli(capsys, "reduce", "--algebra", "weyl", "x1*dx1")
+        assert code == 0
+        assert json.loads(out)["normal_form"] == "x*dx"
+
 
 class TestTrace:
     def test_kernel_table(self, capsys):

@@ -22,7 +22,6 @@ from monofour.mellin import (
     WindowError,
     WindowedLattice,
     embed_in_Ks,
-    equivariant_cyclic,
     equivariant_free,
     euler_eigen_module,
     exp_ladder,
@@ -41,7 +40,6 @@ from monofour.mellin import (
     pole_ladder,
     rational_right_action,
     shift_exp_module,
-    skyscraper_equivariant,
     skyscraper_freeness_check,
     skyscraper_tower,
     tensor_equivariant,
@@ -66,6 +64,19 @@ FREE_SHIFT = CyclicPresentation("shift", ())
 
 def s_plus(c) -> Poly:
     return Poly((c, 1))
+
+
+# k[s]/(s) and the diagonal presentation of the skyscraper window
+# sum over |i| <= 4 of k[s]/(s-i)^2, built directly.
+CYCLIC_AT_ZERO = EquivariantModule(1, ((Poly.x(),),), "k[s]/(s)")
+SKYSCRAPER_WINDOW = EquivariantModule(
+    9,
+    tuple(
+        tuple(s_plus(-i) ** 2 if i == j else Poly() for j in range(-4, 5))
+        for i in range(-4, 5)
+    ),
+    "skyscraper window",
+)
 
 
 class TestRightAction:
@@ -213,7 +224,7 @@ class TestTensor:
             tensor_equivariant(skyscraper_tower(0, 1, 3), skyscraper_tower(0, 1, 5))
 
     def test_presentation_tensor_torsion(self):
-        cyc = equivariant_cyclic(Poly.x())
+        cyc = CYCLIC_AT_ZERO
         free = equivariant_free(1)
         assert monodromic_test(tensor_equivariant(cyc, cyc))
         assert monodromic_test(tensor_equivariant(cyc, free))
@@ -251,7 +262,7 @@ class TestMonodromicTest:
         assert not monodromic_test(windowed_equivariant(kernel_module(), 6))
 
     def test_skyscraper_window_is_torsion(self):
-        assert monodromic_test(skyscraper_equivariant(skyscraper_tower(0, 2, 4)))
+        assert monodromic_test(SKYSCRAPER_WINDOW)
 
     def test_free_module_is_not_torsion(self):
         assert not monodromic_test(equivariant_free(3))
@@ -281,13 +292,13 @@ class TestMonodromicTest:
     def test_rank_test_agrees_with_smith_form(self):
         # Every module whose verdict is frozen above: the rank routine and
         # the Smith diagonal see the same rank, so each verdict is kept.
-        cyc, free = equivariant_cyclic(Poly.x()), equivariant_free(1)
+        cyc, free = CYCLIC_AT_ZERO, equivariant_free(1)
         modules = [
             windowed_equivariant(CyclicPresentation("shift", (T - 1,)), 6),
             windowed_equivariant(CyclicPresentation("shift", (S - Fraction(1, 2),)), 6),
             windowed_equivariant(kernel_module(), 6),
             windowed_equivariant(shift_exp_module(), 4),
-            skyscraper_equivariant(skyscraper_tower(0, 2, 4)),
+            SKYSCRAPER_WINDOW,
             tensor_equivariant(cyc, cyc),
             tensor_equivariant(cyc, free),
         ]

@@ -32,13 +32,13 @@ def rand_shift(rng, max_level=2, max_deg=2, max_terms=3):
     return ShiftOp(terms)
 
 
-def rand_weyl(rng, max_pow=2, max_terms=3):
+def rand_weyl(rng, max_pow=2, max_terms=3, rank=1):
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
-        alpha = (rng.randint(0, max_pow),)
-        beta = (rng.randint(0, max_pow),)
+        alpha = tuple(rng.randint(0, max_pow) for _ in range(rank))
+        beta = tuple(rng.randint(0, max_pow) for _ in range(rank))
         terms[(alpha, beta)] = frac(rng.randint(-3, 3))
-    return WeylOp(1, terms)
+    return WeylOp(rank, terms)
 
 
 class TestWeylParsing:
@@ -78,6 +78,24 @@ class TestWeylParsing:
     def test_higher_rank_atoms(self):
         op = parse_operator("x*dx", "weyl", rank=1)
         assert op.rank == 1
+
+    def test_indexed_coordinates(self):
+        op = parse_operator("x2*dx1 + dx3^2", "weyl", rank=3)
+        want = WeylOp.x(1, 3) * WeylOp.dx(0, 3) + WeylOp.dx(2, 3) ** 2
+        assert op == want
+        # bare x and dx still name coordinate 1, at every rank
+        assert parse_operator("x*dx", "weyl", rank=2) == parse_operator("x1*dx1", "weyl", rank=2)
+        assert parse_operator("x1*dx1", "weyl") == parse_operator("x*dx", "weyl")
+
+    @pytest.mark.parametrize(
+        "text,rank,position",
+        [("x3", 2, 0), ("1 + dx0", 2, 4), ("x*x2", 1, 2), ("dx4*x1", 3, 0)],
+    )
+    def test_coordinate_index_out_of_range(self, text, rank, position):
+        with pytest.raises(UnknownAtomError) as exc:
+            parse_operator(text, "weyl", rank=rank)
+        assert exc.value.position == position
+        assert f"outside 1..{rank}" in str(exc.value)
 
 
 class TestShiftParsing:
@@ -231,3 +249,13 @@ class TestRoundTrip:
             assert parse_operator(str(image), "weyl") == image
             sh = ore.mellin_op(w)
             assert parse_operator(str(sh), "shift") == sh
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_higher_rank_round_trip(self, rank):
+        rng = random.Random(rank)
+        for _ in range(60):
+            w = rand_weyl(rng, max_pow=3, max_terms=4, rank=rank)
+            for op in (w, ore.fourier_auto(w)):
+                again = parse_operator(str(op), "weyl", rank=rank)
+                assert again == op
+                assert str(again) == str(op)

@@ -740,7 +740,8 @@ class TestCycScalar:
 
     def test_rationality(self):
         a = zeta(5) + zeta(5, 2) + zeta(5, 3) + zeta(5, 4)
-        assert a.is_rational and a == -1
+        assert a == -1
+        assert str(a) == "-1"
 
     def test_cyclotomic_polys(self):
         assert cyclotomic_poly(1) == S - 1
@@ -1046,9 +1047,7 @@ class TestIntegerCyclotomicOracle:
         if isinstance(x, CycScalar):
             assert_matches_reference(-x, -rx)
             assert_matches_reference(x**k, rx**k)
-            assert (x.is_zero, x.is_rational) == (
-                all(c == 0 for c in rx.coeffs), all(c == 0 for c in rx.coeffs[1:])
-            )
+            assert x.is_zero == all(c == 0 for c in rx.coeffs)
 
     @pytest.mark.parametrize("n", ORACLE_CONDUCTORS)
     def test_zeta_and_promote_match_fraction_reference(self, n):

@@ -56,9 +56,10 @@ class TestTraceFunction:
         assert TraceFunction.constant(3, 2, Fraction(7)).value((1, 2)) == 7
         assert TraceFunction.zero(3, 2).is_zero
 
-    def test_from_callable_lex_order(self):
-        f = TraceFunction.from_callable(3, 2, lambda p: Fraction(3 * p[0] + p[1]))
-        assert f.values == tuple(Fraction(i) for i in range(9))
+    def test_values_in_lex_order(self):
+        f = TraceFunction(3, 2, [Fraction(i) for i in range(9)])
+        assert list(f.points()) == [(a, b) for a in range(3) for b in range(3)]
+        assert all(f.value(p) == 3 * p[0] + p[1] for p in f.points())
 
     def test_arithmetic(self):
         a = TraceFunction.delta(3, 1)
@@ -95,13 +96,6 @@ class TestTwistShift:
         assert TwistShift(1, 0).scalar(5) == Fraction(1, 5)
         assert TwistShift(0, 1).scalar(5) == -1
         assert TwistShift(-1, -2).scalar(5) == 5
-
-    def test_compose_additive(self):
-        a = TwistShift(1, 1)
-        b = TwistShift(2, -1)
-        c = a.compose(b)
-        assert (c.twist, c.shift) == (3, 0)
-        assert c.scalar(3) == a.scalar(3) * b.scalar(3)
 
     def test_twisted_function(self):
         f = TraceFunction.constant(5, 1, Fraction(1))
