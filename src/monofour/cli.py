@@ -32,15 +32,6 @@ class _ArgumentParser(argparse.ArgumentParser):
         return 1
 
 
-def _jobs(text: str) -> int:
-    jobs = int(text)
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    if jobs > 1:
-        raise argparse.ArgumentTypeError(f"checks run serially; must be 1, got {jobs}")
-    return jobs
-
-
 def _emit(payload: dict, pretty_lines=None, pretty: bool = False) -> None:
     if pretty and pretty_lines is not None:
         for line in pretty_lines:
@@ -140,7 +131,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    result = checks.run_all(args.profile, seed=args.seed, jobs=args.jobs)
+    result = checks.run_all(args.profile, seed=args.seed)
     lines = []
     for rep in result["reports"]:
         params = json.dumps(jsonable(rep["parameters"]), sort_keys=True)
@@ -208,7 +199,6 @@ def build_parser() -> _ArgumentParser:
     p = sub.add_parser("verify-all", help="run a whole profile of checks")
     p.add_argument("--profile", choices=tuple(checks.PROFILES), default="quick")
     p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=_cmd_verify_all)
 

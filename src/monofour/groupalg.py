@@ -21,6 +21,7 @@ from itertools import product
 from math import gcd, isqrt
 
 from .scalars import UnsupportedInputError, int_smith
+from .scalars.ffield import fp_rem
 
 
 @dataclass(frozen=True)
@@ -320,51 +321,29 @@ _UNIT_MODULUS_GUARD = 9
 _ENUMERATION_BUDGET = 30000
 
 
-def _fl_reduce(coeffs, ell: int):
-    out = [c % ell for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _fl_divmod(a, b, ell: int):
-    a = list(a)
-    inv = pow(b[-1], -1, ell)
-    while len(a) >= len(b) and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = (a[-1] * inv) % ell
-        off = len(a) - len(b)
-        for i, x in enumerate(b):
-            a[i + off] = (a[i + off] - c * x) % ell
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fl_gcd_is_one(a, b, ell: int) -> bool:
-    a, b = _fl_reduce(a, ell), _fl_reduce(b, ell)
-    while b:
-        a, b = b, _fl_divmod(a, b, ell)
-    return len(a) == 1
-
-
 def is_unit(a: GroupAlgebraElem) -> bool:
     """Units are detected modulo l: invertibility in (Z/l^r)[Z/n] is
-    equivalent to coprimality with x^n - 1 over the residue field."""
-    if a.n == 1:
-        return a.coeffs[0] % a.ell != 0
-    xn_minus_1 = [-1] + [0] * (a.n - 1) + [1]
-    return _fl_gcd_is_one(list(a.coeffs), xn_minus_1, a.ell)
+    equivalent to coprimality with x^n - 1 over the residue field, which
+    Euclid's algorithm on (x^n - 1, a mod l) decides."""
+    f, g = a.coeffs, [-1] + [0] * (a.n - 1) + [1]
+    while g:
+        f, g = g, fp_rem(f, g, a.ell)
+    return len(f) == 1
 
 
 def _units_of(ell: int, r: int, n: int):
+    """The units of (Z/l^r)[Z/n] in lexicographic order.  Since l
+    generates a nilpotent ideal, a vector is a unit exactly when its
+    reduction mod l is, so the verdict is computed once per residue."""
     L = ell**r
+    verdicts: dict[tuple, bool] = {}
     for vec in product(range(L), repeat=n):
         elem = GroupAlgebraElem(ell, r, n, vec)
-        if is_unit(elem):
+        residue = tuple(c % ell for c in vec)
+        unit = verdicts.get(residue)
+        if unit is None:
+            unit = verdicts[residue] = is_unit(elem)
+        if unit:
             yield elem
 
 

@@ -89,7 +89,6 @@ def rational_right_action(f: RatFun, op: ShiftOp) -> RatFun:
 # ---------------------------------------------------------------------------
 
 _S = ShiftOp.s()
-_T = ShiftOp.t_power(1)
 _Ti = ShiftOp.t_power(-1)
 
 
@@ -446,13 +445,13 @@ class SkyscraperFamily:
         )
 
 
-def skyscraper_tower(chi, n: int, N: int, max_order: int = MAX_FIBER_ORDER) -> SkyscraperFamily:
+def skyscraper_tower(chi, n: int, N: int) -> SkyscraperFamily:
     """Windowed direct sum of k[s]/(s-chi-i)^n over |i| <= N, realized by
     the principal parts of 1/(s-chi-i)^n; the shift maps are argument
     translation and carry unit 1."""
     chi = _normalize_chi(chi)
-    if not 1 <= n <= max_order:
-        raise UnsupportedInputError(f"fiber order {n} outside 1..{max_order}")
+    if not 1 <= n <= MAX_FIBER_ORDER:
+        raise UnsupportedInputError(f"fiber order {n} outside 1..{MAX_FIBER_ORDER}")
     exponents = {i: n for i in range(-N, N + 1)}
     labels = {i: f"1/(s-({chi}+{i}))^{n}" for i in range(-N, N + 1)}
     units = {i: Fraction(1) for i in range(-N + 1, N + 1)}

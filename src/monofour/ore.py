@@ -24,6 +24,7 @@ from math import comb, factorial
 from typing import Union
 
 from .scalars import Poly, UnsupportedInputError, frac
+from .scalars.poly import binary_power
 
 Scalar = Union[int, Fraction]
 
@@ -151,14 +152,7 @@ class ShiftOp:
     def __pow__(self, n: int) -> "ShiftOp":
         if n < 0:
             raise ValueError("use t_power for negative powers of T")
-        out = ShiftOp.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return binary_power(self, n, ShiftOp.one())
 
     def to_str(self) -> str:
         if self.is_zero:
@@ -344,14 +338,7 @@ class _WeylBase:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative operator power")
-        out = type(self).one(self.rank)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return binary_power(self, n, type(self).one(self.rank))
 
     def _monomial_str(self, alpha, beta) -> str:
         parts = []

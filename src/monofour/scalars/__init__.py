@@ -1,5 +1,5 @@
 """Exact arithmetic substrate: rationals, polynomials, rational functions,
-Smith normal forms, small finite fields, cyclotomic scalars, residue rings."""
+Smith normal forms, small finite fields, cyclotomic scalars."""
 
 from fractions import Fraction
 
@@ -8,7 +8,6 @@ from .ratfun import RatFun, UnsupportedInputError, partial_fractions
 from .snf import int_smith, poly_rank, poly_smith, rational_rank
 from .ffield import Fq
 from .cyclotomic import CycScalar, cyclotomic_poly, zeta
-from .residue import ResidueRingElem
 
 Rational = Fraction
 
@@ -29,5 +28,4 @@ __all__ = [
     "CycScalar",
     "cyclotomic_poly",
     "zeta",
-    "ResidueRingElem",
 ]

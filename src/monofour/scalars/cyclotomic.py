@@ -12,7 +12,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Union
 
-from .poly import Poly, frac
+from .poly import Poly, binary_power, frac
 
 Scalar = Union[int, Fraction]
 
@@ -190,14 +190,7 @@ class CycScalar:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers not supported")
-        out = CycScalar.from_rational(1, self.conductor)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return binary_power(self, n, CycScalar.from_rational(1, self.conductor))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, CycScalar)):

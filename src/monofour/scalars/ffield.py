@@ -31,21 +31,42 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     return p, e
 
 
+def fp_rem(a, b, p: int) -> list[int]:
+    """Remainder of a by b over F_p, p prime (Knuth, TAOCP Vol. 2, §4.6.1,
+    Algorithm D).
+
+    Polynomials are coefficient sequences from the constant term up; b
+    must be nonzero mod p.  The remainder is reduced mod p, has degree
+    below deg b and carries no trailing zeros.
+    """
+    rem = [c % p for c in a]
+    div = [c % p for c in b]
+    while div and not div[-1]:
+        div.pop()
+    if not div:
+        raise ZeroDivisionError("polynomial division by zero mod p")
+    d = len(div) - 1
+    inv = pow(div[-1], -1, p)
+    for k in range(len(rem) - 1 - d, -1, -1):
+        c = rem[k + d] * inv % p
+        if c:
+            for i in range(d):
+                rem[k + i] = (rem[k + i] - c * div[i]) % p
+    del rem[d:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return rem
+
+
 def _poly_mul_mod(a: list[int], b: list[int], modulus: list[int], p: int) -> list[int]:
     e = len(modulus) - 1
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    for k in range(len(out) - 1, e - 1, -1):
-        c = out[k]
-        if c:
-            out[k] = 0
-            for i in range(e):
-                out[k - e + i] = (out[k - e + i] - c * modulus[i]) % p
-    out = out[:e]
-    return out + [0] * (e - len(out))
+                out[i + j] += ai * bj
+    rem = fp_rem(out, modulus, p)
+    return rem + [0] * (e - len(rem))
 
 
 def _is_irreducible(coeffs: list[int], p: int) -> bool:
@@ -66,17 +87,7 @@ def _is_irreducible(coeffs: list[int], p: int) -> bool:
     for deg in range(2, e // 2 + 1):
         for enc in range(p**deg):
             div = [(enc // p**i) % p for i in range(deg)] + [1]
-            rem = list(coeffs)
-            while len(rem) - 1 >= deg:
-                while rem and rem[-1] == 0:
-                    rem.pop()
-                if len(rem) - 1 < deg:
-                    break
-                k = len(rem) - 1 - deg
-                c = rem[-1]
-                for i, dc in enumerate(div):
-                    rem[k + i] = (rem[k + i] - c * dc) % p
-            if not any(rem):
+            if not fp_rem(coeffs, div, p):
                 return False
     return True
 
@@ -90,19 +101,26 @@ def _find_modulus(p: int, e: int) -> list[int]:
 
 
 class Fq:
-    """The finite field with q elements, q = p^e <= 121."""
+    """The finite field with q elements, q = p^e <= 121.
+
+    One instance per q: `Fq(q)` returns the cached field, and a field
+    passed in place of q is returned as it is, so every engine takes
+    either an int or an `Fq`.
+    """
 
     _cache: dict[int, "Fq"] = {}
 
-    def __new__(cls, q: int):
+    def __new__(cls, q: "int | Fq"):
+        if isinstance(q, Fq):
+            return q
         if q in cls._cache:
             return cls._cache[q]
         self = super().__new__(cls)
         cls._cache[q] = self
         return self
 
-    def __init__(self, q: int):
-        if getattr(self, "q", None) == q:
+    def __init__(self, q: "int | Fq"):
+        if hasattr(self, "q"):
             return
         if q > _MAX_Q:
             raise ValueError(f"field size {q} exceeds supported bound {_MAX_Q}")

@@ -15,6 +15,20 @@ def frac(x: Scalar | str) -> Fraction:
     return Fraction(x)
 
 
+def binary_power(base, n: int, one):
+    """base**n for an int n >= 0 by right-to-left binary powering (Knuth,
+    TAOCP Vol. 2, §4.6.3, Algorithm A): n.bit_length() - 1 squarings, one
+    product per further set bit, and `one` is returned only for n = 0."""
+    out = None
+    while True:
+        if n & 1:
+            out = base if out is None else out * base
+        n >>= 1
+        if not n:
+            return one if out is None else out
+        base = base * base
+
+
 class Poly:
     """Polynomial with Fraction coefficients, index = degree.
 
@@ -119,14 +133,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = Poly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return binary_power(self, n, Poly.const(1))
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if isinstance(other, (int, Fraction)):

@@ -48,7 +48,7 @@ class TraceFunction:
     __slots__ = ("field", "rank", "values")
 
     def __init__(self, q, rank: int, values):
-        field = q if isinstance(q, Fq) else Fq(q)
+        field = Fq(q)
         values = tuple(values)
         if len(values) != field.q**rank:
             raise ValueError("table size mismatch")
@@ -67,21 +67,19 @@ class TraceFunction:
 
     @classmethod
     def zero(cls, q, rank: int = 1) -> "TraceFunction":
-        qq = q.q if isinstance(q, Fq) else q
-        return cls(q, rank, [0] * qq**rank)
+        return cls.constant(q, rank, 0)
 
     @classmethod
     def constant(cls, q, rank: int, value) -> "TraceFunction":
-        qq = q.q if isinstance(q, Fq) else q
-        return cls(q, rank, [value] * qq**rank)
+        field = Fq(q)
+        return cls(field, rank, [value] * field.q**rank)
 
     @classmethod
     def delta(cls, q, point) -> "TraceFunction":
-        point = _point(point)
-        qq = q.q if isinstance(q, Fq) else q
-        vals = [0] * qq ** len(point)
-        vals[_index(qq, point)] = 1
-        return cls(q, len(point), vals)
+        field, point = Fq(q), _point(point)
+        vals = [0] * field.q ** len(point)
+        vals[_index(field.q, point)] = 1
+        return cls(field, len(point), vals)
 
     # -- access -----------------------------------------------------------
 
@@ -173,7 +171,7 @@ class CharacterTable:
     """
 
     def __init__(self, q):
-        self.field = q if isinstance(q, Fq) else Fq(q)
+        self.field = Fq(q)
 
     @property
     def q(self) -> int:
@@ -185,11 +183,8 @@ class CharacterTable:
             raise ValueError("additive character index must be nonzero mod p")
         return zeta(p, index * self.field.frobenius_trace(a))
 
-    def psi_function(self, index: int = 1, transform=None) -> TraceFunction:
-        fn = transform or (lambda a: a)
-        return TraceFunction(
-            self.field, 1, [self.psi(fn(a), index) for a in range(self.q)]
-        )
+    def psi_function(self, index: int = 1) -> TraceFunction:
+        return TraceFunction(self.field, 1, [self.psi(a, index) for a in range(self.q)])
 
     def chi(self, k: int, a: int):
         if a == 0:
@@ -222,7 +217,7 @@ class CharacterTable:
 
 def t_B(q) -> TraceFunction:
     """The kernel on F_q: value 1 away from 1 and 1-q at 1."""
-    field = q if isinstance(q, Fq) else Fq(q)
+    field = Fq(q)
     vals = [1] * field.q
     vals[1] = 1 - field.q
     return TraceFunction(field, 1, vals)
@@ -367,7 +362,7 @@ def kernel_pair_sum(q, d: int, w: tuple, u: tuple, pairing=None) -> int:
     comes from a dependence test on two linear forms rather than a
     q^d-term loop.
     """
-    field = q if isinstance(q, Fq) else Fq(q)
+    field = Fq(q)
     rows = _pairing_rows(field, d, pairing)
     return _pair_sum_row(field, rows, _point(w), [_point(u)])[0]
 
@@ -406,7 +401,7 @@ def _pair_sum_row(field: Fq, rows, w: tuple, us) -> list[int]:
 
 def scaling_orbits(q, d: int) -> list[list[tuple]]:
     """Orbits of the scaling action of F_q^x on nonzero points of F_q^d."""
-    field = q if isinstance(q, Fq) else Fq(q)
+    field = Fq(q)
     seen = set()
     orbits = []
     for p in _points(field.q, d):
@@ -442,7 +437,7 @@ def check_keythm(q, d: int, trials: int = 4, seed: int = 0, pairing=None) -> dic
     second transform would need P^T.  A non-symmetric pairing P, and
     d < 1, raise UnsupportedInputError before any transform runs.
     """
-    field = q if isinstance(q, Fq) else Fq(q)
+    field = Fq(q)
     q = field.q
     _require_dimension(d)
     rows = _pairing_rows(field, d, pairing)
@@ -496,7 +491,7 @@ def check_keythm(q, d: int, trials: int = 4, seed: int = 0, pairing=None) -> dic
 def scaling_sum_zero_basis(q, d: int) -> list[TraceFunction]:
     """Basis of {f : sum_l f(l v) = 0 for every v}: per scaling orbit,
     differences against the orbit representative."""
-    field = q if isinstance(q, Fq) else Fq(q)
+    field = Fq(q)
     basis = []
     for orbit in scaling_orbits(field, d):
         rep = orbit[0]
@@ -523,7 +518,7 @@ def _in_scaling_sum_zero(f: TraceFunction) -> bool:
 def check_CV(q, d: int) -> dict:
     """On the scaling-sum-zero subspace, four_B squares to q^(d+1) and
     preserves the subspace; a constant function is the negative control."""
-    field = q if isinstance(q, Fq) else Fq(q)
+    field = Fq(q)
     q = field.q
     basis = scaling_sum_zero_basis(field, d)
     factor = q ** (d + 1)
@@ -552,7 +547,7 @@ def check_CV(q, d: int) -> dict:
 def check_P2B(q, psi_index: int = 1) -> dict:
     """Inverted-argument character sum reproduces -t_B:
     sum_{l != 0} psi(-l^-1) psi(l^-1 x) = -t_B(x), exactly in Z[zeta_p]."""
-    field = q if isinstance(q, Fq) else Fq(q)
+    field = Fq(q)
     if field.e != 1:
         raise ValueError("additive-character identity requires a prime field")
     q = field.q
@@ -582,7 +577,7 @@ def check_P2B(q, psi_index: int = 1) -> dict:
 def check_BL2(q, d: int = 1, psi_index: int = 1, trials: int = 2, seed: int = 0) -> dict:
     """Kernel transform factors through the character transform:
     four_B(f) = -conv(l -> psi(-l^-1), four_psi(f)) on a delta basis."""
-    field = q if isinstance(q, Fq) else Fq(q)
+    field = Fq(q)
     if field.e != 1:
         raise ValueError("requires a prime field")
     q = field.q
@@ -622,7 +617,7 @@ def check_fbneq(q) -> dict:
     detectable from value tables; this check verifies the value-level
     identities only and says so in the report.
     """
-    field = q if isinstance(q, Fq) else Fq(q)
+    field = Fq(q)
     q = field.q
     d0 = four_B(TraceFunction.delta(field, 0))
     d1 = four_B(TraceFunction.delta(field, 1))
@@ -649,7 +644,7 @@ def check_fbneq(q) -> dict:
 
 def power_count_trace(q, n: int) -> TraceFunction:
     """x -> #{y in F_q^x : y^n = x} on F_q^x, 0 at the origin."""
-    field = q if isinstance(q, Fq) else Fq(q)
+    field = Fq(q)
     counts = [0] * field.q
     for y in field.units():
         counts[field.pow(y, n)] += 1
@@ -659,7 +654,7 @@ def power_count_trace(q, n: int) -> TraceFunction:
 
 def gauss_sum(q, k: int, psi_index: int = 1) -> CycScalar:
     """Classical character sum sum_{x != 0} chi_k(x) psi(x)."""
-    field = q if isinstance(q, Fq) else Fq(q)
+    field = Fq(q)
     table = CharacterTable(field)
     acc = 0
     for x in field.units():
@@ -673,7 +668,7 @@ def gauss_suite(q, n: int, psi_index: int = 1) -> dict:
     """Power-count kernel versus character sums, and the Gauss-sum product
     identity g(chi)g(chi^-1)chi(-1) = q for every nontrivial chi of order
     dividing n; the convolution comparison is attached as a diagnostic."""
-    field = q if isinstance(q, Fq) else Fq(q)
+    field = Fq(q)
     q = field.q
     if (q - 1) % n != 0:
         raise ValueError(f"n = {n} must divide q-1 = {q - 1}")
@@ -740,7 +735,7 @@ def gauss_g_diagnostic(q, n: int, psi_index: int = 1) -> dict:
     """Convolution of the inverted character-transformed power-count kernel
     with itself, compared against scalar multiples of the power-count
     kernels; reports the measured scalar instead of asserting one."""
-    field = q if isinstance(q, Fq) else Fq(q)
+    field = Fq(q)
     q = field.q
     if (q - 1) % n != 0:
         raise ValueError(f"n = {n} must divide q-1 = {q - 1}")
@@ -775,7 +770,7 @@ def diag_propB3(q, n: int) -> dict:
     compared against q times the power-count kernel (the bookkeeping
     scalar of one inverse twist and two inverse shifts); the measured
     proportionality scalar is reported, not asserted."""
-    field = q if isinstance(q, Fq) else Fq(q)
+    field = Fq(q)
     q = field.q
     if (q - 1) % n != 0:
         raise ValueError(f"n = {n} must divide q-1 = {q - 1}")
@@ -802,7 +797,7 @@ def check_lem_mon_shadow(q, n: int, chi_index: int) -> dict:
     eigenfunction by the factor q-1 when the character's order divides n,
     and by 0 otherwise.  The corresponding limit statement carries the
     factor q; the finite level sees q-1 and the report says so."""
-    field = q if isinstance(q, Fq) else Fq(q)
+    field = Fq(q)
     q = field.q
     if (q - 1) % n != 0:
         raise ValueError(f"n = {n} must divide q-1 = {q - 1}")
@@ -835,7 +830,7 @@ def monodromic_span_basis(q, d: int, n: int) -> list[TraceFunction]:
     """Scaling-eigenfunction span: the delta at 0, one indicator per
     scaling orbit, and per orbit one eigenfunction for each nontrivial
     character of order dividing n."""
-    field = q if isinstance(q, Fq) else Fq(q)
+    field = Fq(q)
     q = field.q
     if (q - 1) % n != 0:
         raise ValueError(f"n = {n} must divide q-1 = {q - 1}")
@@ -900,7 +895,7 @@ def check_mon_equivalence(q, d: int, n: int) -> dict:
     is invertible over the cyclotomic field and preserves the span.
     d < 1 raises UnsupportedInputError."""
     _require_dimension(d)
-    field = q if isinstance(q, Fq) else Fq(q)
+    field = Fq(q)
     q = field.q
     basis = monodromic_span_basis(field, d, n)
     images = [four_B(f) for f in basis]

@@ -7,6 +7,7 @@ small-parameter grid they advertise.
 """
 
 import random
+from itertools import product
 
 import pytest
 
@@ -298,6 +299,63 @@ class TestUnitDetection:
             if is_unit(ga_elem(2, 1, 3, v))
         ]
         assert len(units) == 3
+
+
+def ref_fl_gcd_is_one(a, b, ell):
+    """The earlier Euclid over F_ell with its own reduce and divmod."""
+    def reduce(coeffs):
+        out = [c % ell for c in coeffs]
+        while out and out[-1] == 0:
+            out.pop()
+        return out
+
+    def divmod_(a, b):
+        a = list(a)
+        inv = pow(b[-1], -1, ell)
+        while len(a) >= len(b) and a:
+            if a[-1] == 0:
+                a.pop()
+                continue
+            c = (a[-1] * inv) % ell
+            off = len(a) - len(b)
+            for i, x in enumerate(b):
+                a[i + off] = (a[i + off] - c * x) % ell
+            a.pop()
+        while a and a[-1] == 0:
+            a.pop()
+        return a
+
+    a, b = reduce(a), reduce(b)
+    while b:
+        a, b = b, divmod_(a, b)
+    return len(a) == 1
+
+
+def ref_is_unit(a):
+    if a.n == 1:
+        return a.coeffs[0] % a.ell != 0
+    return ref_fl_gcd_is_one(list(a.coeffs), [-1] + [0] * (a.n - 1) + [1], a.ell)
+
+
+class TestUnitOracle:
+    """`is_unit` and the memoised `_units_of` against the earlier gcd."""
+
+    @pytest.mark.parametrize("ell,r,n", [(2, 2, 3), (3, 2, 2), (2, 1, 6), (3, 1, 4)])
+    def test_every_vector_matches_reference(self, ell, r, n):
+        L = ell**r
+        expected = []
+        for vec in product(range(L), repeat=n):
+            elem = GroupAlgebraElem(ell, r, n, vec)
+            assert is_unit(elem) == ref_is_unit(elem), vec
+            if ref_is_unit(elem):
+                expected.append(elem)
+        assert list(groupalg._units_of(ell, r, n)) == expected
+
+    def test_level_one_needs_no_special_case(self):
+        for ell, r in ((2, 1), (3, 2), (5, 1)):
+            for c in range(ell**r):
+                elem = ga_elem(ell, r, 1, [c])
+                assert is_unit(elem) == ref_is_unit(elem) == (c % ell != 0)
 
 
 class TestUnitSurjectivity:

@@ -1,10 +1,14 @@
-"""Source hygiene: no module-level import that its module never uses.
+"""Source hygiene: no module-level import that its module never uses,
+and no private module-level name that no module of the package reads.
 
-Deleting a function tends to leave its imports behind.  This test reads
-every module under src/monofour with the standard-library `ast` and
-fails on a module-level import whose bound name is never read in that
-module, unless the module re-exports it through `__all__`.  Names inside
-string annotations count as reads.
+Deleting a function tends to leave its imports and its private helpers
+behind.  These tests read every module under src/monofour with the
+standard-library `ast`.  They fail on a module-level import whose bound
+name is never read in that module, unless the module re-exports it
+through `__all__`, and on a top-level private function, class or
+constant (one leading underscore) that no module of the package reads,
+by name, attribute or import.  Names inside string annotations count as
+reads.
 """
 
 import ast
@@ -37,17 +41,22 @@ def _annotation_names(node) -> set[str]:
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
 
+def _node_annotation_names(node) -> set[str]:
+    if isinstance(node, ast.arg) and node.annotation is not None:
+        return _annotation_names(node.annotation)
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+        return _annotation_names(node.returns)
+    if isinstance(node, ast.AnnAssign):
+        return _annotation_names(node.annotation)
+    return set()
+
+
 def used_names(tree: ast.Module) -> set[str]:
     used = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.arg) and node.annotation is not None:
-            used |= _annotation_names(node.annotation)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
-            used |= _annotation_names(node.returns)
-        elif isinstance(node, ast.AnnAssign):
-            used |= _annotation_names(node.annotation)
+        used |= _node_annotation_names(node)
     return used
 
 
@@ -70,6 +79,49 @@ def unused_imports(source: str) -> list[str]:
     ]
 
 
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Top-level private functions, classes and constants, with line numbers."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                out[name] = node.lineno
+    return out
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Names a module reads: loads, attributes, imports, annotations, `__all__`."""
+    read = exported_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read |= {alias.name for alias in node.names}
+        read |= _node_annotation_names(node)
+    return read
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set().union(*(read_names(tree) for tree in trees.values()))
+    return [
+        f"{module} line {line}: {name}"
+        for module, tree in trees.items()
+        for name, line in private_definitions(tree).items()
+        if name not in read
+    ]
+
+
 def test_every_module_is_scanned():
     names = {p.relative_to(PACKAGE).as_posix() for p in MODULES}
     assert {"ore.py", "mellin.py", "scalars/__init__.py"} <= names
@@ -78,6 +130,11 @@ def test_every_module_is_scanned():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(PACKAGE).as_posix())
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_every_private_name_is_read():
+    sources = {p.relative_to(PACKAGE).as_posix(): p.read_text() for p in MODULES}
+    assert unread_private_names(sources) == []
 
 
 class TestDetector:
@@ -95,3 +152,19 @@ class TestDetector:
             "    return os.path\n"
         )
         assert unused_imports(src) == []
+
+    def test_flags_an_unread_private_helper(self):
+        sources = {
+            "a.py": "_LIMIT = 3\n_cache = {}\n\ndef _helper():\n    return _cache\n\n"
+                    "class _Orphan:\n    pass\n",
+            "b.py": "from .a import _helper\n",
+        }
+        assert unread_private_names(sources) == [
+            "a.py line 1: _LIMIT", "a.py line 7: _Orphan"]
+
+    def test_attribute_and_annotation_reads_count(self):
+        sources = {
+            "a.py": "_A = 1\n_B = 2\n\nclass _C:\n    pass\n",
+            "b.py": "from . import a\n\ndef f(x: '_C') -> int:\n    return a._A + a._B\n",
+        }
+        assert unread_private_names(sources) == []

@@ -14,11 +14,12 @@ from math import comb
 
 import pytest
 
-from monofour.scalars import Poly, UnsupportedInputError, frac
+from monofour.scalars import CycScalar, Poly, UnsupportedInputError, frac, zeta
 from monofour.ore import (
     LaurentWeylOp,
     ShiftOp,
     WeylOp,
+    _WeylBase,
     antipode,
     falling,
     falling_poly,
@@ -350,3 +351,43 @@ class TestOperatorMapOracles:
         # x*dx -> s and x^2*dx^2 -> s(s-1) land on level 0 and sum to s^2.
         w = X**2 * DX**2 + X * DX
         assert mellin_op(w) == ref_mellin_op(w) == ShiftOp({0: Poly((0, 0, 1))})
+
+
+class TestBinaryPower:
+    """`**` squares only while bits of the exponent remain."""
+
+    @pytest.mark.parametrize("cls,base", [
+        (ShiftOp, T * S + 1),
+        (_WeylBase, X * DX + 2 * X),
+        (_WeylBase, LX * LDX - LaurentWeylOp.x_power(-1)),
+        (_WeylBase, WeylOp.x(0, 2) * WeylOp.dx(1, 2) + WeylOp.dx(0, 2)),
+    ], ids=["shift", "weyl", "laurent", "weyl-rank2"])
+    def test_product_count_and_value(self, cls, base, monkeypatch):
+        counts = {"squarings": 0, "products": 0}
+        plain_mul = cls.__mul__
+
+        def counting_mul(a, b):
+            counts["products"] += 1
+            counts["squarings"] += a is b
+            return plain_mul(a, b)
+
+        one = base * 0 + 1
+        repeated = [one]
+        for _ in range(20):
+            repeated.append(repeated[-1] * base)
+        monkeypatch.setattr(cls, "__mul__", counting_mul)
+        for n in range(21):
+            counts.update(squarings=0, products=0)
+            power = base**n
+            assert counts["squarings"] == max(n.bit_length() - 1, 0), n
+            assert counts["products"] == max(n.bit_length() + bin(n).count("1") - 2, 0), n
+            assert power == repeated[n] and str(power) == str(repeated[n])
+            assert type(power) is type(base)
+
+    def test_scalar_powers_match_repeated_products(self):
+        for base, one in ((Poly((1, -2, 3)), Poly.const(1)),
+                          (zeta(5) + Fraction(1, 3), CycScalar.from_rational(1, 5))):
+            acc = one
+            for n in range(21):
+                assert base**n == acc and str(base**n) == str(acc)
+                acc = acc * base

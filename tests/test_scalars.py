@@ -11,7 +11,6 @@ from monofour.scalars import (
     Fq,
     Poly,
     RatFun,
-    ResidueRingElem,
     UnsupportedInputError,
     cyclotomic_poly,
     int_smith,
@@ -22,7 +21,7 @@ from monofour.scalars import (
     rational_rank,
     zeta,
 )
-from monofour.scalars import snf
+from monofour.scalars import ffield, snf
 from monofour.scalars.cyclotomic import _phi, _zeta_powers
 from monofour.scalars.poly import frac, synthetic_division, taylor_coeffs
 from monofour.scalars.ratfun import linear_factors, rational_roots
@@ -693,6 +692,120 @@ class TestFq:
         assert Fq(8).modulus == [1, 1, 0, 1]  # x^3 + x + 1
 
 
+def ref_poly_mul_mod(a, b, modulus, p):
+    """The earlier product in F_p[x]/(modulus), with its own remainder loop."""
+    e = len(modulus) - 1
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    for k in range(len(out) - 1, e - 1, -1):
+        c = out[k]
+        if c:
+            out[k] = 0
+            for i in range(e):
+                out[k - e + i] = (out[k - e + i] - c * modulus[i]) % p
+    out = out[:e]
+    return out + [0] * (e - len(out))
+
+
+def ref_is_irreducible(coeffs, p):
+    """The earlier trial-division irreducibility test, with its own loop."""
+    e = len(coeffs) - 1
+    if e <= 1:
+        return e == 1
+    for a in range(p):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * a + c) % p
+        if acc == 0:
+            return False
+    if e <= 3:
+        return True
+    for deg in range(2, e // 2 + 1):
+        for enc in range(p**deg):
+            div = [(enc // p**i) % p for i in range(deg)] + [1]
+            rem = list(coeffs)
+            while len(rem) - 1 >= deg:
+                while rem and rem[-1] == 0:
+                    rem.pop()
+                if len(rem) - 1 < deg:
+                    break
+                k = len(rem) - 1 - deg
+                c = rem[-1]
+                for i, dc in enumerate(div):
+                    rem[k + i] = (rem[k + i] - c * dc) % p
+            if not any(rem):
+                return False
+    return True
+
+
+PRIME_POWERS = [q for q in range(2, 122) if len({p for p in range(2, q + 1)
+                if q % p == 0 and all(p % d for d in range(2, p))}) == 1]
+
+
+class TestFiniteFieldOracle:
+    """`fp_rem` against the earlier hand-written remainder loops."""
+
+    @pytest.mark.parametrize("q", PRIME_POWERS)
+    def test_tables_match_reference_construction(self, q, monkeypatch):
+        field = Fq(q)
+        monkeypatch.setattr(ffield, "_poly_mul_mod", ref_poly_mul_mod)
+        monkeypatch.setattr(ffield, "_is_irreducible", ref_is_irreducible)
+        ref = object.__new__(Fq)
+        Fq.__init__(ref, q)
+        assert ref is not field
+        assert (field.p, field.e, field.modulus, field.generator) == (
+            ref.p, ref.e, ref.modulus, ref.generator)
+        for table in ("_add", "_mul", "_neg", "_inv", "_dlog"):
+            assert getattr(field, table) == getattr(ref, table), table
+
+    def test_irreducibility_matches_reference(self):
+        for p, e in ((2, 4), (2, 5), (2, 6), (3, 4), (5, 4)):
+            for enc in range(p**e):
+                coeffs = [(enc // p**i) % p for i in range(e)] + [1]
+                assert ffield._is_irreducible(coeffs, p) == ref_is_irreducible(coeffs, p)
+
+    def test_product_matches_reference(self):
+        rng = random.Random(8)
+        for p, e in ((2, 3), (2, 6), (3, 4), (5, 2), (11, 2)):
+            modulus = ffield._find_modulus(p, e)
+            for _ in range(50):
+                a = [rng.randrange(p) for _ in range(e)]
+                b = [rng.randrange(p) for _ in range(e)]
+                assert ffield._poly_mul_mod(a, b, modulus, p) == ref_poly_mul_mod(a, b, modulus, p)
+
+    def test_remainder_of_planted_division(self):
+        # a = q*b + r with deg r < deg b has exactly one remainder, r.
+        rng = random.Random(81)
+        for _ in range(400):
+            p = rng.choice((2, 3, 5, 7, 11, 13))
+            deg_b = rng.randint(0, 5)
+            b = [rng.randrange(p) for _ in range(deg_b)] + [rng.randrange(1, p)]
+            q = [rng.randrange(p) for _ in range(rng.randint(0, 5))]
+            r = [rng.randrange(p) for _ in range(deg_b)]
+            a = r + [0] * max(0, len(q) + deg_b - len(r))
+            for i, x in enumerate(q):
+                for j, y in enumerate(b):
+                    a[i + j] += x * y
+            a = [c + p * rng.randint(-3, 3) for c in a]
+            b = [c - p * rng.randint(0, 2) for c in b] + [p] * rng.randint(0, 2)
+            while r and not r[-1]:
+                r.pop()
+            assert ffield.fp_rem(a, b, p) == r
+
+    def test_remainder_by_zero_mod_p(self):
+        with pytest.raises(ZeroDivisionError):
+            ffield.fp_rem([1, 2], [3, 0, 6], 3)
+
+    def test_field_is_its_own_entry_point(self):
+        for q in (2, 4, 9, 121):
+            field = Fq(q)
+            assert Fq(field) is field is Fq(q)
+            assert Fq(Fq(field)).modulus == field.modulus
+
+
 class TestCycScalar:
     def test_zeta_powers_sum_to_zero(self):
         for p in (2, 3, 5, 7):
@@ -1125,21 +1238,3 @@ class TestRationalRankOracle:
             rank = _cyc_rank(base)
             assert _cyc_rank(m) == rank == ref_cyc_rank(m) == ref_cyc_rank(base)
             assert rank <= min(len(base), width)
-
-
-class TestResidueRing:
-    def test_arithmetic(self):
-        a = ResidueRingElem(9, 5)
-        b = ResidueRingElem(9, 7)
-        assert (a + b).value == 3
-        assert (a * b).value == 8
-        assert (a - b).value == 7
-        assert a.is_unit() and not ResidueRingElem(9, 3).is_unit()
-
-    def test_modulus_must_be_prime_power(self):
-        with pytest.raises(ValueError):
-            ResidueRingElem(6, 1)
-
-    def test_modulus_mismatch(self):
-        with pytest.raises(ValueError):
-            ResidueRingElem(4, 1) + ResidueRingElem(8, 1)
