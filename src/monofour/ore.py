@@ -24,7 +24,7 @@ from math import comb, factorial
 from typing import Union
 
 from .scalars import Poly, UnsupportedInputError, frac
-from .scalars.poly import binary_power
+from .scalars.poly import ExactValue, binary_power, signed_sum, term_str
 
 Scalar = Union[int, Fraction]
 
@@ -46,7 +46,7 @@ def falling_poly(b: int) -> Poly:
     return out
 
 
-class ShiftOp:
+class ShiftOp(ExactValue):
     """Element of the shift algebra in normal form sum_j T^j * p_j(s)."""
 
     __slots__ = ("terms",)
@@ -60,9 +60,6 @@ class ShiftOp:
                 if not p.is_zero:
                     clean[j] = p
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ShiftOp is immutable")
 
     @classmethod
     def from_poly(cls, p) -> "ShiftOp":
@@ -96,9 +93,6 @@ class ShiftOp:
     def coeff(self, j: int) -> Poly:
         return self.terms.get(j, Poly())
 
-    def __bool__(self) -> bool:
-        return not self.is_zero
-
     def __eq__(self, other) -> bool:
         other = _coerce_shift(other)
         if other is NotImplemented:
@@ -121,15 +115,6 @@ class ShiftOp:
 
     def __neg__(self) -> "ShiftOp":
         return ShiftOp({j: -p for j, p in self.terms.items()})
-
-    def __sub__(self, other) -> "ShiftOp":
-        other = _coerce_shift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "ShiftOp":
-        return (-self) + other
 
     def __mul__(self, other) -> "ShiftOp":
         other = _coerce_shift(other)
@@ -179,12 +164,6 @@ class ShiftOp:
                 pieces.append(f"{tpart}*({p})")
         return " + ".join(pieces)
 
-    def __str__(self) -> str:
-        return self.to_str()
-
-    def __repr__(self) -> str:
-        return f"ShiftOp({self.to_str()})"
-
 
 def _coerce_shift(x):
     if isinstance(x, ShiftOp):
@@ -194,7 +173,7 @@ def _coerce_shift(x):
     return NotImplemented
 
 
-class _WeylBase:
+class _WeylBase(ExactValue):
     """Shared implementation for the Weyl algebra and its Laurent variant."""
 
     __slots__ = ("rank", "terms")
@@ -226,9 +205,6 @@ class _WeylBase:
                         clean[k] = c
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("operator is immutable")
 
     @classmethod
     def x(cls, i: int = 0, rank: int = 1) -> "_WeylBase":
@@ -266,9 +242,6 @@ class _WeylBase:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __bool__(self) -> bool:
-        return not self.is_zero
-
     def _coerce(self, other):
         if isinstance(other, (int, Fraction)):
             return type(self).const(other, self.rank)
@@ -300,15 +273,6 @@ class _WeylBase:
 
     def __neg__(self):
         return type(self)(self.rank, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -357,32 +321,9 @@ class _WeylBase:
         return "*".join(parts)
 
     def to_str(self) -> str:
-        if self.is_zero:
-            return "0"
-        keys = sorted(self.terms)
-        pieces = []
-        for k in keys:
-            c = self.terms[k]
-            mono = self._monomial_str(*k)
-            if not mono:
-                body = str(c)
-            elif c == 1:
-                body = mono
-            elif c == -1:
-                body = f"-{mono}"
-            else:
-                body = f"{c}*{mono}"
-            pieces.append(body)
-        out = pieces[0]
-        for body in pieces[1:]:
-            out += " - " + body[1:] if body.startswith("-") else " + " + body
-        return out
-
-    def __str__(self) -> str:
-        return self.to_str()
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.to_str()})"
+        return signed_sum(
+            term_str(self.terms[k], self._monomial_str(*k)) for k in sorted(self.terms)
+        )
 
 
 def _normal_product(a1, b1, a2, b2):

@@ -12,7 +12,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Union
 
-from .poly import Poly, binary_power, frac
+from .poly import ExactValue, Poly, binary_power, frac
 
 Scalar = Union[int, Fraction]
 
@@ -56,7 +56,7 @@ def _zeta_powers(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-class CycScalar:
+class CycScalar(ExactValue):
     """Element of the cyclotomic ring with a fixed conductor.
 
     Stored as integer `numerators` over one positive `denominator`, in
@@ -76,9 +76,6 @@ class CycScalar:
         den = lcm(*(c.denominator for c in cs))
         nums = [c.numerator * (den // c.denominator) for c in cs]
         _init(self, conductor, nums + [0] * (phi - len(cs)), den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CycScalar is immutable")
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -147,13 +144,10 @@ class CycScalar:
     def __neg__(self):
         return _cyc(self.conductor, [-x for x in self.numerators], self.denominator)
 
-    def __sub__(self, other):
+    def __sub__(self, other):  # one pass, not through negation
         if isinstance(other, (int, Fraction, CycScalar)):
             return self._plus(other, -1)
         return NotImplemented
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -204,36 +198,8 @@ class CycScalar:
     def is_zero(self) -> bool:
         return not any(self.numerators)
 
-    def __bool__(self) -> bool:
-        return not self.is_zero
-
     def to_str(self) -> str:
-        n = self.conductor
-        var = f"z{n}"
-        pieces = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                body = str(c)
-            else:
-                v = var if k == 1 else f"{var}^{k}"
-                if c == 1:
-                    body = v
-                elif c == -1:
-                    body = f"-{v}"
-                else:
-                    body = f"{c}*{v}"
-            pieces.append(body)
-        if not pieces:
-            return "0"
-        out = pieces[0]
-        for body in pieces[1:]:
-            out += " - " + body[1:] if body.startswith("-") else " + " + body
-        return out
-
-    def __str__(self) -> str:
-        return self.to_str()
+        return Poly(self.coeffs).to_str(f"z{self.conductor}")
 
     def __repr__(self) -> str:
         return f"CycScalar({self.conductor}, {self.to_str()})"

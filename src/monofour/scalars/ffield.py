@@ -113,17 +113,18 @@ class Fq:
     def __new__(cls, q: "int | Fq"):
         if isinstance(q, Fq):
             return q
-        if q in cls._cache:
-            return cls._cache[q]
-        self = super().__new__(cls)
-        cls._cache[q] = self
-        return self
+        field = cls._cache.get(q)
+        if field is None:
+            # refuse q before caching, so a refused size leaves no entry
+            if q > _MAX_Q:
+                raise ValueError(f"field size {q} exceeds supported bound {_MAX_Q}")
+            _factor_prime_power(q)
+            field = cls._cache[q] = super().__new__(cls)
+        return field
 
     def __init__(self, q: "int | Fq"):
         if hasattr(self, "q"):
             return
-        if q > _MAX_Q:
-            raise ValueError(f"field size {q} exceeds supported bound {_MAX_Q}")
         p, e = _factor_prime_power(q)
         self.q = q
         self.p = p
@@ -155,18 +156,15 @@ class Fq:
                 if self._add[a][b] == 0:
                     self._neg[a] = b
                     break
-        self._inv = [None] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self._mul[a][b] == 1:
-                    self._inv[a] = b
-                    break
         self.generator = self._find_generator()
+        # g^k for k < q-1, and its inverse map on the units
+        self._exp = [1]
+        for _ in range(q - 2):
+            self._exp.append(self._mul[self._exp[-1]][self.generator])
         self._dlog: list[int | None] = [None] * q
-        acc = 1
-        for k in range(q - 1):
-            self._dlog[acc] = k
-            acc = self._mul[acc][self.generator]
+        for k, a in enumerate(self._exp):
+            self._dlog[a] = k
+        self._inv = [None] + [self._exp[-self._dlog[a] % (q - 1)] for a in range(1, q)]
 
     def _find_generator(self) -> int:
         for g in range(1, self.q):
@@ -197,15 +195,12 @@ class Fq:
         return self._inv[a]
 
     def pow(self, a: int, n: int) -> int:
-        if n < 0:
-            a, n = self.inv(a), -n
-        out = 1
-        while n:
-            if n & 1:
-                out = self._mul[out][a]
-            a = self._mul[a][a]
-            n >>= 1
-        return out
+        """a^n as g^(n * dlog a mod q-1); 0^0 = 1, and 0^n = 0 for n > 0."""
+        if a == 0:
+            if n < 0:
+                raise ZeroDivisionError("negative power of 0")
+            return 0 if n else 1
+        return self._exp[n * self._dlog[a] % (self.q - 1)]
 
     def dlog(self, a: int) -> int:
         """Discrete log base the fixed generator; a must be nonzero."""

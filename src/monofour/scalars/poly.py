@@ -29,7 +29,52 @@ def binary_power(base, n: int, one):
         base = base * base
 
 
-class Poly:
+class ExactValue:
+    """The value protocol shared by the exact types: immutable, true when
+    nonzero, subtraction through negation and addition, and printed by
+    `to_str()`.  A subclass defines `is_zero`, `__add__`, `__neg__` and
+    `to_str`; setting its slots goes through `object.__setattr__`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __bool__(self) -> bool:
+        return not self.is_zero
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __str__(self) -> str:
+        return self.to_str()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.to_str()})"
+
+
+def term_str(c, mono: str) -> str:
+    """The coefficient c times the printed monomial `mono` ('' for 1)."""
+    if not mono:
+        return str(c)
+    if c == 1:
+        return mono
+    if c == -1:
+        return f"-{mono}"
+    return f"{c}*{mono}"
+
+
+def signed_sum(terms) -> str:
+    """Printed terms joined by ' + ', or by ' - ' before a negative term;
+    '0' for no terms.  No printed term contains ' + ', so the joined
+    ' + -' marks exactly the negative terms after the first."""
+    return " + ".join(terms).replace(" + -", " - ") or "0"
+
+
+class Poly(ExactValue):
     """Polynomial with Fraction coefficients, index = degree.
 
     Immutable; trailing zero coefficients are stripped, so the zero
@@ -43,9 +88,6 @@ class Poly:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     @classmethod
     def const(cls, c: Scalar) -> "Poly":
@@ -75,9 +117,6 @@ class Poly:
             return Fraction(0)
         return self.coeffs[-1]
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other)
@@ -105,12 +144,6 @@ class Poly:
 
     def __neg__(self) -> "Poly":
         return Poly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other) -> "Poly":
-        return self + (-other if isinstance(other, Poly) else Poly.const(-frac(other)))
-
-    def __rsub__(self, other) -> "Poly":
-        return (-self) + other
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -194,36 +227,11 @@ class Poly:
         return out
 
     def to_str(self, var: str = "s") -> str:
-        if self.is_zero:
-            return "0"
-        pieces = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                body = str(c)
-            else:
-                v = var if k == 1 else f"{var}^{k}"
-                if c == 1:
-                    body = v
-                elif c == -1:
-                    body = f"-{v}"
-                else:
-                    body = f"{c}*{v}"
-            pieces.append(body)
-        out = pieces[0]
-        for body in pieces[1:]:
-            if body.startswith("-"):
-                out += " - " + body[1:]
-            else:
-                out += " + " + body
-        return out
-
-    def __str__(self) -> str:
-        return self.to_str()
-
-    def __repr__(self) -> str:
-        return f"Poly({self.to_str()})"
+        return signed_sum(
+            term_str(c, "" if k == 0 else var if k == 1 else f"{var}^{k}")
+            for k, c in enumerate(self.coeffs)
+            if c
+        )
 
 
 def plain(x: Fraction) -> int | Fraction:

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Union
 
-from .poly import Poly, frac, plain, plain_coeffs, poly_gcd, synthetic_division, taylor_coeffs
+from .poly import ExactValue, Poly, frac, plain, plain_coeffs, poly_gcd, synthetic_division, taylor_coeffs
 
 Scalar = Union[int, Fraction]
 
@@ -23,7 +23,7 @@ def _coerce_poly(x) -> Poly:
     raise TypeError(f"cannot coerce {type(x).__name__} to Poly")
 
 
-class RatFun:
+class RatFun(ExactValue):
     """Quotient of polynomials, kept reduced with a monic denominator."""
 
     __slots__ = ("num", "den")
@@ -43,9 +43,6 @@ class RatFun:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RatFun is immutable")
-
     @classmethod
     def from_poly(cls, p: Poly) -> "RatFun":
         return cls(p, Poly.const(1))
@@ -57,9 +54,6 @@ class RatFun:
     @property
     def is_poly(self) -> bool:
         return self.den.degree == 0
-
-    def __bool__(self) -> bool:
-        return not self.is_zero
 
     def __eq__(self, other) -> bool:
         other = _coerce_ratfun(other)
@@ -80,15 +74,6 @@ class RatFun:
 
     def __neg__(self) -> "RatFun":
         return RatFun(-self.num, self.den)
-
-    def __sub__(self, other) -> "RatFun":
-        other = _coerce_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "RatFun":
-        return (-self) + other
 
     def __mul__(self, other) -> "RatFun":
         other = _coerce_ratfun(other)
@@ -131,12 +116,6 @@ class RatFun:
         if self.is_poly:
             return self.num.to_str(var)
         return f"({self.num.to_str(var)})/({self.den.to_str(var)})"
-
-    def __str__(self) -> str:
-        return self.to_str()
-
-    def __repr__(self) -> str:
-        return f"RatFun({self.to_str()})"
 
 
 def _coerce_ratfun(x):

@@ -203,11 +203,8 @@ class CharacterTable:
         return m // gcd(k % m if k % m else m, m) if k % m else 1
 
     def chars_with_order_dividing(self, n: int) -> list[int]:
-        m = self.q - 1
-        if m % n != 0:
-            raise ValueError(f"order {n} does not divide q-1 = {m}")
-        step = m // n
-        return list(range(0, m, step)) if m else [0]
+        _require_order(self.q, n)
+        return list(range(0, self.q - 1, (self.q - 1) // n))
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +231,12 @@ def t_B_units(q) -> TraceFunction:
 def _require_dimension(d: int) -> None:
     if d < 1:
         raise UnsupportedInputError(f"dimension d must be at least 1, got {d}")
+
+
+def _require_order(q: int, n: int) -> None:
+    """Refuse a character order n unless n >= 1 and n divides q-1."""
+    if n < 1 or (q - 1) % n:
+        raise UnsupportedInputError(f"n = {n} must be a positive divisor of q-1 = {q - 1}")
 
 
 def _pairing_rows(field: Fq, d: int, pairing):
@@ -670,8 +673,7 @@ def gauss_suite(q, n: int, psi_index: int = 1) -> dict:
     dividing n; the convolution comparison is attached as a diagnostic."""
     field = Fq(q)
     q = field.q
-    if (q - 1) % n != 0:
-        raise ValueError(f"n = {n} must divide q-1 = {q - 1}")
+    _require_order(q, n)
     table = CharacterTable(field)
     t0 = power_count_trace(field, n)
     char_sum_ok = True
@@ -737,8 +739,7 @@ def gauss_g_diagnostic(q, n: int, psi_index: int = 1) -> dict:
     kernels; reports the measured scalar instead of asserting one."""
     field = Fq(q)
     q = field.q
-    if (q - 1) % n != 0:
-        raise ValueError(f"n = {n} must divide q-1 = {q - 1}")
+    _require_order(q, n)
     t0 = power_count_trace(field, n)
     tG_full = four_psi(t0, psi_index)
     gvals = list(tG_full.values)
@@ -772,8 +773,7 @@ def diag_propB3(q, n: int) -> dict:
     proportionality scalar is reported, not asserted."""
     field = Fq(q)
     q = field.q
-    if (q - 1) % n != 0:
-        raise ValueError(f"n = {n} must divide q-1 = {q - 1}")
+    _require_order(q, n)
     t0 = power_count_trace(field, n)
     lhs = conv_Gm(t0, t_B_units(field))
     bookkeeping = TwistShift(twist=-1, shift=-2)
@@ -799,8 +799,7 @@ def check_lem_mon_shadow(q, n: int, chi_index: int) -> dict:
     factor q; the finite level sees q-1 and the report says so."""
     field = Fq(q)
     q = field.q
-    if (q - 1) % n != 0:
-        raise ValueError(f"n = {n} must divide q-1 = {q - 1}")
+    _require_order(q, n)
     table = CharacterTable(field)
     f = table.chi_function(chi_index)
     order = table.chi_order(chi_index)
@@ -832,8 +831,7 @@ def monodromic_span_basis(q, d: int, n: int) -> list[TraceFunction]:
     character of order dividing n."""
     field = Fq(q)
     q = field.q
-    if (q - 1) % n != 0:
-        raise ValueError(f"n = {n} must divide q-1 = {q - 1}")
+    _require_order(q, n)
     table = CharacterTable(field)
     basis = [TraceFunction.delta(field, tuple([0] * d))]
     orbits = scaling_orbits(field, d)

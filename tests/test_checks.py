@@ -134,6 +134,21 @@ class TestRunCheck:
         with pytest.raises(UnsupportedInputError):
             checks.run_check(check_id, params)
 
+    # the character order n must be at least 1 and divide q - 1
+    @pytest.mark.parametrize("n", [0, -3, 4])
+    @pytest.mark.parametrize("check_id", [
+        "gauss-suite", "gauss-g-diagnostic", "propB3-diagnostic",
+        "lem-mon-shadow", "mon-equivalence",
+    ])
+    def test_character_order_refused_before_work(self, monkeypatch, check_id, n):
+        def work(*args, **kwargs):
+            raise AssertionError("the engine ran on refused input")
+
+        monkeypatch.setattr(trace, "CharacterTable", work)
+        monkeypatch.setattr(trace, "power_count_trace", work)
+        with pytest.raises(UnsupportedInputError, match=f"n = {n} must be a positive divisor"):
+            checks.run_check(check_id, {"q": 7, "n": n})
+
 
 class TestNegativeControls:
     def test_exp_square_control_must_fail_for_pass(self):
@@ -217,6 +232,31 @@ def test_number_theory_witnesses_are_pinned():
         rows += 1
     assert rows == 124
     assert digest.hexdigest() == NUMBER_THEORY_FULL_SEED7_SHA256
+
+
+# The same digest over every mellin.* and ore.* row of the quick profile,
+# seed 7.  These witnesses print operators and labels (the mon-test and
+# fb-fl-agree relations, the propDmod3 generators), so the digest pins the
+# printers of Poly, RatFun, ShiftOp and the Weyl operators.
+MELLIN_OPERATOR_QUICK_SEED7_SHA256 = (
+    "564d60322dd038a231114ea121987b16821787fb59be2b8890f3475a373f27c6"
+)
+
+
+def test_mellin_and_operator_witnesses_are_pinned():
+    digest = hashlib.sha256()
+    rows = 0
+    for check_id, params in checks.profile_tasks("quick"):
+        spec = checks.CHECKS[check_id]
+        if spec.engine.split(".")[0] not in ("mellin", "ore"):
+            continue
+        if spec.seeded:
+            params = dict(params, seed=7)
+        report = checks.run_check(check_id, params)
+        digest.update(json.dumps(report.to_dict(include_elapsed=False), sort_keys=True).encode())
+        rows += 1
+    assert rows == 43
+    assert digest.hexdigest() == MELLIN_OPERATOR_QUICK_SEED7_SHA256
 
 
 class TestRunAllSmall:

@@ -1,5 +1,6 @@
 """Source hygiene: no module-level import that its module never uses,
-and no private module-level name that no module of the package reads.
+no private module-level name that no module of the package reads, and
+no dunder method written twice.
 
 Deleting a function tends to leave its imports and its private helpers
 behind.  These tests read every module under src/monofour with the
@@ -8,7 +9,8 @@ name is never read in that module, unless the module re-exports it
 through `__all__`, and on a top-level private function, class or
 constant (one leading underscore) that no module of the package reads,
 by name, attribute or import.  Names inside string annotations count as
-reads.
+reads.  They also fail when two classes define a dunder method with the
+same body, docstrings aside: such a method belongs in a shared base class.
 """
 
 import ast
@@ -122,6 +124,33 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
     ]
 
 
+def _body_without_docstring(func: ast.FunctionDef) -> str:
+    body = func.body
+    if ast.get_docstring(func) is not None:
+        body = body[1:]
+    return "\n".join(ast.dump(stmt) for stmt in body)
+
+
+def duplicated_dunders(sources: dict[str, str]) -> list[str]:
+    """Each dunder method whose body, docstring aside, appears in more than
+    one class, with the classes that define it."""
+    owners: dict[tuple[str, str], list[str]] = {}
+    for module, source in sources.items():
+        for cls in ast.walk(ast.parse(source)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and node.name.startswith("__") and node.name.endswith("__")):
+                    key = (node.name, _body_without_docstring(node))
+                    owners.setdefault(key, []).append(f"{module}:{cls.name}")
+    return sorted(
+        f"{name}: {', '.join(classes)}"
+        for (name, _), classes in owners.items()
+        if len(classes) > 1
+    )
+
+
 def test_every_module_is_scanned():
     names = {p.relative_to(PACKAGE).as_posix() for p in MODULES}
     assert {"ore.py", "mellin.py", "scalars/__init__.py"} <= names
@@ -135,6 +164,11 @@ def test_no_unused_module_level_imports(path):
 def test_every_private_name_is_read():
     sources = {p.relative_to(PACKAGE).as_posix(): p.read_text() for p in MODULES}
     assert unread_private_names(sources) == []
+
+
+def test_no_dunder_method_is_written_twice():
+    sources = {p.relative_to(PACKAGE).as_posix(): p.read_text() for p in MODULES}
+    assert duplicated_dunders(sources) == []
 
 
 class TestDetector:
@@ -168,3 +202,22 @@ class TestDetector:
             "b.py": "from . import a\n\ndef f(x: '_C') -> int:\n    return a._A + a._B\n",
         }
         assert unread_private_names(sources) == []
+
+    def test_flags_a_dunder_body_written_twice(self):
+        sources = {
+            "a.py": 'class A:\n    def __bool__(self):\n        """Nonzero."""\n'
+                    "        return not self.is_zero\n\n"
+                    "    def __str__(self):\n        return 'a'\n",
+            "b.py": "class B:\n    def __bool__(self):\n        return not self.is_zero\n\n"
+                    "    def __str__(self):\n        return 'b'\n",
+        }
+        assert duplicated_dunders(sources) == ["__bool__: a.py:A, b.py:B"]
+
+    def test_plain_methods_and_distinct_bodies_pass(self):
+        sources = {
+            "a.py": "class A:\n    def to_str(self):\n        return 'x'\n\n"
+                    "    def __repr__(self):\n        return 'A()'\n",
+            "b.py": "class B:\n    def to_str(self):\n        return 'x'\n\n"
+                    "    def __repr__(self):\n        return 'B()'\n",
+        }
+        assert duplicated_dunders(sources) == []

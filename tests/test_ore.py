@@ -353,6 +353,63 @@ class TestOperatorMapOracles:
         assert mellin_op(w) == ref_mellin_op(w) == ShiftOp({0: Poly((0, 0, 1))})
 
 
+def ref_weyl_to_str(self):
+    """The Weyl printer from before `term_str` and `signed_sum`."""
+    if self.is_zero:
+        return "0"
+    keys = sorted(self.terms)
+    pieces = []
+    for k in keys:
+        c = self.terms[k]
+        mono = self._monomial_str(*k)
+        if not mono:
+            body = str(c)
+        elif c == 1:
+            body = mono
+        elif c == -1:
+            body = f"-{mono}"
+        else:
+            body = f"{c}*{mono}"
+        pieces.append(body)
+    out = pieces[0]
+    for body in pieces[1:]:
+        out += " - " + body[1:] if body.startswith("-") else " + " + body
+    return out
+
+
+class TestValueProtocol:
+    @pytest.mark.parametrize("cls,rank,min_x", [
+        (WeylOp, 1, 0), (WeylOp, 2, 0), (WeylOp, 3, 0), (LaurentWeylOp, 1, -4),
+    ], ids=["weyl-rank1", "weyl-rank2", "weyl-rank3", "laurent"])
+    def test_weyl_prints_as_the_reference(self, cls, rank, min_x):
+        rng = random.Random(400 + 10 * rank + min_x)
+        pool = (1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3))
+        ops = oracle_operators(cls=cls, rank=rank, min_x=min_x, seed=rank, count=20)
+        for _ in range(100):
+            terms = {}
+            for _ in range(rng.randint(1, 5)):
+                alpha = tuple(rng.randint(min_x, 3) for _ in range(rank))
+                beta = tuple(rng.randint(0, 3) for _ in range(rank))
+                terms[(alpha, beta)] = rng.choice(pool)
+            ops.append(cls(rank, terms))
+        for w in ops:
+            want = ref_weyl_to_str(w)
+            assert (str(w), repr(w)) == (want, f"{cls.__name__}({want})")
+
+    def test_truth_subtraction_and_immutability(self):
+        for zero, value in ((ShiftOp.zero(), T * S), (WeylOp.zero(2), WeylOp.x(1, 2)),
+                            (LaurentWeylOp.zero(), LaurentWeylOp.x_power(-1))):
+            assert not zero and value
+            assert value - value == zero and 0 - value == -value
+            assert repr(value) == f"{type(value).__name__}({value.to_str()})"
+            with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+                value.terms = {}
+        with pytest.raises(ValueError, match="rank mismatch"):
+            WeylOp.x(0, 2) - X
+        with pytest.raises(TypeError):
+            S - X
+
+
 class TestBinaryPower:
     """`**` squares only while bits of the exponent remain."""
 

@@ -799,6 +799,28 @@ class TestFiniteFieldOracle:
         with pytest.raises(ZeroDivisionError):
             ffield.fp_rem([1, 2], [3, 0, 6], 3)
 
+    def test_refused_sizes_leave_no_cache_entry(self):
+        for q in (200, 6, 1):
+            with pytest.raises(ValueError):
+                Fq(q)
+            assert q not in Fq._cache
+        assert Fq(7) is Fq(7) is Fq._cache[7]
+
+    @pytest.mark.parametrize("q", PRIME_POWERS)
+    def test_pow_matches_repeated_products(self, q):
+        field = Fq(q)
+        for a in field.elements():
+            for n in (-2, -1, 0, 1, 2, 3, q - 2, q - 1, q, 2 * q + 1):
+                if a == 0 and n < 0:
+                    with pytest.raises(ZeroDivisionError):
+                        field.pow(a, n)
+                    continue
+                base = field.inv(a) if n < 0 else a
+                want = 1
+                for _ in range(abs(n)):
+                    want = field.mul(want, base)
+                assert field.pow(a, n) == want, (a, n)
+
     def test_field_is_its_own_entry_point(self):
         for q in (2, 4, 9, 121):
             field = Fq(q)
@@ -952,7 +974,61 @@ class TestCyclotomicOracles:
 
 # References for the integer layer: CycScalar as a tuple of Fractions and
 # rational_rank as forward elimination on Fractions, both as they were
-# before integer numerators and Bareiss elimination.
+# before integer numerators and Bareiss elimination.  The two printers are
+# the per-class ones from before `term_str` and `signed_sum`.
+
+
+def ref_poly_to_str(self, var="s"):
+    if self.is_zero:
+        return "0"
+    pieces = []
+    for k, c in enumerate(self.coeffs):
+        if c == 0:
+            continue
+        if k == 0:
+            body = str(c)
+        else:
+            v = var if k == 1 else f"{var}^{k}"
+            if c == 1:
+                body = v
+            elif c == -1:
+                body = f"-{v}"
+            else:
+                body = f"{c}*{v}"
+        pieces.append(body)
+    out = pieces[0]
+    for body in pieces[1:]:
+        if body.startswith("-"):
+            out += " - " + body[1:]
+        else:
+            out += " + " + body
+    return out
+
+
+def ref_cyc_to_str(self):
+    n = self.conductor
+    var = f"z{n}"
+    pieces = []
+    for k, c in enumerate(self.coeffs):
+        if c == 0:
+            continue
+        if k == 0:
+            body = str(c)
+        else:
+            v = var if k == 1 else f"{var}^{k}"
+            if c == 1:
+                body = v
+            elif c == -1:
+                body = f"-{v}"
+            else:
+                body = f"{c}*{v}"
+        pieces.append(body)
+    if not pieces:
+        return "0"
+    out = pieces[0]
+    for body in pieces[1:]:
+        out += " - " + body[1:] if body.startswith("-") else " + " + body
+    return out
 
 
 class RefCycScalar:
@@ -1067,7 +1143,7 @@ class RefCycScalar:
 
     __hash__ = None
 
-    to_str = CycScalar.to_str
+    to_str = ref_cyc_to_str
 
 
 def ref_rational_rank(rows):
@@ -1192,6 +1268,67 @@ def planted_rational_matrix(rng, rows, cols):
     rng.shuffle(m)
     # integral entries as ints, as the callers pass them
     return [[x.numerator if x.denominator == 1 else x for x in row] for row in m]
+
+
+def printing_coeffs(rng, size):
+    """size coefficients drawn from zero, +-1, small ints and Fractions."""
+    pool = (0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3), Fraction(7, 4))
+    return [rng.choice(pool) for _ in range(size)]
+
+
+class TestValueProtocol:
+    """The shared protocol of the exact types: printing against the
+    per-class printers it replaced, truth, subtraction and immutability."""
+
+    def test_poly_and_ratfun_print_as_the_reference(self):
+        rng = random.Random(91)
+        samples = [Poly(), P(1), P(-1), P(0, 1), P(0, -1), P(Fraction(-1, 2), 0, 1)]
+        samples += [Poly(printing_coeffs(rng, rng.randint(1, 6))) for _ in range(200)]
+        for p in samples:
+            want = ref_poly_to_str(p)
+            assert (str(p), repr(p)) == (want, f"Poly({want})")
+            assert p.to_str("z7") == ref_poly_to_str(p, "z7")
+        for num, den in zip(samples[::2], samples[1::2]):
+            if den.is_zero:
+                continue
+            r = RatFun(num, den)
+            want = (ref_poly_to_str(r.num) if r.is_poly else
+                    f"({ref_poly_to_str(r.num)})/({ref_poly_to_str(r.den)})")
+            assert (str(r), repr(r)) == (want, f"RatFun({want})")
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_cyclotomic_prints_as_the_reference(self, n):
+        rng = random.Random(300 + n)
+        samples = [CycScalar(n, ()), CycScalar.from_rational(-1, n)]
+        samples += [zeta(n, k) for k in range(n)]
+        samples += [CycScalar(n, printing_coeffs(rng, rng.randint(0, _phi(n))))
+                    for _ in range(40)]
+        for x in samples:
+            want = ref_cyc_to_str(x)
+            assert (str(x), repr(x)) == (want, f"CycScalar({n}, {want})")
+
+    def test_truth_is_nonzero(self):
+        for zero, one in ((Poly(), S), (RatFun(0), RatFun(S, S + 1)),
+                          (CycScalar(5, ()), zeta(5))):
+            assert not zero and zero.is_zero
+            assert one and not one.is_zero
+
+    def test_subtraction_accepts_what_addition_accepts(self):
+        r = RatFun(1, S)
+        diff = S - r
+        assert type(diff) is RatFun and diff == RatFun(S**2 - 1, S)
+        assert type(r - S) is RatFun and r - S == -diff
+        assert 3 - S == P(3, -1) and S - Fraction(1, 2) == P(Fraction(-1, 2), 1)
+        with pytest.raises(TypeError):
+            S - "3"
+        with pytest.raises(TypeError):
+            S - zeta(3)
+        assert zeta(4) - 1 == zeta(4) + (-1) and 1 - zeta(4) == -(zeta(4) - 1)
+
+    def test_immutable_with_the_type_name(self):
+        for value in (S, RatFun(1, S), zeta(3)):
+            with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+                value.anything = 1
 
 
 class TestRationalRankOracle:
