@@ -21,23 +21,15 @@ from .reports import VERDICTS, CheckReport, verdict_label
 from .scalars import Poly, RatFun, UnsupportedInputError, frac
 
 
-def _orbit_pole_lattice(chi: Fraction, n: int, N: int) -> mellin.WindowedLattice:
-    """Lattice generated by the order-n poles along the orbit chi + Z."""
-    gens, labels = [], []
-    for i in range(-N, N + 1):
-        lin = Poly((-(chi + i), Fraction(1)))
-        den = Poly.const(1)
-        for _ in range(n):
-            den = den * lin
-        gens.append(RatFun(Poly.const(1), den))
-        labels.append(f"1/(s-({chi + i}))^{n}")
-    return mellin.WindowedLattice(chi, N, gens, labels)
-
-
 def _chi_fraction(value) -> Fraction:
+    """A chi parameter as a Fraction; a zero denominator or a literal that
+    is not a rational number is refused."""
     if isinstance(value, Fraction):
         return value
-    return Fraction(str(value))
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise UnsupportedInputError(f"chi = {value!r} is not a rational number") from None
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +69,7 @@ def _run_mellin_b_embed(p):
 
 def _run_propDmod1(p):
     chi = _chi_fraction(p["chi"])
-    lattice = _orbit_pole_lattice(chi, p["n"], p["window"])
+    lattice = mellin.orbit_pole_lattice(chi, p["n"], p["window"])
     vanishes, images = mellin.hom_to_free_vanishes(lattice, p["degree_bound"])
     witness = {
         "chi": chi,
@@ -91,7 +83,7 @@ def _run_propDmod1(p):
 
 def _run_propDmod2(p):
     chi = _chi_fraction(p["chi"])
-    lattice = _orbit_pole_lattice(chi, p["n"], p["window"])
+    lattice = mellin.orbit_pole_lattice(chi, p["n"], p["window"])
     points = [chi + Fraction(2, 5), chi - Fraction(7, 5), chi + Fraction(1, 7)]
     ok = mellin.localization_identity_check(lattice, points)
     witness = {

@@ -450,7 +450,8 @@ def skyscraper_tower(chi, n: int, N: int) -> SkyscraperFamily:
     the principal parts of 1/(s-chi-i)^n; the shift maps are argument
     translation and carry unit 1."""
     chi = _normalize_chi(chi)
-    if not 1 <= n <= MAX_FIBER_ORDER:
+    _require_window(n, N)
+    if n > MAX_FIBER_ORDER:
         raise UnsupportedInputError(f"fiber order {n} outside 1..{MAX_FIBER_ORDER}")
     exponents = {i: n for i in range(-N, N + 1)}
     labels = {i: f"1/(s-({chi}+{i}))^{n}" for i in range(-N, N + 1)}
@@ -463,6 +464,25 @@ def _normalize_chi(chi) -> Fraction:
     return Fraction(0) if chi.denominator == 1 else chi
 
 
+def _require_window(n: int, N: int) -> None:
+    """Refuse a pole or fiber order n < 1 and a window radius N < 0, which
+    would leave nothing to check."""
+    if n < 1:
+        raise UnsupportedInputError(f"order n = {n} must be at least 1")
+    if N < 0:
+        raise UnsupportedInputError(f"window radius {N} must be at least 0")
+
+
+def orbit_pole_lattice(chi: Fraction, n: int, N: int) -> WindowedLattice:
+    """Lattice generated by the order-n poles along the orbit chi + Z."""
+    _require_window(n, N)
+    gens, labels = [], []
+    for i in range(-N, N + 1):
+        gens.append(RatFun(Poly.const(1), _linear_power(chi + i, n)))
+        labels.append(f"1/(s-({chi + i}))^{n}")
+    return WindowedLattice(chi, N, gens, labels)
+
+
 def orbit_decomposition_check(chi, n: int, N: int, samples: int = 5) -> dict:
     """Verify that the windowed lattice of n-th order poles along chi + Z
     splits, modulo polynomials, as the direct sum of its principal parts.
@@ -472,6 +492,7 @@ def orbit_decomposition_check(chi, n: int, N: int, samples: int = 5) -> dict:
     """
     import random
 
+    _require_window(n, N)
     chi = _normalize_chi(chi)
     rng = random.Random(20260823)
     points = [chi + i for i in range(-N, N + 1)]
@@ -791,7 +812,8 @@ def skyscraper_freeness_check(mod_kind: str, chi, n: int, N: int) -> dict:
     if kind is None:
         raise UnsupportedInputError(f"unknown module kind {mod_kind!r}")
     chi = _normalize_chi(chi)
-    if not 1 <= n <= MAX_FIBER_ORDER:
+    _require_window(n, N)
+    if n > MAX_FIBER_ORDER:
         raise UnsupportedInputError(f"fiber order {n} outside 1..{MAX_FIBER_ORDER}")
     ladder = _LADDERS[kind](N + 1)
     lattice = ladder.as_lattice()

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
+
+# The prime of the modular certificates in ratfun and snf (a Mersenne
+# prime, so a chance coincidence mod p has probability about 2^-61).
+CERT_PRIME = 2**61 - 1
 
 
 def frac(x: Scalar | str) -> Fraction:
@@ -243,6 +248,15 @@ def plain(x: Fraction) -> int | Fraction:
 def plain_coeffs(p: Poly) -> list:
     """The coefficients of p (ascending) with integral ones as ints."""
     return [plain(c) for c in p.coeffs]
+
+
+def integer_coeffs(coeffs) -> tuple[list[int], Fraction]:
+    """The primitive integer list A and the positive content c with
+    coeffs == c * A, for int or Fraction coefficients not all zero."""
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = gcd(*ints)
+    return [c // g for c in ints], Fraction(g, den)
 
 
 def synthetic_division(coeffs: list, a) -> tuple[list, Scalar]:

@@ -5,9 +5,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .poly import Poly
+from .poly import CERT_PRIME, Poly, integer_coeffs, synthetic_division
 
 Matrix = list[list[Poly]]
+
+# The point at which poly_rank's certificate evaluates a matrix: an integer
+# far from the small rationals where the checks' presentations drop rank.
+_RANK_POINT = 1_000_003
 
 
 def _mat_mul(a: list[list], b: list[list]) -> list[list]:
@@ -112,13 +116,17 @@ def poly_smith(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
 
 
 def poly_rank(m: Matrix) -> int:
-    """Rank over Q(s) of a polynomial matrix, by fraction-free (Bareiss)
-    elimination over Q[s].
+    """Rank over Q(s) of a polynomial matrix.
 
-    After k pivots every trailing entry is a (k+1)-minor of M, so each
-    update p*a_ik - a_i*a_rk divides exactly by the previous pivot; a
-    nonzero remainder means the elimination went wrong and raises.
+    Full rank is certified mod CERT_PRIME at one point (_rank_at_point);
+    any other answer comes from fraction-free (Bareiss) elimination over
+    Q[s].  After k pivots every trailing entry is a (k+1)-minor of M, so
+    each update p*a_ik - a_i*a_rk divides exactly by the previous pivot;
+    a nonzero remainder means the elimination went wrong and raises.
     """
+    full = min(len(m), len(m[0])) if m else 0
+    if full and _rank_at_point(m, CERT_PRIME) == full:
+        return full
     a = [list(row) for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
@@ -146,6 +154,45 @@ def poly_rank(m: Matrix) -> int:
                         raise AssertionError("fraction-free elimination: inexact division")
                 row[k] = x
         prev = p
+        rank += 1
+    return rank
+
+
+def _rank_at_point(m: Matrix, p: int) -> int | None:
+    """Rank over F_p of M(_RANK_POINT), or None when the denominator of an
+    entry vanishes mod p.
+
+    It is a lower bound on the rank over Q(s): a minor that is nonzero
+    mod p at the point is a nonzero minor of M.
+    """
+    a = []
+    for row in m:
+        values = []
+        for x in row:
+            if x.is_zero:
+                values.append(0)
+                continue
+            ints, content = integer_coeffs(x.coeffs)
+            if content.denominator % p == 0:
+                return None
+            value = synthetic_division(ints, _RANK_POINT)[1] * content.numerator
+            values.append(value * pow(content.denominator, -1, p) % p)
+        a.append(values)
+    rows = len(a)
+    rank = 0
+    for c in range(len(a[0]) if rows else 0):
+        if rank == rows:
+            break
+        piv = next((i for i in range(rank, rows) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        top = a[rank]
+        inv = pow(top[c], -1, p)
+        for i in range(rank + 1, rows):
+            f = a[i][c] * inv % p
+            if f:
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], top)]
         rank += 1
     return rank
 

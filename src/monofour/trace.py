@@ -198,9 +198,7 @@ class CharacterTable:
 
     def chi_order(self, k: int) -> int:
         m = self.q - 1
-        if m == 0:
-            return 1
-        return m // gcd(k % m if k % m else m, m) if k % m else 1
+        return m // gcd(k, m)
 
     def chars_with_order_dividing(self, n: int) -> list[int]:
         _require_order(self.q, n)
@@ -676,17 +674,18 @@ def gauss_suite(q, n: int, psi_index: int = 1) -> dict:
     _require_order(q, n)
     table = CharacterTable(field)
     t0 = power_count_trace(field, n)
+    chars = table.chars_with_order_dividing(n)
     char_sum_ok = True
     for x in field.units():
         acc = 0
-        for k in table.chars_with_order_dividing(n):
+        for k in chars:
             acc = acc + table.chi(k, x)
         if acc != t0.value(x):
             char_sum_ok = False
     products = {}
     product_ok = True
     minus_one = field.neg(1)
-    for k in table.chars_with_order_dividing(n):
+    for k in chars:
         if k % (q - 1) == 0:
             continue
         prod = (

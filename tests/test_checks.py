@@ -150,6 +150,36 @@ class TestRunCheck:
             checks.run_check(check_id, {"q": 7, "n": n})
 
 
+    # a window radius below 0 or a pole order below 1 leaves nothing to
+    # check, and chi must be a rational literal
+    @pytest.mark.parametrize(
+        "check_id, params, message",
+        [
+            ("eq3-decomp", {"window": -1}, "window radius -1"),
+            ("eq3-decomp", {"n": 0}, "order n = 0"),
+            ("propDmod1", {"n": 0}, "order n = 0"),
+            ("propDmod1", {"window": -1}, "window radius -1"),
+            ("propDmod1", {"chi": "1/0"}, "not a rational number"),
+            ("propDmod1", {"chi": "half"}, "not a rational number"),
+            ("propDmod2", {"n": 0}, "order n = 0"),
+            ("propDmod2", {"window": -1}, "window radius -1"),
+            ("propDmod3", {"window": -1}, "window radius -1"),
+            ("propDmod3", {"n": 0}, "order n = 0"),
+            ("dmodmon", {"window": -1}, "window radius -1"),
+            ("dmodmon", {"n": 0}, "order n = 0"),
+        ],
+    )
+    def test_window_and_order_refused_before_work(self, monkeypatch, check_id, params, message):
+        def work(*args, **kwargs):
+            raise AssertionError("the engine ran on refused input")
+
+        monkeypatch.setattr(mellin, "WindowedLattice", work)
+        monkeypatch.setattr(mellin, "SkyscraperFamily", work)
+        monkeypatch.setattr(mellin, "partial_fractions", work)
+        with pytest.raises(UnsupportedInputError, match=message):
+            checks.run_check(check_id, params)
+
+
 class TestNegativeControls:
     def test_exp_square_control_must_fail_for_pass(self):
         report = checks.run_check("exp-square")
@@ -257,6 +287,31 @@ def test_mellin_and_operator_witnesses_are_pinned():
         rows += 1
     assert rows == 43
     assert digest.hexdigest() == MELLIN_OPERATOR_QUICK_SEED7_SHA256
+
+
+# The same digest over every mellin.* and ore.* row of the full profile,
+# seed 7: the large windows (eq3-decomp at 6, exp-square at 8 and 10, the
+# radius 10 and 12 grids) are where the modular certificates and GCDHEU
+# of RatFun and poly_rank do most of their work.
+MELLIN_OPERATOR_FULL_SEED7_SHA256 = (
+    "22bf66fdb4277e726ed0e7e4cc70cca074356ab04181dcfaf18410338fa8dc85"
+)
+
+
+def test_full_mellin_and_operator_witnesses_are_pinned():
+    digest = hashlib.sha256()
+    rows = 0
+    for check_id, params in checks.profile_tasks("full"):
+        spec = checks.CHECKS[check_id]
+        if spec.engine.split(".")[0] not in ("mellin", "ore"):
+            continue
+        if spec.seeded:
+            params = dict(params, seed=7)
+        report = checks.run_check(check_id, params)
+        digest.update(json.dumps(report.to_dict(include_elapsed=False), sort_keys=True).encode())
+        rows += 1
+    assert rows == 94
+    assert digest.hexdigest() == MELLIN_OPERATOR_FULL_SEED7_SHA256
 
 
 class TestRunAllSmall:

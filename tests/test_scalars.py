@@ -21,9 +21,9 @@ from monofour.scalars import (
     rational_rank,
     zeta,
 )
-from monofour.scalars import ffield, snf
+from monofour.scalars import ffield, ratfun, snf
 from monofour.scalars.cyclotomic import _phi, _zeta_powers
-from monofour.scalars.poly import frac, synthetic_division, taylor_coeffs
+from monofour.scalars.poly import CERT_PRIME, frac, integer_coeffs, synthetic_division, taylor_coeffs
 from monofour.scalars.ratfun import linear_factors, rational_roots
 from monofour.mellin import EquivariantModule, torsion_by_point_ranks
 from monofour.trace import _cyc_rank
@@ -461,9 +461,17 @@ class TestPolyRank:
     def test_inexact_division_raises(self, monkeypatch):
         exact = Poly.__divmod__
         monkeypatch.setattr(Poly, "__divmod__", lambda a, b: (exact(a, b)[0], P(1)))
-        m = [[S, P(1), Poly()], [P(1), S, P(1)], [Poly(), P(1), S]]
+        # the third row is the sum of the first two, so the modular
+        # certificate cannot answer and Bareiss elimination runs
+        m = [[S, P(1), Poly()], [P(1), S, P(1)], [S + 1, S + 1, P(1)]]
         with pytest.raises(AssertionError, match="inexact division"):
             poly_rank(m)
+
+    def test_full_rank_is_certified_without_elimination(self, monkeypatch):
+        exact = Poly.__divmod__
+        monkeypatch.setattr(Poly, "__divmod__", lambda a, b: (exact(a, b)[0], P(1)))
+        m = [[S, P(1), Poly()], [P(1), S, P(1)], [Poly(), P(1), S]]
+        assert poly_rank(m) == 3
 
 
 def reference_poly_smith(m):
@@ -533,6 +541,161 @@ def reference_poly_smith(m):
             d[i] = [x * c for x in d[i]]
             u[i] = [x * c for x in u[i]]
     return u, d, v
+
+
+def _reference_rank(m):
+    _, d, _ = reference_poly_smith(m)
+    return sum(1 for i in range(min(len(m), len(m[0]))) if not d[i][i].is_zero)
+
+
+def reference_lowest_terms(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """RatFun's reduction before the modular certificates: divide by the
+    Euclidean gcd, then make the denominator monic."""
+    g = poly_gcd(num, den)
+    if not g.is_zero and g.degree > 0:
+        num, den = num // g, den // g
+    lc = den.lc
+    if lc != 1:
+        num = num * (1 / lc)
+        den = den * (1 / lc)
+    return num, den
+
+
+def _planted_pairs(seed, count=60):
+    """Pairs of degree at most 8 over Q: a planted common factor (rational
+    roots, some repeated, sometimes s^2 + 2) times random cofactors, and
+    every fourth pair two independent polynomials."""
+    rng = random.Random(seed)
+    pairs = []
+    for k in range(count):
+        common = Poly.const(Fraction(rng.randint(1, 9), rng.randint(1, 5)))
+        if k % 4:
+            for _ in range(rng.randint(0, 3)):
+                root = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                common = common * Poly((-root, 1)) ** rng.randint(1, 2)
+            if rng.random() < 0.3:
+                common = common * P(2, 0, 1)
+        room = max(0, 8 - common.degree)
+        num = common * _random_poly(rng, rng.randint(0, room))
+        den = common * _random_poly(rng, rng.randint(0, room))
+        pairs.append((num, den))
+    pairs += [(S, S + 5), (5 * S + 1, (5 * S + 1) * (S + 2)), ((S - 3) * (S + 2), S - 3)]
+    return pairs
+
+
+def _count_euclid(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(ratfun, "poly_gcd", counted)
+    return calls
+
+
+class TestModularCertificates:
+    """RatFun's coprimality certificate and GCDHEU, and poly_rank's
+    full-rank certificate, against the exact routines they fall back to."""
+
+    def test_integer_coeffs(self):
+        coeffs = [Fraction(1, 2), Fraction(-3, 4), 0, 6]
+        ints, content = integer_coeffs(coeffs)
+        assert ints == [2, -3, 0, 24] and content == Fraction(1, 4)
+        assert integer_coeffs([-4, 6]) == ([-2, 3], 2)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_lowest_terms_match_euclid(self, seed):
+        for num, den in _planted_pairs(seed):
+            f = RatFun(num, den)
+            assert (f.num, f.den) == reference_lowest_terms(num, den)
+            assert str(f) == str(RatFun(*reference_lowest_terms(num, den)))
+
+    def test_common_case_needs_no_euclid(self, monkeypatch):
+        def euclid(a, b):
+            raise AssertionError("Euclid ran")
+
+        pairs = _planted_pairs(4)
+        want = [reference_lowest_terms(num, den) for num, den in pairs]
+        monkeypatch.setattr(ratfun, "poly_gcd", euclid)
+        assert [(f.num, f.den) for f in (RatFun(n, d) for n, d in pairs)] == want
+
+    def test_coprime_pair_is_certified(self, monkeypatch):
+        def gcd_search(*args):
+            raise AssertionError("a gcd was searched for")
+
+        monkeypatch.setattr(ratfun, "_heuristic_gcd", gcd_search)
+        monkeypatch.setattr(ratfun, "poly_gcd", gcd_search)
+        f = RatFun(S**2 + 1, 2 * S + 6)
+        assert (f.num, f.den) == ((S**2 + 1) * Fraction(1, 2), S + 3)
+
+    def test_zero_and_constant_parts(self):
+        assert (RatFun(Poly(), 3 * S + 1).num, RatFun(Poly(), 3 * S + 1).den) == (Poly(), P(1))
+        f = RatFun(P(4), 2 * S**2 + 2)
+        assert (f.num, f.den) == (P(2), S**2 + 1)
+        g = RatFun(2 * S**2 + 2, P(Fraction(2, 3)))
+        assert (g.num, g.den) == (3 * S**2 + 3, P(1))
+
+    def test_certificate_refuses_a_vanishing_leading_coefficient(self):
+        assert ratfun._gcd_degree_mod_p([1, 5], [2, 1], 5) is None
+        assert ratfun._gcd_degree_mod_p([2, 1], [1, 10], 5) is None
+        assert ratfun._gcd_degree_mod_p([1, 5], [2, 1], CERT_PRIME) == 0
+
+    def test_certificate_bound_is_spurious_mod_a_small_prime(self):
+        # s and s + 5 are coprime over Q but equal mod 5
+        assert ratfun._gcd_degree_mod_p([0, 1], [5, 1], 5) == 1
+        assert ratfun._gcd_degree_mod_p([0, 1], [5, 1], CERT_PRIME) == 0
+        f = RatFun(S, S + 5)
+        assert (f.num, f.den) == (S, S + 5)
+
+    def test_heuristic_gcd_accepts_only_the_bounded_degree(self):
+        a, b = [-2, 1, 1], [-3, 2, 1]  # (s - 1)(s + 2), (s - 1)(s + 3)
+        assert ratfun._heuristic_gcd(a, b, 1) == ([2, 1], [3, 1])
+        assert ratfun._heuristic_gcd(a, b, 2) is None
+
+    def test_exact_quotient(self):
+        assert ratfun._exact_quotient([-1, 0, 1], [-1, 1]) == [1, 1]
+        assert ratfun._exact_quotient([1, 0, 1], [1, 1]) is None  # remainder 2
+        assert ratfun._exact_quotient([1, 0, 1], [0, 2]) is None  # 2 does not divide 1
+        assert ratfun._exact_quotient([0, 0, 3], [0, 2]) is None  # nor 3
+
+    @pytest.mark.parametrize("prime", [2, 3, 5])
+    def test_small_prime_falls_back_to_euclid(self, monkeypatch, prime):
+        pairs = _planted_pairs(prime)
+        want = [reference_lowest_terms(num, den) for num, den in pairs]
+        monkeypatch.setattr(ratfun, "CERT_PRIME", prime)
+        calls = _count_euclid(monkeypatch)
+        assert [(f.num, f.den) for f in (RatFun(n, d) for n, d in pairs)] == want
+        assert calls
+
+    def test_heuristic_giving_up_falls_back_to_euclid(self, monkeypatch):
+        pairs = _planted_pairs(5)
+        want = [reference_lowest_terms(num, den) for num, den in pairs]
+        monkeypatch.setattr(ratfun, "_heuristic_gcd", lambda a, b, degree: None)
+        calls = _count_euclid(monkeypatch)
+        assert [(f.num, f.den) for f in (RatFun(n, d) for n, d in pairs)] == want
+        assert calls
+
+    def test_rank_certificate_bounds_rank_from_below(self):
+        # the certificate point is 3 mod 5
+        assert snf._RANK_POINT % 5 == 3
+        assert snf._rank_at_point([[S - 3]], 5) == 0
+        assert snf._rank_at_point([[S - 3]], CERT_PRIME) == 1
+        assert snf._rank_at_point([[P(Fraction(1, 5), 1), S]], 5) is None
+
+    def test_rank_falls_back_mod_a_small_prime(self, monkeypatch):
+        monkeypatch.setattr(snf, "CERT_PRIME", 5)
+        special = [
+            [[S - 3]],
+            [[S - 3, Poly()], [Poly(), S + 2]],
+            [[P(Fraction(1, 5), 1), S], [S, P(1)]],
+            [[P(Fraction(2, 5)), S, S + 1], [S, P(1), P(1)]],
+        ]
+        rng = random.Random(55)
+        randoms = [_random_matrix(rng, *SHAPES[shape]) for shape in sorted(SHAPES) for _ in range(4)]
+        for m in special + randoms:
+            assert poly_rank(m) == _reference_rank(m)
+        assert [poly_rank(m) for m in special] == [1, 2, 2, 2]
 
 
 def reference_int_smith(m):
