@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 from typing import Union
 
@@ -37,6 +38,7 @@ def falling(a: int, k: int) -> int:
     return out
 
 
+@lru_cache(maxsize=None)
 def falling_poly(b: int) -> Poly:
     """s(s-1)...(s-b+1) as a polynomial; the Mellin image of dx^b is
     T^-b times this."""
@@ -44,6 +46,28 @@ def falling_poly(b: int) -> Poly:
     for i in range(b):
         out = out * (Poly.x() - i)
     return out
+
+
+def _trusted(cls, terms: dict, rank: int | None = None):
+    """The operator of type `cls` (and `rank`, for the Weyl types) whose
+    terms are `terms`, a dict already in normal form: no zero value,
+    Poly values for ShiftOp, and for the Weyl types tuple keys of
+    length `rank` and Fraction values.  Nothing is checked; the public
+    constructors validate user input."""
+    out = object.__new__(cls)
+    if rank is not None:
+        object.__setattr__(out, "rank", rank)
+    object.__setattr__(out, "terms", terms)
+    return out
+
+
+def _merged(pairs, start: dict | None = None) -> dict:
+    """The (key, value) pairs summed per key onto a copy of `start`, with
+    the keys whose sum is zero dropped."""
+    out = dict(start) if start else {}
+    for k, v in pairs:
+        out[k] = out[k] + v if k in out else v
+    return {k: v for k, v in out.items() if v}
 
 
 class ShiftOp(ExactValue):
@@ -63,21 +87,20 @@ class ShiftOp(ExactValue):
 
     @classmethod
     def from_poly(cls, p) -> "ShiftOp":
-        if not isinstance(p, Poly):
-            p = Poly.const(p)
-        return cls({0: p})
+        return cls.t_power(0, p)
 
     @classmethod
     def s(cls) -> "ShiftOp":
-        return cls({0: Poly.x()})
+        return _trusted(cls, {0: Poly.x()})
 
     @classmethod
-    def t_power(cls, j: int, coeff: Scalar = 1) -> "ShiftOp":
-        return cls({j: Poly.const(coeff)})
+    def t_power(cls, j: int, coeff: "Scalar | Poly" = 1) -> "ShiftOp":
+        p = coeff if isinstance(coeff, Poly) else Poly.const(coeff)
+        return _trusted(cls, {j: p} if p else {})
 
     @classmethod
     def one(cls) -> "ShiftOp":
-        return cls({0: Poly.const(1)})
+        return cls.t_power(0)
 
     @classmethod
     def zero(cls) -> "ShiftOp":
@@ -100,33 +123,29 @@ class ShiftOp(ExactValue):
         return self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted((j, p.coeffs) for j, p in self.terms.items())))
+        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other) -> "ShiftOp":
         other = _coerce_shift(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for j, p in other.terms.items():
-            out[j] = out.get(j, Poly()) + p
-        return ShiftOp(out)
+        return _trusted(ShiftOp, _merged(other.terms.items(), self.terms))
 
     __radd__ = __add__
 
     def __neg__(self) -> "ShiftOp":
-        return ShiftOp({j: -p for j, p in self.terms.items()})
+        return _trusted(ShiftOp, {j: -p for j, p in self.terms.items()})
 
     def __mul__(self, other) -> "ShiftOp":
         other = _coerce_shift(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[int, Poly] = {}
-        for i, p in self.terms.items():
-            for j, q in other.terms.items():
-                contrib = p.shift(j) * q
-                k = i + j
-                out[k] = out.get(k, Poly()) + contrib
-        return ShiftOp(out)
+        # (T^i p)(T^j q) = T^(i+j) p(s+j) q
+        return _trusted(ShiftOp, _merged(
+            (i + j, p.shift(j) * q)
+            for i, p in self.terms.items()
+            for j, q in other.terms.items()
+        ))
 
     def __rmul__(self, other) -> "ShiftOp":
         other = _coerce_shift(other)
@@ -180,6 +199,7 @@ class _WeylBase(ExactValue):
     laurent = False
 
     def __init__(self, rank: int = 1, terms=None):
+        _require_rank(type(self), rank)
         clean: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
         if terms:
             for key, c in terms.items():
@@ -207,20 +227,25 @@ class _WeylBase(ExactValue):
         object.__setattr__(self, "terms", clean)
 
     @classmethod
+    def _unit(cls, rank: int, alpha: tuple, beta: tuple, c: Fraction) -> "_WeylBase":
+        """c * x^alpha dx^beta, for multi-indices of length rank that are
+        already valid."""
+        _require_rank(cls, rank)
+        return _trusted(cls, {(alpha, beta): c} if c else {}, rank)
+
+    @classmethod
     def x(cls, i: int = 0, rank: int = 1) -> "_WeylBase":
         alpha = tuple(1 if k == i else 0 for k in range(rank))
-        beta = (0,) * rank
-        return cls(rank, {(alpha, beta): 1})
+        return cls._unit(rank, alpha, (0,) * rank, Fraction(1))
 
     @classmethod
     def dx(cls, i: int = 0, rank: int = 1) -> "_WeylBase":
-        alpha = (0,) * rank
         beta = tuple(1 if k == i else 0 for k in range(rank))
-        return cls(rank, {(alpha, beta): 1})
+        return cls._unit(rank, (0,) * rank, beta, Fraction(1))
 
     @classmethod
     def const(cls, c: Scalar, rank: int = 1) -> "_WeylBase":
-        return cls(rank, {((0,) * rank, (0,) * rank): c})
+        return cls._unit(rank, (0,) * rank, (0,) * rank, frac(c))
 
     @classmethod
     def one(cls, rank: int = 1) -> "_WeylBase":
@@ -264,32 +289,27 @@ class _WeylBase(ExactValue):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return type(self)(self.rank, out)
+        return _trusted(type(self), _merged(other.terms.items(), self.terms), self.rank)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return type(self)(self.rank, {k: -c for k, c in self.terms.items()})
+        return _trusted(type(self), {k: -c for k, c in self.terms.items()}, self.rank)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = frac(other)
-            return type(self)(
-                self.rank, {k: v * c for k, v in self.terms.items()} if c else {}
-            )
+            terms = {k: v * c for k, v in self.terms.items()} if c else {}
+            return _trusted(type(self), terms, self.rank)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                for alpha, beta, c in _normal_product(a1, b1, a2, b2):
-                    k = (alpha, beta)
-                    out[k] = out.get(k, 0) + c1 * c2 * c
-        return type(self)(self.rank, out)
+        return _trusted(type(self), _merged(
+            ((alpha, beta), c1 * c2 * c)
+            for (a1, b1), c1 in self.terms.items()
+            for (a2, b2), c2 in other.terms.items()
+            for alpha, beta, c in _normal_product(a1, b1, a2, b2)
+        ), self.rank)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -359,14 +379,14 @@ class LaurentWeylOp(_WeylBase):
     __slots__ = ()
     laurent = True
 
-    def __init__(self, rank: int = 1, terms=None):
-        if rank != 1:
-            raise ValueError("the Laurent algebra is rank 1 only")
-        super().__init__(rank, terms)
-
     @classmethod
     def x_power(cls, a: int, c: Scalar = 1) -> "LaurentWeylOp":
         return cls(1, {((a,), (0,)): c})
+
+
+def _require_rank(cls, rank: int) -> None:
+    if cls.laurent and rank != 1:
+        raise ValueError("the Laurent algebra is rank 1 only")
 
 
 def to_laurent(w: WeylOp) -> LaurentWeylOp:
@@ -382,26 +402,24 @@ def mellin_op(w: "LaurentWeylOp | WeylOp") -> ShiftOp:
     """
     if w.rank != 1:
         raise ValueError("the Mellin identification is rank 1")
-    levels: dict[int, Poly] = {}
-    for ((a,), (b,)), c in w.terms.items():
-        j = a - b
-        p = falling_poly(b) * c
-        levels[j] = levels[j] + p if j in levels else p
-    return ShiftOp(levels)
+    return _trusted(ShiftOp, _merged(
+        (a - b, falling_poly(b) * c) for ((a,), (b,)), c in w.terms.items()
+    ))
 
 
 def inverse_mellin_op(sh: ShiftOp) -> LaurentWeylOp:
     """Two-sided inverse of mellin_op, via Newton forward differences."""
     terms: dict = {}
     for j, p in sh.terms.items():
-        # p(s) = sum_b c_b * s(s-1)...(s-b+1) with c_b = Delta^b p(0) / b!
-        work = p
-        b = 0
-        while not work.is_zero:
-            terms[((j + b,), (b,))] = work.eval(0) / factorial(b)
-            work = work.shift(1) - work
-            b += 1
-    return LaurentWeylOp(1, terms)
+        # p(s) = sum_b c_b * s(s-1)...(s-b+1) with c_b = Delta^b p(0) / b!,
+        # read from one integer difference table of den*p(0), ..., den*p(deg)
+        nums = p.nums
+        values = [sum(c * i**k for k, c in enumerate(nums)) for i in range(len(nums))]
+        for b in range(len(nums)):
+            if values[0]:
+                terms[((j + b,), (b,))] = Fraction(values[0], p.den * factorial(b))
+            values = [y - x for x, y in zip(values, values[1:])]
+    return _trusted(LaurentWeylOp, terms, 1)
 
 
 def fourier_auto(w: WeylOp) -> WeylOp:
@@ -410,13 +428,11 @@ def fourier_auto(w: WeylOp) -> WeylOp:
         raise UnsupportedInputError("the Fourier automorphism acts on the plain Weyl algebra")
     # x^alpha dx^beta -> (-dx)^alpha x^beta = (-1)^|alpha| dx^alpha x^beta.
     zero = (0,) * w.rank
-    out: dict = {}
-    for (alpha, beta), c in w.terms.items():
-        if sum(alpha) % 2:
-            c = -c
-        for a, b, n in _normal_product(zero, alpha, beta, zero):
-            out[(a, b)] = out.get((a, b), 0) + c * n
-    return WeylOp(w.rank, out)
+    return _trusted(WeylOp, _merged(
+        ((a, b), (-c if sum(alpha) % 2 else c) * n)
+        for (alpha, beta), c in w.terms.items()
+        for a, b, n in _normal_product(zero, alpha, beta, zero)
+    ), w.rank)
 
 
 def antipode(w: WeylOp) -> WeylOp:

@@ -61,7 +61,10 @@ def _tokenize(text: str):
                     k += 1
                 if k == j + 1:
                     raise OperatorSyntaxError("expected digits after '/'", j + 1)
-                tokens.append(_Token("number", Fraction(int(text[i:j]), int(text[j + 1 : k])), i))
+                den = int(text[j + 1 : k])
+                if not den:
+                    raise OperatorSyntaxError("zero denominator", j + 1)
+                tokens.append(_Token("number", Fraction(int(text[i:j]), den), i))
                 i = k
             else:
                 tokens.append(_Token("number", Fraction(int(text[i:j])), i))

@@ -12,7 +12,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Union
 
-from .poly import ExactValue, Poly, binary_power, frac
+from .poly import ExactValue, Poly, _poly, binary_power, frac
 
 Scalar = Union[int, Fraction]
 
@@ -44,7 +44,7 @@ def _zeta_powers(n: int) -> tuple[tuple[int, ...], ...]:
     every exponent k.
     """
     phi = _phi(n)
-    low = [-int(c) for c in cyclotomic_poly(n).coeffs[:phi]]  # x^phi mod Phi_n
+    low = [-c for c in cyclotomic_poly(n).nums[:phi]]  # x^phi mod Phi_n
     out = [tuple(int(i == k) for i in range(phi)) for k in range(phi)]
     cs = low
     for _ in range(phi, n):
@@ -199,7 +199,7 @@ class CycScalar(ExactValue):
         return not any(self.numerators)
 
     def to_str(self) -> str:
-        return Poly(self.coeffs).to_str(f"z{self.conductor}")
+        return _poly(self.numerators, self.denominator).to_str(f"z{self.conductor}")
 
     def __repr__(self) -> str:
         return f"CycScalar({self.conductor}, {self.to_str()})"

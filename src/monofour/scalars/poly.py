@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 from typing import Iterable, Union
 
@@ -80,19 +81,31 @@ def signed_sum(terms) -> str:
 
 
 class Poly(ExactValue):
-    """Polynomial with Fraction coefficients, index = degree.
+    """Polynomial over the rationals, index = degree.
 
-    Immutable; trailing zero coefficients are stripped, so the zero
-    polynomial has an empty coefficient tuple and degree -1.
+    Stored as a tuple `nums` of Python int numerators over one positive
+    int `den`, in lowest terms: `nums` has no trailing zero and
+    gcd(den, *nums) = 1, so the zero polynomial is ()/1 with degree -1
+    and equal values have equal fields.  `coeffs` is the same value as
+    a tuple of Fractions, built on first use.  Sums, products, division,
+    evaluation and shifts run on the ints, with the content kept apart in
+    the denominator (Collins, J. ACM 14, 1967; Brown, J. ACM 18, 1971).
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den", "_coeffs")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        nums, den = _cleared([c if type(c) is int else frac(c) for c in coeffs])
+        _init(self, nums, den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        cs = self._coeffs
+        if cs is None:
+            den = self.den
+            cs = tuple(Fraction(x, den) for x in self.nums)
+            object.__setattr__(self, "_coeffs", cs)
+        return cs
 
     @classmethod
     def const(cls, c: Scalar) -> "Poly":
@@ -100,7 +113,7 @@ class Poly(ExactValue):
 
     @classmethod
     def x(cls) -> "Poly":
-        return cls((0, 1))
+        return _poly((0, 1))
 
     @classmethod
     def monomial(cls, k: int, c: Scalar = 1) -> "Poly":
@@ -110,88 +123,112 @@ class Poly(ExactValue):
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def lc(self) -> Fraction:
-        if not self.coeffs:
+        if not self.nums:
             return Fraction(0)
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, Poly):
+            return self.nums == other.nums and self.den == other.den
         if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
+            nums = (other.numerator,) if other else ()
+            return self.nums == nums and self.den == other.denominator
+        return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
+
+    def _plus(self, other, sign: int) -> "Poly":
+        """self + sign * other over the least common denominator."""
+        if isinstance(other, Poly):
+            b, db = other.nums, other.den
+        else:
+            b, db = (other.numerator,), other.denominator
+        a, da = self.nums, self.den
+        if da == db:
+            sa, sb, den = 1, sign, da
+        else:
+            den = lcm(da, db)
+            sa, sb = den // da, sign * (den // db)
+        return _poly([x * sa + y * sb for x, y in zip_longest(a, b, fillvalue=0)], den)
 
     def __add__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        if isinstance(other, (int, Fraction, Poly)):
+            return self._plus(other, 1)
+        return NotImplemented
 
     __radd__ = __add__
 
+    def __sub__(self, other) -> "Poly":  # one pass, not through negation
+        if isinstance(other, (int, Fraction, Poly)):
+            return self._plus(other, -1)
+        return NotImplemented
+
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return _poly([-x for x in self.nums], self.den)
 
     def __mul__(self, other) -> "Poly":
+        if isinstance(other, Poly):
+            a, b = self.nums, other.nums
+            if not a or not b:
+                return _poly(())
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        out[i + j] += x * y
+            return _poly(out, self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            c = frac(other)
-            return Poly(tuple(a * c for a in self.coeffs))
-        if not isinstance(other, Poly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return Poly(out)
+            c = other.numerator
+            return _poly([x * c for x in self.nums], self.den * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        return binary_power(self, n, Poly.const(1))
+        return binary_power(self, n, _poly((1,)))
 
-    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
+    def __divmod__(self, other) -> tuple["Poly", "Poly"]:
+        """Long division on the numerators.  A quotient term stays an int
+        while the divisor's leading numerator divides exactly; otherwise
+        it is a Fraction, and the rest of the division runs on Fractions."""
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other)
-        if other.is_zero:
+        if not isinstance(other, Poly):
+            return NotImplemented
+        b = other.nums
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        rem = list(self.coeffs)
-        d, lc = other.degree, other.lc
-        while len(rem) - 1 >= d and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            c = rem[-1] / lc
-            q[k] = c
-            for i, oc in enumerate(other.coeffs):
-                rem[k + i] -= c * oc
-        return Poly(q), Poly(rem)
+        # self = A/da and other = B/db; A = Q*B + R gives
+        # self = (Q*db/da)*other + R/da.
+        d, lc = len(b) - 1, b[-1]
+        rem = list(self.nums)
+        q = [0] * max(0, len(rem) - d)
+        exact = True
+        for k in range(len(q) - 1, -1, -1):
+            c = rem[k + d]
+            if c:
+                if c % lc:
+                    c, exact = Fraction(c, lc), False
+                else:
+                    c //= lc
+                q[k] = c
+                for i in range(d):
+                    rem[k + i] -= c * b[i]
+        da, db = self.den, other.den
+        if exact:
+            return _poly([x * db for x in q], da), _poly(rem[:d], da)
+        return Poly(q) * Fraction(db, da), Poly(rem[:d]) * Fraction(1, da)
 
     def __floordiv__(self, other) -> "Poly":
         return divmod(self, other)[0]
@@ -205,38 +242,104 @@ class Poly(ExactValue):
         return (other % self).is_zero
 
     def monic(self) -> "Poly":
-        if self.is_zero:
+        nums = self.nums
+        if not nums:
             return self
-        return self * (1 / self.lc)
+        if nums[-1] < 0:
+            return _poly([-x for x in nums], -nums[-1])
+        return _poly(nums, nums[-1])
 
     def eval(self, a: Scalar) -> Fraction:
+        """p(a) as a Fraction; a rational a = n/m goes through homogeneous
+        Horner in integers, sum(A_i n^i m^(deg - i)) / (den m^deg)."""
+        nums = self.nums
+        if not nums:
+            return Fraction(0)
         a = frac(a)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * a + c
-        return acc
+        n, m = a.numerator, a.denominator
+        acc, scale = 0, 1
+        for c in reversed(nums):
+            acc = acc * n + c * scale
+            scale *= m
+        return Fraction(acc, self.den * m ** (len(nums) - 1))
 
     def shift(self, c: Scalar) -> "Poly":
-        """Return p(s + c)."""
+        """Return p(s + c).  For c = n/m, p(s + n/m) * m^deg is the Taylor
+        shift by n of B_i = A_i m^(deg - i), with coefficient k scaled
+        by m^k, so the shift runs on ints."""
         c = frac(c)
         if c == 0 or self.is_zero:
             return self
-        return Poly(taylor_coeffs(plain_coeffs(self), plain(c)))
+        nums, n, m = self.nums, c.numerator, c.denominator
+        if m == 1:
+            return _poly(taylor_coeffs(list(nums), n), self.den)
+        d = len(nums) - 1
+        b = [x * m ** (d - i) for i, x in enumerate(nums)]
+        out = [x * m**k for k, x in enumerate(taylor_coeffs(b, n))]
+        return _poly(out, self.den * m**d)
 
     def compose_linear(self, a: Scalar, b: Scalar) -> "Poly":
-        """Return p(a*s + b)."""
-        lin = Poly((frac(b), frac(a)))
-        out = Poly()
-        for coef in reversed(self.coeffs):
-            out = out * lin + Poly.const(coef)
-        return out
+        """Return p(a*s + b).  With a = a'/L and b = b'/L over a common L,
+        Horner on A_i L^(deg - i) and a'*s + b' gives p(a*s + b) * den * L^deg."""
+        nums = self.nums
+        if not nums:
+            return self
+        a, b = frac(a), frac(b)
+        scale = lcm(a.denominator, b.denominator)
+        a = a.numerator * (scale // a.denominator)
+        b = b.numerator * (scale // b.denominator)
+        out: list[int] = []
+        power = 1
+        for c in reversed(nums):
+            nxt = [0] + [x * a for x in out]
+            for k, x in enumerate(out):
+                nxt[k] += x * b
+            nxt[0] += c * power
+            out = nxt
+            power *= scale
+        return _poly(out, self.den * scale ** (len(nums) - 1))
 
     def to_str(self, var: str = "s") -> str:
+        # an integral int prints as the equal Fraction does
+        cs = self.nums if self.den == 1 else self.coeffs
         return signed_sum(
             term_str(c, "" if k == 0 else var if k == 1 else f"{var}^{k}")
-            for k, c in enumerate(self.coeffs)
+            for k, c in enumerate(cs)
             if c
         )
+
+
+def _cleared(values) -> tuple[list[int], int]:
+    """Int or Fraction values as int numerators over the lcm of their
+    denominators, and that lcm."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _init(out: Poly, nums, den: int) -> Poly:
+    """Fill the slots of `out` with nums/den: trailing zeros stripped and
+    the fraction reduced to lowest terms."""
+    n = len(nums)
+    while n and not nums[n - 1]:
+        n -= 1
+    nums = nums[:n]
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = [x // g for x in nums]
+    setter = object.__setattr__
+    setter(out, "nums", tuple(nums))
+    setter(out, "den", den)
+    setter(out, "_coeffs", None)
+    return out
+
+
+def _poly(nums, den: int = 1) -> Poly:
+    """The Poly nums/den, for a sequence of int numerators (ascending,
+    trailing zeros allowed) and a positive int denominator.  Internal
+    code that already holds ints builds its results through this."""
+    return _init(object.__new__(Poly), nums, den)
 
 
 def plain(x: Fraction) -> int | Fraction:
@@ -247,14 +350,15 @@ def plain(x: Fraction) -> int | Fraction:
 
 def plain_coeffs(p: Poly) -> list:
     """The coefficients of p (ascending) with integral ones as ints."""
+    if p.den == 1:
+        return list(p.nums)
     return [plain(c) for c in p.coeffs]
 
 
 def integer_coeffs(coeffs) -> tuple[list[int], Fraction]:
     """The primitive integer list A and the positive content c with
     coeffs == c * A, for int or Fraction coefficients not all zero."""
-    den = lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    ints, den = _cleared(coeffs)
     g = gcd(*ints)
     return [c // g for c in ints], Fraction(g, den)
 

@@ -11,6 +11,7 @@ from .poly import (
     CERT_PRIME,
     ExactValue,
     Poly,
+    _poly,
     frac,
     integer_coeffs,
     plain,
@@ -116,8 +117,8 @@ class RatFun(ExactValue):
         if self.is_zero:
             raise ValueError("valuation of zero is undefined")
         a = plain(frac(a))
-        return (_deflate(plain_coeffs(self.num), a)[0]
-                - _deflate(plain_coeffs(self.den), a)[0])
+        return (_deflate(list(self.num.nums), a)[0]
+                - _deflate(list(self.den.nums), a)[0])
 
     def eval(self, a: Scalar) -> Fraction:
         d = self.den.eval(a)
@@ -134,13 +135,16 @@ class RatFun(ExactValue):
 def _lowest_terms(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """num/den divided by their gcd, for nonconstant num and den.
 
-    The gcd mod CERT_PRIME bounds the degree of the gcd from above.  A
-    bound of 0 proves num and den coprime; otherwise GCDHEU looks for a
-    common divisor of exactly that degree, and Euclid (poly_gcd) answers
-    whatever neither settles.  The quotient is returned unnormalised.
+    The modular tests run on a and b, the primitive parts of the stored
+    numerators.  The gcd mod CERT_PRIME bounds the degree of the gcd from
+    above.  A bound of 0 proves num and den coprime; otherwise GCDHEU
+    looks for a common divisor of exactly that degree, and Euclid
+    (poly_gcd) answers whatever neither settles.  The quotient is
+    returned unnormalised.
     """
-    a, ca = integer_coeffs(num.coeffs)
-    b, cb = integer_coeffs(den.coeffs)
+    ga, gb = gcd(*num.nums), gcd(*den.nums)
+    a = [x // ga for x in num.nums]
+    b = [x // gb for x in den.nums]
     bound = _gcd_degree_mod_p(a, b, CERT_PRIME)
     if bound == 0:
         return num, den
@@ -148,7 +152,8 @@ def _lowest_terms(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         cofactors = _heuristic_gcd(a, b, bound)
         if cofactors is not None:
             qa, qb = cofactors
-            return Poly(qa) * (ca / cb), Poly(qb)
+            # num = (ga/num.den) * a and den = (gb/den.den) * b
+            return _poly(qa) * Fraction(ga * den.den, gb * num.den), _poly(qb)
     g = poly_gcd(num, den)
     return num // g, den // g
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .poly import CERT_PRIME, Poly, integer_coeffs, synthetic_division
+from .poly import CERT_PRIME, Poly, synthetic_division
 
 Matrix = list[list[Poly]]
 
@@ -169,14 +169,10 @@ def _rank_at_point(m: Matrix, p: int) -> int | None:
     for row in m:
         values = []
         for x in row:
-            if x.is_zero:
-                values.append(0)
-                continue
-            ints, content = integer_coeffs(x.coeffs)
-            if content.denominator % p == 0:
+            if x.den % p == 0:
                 return None
-            value = synthetic_division(ints, _RANK_POINT)[1] * content.numerator
-            values.append(value * pow(content.denominator, -1, p) % p)
+            value = synthetic_division(list(x.nums), _RANK_POINT)[1]
+            values.append(value * pow(x.den, -1, p) % p)
         a.append(values)
     rows = len(a)
     rank = 0

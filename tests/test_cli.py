@@ -1,6 +1,8 @@
 """Tests for the command-line interface: output shapes and exit codes."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +45,11 @@ class TestReduce:
         code, out, err = run_cli(capsys, "reduce", "--algebra", "shift", "s + +")
         assert code == 1 and not out
         assert "offset 4" in err
+
+    def test_zero_denominator_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "reduce", "--algebra", "weyl", "2/0")
+        assert (code, out) == (1, "")
+        assert err == "error: zero denominator at offset 2\n"
 
     def test_wrong_algebra_atom_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "reduce", "--algebra", "weyl", "T*s")
@@ -285,3 +292,35 @@ class TestUsageErrors:
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
         assert "verify-all" in out
+
+
+def readme_quick_start():
+    """(argv, expected stdout) for every `$ monofour ...` line of the README
+    quick start that shows output: the lines after it up to the next
+    blank line, comment or command."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Quick start (CLI)")[1].split("```sh\n")[1].split("```")[0]
+    cases, lines = [], None
+    for line in block.splitlines():
+        if line.startswith("$ monofour "):
+            lines = []
+            cases.append((shlex.split(line)[2:], lines))
+        elif lines is not None and line and not line.startswith("#"):
+            lines.append(line)
+        else:
+            lines = None
+    return [(argv, "".join(f"{out}\n" for out in lines)) for argv, lines in cases if lines]
+
+
+README_CASES = readme_quick_start()
+
+
+class TestReadmeQuickStart:
+    def test_cases_found(self):
+        assert len(README_CASES) == 6
+
+    @pytest.mark.parametrize("argv,expected", README_CASES,
+                             ids=[" ".join(argv) for argv, _ in README_CASES])
+    def test_output_matches_readme(self, capsys, argv, expected):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (0, expected, "")

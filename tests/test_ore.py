@@ -8,6 +8,7 @@ monomials.  Structural laws (associativity, homomorphism, involution,
 round trips) are checked on deterministic pseudroandom samples.
 """
 
+import operator
 import random
 from fractions import Fraction
 from math import comb
@@ -448,3 +449,147 @@ class TestBinaryPower:
             for n in range(21):
                 assert base**n == acc and str(base**n) == str(acc)
                 acc = acc * base
+
+
+# The public constructors' bodies from before the trusted constructor, kept
+# as references: arithmetic and the operator maps now build their results
+# without validation, so each result must come out of these unchanged.
+def ref_weyl_terms(cls, rank, terms):
+    """The validated terms of `cls(rank, terms)`, as `_WeylBase.__init__`
+    (and the Laurent rank check) computed them."""
+    if cls.laurent and rank != 1:
+        raise ValueError("the Laurent algebra is rank 1 only")
+    clean = {}
+    if terms:
+        for key, c in terms.items():
+            alpha, beta = key
+            alpha = (alpha,) if isinstance(alpha, int) else tuple(alpha)
+            beta = (beta,) if isinstance(beta, int) else tuple(beta)
+            if len(alpha) != rank or len(beta) != rank:
+                raise ValueError("multi-index length does not match rank")
+            if any(b < 0 for b in beta):
+                raise ValueError("negative power of dx")
+            if not cls.laurent and any(a < 0 for a in alpha):
+                raise ValueError("negative power of x in the plain Weyl algebra")
+            c = frac(c)
+            if c:
+                k = (alpha, beta)
+                if k in clean:
+                    c = clean[k] + c
+                    if c:
+                        clean[k] = c
+                    else:
+                        del clean[k]
+                else:
+                    clean[k] = c
+    return clean
+
+
+def ref_shift_terms(terms):
+    """The terms of `ShiftOp(terms)`, as `ShiftOp.__init__` computed them."""
+    clean = {}
+    if terms:
+        for j, p in terms.items():
+            if not isinstance(p, Poly):
+                p = Poly.const(p)
+            if not p.is_zero:
+                clean[j] = p
+    return clean
+
+
+def assert_normal(op):
+    """op is in the normal form the public constructor would give it."""
+    if isinstance(op, ShiftOp):
+        assert op.terms == ref_shift_terms(op.terms) and op == ShiftOp(op.terms)
+        for j, p in op.terms.items():
+            assert type(j) is int and type(p) is Poly and not p.is_zero
+        return
+    assert op.terms == ref_weyl_terms(type(op), op.rank, op.terms)
+    assert op == type(op)(op.rank, op.terms)
+    for (alpha, beta), c in op.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert type(alpha) is tuple and type(beta) is tuple
+        assert len(alpha) == len(beta) == op.rank
+        assert all(type(e) is int for e in alpha + beta)
+
+
+COEFF_POOL = (0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3), Fraction(7, 4))
+
+
+def seeded_operator(rng, cls, rank, min_x):
+    """A public-constructor operator with up to three terms, zero and
+    repeated keys included."""
+    if cls is ShiftOp:
+        return ShiftOp({rng.randint(-2, 2): Poly([rng.choice(COEFF_POOL)
+                                                  for _ in range(rng.randint(0, 3))])
+                        for _ in range(rng.randint(0, 3))})
+    terms = {}
+    for _ in range(rng.randint(0, 3)):
+        alpha = tuple(rng.randint(min_x, 2) for _ in range(rank))
+        beta = tuple(rng.randint(0, 2) for _ in range(rank))
+        terms[(alpha, beta)] = rng.choice(COEFF_POOL)
+    return cls(rank, terms)
+
+
+TRUSTED_KINDS = [(WeylOp, 1, 0), (WeylOp, 2, 0), (WeylOp, 3, 0), (LaurentWeylOp, 1, -2),
+                 (ShiftOp, 1, 0)]
+
+
+class TestTrustedConstructorOracle:
+    @pytest.mark.parametrize("cls,rank,min_x", TRUSTED_KINDS,
+                             ids=["weyl1", "weyl2", "weyl3", "laurent", "shift"])
+    def test_results_are_in_normal_form(self, cls, rank, min_x):
+        # 300 pairs per kind: 3000 seeded operators over the five kinds.
+        rng = random.Random(1100 + 10 * rank + min_x + (cls is ShiftOp))
+        for _ in range(300):
+            a = seeded_operator(rng, cls, rank, min_x)
+            b = seeded_operator(rng, cls, rank, min_x)
+            if rng.random() < 0.2:
+                b = b - a  # a + b cancels a's terms
+            c = rng.choice(COEFF_POOL)
+            results = [a + b, a - b, b - a, a * b, b * a, -a, a * c, c * a, a + c, c - a,
+                       a ** rng.randint(0, 3 if rank < 3 else 2)]
+            if cls is WeylOp:
+                results += [fourier_auto(a), fourier_auto(fourier_auto(b))]
+            if cls is ShiftOp:
+                results += [inverse_mellin_op(a), mellin_op(inverse_mellin_op(b))]
+            elif rank == 1:
+                results += [mellin_op(a), inverse_mellin_op(mellin_op(b))]
+            for op in results:
+                assert_normal(op)
+
+    def test_constructors_in_normal_form(self):
+        ops = [ShiftOp.s(), ShiftOp.one(), ShiftOp.zero(), ShiftOp.t_power(-2, Fraction(1, 2)),
+               ShiftOp.t_power(3, 0), ShiftOp.from_poly(Poly()), ShiftOp.from_poly(S.coeff(0)),
+               ShiftOp.from_poly(Fraction(-2, 3))]
+        for cls, rank in ((WeylOp, 1), (WeylOp, 3), (LaurentWeylOp, 1)):
+            ops += [cls.x(rank - 1, rank), cls.dx(0, rank), cls.const(0, rank),
+                    cls.const(Fraction(3, 4), rank), cls.one(rank), cls.zero(rank)]
+        for op in ops:
+            assert_normal(op)
+
+    @pytest.mark.parametrize("cls,rank,terms,message", [
+        (WeylOp, 1, {((0,), (-1,)): 1}, "negative power of dx"),
+        (LaurentWeylOp, 1, {(-2, -1): 1}, "negative power of dx"),
+        (WeylOp, 1, {((-1,), (0,)): 1}, "negative power of x in the plain Weyl algebra"),
+        (WeylOp, 2, {((0,), (0,)): 1}, "multi-index length does not match rank"),
+        (WeylOp, 1, {((0, 0), (0,)): 1}, "multi-index length does not match rank"),
+        (LaurentWeylOp, 2, None, "the Laurent algebra is rank 1 only"),
+        (LaurentWeylOp, 3, {((0,), (0,)): 1}, "the Laurent algebra is rank 1 only"),
+    ])
+    def test_public_refusals_unchanged(self, cls, rank, terms, message):
+        for build in (cls, lambda rank, terms: ref_weyl_terms(cls, rank, terms)):
+            with pytest.raises(ValueError) as exc:
+                build(rank, terms)
+            assert str(exc.value) == message
+
+    def test_laurent_rank_and_rank_mismatch_refused(self):
+        L = LaurentWeylOp
+        for make in (lambda: L.x(0, 2), lambda: L.dx(0, 2), lambda: L.const(1, 2),
+                     lambda: L.one(2), lambda: L.zero(2)):
+            with pytest.raises(ValueError, match="^the Laurent algebra is rank 1 only$"):
+                make()
+        for a, b in ((WeylOp.x(0, 2), X), (X, WeylOp.dx(1, 2))):
+            for op in (operator.add, operator.sub, operator.mul, operator.eq):
+                with pytest.raises(ValueError, match="^rank mismatch$"):
+                    op(a, b)

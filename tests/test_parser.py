@@ -156,6 +156,14 @@ class TestErrors:
             parse_operator("2/", "weyl")
         assert exc.value.position == 2
 
+    @pytest.mark.parametrize("text,algebra,position", [
+        ("2/0", "weyl", 2), ("x + 13/00*dx", "weyl", 7), ("s*(1/0)", "shift", 5),
+    ])
+    def test_zero_denominator(self, text, algebra, position):
+        with pytest.raises(OperatorSyntaxError, match="zero denominator") as exc:
+            parse_operator(text, algebra)
+        assert exc.value.position == position
+
     def test_unexpected_character(self):
         with pytest.raises(OperatorSyntaxError) as exc:
             parse_operator("x$", "weyl")

@@ -1538,3 +1538,206 @@ class TestRationalRankOracle:
             rank = _cyc_rank(base)
             assert _cyc_rank(m) == rank == ref_cyc_rank(m) == ref_cyc_rank(base)
             assert rank <= min(len(base), width)
+
+
+# The Fraction-tuple Poly from before int numerators over one denominator,
+# kept as the reference for the integer layout.  Its shift is the Horner
+# composition with s + c, so it shares no kernel with Poly.shift.
+class RefPoly:
+    """Polynomial with one Fraction per coefficient, trailing zeros stripped."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = [frac(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @staticmethod
+    def _coerce(other):
+        if isinstance(other, (int, Fraction)):
+            return RefPoly((other,))
+        return other if isinstance(other, RefPoly) else NotImplemented
+
+    @property
+    def is_zero(self):
+        return not self.coeffs
+
+    @property
+    def lc(self):
+        return self.coeffs[-1] if self.coeffs else Fraction(0)
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return RefPoly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RefPoly(-c for c in self.coeffs)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return RefPoly(a * other for a in self.coeffs)
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return RefPoly()
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+        return RefPoly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        out = RefPoly((1,))
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __divmod__(self, other):
+        other = self._coerce(other)
+        q = [Fraction(0)] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
+        rem = list(self.coeffs)
+        d = len(other.coeffs) - 1
+        while len(rem) - 1 >= d and any(rem):
+            while rem and rem[-1] == 0:
+                rem.pop()
+            if len(rem) - 1 < d:
+                break
+            k = len(rem) - 1 - d
+            c = rem[-1] / other.lc
+            q[k] = c
+            for i, oc in enumerate(other.coeffs):
+                rem[k + i] -= c * oc
+        return RefPoly(q), RefPoly(rem)
+
+    def monic(self):
+        return self if self.is_zero else self * (1 / self.lc)
+
+    def eval(self, a):
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * frac(a) + c
+        return acc
+
+    def compose_linear(self, a, b):
+        lin = RefPoly((b, a))
+        out = RefPoly()
+        for coef in reversed(self.coeffs):
+            out = out * lin + coef
+        return out
+
+    def shift(self, c):
+        return self.compose_linear(1, c)
+
+    to_str = ref_poly_to_str
+
+
+@st.composite
+def poly_operands(draw):
+    """(value, reference) for an int, a Fraction or a polynomial."""
+    kind = draw(st.sampled_from(("int", "fraction", "poly", "poly", "poly")))
+    if kind == "int":
+        v = draw(st.integers(min_value=-6, max_value=6))
+        return v, v
+    if kind == "fraction":
+        v = draw(small_fracs)
+        return v, v
+    coeff = st.one_of(st.integers(min_value=-6, max_value=6), small_fracs,
+                      st.integers(), st.fractions(max_denominator=10**12))
+    cs = draw(st.lists(coeff, max_size=6))
+    return Poly(cs), RefPoly(cs)
+
+
+def assert_canonical(p):
+    """Int numerators without a trailing zero over a positive int
+    denominator, in lowest terms; zero is ()/1."""
+    assert type(p.nums) is tuple and all(type(x) is int for x in p.nums)
+    assert not p.nums or p.nums[-1] != 0
+    assert type(p.den) is int and p.den > 0 and gcd(p.den, *p.nums) == 1
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert p.coeffs == tuple(Fraction(x, p.den) for x in p.nums)
+
+
+def assert_poly_matches(got, want):
+    if not isinstance(want, RefPoly):
+        assert type(got) is type(want) and got == want
+        return
+    assert type(got) is Poly
+    assert got.coeffs == want.coeffs and str(got) == want.to_str()
+    assert_canonical(got)
+
+
+class TestIntegerPolyOracle:
+    @given(poly_operands(), poly_operands(), small_fracs, small_fracs,
+           st.integers(min_value=-4, max_value=4))
+    @settings(max_examples=400, deadline=None)
+    def test_arithmetic_matches_fraction_reference(self, a, b, c, d, k):
+        (x, rx), (y, ry) = a, b
+        for op in (operator.add, operator.sub, operator.mul):
+            assert_poly_matches(op(x, y), op(rx, ry))
+            assert_poly_matches(op(y, x), op(ry, rx))
+        assert (x == y) is (rx == ry) and (y == x) is (ry == rx)
+        for (p, rp), (q, rq) in ((a, b), (b, a)):
+            if not isinstance(p, Poly):
+                continue
+            if q != 0:
+                got, want = divmod(p, q), divmod(rp, rq)
+                assert_poly_matches(got[0], want[0])
+                assert_poly_matches(got[1], want[1])
+                assert_poly_matches(p // q, want[0])
+                assert_poly_matches(p % q, want[1])
+            assert_poly_matches(-p, -rp)
+            assert_poly_matches(p ** abs(k), rp ** abs(k))
+            assert_poly_matches(p.monic(), rp.monic())
+            for t in (c, k):
+                value = p.eval(t)
+                assert type(value) is Fraction and value == rp.eval(t)
+                assert_poly_matches(p.shift(t), rp.shift(t))
+            for lin in ((c, d), (k, c), (d, k), (-1, -1), (0, c)):
+                assert_poly_matches(p.compose_linear(*lin), rp.compose_linear(*lin))
+            assert p.lc == rp.lc and p.degree == len(rp.coeffs) - 1
+            assert p == Poly(rp.coeffs) and hash(p) == hash(Poly(rp.coeffs))
+            assert_canonical(p)
+
+    def test_division_falls_back_to_fractions(self):
+        # 3 does not divide the leading numerators 1 and 2: the quotient
+        # leaves the integers part way through.
+        p, q = P(1, 2, 0, 1), P(-1, 3)
+        got, want = divmod(p, q), divmod(RefPoly(p.coeffs), RefPoly(q.coeffs))
+        assert got[0].coeffs == want[0].coeffs and got[1].coeffs == want[1].coeffs
+        assert got[0] == P(Fraction(19, 27), Fraction(1, 9), Fraction(1, 3))
+        assert got[1] == P(Fraction(46, 27))
+        assert_canonical(got[0])
+        assert_canonical(got[1])
+
+    def test_zero_and_constants(self):
+        zero = Poly()
+        assert (zero.nums, zero.den) == ((), 1) == (P(0, 0).nums, P(Fraction(0, 7)).den)
+        assert P(Fraction(4, 6), 2).nums == (2, 6) and P(Fraction(4, 6), 2).den == 3
+        assert zero == 0 and P(3) == 3 and P(Fraction(1, 2)) == Fraction(1, 2)
+        assert P(Fraction(1, 2)) != 1 and zero != Fraction(1, 2)
+        assert zero.eval(Fraction(5, 3)) == 0 and type(zero.eval(2)) is Fraction
