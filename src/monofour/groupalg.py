@@ -226,6 +226,7 @@ def augmentation_kernel_check(ell: int, r: int, n: int) -> dict:
     compared exactly and membership is verified in both directions,
     alongside the explicit factorizations t^i - 1 = (t-1)(1+t+...+t^(i-1)).
     """
+    _require_levels(ell, r, n)
     L = ell**r
     kernel_gens = solve_mod_kernel([[1] * n], n, L)
     kernel_order = subgroup_order(kernel_gens, n, L)

@@ -14,6 +14,16 @@ through three concrete windowed realizations:
 * SkyscraperFamily - a window of cyclic torsion fibers k[s]/(s-chi-i)^n
   with recorded semilinear shift maps between consecutive fibers.
 
+Lattice generators and ladder functions are Factored values: a constant,
+a {point: exponent} map over rational points and a residual without a
+rational root (1 for every value the checks build).  The engine builds
+them from the linear factors it chooses, so products, shifts, valuations
+and fibers are dict operations and no root search runs on them; only a
+RatFun handed in from outside is factored, once, by rational-root
+search.  The public RatFun views (`WindowedLattice.generators` and
+`.content`, `LadderFamily.func`, `Fiber.generator`) are expanded on
+first use.
+
 On top of these the module provides the canonical cyclic presentations
 (simple-pole kernel module, exponential modules on both sides of the
 Mellin identification, skyscraper towers), fibers, tensor products,
@@ -30,13 +40,12 @@ from .scalars import (
     RatFun,
     UnsupportedInputError,
     frac,
-    partial_fractions,
     poly_gcd,
     poly_rank,
     rational_rank,
 )
 from .scalars.poly import poly_lcm
-from .scalars.ratfun import linear_factors, rational_roots
+from .scalars.ratfun import _partial_fractions, linear_factors
 from .ore import (
     CyclicPresentation,
     LaurentWeylOp,
@@ -131,20 +140,143 @@ def mellin_module(m: CyclicPresentation) -> CyclicPresentation:
 
 
 # ---------------------------------------------------------------------------
-# Windowed lattices in k(s).
+# Factored values on an orbit.
 # ---------------------------------------------------------------------------
 
 
-def _factor(f: RatFun) -> tuple[dict[Fraction, int], Poly, Poly]:
-    """Split a nonzero f as prod (s-a)^v(a) * num/den: its valuation map
-    at rational points, and the numerator and denominator cofactors
-    without rational roots (num keeps the leading coefficient of f)."""
-    zeros, num = linear_factors(f.num)
-    poles, den = linear_factors(f.den)
-    valuations = dict(zeros)
-    for a, m in poles.items():
-        valuations[a] = -m
-    return valuations, num, den
+class Factored:
+    """A nonzero rational function kept factored over the rational points:
+    const * prod (s - a)^exps[a] * rest.
+
+    `exps` maps points to nonzero exponents, and `rest` is None (for 1) or
+    a RatFun whose numerator and denominator are monic and have no rational
+    root.  Every value the checks build is a product of linear factors the
+    check picked, so its `rest` is None and it never meets a root search.
+    A product adds the maps, a shift moves the keys, a valuation reads
+    the map.  `from_ratfun` factors a RatFun by rational-root search, and
+    `to_ratfun` expands the value once and keeps the result.  The
+    constructor trusts its arguments to have this form and keeps the map
+    it is given.
+    """
+
+    __slots__ = ("const", "exps", "rest", "_dense")
+
+    def __init__(self, const=1, exps=None, rest=None):
+        object.__setattr__(self, "const", frac(const))
+        object.__setattr__(self, "exps", exps or {})
+        object.__setattr__(self, "rest", rest)
+        object.__setattr__(self, "_dense", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Factored values are immutable")
+
+    @classmethod
+    def from_ratfun(cls, f: RatFun) -> "Factored":
+        """Factor a nonzero RatFun by rational-root search: the one place
+        where a value is factored rather than built factored."""
+        zeros, num = linear_factors(f.num)
+        poles, den = linear_factors(f.den)  # den is monic, so is this cofactor
+        exps = dict(zeros)
+        for a, m in poles.items():
+            exps[a] = -m
+        const = num.lc
+        rest = None if num.degree == den.degree == 0 else RatFun(num * (1 / const), den)
+        out = cls(const, exps, rest)
+        object.__setattr__(out, "_dense", f)
+        return out
+
+    def __mul__(self, other: "Factored") -> "Factored":
+        exps = dict(self.exps)
+        for a, e in other.exps.items():
+            e += exps.get(a, 0)
+            if e:
+                exps[a] = e
+            else:
+                del exps[a]
+        return Factored(self.const * other.const, exps, _rest_product(self.rest, other.rest))
+
+    def __truediv__(self, other: "Factored") -> "Factored":
+        inverse = {a: -e for a, e in other.exps.items()}
+        return self * Factored(1 / other.const, inverse, _rest_inverse(other.rest))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Factored):
+            return NotImplemented
+        return (self.const == other.const and self.exps == other.exps
+                and self.rest == other.rest)
+
+    def __repr__(self) -> str:
+        return f"Factored({self.const}, {self.exps}, {self.rest})"
+
+    @property
+    def is_constant(self) -> bool:
+        return not self.exps and self.rest is None
+
+    def shift(self, k) -> "Factored":
+        """f(s + k): the factor (s - a) becomes (s - (a - k))."""
+        k = frac(k)
+        rest = None if self.rest is None else self.rest.shift(k)
+        return Factored(self.const, {a - k: e for a, e in self.exps.items()}, rest)
+
+    def valuation(self, a) -> int:
+        return self.exps.get(frac(a), 0)
+
+    def eval(self, a) -> Fraction:
+        a = frac(a)
+        out = self.const
+        for p, e in self.exps.items():
+            out *= (a - p) ** e
+        return out if self.rest is None else out * self.rest.eval(a)
+
+    def to_ratfun(self) -> RatFun:
+        if self._dense is None:
+            num, den = Poly.const(self.const), Poly.const(1)
+            for a, e in self.exps.items():
+                if e > 0:
+                    num = num * _linear_power(a, e)
+                else:
+                    den = den * _linear_power(a, -e)
+            if self.rest is not None:
+                num, den = num * self.rest.num, den * self.rest.den
+            object.__setattr__(self, "_dense", RatFun(num, den))
+        return self._dense
+
+
+def _rest_product(a: RatFun | None, b: RatFun | None) -> RatFun | None:
+    """The product of two residuals, None standing for 1."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    out = a * b
+    return None if out.num.degree == out.den.degree == 0 else out
+
+
+def _rest_inverse(a: RatFun | None) -> RatFun | None:
+    return None if a is None else RatFun(a.den, a.num)
+
+
+def _linear(a, e: int = 1) -> Factored:
+    """(s - a)^e."""
+    return Factored(1, {frac(a): e})
+
+
+_ONE = Factored()
+
+
+def _factored(f) -> Factored:
+    """f as a Factored value: a RatFun or a scalar is factored here, once."""
+    if isinstance(f, Factored):
+        return f
+    f = _ratfun(f)
+    if f.is_zero:
+        raise ValueError("zero generator in lattice")
+    return Factored.from_ratfun(f)
+
+
+# ---------------------------------------------------------------------------
+# Windowed lattices in k(s).
+# ---------------------------------------------------------------------------
 
 
 class WindowedLattice:
@@ -152,86 +284,90 @@ class WindowedLattice:
 
     Over the PID k[s] the lattice is free of rank one on its content
     generator (gcd of numerators over the common denominator).  The
-    content is kept as its valuation map {point: valuation} over the
-    rational points, which is the pointwise minimum of the generators'
-    maps, times a residual gcd(residual numerators)/lcm(residual
-    denominators) for the generator factors without a rational root (a
-    constant for every lattice the checks build).  Fiber and comparison
-    questions are dict operations on the maps.
+    generators are Factored values; a RatFun generator is factored once,
+    here.  The content is Factored too: its map is the pointwise minimum
+    of the generators' maps, and its residual is gcd(residual
+    numerators)/lcm(residual denominators), 1 for every lattice the
+    checks build.  Fiber and comparison questions are dict operations on
+    the maps.  `generators` and `content` are the RatFuns, built on first
+    use.
     """
 
-    __slots__ = ("chi", "radius", "generators", "labels", "_factors",
-                 "_valuations", "_residual", "_content")
+    __slots__ = ("chi", "radius", "labels", "_gens", "_content", "_generators")
 
     def __init__(self, chi, radius: int, generators, labels=None):
-        gens = tuple(_ratfun(g) for g in generators)
+        gens = tuple(_factored(g) for g in generators)
         if labels is None:
             labels = tuple(f"g{k}" for k in range(len(gens)))
-        if any(g.num.is_zero for g in gens):
-            raise ValueError("zero generator in lattice")
         if not gens:
             raise ValueError("empty lattice")
-        factors = tuple(_factor(g) for g in gens)
-        valuations = {}
-        for a in sorted(set().union(*(vals for vals, _, _ in factors))):
-            v = min(vals.get(a, 0) for vals, _, _ in factors)
-            if v:
-                valuations[a] = v
-        num = factors[0][1]
-        for _, rest_num, _ in factors[1:]:
-            # the monic gcd of a constant with anything is 1
-            num = poly_gcd(num, rest_num) if num.degree > 0 else Poly.const(1)
-        den = Poly.const(1)
-        for _, _, rest_den in factors:
-            if rest_den.degree > 0:
-                den = poly_lcm(den, rest_den)
+        # The pointwise minimum of the maps, a missing point counting as 0:
+        # a negative entry can come from any generator, and a positive
+        # minimum needs the point in every generator.
+        exps = {}
+        for g in gens:
+            for a, e in g.exps.items():
+                if e < exps.get(a, 0):
+                    exps[a] = e
+        for a in set(gens[0].exps).intersection(*(g.exps for g in gens[1:])):
+            v = min(g.exps[a] for g in gens)
+            if v > 0:
+                exps[a] = v
+        rest = None
+        if any(g.rest is not None for g in gens):
+            num, den = _rest_parts(gens[0].rest)
+            for g in gens[1:]:
+                rest_num, rest_den = _rest_parts(g.rest)
+                if num.degree > 0:  # both are monic, so gcd(1, p) = 1
+                    num = poly_gcd(num, rest_num)
+                if rest_den.degree > 0:
+                    den = poly_lcm(den, rest_den)
+            if num.degree > 0 or den.degree > 0:
+                rest = RatFun(num, den)
+        const = gens[0].const if len(gens) == 1 else 1
         object.__setattr__(self, "chi", frac(chi))
         object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "labels", tuple(labels))
-        object.__setattr__(self, "_factors", factors)
-        object.__setattr__(self, "_valuations", valuations)
-        object.__setattr__(self, "_residual", (num, den))
-        object.__setattr__(self, "_content", None)
+        object.__setattr__(self, "_gens", gens)
+        object.__setattr__(self, "_content", Factored(const, exps, rest))
+        object.__setattr__(self, "_generators", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("WindowedLattice is immutable")
 
     @property
+    def generators(self) -> tuple[RatFun, ...]:
+        if self._generators is None:
+            object.__setattr__(self, "_generators", tuple(g.to_ratfun() for g in self._gens))
+        return self._generators
+
+    @property
     def content(self) -> RatFun:
-        """The content generator, built from the valuation map on first use."""
-        if self._content is None:
-            num, den = self._residual
-            for a, v in self._valuations.items():
-                if v > 0:
-                    num = num * _linear_power(a, v)
-                else:
-                    den = den * _linear_power(a, -v)
-            object.__setattr__(self, "_content", RatFun(num, den))
-        return self._content
+        """The content generator, expanded from its factored form on first use."""
+        return self._content.to_ratfun()
 
     def window_points(self) -> list[Fraction]:
         return [self.chi + i for i in range(-self.radius, self.radius + 1)]
 
     def valuation(self, a) -> int:
-        return self._valuations.get(frac(a), 0)
+        return self._content.valuation(a)
 
     def contains(self, f) -> bool:
-        f = _ratfun(f)
-        if f.num.is_zero:
-            return True
-        vals, num, den = _factor(f)
-        own = self._valuations
-        if any(vals.get(a, 0) < own.get(a, 0) for a in vals.keys() | own.keys()):
+        if not isinstance(f, Factored):
+            f = _ratfun(f)
+            if f.num.is_zero:
+                return True
+            f = Factored.from_ratfun(f)
+        own = self._content
+        if any(f.exps.get(a, 0) < own.exps.get(a, 0) for a in f.exps.keys() | own.exps.keys()):
             return False
-        content_num, content_den = self._residual
-        return (den * content_num).divides(num * content_den)
+        quotient = _rest_product(f.rest, _rest_inverse(own.rest))
+        return quotient is None or quotient.is_poly
 
     def same_lattice(self, other: "WindowedLattice") -> bool:
         """Equality as submodules of k(s) (contents agree up to a rational)."""
-        p = self._residual[0] * other._residual[1]
-        q = other._residual[0] * self._residual[1]
-        return self._valuations == other._valuations and p * q.lc == q * p.lc
+        mine, theirs = self._content, other._content
+        return mine.exps == theirs.exps and mine.rest == theirs.rest
 
     def agrees_on_points(self, other: "WindowedLattice", points) -> bool:
         return all(
@@ -242,34 +378,56 @@ class WindowedLattice:
         a = frac(a)
         if abs(a - self.chi) > self.radius and (a - self.chi).denominator == 1:
             raise WindowError(f"point {a} outside window of radius {self.radius}")
-        val = self.valuation(a)
-        if val == 0 and self.contains(RatFun(1)):
-            gen, label = RatFun(1), "1"
+        if self.valuation(a) == 0 and self.contains(_ONE):
+            gen, label = _ONE, "1"
         else:
             best = None
-            for k, (vals, _, _) in enumerate(self._factors):
-                v = vals.get(a, 0)
+            for k, g in enumerate(self._gens):
+                v = g.exps.get(a, 0)
                 if best is None or v <= best[0]:
                     best = (v, k)
-            gen, label = self.generators[best[1]], self.labels[best[1]]
-        return Fiber(point=a, order=n, rank=1, length=n, generator=gen,
-                     generator_label=label)
+            gen, label = self._gens[best[1]], self.labels[best[1]]
+        return Fiber(a, n, 1, n, gen, label)
 
 
-@dataclass(frozen=True)
+def _rest_parts(rest: RatFun | None) -> tuple[Poly, Poly]:
+    if rest is None:
+        return Poly.const(1), Poly.const(1)
+    return rest.num, rest.den
+
+
+@dataclass(frozen=True, eq=False)
 class Fiber:
-    """Fiber of a windowed module at a point, over k[s]/(s-a)^n."""
+    """Fiber of a windowed module at a point, over k[s]/(s-a)^n.  A lattice
+    fiber keeps its generator Factored; `generator` is its RatFun, built
+    on first use."""
 
     point: Fraction
     order: int
     rank: int
     length: int
-    generator: RatFun | None = None
+    _generator: Factored | RatFun | None = None
     generator_label: str | None = None
+
+    @property
+    def generator(self) -> RatFun | None:
+        g = self._generator
+        return g.to_ratfun() if isinstance(g, Factored) else g
 
     @property
     def is_zero(self) -> bool:
         return self.length == 0
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Fiber):
+            return NotImplemented
+        return (self.point, self.order, self.rank, self.length, self.generator,
+                self.generator_label) == (other.point, other.order, other.rank,
+                                          other.length, other.generator,
+                                          other.generator_label)
+
+    def __hash__(self) -> int:
+        return hash((self.point, self.order, self.rank, self.length, self.generator_label))
 
 
 # ---------------------------------------------------------------------------
@@ -282,39 +440,43 @@ class LadderFamily:
 
     The s-action is literal multiplication; the shift action is recorded
     as index translation, which is semilinear but in general is not
-    argument translation on the functions.
+    argument translation on the functions.  The f_j are kept Factored;
+    `func` returns the RatFun, built on first use.
     """
 
-    __slots__ = ("label", "chi", "radius", "funcs", "_lattice")
+    __slots__ = ("label", "chi", "radius", "_values", "_lattice")
 
-    def __init__(self, label: str, funcs: dict[int, RatFun], chi=0):
+    def __init__(self, label: str, funcs: dict[int, Factored | RatFun], chi=0):
         radius = max(abs(j) for j in funcs)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "chi", frac(chi))
         object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "funcs", dict(funcs))
+        object.__setattr__(self, "_values", {j: _factored(f) for j, f in funcs.items()})
         object.__setattr__(self, "_lattice", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LadderFamily is immutable")
 
-    def func(self, j: int) -> RatFun:
-        if j not in self.funcs:
+    def _value(self, j: int) -> Factored:
+        if j not in self._values:
             raise WindowError(f"ladder index {j} outside window")
-        return self.funcs[j]
+        return self._values[j]
+
+    def func(self, j: int) -> RatFun:
+        return self._value(j).to_ratfun()
 
     def indices(self) -> list[int]:
-        return sorted(self.funcs)
+        return sorted(self._values)
 
     def as_lattice(self) -> WindowedLattice:
         """The lattice spanned by the window, built on the first call and
-        kept: its content costs a gcd/lcm sweep over every generator."""
+        kept."""
         if self._lattice is None:
             idx = self.indices()
             object.__setattr__(self, "_lattice", WindowedLattice(
                 self.chi,
                 self.radius,
-                [self.funcs[j] for j in idx],
+                [self._values[j] for j in idx],
                 [f"{self.label}[{j}]" for j in idx],
             ))
         return self._lattice
@@ -326,18 +488,18 @@ class LadderFamily:
 def pole_ladder(radius: int) -> LadderFamily:
     """Kernel-module realization: f_j = 1/(s+j+1), shift = index step,
     which here coincides with argument translation."""
-    funcs = {j: RatFun(1, Poly((j + 1, 1))) for j in range(-radius, radius + 1)}
+    funcs = {j: _linear(-j - 1, -1) for j in range(-radius, radius + 1)}
     return LadderFamily("b", funcs)
 
 
 def exp_ladder(radius: int) -> LadderFamily:
     """Exponential-module realization: f_0 = 1 and f_{j+1} = (s+j+1) f_j,
     so f_j is a product of ascending linear factors (or their reciprocal)."""
-    funcs = {0: RatFun(1)}
+    funcs = {0: _ONE}
     for j in range(0, radius):
-        funcs[j + 1] = funcs[j] * Poly((j + 1, 1))
+        funcs[j + 1] = funcs[j] * _linear(-j - 1)
     for j in range(0, -radius, -1):
-        funcs[j - 1] = funcs[j] * RatFun(1, Poly((j, 1)))
+        funcs[j - 1] = funcs[j] * _linear(-j, -1)
     return LadderFamily("e", funcs)
 
 
@@ -347,11 +509,11 @@ def twisted_exp_ladder(radius: int, variant: str = "affine") -> LadderFamily:
     if variant not in ("affine", "plain"):
         raise ValueError(f"unknown twist variant {variant!r}")
     c = 1 if variant == "affine" else 0
-    funcs = {0: RatFun(1)}
+    funcs = {0: _ONE}
     for j in range(0, radius):
-        funcs[j + 1] = funcs[j] * RatFun(1, Poly((j + c, 1)))
+        funcs[j + 1] = funcs[j] * _linear(-j - c, -1)
     for j in range(0, -radius, -1):
-        funcs[j - 1] = funcs[j] * Poly((j - 1 + c, 1))
+        funcs[j - 1] = funcs[j] * _linear(1 - j - c)
     return LadderFamily(f"e~{variant[0]}", funcs)
 
 
@@ -360,7 +522,8 @@ def embed_in_Ks(m: CyclicPresentation, image_of_generator, N: int) -> WindowedLa
 
     The image must be annihilated by every relation under the right
     action; the returned lattice is generated by the shifted images whose
-    poles stay inside the window.
+    poles stay inside the window.  The image is factored once, and its
+    shifts move the factored value.
     """
     if m.algebra != "shift":
         raise UnsupportedInputError("embedding is defined for shift presentations")
@@ -373,9 +536,14 @@ def embed_in_Ks(m: CyclicPresentation, image_of_generator, N: int) -> WindowedLa
             raise NotAMorphismError(
                 f"relation {r} does not annihilate the image: got {got}"
             )
-    poles = rational_roots(f.den)
+    image = Factored.from_ratfun(f)
+    if image.rest is not None and image.rest.den.degree > 0:
+        raise UnsupportedInputError(
+            f"nonconstant factor without rational roots: {image.rest.den}"
+        )
+    poles = [a for a, e in image.exps.items() if e < 0]
     if poles:
-        offsets = sorted(set(poles))
+        offsets = sorted(poles)
         chi = offsets[0] - _floor(offsets[0])
         rel_offsets = [p - chi for p in offsets]
         if any(o.denominator != 1 for o in rel_offsets):
@@ -387,7 +555,7 @@ def embed_in_Ks(m: CyclicPresentation, image_of_generator, N: int) -> WindowedLa
     else:
         chi = Fraction(0)
         k_lo, k_hi = -N, N
-    gens = [f.shift(k) for k in range(k_lo, k_hi + 1)]
+    gens = [image.shift(k) for k in range(k_lo, k_hi + 1)]
     labels = [f"g*T^{k}" for k in range(k_lo, k_hi + 1)]
     return WindowedLattice(chi, N, gens, labels)
 
@@ -464,13 +632,16 @@ def _normalize_chi(chi) -> Fraction:
     return Fraction(0) if chi.denominator == 1 else chi
 
 
+def _require_at_least(name: str, value: int, low: int) -> None:
+    """Refuse a parameter below `low`, which would leave nothing to check."""
+    if value < low:
+        raise UnsupportedInputError(f"{name} {value} must be at least {low}")
+
+
 def _require_window(n: int, N: int) -> None:
-    """Refuse a pole or fiber order n < 1 and a window radius N < 0, which
-    would leave nothing to check."""
-    if n < 1:
-        raise UnsupportedInputError(f"order n = {n} must be at least 1")
-    if N < 0:
-        raise UnsupportedInputError(f"window radius {N} must be at least 0")
+    """Refuse a pole or fiber order n < 1 and a window radius N < 0."""
+    _require_at_least("order n =", n, 1)
+    _require_at_least("window radius", N, 0)
 
 
 def orbit_pole_lattice(chi: Fraction, n: int, N: int) -> WindowedLattice:
@@ -478,7 +649,7 @@ def orbit_pole_lattice(chi: Fraction, n: int, N: int) -> WindowedLattice:
     _require_window(n, N)
     gens, labels = [], []
     for i in range(-N, N + 1):
-        gens.append(RatFun(Poly.const(1), _linear_power(chi + i, n)))
+        gens.append(_linear(chi + i, -n))
         labels.append(f"1/(s-({chi + i}))^{n}")
     return WindowedLattice(chi, N, gens, labels)
 
@@ -488,7 +659,8 @@ def orbit_decomposition_check(chi, n: int, N: int, samples: int = 5) -> dict:
     splits, modulo polynomials, as the direct sum of its principal parts.
 
     Random combinations of the natural basis are decomposed by partial
-    fractions and the coefficients must round-trip exactly.
+    fractions at the known poles and the coefficients must round-trip
+    exactly.
     """
     import random
 
@@ -496,6 +668,7 @@ def orbit_decomposition_check(chi, n: int, N: int, samples: int = 5) -> dict:
     chi = _normalize_chi(chi)
     rng = random.Random(20260823)
     points = [chi + i for i in range(-N, N + 1)]
+    poles = dict.fromkeys(points, n)
     den = Poly.const(1)
     for i in range(-N, N + 1):
         den = den * _linear_power(chi + i, n)
@@ -511,8 +684,7 @@ def orbit_decomposition_check(chi, n: int, N: int, samples: int = 5) -> dict:
         for key, c in table.items():
             if c:
                 num = num + cofactors[key] * Poly.const(c)
-        f = RatFun(num, den)
-        _, parts = partial_fractions(f)
+        _, parts = _partial_fractions(num, den, poles)
         got = {}
         for a, coefs in parts:
             i = int(a - chi)
@@ -566,6 +738,7 @@ def windowed_equivariant(m: CyclicPresentation, N: int) -> EquivariantModule:
     window translates of the defining relation."""
     if m.algebra != "shift":
         raise UnsupportedInputError("windowing is defined for shift presentations")
+    _require_at_least("window radius", N, 0)
     rel = m.single_relation()
     nrows = 2 * N + 1
     if rel is None:
@@ -667,7 +840,7 @@ def _tensor_sky_line(fam: SkyscraperFamily, line) -> SkyscraperFamily:
     if line.radius < fam.radius:
         raise WindowError("window mismatch in tensor product")
     exponents, labels, units = {}, {}, {}
-    gens: dict[int, RatFun] = {}
+    gens: dict[int, Factored] = {}
     for i in range(-fam.radius, fam.radius + 1):
         e = fam.exponent_at(i)
         exponents[i] = e
@@ -676,7 +849,7 @@ def _tensor_sky_line(fam: SkyscraperFamily, line) -> SkyscraperFamily:
         fib = line.fiber(fam.chi + i, e)
         if fib.rank != 1:
             raise UnsupportedInputError("line factor is not locally free rank 1")
-        gens[i] = fib.generator
+        gens[i] = fib._generator
         labels[i] = f"{fam.labels.get(i, '?')} (x) {fib.generator_label}"
     for i in range(-fam.radius + 1, fam.radius + 1):
         base = fam.down_units.get(i)
@@ -687,15 +860,11 @@ def _tensor_sky_line(fam: SkyscraperFamily, line) -> SkyscraperFamily:
             # one at chi+i-1 on the nose for the canonical ladders.
             unit = Fraction(1)
         else:
-            shifted = gens[i].shift(1)
-            ratio = RatFun(
-                shifted.num * gens[i - 1].den, shifted.den * gens[i - 1].num
-            )
+            ratio = gens[i].shift(1) / gens[i - 1]
             point = fam.chi + i - 1
-            if ratio.valuation_at(point) != 0:
+            if ratio.valuation(point) != 0:
                 raise UnsupportedInputError("shift does not carry generator to generator")
-            unit_val = ratio.eval(point)
-            unit = unit_val
+            unit = ratio.eval(point)
         units[i] = base * unit
     return SkyscraperFamily(fam.chi, fam.radius, exponents, labels, units)
 
@@ -754,27 +923,20 @@ def hom_to_free_vanishes(m: WindowedLattice, degree_bound: int):
     Returns (verdict, witness) where a witness is a nonzero admissible
     list of generator images.
     """
+    _require_at_least("degree bound", degree_bound, 0)
     if m.radius <= degree_bound:
         raise WindowError("window radius must exceed the degree bound")
-    content = m._valuations
-    content_num, content_den = m._residual
-    quotients = []
-    for vals, num, den in m._factors:
-        exponents = {a: vals.get(a, 0) - content.get(a, 0) for a in vals.keys() | content.keys()}
-        rest, r = divmod(num * content_den, den * content_num)
-        if not r.is_zero or any(e < 0 for e in exponents.values()):
+    quotients = [g / m._content for g in m._gens]
+    for q in quotients:
+        if any(e < 0 for e in q.exps.values()) or not (q.rest is None or q.rest.is_poly):
             raise AssertionError("generator/content must be polynomial")
-        quotients.append((exponents, rest))
-    max_degree = max(sum(exps.values()) + rest.degree for exps, rest in quotients)
+    max_degree = max(
+        sum(q.exps.values()) + (0 if q.rest is None else q.rest.num.degree)
+        for q in quotients
+    )
     if max_degree > degree_bound:
         return True, None
-    images = []
-    for exponents, rest in quotients:
-        for a in sorted(exponents):
-            if exponents[a]:
-                rest = rest * _linear_power(a, exponents[a])
-        images.append(rest)
-    return False, images
+    return False, [q.to_ratfun().num for q in quotients]
 
 
 def localization_identity_check(m: WindowedLattice, test_points) -> bool:
@@ -788,8 +950,9 @@ def localization_identity_check(m: WindowedLattice, test_points) -> bool:
         if m.valuation(a) != 0:
             raise OrbitPointError(f"test point {a} lies in the pole set")
     window = set(m.window_points())
-    if m._residual[0].degree != 0 or any(
-        v > 0 and a not in window for a, v in m._valuations.items()
+    content = m._content
+    if (content.rest is not None and content.rest.num.degree != 0) or any(
+        v > 0 and a not in window for a, v in content.exps.items()
     ):
         return False
     return all(m.valuation(frac(a)) == 0 for a in test_points)
@@ -823,9 +986,9 @@ def skyscraper_freeness_check(mod_kind: str, chi, n: int, N: int) -> dict:
     for i in range(-N, N + 1):
         a = chi + i
         j = -i - 1
-        named = ladder.func(j)
+        named = ladder._value(j)
         named_label = f"{ladder.label}[{j}]"
-        v_named = named.valuation_at(a)
+        v_named = named.valuation(a)
         v_content = lattice.valuation(a)
         free = v_named == v_content
         all_free = all_free and free
@@ -844,19 +1007,19 @@ def skyscraper_freeness_check(mod_kind: str, chi, n: int, N: int) -> dict:
     ladder_law = True
     if kind == "exp":
         for i in range(-N, N + 1):
-            lhs = ladder.func(-i)
-            rhs = ladder.func(-i - 1) * Poly((-i, 1))
+            lhs = ladder._value(-i)
+            rhs = ladder._value(-i - 1) * _linear(i)
             if lhs != rhs:
                 ladder_law = False
     else:
         for i in range(-N, N + 1):
             # The named generator at chi+i is 1/(s-i); (s-i) times it is 1.
-            prod = ladder.func(-i - 1) * Poly((-i, 1))
-            if prod != RatFun(1):
+            prod = ladder._value(-i - 1) * _linear(i)
+            if prod != _ONE:
                 ladder_law = False
     shift_ok = True
     for i in range(-N + 1, N + 1):
-        if ladder.func(-i - 1 + 1) != ladder.func(-(i - 1) - 1):
+        if ladder._value(-i - 1 + 1) != ladder._value(-(i - 1) - 1):
             shift_ok = False
         units[i] = Fraction(1)
     verdict = all_free and ladder_law and shift_ok
@@ -888,7 +1051,7 @@ def monodromization_check(chi, n: int, N: int) -> dict:
         iso = _family_isomorphism(tensored, tower)
         results[kind] = iso
         overall = overall and iso["verdict"]
-    control_line = WindowedLattice(chi, N + 1, [RatFun(1)], ["1"])
+    control_line = WindowedLattice(chi, N + 1, [_ONE], ["1"])
     control = _family_isomorphism(tensor_equivariant(tower, control_line), tower)
     results["control_free"] = control
     overall = overall and control["verdict"]
@@ -960,7 +1123,7 @@ def exp_square_check(N: int, variant: str = "affine", control: bool = False) -> 
     labels = []
     for a in range(-N, N + 1):
         for b in range(-N, N + 1):
-            products.append(left.func(a) * right.func(b))
+            products.append(left._value(a) * right._value(b))
             labels.append(f"{left.label}[{a}]*{right.label}[{b}]")
     full = WindowedLattice(0, N, products, labels)
     target = pole_ladder(N).as_lattice()
@@ -970,9 +1133,9 @@ def exp_square_check(N: int, variant: str = "affine", control: bool = False) -> 
     relation_witnesses = []
     for a in range(-2, 3):
         for b in range(-2, 3):
-            cand = left.func(a) * right.func(b)
-            lhs = cand * Poly((1, 1))
-            rhs = left.func(a - 1) * right.func(b - 1) * Poly.x()
+            cand = left._value(a) * right._value(b)
+            lhs = cand * _linear(-1)
+            rhs = left._value(a - 1) * right._value(b - 1) * _linear(0)
             relation_ok = lhs == rhs
             stage = {"relation": relation_ok}
             if relation_ok:
@@ -982,7 +1145,7 @@ def exp_square_check(N: int, variant: str = "affine", control: bool = False) -> 
                     for k in range(-2 * N, 2 * N + 1)
                     if -N <= a + k <= N and -N <= b + k <= N
                 ]
-                orbit = {k: left.func(a + k) * right.func(b + k) for k in ks}
+                orbit = {k: left._value(a + k) * right._value(b + k) for k in ks}
                 orbit_lat = WindowedLattice(
                     0,
                     N,
@@ -990,13 +1153,12 @@ def exp_square_check(N: int, variant: str = "affine", control: bool = False) -> 
                     [f"T^{k}(g)" for k in ks],
                 )
                 stage["generates"] = orbit_lat.agrees_on_points(full, interior)
-                values = {k: orbit[k] * Poly((k + 1, 1)) for k in ks}
-                vals = list(values.values())
+                vals = [orbit[k] * _linear(-k - 1) for k in ks]
                 same = all(v == vals[0] for v in vals)
-                const = same and vals[0].den.degree == 0 and vals[0].num.degree <= 0
+                const = same and vals[0].is_constant
                 stage["kernel_match"] = same and const
                 if const:
-                    stage["unit"] = str(vals[0].eval(0))
+                    stage["unit"] = str(vals[0].const)
                 stage["target_agrees"] = orbit_lat.agrees_on_points(target, interior)
                 if stage["generates"] and stage["kernel_match"] and witness is None:
                     witness = (a, b)

@@ -235,12 +235,12 @@ class _WeylBase(ExactValue):
 
     @classmethod
     def x(cls, i: int = 0, rank: int = 1) -> "_WeylBase":
-        alpha = tuple(1 if k == i else 0 for k in range(rank))
+        alpha = _coordinate(i, rank)
         return cls._unit(rank, alpha, (0,) * rank, Fraction(1))
 
     @classmethod
     def dx(cls, i: int = 0, rank: int = 1) -> "_WeylBase":
-        beta = tuple(1 if k == i else 0 for k in range(rank))
+        beta = _coordinate(i, rank)
         return cls._unit(rank, (0,) * rank, beta, Fraction(1))
 
     @classmethod
@@ -382,6 +382,15 @@ class LaurentWeylOp(_WeylBase):
     @classmethod
     def x_power(cls, a: int, c: Scalar = 1) -> "LaurentWeylOp":
         return cls(1, {((a,), (0,)): c})
+
+
+def _coordinate(i: int, rank: int) -> tuple[int, ...]:
+    """The multi-index of the i-th coordinate at the given rank."""
+    if rank < 1:
+        raise ValueError(f"rank {rank} must be at least 1")
+    if not 0 <= i < rank:
+        raise ValueError(f"coordinate {i} outside 0..{rank - 1}")
+    return tuple(1 if k == i else 0 for k in range(rank))
 
 
 def _require_rank(cls, rank: int) -> None:

@@ -345,15 +345,24 @@ def partial_fractions(
     Poles are sorted ascending. Raises UnsupportedInputError when the
     denominator has a factor without rational roots.
     """
-    poly_part, rem = divmod(f.num, f.den)
+    return _partial_fractions(f.num, f.den, rational_roots(f.den))
+
+
+def _partial_fractions(
+    num: Poly, den: Poly, poles: dict[Fraction, int]
+) -> tuple[Poly, list[tuple[Fraction, tuple[Fraction, ...]]]]:
+    """partial_fractions of num/den, for a den that is a constant times
+    prod (s - a)^poles[a]; num and den need not be coprime, and a
+    coefficient of a pole that cancels comes out 0.  A wrong pole map
+    fails the recombination guard."""
+    poly_part, rem = divmod(num, den)
     if rem.is_zero:
         return poly_part, []
-    den_roots = rational_roots(f.den)
-    rem_c, den_c = plain_coeffs(rem), plain_coeffs(f.den)
+    rem_c, den_c = plain_coeffs(rem), plain_coeffs(den)
     parts: list[tuple[Fraction, tuple[Fraction, ...]]] = []
     cofactors = []
-    for a in sorted(den_roots):
-        m = den_roots[a]
+    for a in sorted(poles):
+        m = poles[a]
         pa = plain(a)
         g = den_c
         for _ in range(m):
@@ -363,20 +372,20 @@ def partial_fractions(
         # give the principal part: coefficient of 1/(s-a)^k is h[m-k].
         h = _series_quotient(taylor_coeffs(rem_c, pa, m), taylor_coeffs(g, pa, m), m)
         parts.append((a, tuple(h[m - k] for k in range(1, m + 1))))
-    # Exactness guard: recombination must reproduce f.  Checked as a
+    # Exactness guard: recombination must reproduce num/den.  Checked as a
     # polynomial identity over the common denominator to avoid
     # normalizing intermediate sums; the cofactors den/(s-a)^k are
     # multiplied up from den/(s-a)^m, and must arrive back at den.
-    acc = poly_part * f.den
+    acc = poly_part * den
     for (a, coefs), cofactor in zip(parts, cofactors):
         lin = Poly((-a, 1))
         for c in reversed(coefs):
             if c:
                 acc = acc + cofactor * c
             cofactor = cofactor * lin
-        if cofactor != f.den:
+        if cofactor != den:
             raise AssertionError("partial fraction cofactor mismatch")
-    if acc != f.num:
+    if acc != num:
         raise AssertionError("partial fraction recombination mismatch")
     return poly_part, parts
 

@@ -175,7 +175,21 @@ class TestRunCheck:
 
         monkeypatch.setattr(mellin, "WindowedLattice", work)
         monkeypatch.setattr(mellin, "SkyscraperFamily", work)
-        monkeypatch.setattr(mellin, "partial_fractions", work)
+        monkeypatch.setattr(mellin, "_partial_fractions", work)
+        with pytest.raises(UnsupportedInputError, match=message):
+            checks.run_check(check_id, params)
+
+
+    # a negative window or degree bound gave a vacuous pass
+    @pytest.mark.parametrize("check_id, params, first_work, message", [
+        ("mon-test", {"window": -1}, (mellin, "monodromic_test"), "window radius -1"),
+        ("propDmod1", {"degree_bound": -1}, (mellin.Factored, "__truediv__"), "degree bound -1"),
+    ])
+    def test_vacuous_mellin_inputs_refused(self, monkeypatch, check_id, params, first_work, message):
+        def work(*args, **kwargs):
+            raise AssertionError("the engine ran on refused input")
+
+        monkeypatch.setattr(*first_work, work)
         with pytest.raises(UnsupportedInputError, match=message):
             checks.run_check(check_id, params)
 

@@ -191,6 +191,18 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "nonsense")
         assert code == 1 and err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("appendix-augmentation", "--ell", "0"), "ell must be prime, got 0"),
+        (("appendix-augmentation", "--n", "0"), "levels 0"),
+        (("mon-test", "--window", "-1"), "window radius -1 must be at least 0"),
+        (("propDmod1", "--degree-bound", "-1"), "degree bound -1 must be at least 0"),
+    ])
+    def test_refused_input_exits_1_without_traceback(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
     def test_pretty_shows_statement(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "appendix-tensor", "--pretty")
         assert code == 0

@@ -12,7 +12,7 @@ from itertools import product
 import pytest
 
 from monofour import checks, groupalg
-from monofour.scalars import int_smith
+from monofour.scalars import UnsupportedInputError, int_smith
 from monofour.groupalg import (
     GroupAlgebraElem,
     TwistedRankOneModule,
@@ -239,6 +239,23 @@ class TestAugmentationKernel:
             "cofactor": "1 + t",
             "verified": True,
         }
+
+
+class TestAugmentationLevels:
+    # ell = 0 and n = 0 divided by zero, r = -1 failed on a Fraction
+    # modulus; each is now refused before any work runs
+    @pytest.mark.parametrize("ell, r, n, message", [
+        (0, 2, 3, "ell must be prime"),
+        (2, 2, 0, "levels 0"),
+        (2, -1, 3, "r = -1"),
+    ])
+    def test_bad_levels_refused(self, monkeypatch, ell, r, n, message):
+        def work(*args, **kwargs):
+            raise AssertionError("the engine ran on refused input")
+
+        monkeypatch.setattr(groupalg, "solve_mod_kernel", work)
+        with pytest.raises(UnsupportedInputError, match=message):
+            augmentation_kernel_check(ell, r, n)
 
 
 class TestProNzd:

@@ -10,9 +10,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monofour.mellin import (
     EquivariantModule,
+    Factored,
     Fiber,
     LadderFamily,
     NotAMorphismError,
@@ -788,3 +790,180 @@ class TestFourierBMonodromic:
     def test_kernel_presentation_mellin_image(self):
         sh = mellin_module(weyl_kernel_module())
         assert sh.single_relation() == kernel_module().single_relation()
+
+
+# ---------------------------------------------------------------------------
+# Factored values against dense RatFun arithmetic.
+# ---------------------------------------------------------------------------
+
+ORBITS = [Fraction(0), Fraction(1, 2), Fraction(1, 3)]
+OFF_ORBIT = [Fraction(2, 5), Fraction(-7, 3), Fraction(11, 4), Fraction(-1, 7)]
+# monic, coprime, without a rational root: the residuals a user's input may carry
+RESIDUALS = [
+    None,
+    RatFun(Poly((1, 0, 1))),  # s^2 + 1
+    RatFun(1, Poly((2, 0, 1))),  # 1/(s^2 + 2)
+    RatFun(Poly((1, 1, 1)), Poly((3, 0, 1))),  # (s^2 + s + 1)/(s^2 + 3)
+]
+
+
+@st.composite
+def factored_values(draw, chi=None):
+    chi = draw(st.sampled_from(ORBITS)) if chi is None else chi
+    points = [chi + i for i in range(-4, 5)] + OFF_ORBIT
+    exps = {}
+    for a in draw(st.lists(st.sampled_from(points), max_size=5, unique=True)):
+        exps[a] = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    const = Fraction(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 7)))
+    return Factored(const, exps, draw(st.sampled_from(RESIDUALS)))
+
+
+def dense(v: Factored) -> RatFun:
+    """The value by dense RatFun products, one linear factor at a time."""
+    out = RatFun(v.const)
+    for a, e in v.exps.items():
+        lin = RatFun(Poly((-a, 1)))
+        for _ in range(abs(e)):
+            out = out * lin if e > 0 else out / lin
+    return out if v.rest is None else out * v.rest
+
+
+SHIFTS = st.sampled_from([-3, -1, 1, 2, Fraction(1, 2), Fraction(-2, 3)])
+POINTS = st.sampled_from(
+    [Fraction(k, d) for k in range(-6, 7) for d in (1, 2, 3, 5)]
+)
+
+
+class TestFactored:
+    @settings(max_examples=150, deadline=None)
+    @given(factored_values())
+    def test_expansion_and_round_trip(self, v):
+        f = dense(v)
+        assert v.to_ratfun() == f
+        assert v.to_ratfun() is v.to_ratfun()
+        assert Factored.from_ratfun(f) == v
+        assert v.is_constant == (f.num.degree <= 0 and f.den.degree == 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(factored_values(), factored_values())
+    def test_product_and_quotient(self, u, v):
+        assert (u * v).to_ratfun() == dense(u) * dense(v)
+        assert (u / v).to_ratfun() == dense(u) / dense(v)
+        assert (u == v) == (dense(u) == dense(v))
+        assert u / u == Factored()
+
+    @settings(max_examples=150, deadline=None)
+    @given(factored_values(), SHIFTS)
+    def test_shift_moves_the_keys(self, v, k):
+        shifted = v.shift(k)
+        assert shifted.to_ratfun() == dense(v).shift(k)
+        assert {a + k for a in shifted.exps} == set(v.exps)
+
+    @settings(max_examples=150, deadline=None)
+    @given(factored_values(), POINTS)
+    def test_valuation_and_eval(self, v, a):
+        f = dense(v)
+        for p in [a, *v.exps]:
+            assert v.valuation(p) == f.valuation_at(p)
+        if v.valuation(a) < 0:
+            with pytest.raises(ZeroDivisionError):
+                v.eval(a)
+        else:
+            assert v.eval(a) == f.eval(a)
+
+    def test_lattice_of_factored_and_dense_generators_agree(self):
+        rng = random.Random(20260823)
+        for chi in ORBITS:
+            gens = []
+            for _ in range(4):
+                exps = {chi + rng.randint(-3, 3): rng.choice([-2, -1, 1, 2]) for _ in range(3)}
+                gens.append(Factored(rng.randint(1, 5), exps, rng.choice(RESIDUALS)))
+            factored = WindowedLattice(chi, 4, gens)
+            dense_lat = WindowedLattice(chi, 4, [dense(g) for g in gens])
+            assert factored.generators == dense_lat.generators
+            assert factored.content == dense_lat.content
+            assert factored.same_lattice(dense_lat)
+            for a in factored.window_points() + OFF_ORBIT:
+                assert factored.fiber(a, 2) == dense_lat.fiber(a, 2)
+
+    def test_common_zero_takes_the_least_order(self):
+        s = Poly.x()
+        lat = WindowedLattice(0, 3, [
+            RatFun(s**2 * s_plus(-1)),
+            RatFun(s**3, s_plus(2)),
+            RatFun(s**4 * s_plus(-1), s_plus(2) ** 2),
+        ])
+        assert assert_matches_reference(lat) == RatFun(s**2, s_plus(2) ** 2)
+        assert lat.valuation(0) == 2 and lat.valuation(1) == 0
+
+    def test_ladder_values_expand_to_their_recurrences(self):
+        for ladder in (pole_ladder(5), exp_ladder(5), twisted_exp_ladder(5),
+                       twisted_exp_ladder(5, "plain")):
+            for j in ladder.indices():
+                assert ladder.func(j) == dense(ladder._value(j))
+
+
+class TestTensorUnits:
+    def test_shift_unit_is_the_ratio_of_fiber_generators(self):
+        # g_k = c_k/(s - k) generates the fiber at k, and T carries g_k to
+        # (c_k/c_(k-1)) g_(k-1), so the tensored tower records that unit.
+        consts = {k: Fraction(k + 5, 7 - k) for k in range(-3, 4)}
+        gens = [RatFun(Poly.const(consts[k]), s_plus(-k)) for k in range(-3, 4)]
+        line = WindowedLattice(0, 3, gens)
+        tower = skyscraper_tower(0, 2, 3)
+        t = tensor_equivariant(tower, line)
+        assert t.down_units == {k: consts[k] / consts[k - 1] for k in range(-2, 4)}
+        assert tensor_equivariant(line, tower) == t
+
+
+def _count_linear_factors(monkeypatch) -> dict:
+    """Count ratfun.linear_factors calls through every module-level
+    binding of it in the package."""
+    import sys
+
+    from monofour.scalars import ratfun
+
+    calls = {"n": 0}
+    original = ratfun.linear_factors
+
+    def counting(p):
+        calls["n"] += 1
+        return original(p)
+
+    for name, module in list(sys.modules.items()):
+        if name == "monofour" or name.startswith("monofour."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+class TestNoRootSearchOnBuiltValues:
+    def test_quick_mellin_rows_make_no_root_search(self, monkeypatch):
+        calls = _count_linear_factors(monkeypatch)
+        rows = 0
+        for check_id, params in checks.profile_tasks("quick"):
+            spec = checks.CHECKS[check_id]
+            if spec.engine.startswith("mellin.") and check_id != "mellin-b-embed":
+                assert checks.run_check(check_id, params).verdict in ("pass", "diagnostic")
+                rows += 1
+        assert rows == 41
+        assert calls["n"] == 0
+
+    def test_embedding_factors_the_image_once(self, monkeypatch):
+        calls = _count_linear_factors(monkeypatch)
+        lat = embed_in_Ks(kernel_module(), B_GEN, 6)
+        assert calls["n"] == 2  # the image's numerator and denominator
+        # the pole at -1 moves over the window -6..6
+        assert lat.generators == tuple(RatFun(1, s_plus(c)) for c in range(-6, 7))
+        assert calls["n"] == 2
+
+    def test_user_ratfun_is_factored_at_the_boundary(self, monkeypatch):
+        calls = _count_linear_factors(monkeypatch)
+        lat = WindowedLattice(0, 3, [RatFun(Poly.x()), RatFun(Poly.x() * s_plus(1))])
+        assert calls["n"] == 4
+        assert lat.fiber(Fraction(1, 2)).generator_label == "g1"
+        assert lat.fiber(-1).generator_label == "g0"
+        assert lat.contains(Factored()) is False
+        assert calls["n"] == 4
+        assert lat.contains(RatFun(Poly.x() * 3)) and calls["n"] == 6

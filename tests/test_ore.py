@@ -271,6 +271,29 @@ class TestInversionTwist:
         assert inversion_twist(rel) == S - Ti
 
 
+class TestGeneratorRange:
+    # x(i, rank) and dx(i, rank) returned 1 for a coordinate outside the rank
+    @pytest.mark.parametrize("cls", [WeylOp, LaurentWeylOp])
+    @pytest.mark.parametrize("make", ["x", "dx"])
+    @pytest.mark.parametrize("i, rank, message", [
+        (5, 1, "coordinate 5 outside 0..0"),
+        (-1, 1, "coordinate -1 outside 0..0"),
+        (1, 1, "coordinate 1 outside 0..0"),
+        (0, 0, "rank 0 must be at least 1"),
+        (0, -2, "rank -2 must be at least 1"),
+    ])
+    def test_out_of_range_refused(self, cls, make, i, rank, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            getattr(cls, make)(i, rank)
+
+    def test_weyl_coordinates_beyond_rank_one(self):
+        with pytest.raises(ValueError, match="coordinate 5 outside 0..1"):
+            WeylOp.x(5, 2)
+        with pytest.raises(ValueError, match="coordinate 2 outside 0..1"):
+            WeylOp.dx(2, 2)
+        assert str(WeylOp.x(1, 3) * WeylOp.dx(2, 3)) == "x2*dx3"
+
+
 class TestHelpers:
     def test_to_laurent(self):
         w = X * DX + 2

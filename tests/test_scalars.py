@@ -314,6 +314,48 @@ class TestSyntheticDivisionKernel:
             assert partial_fractions(f) == reference_partial_fractions(f)
 
 
+class TestKnownPoleKernel:
+    """The partial-fraction kernel on a known pole map, against the root
+    search of partial_fractions on the reduced quotient."""
+
+    def test_unreduced_input_matches_reduced_root_search(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            poles = {}
+            for _ in range(rng.randint(1, 4)):
+                poles[Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))] = rng.randint(1, 3)
+            den = _product([(a.numerator, a.denominator, m) for a, m in poles.items()])
+            num = _random_poly(rng, rng.randint(0, den.degree + 2))
+            if rng.random() < 0.5:  # cancel part of a pole
+                a = rng.choice(sorted(poles))
+                num = num * Poly((-a, 1)) ** rng.randint(1, poles[a])
+            poly_part, parts = ratfun._partial_fractions(num, den, poles)
+            ref_poly, ref_parts = partial_fractions(RatFun(num, den))
+            assert poly_part == ref_poly
+            assert [a for a, _ in parts] in ([], sorted(poles))
+            trimmed = {}
+            for a, coefs in parts:
+                coefs = list(coefs)
+                while coefs and not coefs[-1]:
+                    coefs.pop()
+                if coefs:
+                    trimmed[a] = tuple(coefs)
+            assert trimmed == dict(ref_parts)
+
+    def test_wrong_pole_map_fails_the_guard(self):
+        f = RatFun(S**3 + 2, (S - 1) ** 2 * (2 * S + 1) * S)
+        poles = rational_roots(f.den)
+        assert ratfun._partial_fractions(f.num, f.den, poles) == partial_fractions(f)
+        for wrong in (
+            {a: m for a, m in poles.items() if a != 1},
+            poles | {Fraction(1): 1},
+            poles | {Fraction(1): 3},
+            poles | {Fraction(5): 1},
+        ):
+            with pytest.raises((AssertionError, ZeroDivisionError)):
+                ratfun._partial_fractions(f.num, f.den, wrong)
+
+
 class TestSmith:
     def test_single_entry(self):
         _, d, _ = poly_smith([[S]])
