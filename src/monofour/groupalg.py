@@ -8,10 +8,10 @@ transition maps of the pro-system (so t-1 becomes a non-zero-divisor
 in the limit), unit groups map onto unit groups along transitions, and
 twist indices of formal rank-one modules add under tensor.
 
-All verifications are exact: subgroup orders and membership questions
-over Z/l^r reduce to Hermite triangularisation mod l^r, kernels to
-integer Smith normal forms, and unit tests to polynomial gcds over the
-residue field F_l.
+All verifications are exact: subgroup orders, membership questions and
+kernels over Z/l^r reduce to Hermite triangularisation mod l^r, each
+kernel with a certificate checked at run time, and unit tests to
+polynomial gcds over the residue field F_l.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import gcd, isqrt
 
-from .scalars import UnsupportedInputError, int_smith
+from .scalars import UnsupportedInputError
 from .scalars.ffield import fp_rem
 
 
@@ -146,34 +146,48 @@ def transition(a: GroupAlgebraElem, n_target: int) -> GroupAlgebraElem:
 
 
 def solve_mod_kernel(rows, ncols: int, L: int) -> list[list[int]]:
-    """Generators of {x in (Z/L)^ncols : rows . x = 0 mod L}."""
-    if not rows:
-        return [
-            [1 if i == j else 0 for j in range(ncols)] for i in range(ncols)
-        ]
-    _, D, V = int_smith([list(r) for r in rows])
-    gens = []
-    for i in range(ncols):
-        d = D[i][i] if i < len(D) and i < len(D[0]) else 0
-        mult = L // gcd(abs(d), L) if d else 1
-        col = [(V[row][i] * mult) % L for row in range(ncols)]
-        if any(col):
-            gens.append(col)
+    """Generators of {x in (Z/L)^ncols : rows . x = 0 mod L}.
+
+    Row j of [rows^T | I] is (rows e_j, e_j), so those rows span the
+    graph {(rows x, x)}; triangularising its left block mod L leaves rows
+    that span the graph's elements with a zero left block (Howell, Linear
+    Algebra Appl. 76, 1986), and their right blocks are the kernel.
+    """
+    columns = [[r[j] % L for r in rows] for j in range(ncols)]
+    graph = [col + [1 if i == j else 0 for i in range(ncols)] for j, col in enumerate(columns)]
+    gens = _triangularise(graph, len(rows), L)[1]
+    _certify_kernel(rows, columns, gens, L)
     return gens
 
 
-def subgroup_order(gens, ncols: int, L: int) -> int:
-    """Order of the subgroup of (Z/L)^ncols generated by the given vectors.
+def _certify_kernel(rows, columns, gens, L: int) -> None:
+    """Raise AssertionError unless gens generate the kernel of rows mod L:
+    each is annihilated, and |<gens>| |im rows| = L^ncols."""
+    if any(sum(a * x for a, x in zip(r, g)) % L for r in rows for g in gens):
+        raise AssertionError("a kernel generator is not annihilated mod L")
+    gens_index = _triangularise(gens, len(columns), L)[0]
+    if gens_index * _triangularise(columns, len(rows), L)[0] != L ** len(rows):
+        raise AssertionError("the kernel generators miss part of the kernel")
 
-    That order is L^ncols over the index in Z^ncols of the lattice
-    spanned by the gens and L*Z^ncols, found by Hermite triangularisation
-    with entries reduced mod L (Domich, Kannan & Trotter, Math. Oper.
-    Res. 12, 1987).  Column by column, Euclid's algorithm on the rows
-    leaves one pivot row; the column adds the factor gcd(pivot, L) to the
-    index, and L/gcd(pivot, L) times the pivot row, which vanishes in
-    that column mod L, stays with the other rows.
+
+def subgroup_order(gens, ncols: int, L: int) -> int:
+    """Order of the subgroup of (Z/L)^ncols generated by the given vectors:
+    L^ncols over the index in Z^ncols of the lattice spanned by the gens
+    and L*Z^ncols."""
+    return L**ncols // _triangularise([[x % L for x in g] for g in gens], ncols, L)[0]
+
+
+def _triangularise(rows, ncols: int, L: int) -> tuple[int, list[list[int]]]:
+    """Hermite triangularisation mod L of the first ncols columns of rows
+    with entries in [0, L) (Domich, Kannan & Trotter, Math. Oper. Res.
+    12, 1987).
+
+    Column by column, Euclid's algorithm on the rows leaves one pivot
+    row; the column adds the factor gcd(pivot, L) to the index, and
+    L/gcd(pivot, L) times the pivot row, which vanishes in that column
+    mod L, stays with the other rows.  Returns that index and the rows
+    left, which span the elements of the span that vanish there.
     """
-    rows = [[x % L for x in g] for g in gens]
     index = 1
     for _ in range(ncols):
         pivot, rest = None, []
@@ -192,7 +206,7 @@ def subgroup_order(gens, ncols: int, L: int) -> int:
             index *= g
             rest.append([(L // g) * x % L for x in pivot])
         rows = [row[1:] for row in rest if any(row[1:])]
-    return L**ncols // index
+    return index, rows
 
 
 def in_subgroup(gens, ncols: int, L: int, target) -> bool:
@@ -294,7 +308,7 @@ def pro_nzd_check(ell: int, r: int, n: int, m: int | None = None) -> dict:
     if m is None:
         m = n * L
     if m % n != 0:
-        raise ValueError(f"m = {m} must be a multiple of n = {n}")
+        raise UnsupportedInputError(f"m = {m} must be a multiple of n = {n}")
     tm1 = t_gen(ell, r, m) - ga_one(ell, r, m)
     gens = solve_mod_kernel(_mult_matrix(tm1), m, L)
     order = subgroup_order(gens, m, L)
@@ -333,19 +347,21 @@ def is_unit(a: GroupAlgebraElem) -> bool:
 
 
 def _units_of(ell: int, r: int, n: int):
-    """The units of (Z/l^r)[Z/n] in lexicographic order.  Since l
-    generates a nilpotent ideal, a vector is a unit exactly when its
-    reduction mod l is, so the verdict is computed once per residue."""
-    L = ell**r
-    verdicts: dict[tuple, bool] = {}
-    for vec in product(range(L), repeat=n):
-        elem = GroupAlgebraElem(ell, r, n, vec)
-        residue = tuple(c % ell for c in vec)
-        unit = verdicts.get(residue)
-        if unit is None:
-            unit = verdicts[residue] = is_unit(elem)
-        if unit:
-            yield elem
+    """The units of (Z/l^r)[Z/n] in lexicographic order."""
+    return (GroupAlgebraElem(ell, r, n, vec) for vec in _unit_vectors(ell, r, n))
+
+
+def _unit_vectors(ell: int, r: int, n: int):
+    """Coefficient tuples of the units of (Z/l^r)[Z/n] in lexicographic
+    order.  Since l generates a nilpotent ideal, a vector is a unit
+    exactly when its reduction mod l is, so the verdict is computed once
+    per residue; the two products below run in step."""
+    units = {
+        res for res in product(range(ell), repeat=n) if is_unit(GroupAlgebraElem(ell, 1, n, res))
+    }
+    residues = [c % ell for c in range(ell**r)]
+    vectors = product(range(ell**r), repeat=n)
+    return (vec for vec, res in zip(vectors, product(residues, repeat=n)) if res in units)
 
 
 def _coset_has_unit_preimage(u: GroupAlgebraElem, nprime: int) -> GroupAlgebraElem | None:
@@ -373,12 +389,12 @@ def unit_surjectivity_check(ell: int, r: int, n: int, nprime: int) -> dict:
     _require_levels(ell, r, n, nprime)
     L = ell**r
     if nprime > _UNIT_LEVEL_GUARD or L > _UNIT_MODULUS_GUARD:
-        raise ValueError(
+        raise UnsupportedInputError(
             f"size guard exceeded: need level <= {_UNIT_LEVEL_GUARD} and "
             f"modulus <= {_UNIT_MODULUS_GUARD}"
         )
     if nprime % n != 0:
-        raise ValueError(f"n = {n} must divide n' = {nprime}")
+        raise UnsupportedInputError(f"n = {n} must divide n' = {nprime}")
 
     report = {
         "ell": ell,
@@ -397,9 +413,9 @@ def unit_surjectivity_check(ell: int, r: int, n: int, nprime: int) -> dict:
     if L**nprime <= _ENUMERATION_BUDGET:
         hit = set()
         source_units = 0
-        for u in _units_of(ell, r, nprime):
+        for vec in _unit_vectors(ell, r, nprime):
             source_units += 1
-            hit.add(transition(u, n).coeffs)
+            hit.add(tuple(sum(vec[j::n]) % L for j in range(n)))
         missed = [str(u) for u in target_units if u.coeffs not in hit]
         report.update(
             {
@@ -454,46 +470,19 @@ def twisted_tensor_check(levels=(1, 2, 3, 6), twists=(-2, -1, 0, 1, 2)) -> dict:
     associative where levels nest, and the operation commutes with
     transition to a further level.  The attached scalar twist of the
     trace layer is recorded as bookkeeping, never verified here."""
-    additive = True
-    associative = True
-    compat = True
-    for m in levels:
-        for n in levels:
-            if m % n != 0:
-                continue
-            for i in twists:
-                for j in twists:
-                    out = twisted_tensor(
-                        TwistedRankOneModule(m, i), TwistedRankOneModule(n, j)
-                    )
-                    if out.twist != i + j or out.n != n:
-                        additive = False
-                    for k_level in levels:
-                        if n % k_level != 0:
-                            continue
-                        for k in twists[:2]:
-                            left = twisted_tensor(
-                                twisted_tensor(
-                                    TwistedRankOneModule(m, i), TwistedRankOneModule(n, j)
-                                ),
-                                TwistedRankOneModule(k_level, k),
-                            )
-                            right = twisted_tensor(
-                                TwistedRankOneModule(m, i),
-                                twisted_tensor(
-                                    TwistedRankOneModule(n, j),
-                                    TwistedRankOneModule(k_level, k),
-                                ),
-                            )
-                            if left != right:
-                                associative = False
-                        via_transition = twisted_tensor(
-                            TwistedRankOneModule(m, i),
-                            twisted_transition(TwistedRankOneModule(n, j), k_level),
-                        )
-                        direct = twisted_transition(out, k_level)
-                        if via_transition != direct:
-                            compat = False
+    M = TwistedRankOneModule
+    additive = associative = compat = True
+    nested = [(m, n) for m in levels for n in levels if m % n == 0]
+    for (m, n), i, j in product(nested, twists, twists):
+        out = twisted_tensor(M(m, i), M(n, j))
+        additive = additive and out == M(n, i + j)
+        for k_level in (k for k in levels if n % k == 0):
+            for k in twists[:2]:
+                left = twisted_tensor(out, M(k_level, k))
+                right = twisted_tensor(M(m, i), twisted_tensor(M(n, j), M(k_level, k)))
+                associative = associative and left == right
+            via_transition = twisted_tensor(M(m, i), twisted_transition(M(n, j), k_level))
+            compat = compat and via_transition == twisted_transition(out, k_level)
     example = twisted_tensor(TwistedRankOneModule(6, 1), TwistedRankOneModule(3, -1))
     return {
         "verdict": additive and associative and compat and example == TwistedRankOneModule(3, 0),

@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 
@@ -288,25 +289,27 @@ def four_psi(f: TraceFunction, psi_index: int = 1, pairing=None) -> TraceFunctio
 def _kernel_transform(f: TraceFunction, kernel, pairing) -> TraceFunction:
     """(-1)^d sum_v f(v) kernel[<v, xi>] for every xi.
 
-    For each xi the linear form c = rows . xi is computed once, and each
-    support point's value goes to the bucket <v, xi> = sum_i v_i c_i;
-    the kernel is then applied once per bucket that received a value, so
-    the work per xi follows the support and a cyclotomic kernel costs at
-    most q products per xi.
+    The forms c = rows . xi are read from the dot table one coordinate
+    at a time, and the row <., c> sends each support point's value to
+    the bucket <v, xi>; the kernel is then applied once per bucket that
+    received a value, so a cyclotomic kernel costs at most q products
+    per xi.
     """
-    field, d = f.field, f.rank
+    field, d, q = f.field, f.rank, f.q
     rows = _pairing_rows(field, d, pairing)
-    add, mul = field._add, field._mul
-    points = _points(field.q, d)
-    support = [(v, val) for v, val in zip(points, f.values) if val]
+    points = _points(q, d)
+    dots = _index_tables(field, d)[0] if len(points) <= _TABLE_POINTS else None
+    forms = [0] * len(points)  # the index of rows . xi for every xi
+    for row in rows:
+        column = dots[_index(q, row)] if dots else _dot_row(field, row)
+        forms = [c * q + a for c, a in zip(forms, column)]
+    support = [(i, val) for i, val in enumerate(f.values) if val]
     out = []
-    for xi in points:
-        form = _linear_form(field, rows, xi)
+    for c in forms:
+        dot = dots[c] if dots else _dot_row(field, points[c])
         buckets = {}
-        for v, val in support:
-            a = 0
-            for vi, c in zip(v, form):
-                a = add[a][mul[vi][c]]
+        for i, val in support:
+            a = dot[i]
             buckets[a] = buckets[a] + val if a in buckets else val
         acc = 0
         for a, total in buckets.items():
@@ -324,8 +327,8 @@ def conv_Gm(g: TraceFunction, f: TraceFunction) -> TraceFunction:
         raise ValueError("convolver must live on F_q")
     if g.field is not f.field:
         raise ValueError("field mismatch")
-    field, d = f.field, f.rank
-    q, fvals = field.q, f.values
+    field, d, fvals = f.field, f.rank, f.values
+    scaled = _index_tables(field, d)[1] if len(fvals) <= _TABLE_POINTS else None
     # a zero term adds no value, but a cyclotomic one can widen the
     # conductor of the sum; only terms that are rational zeros are skipped
     rational_f = not any(isinstance(x, CycScalar) for x in fvals)
@@ -334,13 +337,37 @@ def conv_Gm(g: TraceFunction, f: TraceFunction) -> TraceFunction:
         gl = g.values[lam]
         if not gl and rational_f and not isinstance(gl, CycScalar):
             continue
-        # index of l^-1 v for every v, in lexicographic order
-        row = field._mul[field._inv[lam]]
-        moved = [0]
-        for _ in range(d):
-            moved = [i * q + row[a] for i in moved for a in range(q)]
+        moved = scaled[lam] if scaled else _scaled_row(field, d, lam)
         out = [acc + gl * fvals[j] for acc, j in zip(out, moved)]
     return TraceFunction(field, d, out)
+
+
+_TABLE_POINTS = 256  # the index tables of F_q^d are cached up to this size
+
+
+@lru_cache(maxsize=16)
+def _index_tables(field: Fq, d: int) -> tuple[list, list]:
+    """Integer index tables of F_q^d, points in lexicographic order:
+    dots[c][v] = <v, c> = sum_i v_i c_i, and scaled[lam][v] = the index
+    of lam^-1 v (scaled[0] is None)."""
+    dots = [_dot_row(field, c) for c in _points(field.q, d)]
+    return dots, [None] + [_scaled_row(field, d, lam) for lam in field.units()]
+
+
+def _dot_row(field: Fq, c) -> list[int]:
+    """<v, c> for every v in lexicographic order, one coordinate at a time."""
+    add, mul, row = field._add, field._mul, [0]
+    for ci in c:
+        row = [add[a][b] for a in row for b in mul[ci]]
+    return row
+
+
+def _scaled_row(field: Fq, d: int, lam: int) -> list[int]:
+    """The index of lam^-1 v for every v in lexicographic order."""
+    q, products, row = field.q, field._mul[field._inv[lam]], [0]
+    for _ in range(d):
+        row = [i * q + a for i in row for a in products]
+    return row
 
 
 def _linear_form(field: Fq, rows, x) -> list[int]:
@@ -365,39 +392,28 @@ def kernel_pair_sum(q, d: int, w: tuple, u: tuple, pairing=None) -> int:
     """
     field = Fq(q)
     rows = _pairing_rows(field, d, pairing)
-    return _pair_sum_row(field, rows, _point(w), [_point(u)])[0]
+    return _pair_sum_row(field, rows, _point(w), [tuple(_linear_form(field, rows, _point(u)))])[0]
 
 
-def _pair_sum_row(field: Fq, rows, w: tuple, us) -> list[int]:
-    """sum_xi t_B(<w, xi>) t_B(<xi, u>) for each u in us, for validated rows.
-
-    With a = w^T rows and b = rows u, the sum is
+def _pair_sum_row(field: Fq, rows, w: tuple, forms) -> list[int]:
+    """sum_xi t_B(<w, xi>) t_B(<xi, u>) for validated rows and each form
+    b = rows u (a tuple) in forms.  With a = w^T rows, the sum is
     q^d - q #{a.xi = 1} - q #{b.xi = 1} + q^2 #{a.xi = 1 = b.xi}.  One
     equation has q^(d-1) solutions when its form is nonzero; two have
     q^(d-2) when the forms are independent, q^(d-1) when they are equal,
-    and none otherwise.
+    and none otherwise.  So the sum is q^d when a = b = 0, (q-1) q^d
+    when b = a != 0, -q^d when b = lam a for lam != 0, 1, and 0 otherwise.
     """
-    q, d = field.q, len(rows)
-    mul, inv = field._mul, field._inv
-    qd = q**d
+    q, mul = field.q, field._mul
+    qd = q ** len(rows)
     a = _linear_form(field, list(zip(*rows)), w)
-    lead = next((i for i, x in enumerate(a) if x), None)
-    base = qd if lead is None else 0  # q^d - q #{a.xi = 1}
-    out = []
-    for u in us:
-        b = _linear_form(field, rows, u)
-        if not any(b):
-            out.append(base)
-            continue
-        value = base - qd
-        if lead is not None:
-            lam = mul[b[lead]][inv[a[lead]]]  # b = lam a, if dependent
-            if any(mul[lam][x] != y for x, y in zip(a, b)):
-                value += qd
-            elif lam == 1:
-                value += q * qd
-        out.append(value)
-    return out
+    if not any(a):
+        return [0 if any(b) else qd for b in forms]
+    multiples = {
+        tuple(mul[lam][x] for x in a): (q - 1) * qd if lam == 1 else -qd
+        for lam in field.units()
+    }
+    return [multiples.get(b, 0) for b in forms]
 
 
 def scaling_orbits(q, d: int) -> list[list[tuple]]:
@@ -448,6 +464,7 @@ def check_keythm(q, d: int, trials: int = 4, seed: int = 0, pairing=None) -> dic
     tjb = t_B_units(field)
     scale = -qd
     points = _points(q, d)
+    forms = [tuple(_linear_form(field, rows, u)) for u in points]
     pair_rows = {}  # w -> [kernel pair sum at (w, u) for every u]
 
     def lhs(f: TraceFunction) -> TraceFunction:
@@ -458,7 +475,7 @@ def check_keythm(q, d: int, trials: int = 4, seed: int = 0, pairing=None) -> dic
             if not c:
                 continue
             if w not in pair_rows:
-                pair_rows[w] = _pair_sum_row(field, rows, w, points)
+                pair_rows[w] = _pair_sum_row(field, rows, w, forms)
             vals = [x + c * y for x, y in zip(vals, pair_rows[w])]
         return TraceFunction(field, d, vals)
 
@@ -518,19 +535,16 @@ def _in_scaling_sum_zero(f: TraceFunction) -> bool:
 
 def check_CV(q, d: int) -> dict:
     """On the scaling-sum-zero subspace, four_B squares to q^(d+1) and
-    preserves the subspace; a constant function is the negative control."""
+    preserves the subspace; a constant function is the negative control.
+    d < 1 raises UnsupportedInputError."""
+    _require_dimension(d)
     field = Fq(q)
     q = field.q
     basis = scaling_sum_zero_basis(field, d)
     factor = q ** (d + 1)
-    stable = True
-    identity_holds = True
-    for f in basis:
-        g = four_B(f)
-        if not _in_scaling_sum_zero(g):
-            stable = False
-        if four_B(g) != f.scale(factor):
-            identity_holds = False
+    images = [four_B(f) for f in basis]
+    stable = all(_in_scaling_sum_zero(g) for g in images)
+    identity_holds = all(four_B(g) == f.scale(factor) for f, g in zip(basis, images))
     const = TraceFunction.constant(field, d, 1)
     control_in = _in_scaling_sum_zero(const)
     control_identity = four_B(four_B(const)) == const.scale(factor)
@@ -577,7 +591,9 @@ def check_P2B(q, psi_index: int = 1) -> dict:
 
 def check_BL2(q, d: int = 1, psi_index: int = 1, trials: int = 2, seed: int = 0) -> dict:
     """Kernel transform factors through the character transform:
-    four_B(f) = -conv(l -> psi(-l^-1), four_psi(f)) on a delta basis."""
+    four_B(f) = -conv(l -> psi(-l^-1), four_psi(f)) on a delta basis.
+    d < 1 raises UnsupportedInputError."""
+    _require_dimension(d)
     field = Fq(q)
     if field.e != 1:
         raise ValueError("requires a prime field")
@@ -712,15 +728,8 @@ def _proportionality(lhs: TraceFunction, candidates) -> tuple[bool, str | None, 
     named candidates in order; candidates are rational-valued."""
     units = list(lhs.field.units())
     for name, cand in candidates:
-        ok = True
-        for x in units:
-            for y in units:
-                if lhs.value(x) * cand.value(y) != lhs.value(y) * cand.value(x):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
+        if any(lhs.value(x) * cand.value(y) != lhs.value(y) * cand.value(x)
+               for x in units for y in units):
             continue
         anchor = next((x for x in units if cand.value(x)), None)
         if anchor is None:

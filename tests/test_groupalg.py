@@ -8,11 +8,12 @@ small-parameter grid they advertise.
 
 import random
 from itertools import product
+from math import gcd
 
 import pytest
 
-from monofour import checks, groupalg
-from monofour.scalars import UnsupportedInputError, int_smith
+from monofour import checks, groupalg, scalars
+from monofour.scalars import UnsupportedInputError, int_smith, snf
 from monofour.groupalg import (
     GroupAlgebraElem,
     TwistedRankOneModule,
@@ -153,6 +154,29 @@ class TestSubgroupHelpers:
         assert not in_subgroup(gens, 2, 4, [1, 1])
 
 
+def appendix_matrices(monkeypatch):
+    """(vectors, ncols, L) of every subgroup_order and solve_mod_kernel
+    call that the appendix rows of the full profile make."""
+    seen = []
+
+    def record(name):
+        real = getattr(groupalg, name)
+
+        def wrapper(vectors, ncols, L):
+            seen.append(([list(v) for v in vectors], ncols, L))
+            return real(vectors, ncols, L)
+
+        monkeypatch.setattr(groupalg, name, wrapper)
+
+    record("subgroup_order")
+    record("solve_mod_kernel")
+    for check_id, params in checks.profile_tasks("full"):
+        if check_id.startswith("appendix-"):
+            checks.run_check(check_id, params)
+    monkeypatch.undo()
+    return seen
+
+
 def smith_subgroup_order(gens, ncols: int, L: int) -> int:
     """Reference: L^n over the product of the Smith diagonal of the
     matrix with the gens and L*e_i as columns."""
@@ -170,23 +194,7 @@ class TestSubgroupOrderOracle:
     U*M*V = D, is the reference."""
 
     def test_every_matrix_of_the_full_profiles_appendix_rows(self, monkeypatch):
-        seen = []
-
-        def record(name):
-            real = getattr(groupalg, name)
-
-            def wrapper(vectors, ncols, L):
-                seen.append(([list(v) for v in vectors], ncols, L))
-                return real(vectors, ncols, L)
-
-            monkeypatch.setattr(groupalg, name, wrapper)
-
-        record("subgroup_order")
-        record("solve_mod_kernel")
-        for check_id, params in checks.profile_tasks("full"):
-            if check_id.startswith("appendix-"):
-                checks.run_check(check_id, params)
-        monkeypatch.undo()
+        seen = appendix_matrices(monkeypatch)
         assert len(seen) == 360
         for vectors, ncols, L in seen:
             assert subgroup_order(vectors, ncols, L) == smith_subgroup_order(vectors, ncols, L)
@@ -204,6 +212,116 @@ class TestSubgroupOrderOracle:
     def test_no_generators(self):
         assert subgroup_order([], 3, 8) == 1
         assert subgroup_order([[8, 16, -8]], 3, 8) == 1
+
+
+def reference_solve_mod_kernel(rows, ncols: int, L: int) -> list[list[int]]:
+    """The earlier kernel: columns of V from int_smith, which certifies
+    U*M*V = D, each scaled by L/gcd(d_i, L)."""
+    if not rows:
+        return [
+            [1 if i == j else 0 for j in range(ncols)] for i in range(ncols)
+        ]
+    _, D, V = int_smith([list(r) for r in rows])
+    gens = []
+    for i in range(ncols):
+        d = D[i][i] if i < len(D) and i < len(D[0]) else 0
+        mult = L // gcd(abs(d), L) if d else 1
+        col = [(V[row][i] * mult) % L for row in range(ncols)]
+        if any(col):
+            gens.append(col)
+    return gens
+
+
+def assert_same_kernel(rows, ncols, L):
+    got = solve_mod_kernel(rows, ncols, L)
+    want = reference_solve_mod_kernel(rows, ncols, L)
+    assert subgroup_order(got, ncols, L) == subgroup_order(want, ncols, L)
+    assert all(in_subgroup(want, ncols, L, g) for g in got)
+    assert all(in_subgroup(got, ncols, L, g) for g in want)
+
+
+class TestKernelOracle:
+    """solve_mod_kernel triangularises mod L and certifies its answer;
+    the earlier Smith-based kernel is the reference."""
+
+    def test_every_matrix_of_the_full_profiles_appendix_rows(self, monkeypatch):
+        seen = appendix_matrices(monkeypatch)
+        assert len(seen) == 360
+        for rows, ncols, L in seen:
+            assert_same_kernel(rows, ncols, L)
+
+    def test_seeded_random_matrices(self):
+        rng = random.Random(2025)
+        for k in range(400):
+            ncols = rng.randint(1, 6)
+            L = rng.choice([1, 2, 4, 8, 3, 9, 27, 6, 12, 25])
+            # no rows, square, or up to three rows more than columns
+            nrows = 0 if k % 20 == 0 else rng.randint(1, ncols + 3)
+            rows = [[rng.randint(-40, 40) for _ in range(ncols)] for _ in range(nrows)]
+            if rows and rng.random() < 0.3:
+                rows[rng.randrange(nrows)] = [0] * ncols
+            if nrows > 1 and rng.random() < 0.3:
+                rows[0] = [sum(rng.randint(-2, 2) * r[i] for r in rows[1:]) for i in range(ncols)]
+            assert_same_kernel(rows, ncols, L)
+
+    def test_small_frozen_kernels(self):
+        assert solve_mod_kernel([], 2, 4) == [[1, 0], [0, 1]]
+        assert solve_mod_kernel([[0, 0]], 2, 4) == [[1, 0], [0, 1]]
+        assert solve_mod_kernel([[2]], 1, 4) == [[2]]
+        tm1 = t_gen(3, 2, 6) - ga_one(3, 2, 6)
+        assert solve_mod_kernel(groupalg._mult_matrix(tm1), 6, 9) == [[1] * 6]
+
+    def test_certificate_catches_a_dropped_kernel_row(self, monkeypatch):
+        real = groupalg._triangularise
+
+        def lossy(rows, ncols, L):
+            index, rest = real(rows, ncols, L)
+            return index, rest[:-1]
+
+        monkeypatch.setattr(groupalg, "_triangularise", lossy)
+        tm1 = t_gen(2, 2, 3) - ga_one(2, 2, 3)
+        with pytest.raises(AssertionError, match="miss part of the kernel"):
+            solve_mod_kernel(groupalg._mult_matrix(tm1), 3, 4)
+
+    def test_certificate_catches_a_wrong_generator(self, monkeypatch):
+        real = groupalg._triangularise
+
+        def shifted(rows, ncols, L):
+            index, rest = real(rows, ncols, L)
+            return index, [[(x + 1) % L for x in row] for row in rest]
+
+        monkeypatch.setattr(groupalg, "_triangularise", shifted)
+        with pytest.raises(AssertionError, match="not annihilated"):
+            solve_mod_kernel([[1, 1, 1]], 3, 4)
+
+    def test_no_runtime_caller_of_int_smith(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("int_smith ran")
+
+        monkeypatch.setattr(snf, "int_smith", boom)
+        monkeypatch.setattr(scalars, "int_smith", boom)
+        assert not hasattr(groupalg, "int_smith")
+        for check_id, params in checks.profile_tasks("quick"):
+            if check_id.startswith("appendix-"):
+                assert checks.run_check(check_id, params).verdict == "pass"
+
+
+class TestRefusedSizes:
+    # the guards raise the typed error, which the CLI reports in one line
+    @pytest.mark.parametrize("call", [
+        lambda: unit_surjectivity_check(2, 1, 1, 7),
+        lambda: unit_surjectivity_check(2, 4, 1, 3),
+        lambda: unit_surjectivity_check(2, 1, 2, 3),
+        lambda: pro_nzd_check(2, 1, 3, m=7),
+    ])
+    def test_typed_error(self, monkeypatch, call):
+        def work(*args, **kwargs):
+            raise AssertionError("the engine ran on refused input")
+
+        monkeypatch.setattr(groupalg, "_units_of", work)
+        monkeypatch.setattr(groupalg, "solve_mod_kernel", work)
+        with pytest.raises(UnsupportedInputError):
+            call()
 
 
 class TestAugmentationKernel:

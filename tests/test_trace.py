@@ -447,6 +447,52 @@ class TestTransformOracles:
         assert all(type(v) is int for v in four_B(TraceFunction.delta(5, 2)).values)
 
 
+class TestIndexTables:
+    """The cached F_q^d index tables, shared by every transform and
+    convolution of one process, against the per-term references."""
+
+    def test_interleaved_fields_and_pairings(self):
+        trace._index_tables.cache_clear()
+        rng = random.Random(1013)
+        spaces = [(Fq(5), 2), (Fq(4), 2), (Fq(5), 1), (Fq(4), 1)]
+        for _ in range(2):
+            for field, d in spaces:
+                table = CharacterTable(field)
+                index = 1 if field.p == 2 else 2
+                for pairing in (None, skewed_pairing(field, d)):
+                    f = random_function(rng, field, d, "mixed")
+                    kernel = t_B(field).values
+                    assert_same_table(four_B(f, pairing), ref_kernel_transform(f, kernel, pairing))
+                    assert_same_table(four_psi(f, index, pairing), ref_four_psi(f, index, pairing))
+                    for g in (t_B_units(field), table.chi_function(1)):
+                        assert_same_table(conv_Gm(g, f), ref_conv_Gm(g, f))
+        assert trace._index_tables.cache_info().currsize == len(spaces)
+
+    def test_spaces_above_the_bound_are_not_cached(self):
+        field = Fq(17)  # 289 points in rank 2
+        assert field.q**2 > trace._TABLE_POINTS
+        trace._index_tables.cache_clear()
+        rng = random.Random(17)
+        vals = [0] * field.q**2
+        for i in rng.sample(range(len(vals)), 3):
+            vals[i] = rng.randint(1, 3)
+        f = TraceFunction(field, 2, vals)
+        for pairing in (None, skewed_pairing(field, 2)):
+            kernel = t_B(field).values
+            assert_same_table(four_B(f, pairing), ref_kernel_transform(f, kernel, pairing))
+        assert_same_table(conv_Gm(t_B_units(field), f), ref_conv_Gm(t_B_units(field), f))
+        assert trace._index_tables.cache_info().currsize == 0
+
+    def test_cache_is_bounded(self):
+        trace._index_tables.cache_clear()
+        spaces = [(q, d) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16) for d in (1, 2)]
+        for q, d in spaces:
+            four_B(TraceFunction.delta(q, (1,) * d))
+        info = trace._index_tables.cache_info()
+        assert len(spaces) > info.maxsize == info.currsize
+        assert info.misses == len(spaces)
+
+
 class TestTransformSquared:
     @pytest.mark.parametrize("q,d", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (5, 2)])
     def test_identity_holds_exhaustively(self, q, d):
