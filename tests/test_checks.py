@@ -117,15 +117,15 @@ class TestRunCheck:
         "check_id,params,first_work",
         [
             ("keythm", {"d": 0}, (trace, "t_B_units")),
-            ("cv-equivalence", {"d": 0}, (trace, "scaling_sum_zero_basis")),
-            ("cv-equivalence", {"d": -1}, (trace, "scaling_sum_zero_basis")),
-            ("bl2", {"d": 0}, (trace, "CharacterTable")),
-            ("bl2", {"d": -1}, (trace, "CharacterTable")),
             ("mon-equivalence", {"d": 0}, (trace, "monodromic_span_basis")),
             ("appendix-units", {"n": 0}, (groupalg, "_units_of")),
             ("appendix-nzd", {"ell": 4}, (groupalg, "solve_mod_kernel")),
             ("mon-test", {"count": -3}, (mellin, "windowed_equivariant")),
             ("fourier-antipode", {"count": -1}, (checks, "fourier_auto")),
+            ("cv-equivalence", {"d": 0}, (trace, "scaling_sum_zero_basis")),
+            ("cv-equivalence", {"d": -1}, (trace, "scaling_sum_zero_basis")),
+            ("bl2", {"d": 0}, (trace, "CharacterTable")),
+            ("bl2", {"d": -1}, (trace, "CharacterTable")),
         ],
     )
     def test_degenerate_parameters_refused_before_work(
