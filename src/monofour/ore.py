@@ -137,6 +137,10 @@ class ShiftOp(ExactValue):
         return _trusted(ShiftOp, {j: -p for j, p in self.terms.items()})
 
     def __mul__(self, other) -> "ShiftOp":
+        if isinstance(other, (int, Fraction)):
+            # a scalar commutes with T, so it scales every level
+            terms = {j: p * other for j, p in self.terms.items()} if other else {}
+            return _trusted(ShiftOp, terms)
         other = _coerce_shift(other)
         if other is NotImplemented:
             return NotImplemented
@@ -148,6 +152,8 @@ class ShiftOp(ExactValue):
         ))
 
     def __rmul__(self, other) -> "ShiftOp":
+        if isinstance(other, (int, Fraction)):
+            return self * other
         other = _coerce_shift(other)
         if other is NotImplemented:
             return NotImplemented
@@ -304,12 +310,13 @@ class _WeylBase(ExactValue):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _trusted(type(self), _merged(
-            ((alpha, beta), c1 * c2 * c)
-            for (a1, b1), c1 in self.terms.items()
-            for (a2, b2), c2 in other.terms.items()
-            for alpha, beta, c in _normal_product(a1, b1, a2, b2)
-        ), self.rank)
+        pairs = []
+        for (a1, b1), c1 in self.terms.items():
+            for (a2, b2), c2 in other.terms.items():
+                c12 = c1 * c2
+                for alpha, beta, n in _normal_product(a1, b1, a2, b2):
+                    pairs.append(((alpha, beta), c12 if n == 1 else c12 * n))
+        return _trusted(type(self), _merged(pairs), self.rank)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -346,23 +353,24 @@ class _WeylBase(ExactValue):
         )
 
 
-def _normal_product(a1, b1, a2, b2):
-    """Normal-order (x^a1 dx^b1)(x^a2 dx^b2) coordinate by coordinate."""
-    factors_per_coord = []
+@lru_cache(maxsize=4096)
+def _normal_product(a1, b1, a2, b2) -> tuple:
+    """Normal-order (x^a1 dx^b1)(x^a2 dx^b2) coordinate by coordinate, as
+    a tuple of (alpha, beta, int coefficient) triples.  Memoised: the
+    products and the Fourier map meet the same few exponent quadruples
+    over and over."""
+    combos = (((), (), 1),)
     for i in range(len(a1)):
         coords = []
         for k in range(b1[i] + 1):
             c = comb(b1[i], k) * falling(a2[i], k)
             if c:
                 coords.append((a1[i] + a2[i] - k, b1[i] + b2[i] - k, c))
-        factors_per_coord.append(coords)
-    combos = [((), (), 1)]
-    for coords in factors_per_coord:
-        new = []
-        for alpha, beta, c in combos:
-            for a, b, c2 in coords:
-                new.append((alpha + (a,), beta + (b,), c * c2))
-        combos = new
+        combos = tuple(
+            (alpha + (a,), beta + (b,), c * c2)
+            for alpha, beta, c in combos
+            for a, b, c2 in coords
+        )
     return combos
 
 
@@ -437,22 +445,22 @@ def fourier_auto(w: WeylOp) -> WeylOp:
         raise UnsupportedInputError("the Fourier automorphism acts on the plain Weyl algebra")
     # x^alpha dx^beta -> (-dx)^alpha x^beta = (-1)^|alpha| dx^alpha x^beta.
     zero = (0,) * w.rank
-    return _trusted(WeylOp, _merged(
-        ((a, b), (-c if sum(alpha) % 2 else c) * n)
-        for (alpha, beta), c in w.terms.items()
-        for a, b, n in _normal_product(zero, alpha, beta, zero)
-    ), w.rank)
+    pairs = []
+    for (alpha, beta), c in w.terms.items():
+        if sum(alpha) % 2:
+            c = -c
+        for a, b, n in _normal_product(zero, alpha, beta, zero):
+            pairs.append(((a, b), c if n == 1 else c * n))
+    return _trusted(WeylOp, _merged(pairs), w.rank)
 
 
 def antipode(w: WeylOp) -> WeylOp:
-    """The substitution x -> -x, dx -> -dx."""
-    return WeylOp(
-        w.rank,
-        {
-            (alpha, beta): c * ((-1) ** (sum(alpha) + sum(beta)))
-            for (alpha, beta), c in w.terms.items()
-        },
-    )
+    """The substitution x -> -x, dx -> -dx, an automorphism of the plain
+    and of the Laurent algebra alike."""
+    return _trusted(type(w), {
+        (alpha, beta): -c if (sum(alpha) + sum(beta)) % 2 else c
+        for (alpha, beta), c in w.terms.items()
+    }, w.rank)
 
 
 TWIST_VARIANTS = ("affine", "plain")

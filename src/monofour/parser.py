@@ -4,8 +4,9 @@ Atoms `x`, `dx` (differential algebra) and `s`, `T`, `Ti` (shift
 algebra), integer and `a/b` rational literals, the operators
 `+ - * ^`, and parentheses; whitespace is insignificant.  At rank d
 the differential atoms `x1`...`xd` and `dx1`...`dxd` name the
-coordinates, and bare `x`, `dx` mean coordinate 1.  Parsing
-produces normalized operators, so parse -> print -> parse is the
+coordinates, and bare `x`, `dx` mean coordinate 1.  An exponent is
+any literal whose value is a nonnegative integer, so `x^4/2` is x^2.
+Parsing produces normalized operators, so parse -> print -> parse is the
 identity on normal forms.  Errors carry the 0-based character offset
 where the problem was found.
 """
@@ -13,6 +14,7 @@ where the problem was found.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .ore import ShiftOp, WeylOp
 
@@ -33,167 +35,160 @@ class UnknownAtomError(OperatorSyntaxError):
     """A name that is not an atom of the requested algebra."""
 
 
-class _Token:
-    __slots__ = ("kind", "value", "position")
-
-    def __init__(self, kind, value, position):
-        self.kind = kind
-        self.value = value
-        self.position = position
-
-
-def _tokenize(text: str):
+def _tokenize(text: str) -> list[tuple]:
+    """(kind, value, offset) triples ending with an "end" token.  A number
+    is an int, or a Fraction when it is written a/b; digits are what
+    `int()` reads (`str.isdecimal`), so `²` is an unexpected character."""
     tokens = []
+    append = tokens.append
     i = 0
     n = len(text)
     while i < n:
         ch = text[i]
-        if ch.isspace():
+        if ch in "+-*^()":
+            append((ch, ch, i))
             i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
+        elif ch.isspace():
+            i += 1
+        elif ch.isdecimal():
+            j = i + 1
+            while j < n and text[j].isdecimal():
                 j += 1
             if j < n and text[j] == "/":
                 k = j + 1
-                while k < n and text[k].isdigit():
+                while k < n and text[k].isdecimal():
                     k += 1
                 if k == j + 1:
                     raise OperatorSyntaxError("expected digits after '/'", j + 1)
                 den = int(text[j + 1 : k])
                 if not den:
                     raise OperatorSyntaxError("zero denominator", j + 1)
-                tokens.append(_Token("number", Fraction(int(text[i:j]), den), i))
+                append(("number", Fraction(int(text[i:j]), den), i))
                 i = k
             else:
-                tokens.append(_Token("number", Fraction(int(text[i:j])), i))
+                append(("number", int(text[i:j]), i))
                 i = j
-            continue
-        if ch.isalpha():
-            j = i
+        elif ch.isalpha():
+            j = i + 1
             while j < n and text[j].isalpha():
                 j += 1
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(_Token("name", text[i:j], i))
+            append(("name", text[i:j], i))
             i = j
-            continue
-        if ch in "+-*^()":
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        raise OperatorSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", None, n))
+        else:
+            raise OperatorSyntaxError(f"unexpected character {ch!r}", i)
+    append(("end", None, n))
     return tokens
 
 
+# The atoms are built once and shared: operators are immutable, and a
+# product or sum never writes into its operands' terms.
+_SHIFT_OPS = {"s": ShiftOp.s(), "T": ShiftOp.t_power(1), "Ti": ShiftOp.t_power(-1)}
+
+
+@lru_cache(maxsize=256)
+def _weyl_atom(base: str, i: int, rank: int) -> WeylOp:
+    make = WeylOp.x if base == "x" else WeylOp.dx
+    return make(i - 1, rank)
+
+
 class _Parser:
+    """Recursive descent over the tokens.  A subexpression without atoms
+    stays an int or Fraction; it becomes an operator only where it meets
+    one (through the operators' scalar arithmetic) or at the end."""
+
     def __init__(self, tokens, algebra: str, rank: int):
         self.tokens = tokens
         self.pos = 0
-        self.algebra = algebra
+        self.weyl = algebra == "weyl"
         self.rank = rank
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
+    def expect(self, kind: str) -> None:
         tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            raise OperatorSyntaxError(f"expected {kind!r}", tok[2])
         self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise OperatorSyntaxError(f"expected {kind!r}", tok.position)
-        return self.advance()
 
     # expr := term { (+|-) term }
     def expr(self):
         acc = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            rhs = self.term()
-            acc = acc + rhs if op.kind == "+" else acc - rhs
-        return acc
+        while True:
+            kind = self.tokens[self.pos][0]
+            if kind == "+":
+                self.pos += 1
+                acc = acc + self.term()
+            elif kind == "-":
+                self.pos += 1
+                acc = acc - self.term()
+            else:
+                return acc
 
     # term := factor { '*' factor }
     def term(self):
         acc = self.factor()
-        while self.peek().kind == "*":
-            self.advance()
+        while self.tokens[self.pos][0] == "*":
+            self.pos += 1
             acc = acc * self.factor()
         return acc
 
     # factor := '-' factor | primary [ '^' integer ]
     def factor(self):
-        if self.peek().kind == "-":
-            self.advance()
+        tokens = self.tokens
+        if tokens[self.pos][0] == "-":
+            self.pos += 1
             return -self.factor()
         base = self.primary()
-        while self.peek().kind == "^":
-            self.advance()
-            tok = self.peek()
-            if tok.kind != "number" or tok.value.denominator != 1 or tok.value < 0:
+        while tokens[self.pos][0] == "^":
+            kind, value, position = tokens[self.pos + 1]
+            # any literal whose value is a nonnegative integer, such as 4/2
+            if kind != "number" or value.denominator != 1:
                 raise OperatorSyntaxError(
-                    "exponent must be a nonnegative integer", tok.position
+                    "exponent must be a nonnegative integer", position
                 )
-            self.advance()
-            base = base ** int(tok.value)
+            self.pos += 2
+            base = base ** int(value)
         return base
 
     def primary(self):
-        tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
-            return self.scalar(tok.value)
-        if tok.kind == "name":
-            self.advance()
-            return self.atom(tok)
-        if tok.kind == "(":
-            self.advance()
+        kind, value, position = self.tokens[self.pos]
+        if kind == "number":
+            self.pos += 1
+            return value
+        if kind == "name":
+            self.pos += 1
+            return self.atom(value, position)
+        if kind == "(":
+            self.pos += 1
             inner = self.expr()
             self.expect(")")
             return inner
-        raise OperatorSyntaxError("expected an atom, literal, or '('", tok.position)
+        raise OperatorSyntaxError("expected an atom, literal, or '('", position)
 
-    def scalar(self, value: Fraction):
-        if self.algebra == "weyl":
-            return WeylOp.const(value, self.rank)
-        return ShiftOp.t_power(0, value)
-
-    def atom(self, tok: _Token):
-        name = tok.value
-        if self.algebra == "weyl":
+    def atom(self, name: str, position: int):
+        if self.weyl:
             base = name.rstrip("0123456789")
             if base in WEYL_ATOMS:
                 i = int(name[len(base):] or 1)
                 if not 1 <= i <= self.rank:
                     raise UnknownAtomError(
                         f"atom {name!r} names coordinate {i}, outside 1..{self.rank}",
-                        tok.position,
+                        position,
                     )
-                make = WeylOp.x if base == "x" else WeylOp.dx
-                return make(i - 1, self.rank)
+                return _weyl_atom(base, i, self.rank)
             if name in SHIFT_ATOMS:
                 raise UnknownAtomError(
-                    f"atom {name!r} belongs to the shift algebra, not weyl",
-                    tok.position,
+                    f"atom {name!r} belongs to the shift algebra, not weyl", position
                 )
         else:
-            if name == "s":
-                return ShiftOp.s()
-            if name == "T":
-                return ShiftOp.t_power(1)
-            if name == "Ti":
-                return ShiftOp.t_power(-1)
+            op = _SHIFT_OPS.get(name)
+            if op is not None:
+                return op
             if name in WEYL_ATOMS:
                 raise UnknownAtomError(
-                    f"atom {name!r} belongs to the weyl algebra, not shift",
-                    tok.position,
+                    f"atom {name!r} belongs to the weyl algebra, not shift", position
                 )
-        raise UnknownAtomError(f"unknown atom {name!r}", tok.position)
+        raise UnknownAtomError(f"unknown atom {name!r}", position)
 
 
 def parse_operator(text: str, algebra: str, rank: int = 1):
@@ -206,9 +201,9 @@ def parse_operator(text: str, algebra: str, rank: int = 1):
         raise ValueError("the shift algebra has no higher-rank form")
     parser = _Parser(_tokenize(text), algebra, rank)
     result = parser.expr()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise OperatorSyntaxError(
-            f"unexpected trailing {trailing.kind!r}", trailing.position
-        )
+    kind, _, position = parser.tokens[parser.pos]
+    if kind != "end":
+        raise OperatorSyntaxError(f"unexpected trailing {kind!r}", position)
+    if isinstance(result, (int, Fraction)):
+        return WeylOp.const(result, rank) if parser.weyl else ShiftOp.t_power(0, result)
     return result

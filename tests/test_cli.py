@@ -51,6 +51,11 @@ class TestReduce:
         assert (code, out) == (1, "")
         assert err == "error: zero denominator at offset 2\n"
 
+    def test_superscript_exponent_exits_1_with_offset(self, capsys):
+        code, out, err = run_cli(capsys, "reduce", "--algebra", "weyl", "x^\u00b2")
+        assert (code, out) == (1, "")
+        assert err == "error: unexpected character '\u00b2' at offset 2\n"
+
     def test_wrong_algebra_atom_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "reduce", "--algebra", "weyl", "T*s")
         assert code == 1

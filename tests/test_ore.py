@@ -11,6 +11,7 @@ round trips) are checked on deterministic pseudroandom samples.
 import operator
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -21,6 +22,7 @@ from monofour.ore import (
     ShiftOp,
     WeylOp,
     _WeylBase,
+    _normal_product,
     antipode,
     falling,
     falling_poly,
@@ -234,6 +236,13 @@ class TestFourierAutomorphism:
     def test_rejects_laurent(self):
         with pytest.raises(UnsupportedInputError):
             fourier_auto(LaurentWeylOp.x_power(-1))
+
+    def test_antipode_of_a_laurent_operator_stays_laurent(self):
+        w = LaurentWeylOp.x_power(-3, 2) + LX * LDX
+        image = antipode(w)
+        assert type(image) is LaurentWeylOp
+        assert image == LaurentWeylOp.x_power(-3, -2) + LX * LDX
+        assert antipode(image) == w
 
 
 class TestInversionTwist:
@@ -574,6 +583,8 @@ class TestTrustedConstructorOracle:
                        a ** rng.randint(0, 3 if rank < 3 else 2)]
             if cls is WeylOp:
                 results += [fourier_auto(a), fourier_auto(fourier_auto(b))]
+            if cls is not ShiftOp:
+                results.append(antipode(a))
             if cls is ShiftOp:
                 results += [inverse_mellin_op(a), mellin_op(inverse_mellin_op(b))]
             elif rank == 1:
@@ -616,3 +627,74 @@ class TestTrustedConstructorOracle:
             for op in (operator.add, operator.sub, operator.mul, operator.eq):
                 with pytest.raises(ValueError, match="^rank mismatch$"):
                     op(a, b)
+
+
+# The body of _normal_product before it was memoised, kept as the
+# reference: a list of (alpha, beta, int) triples built coordinate by
+# coordinate.
+def ref_normal_product(a1, b1, a2, b2):
+    factors_per_coord = []
+    for i in range(len(a1)):
+        coords = []
+        for k in range(b1[i] + 1):
+            c = comb(b1[i], k) * falling(a2[i], k)
+            if c:
+                coords.append((a1[i] + a2[i] - k, b1[i] + b2[i] - k, c))
+        factors_per_coord.append(coords)
+    combos = [((), (), 1)]
+    for coords in factors_per_coord:
+        new = []
+        for alpha, beta, c in combos:
+            for a, b, c2 in coords:
+                new.append((alpha + (a,), beta + (b,), c * c2))
+        combos = new
+    return combos
+
+
+class TestNormalProductKernel:
+    def assert_matches(self, quadruples):
+        for a1, b1, a2, b2 in quadruples:
+            want = ref_normal_product(a1, b1, a2, b2)
+            # the first call may compute, the second reads the cache
+            for _ in range(2):
+                got = _normal_product(a1, b1, a2, b2)
+                assert type(got) is tuple and list(got) == want
+
+    def test_rank_one_every_quadruple_up_to_four(self):
+        exps = [(e,) for e in range(5)]
+        self.assert_matches(product(exps, repeat=4))
+
+    def test_rank_two(self):
+        # Every quadruple of multi-indices with entries <= 2 (6561), then a
+        # seeded sample with entries <= 4: all 390 625 of those take ~14 s.
+        small = list(product(range(3), repeat=2))
+        self.assert_matches(product(small, repeat=4))
+        rng = random.Random(14)
+        exps = list(product(range(5), repeat=2))
+        self.assert_matches(tuple(rng.choice(exps) for _ in range(4)) for _ in range(4000))
+
+    def test_laurent_exponents(self):
+        # negative x powers (the Laurent algebra) go through the same kernel
+        exps = [(e,) for e in range(-3, 3)]
+        self.assert_matches(
+            (a1, b1, a2, b2) for a1, a2 in product(exps, repeat=2)
+            for b1, b2 in product([(0,), (1,), (3,)], repeat=2))
+
+    def test_cache_is_bounded(self):
+        maxsize = _normal_product.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 1 << 16
+        for a in range(maxsize + 50):
+            _normal_product((a,), (1,), (1,), (0,))
+        assert _normal_product.cache_info().currsize <= maxsize
+
+
+class TestScalarPaths:
+    def test_shift_times_scalar_matches_the_full_product(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            a = rand_shift(rng)
+            for c in (0, 1, -2, Fraction(3, 5), Fraction(-7, 2)):
+                want = a * ShiftOp.from_poly(c)
+                for got in (a * c, c * a):
+                    assert got == want and str(got) == str(want)
+                    assert_normal(got)

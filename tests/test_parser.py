@@ -2,10 +2,13 @@
 
 The load-bearing property is the round-trip: parsing an operator's
 printed form recovers the operator, across a 200-case corpus that
-includes every relation literal the engines construct.
+includes every relation literal the engines construct.  The parser
+before literals stayed scalars, kept below as `ref_parse_operator`,
+judges the current one on seeded random and corrupted expressions.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,8 +16,13 @@ import pytest
 from monofour import mellin, ore
 from monofour.ore import ShiftOp, WeylOp
 from monofour.parser import (
+    _SHIFT_OPS,
+    ALGEBRAS,
+    SHIFT_ATOMS,
+    WEYL_ATOMS,
     OperatorSyntaxError,
     UnknownAtomError,
+    _weyl_atom,
     parse_operator,
 )
 from monofour.scalars import Poly, frac
@@ -194,6 +202,57 @@ class TestErrors:
         with pytest.raises(OperatorSyntaxError, match="offset 4"):
             parse_operator("s + +", "shift")
 
+    @pytest.mark.parametrize("text,algebra,message", [
+        # str.isdigit accepts superscripts, which int() refuses
+        ("x^\u00b2", "weyl", "unexpected character '\u00b2' at offset 2"),
+        ("\u00b3*s", "shift", "unexpected character '\u00b3' at offset 0"),
+        ("1/\u00b2", "weyl", "expected digits after '/' at offset 2"),
+        ("2\u00b9", "shift", "unexpected character '\u00b9' at offset 1"),
+    ])
+    def test_superscript_digits_are_not_digits(self, text, algebra, message):
+        with pytest.raises(OperatorSyntaxError) as exc:
+            parse_operator(text, algebra)
+        assert str(exc.value) == message
+
+    def test_other_decimal_digits_are_literals(self):
+        # int() reads every Unicode decimal digit, e.g. ARABIC-INDIC THREE
+        assert parse_operator("\u0663*x", "weyl") == parse_operator("3*x", "weyl")
+
+
+class TestLiterals:
+    """An exponent is any literal whose value is a nonnegative integer,
+    and a subexpression without atoms is a scalar of the algebra."""
+
+    @pytest.mark.parametrize("text,want", [
+        ("x^4/2", "x^2"), ("x^2/1", "x^2"), ("x^0/5", "1"), ("x^2^3", "x^6"),
+        ("(1/2)^2*x", "1/4*x"), ("0*x", "0"), ("x*0 + dx", "dx"), ("2^3 - 8", "0"),
+        ("(2/4)^0", "1"), ("-3/6*x", "-1/2*x"),
+    ])
+    def test_exponent_and_scalar_values(self, text, want):
+        assert str(parse_operator(text, "weyl")) == want
+
+    @pytest.mark.parametrize("text,position", [("x^1/2", 2), ("x^2/3", 2), ("x^(2)", 2), ("x^x", 2)])
+    def test_non_integer_exponents_refused(self, text, position):
+        with pytest.raises(OperatorSyntaxError, match="exponent must be a nonnegative integer") as exc:
+            parse_operator(text, "weyl")
+        assert exc.value.position == position
+
+    @pytest.mark.parametrize("text,weyl,shift", [
+        ("7", "7", "7"), ("-1/3", "-1/3", "-1/3"), ("4/2", "2", "2"), ("0", "0", "0"),
+        ("1 - 1", "0", "0"), ("(3)^2 * 2", "18", "18"),
+    ])
+    def test_bare_literal_is_an_operator(self, text, weyl, shift):
+        for rank in (1, 2):
+            op = parse_operator(text, "weyl", rank=rank)
+            assert type(op) is WeylOp and op.rank == rank and str(op) == weyl
+        op = parse_operator(text, "shift")
+        assert type(op) is ShiftOp and str(op) == shift
+
+    def test_literals_meet_shift_atoms(self):
+        assert parse_operator("2*T*1/2", "shift") == ShiftOp.t_power(1)
+        assert parse_operator("(1/3)*s + 1", "shift") == ShiftOp({0: Poly((1, Fraction(1, 3)))})
+        assert parse_operator("T*3 - 3*T", "shift") == ShiftOp.zero()
+
 
 # Relation literals the engines construct; the round-trip corpus must
 # cover all of them.
@@ -267,3 +326,315 @@ class TestRoundTrip:
                 again = parse_operator(str(op), "weyl", rank=rank)
                 assert again == op
                 assert str(again) == str(op)
+
+
+# The parser before tokens became tuples and literals stayed scalars,
+# kept as the reference: one _Token object per token, and every literal
+# and atom built as an operator before any arithmetic.
+class RefToken:
+    __slots__ = ("kind", "value", "position")
+
+    def __init__(self, kind, value, position):
+        self.kind = kind
+        self.value = value
+        self.position = position
+
+
+def ref_tokenize(text: str):
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            if j < n and text[j] == "/":
+                k = j + 1
+                while k < n and text[k].isdigit():
+                    k += 1
+                if k == j + 1:
+                    raise OperatorSyntaxError("expected digits after '/'", j + 1)
+                den = int(text[j + 1 : k])
+                if not den:
+                    raise OperatorSyntaxError("zero denominator", j + 1)
+                tokens.append(RefToken("number", Fraction(int(text[i:j]), den), i))
+                i = k
+            else:
+                tokens.append(RefToken("number", Fraction(int(text[i:j])), i))
+                i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < n and text[j].isalpha():
+                j += 1
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(RefToken("name", text[i:j], i))
+            i = j
+            continue
+        if ch in "+-*^()":
+            tokens.append(RefToken(ch, ch, i))
+            i += 1
+            continue
+        raise OperatorSyntaxError(f"unexpected character {ch!r}", i)
+    tokens.append(RefToken("end", None, n))
+    return tokens
+
+
+class RefParser:
+    def __init__(self, tokens, algebra: str, rank: int):
+        self.tokens = tokens
+        self.pos = 0
+        self.algebra = algebra
+        self.rank = rank
+
+    def peek(self) -> RefToken:
+        return self.tokens[self.pos]
+
+    def advance(self) -> RefToken:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str) -> RefToken:
+        tok = self.peek()
+        if tok.kind != kind:
+            raise OperatorSyntaxError(f"expected {kind!r}", tok.position)
+        return self.advance()
+
+    # expr := term { (+|-) term }
+    def expr(self):
+        acc = self.term()
+        while self.peek().kind in ("+", "-"):
+            op = self.advance()
+            rhs = self.term()
+            acc = acc + rhs if op.kind == "+" else acc - rhs
+        return acc
+
+    # term := factor { '*' factor }
+    def term(self):
+        acc = self.factor()
+        while self.peek().kind == "*":
+            self.advance()
+            acc = acc * self.factor()
+        return acc
+
+    # factor := '-' factor | primary [ '^' integer ]
+    def factor(self):
+        if self.peek().kind == "-":
+            self.advance()
+            return -self.factor()
+        base = self.primary()
+        while self.peek().kind == "^":
+            self.advance()
+            tok = self.peek()
+            if tok.kind != "number" or tok.value.denominator != 1 or tok.value < 0:
+                raise OperatorSyntaxError(
+                    "exponent must be a nonnegative integer", tok.position
+                )
+            self.advance()
+            base = base ** int(tok.value)
+        return base
+
+    def primary(self):
+        tok = self.peek()
+        if tok.kind == "number":
+            self.advance()
+            return self.scalar(tok.value)
+        if tok.kind == "name":
+            self.advance()
+            return self.atom(tok)
+        if tok.kind == "(":
+            self.advance()
+            inner = self.expr()
+            self.expect(")")
+            return inner
+        raise OperatorSyntaxError("expected an atom, literal, or '('", tok.position)
+
+    def scalar(self, value: Fraction):
+        if self.algebra == "weyl":
+            return WeylOp.const(value, self.rank)
+        return ShiftOp.t_power(0, value)
+
+    def atom(self, tok: RefToken):
+        name = tok.value
+        if self.algebra == "weyl":
+            base = name.rstrip("0123456789")
+            if base in WEYL_ATOMS:
+                i = int(name[len(base):] or 1)
+                if not 1 <= i <= self.rank:
+                    raise UnknownAtomError(
+                        f"atom {name!r} names coordinate {i}, outside 1..{self.rank}",
+                        tok.position,
+                    )
+                make = WeylOp.x if base == "x" else WeylOp.dx
+                return make(i - 1, self.rank)
+            if name in SHIFT_ATOMS:
+                raise UnknownAtomError(
+                    f"atom {name!r} belongs to the shift algebra, not weyl",
+                    tok.position,
+                )
+        else:
+            if name == "s":
+                return ShiftOp.s()
+            if name == "T":
+                return ShiftOp.t_power(1)
+            if name == "Ti":
+                return ShiftOp.t_power(-1)
+            if name in WEYL_ATOMS:
+                raise UnknownAtomError(
+                    f"atom {name!r} belongs to the weyl algebra, not shift",
+                    tok.position,
+                )
+        raise UnknownAtomError(f"unknown atom {name!r}", tok.position)
+
+
+def ref_parse_operator(text: str, algebra: str, rank: int = 1):
+    if algebra not in ALGEBRAS:
+        raise ValueError(f"algebra must be one of {ALGEBRAS}")
+    if rank < 1:
+        raise ValueError("rank must be positive")
+    if algebra == "shift" and rank != 1:
+        raise ValueError("the shift algebra has no higher-rank form")
+    parser = RefParser(ref_tokenize(text), algebra, rank)
+    result = parser.expr()
+    trailing = parser.peek()
+    if trailing.kind != "end":
+        raise OperatorSyntaxError(
+            f"unexpected trailing {trailing.kind!r}", trailing.position
+        )
+    return result
+
+
+def rand_expression(rng, algebra, rank, depth):
+    """A random expression in the grammar: atoms (indexed ones too, such as
+    x2 or dx01), int and a/b literals, + - * ^, unary minus, parentheses
+    and uneven whitespace."""
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.35:
+            num = str(rng.randint(0, 12))
+            if rng.random() < 0.4:
+                num += f"/{rng.randint(1, 6)}"
+            return num
+        if algebra == "shift":
+            return rng.choice(SHIFT_ATOMS)
+        name = rng.choice(WEYL_ATOMS)
+        if rank > 1 or rng.random() < 0.2:
+            name += rng.choice(("", "0")) + str(rng.randint(1, rank))
+        return name
+    kind = rng.choice(("+", "-", "*", "*", "neg", "pow", "paren"))
+    sub = rand_expression(rng, algebra, rank, depth - 1)
+    if kind == "neg":
+        return f"-{sub}"
+    if kind == "paren":
+        return f"({sub})"
+    if kind == "pow":
+        exponent = rng.choice(("0", "1", "2", "3", "4/2", "6/3", "0/7"))
+        return f"({sub})^{exponent}"
+    space = rng.choice(("", " ", "  "))
+    return f"{sub}{space}{kind}{space}{rand_expression(rng, algebra, rank, depth - 1)}"
+
+
+CORRUPTION = "xdsTi0123/+-*^() \t$.e"
+
+
+def corrupt(rng, text):
+    """text with one to three characters deleted, inserted or replaced."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(chars) + 1)
+        edit = rng.choice(("delete", "insert", "replace"))
+        if edit == "insert" or not chars or i == len(chars):
+            chars.insert(i, rng.choice(CORRUPTION))
+        elif edit == "delete":
+            del chars[i]
+        else:
+            chars[i] = rng.choice(CORRUPTION)
+    return "".join(chars)
+
+
+def outcome(parse, text, algebra, rank):
+    try:
+        op = parse(text, algebra, rank)
+    except Exception as exc:
+        return ("raised", type(exc), str(exc), getattr(exc, "position", None))
+    return ("parsed", type(op), getattr(op, "rank", None), op, str(op))
+
+
+# A corruption can glue digits onto an exponent; both parsers would then
+# expand powers such as (x + dx)^31, which only costs time.
+HUGE_POWER = re.compile(r"\^\s*(\d{2}|[5-9])")
+
+
+class TestReferenceParser:
+    @pytest.mark.parametrize("algebra,rank", [("weyl", 1), ("weyl", 2), ("shift", 1)])
+    def test_random_expressions(self, algebra, rank):
+        rng = random.Random(1400 + rank + (algebra == "shift"))
+        parsed = 0
+        for _ in range(400):
+            text = rand_expression(rng, algebra, rank, 4)
+            got = outcome(parse_operator, text, algebra, rank)
+            assert got == outcome(ref_parse_operator, text, algebra, rank), text
+            parsed += got[0] == "parsed"
+        assert parsed > 300
+
+    @pytest.mark.parametrize("algebra,rank", [("weyl", 1), ("weyl", 2), ("shift", 1)])
+    def test_corrupted_expressions(self, algebra, rank):
+        rng = random.Random(1410 + rank + (algebra == "shift"))
+        kinds = set()
+        for _ in range(600):
+            text = corrupt(rng, rand_expression(rng, algebra, rank, 3))
+            if HUGE_POWER.search(text):
+                continue
+            got = outcome(parse_operator, text, algebra, rank)
+            assert got == outcome(ref_parse_operator, text, algebra, rank), text
+            kinds.add(got[1])
+        assert {OperatorSyntaxError, UnknownAtomError, WeylOp if algebra == "weyl" else ShiftOp} <= kinds
+
+    @pytest.mark.parametrize("text,algebra,rank", [
+        ("", "weyl", 1), ("x", "clifford", 1), ("x", "weyl", 0), ("s", "shift", 2),
+        ("((x)", "weyl", 1), ("x)", "weyl", 1), ("3 3", "shift", 1), ("T^", "shift", 1),
+        ("dx3", "weyl", 2), ("1/0", "shift", 1), ("x^-1", "weyl", 1), ("--2", "weyl", 3),
+    ])
+    def test_edge_cases(self, text, algebra, rank):
+        assert outcome(parse_operator, text, algebra, rank) == outcome(
+            ref_parse_operator, text, algebra, rank)
+
+
+class TestSharedAtoms:
+    def test_parses_return_the_shared_atoms(self):
+        assert parse_operator("x", "weyl") is _weyl_atom("x", 1, 1)
+        assert parse_operator("(dx2)", "weyl", rank=2) is _weyl_atom("dx", 2, 2)
+        for name in SHIFT_ATOMS:
+            assert parse_operator(name, "shift") is _SHIFT_OPS[name]
+
+    def test_atoms_unchanged_after_parses_and_products(self):
+        atoms = dict(_SHIFT_OPS)
+        for rank in (1, 2):
+            for base in WEYL_ATOMS:
+                for i in range(1, rank + 1):
+                    atoms[(base, i, rank)] = _weyl_atom(base, i, rank)
+        before = {key: dict(op.terms) for key, op in atoms.items()}
+        rng = random.Random(1420)
+        for n in range(1000):
+            algebra, rank = (("weyl", 1), ("weyl", 2), ("shift", 1))[n % 3]
+            a = parse_operator(rand_expression(rng, algebra, rank, 3), algebra, rank)
+            b = parse_operator(rng.choice(("x", "dx", "x^1", "(x)*1")) if algebra == "weyl"
+                               else rng.choice(SHIFT_ATOMS + ("T^1", "1*s")), algebra, rank)
+            for op in (a * b, b * a, a + b, b - a, -b, b * 2, 0 * b, b ** 2):
+                # a result is the atom itself or holds terms of its own
+                assert op is b or op.terms is not b.terms
+        for key, op in atoms.items():
+            assert op.terms == before[key], key
+        for name in SHIFT_ATOMS:
+            assert _SHIFT_OPS[name] is atoms[name]
+        assert str(_SHIFT_OPS["s"]) == "s" and str(_weyl_atom("dx", 2, 2)) == "dx2"
+
+    def test_atom_cache_is_bounded(self):
+        maxsize = _weyl_atom.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
