@@ -267,6 +267,8 @@ class Poly(ExactValue):
         """Return p(s + c).  For c = n/m, p(s + n/m) * m^deg is the Taylor
         shift by n of B_i = A_i m^(deg - i), with coefficient k scaled
         by m^k, so the shift runs on ints."""
+        if type(c) is not int:
+            c = frac(c)
         if not c or not self.nums:
             return self
         nums, n, m = self.nums, c.numerator, c.denominator
