@@ -111,10 +111,14 @@ class CycScalar(ExactValue):
                         out[j] += c * z
         return _cyc(m, out, self.denominator)
 
+    # Operand tests name CycScalar first: isinstance returns at once on
+    # an exact type match, while a miss against Fraction, an ABC, runs
+    # ABCMeta.__instancecheck__.
+
     def _pair(self, other) -> tuple["CycScalar", "CycScalar"]:
-        if isinstance(other, (int, Fraction)):
-            return self, CycScalar.from_rational(other, self.conductor)
         if not isinstance(other, CycScalar):
+            if isinstance(other, (int, Fraction)):
+                return self, CycScalar.from_rational(other, self.conductor)
             raise TypeError(f"cannot combine CycScalar with {type(other).__name__}")
         n, m = self.conductor, other.conductor
         if n == m:
@@ -135,7 +139,7 @@ class CycScalar(ExactValue):
         return _cyc(a.conductor, nums, den)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, CycScalar)):
+        if isinstance(other, (CycScalar, int, Fraction)):
             return self._plus(other, 1)
         return NotImplemented
 
@@ -145,20 +149,20 @@ class CycScalar(ExactValue):
         return _cyc(self.conductor, [-x for x in self.numerators], self.denominator)
 
     def __sub__(self, other):  # one pass, not through negation
-        if isinstance(other, (int, Fraction, CycScalar)):
+        if isinstance(other, (CycScalar, int, Fraction)):
             return self._plus(other, -1)
         return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, CycScalar):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             c = other.numerator
             return _cyc(
                 self.conductor,
                 [x * c for x in self.numerators],
                 self.denominator * other.denominator,
             )
-        if not isinstance(other, CycScalar):
-            return NotImplemented
         a, b = self._pair(other)
         n = a.conductor
         phi = len(a.numerators)
@@ -187,7 +191,7 @@ class CycScalar(ExactValue):
         return binary_power(self, n, CycScalar.from_rational(1, self.conductor))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, CycScalar)):
+        if isinstance(other, (CycScalar, int, Fraction)):
             a, b = self._pair(other)
             return a.denominator == b.denominator and a.numerators == b.numerators
         return NotImplemented
@@ -229,3 +233,119 @@ def _cyc(conductor: int, nums, den: int = 1) -> CycScalar:
 def zeta(n: int, k: int = 1) -> CycScalar:
     """The primitive n-th root of unity raised to the k-th power."""
     return _cyc(n, _zeta_powers(n)[k % n])
+
+
+def sum_of_products(pairs):
+    """The sum of a * b over the (a, b) pairs, equal in value, type and
+    conductor to the chained `acc = 0; acc = acc + a * b`: the int 0 for
+    no pairs, and with a cyclotomic operand a CycScalar at the lcm N of
+    every cyclotomic operand's conductor, zeros included.
+
+    With one, the terms are summed as integer numerators in
+    Z[x]/(x^N - 1) over one denominator, zeta_n^i at x^(i N/n), and
+    folded into Q[x]/Phi_N once, through _zeta_powers.
+    """
+    pairs = list(pairs)
+    n = 0  # the lcm of the cyclotomic conductors; 0 while there is none
+    for a, b in pairs:
+        if isinstance(a, CycScalar):
+            n = lcm(n or 1, a.conductor)
+        if isinstance(b, CycScalar):
+            n = lcm(n or 1, b.conductor)
+    if not n:
+        acc = 0
+        for a, b in pairs:
+            acc = acc + a * b
+        return acc
+    acc = [0] * (2 * n - 1)
+    den = 1
+    for a, b in pairs:
+        ta, da = _spread(a, n)
+        tb, db = _spread(b, n)
+        if not (ta and tb):
+            continue
+        d = da * db
+        if den % d:
+            grown = lcm(den, d)
+            acc = [x * (grown // den) for x in acc]
+            den = grown
+        scale = den // d
+        for i, x in ta:
+            x *= scale
+            for j, y in tb:
+                acc[i + j] += x * y
+    for k in range(n, 2 * n - 1):
+        acc[k - n] += acc[k]
+    phi = _phi(n)
+    out = acc[:phi]
+    powers = _zeta_powers(n)
+    for k in range(phi, n):
+        c = acc[k]
+        if c:
+            for i, z in enumerate(powers[k]):
+                if z:
+                    out[i] += c * z
+    return _cyc(n, out, den)
+
+
+def _spread(x, n: int) -> tuple[list[tuple[int, int]], int]:
+    """The nonzero terms (exponent, numerator) of x in Z[x]/(x^n - 1),
+    zeta_m^i at x^(i n/m), and its denominator."""
+    if isinstance(x, CycScalar):
+        stride = n // x.conductor
+        return [(i * stride, c) for i, c in enumerate(x.numerators) if c], x.denominator
+    return ([(0, x.numerator)] if x else []), x.denominator
+
+
+# The first thirteen primes as Miller-Rabin bases decide primality for
+# every n < 3.3 * 10^24 (Sorenson and Webster, Math. Comp. 86, 2017),
+# far above the split primes below.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < 3.3 * 10^24."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def split_prime(n: int, i: int) -> tuple[int, int]:
+    """(p, omega) for the i-th prime p > 2^61 with p = 1 mod n, in
+    increasing order, and omega a primitive n-th root of unity mod p.
+
+    Phi_n splits into linear factors mod such a p, so zeta_n -> omega is
+    a ring map Z[zeta_n] -> F_p.  Each prime is found when first asked
+    for, and kept.
+    """
+    p = split_prime(n, i - 1)[0] + n if i else (2**61 // n + 1) * n + 1
+    while not _is_prime(p):
+        p += n
+    return p, _root_of_unity(n, p)
+
+
+def _root_of_unity(n: int, p: int) -> int:
+    """A primitive n-th root of unity mod a prime p = 1 mod n: the first
+    g^((p-1)/n) that is a root of Phi_n.  Since p does not divide n,
+    x^n - 1 has no repeated root mod p, so a root of Phi_n has order n."""
+    nums = cyclotomic_poly(n).nums
+    powers = (pow(g, (p - 1) // n, p) for g in range(2, p))
+    return next(w for w in powers if sum(c * pow(w, k, p) for k, c in enumerate(nums)) % p == 0)

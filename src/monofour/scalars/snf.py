@@ -174,6 +174,12 @@ def _rank_at_point(m: Matrix, p: int) -> int | None:
             value = synthetic_division(list(x.nums), _RANK_POINT)[1]
             values.append(value * pow(x.den, -1, p) % p)
         a.append(values)
+    return _rank_mod_p(a, p)
+
+
+def _rank_mod_p(a: list[list[int]], p: int) -> int:
+    """Rank over F_p of a matrix of residues in 0 .. p-1, by row
+    reduction; the rows of `a` are replaced as it runs."""
     rows = len(a)
     rank = 0
     for c in range(len(a[0]) if rows else 0):

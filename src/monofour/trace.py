@@ -24,7 +24,9 @@ from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 
-from .scalars import CycScalar, Fq, UnsupportedInputError, rational_rank, zeta
+from .scalars import CycScalar, Fq, UnsupportedInputError, zeta
+from .scalars.cyclotomic import split_prime, sum_of_products
+from .scalars.snf import _rank_mod_p
 
 Scalar = object  # Fraction | int | CycScalar
 
@@ -322,6 +324,8 @@ def conv_Gm(g: TraceFunction, f: TraceFunction) -> TraceFunction:
     """Multiplicative convolution: (g * f)(v) = sum_{l != 0} g(l) f(l^-1 v).
 
     Each value is written in the conductor the full per-term sum has.
+    Rational tables are summed one unit at a time; with a cyclotomic
+    value, each sum is one sum_of_products.
     """
     if g.rank != 1:
         raise ValueError("convolver must live on F_q")
@@ -332,13 +336,20 @@ def conv_Gm(g: TraceFunction, f: TraceFunction) -> TraceFunction:
     # a zero term adds no value, but a cyclotomic one can widen the
     # conductor of the sum; only terms that are rational zeros are skipped
     rational_f = not any(isinstance(x, CycScalar) for x in fvals)
-    out = [0] * len(fvals)
-    for lam in field.units():
-        gl = g.values[lam]
-        if not gl and rational_f and not isinstance(gl, CycScalar):
-            continue
-        moved = scaled[lam] if scaled else _scaled_row(field, d, lam)
-        out = [acc + gl * fvals[j] for acc, j in zip(out, moved)]
+    terms = [
+        (gl, scaled[lam] if scaled else _scaled_row(field, d, lam))
+        for lam, gl in enumerate(g.values)
+        if lam and (gl or not rational_f or isinstance(gl, CycScalar))
+    ]
+    if rational_f and not any(isinstance(gl, CycScalar) for gl, _ in terms):
+        out = [0] * len(fvals)
+        for gl, moved in terms:
+            out = [acc + gl * fvals[j] for acc, j in zip(out, moved)]
+    else:
+        out = [
+            sum_of_products((gl, fvals[moved[v]]) for gl, moved in terms)
+            for v in range(len(fvals))
+        ]
     return TraceFunction(field, d, out)
 
 
@@ -673,12 +684,7 @@ def gauss_sum(q, k: int, psi_index: int = 1) -> CycScalar:
     """Classical character sum sum_{x != 0} chi_k(x) psi(x)."""
     field = Fq(q)
     table = CharacterTable(field)
-    acc = 0
-    for x in field.units():
-        acc = acc + table.chi(k, x) * table.psi(x, psi_index)
-    if not isinstance(acc, CycScalar):
-        acc = CycScalar.from_rational(acc)
-    return acc
+    return sum_of_products((table.chi(k, x), table.psi(x, psi_index)) for x in field.units())
 
 
 def gauss_suite(q, n: int, psi_index: int = 1) -> dict:
@@ -862,38 +868,54 @@ def monodromic_span_basis(q, d: int, n: int) -> list[TraceFunction]:
 
 
 def _cyc_rank(vectors) -> int:
-    """Rank over the cyclotomic field of row vectors with mixed
-    rational/cyclotomic entries, via integer flattening.
+    """Rank over Q(zeta_N) of row vectors with int, Fraction and
+    cyclotomic entries, N the lcm of the entries' conductors.
 
-    A vector v, scaled by the lcm D of its entries' denominators, gives
-    the phi integer rows of zeta^j * D * v for j < phi, each entry written
-    as its phi numerators; the rational rank of all those rows is phi
-    times the cyclotomic rank.
+    Each row is scaled by the lcm of its denominators, so its entries lie
+    in Z[zeta_N], and sent to F_p by zeta_N -> omega for split primes
+    p = 1 mod N (cyclotomic.split_prime).  A minor that is nonzero mod p
+    is nonzero, so each rank mod p is a lower bound, and one equal to
+    min(rows, cols) is the rank.  Otherwise primes are added until their
+    product exceeds H^phi(N), H the product over rows of the l1 norm of
+    the row's numerators, and the largest rank seen is the rank: if a
+    nonzero r-minor D vanished mod every prime, their product would
+    divide the norm of D, while 0 < |N(D)| <= H^phi(N) by Hadamard's
+    bound in every complex embedding.
     """
     cond = 1
     for vec in vectors:
         for x in vec:
             if isinstance(x, CycScalar):
                 cond = lcm(cond, x.conductor)
-    phi = len(zeta(cond).numerators)
-    powers = [zeta(cond, j) for j in range(phi)]
-    rows = []
+    # every entry as its nonzero terms (exponent of zeta_N, integer)
+    cleared, bound = [], 1
     for vec in vectors:
-        promoted = [
-            x.promote(cond) if isinstance(x, CycScalar) else CycScalar.from_rational(x, cond)
-            for x in vec
+        scale = lcm(*(x.denominator for x in vec))
+        row, norm = [], 0
+        for x in vec:
+            if isinstance(x, CycScalar):
+                stride, c = cond // x.conductor, scale // x.denominator
+                terms = [(i * stride, c * a) for i, a in enumerate(x.numerators) if a]
+            else:
+                terms = [(0, x.numerator * (scale // x.denominator))] if x else []
+            norm += sum(abs(a) for _, a in terms)
+            row.append(terms)
+        cleared.append(row)
+        bound *= max(norm, 1)
+    bound **= len(zeta(cond).numerators)
+    full = min(len(vectors), len(vectors[0])) if vectors else 0
+    rank, modulus, i = 0, 1, 0
+    while rank < full and modulus <= bound:
+        p, omega = split_prime(cond, i)
+        powers = [pow(omega, k, p) for k in range(cond)]
+        rows = [
+            [sum(a * powers[k] for k, a in terms) % p for terms in row]
+            for row in cleared
         ]
-        scale = lcm(*(x.denominator for x in promoted))
-        ints = [x * scale for x in promoted]
-        for zj in powers:
-            row = []
-            for x in ints:
-                row.extend((zj * x).numerators)
-            rows.append(row)
-    rank = rational_rank(rows)
-    if rank % phi:
-        raise AssertionError("flattened rank is not a multiple of the degree")
-    return rank // phi
+        rank = max(rank, _rank_mod_p(rows, p))
+        modulus *= p
+        i += 1
+    return rank
 
 
 def check_mon_equivalence(q, d: int, n: int) -> dict:

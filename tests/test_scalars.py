@@ -1,5 +1,6 @@
 import operator
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -21,12 +22,12 @@ from monofour.scalars import (
     rational_rank,
     zeta,
 )
-from monofour.scalars import ffield, ratfun, snf
-from monofour.scalars.cyclotomic import _phi, _zeta_powers
+from monofour.scalars import cyclotomic, ffield, ratfun, snf
+from monofour.scalars.cyclotomic import _phi, _zeta_powers, sum_of_products
 from monofour.scalars.poly import CERT_PRIME, frac, integer_coeffs, synthetic_division, taylor_coeffs
 from monofour.scalars.ratfun import linear_factors, rational_roots
 from monofour.mellin import EquivariantModule, torsion_by_point_ranks
-from monofour.trace import _cyc_rank
+from monofour.trace import _cyc_rank, four_B, gauss_sum, monodromic_span_basis
 
 S = Poly.x()
 
@@ -1580,6 +1581,307 @@ class TestRationalRankOracle:
             rank = _cyc_rank(base)
             assert _cyc_rank(m) == rank == ref_cyc_rank(m) == ref_cyc_rank(base)
             assert rank <= min(len(base), width)
+
+
+def flat_cyc_rank(vectors):
+    """_cyc_rank by integer flattening, the body it had before the
+    modular rank: each row v, scaled by the lcm D of its denominators,
+    gives the phi integer rows of zeta^j * D * v, whose rational rank is
+    phi times the cyclotomic rank."""
+    cond = 1
+    for vec in vectors:
+        for x in vec:
+            if isinstance(x, CycScalar):
+                cond = cond * x.conductor // gcd(cond, x.conductor)
+    phi = _phi(cond)
+    powers = [zeta(cond, j) for j in range(phi)]
+    rows = []
+    for vec in vectors:
+        promoted = [
+            x.promote(cond) if isinstance(x, CycScalar) else CycScalar.from_rational(x, cond)
+            for x in vec
+        ]
+        scale = 1
+        for x in promoted:
+            scale = scale * x.denominator // gcd(scale, x.denominator)
+        ints = [x * scale for x in promoted]
+        for zj in powers:
+            row = []
+            for x in ints:
+                row.extend((zj * x).numerators)
+            rows.append(row)
+    rank = rational_rank(rows)
+    assert rank % phi == 0
+    return rank // phi
+
+
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def prime_factors(n):
+    return [l for l in range(2, n + 1) if n % l == 0 and trial_division_is_prime(l)]
+
+
+def mon_equivalence_matrices(q, d, n):
+    """The three matrices whose ranks check_mon_equivalence compares."""
+    basis = monodromic_span_basis(q, d, n)
+    base = [list(f.values) for f in basis]
+    images = [list(four_B(f).values) for f in basis]
+    return [base, images, base + images]
+
+
+class SmallInt(int):
+    pass
+
+
+class TestOperandDispatch:
+    """CycScalar tests its own type before Fraction's ABC check, with the
+    same results for ints, int subclasses and Fractions."""
+
+    def test_rational_operands_of_every_kind(self):
+        z = zeta(5)
+        for c in (3, True, SmallInt(3), Fraction(3, 4), Fraction(6, 2)):
+            r = CycScalar.from_rational(c, 5)
+            assert_same_scalar(z + c, z + r)
+            assert_same_scalar(c + z, r + z)
+            assert_same_scalar(z - c, z - r)
+            assert_same_scalar(c - z, r - z)
+            assert_same_scalar(z * c, z * r)
+            assert_same_scalar(c * z, r * z)
+            assert (z == c) is False and (r == c) is True and (c == r) is True
+
+    def test_other_operands_are_refused(self):
+        z = zeta(5)
+        for other in (1.5, "1", None, S):
+            assert z.__add__(other) is NotImplemented
+            assert z.__mul__(other) is NotImplemented
+            assert z.__eq__(other) is NotImplemented
+        with pytest.raises(TypeError):
+            z + 1.5
+        with pytest.raises(TypeError):
+            z._pair(1.5)
+
+    def test_cyclotomic_operands_run_no_abc_check(self):
+        z, w, h = zeta(7), zeta(3), Fraction(1, 2)
+        # h * z is left out: Fraction.__mul__ runs its own isinstance
+        # tests before it returns NotImplemented
+        ops = [lambda: z * w, lambda: z + w, lambda: z - w, lambda: z == w,
+               lambda: z * 2, lambda: z + h, lambda: z * h, lambda: 3 * z]
+        for op in ops:
+            op()  # fills the conductor caches
+        calls = []
+
+        def profiler(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "__instancecheck__":
+                calls.append(frame.f_back.f_code.co_name)
+
+        sys.setprofile(profiler)
+        try:
+            for op in ops:
+                op()
+        finally:
+            sys.setprofile(None)
+        assert calls == []
+
+
+class TestSplitPrimes:
+    # Carmichael numbers, and strong pseudoprimes to every base up to 7,
+    # up to 23 and up to 37 (the last needs the base 41)
+    COMPOSITES = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 3215031751,
+                  3825123056546413051, 318665857834031151167461)
+
+    def test_miller_rabin_matches_trial_division(self):
+        assert [n for n in range(3000) if cyclotomic._is_prime(n)] == [
+            n for n in range(3000) if trial_division_is_prime(n)]
+
+    def test_miller_rabin_rejects_pseudoprimes(self):
+        for n in self.COMPOSITES:
+            assert not cyclotomic._is_prime(n)
+        assert cyclotomic._is_prime(2**61 - 1) and cyclotomic._is_prime(CERT_PRIME)
+        assert not cyclotomic._is_prime((2**61 - 1) * 8191)
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_split_primes_carry_a_primitive_root(self, n):
+        primes = [cyclotomic.split_prime(n, i) for i in range(3)]
+        assert [p for p, _ in primes] == sorted({p for p, _ in primes})
+        for p, omega in primes:
+            assert 2**61 < p < 2**62 and (p - 1) % n == 0
+            assert cyclotomic._is_prime(p)
+            assert all(pow(a, p - 1, p) == 1 for a in (2, 3, 5, 7))
+            assert pow(omega, n, p) == 1
+            assert all(pow(omega, n // l, p) != 1 for l in prime_factors(n))
+            # Phi_n(omega) = 0 mod p, so zeta_n -> omega is a ring map
+            assert sum(c * pow(omega, k, p) for k, c in enumerate(cyclotomic_poly(n).nums)) % p == 0
+        # found once, then kept
+        assert cyclotomic.split_prime(n, 1) is primes[1]
+
+
+class TestCycRank:
+    def test_empty_and_zero_matrices(self):
+        zero6 = zeta(6) * 0
+        cases = [[], [[]], [[], []], [[0]], [[0, 0], [0, 0]], [[Fraction(0), zero6]],
+                 [[zero6], [0], [zeta(5) * 0]]]
+        for m in cases:
+            assert _cyc_rank(m) == ref_cyc_rank(m) == 0
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 12])
+    def test_planted_bad_prime(self, n, monkeypatch):
+        """An entry that vanishes at the first split prime: that prime
+        reads rank 1, and the primes after it find rank 2."""
+        from monofour import trace
+
+        seen = []
+
+        def recording(a, p):
+            seen.append(snf._rank_mod_p(a, p))
+            return seen[-1]
+
+        monkeypatch.setattr(trace, "_rank_mod_p", recording)
+        p, omega = cyclotomic.split_prime(n, 0)
+        one = CycScalar.from_rational(1, n)
+        bad = [p, Fraction(p, 7)]
+        if n > 1:
+            bad += [zeta(n) - omega, (zeta(n) - omega) * Fraction(3, 7)]
+        for x in bad:
+            for m in ([[one, 0], [0, x]], [[one, 0], [0, x], [one, x]]):
+                seen.clear()
+                assert _cyc_rank(m) == 2 == flat_cyc_rank(m)
+                assert seen[0] == 1 and max(seen) == 2
+
+    def test_rank_deficient_input_takes_primes_past_the_bound(self, monkeypatch):
+        from monofour import trace
+
+        used = []
+
+        def counting(n, i):
+            used.append(i)
+            return cyclotomic.split_prime(n, i)
+
+        monkeypatch.setattr(trace, "split_prime", counting)
+        v = [zeta(7, k) * 1000 + k for k in range(5)]
+        m = [v, [x * zeta(7, 3) for x in v], [x * Fraction(2, 9) for x in v]]
+        assert _cyc_rank(m) == 1 == flat_cyc_rank(m)
+        assert len(used) > 1  # 1 < min(3, 5), and the bound exceeds one prime
+
+    @pytest.mark.parametrize("q,d,n", [(13, 1, 12), (7, 2, 6)])
+    def test_mon_equivalence_matrices(self, q, d, n):
+        for m in mon_equivalence_matrices(q, d, n):
+            rank = _cyc_rank(m)
+            assert rank == ref_cyc_rank(m) == flat_cyc_rank(m)
+
+    @pytest.mark.parametrize("q,d,n", [(7, 1, 3), (11, 1, 2), (5, 2, 4)])
+    def test_profile_matrices_against_flattening(self, q, d, n):
+        for m in mon_equivalence_matrices(q, d, n):
+            assert _cyc_rank(m) == flat_cyc_rank(m)
+
+    def test_planted_rank_matrices(self):
+        rng = random.Random(75)
+        for _ in range(300):
+            n = rng.choice((1, 3, 4, 5, 7, 8, 12, 15))
+            divisors = [c for c in range(1, n + 1) if n % c == 0]
+            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+
+            def entry():
+                pick = rng.random()
+                if pick < 0.2:
+                    return rng.randint(-3, 3)
+                if pick < 0.35:
+                    return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                if pick < 0.45:
+                    return zeta(n) * 0
+                # entries of every conductor dividing n, in one matrix
+                return random_cyc(rng, rng.choice(divisors))
+
+            indep = rng.randint(0, min(rows, cols))
+            m = [[entry() for _ in range(cols)] for _ in range(indep)]
+            while len(m) < rows:
+                cs = [random_cyc(rng, n) for _ in m]
+                m.append([sum((c * row[j] for c, row in zip(cs, m)), 0) for j in range(cols)])
+            rng.shuffle(m)
+            rank = _cyc_rank(m)
+            assert rank == flat_cyc_rank(m)
+            assert rank <= indep
+
+
+@st.composite
+def operands(draw):
+    """An int, a Fraction with a non-unit denominator, or a cyclotomic
+    value of a mixed conductor, zero included."""
+    kind = draw(st.sampled_from(("int", "fraction", "cyclotomic", "cyclotomic zero")))
+    if kind == "int":
+        return draw(st.integers(min_value=-6, max_value=6))
+    if kind == "fraction":
+        return draw(small_fracs)
+    n = draw(st.sampled_from(MIXED_CONDUCTORS))
+    if kind == "cyclotomic zero":
+        return CycScalar(n, [])
+    return CycScalar(n, draw(st.lists(small_fracs, max_size=_phi(n))))
+
+
+def chained_sum(pairs):
+    acc = 0
+    for a, b in pairs:
+        acc = acc + a * b
+    return acc
+
+
+def assert_same_scalar(got, want):
+    assert type(got) is type(want)
+    assert getattr(got, "conductor", None) == getattr(want, "conductor", None)
+    assert got == want and str(got) == str(want)
+    if isinstance(want, CycScalar):
+        assert (got.numerators, got.denominator) == (want.numerators, want.denominator)
+
+
+class TestSumOfProducts:
+    def test_empty_sum_is_the_int_zero(self):
+        assert_same_scalar(sum_of_products([]), 0)
+        assert_same_scalar(sum_of_products(iter(())), 0)
+
+    @given(st.lists(st.tuples(operands(), operands()), max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_chained_sum(self, pairs):
+        assert_same_scalar(sum_of_products(pairs), chained_sum(pairs))
+        assert_same_scalar(sum_of_products(iter(pairs)), chained_sum(pairs))
+
+    def test_seeded_sums_with_denominators(self):
+        rng = random.Random(76)
+        for _ in range(200):
+            pairs = []
+            for _ in range(rng.randint(0, 7)):
+                pair = []
+                for _ in range(2):
+                    pick = rng.random()
+                    if pick < 0.2:
+                        pair.append(rng.randint(-4, 4))
+                    elif pick < 0.4:
+                        pair.append(Fraction(rng.randint(-9, 9), rng.choice((2, 3, 5, 12))))
+                    elif pick < 0.5:
+                        pair.append(zeta(rng.choice((2, 6, 10)), rng.randrange(10)) * 0)
+                    else:
+                        pair.append(random_cyc(rng, rng.choice((1, 3, 4, 5, 8, 10, 12, 15))))
+                pairs.append(tuple(pair))
+            assert_same_scalar(sum_of_products(pairs), chained_sum(pairs))
+
+    def test_cyclotomic_zeros_keep_their_conductor(self):
+        got = sum_of_products([(3, zeta(7) * 0), (Fraction(1, 2), 2), (zeta(4), 0)])
+        assert_same_scalar(got, chained_sum([(3, zeta(7) * 0), (Fraction(1, 2), 2), (zeta(4), 0)]))
+        assert (got.conductor, str(got)) == (28, "1")
+
+    def test_rational_sums_keep_their_type(self):
+        for pairs in ([(2, 3), (True, 4)], [(Fraction(1, 2), 4)], [(0, Fraction(1, 3)), (1, 1)]):
+            assert_same_scalar(sum_of_products(pairs), chained_sum(pairs))
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11])
+    def test_gauss_sums_match_the_chained_sum(self, q):
+        from monofour.trace import CharacterTable
+
+        table = CharacterTable(q)
+        for k in range(q - 1):
+            want = chained_sum(
+                (table.chi(k, x), table.psi(x, 1)) for x in range(1, q))
+            assert_same_scalar(gauss_sum(q, k), want)
 
 
 # The Fraction-tuple Poly from before int numerators over one denominator,
