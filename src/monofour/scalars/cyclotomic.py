@@ -253,10 +253,7 @@ def sum_of_products(pairs):
         if isinstance(b, CycScalar):
             n = lcm(n or 1, b.conductor)
     if not n:
-        acc = 0
-        for a, b in pairs:
-            acc = acc + a * b
-        return acc
+        return sum(a * b for a, b in pairs)
     acc = [0] * (2 * n - 1)
     den = 1
     for a, b in pairs:
