@@ -41,8 +41,10 @@ def _chi_fraction(value) -> Fraction:
 
 
 def _run_lem_mon_shadow(p):
-    chi_index = int(_chi_fraction(p["chi"]))
-    rep = trace.check_lem_mon_shadow(p["q"], p["n"], chi_index)
+    chi = _chi_fraction(p["chi"])
+    if chi.denominator != 1:
+        raise UnsupportedInputError(f"chi = {chi} must be an integer character index")
+    rep = trace.check_lem_mon_shadow(p["q"], p["n"], int(chi))
     return rep["verdict"], rep
 
 

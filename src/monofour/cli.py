@@ -84,7 +84,7 @@ def _trace_object(q: int, name: str):
     if name == "B":
         return trace.t_B(q), "kernel trace"
     if name == "psi":
-        return trace.CharacterTable(q).psi_function(1), "additive character"
+        return trace.CharacterTable(q).psi_function(), "additive character"
     if name.startswith("I0:"):
         n = int(name.split(":", 1)[1])
         return trace.power_count_trace(q, n), f"power-count kernel, exponent {n}"

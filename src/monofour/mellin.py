@@ -959,21 +959,20 @@ def localization_identity_check(m: WindowedLattice, test_points) -> bool:
 
 
 _LADDERS = {"kernel": pole_ladder, "exp": exp_ladder}
-_KIND_ALIASES = {"B": "kernel", "E": "exp", "kernel": "kernel", "exp": "exp"}
 
 
-def skyscraper_freeness_check(mod_kind: str, chi, n: int, N: int) -> dict:
-    """Check that every window fiber of the chosen canonical module is free
-    of rank one on its named generator, and record the shift units.
+def skyscraper_freeness_check(kind: str, chi, n: int, N: int) -> dict:
+    """Check that every window fiber of the canonical module `kind`
+    ("kernel" or "exp") is free of rank one on its named generator, and
+    record the shift units.
 
     The named generators are 1/(s-i) for the kernel module and the
     (-i-1)-st ladder element for the exponential module; in both cases
     the shift carries the generator at chi+i to the one at chi+i-1 with
     unit 1.
     """
-    kind = _KIND_ALIASES.get(mod_kind)
-    if kind is None:
-        raise UnsupportedInputError(f"unknown module kind {mod_kind!r}")
+    if kind not in _LADDERS:
+        raise UnsupportedInputError(f"unknown module kind {kind!r}")
     chi = _normalize_chi(chi)
     _require_window(n, N)
     if n > MAX_FIBER_ORDER:

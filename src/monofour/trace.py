@@ -7,12 +7,18 @@ enter.  The central kernel is the function t_B on F_q: 1 away from 1
 and 1-q at 1, so that its total sum vanishes and its value at 0 is 1.
 The associated transform
 
-    four_B(f)(xi) = (-1)^d * sum_v f(v) * t_B(<v, xi>)
+    four_B(f)(xi) = (-1)^d * sum_v f(v) * t_B(<v, xi>),
 
-is studied alongside the additive-character transform four_psi,
-multiplicative convolution over F_q^x, power-count kernels, Gauss
-sums, and a family of named verification checks.  Every check does
-exact arithmetic; randomized modes are seeded and reported.
+with the dot product <v, xi> = sum_i v_i xi_i, is studied alongside
+the additive-character transform four_psi, built on psi_1(x) =
+zeta_p^Tr(x), multiplicative convolution over F_q^x, power-count
+kernels, Gauss sums, and a family of named verification checks.  Every
+check does exact arithmetic; randomized modes are seeded and reported.
+
+The dot product and psi_1 lose no generality.  Any nondegenerate
+bilinear form v^T P xi is the dot product after the substitution
+xi -> P xi, and every other additive character is psi_a(x) =
+psi_1(a x) for a unit a, that is, psi_1 after the scaling x -> a x.
 """
 
 from __future__ import annotations
@@ -168,8 +174,8 @@ def _index(q: int, point: tuple) -> int:
 class CharacterTable:
     """Additive and multiplicative characters of F_q with exact values.
 
-    The additive character is psi(a) = zeta_p^(index * tr(a)) through the
-    absolute trace; multiplicative characters are indexed by an integer k
+    The additive character is psi(a) = zeta_p^tr(a) through the absolute
+    trace; multiplicative characters are indexed by an integer k
     with chi_k(g^j) = zeta_(q-1)^(k j) for the stored generator g.
     """
 
@@ -180,14 +186,11 @@ class CharacterTable:
     def q(self) -> int:
         return self.field.q
 
-    def psi(self, a: int, index: int = 1) -> CycScalar:
-        p = self.field.p
-        if index % p == 0:
-            raise ValueError("additive character index must be nonzero mod p")
-        return zeta(p, index * self.field.frobenius_trace(a))
+    def psi(self, a: int) -> CycScalar:
+        return zeta(self.field.p, self.field.frobenius_trace(a))
 
-    def psi_function(self, index: int = 1) -> TraceFunction:
-        return TraceFunction(self.field, 1, [self.psi(a, index) for a in range(self.q)])
+    def psi_function(self) -> TraceFunction:
+        return TraceFunction(self.field, 1, [self.psi(a) for a in range(self.q)])
 
     def chi(self, k: int, a: int):
         if a == 0:
@@ -240,75 +243,32 @@ def _require_order(q: int, n: int) -> None:
         raise UnsupportedInputError(f"n = {n} must be a positive divisor of q-1 = {q - 1}")
 
 
-def _pairing_rows(field: Fq, d: int, pairing):
-    if pairing is None:
-        rows = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    else:
-        rows = [list(r) for r in pairing]
-        if len(rows) != d or any(len(r) != d for r in rows):
-            raise ValueError("pairing matrix has wrong shape")
-        rows = [[x % field.q if field.e == 1 else x for x in r] for r in rows]
-    if _fq_rank(field, rows) != d:
-        raise ValueError("degenerate pairing")
-    return rows
-
-
-def _fq_rank(field: Fq, rows) -> int:
-    mat = [list(r) for r in rows]
-    nrows, rank = len(mat), 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = field.inv(mat[rank][col])
-        mat[rank] = [field.mul(inv, x) for x in mat[rank]]
-        for r in range(nrows):
-            if r != rank and mat[r][col] != 0:
-                c = mat[r][col]
-                mat[r] = [
-                    field.sub(x, field.mul(c, y)) for x, y in zip(mat[r], mat[rank])
-                ]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def four_B(f: TraceFunction, pairing=None) -> TraceFunction:
+def four_B(f: TraceFunction) -> TraceFunction:
     """Kernel transform: g(xi) = (-1)^d sum_v f(v) t_B(<v, xi>)."""
-    return _kernel_transform(f, t_B(f.field).values, pairing)
+    return _kernel_transform(f, t_B(f.field).values)
 
 
-def four_psi(f: TraceFunction, psi_index: int = 1, pairing=None) -> TraceFunction:
-    """Additive-character transform: g(xi) = (-1)^d sum_v f(v) psi(<v, xi>)."""
+def four_psi(f: TraceFunction) -> TraceFunction:
+    """Additive-character transform: g(xi) = (-1)^d sum_v f(v) psi_1(<v, xi>)."""
     table = CharacterTable(f.field)
-    kernel = [table.psi(a, psi_index) for a in range(f.q)]
-    return _kernel_transform(f, kernel, pairing)
+    return _kernel_transform(f, [table.psi(a) for a in range(f.q)])
 
 
-def _kernel_transform(f: TraceFunction, kernel, pairing) -> TraceFunction:
+def _kernel_transform(f: TraceFunction, kernel) -> TraceFunction:
     """(-1)^d sum_v f(v) kernel[<v, xi>] for every xi.
 
-    The forms c = rows . xi are read from the dot table one coordinate
-    at a time, and the row <., c> sends each support point's value to
-    the bucket <v, xi>; the kernel is then applied once per bucket that
-    received a value, so a cyclotomic kernel costs at most q products
-    per xi.
+    The dot row <., xi> sends each support point's value to the bucket
+    <v, xi>; the kernel is then applied once per bucket that received a
+    value, so a cyclotomic kernel costs at most q products per xi.
     """
-    field, d, q = f.field, f.rank, f.q
-    rows = _pairing_rows(field, d, pairing)
-    points = _points(q, d)
-    dots = _index_tables(field, d)[0] if len(points) <= _TABLE_POINTS else None
-    forms = [0] * len(points)  # the index of rows . xi for every xi
-    for row in rows:
-        column = dots[_index(q, row)] if dots else _dot_row(field, row)
-        forms = [c * q + a for c, a in zip(forms, column)]
+    field, d = f.field, f.rank
+    if len(f.values) <= _TABLE_POINTS:
+        dots = _index_tables(field, d)[0]
+    else:
+        dots = (_dot_row(field, xi) for xi in _points(f.q, d))
     support = [(i, val) for i, val in enumerate(f.values) if val]
     out = []
-    for c in forms:
-        dot = dots[c] if dots else _dot_row(field, points[c])
+    for dot in dots:
         buckets = {}
         for i, val in support:
             a = dot[i]
@@ -381,50 +341,33 @@ def _scaled_row(field: Fq, d: int, lam: int) -> list[int]:
     return row
 
 
-def _linear_form(field: Fq, rows, x) -> list[int]:
-    """The vector rows . x over F_q, from the field's tables."""
-    add, mul = field._add, field._mul
-    out = []
-    for row in rows:
-        c = 0
-        for r, y in zip(row, x):
-            c = add[c][mul[r][y]]
-        out.append(c)
-    return out
-
-
-def kernel_pair_sum(q, d: int, w: tuple, u: tuple, pairing=None) -> int:
+def kernel_pair_sum(q, d: int, w: tuple, u: tuple) -> int:
     """Exact value of sum_xi t_B(<w, xi>) t_B(<xi, u>).
 
     Expanding t_B = 1 - q [argument = 1] reduces the sum to counts of
     solutions of one or two linear equations over F_q, so the value
-    comes from a dependence test on two linear forms rather than a
-    q^d-term loop.
+    comes from a dependence test on w and u rather than a q^d-term loop.
     """
-    field = Fq(q)
-    rows = _pairing_rows(field, d, pairing)
-    return _pair_sum_row(field, rows, _point(w), [tuple(_linear_form(field, rows, _point(u)))])[0]
+    return _pair_sum_row(Fq(q), d, _point(w), [_point(u)])[0]
 
 
-def _pair_sum_row(field: Fq, rows, w: tuple, forms) -> list[int]:
-    """sum_xi t_B(<w, xi>) t_B(<xi, u>) for validated rows and each form
-    b = rows u (a tuple) in forms.  With a = w^T rows, the sum is
-    q^d - q #{a.xi = 1} - q #{b.xi = 1} + q^2 #{a.xi = 1 = b.xi}.  One
-    equation has q^(d-1) solutions when its form is nonzero; two have
+def _pair_sum_row(field: Fq, d: int, w: tuple, us) -> list[int]:
+    """sum_xi t_B(<w, xi>) t_B(<xi, u>) for each point u (a tuple) in us.
+    The sum is q^d - q #{w.xi = 1} - q #{u.xi = 1} + q^2 #{w.xi = 1 = u.xi}.
+    One equation has q^(d-1) solutions when its form is nonzero; two have
     q^(d-2) when the forms are independent, q^(d-1) when they are equal,
-    and none otherwise.  So the sum is q^d when a = b = 0, (q-1) q^d
-    when b = a != 0, -q^d when b = lam a for lam != 0, 1, and 0 otherwise.
+    and none otherwise.  So the sum is q^d when w = u = 0, (q-1) q^d
+    when u = w != 0, -q^d when u = lam w for lam != 0, 1, and 0 otherwise.
     """
     q, mul = field.q, field._mul
-    qd = q ** len(rows)
-    a = _linear_form(field, list(zip(*rows)), w)
-    if not any(a):
-        return [0 if any(b) else qd for b in forms]
+    qd = q**d
+    if not any(w):
+        return [0 if any(u) else qd for u in us]
     multiples = {
-        tuple(mul[lam][x] for x in a): (q - 1) * qd if lam == 1 else -qd
+        tuple(mul[lam][x] for x in w): (q - 1) * qd if lam == 1 else -qd
         for lam in field.units()
     }
-    return [multiples.get(b, 0) for b in forms]
+    return [multiples.get(u, 0) for u in us]
 
 
 def scaling_orbits(q, d: int) -> list[list[tuple]]:
@@ -453,7 +396,7 @@ EXHAUSTIVE_BOUND = 625
 _LITERAL_BOUND = 81  # apply four_B twice literally up to this space size
 
 
-def check_keythm(q, d: int, trials: int = 4, seed: int = 0, pairing=None) -> dict:
+def check_keythm(q, d: int, trials: int = 4, seed: int = 0) -> dict:
     """Transform-squared identity: four_B(four_B(f)) = -q^d conv(t_B|units, f).
 
     Exhaustive over the delta basis (plus a constant function) when
@@ -461,32 +404,29 @@ def check_keythm(q, d: int, trials: int = 4, seed: int = 0, pairing=None) -> dic
     Small spaces apply the transform twice literally; larger ones use
     the exact linear-count expansion of the double sum.
 
-    The identity needs <v, xi> = <xi, v>: with <v, xi> = v^T P xi the
-    second transform would need P^T.  A non-symmetric pairing P, and
-    d < 1, raise UnsupportedInputError before any transform runs.
+    The identity needs <v, xi> = <xi, v>, which the dot product
+    <v, xi> = sum_i v_i xi_i satisfies.  A nondegenerate form v^T P xi is
+    the dot product after xi -> P xi, so another form adds no new case.
+    d < 1 raises UnsupportedInputError before any transform runs.
     """
     field = Fq(q)
     q = field.q
     _require_dimension(d)
-    rows = _pairing_rows(field, d, pairing)
-    if any(rows[i][j] != rows[j][i] for i in range(d) for j in range(i)):
-        raise UnsupportedInputError("the transform-squared identity needs a symmetric pairing")
     qd = q**d
     tjb = t_B_units(field)
     scale = -qd
     points = _points(q, d)
-    forms = [tuple(_linear_form(field, rows, u)) for u in points]
     pair_rows = {}  # w -> [kernel pair sum at (w, u) for every u]
 
     def lhs(f: TraceFunction) -> TraceFunction:
         if qd <= _LITERAL_BOUND:
-            return four_B(four_B(f, pairing), pairing)
+            return four_B(four_B(f))
         vals = [0] * qd
         for w, c in zip(points, f.values):
             if not c:
                 continue
             if w not in pair_rows:
-                pair_rows[w] = _pair_sum_row(field, rows, w, forms)
+                pair_rows[w] = _pair_sum_row(field, d, w, points)
             vals = [x + c * y for x, y in zip(vals, pair_rows[w])]
         return TraceFunction(field, d, vals)
 
@@ -570,7 +510,7 @@ def check_CV(q, d: int) -> dict:
     }
 
 
-def check_P2B(q, psi_index: int = 1) -> dict:
+def check_P2B(q) -> dict:
     """Inverted-argument character sum reproduces -t_B:
     sum_{l != 0} psi(-l^-1) psi(l^-1 x) = -t_B(x), exactly in Z[zeta_p]."""
     field = Fq(q)
@@ -585,22 +525,20 @@ def check_P2B(q, psi_index: int = 1) -> dict:
         acc = 0
         for lam in field.units():
             li = field.inv(lam)
-            acc = acc + table.psi(field.neg(li), psi_index) * table.psi(
-                field.mul(li, x), psi_index
-            )
+            acc = acc + table.psi(field.neg(li)) * table.psi(field.mul(li, x))
         values.append(acc)
         if acc != target.value(x):
             ok = False
     return {
         "verdict": ok,
         "q": q,
-        "psi_index": psi_index,
+        "psi_index": 1,  # psi_1; the key stays so that reports keep their bytes
         "value_at_0": str(values[0]),
         "value_at_1": str(values[1]),
     }
 
 
-def check_BL2(q, d: int = 1, psi_index: int = 1, trials: int = 2, seed: int = 0) -> dict:
+def check_BL2(q, d: int = 1, trials: int = 2, seed: int = 0) -> dict:
     """Kernel transform factors through the character transform:
     four_B(f) = -conv(l -> psi(-l^-1), four_psi(f)) on a delta basis.
     d < 1 raises UnsupportedInputError."""
@@ -610,9 +548,7 @@ def check_BL2(q, d: int = 1, psi_index: int = 1, trials: int = 2, seed: int = 0)
         raise ValueError("requires a prime field")
     q = field.q
     table = CharacterTable(field)
-    gvals = [0] + [
-        table.psi(field.neg(field.inv(lam)), psi_index) for lam in field.units()
-    ]
+    gvals = [0] + [table.psi(field.neg(field.inv(lam))) for lam in field.units()]
     g = TraceFunction(field, 1, gvals)
     cases = [TraceFunction.delta(field, w) for w in _points(q, d)]
     rng = random.Random(seed)
@@ -624,7 +560,7 @@ def check_BL2(q, d: int = 1, psi_index: int = 1, trials: int = 2, seed: int = 0)
     failures = 0
     for f in cases:
         lhs = four_B(f)
-        rhs = -conv_Gm(g, four_psi(f, psi_index))
+        rhs = -conv_Gm(g, four_psi(f))
         if lhs != rhs:
             failures += 1
     return {
@@ -680,14 +616,14 @@ def power_count_trace(q, n: int) -> TraceFunction:
     return TraceFunction(field, 1, counts)
 
 
-def gauss_sum(q, k: int, psi_index: int = 1) -> CycScalar:
-    """Classical character sum sum_{x != 0} chi_k(x) psi(x)."""
+def gauss_sum(q, k: int) -> CycScalar:
+    """Classical character sum sum_{x != 0} chi_k(x) psi_1(x)."""
     field = Fq(q)
     table = CharacterTable(field)
-    return sum_of_products((table.chi(k, x), table.psi(x, psi_index)) for x in field.units())
+    return sum_of_products((table.chi(k, x), table.psi(x)) for x in field.units())
 
 
-def gauss_suite(q, n: int, psi_index: int = 1) -> dict:
+def gauss_suite(q, n: int) -> dict:
     """Power-count kernel versus character sums, and the Gauss-sum product
     identity g(chi)g(chi^-1)chi(-1) = q for every nontrivial chi of order
     dividing n; the convolution comparison is attached as a diagnostic."""
@@ -710,11 +646,7 @@ def gauss_suite(q, n: int, psi_index: int = 1) -> dict:
     for k in chars:
         if k % (q - 1) == 0:
             continue
-        prod = (
-            gauss_sum(field, k, psi_index)
-            * gauss_sum(field, -k, psi_index)
-            * table.chi(k, minus_one)
-        )
+        prod = gauss_sum(field, k) * gauss_sum(field, -k) * table.chi(k, minus_one)
         products[str(k)] = str(prod)
         if prod != q:
             product_ok = False
@@ -725,7 +657,7 @@ def gauss_suite(q, n: int, psi_index: int = 1) -> dict:
         "point_count_matches_character_sum": char_sum_ok,
         "gauss_products": products,
         "gauss_product_identity": product_ok,
-        "diagnostic": gauss_g_diagnostic(field, n, psi_index),
+        "diagnostic": gauss_g_diagnostic(field, n),
     }
 
 
@@ -747,7 +679,7 @@ def _proportionality(lhs: TraceFunction, candidates) -> tuple[bool, str | None, 
     return False, None, None
 
 
-def gauss_g_diagnostic(q, n: int, psi_index: int = 1) -> dict:
+def gauss_g_diagnostic(q, n: int) -> dict:
     """Convolution of the inverted character-transformed power-count kernel
     with itself, compared against scalar multiples of the power-count
     kernels; reports the measured scalar instead of asserting one."""
@@ -755,7 +687,7 @@ def gauss_g_diagnostic(q, n: int, psi_index: int = 1) -> dict:
     q = field.q
     _require_order(q, n)
     t0 = power_count_trace(field, n)
-    tG_full = four_psi(t0, psi_index)
+    tG_full = four_psi(t0)
     gvals = list(tG_full.values)
     gvals[0] = 0
     tG = TraceFunction(field, 1, gvals)

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import threading
+from fractions import Fraction
 
 import pytest
 
@@ -197,6 +198,23 @@ class TestRunCheck:
         with pytest.raises(UnsupportedInputError, match=message):
             checks.run_check(check_id, params)
 
+    # lem-mon-shadow reads chi as a character index, so a non-integral
+    # chi is refused rather than truncated (1/2 would run as index 0)
+    @pytest.mark.parametrize("chi", ["1/2", "5/2", Fraction(-7, 2)])
+    def test_lem_mon_shadow_refuses_non_integral_chi(self, monkeypatch, chi):
+        def work(*args, **kwargs):
+            raise AssertionError("the engine ran on refused input")
+
+        monkeypatch.setattr(trace, "check_lem_mon_shadow", work)
+        with pytest.raises(UnsupportedInputError, match="must be an integer character index"):
+            checks.run_check("lem-mon-shadow", {"chi": chi})
+
+    @pytest.mark.parametrize("chi, index", [(-1, -1), ("4/2", 2)])
+    def test_lem_mon_shadow_integral_chi(self, chi, index):
+        report = checks.run_check("lem-mon-shadow", {"q": 7, "n": 3, "chi": chi})
+        assert report.verdict == "pass"
+        assert report.witness["chi_index"] == index
+
 
 class TestNegativeControls:
     def test_exp_square_control_must_fail_for_pass(self):
@@ -330,6 +348,22 @@ def test_full_mellin_and_operator_witnesses_are_pinned():
         rows += 1
     assert rows == 94
     assert digest.hexdigest() == MELLIN_OPERATOR_FULL_SEED7_SHA256
+
+
+# sha256 over every check report of run_all for (quick, 7), (quick, None),
+# (full, 7) and (full, None), in run order: each report without its
+# elapsed time, as json.dumps(report, sort_keys=True), concatenated.  The
+# pins above cover full at seed 7 by engine; this adds quick's
+# number-theory rows and both unseeded runs.
+WHOLE_PROFILE_SHA256 = "28e99a768f49ff10d470ffed408d84037b55e8cad537432d6657abce451beebf"
+
+
+def test_whole_profile_digest_is_pinned():
+    digest = hashlib.sha256()
+    for profile, seed in (("quick", 7), ("quick", None), ("full", 7), ("full", None)):
+        for report in checks.run_all(profile, seed=seed)["reports"]:
+            digest.update(json.dumps(stripped(report), sort_keys=True).encode())
+    assert digest.hexdigest() == WHOLE_PROFILE_SHA256
 
 
 class TestRunAllSmall:

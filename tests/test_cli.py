@@ -201,12 +201,14 @@ class TestVerify:
         (("appendix-augmentation", "--n", "0"), "levels 0"),
         (("mon-test", "--window", "-1"), "window radius -1 must be at least 0"),
         (("propDmod1", "--degree-bound", "-1"), "degree bound -1 must be at least 0"),
+        (("lem-mon-shadow", "--q", "7", "--n", "3", "--chi", "1/2"),
+         "chi = 1/2 must be an integer character index"),
     ])
     def test_refused_input_exits_1_without_traceback(self, capsys, argv, message):
         code, out, err = run_cli(capsys, "verify", *argv)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and message in err
-        assert "Traceback" not in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_pretty_shows_statement(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "appendix-tensor", "--pretty")

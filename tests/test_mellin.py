@@ -376,7 +376,7 @@ class TestLocalization:
 
 class TestSkyscraperFreeness:
     def test_kernel_module_integral_orbit(self):
-        rep = skyscraper_freeness_check("B", 0, 1, 6)
+        rep = skyscraper_freeness_check("kernel", 0, 1, 6)
         assert rep["verdict"] is True
         assert len(rep["fibers"]) == 13
         assert all(row["free_rank_one"] for row in rep["fibers"])
@@ -385,7 +385,7 @@ class TestSkyscraperFreeness:
         assert by_i[2]["generator"] == "b[-3]"
 
     def test_exp_module_half_orbit(self):
-        rep = skyscraper_freeness_check("E", Fraction(1, 2), 2, 4)
+        rep = skyscraper_freeness_check("exp", Fraction(1, 2), 2, 4)
         assert rep["verdict"] is True
         assert rep["ladder_law"] is True
         by_i = {row["i"]: row for row in rep["fibers"]}
@@ -411,8 +411,11 @@ class TestSkyscraperFreeness:
     def test_bad_inputs(self):
         with pytest.raises(UnsupportedInputError):
             skyscraper_freeness_check("Q", 0, 1, 4)
+        # the one-letter names are not aliases of the module kinds
+        with pytest.raises(UnsupportedInputError, match="unknown module kind 'B'"):
+            skyscraper_freeness_check("B", 0, 1, 4)
         with pytest.raises(UnsupportedInputError):
-            skyscraper_freeness_check("B", 0, 7, 4)
+            skyscraper_freeness_check("kernel", 0, 7, 4)
 
 
 class TestMonodromization:

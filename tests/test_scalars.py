@@ -1880,7 +1880,7 @@ class TestSumOfProducts:
         table = CharacterTable(q)
         for k in range(q - 1):
             want = chained_sum(
-                (table.chi(k, x), table.psi(x, 1)) for x in range(1, q))
+                (table.chi(k, x), table.psi(x)) for x in range(1, q))
             assert_same_scalar(gauss_sum(q, k), want)
 
 

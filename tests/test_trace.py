@@ -15,7 +15,7 @@ from itertools import product
 import pytest
 
 from monofour import trace
-from monofour.scalars import CycScalar, Fq, UnsupportedInputError, zeta
+from monofour.scalars import CycScalar, Fq, zeta
 from monofour.trace import (
     CharacterTable,
     TraceFunction,
@@ -39,7 +39,6 @@ from monofour.trace import (
     power_count_trace,
     scaling_orbits,
     scaling_sum_zero_basis,
-    _pairing_rows,
     t_B,
     t_B_units,
 )
@@ -149,10 +148,6 @@ class TestCharacterTable:
         for a in range(9):
             assert table.psi(a) == zeta(3, field.frobenius_trace(a))
 
-    def test_bad_psi_index(self):
-        with pytest.raises(ValueError):
-            CharacterTable(3).psi(1, 3)
-
 
 class TestKernel:
     @pytest.mark.parametrize("q", [2, 3, 5, 7, 9])
@@ -186,17 +181,6 @@ class TestFourB:
         a = TraceFunction.delta(5, 2)
         b = TraceFunction.delta(5, 3)
         assert four_B(a + b.scale(Fraction(3))) == four_B(a) + four_B(b).scale(Fraction(3))
-
-    def test_custom_pairing(self):
-        swap = [[0, 1], [1, 0]]
-        f = TraceFunction.delta(3, (1, 2))
-        lhs = four_B(f, pairing=swap)
-        reference = four_B(TraceFunction.delta(3, (2, 1)))
-        assert lhs == reference
-
-    def test_degenerate_pairing_rejected(self):
-        with pytest.raises(ValueError):
-            four_B(TraceFunction.delta(3, (1, 0)), pairing=[[1, 0], [0, 0]])
 
 
 class TestConvGm:
@@ -265,20 +249,16 @@ class TestKernelPairSum:
 # ---------------------------------------------------------------------------
 # Reference oracles: the per-term forms of the kernel transform and of the
 # multiplicative convolution.  The engine buckets support points by the
-# value of the pairing and maps indices through multiplication tables;
+# value of the dot product and maps indices through multiplication tables;
 # these loop over every term with Fraction accumulators and method calls.
 # ---------------------------------------------------------------------------
 
 
-def ref_pair_value(field, rows, v, xi):
+def ref_dot(field, v, xi):
+    """<v, xi> = sum_i v_i xi_i, one field operation at a time."""
     acc = 0
-    for i, vi in enumerate(v):
-        if vi == 0:
-            continue
-        row = rows[i]
-        for j, xj in enumerate(xi):
-            if xj != 0 and row[j] != 0:
-                acc = field.add(acc, field.mul(field.mul(vi, row[j]), xj))
+    for vi, xi_i in zip(v, xi):
+        acc = field.add(acc, field.mul(vi, xi_i))
     return acc
 
 
@@ -288,16 +268,15 @@ def ref_pair_value(field, rows, v, xi):
 # operand's conductor, zeros included.
 
 
-def ref_kernel_transform(f, kernel, pairing):
+def ref_kernel_transform(f, kernel):
     field, d = f.field, f.rank
-    rows = _pairing_rows(field, d, pairing)
     support = [(p, v) for p, v in f.items() if v]
     sign = (-1) ** (d % 2)
     out = []
     for xi in product(range(field.q), repeat=d):
         acc = 0
         for v, val in support:
-            acc = acc + val * kernel[ref_pair_value(field, rows, v, xi)]
+            acc = acc + val * kernel[ref_dot(field, v, xi)]
         out.append(acc * sign)
     return TraceFunction(field, d, out)
 
@@ -322,33 +301,13 @@ def ref_conv_Gm(g, f):
     return TraceFunction(field, d, out)
 
 
-def ref_four_psi(f, psi_index, pairing):
+def ref_four_psi(f):
     table = CharacterTable(f.field)
-    kernel = [table.psi(a, psi_index) for a in range(f.q)]
-    return ref_kernel_transform(f, kernel, pairing)
+    return ref_kernel_transform(f, [table.psi(a) for a in range(f.q)])
 
 
 ORACLE_SPACES = [(q, d) for q in (2, 3, 4, 5, 7, 8, 9) for d in (1, 2)] + [(2, 3), (3, 3)]
 VALUE_KINDS = ("int", "fraction", "cyclotomic", "mixed")
-
-
-def skewed_pairing(field, d):
-    """An invertible pairing matrix, not symmetric when d > 1."""
-    g = field.generator
-    return [[g if j == i == 0 else 1 if j == i else g if j > i else 0 for j in range(d)]
-            for i in range(d)]
-
-
-def symmetric_pairing(field, d):
-    """U^T U for the skewed U above: invertible, symmetric and, when d > 1,
-    not diagonal."""
-    u = skewed_pairing(field, d)
-    out = [[0] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                out[i][j] = field.add(out[i][j], field.mul(u[k][i], u[k][j]))
-    return out
 
 
 def random_values(rng, field, n, kind):
@@ -398,19 +357,16 @@ class TestTransformOracles:
         field = Fq(q)
         rng = random.Random(q * 100 + d * 10 + VALUE_KINDS.index(kind))
         kernel = t_B(field).values
-        for pairing in (None, skewed_pairing(field, d)):
-            for _ in range(2):
-                f = random_function(rng, field, d, kind)
-                assert_same_table(four_B(f, pairing), ref_kernel_transform(f, kernel, pairing))
+        for _ in range(2):
+            f = random_function(rng, field, d, kind)
+            assert_same_table(four_B(f), ref_kernel_transform(f, kernel))
 
     @pytest.mark.parametrize("q,d,kind", list(oracle_cases()))
     def test_four_psi_matches_per_term_reference(self, q, d, kind):
         field = Fq(q)
         rng = random.Random(q * 100 + d * 10 + VALUE_KINDS.index(kind) + 5)
-        index = 1 if field.p == 2 else 2
-        for pairing in (None, skewed_pairing(field, d)):
-            f = random_function(rng, field, d, kind)
-            assert_same_table(four_psi(f, index, pairing), ref_four_psi(f, index, pairing))
+        f = random_function(rng, field, d, kind)
+        assert_same_table(four_psi(f), ref_four_psi(f))
 
     @pytest.mark.parametrize("q,d,kind", list(oracle_cases()))
     def test_conv_Gm_matches_per_term_reference(self, q, d, kind):
@@ -420,11 +376,11 @@ class TestTransformOracles:
         convolvers = [
             t_B_units(field),
             TraceFunction(field, 1, random_values(rng, field, q, kind)),
-            table.psi_function(1),
+            table.psi_function(),
             table.chi_function(1),
             power_count_trace(field, 2),
             # cyclotomic zeros: they add nothing but their conductor
-            TraceFunction(field, 1, [v * 0 for v in table.psi_function(1).values]),
+            TraceFunction(field, 1, [v * 0 for v in table.psi_function().values]),
         ]
         f = random_function(rng, field, d, kind)
         for g in convolvers:
@@ -433,29 +389,19 @@ class TestTransformOracles:
     @pytest.mark.parametrize("q,d", [(3, 3), (4, 2), (5, 2), (7, 1)])
     def test_pair_sums_equal_the_literal_double_transform(self, q, d):
         field = Fq(q)
-        for pairing in (None, skewed_pairing(field, d)):
-            points = list(product(range(q), repeat=d))
-            for w in points:
-                twice = four_B(four_B(TraceFunction.delta(field, w), pairing), pairing)
-                sums = [kernel_pair_sum(q, d, w, u, pairing) for u in points]
-                assert sums == list(twice.values)
+        points = list(product(range(q), repeat=d))
+        for w in points:
+            twice = four_B(four_B(TraceFunction.delta(field, w)))
+            sums = [kernel_pair_sum(q, d, w, u) for u in points]
+            assert sums == list(twice.values)
 
     @pytest.mark.parametrize("q,d", [(5, 2), (3, 3), (4, 2)])
-    @pytest.mark.parametrize("twisted", [False, True])
-    def test_keythm_counting_path_matches_literal_path(self, monkeypatch, q, d, twisted):
+    def test_keythm_counting_path_matches_literal_path(self, monkeypatch, q, d):
         field = Fq(q)
-        pairing = symmetric_pairing(field, d) if twisted else None
-        literal = check_keythm(field, d, pairing=pairing)
+        literal = check_keythm(field, d)
         assert literal["verdict"] is True
         monkeypatch.setattr(trace, "_LITERAL_BOUND", 0)
-        assert check_keythm(field, d, pairing=pairing) == literal
-
-    def test_keythm_skewed_pairing_report(self):
-        # the identity needs a symmetric pairing, so this one is refused
-        # before any transform runs
-        field = Fq(11)
-        with pytest.raises(UnsupportedInputError, match="symmetric pairing"):
-            check_keythm(field, 2, pairing=skewed_pairing(field, 2))
+        assert check_keythm(field, d) == literal
 
     def test_tables_hold_ints(self):
         assert all(type(v) is int for v in t_B(5).values + t_B_units(5).values)
@@ -475,14 +421,11 @@ class TestIndexTables:
         for _ in range(2):
             for field, d in spaces:
                 table = CharacterTable(field)
-                index = 1 if field.p == 2 else 2
-                for pairing in (None, skewed_pairing(field, d)):
-                    f = random_function(rng, field, d, "mixed")
-                    kernel = t_B(field).values
-                    assert_same_table(four_B(f, pairing), ref_kernel_transform(f, kernel, pairing))
-                    assert_same_table(four_psi(f, index, pairing), ref_four_psi(f, index, pairing))
-                    for g in (t_B_units(field), table.chi_function(1)):
-                        assert_same_table(conv_Gm(g, f), ref_conv_Gm(g, f))
+                f = random_function(rng, field, d, "mixed")
+                assert_same_table(four_B(f), ref_kernel_transform(f, t_B(field).values))
+                assert_same_table(four_psi(f), ref_four_psi(f))
+                for g in (t_B_units(field), table.chi_function(1)):
+                    assert_same_table(conv_Gm(g, f), ref_conv_Gm(g, f))
         assert trace._index_tables.cache_info().currsize == len(spaces)
 
     def test_spaces_above_the_bound_are_not_cached(self):
@@ -494,9 +437,7 @@ class TestIndexTables:
         for i in rng.sample(range(len(vals)), 3):
             vals[i] = rng.randint(1, 3)
         f = TraceFunction(field, 2, vals)
-        for pairing in (None, skewed_pairing(field, 2)):
-            kernel = t_B(field).values
-            assert_same_table(four_B(f, pairing), ref_kernel_transform(f, kernel, pairing))
+        assert_same_table(four_B(f), ref_kernel_transform(f, t_B(field).values))
         assert_same_table(conv_Gm(t_B_units(field), f), ref_conv_Gm(t_B_units(field), f))
         assert trace._index_tables.cache_info().currsize == 0
 
@@ -534,9 +475,6 @@ class TestTransformSquared:
         assert report["verdict"] is True
         assert report["mode"] == "exhaustive"
 
-    def test_with_custom_pairing(self):
-        assert check_keythm(3, 2, pairing=[[0, 1], [1, 0]])["verdict"] is True
-
 
 class TestScalingSumZero:
     @pytest.mark.parametrize("q,d", [(3, 1), (5, 1), (3, 2), (5, 2)])
@@ -573,9 +511,6 @@ class TestInvertedCharacterSum:
     def test_requires_prime_field(self):
         with pytest.raises(ValueError):
             check_P2B(4)
-
-    def test_other_character_index(self):
-        assert check_P2B(5, psi_index=2)["verdict"] is True
 
 
 class TestTransformFactorization:
