@@ -969,7 +969,10 @@ def skyscraper_freeness_check(kind: str, chi, n: int, N: int) -> dict:
     The named generators are 1/(s-i) for the kernel module and the
     (-i-1)-st ladder element for the exponential module; in both cases
     the shift carries the generator at chi+i to the one at chi+i-1 with
-    unit 1.
+    unit 1.  On the kernel ladder the shift is argument translation, so
+    the check tests that f(s + 1) of the generator at chi+i is the
+    generator at chi+i-1.  On the exponential ladder the shift is index
+    translation by definition, so there is nothing to test.
     """
     if kind not in _LADDERS:
         raise UnsupportedInputError(f"unknown module kind {kind!r}")
@@ -980,7 +983,7 @@ def skyscraper_freeness_check(kind: str, chi, n: int, N: int) -> dict:
     ladder = _LADDERS[kind](N + 1)
     lattice = ladder.as_lattice()
     rows = []
-    exponents, labels, units = {}, {}, {}
+    exponents, labels = {}, {}
     all_free = True
     for i in range(-N, N + 1):
         a = chi + i
@@ -1016,11 +1019,11 @@ def skyscraper_freeness_check(kind: str, chi, n: int, N: int) -> dict:
             prod = ladder._value(-i - 1) * _linear(i)
             if prod != _ONE:
                 ladder_law = False
-    shift_ok = True
-    for i in range(-N + 1, N + 1):
-        if ladder._value(-i - 1 + 1) != ladder._value(-(i - 1) - 1):
-            shift_ok = False
-        units[i] = Fraction(1)
+    steps = range(-N + 1, N + 1)
+    shift_ok = kind == "exp" or all(
+        ladder._value(-i - 1).shift(1) == ladder._value(-i) for i in steps
+    )
+    units = {i: Fraction(1) for i in steps}
     verdict = all_free and ladder_law and shift_ok
     family = SkyscraperFamily(chi, N, exponents, labels, units)
     return {

@@ -25,7 +25,7 @@ from math import comb, factorial
 from typing import Union
 
 from .scalars import Poly, UnsupportedInputError, frac
-from .scalars.poly import ExactValue, binary_power, signed_sum, term_str
+from .scalars.poly import ExactValue, _poly, binary_power, signed_sum, term_str
 
 Scalar = Union[int, Fraction]
 
@@ -479,13 +479,13 @@ def inversion_twist(sh: ShiftOp, variant: str = "affine") -> ShiftOp:
     """
     if variant not in TWIST_VARIANTS:
         raise ValueError(f"unknown twist variant {variant!r}")
-    shift_const = -1 if variant == "affine" else 0
+    c = -1 if variant == "affine" else 0
     out: dict[int, Poly] = {}
     for j, p in sh.terms.items():
-        q = p.compose_linear(-1, shift_const)
-        if j % 2:
-            q = -q
-        out[-j] = q
+        # p(-s + c) is p(s + c) with its odd coefficients negated, and
+        # T^j goes to (-1)^j T^-j.
+        q = p.shift(c)
+        out[-j] = _poly([-x if (k + j) % 2 else x for k, x in enumerate(q.nums)], q.den)
     return ShiftOp(out)
 
 

@@ -9,10 +9,6 @@ from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
 
-# The prime of the modular certificates in ratfun and snf (a Mersenne
-# prime, so a chance coincidence mod p has probability about 2^-61).
-CERT_PRIME = 2**61 - 1
-
 
 def frac(x: Scalar | str) -> Fraction:
     """Coerce ints, strings like '2/3', and Fractions to Fraction."""
@@ -278,27 +274,6 @@ class Poly(ExactValue):
         b = [x * m ** (d - i) for i, x in enumerate(nums)]
         out = [x * m**k for k, x in enumerate(taylor_coeffs(b, n))]
         return _poly(out, self.den * m**d)
-
-    def compose_linear(self, a: Scalar, b: Scalar) -> "Poly":
-        """Return p(a*s + b).  With a = a'/L and b = b'/L over a common L,
-        Horner on A_i L^(deg - i) and a'*s + b' gives p(a*s + b) * den * L^deg."""
-        nums = self.nums
-        if not nums:
-            return self
-        a, b = frac(a), frac(b)
-        scale = lcm(a.denominator, b.denominator)
-        a = a.numerator * (scale // a.denominator)
-        b = b.numerator * (scale // b.denominator)
-        out: list[int] = []
-        power = 1
-        for c in reversed(nums):
-            nxt = [0] + [x * a for x in out]
-            for k, x in enumerate(out):
-                nxt[k] += x * b
-            nxt[0] += c * power
-            out = nxt
-            power *= scale
-        return _poly(out, self.den * scale ** (len(nums) - 1))
 
     def to_str(self, var: str = "s") -> str:
         # an integral int prints as the equal Fraction does

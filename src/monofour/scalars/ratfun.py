@@ -3,15 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Union
 
-from .ffield import fp_rem
 from .poly import (
-    CERT_PRIME,
     ExactValue,
     Poly,
-    _poly,
     frac,
     integer_coeffs,
     plain,
@@ -49,7 +45,8 @@ class RatFun(ExactValue):
         if num.is_zero:
             den = Poly.const(1)
         elif num.degree > 0 and den.degree > 0:
-            num, den = _lowest_terms(num, den)
+            g = poly_gcd(num, den)
+            num, den = num // g, den // g
         lc = den.lc
         if lc != 1:
             num = num * (1 / lc)
@@ -130,109 +127,6 @@ class RatFun(ExactValue):
         if self.is_poly:
             return self.num.to_str(var)
         return f"({self.num.to_str(var)})/({self.den.to_str(var)})"
-
-
-def _lowest_terms(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """num/den divided by their gcd, for nonconstant num and den.
-
-    The modular tests run on a and b, the primitive parts of the stored
-    numerators.  The gcd mod CERT_PRIME bounds the degree of the gcd from
-    above.  A bound of 0 proves num and den coprime; otherwise GCDHEU
-    looks for a common divisor of exactly that degree, and Euclid
-    (poly_gcd) answers whatever neither settles.  The quotient is
-    returned unnormalised.
-    """
-    ga, gb = gcd(*num.nums), gcd(*den.nums)
-    a = [x // ga for x in num.nums]
-    b = [x // gb for x in den.nums]
-    bound = _gcd_degree_mod_p(a, b, CERT_PRIME)
-    if bound == 0:
-        return num, den
-    if bound is not None:
-        cofactors = _heuristic_gcd(a, b, bound)
-        if cofactors is not None:
-            qa, qb = cofactors
-            # num = (ga/num.den) * a and den = (gb/den.den) * b
-            return _poly(qa) * Fraction(ga * den.den, gb * num.den), _poly(qb)
-    g = poly_gcd(num, den)
-    return num // g, den // g
-
-
-def _gcd_degree_mod_p(a: list[int], b: list[int], p: int) -> int | None:
-    """Degree of gcd(a, b) over F_p for integer coefficient lists, or None
-    when a leading coefficient vanishes mod p.
-
-    It is an upper bound on the degree of the gcd over Q.  By Gauss's
-    lemma a common factor over Q is a constant times a primitive common
-    factor over Z; its leading coefficient divides those of a and b, so
-    it keeps its degree mod p and still divides both there.
-    """
-    if not (a[-1] % p and b[-1] % p):
-        return None
-    while b:
-        a, b = b, fp_rem(a, b, p)
-    return len(a) - 1
-
-
-# GCDHEU gives up after this many evaluation points.
-_HEURISTIC_TRIES = 6
-
-
-def _heuristic_gcd(a: list[int], b: list[int], degree: int) -> tuple[list[int], list[int]] | None:
-    """The cofactors (a/g, b/g) of g = gcd(a, b), for primitive integer
-    lists whose gcd has degree at most `degree`, or None.
-
-    GCDHEU (Char, Geddes & Gonnet, J. Symb. Comput. 7, 1989): g is read
-    from gamma = gcd(a(xi), b(xi)) as its xi-adic digits in symmetric
-    residues.  A candidate is accepted only when its primitive part has
-    that degree and divides a and b over Z: a common divisor of the
-    largest possible degree is the gcd.  Otherwise xi grows.
-    """
-    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
-    for _ in range(_HEURISTIC_TRIES):
-        gamma = gcd(synthetic_division(a, xi)[1], synthetic_division(b, xi)[1])
-        g = _symmetric_digits(gamma, xi)
-        if len(g) - 1 == degree:
-            content = gcd(*g)
-            g = [c // content for c in g]
-            qa = _exact_quotient(a, g)
-            qb = None if qa is None else _exact_quotient(b, g)
-            if qb is not None:
-                return qa, qb
-        xi = xi * 73794 // 27011
-    return None
-
-
-def _symmetric_digits(n: int, xi: int) -> list[int]:
-    """The digits of n in base xi with residues in (-xi/2, xi/2], lowest
-    first."""
-    digits = []
-    half = xi // 2
-    while n:
-        r = n % xi
-        if r > half:
-            r -= xi
-        digits.append(r)
-        n = (n - r) // xi
-    return digits
-
-
-def _exact_quotient(a: list[int], b: list[int]) -> list[int] | None:
-    """a / b over Z when b divides a there, else None (deg b <= deg a,
-    and b has a nonzero leading coefficient)."""
-    d = len(b) - 1
-    rem = list(a)
-    lc = b[-1]
-    quotient = [0] * (len(a) - d)
-    for k in range(len(a) - 1 - d, -1, -1):
-        c, r = divmod(rem[k + d], lc)
-        if r:
-            return None
-        if c:
-            quotient[k] = c
-            for i in range(d):
-                rem[k + i] -= c * b[i]
-    return None if any(rem[:d]) else quotient
 
 
 def _coerce_ratfun(x):

@@ -5,9 +5,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .poly import CERT_PRIME, Poly, synthetic_division
+from .poly import Poly, synthetic_division
 
 Matrix = list[list[Poly]]
+
+# The prime of poly_rank's full-rank certificate (a Mersenne prime, so a
+# chance coincidence mod p has probability about 2^-61).
+CERT_PRIME = 2**61 - 1
 
 # The point at which poly_rank's certificate evaluates a matrix: an integer
 # far from the small rationals where the checks' presentations drop rank.

@@ -85,7 +85,8 @@ class TraceFunction:
 
     @classmethod
     def delta(cls, q, point) -> "TraceFunction":
-        field, point = Fq(q), _point(point)
+        field = Fq(q)
+        point = _point(field.q, point)
         vals = [0] * field.q ** len(point)
         vals[_index(field.q, point)] = 1
         return cls(field, len(point), vals)
@@ -96,7 +97,8 @@ class TraceFunction:
         return _points(self.q, self.rank)
 
     def value(self, point):
-        return self.values[_index(self.q, _point(point))]
+        q = self.field.q
+        return self.values[_index(q, _point(q, point, self.rank))]
 
     def items(self):
         return zip(self.points(), self.values)
@@ -150,10 +152,14 @@ class TraceFunction:
         return f"TraceFunction(q={self.q}, d={self.rank})"
 
 
-def _point(point) -> tuple:
-    if isinstance(point, int):
-        return (point,)
-    return tuple(point)
+def _point(q: int, point, d: int | None = None) -> tuple:
+    """point as a tuple of coordinates; refused unless each is one of
+    0..q-1 and, when d is given, there are d of them."""
+    point = (point,) if isinstance(point, int) else tuple(point)
+    coords = range(q)
+    if (d is not None and len(point) != d) or not all(a in coords for a in point):
+        raise UnsupportedInputError(f"{point} is not a point of F_{q}^{len(point) if d is None else d}")
+    return point
 
 
 def _points(q: int, d: int):
@@ -347,8 +353,10 @@ def kernel_pair_sum(q, d: int, w: tuple, u: tuple) -> int:
     Expanding t_B = 1 - q [argument = 1] reduces the sum to counts of
     solutions of one or two linear equations over F_q, so the value
     comes from a dependence test on w and u rather than a q^d-term loop.
+    A w or u that is not a point of F_q^d raises UnsupportedInputError.
     """
-    return _pair_sum_row(Fq(q), d, _point(w), [_point(u)])[0]
+    field = Fq(q)
+    return _pair_sum_row(field, d, _point(field.q, w, d), [_point(field.q, u, d)])[0]
 
 
 def _pair_sum_row(field: Fq, d: int, w: tuple, us) -> list[int]:
@@ -472,14 +480,13 @@ def scaling_sum_zero_basis(q, d: int) -> list[TraceFunction]:
 
 
 def _in_scaling_sum_zero(f: TraceFunction) -> bool:
-    field = f.field
-    if f.value(tuple([0] * f.rank)):
+    # the orbit points are points of F_q^d, so their values are read by
+    # index, without value()'s point check; the origin has index 0
+    q, values = f.q, f.values
+    if values[0]:
         return False
-    for orbit in scaling_orbits(field, f.rank):
-        acc = 0
-        for v in orbit:
-            acc = acc + f.value(v)
-        if acc:
+    for orbit in scaling_orbits(f.field, f.rank):
+        if sum(values[_index(q, v)] for v in orbit):
             return False
     return True
 

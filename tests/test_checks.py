@@ -327,8 +327,8 @@ def test_mellin_and_operator_witnesses_are_pinned():
 
 # The same digest over every mellin.* and ore.* row of the full profile,
 # seed 7: the large windows (eq3-decomp at 6, exp-square at 8 and 10, the
-# radius 10 and 12 grids) are where the modular certificates and GCDHEU
-# of RatFun and poly_rank do most of their work.
+# radius 10 and 12 grids) are where poly_rank's full-rank certificate
+# does most of its work.
 MELLIN_OPERATOR_FULL_SEED7_SHA256 = (
     "22bf66fdb4277e726ed0e7e4cc70cca074356ab04181dcfaf18410338fa8dc85"
 )

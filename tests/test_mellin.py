@@ -401,6 +401,18 @@ class TestSkyscraperFreeness:
         for j in range(-6, 6):
             assert b.func(j).shift(1) == b.func(j + 1)
 
+    def test_kernel_shift_law_is_tested(self, monkeypatch):
+        # f_j = 1/(s + 2j + 1): f_{-i-1}(s + 1) = 1/(s - 2i) is not f_{-i}
+        def skewed(radius):
+            return LadderFamily("b", {
+                j: RatFun(Poly.const(1), Poly((2 * j + 1, 1)))
+                for j in range(-radius, radius + 1)
+            })
+
+        monkeypatch.setitem(mellin._LADDERS, "kernel", skewed)
+        rep = skyscraper_freeness_check("kernel", 0, 1, 3)
+        assert rep["shift_units_recorded"] is False and rep["verdict"] is False
+
     def test_units_nonzero_and_family_returned(self):
         rep = skyscraper_freeness_check("kernel", 0, 1, 5)
         fam = rep["family"]

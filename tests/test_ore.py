@@ -32,6 +32,7 @@ from monofour.ore import (
     mellin_op,
     to_laurent,
 )
+from test_scalars import RefPoly
 
 S = ShiftOp.s()
 T = ShiftOp.t_power(1)
@@ -269,6 +270,25 @@ class TestInversionTwist:
         for _ in range(100):
             a = rand_shift(rng)
             assert inversion_twist(inversion_twist(a, variant), variant) == a
+
+    @pytest.mark.parametrize("variant", ["affine", "plain"])
+    def test_matches_composition_reference(self, variant):
+        # p(s) T^j goes to (-1)^j p(-s + c) T^-j; the reference composes
+        # p with -s + c by Horner on Fractions, with no Taylor shift.
+        c = -1 if variant == "affine" else 0
+        rng = random.Random(43)
+        for _ in range(100):
+            ops = {}
+            for j in range(-3, 4):
+                if rng.random() < 0.6:
+                    ops[j] = Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                                   for _ in range(rng.randint(1, 6))])
+            sh = ShiftOp(ops)
+            want = ShiftOp({
+                -j: Poly(RefPoly(p.coeffs).compose_linear(-1, c).coeffs) * (-1 if j % 2 else 1)
+                for j, p in sh.terms.items()
+            })
+            assert inversion_twist(sh, variant) == want
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):

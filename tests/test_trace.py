@@ -15,7 +15,7 @@ from itertools import product
 import pytest
 
 from monofour import trace
-from monofour.scalars import CycScalar, Fq, zeta
+from monofour.scalars import CycScalar, Fq, UnsupportedInputError, zeta
 from monofour.trace import (
     CharacterTable,
     TraceFunction,
@@ -79,6 +79,16 @@ class TestTraceFunction:
         f = TraceFunction.delta(3, 0)
         with pytest.raises(AttributeError):
             f.rank = 2
+
+    def test_points_outside_the_space_are_refused(self):
+        f = TraceFunction.delta(3, (1, 2))
+        for bad in ((-1, 0), (3, 0), (1,), (1, 2, 0)):
+            with pytest.raises(UnsupportedInputError, match="not a point of F_3"):
+                f.value(bad)
+        for bad in ((-1,), (3,), 5, (0, 9)):
+            with pytest.raises(UnsupportedInputError, match="not a point of F_3"):
+                TraceFunction.delta(3, bad)
+        assert f.value((1, 2)) == 1 and TraceFunction.delta(3, 2).value(2) == 1
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
@@ -238,6 +248,13 @@ class TestKernelPairSum:
                     assert s == q * q - q
                 else:
                     assert s == -q
+
+    def test_points_outside_the_space_are_refused(self):
+        for w, u in (((1,), (1,)), ((1, 0), (1, 0, 0)), ((5,), (5,)), ((0, -1), (0, 1))):
+            with pytest.raises(UnsupportedInputError, match=r"not a point of F_3\^2"):
+                kernel_pair_sum(3, 2, w, u)
+        with pytest.raises(UnsupportedInputError, match=r"not a point of F_3\^1"):
+            kernel_pair_sum(3, 1, (5,), (5,))
 
     def test_rank_two_vs_brute_force(self):
         q = 3
