@@ -52,11 +52,13 @@ class TwistShift:
 
 
 class TraceFunction:
-    """Dense exact-valued function on F_q^d, points in lexicographic order."""
+    """Dense exact-valued function on F_q^d, points in lexicographic order.
+    A rank d < 1 is refused."""
 
     __slots__ = ("field", "rank", "values")
 
     def __init__(self, q, rank: int, values):
+        _require_dimension(rank)
         field = Fq(q)
         values = tuple(values)
         if len(values) != field.q**rank:
@@ -80,6 +82,7 @@ class TraceFunction:
 
     @classmethod
     def constant(cls, q, rank: int, value) -> "TraceFunction":
+        _require_dimension(rank)  # before q**rank sizes the table
         field = Fq(q)
         return cls(field, rank, [value] * field.q**rank)
 
@@ -353,8 +356,10 @@ def kernel_pair_sum(q, d: int, w: tuple, u: tuple) -> int:
     Expanding t_B = 1 - q [argument = 1] reduces the sum to counts of
     solutions of one or two linear equations over F_q, so the value
     comes from a dependence test on w and u rather than a q^d-term loop.
-    A w or u that is not a point of F_q^d raises UnsupportedInputError.
+    A rank d < 1, or a w or u that is not a point of F_q^d, raises
+    UnsupportedInputError.
     """
+    _require_dimension(d)
     field = Fq(q)
     return _pair_sum_row(field, d, _point(field.q, w, d), [_point(field.q, u, d)])[0]
 

@@ -38,6 +38,7 @@ from monofour.mellin import (
     monodromic_test,
     monodromization_check,
     orbit_decomposition_check,
+    orbit_pole_lattice,
     point_module,
     pole_ladder,
     rational_right_action,
@@ -53,8 +54,9 @@ from monofour.mellin import (
 )
 from monofour import checks, mellin
 from monofour.ore import CyclicPresentation, ShiftOp, WeylOp, antipode, inversion_twist
-from monofour.scalars import Poly, RatFun, UnsupportedInputError, poly_gcd, poly_smith
+from monofour.scalars import Poly, RatFun, UnsupportedInputError, poly_gcd, poly_smith, ratfun
 from monofour.scalars.poly import poly_lcm
+from monofour.scalars.ratfun import linear_factors
 
 S = ShiftOp.s()
 T = ShiftOp.t_power(1)
@@ -156,6 +158,18 @@ class TestEmbed:
     def test_pole_free_image_spans_full_window(self):
         lat = embed_in_Ks(FREE_SHIFT, RatFun(1), 3)
         assert len(lat.generators) == 7
+
+    def test_image_poles_off_z_set_the_lattice_orbit(self):
+        # poles at -3/2 and 1/2, zero at 1/3: the orbit 1/2 + Z, offsets -2 and 0
+        image = RatFun(s_plus(Fraction(-1, 3)), s_plus(Fraction(3, 2)) * s_plus(Fraction(-1, 2)))
+        lat = embed_in_Ks(FREE_SHIFT, image, 3)
+        assert lat.chi == Fraction(1, 2) and lat._content.chi == Fraction(1, 2)
+        # shifts k keep both poles within 3 of the orbit's 0: -3 <= k <= 1
+        assert lat.generators == tuple(image.shift(k) for k in range(-3, 2))
+        with pytest.raises(UnsupportedInputError, match="one orbit"):
+            embed_in_Ks(FREE_SHIFT, image * RatFun(1, Poly.x()), 3)
+        with pytest.raises(UnsupportedInputError, match="without rational roots"):
+            embed_in_Ks(FREE_SHIFT, image * RatFun(1, Poly((1, 0, 1))), 3)
 
 
 class TestFiber:
@@ -737,6 +751,49 @@ class TestContentOracle:
         assert hom_to_free_vanishes(lat, 2) == (False, [Poly.const(1)])
 
 
+def ref_orbit_decomposition_check(chi, n: int, N: int, samples: int = 5) -> dict:
+    """orbit_decomposition_check as it ran on the poles chi + i themselves,
+    in Fraction arithmetic when chi is not an integer: the reference for
+    the check in orbit coordinates."""
+    mellin._require_window(n, N)
+    chi = mellin._normalize_chi(chi)
+    rng = random.Random(20260823)
+    points = [chi + i for i in range(-N, N + 1)]
+    poles = dict.fromkeys(points, n)
+    den = Poly.const(1)
+    for i in range(-N, N + 1):
+        den = den * s_plus(-(chi + i)) ** n
+    cofactors = {
+        (i, k): den // s_plus(-(chi + i)) ** k
+        for i in range(-N, N + 1)
+        for k in range(1, n + 1)
+    }
+    failures = []
+    for _ in range(samples):
+        table = {key: Fraction(rng.randint(-5, 5)) for key in cofactors}
+        num = Poly()
+        for key, c in table.items():
+            if c:
+                num = num + cofactors[key] * Poly.const(c)
+        _, parts = ratfun._partial_fractions(num, den, poles)
+        got = {}
+        for a, coefs in parts:
+            i = int(a - chi)
+            for k, c in enumerate(coefs, start=1):
+                if c:
+                    got[(i, k)] = c
+        want = {key: c for key, c in table.items() if c}
+        if got != want:
+            failures.append({"expected": len(want), "got": len(got)})
+    return {
+        "verdict": not failures,
+        "dimension": (2 * N + 1) * n,
+        "points": len(points),
+        "samples": samples,
+        "failures": failures,
+    }
+
+
 class TestOrbitDecomposition:
     def test_integral_orbit(self):
         rep = orbit_decomposition_check(0, 2, 5)
@@ -747,6 +804,33 @@ class TestOrbitDecomposition:
         rep = orbit_decomposition_check(Fraction(1, 2), 3, 4)
         assert rep["verdict"] is True
         assert rep["failures"] == []
+
+    @pytest.mark.parametrize(
+        "chi", [0, Fraction(1, 2), Fraction(1, 3), Fraction(4, 3), Fraction(-2, 3)]
+    )
+    def test_reports_match_the_dense_reference(self, chi):
+        for n in (1, 2, 3):
+            for N in (0, 2, 4):
+                got = orbit_decomposition_check(chi, n, N)
+                assert got == ref_orbit_decomposition_check(chi, n, N), (n, N)
+
+    def test_profile_rows_give_the_kernel_integer_poles(self, monkeypatch):
+        kernel = mellin._partial_fractions
+        keys = []
+
+        def recording(num, den, poles):
+            keys.extend(poles)
+            return kernel(num, den, poles)
+
+        monkeypatch.setattr(mellin, "_partial_fractions", recording)
+        chis = set()
+        for profile in ("quick", "full"):
+            for check_id, params in checks.profile_tasks(profile):
+                if check_id == "eq3-decomp":
+                    assert checks.run_check(check_id, params).verdict == "pass"
+                    chis.add(Fraction(params["chi"]))
+        assert any(chi.denominator > 1 for chi in chis)
+        assert keys and all(type(key) is int for key in keys)
 
 
 def _same_up_to_sign(a: WeylOp, b: WeylOp) -> bool:
@@ -808,8 +892,101 @@ class TestFourierBMonodromic:
 
 
 # ---------------------------------------------------------------------------
-# Factored values against dense RatFun arithmetic.
+# Factored values against the point-keyed reference and dense RatFun
+# arithmetic.
 # ---------------------------------------------------------------------------
+
+
+class RefFactored:
+    """The Fraction-keyed Factored from before orbit coordinates, kept as
+    the reference: const * prod (s - a)^exps[a] * rest over rational points
+    a, with a residual that has no rational root."""
+
+    __slots__ = ("const", "exps", "rest")
+
+    def __init__(self, const=1, exps=None, rest=None):
+        self.const, self.exps, self.rest = Fraction(const), exps or {}, rest
+
+    @classmethod
+    def from_ratfun(cls, f: RatFun) -> "RefFactored":
+        zeros, num = linear_factors(f.num)
+        poles, den = linear_factors(f.den)
+        exps = dict(zeros)
+        for a, m in poles.items():
+            exps[a] = -m
+        const = num.lc
+        rest = None if num.degree == den.degree == 0 else RatFun(num * (1 / const), den)
+        return cls(const, exps, rest)
+
+    def __mul__(self, other):
+        exps = dict(self.exps)
+        for a, e in other.exps.items():
+            e += exps.get(a, 0)
+            if e:
+                exps[a] = e
+            else:
+                del exps[a]
+        return RefFactored(self.const * other.const, exps, _ref_rest(self.rest, other.rest))
+
+    def __truediv__(self, other):
+        inverse = {a: -e for a, e in other.exps.items()}
+        rest = None if other.rest is None else RatFun(other.rest.den, other.rest.num)
+        return self * RefFactored(1 / other.const, inverse, rest)
+
+    def __eq__(self, other):
+        return (self.const, self.exps, self.rest) == (other.const, other.exps, other.rest)
+
+    @property
+    def is_constant(self):
+        return not self.exps and self.rest is None
+
+    def shift(self, k):
+        k = Fraction(k)
+        rest = None if self.rest is None else self.rest.shift(k)
+        return RefFactored(self.const, {a - k: e for a, e in self.exps.items()}, rest)
+
+    def valuation(self, a):
+        return self.exps.get(Fraction(a), 0)
+
+    def eval(self, a):
+        a = Fraction(a)
+        out = self.const
+        for p, e in self.exps.items():
+            out *= (a - p) ** e
+        return out if self.rest is None else out * self.rest.eval(a)
+
+    def to_ratfun(self):
+        num, den = Poly.const(self.const), Poly.const(1)
+        for a, e in self.exps.items():
+            if e > 0:
+                num = num * s_plus(-a) ** e
+            else:
+                den = den * s_plus(-a) ** -e
+        if self.rest is not None:
+            num, den = num * self.rest.num, den * self.rest.den
+        return RatFun(num, den)
+
+
+def _ref_rest(a, b):
+    if a is None or b is None:
+        return b if a is None else a
+    out = a * b
+    return None if out.num.degree == out.den.degree == 0 else out
+
+
+def on_orbit(ref: RefFactored, chi) -> Factored:
+    """The reference value keyed by offsets on chi + Z, built without a
+    root search: its factors off the orbit join the residual."""
+    exps, rest = {}, RatFun(1) if ref.rest is None else ref.rest
+    for a, e in ref.exps.items():
+        u = a - chi
+        if u.denominator == 1:
+            exps[int(u)] = e
+        else:
+            lin = s_plus(-a) ** abs(e)
+            rest = rest * RatFun(lin) if e > 0 else rest / RatFun(lin)
+    return Factored(ref.const, exps, None if rest == RatFun(1) else rest, chi)
+
 
 ORBITS = [Fraction(0), Fraction(1, 2), Fraction(1, 3)]
 OFF_ORBIT = [Fraction(2, 5), Fraction(-7, 3), Fraction(11, 4), Fraction(-1, 7)]
@@ -823,21 +1000,30 @@ RESIDUALS = [
 
 
 @st.composite
-def factored_values(draw, chi=None):
-    chi = draw(st.sampled_from(ORBITS)) if chi is None else chi
+def ref_values(draw, chi):
+    """A reference value with factors on chi + Z and off it."""
     points = [chi + i for i in range(-4, 5)] + OFF_ORBIT
     exps = {}
     for a in draw(st.lists(st.sampled_from(points), max_size=5, unique=True)):
         exps[a] = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
     const = Fraction(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 7)))
-    return Factored(const, exps, draw(st.sampled_from(RESIDUALS)))
+    return RefFactored(const, exps, draw(st.sampled_from(RESIDUALS)))
 
 
-def dense(v: Factored) -> RatFun:
-    """The value by dense RatFun products, one linear factor at a time."""
+@st.composite
+def pairs(draw):
+    """(chi, reference value, the same value keyed on chi + Z)."""
+    chi = draw(st.sampled_from(ORBITS))
+    ref = draw(ref_values(chi))
+    return chi, ref, on_orbit(ref, chi)
+
+
+def dense(v) -> RatFun:
+    """A point-keyed reference value by dense RatFun products, one linear
+    factor at a time."""
     out = RatFun(v.const)
     for a, e in v.exps.items():
-        lin = RatFun(Poly((-a, 1)))
+        lin = RatFun(s_plus(-a))
         for _ in range(abs(e)):
             out = out * lin if e > 0 else out / lin
     return out if v.rest is None else out * v.rest
@@ -851,55 +1037,136 @@ POINTS = st.sampled_from(
 
 class TestFactored:
     @settings(max_examples=150, deadline=None)
-    @given(factored_values())
-    def test_expansion_and_round_trip(self, v):
-        f = dense(v)
-        assert v.to_ratfun() == f
+    @given(pairs())
+    def test_expansion_and_round_trip(self, pair):
+        chi, ref, v = pair
+        f = dense(ref)
+        assert v.chi == chi and v.to_ratfun() == ref.to_ratfun() == f
         assert v.to_ratfun() is v.to_ratfun()
-        assert Factored.from_ratfun(f) == v
-        assert v.is_constant == (f.num.degree <= 0 and f.den.degree == 0)
+        assert Factored.from_ratfun(f, chi) == v
+        assert RefFactored.from_ratfun(f) == ref
+        assert v.is_constant == ref.is_constant
 
     @settings(max_examples=150, deadline=None)
-    @given(factored_values(), factored_values())
-    def test_product_and_quotient(self, u, v):
-        assert (u * v).to_ratfun() == dense(u) * dense(v)
-        assert (u / v).to_ratfun() == dense(u) / dense(v)
-        assert (u == v) == (dense(u) == dense(v))
+    @given(pairs(), st.data())
+    def test_product_and_quotient(self, pair, data):
+        chi, ref_u, u = pair
+        ref_v = data.draw(ref_values(chi))
+        v = on_orbit(ref_v, chi)
+        assert u * v == on_orbit(ref_u * ref_v, chi)
+        assert u / v == on_orbit(ref_u / ref_v, chi)
+        assert (u * v).to_ratfun() == dense(ref_u) * dense(ref_v)
+        assert (u == v) == (ref_u == ref_v) == (dense(ref_u) == dense(ref_v))
         assert u / u == Factored()
 
     @settings(max_examples=150, deadline=None)
-    @given(factored_values(), SHIFTS)
-    def test_shift_moves_the_keys(self, v, k):
+    @given(pairs(), SHIFTS)
+    def test_shift_moves_the_keys(self, pair, k):
+        chi, ref, v = pair
         shifted = v.shift(k)
-        assert shifted.to_ratfun() == dense(v).shift(k)
-        assert {a + k for a in shifted.exps} == set(v.exps)
+        moved = chi - k
+        assert shifted.chi == moved - (moved.numerator // moved.denominator)
+        assert shifted == on_orbit(ref.shift(k), moved)
+        assert shifted.to_ratfun() == dense(ref).shift(k)
+        if Fraction(k).denominator == 1:
+            assert {i + k for i in shifted.exps} == set(v.exps)
 
     @settings(max_examples=150, deadline=None)
-    @given(factored_values(), POINTS)
-    def test_valuation_and_eval(self, v, a):
-        f = dense(v)
-        for p in [a, *v.exps]:
-            assert v.valuation(p) == f.valuation_at(p)
-        if v.valuation(a) < 0:
+    @given(pairs(), POINTS)
+    def test_valuation_and_eval(self, pair, a):
+        chi, ref, v = pair
+        for p in [a, *ref.exps, *OFF_ORBIT]:
+            assert v.valuation(p) == ref.valuation(p)
+        if ref.valuation(a) < 0:
             with pytest.raises(ZeroDivisionError):
                 v.eval(a)
         else:
-            assert v.eval(a) == f.eval(a)
+            assert v.eval(a) == ref.eval(a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pairs(), st.data())
+    def test_product_across_two_orbits(self, pair, data):
+        chi, ref_u, u = pair
+        other = data.draw(st.sampled_from([c for c in ORBITS if c != chi]))
+        ref_v = data.draw(ref_values(other))
+        v = on_orbit(ref_v, other)
+        # the left operand's orbit (the right one's if the left is a
+        # constant), the other factors in the residual
+        side = other if u.is_constant else chi
+        assert (u * v).chi == side and u * v == on_orbit(ref_u * ref_v, side)
+        assert (u / v).chi == side and u / v == on_orbit(ref_u / ref_v, side)
+        # a constant on the left takes the right operand's orbit
+        c = Factored(ref_u.const)
+        assert (c * v).chi == other and c * v == on_orbit(RefFactored(ref_u.const) * ref_v, other)
+        # values on two orbits compare by expansion
+        assert (u == v) == (dense(ref_u) == dense(ref_v))
+        assert on_orbit(ref_v, chi) == v
+
+    def test_unreduced_orbit_shares_keys(self):
+        third, four_thirds = Fraction(1, 3), Fraction(4, 3)
+        assert Factored(2, {0: 1, -2: -1}, None, four_thirds) == Factored(2, {1: 1, -1: -1}, None, third)
+        lat = orbit_pole_lattice(four_thirds, 2, 3)
+        assert lat.chi == four_thirds and lat._content.chi == third
+        assert lat._content.exps == {i: -2 for i in range(-2, 5)}
+        assert all(g.chi == third for g in lat._gens)
+        wider = orbit_pole_lattice(third, 2, 4)
+        assert lat.valuation(four_thirds + 3) == wider.valuation(four_thirds + 3) == -2
+        assert lat.fiber(four_thirds + 3) == wider.fiber(four_thirds + 3)
+        for outside in (four_thirds + 4, four_thirds - 4):
+            with pytest.raises(WindowError):
+                lat.fiber(outside)
+        wider.fiber(four_thirds - 4)  # third - 3 is inside the radius-4 window
+        assert_matches_reference(lat, [four_thirds + Fraction(2, 5), Fraction(1, 2)])
+        assert localization_identity_check(lat, [Fraction(1, 2)])
+        # the window of radius 1 at 4/3 is 1/3 + {0, 1, 2}: a zero at 7/3 is
+        # inside it, one at -2/3 is not
+        inside = WindowedLattice(four_thirds, 1, [RatFun(s_plus(Fraction(-7, 3)))])
+        outside = WindowedLattice(four_thirds, 1, [RatFun(s_plus(Fraction(2, 3)))])
+        assert localization_identity_check(inside, [Fraction(1, 2)])
+        assert not localization_identity_check(outside, [Fraction(1, 2)])
+
+    def test_off_orbit_valuation_and_fiber_read_the_residual(self):
+        s = Poly.x()
+        # zeros at 1/2 and poles at -1/3, off Z: they stay in the residual
+        g0 = RatFun(s_plus(Fraction(-1, 2)) ** 2 * s, s_plus(Fraction(1, 3)))
+        g1 = RatFun(s_plus(Fraction(-1, 2)) * s_plus(-1), s_plus(Fraction(1, 3)) ** 2)
+        lat = WindowedLattice(0, 3, [g0, g1])
+        assert lat._content.exps == {}  # the zeros at 0 and 1 are not common
+        assert lat._content.rest == RatFun(s_plus(Fraction(-1, 2)), s_plus(Fraction(1, 3)) ** 2)
+        assert lat.valuation(Fraction(1, 2)) == 1 and lat.valuation(Fraction(-1, 3)) == -2
+        assert lat.fiber(Fraction(1, 2)).generator_label == "g1"
+        assert lat.fiber(Fraction(-1, 3)).generator_label == "g1"
+        assert_matches_reference(lat, [Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5)])
+        # without a residual, a point off the orbit has valuation 0
+        built = orbit_pole_lattice(0, 2, 3)
+        assert built._content.rest is None
+        assert [built.valuation(a) for a in OFF_ORBIT] == [0] * len(OFF_ORBIT)
+        assert built.fiber(Fraction(2, 5), 2) == Fiber(Fraction(2, 5), 2, 1, 2, RatFun(1), "1")
+        # a Factored argument of contains is moved onto the lattice's orbit
+        assert built.contains(Factored(1, {0: -1}, None, 0))
+        assert not built.contains(Factored(1, {0: -1}, None, Fraction(1, 2)))
 
     def test_lattice_of_factored_and_dense_generators_agree(self):
         rng = random.Random(20260823)
         for chi in ORBITS:
-            gens = []
+            refs = []
             for _ in range(4):
                 exps = {chi + rng.randint(-3, 3): rng.choice([-2, -1, 1, 2]) for _ in range(3)}
-                gens.append(Factored(rng.randint(1, 5), exps, rng.choice(RESIDUALS)))
-            factored = WindowedLattice(chi, 4, gens)
-            dense_lat = WindowedLattice(chi, 4, [dense(g) for g in gens])
+                refs.append(RefFactored(rng.randint(1, 5), exps, rng.choice(RESIDUALS)))
+            factored = WindowedLattice(chi, 4, [on_orbit(g, chi) for g in refs])
+            dense_lat = WindowedLattice(chi, 4, [dense(g) for g in refs])
             assert factored.generators == dense_lat.generators
             assert factored.content == dense_lat.content
             assert factored.same_lattice(dense_lat)
             for a in factored.window_points() + OFF_ORBIT:
                 assert factored.fiber(a, 2) == dense_lat.fiber(a, 2)
+            # generators keyed on another orbit are moved onto this one, and
+            # lattices on two orbits compare as submodules
+            other = ORBITS[(ORBITS.index(chi) + 1) % len(ORBITS)]
+            moved = WindowedLattice(chi, 4, [on_orbit(g, other) for g in refs])
+            assert moved.same_lattice(factored) and moved.content == factored.content
+            there = WindowedLattice(other, 4, [on_orbit(g, other) for g in refs])
+            assert there.same_lattice(factored) and factored.same_lattice(there)
 
     def test_common_zero_takes_the_least_order(self):
         s = Poly.x()
@@ -915,7 +1182,9 @@ class TestFactored:
         for ladder in (pole_ladder(5), exp_ladder(5), twisted_exp_ladder(5),
                        twisted_exp_ladder(5, "plain")):
             for j in ladder.indices():
-                assert ladder.func(j) == dense(ladder._value(j))
+                assert ladder.func(j) == ladder._value(j).to_ratfun()
+                assert ladder._value(j) == on_orbit(RefFactored(1, {
+                    Fraction(i): e for i, e in ladder._value(j).exps.items()}), 0)
 
 
 class TestTensorUnits:

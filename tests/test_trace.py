@@ -94,6 +94,17 @@ class TestTraceFunction:
         with pytest.raises(ValueError):
             TraceFunction(3, 2, [Fraction(0)] * 8)
 
+    def test_rank_below_one_is_refused(self):
+        for build in (
+            lambda: TraceFunction.constant(3, -1, 0),  # 3**-1 once sized the table
+            lambda: TraceFunction.constant(3, 0, 0),
+            lambda: TraceFunction.delta(3, ()),
+            lambda: TraceFunction(3, 0, [5]),
+            lambda: four_B(TraceFunction(3, 0, [5])),
+        ):
+            with pytest.raises(UnsupportedInputError, match="dimension d must be at least 1"):
+                build()
+
     def test_field_mismatch(self):
         with pytest.raises(ValueError):
             TraceFunction.delta(3, 0) + TraceFunction.delta(5, 0)
@@ -255,6 +266,11 @@ class TestKernelPairSum:
                 kernel_pair_sum(3, 2, w, u)
         with pytest.raises(UnsupportedInputError, match=r"not a point of F_3\^1"):
             kernel_pair_sum(3, 1, (5,), (5,))
+
+    def test_rank_below_one_is_refused(self):
+        for d, w in ((0, ()), (-1, ())):
+            with pytest.raises(UnsupportedInputError, match="dimension d must be at least 1"):
+                kernel_pair_sum(3, d, w, w)
 
     def test_rank_two_vs_brute_force(self):
         q = 3
