@@ -45,7 +45,7 @@ from .scalars import (
     rational_rank,
 )
 from .scalars.poly import poly_lcm
-from .scalars.ratfun import _partial_fractions, linear_factors, rational_roots
+from .scalars.ratfun import _partial_fractions, linear_factors
 from .ore import (
     CyclicPresentation,
     LaurentWeylOp,
@@ -585,7 +585,11 @@ def embed_in_Ks(m: CyclicPresentation, image_of_generator, N: int) -> WindowedLa
             )
     image = Factored.from_ratfun(f)  # on the orbit of its least pole
     if image.rest is not None and image.rest.den.degree > 0:
-        rational_roots(image.rest.den)  # refuses a factor without rational roots
+        irreducible = linear_factors(image.rest.den)[1]
+        if irreducible.degree > 0:
+            raise UnsupportedInputError(
+                f"image has a pole factor without rational roots: {irreducible}"
+            )
         raise UnsupportedInputError("image poles do not lie on one orbit")
     poles = sorted(i for i, e in image.exps.items() if e < 0)
     k_lo, k_hi = (poles[-1] - N, poles[0] + N) if poles else (-N, N)
@@ -629,7 +633,13 @@ class SkyscraperFamily:
         if abs(i) > self.radius:
             raise WindowError(f"point {a} outside window of radius {self.radius}")
         e = min(self.exponent_at(i), n)
-        return Fiber(a, n, 1 if e else 0, e, generator_label=self.labels.get(i))
+        return Fiber(
+            point=a,
+            order=n,
+            rank=1 if e else 0,
+            length=e,
+            generator_label=self.labels.get(i),
+        )
 
 
 def skyscraper_tower(chi, n: int, N: int) -> SkyscraperFamily:
@@ -666,8 +676,10 @@ def _require_window(n: int, N: int) -> None:
 def orbit_pole_lattice(chi: Fraction, n: int, N: int) -> WindowedLattice:
     """Lattice generated by the order-n poles along the orbit chi + Z."""
     _require_window(n, N)
-    gens = [_linear(i, -n, chi) for i in range(-N, N + 1)]
-    labels = [f"1/(s-({chi + i}))^{n}" for i in range(-N, N + 1)]
+    gens, labels = [], []
+    for i in range(-N, N + 1):
+        gens.append(_linear(i, -n, chi))
+        labels.append(f"1/(s-({chi + i}))^{n}")
     return WindowedLattice(chi, N, gens, labels)
 
 
@@ -689,18 +701,26 @@ def orbit_decomposition_check(chi, n: int, N: int, samples: int = 5) -> dict:
     rng = random.Random(20260823)
     poles = dict.fromkeys(range(-N, N + 1), n)
     den = Poly.const(1)
-    for i in poles:
+    for i in range(-N, N + 1):
         den = den * _linear_power(i, n)
     cofactors = {
-        (i, k): den // _linear_power(i, k) for i in poles for k in range(1, n + 1)
+        (i, k): den // _linear_power(i, k)
+        for i in range(-N, N + 1)
+        for k in range(1, n + 1)
     }
     failures = []
     for _ in range(samples):
         table = {key: rng.randint(-5, 5) for key in cofactors}
-        num = sum((cofactors[key] * c for key, c in table.items() if c), Poly())
+        num = Poly()
+        for key, c in table.items():
+            if c:
+                num = num + cofactors[key] * c
         _, parts = _partial_fractions(num, den, poles)
-        got = {(i, k): c for i, coefs in parts
-               for k, c in enumerate(coefs, start=1) if c}
+        got = {}
+        for i, coefs in parts:
+            for k, c in enumerate(coefs, start=1):
+                if c:
+                    got[(i, k)] = c
         want = {key: c for key, c in table.items() if c}
         if got != want:
             failures.append({"expected": len(want), "got": len(got)})
@@ -1006,12 +1026,19 @@ def skyscraper_freeness_check(kind: str, chi, n: int, N: int) -> dict:
                 "free_rank_one": free,
             }
         )
-    # (s - i) times the named generator at chi+i is the next ladder value
-    # (exp), or 1 (kernel: the generator is 1/(s - i)).
-    ladder_law = all(
-        ladder._value(-i - 1) * _linear(i) == (ladder._value(-i) if kind == "exp" else _ONE)
-        for i in range(-N, N + 1)
-    )
+    ladder_law = True
+    if kind == "exp":
+        for i in range(-N, N + 1):
+            lhs = ladder._value(-i)
+            rhs = ladder._value(-i - 1) * _linear(i)
+            if lhs != rhs:
+                ladder_law = False
+    else:
+        for i in range(-N, N + 1):
+            # The named generator at chi+i is 1/(s-i); (s-i) times it is 1.
+            prod = ladder._value(-i - 1) * _linear(i)
+            if prod != _ONE:
+                ladder_law = False
     steps = range(-N + 1, N + 1)
     shift_ok = kind == "exp" or all(
         ladder._value(-i - 1).shift(1) == ladder._value(-i) for i in steps

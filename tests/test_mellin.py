@@ -1056,6 +1056,7 @@ class TestFactored:
         assert u * v == on_orbit(ref_u * ref_v, chi)
         assert u / v == on_orbit(ref_u / ref_v, chi)
         assert (u * v).to_ratfun() == dense(ref_u) * dense(ref_v)
+        assert (u / v).to_ratfun() == dense(ref_u) / dense(ref_v)
         assert (u == v) == (ref_u == ref_v) == (dense(ref_u) == dense(ref_v))
         assert u / u == Factored()
 
@@ -1179,12 +1180,29 @@ class TestFactored:
         assert lat.valuation(0) == 2 and lat.valuation(1) == 0
 
     def test_ladder_values_expand_to_their_recurrences(self):
+        def recurrence(step):
+            # f_0 = 1 and f_(j+1) = step(j) f_j, by dense RatFun arithmetic
+            funcs = {0: RatFun(1)}
+            for j in range(5):
+                funcs[j + 1] = funcs[j] * step(j)
+            for j in range(0, -5, -1):
+                funcs[j - 1] = funcs[j] / step(j - 1)
+            return funcs
+
+        expected = {
+            "b": {j: RatFun(1, s_plus(j + 1)) for j in range(-5, 6)},
+            "e": recurrence(lambda j: RatFun(s_plus(j + 1))),
+            "e~a": recurrence(lambda j: RatFun(1, s_plus(j + 1))),
+            "e~p": recurrence(lambda j: RatFun(1, s_plus(j))),
+        }
         for ladder in (pole_ladder(5), exp_ladder(5), twisted_exp_ladder(5),
                        twisted_exp_ladder(5, "plain")):
+            assert ladder.indices() == list(range(-5, 6))
             for j in ladder.indices():
-                assert ladder.func(j) == ladder._value(j).to_ratfun()
-                assert ladder._value(j) == on_orbit(RefFactored(1, {
-                    Fraction(i): e for i, e in ladder._value(j).exps.items()}), 0)
+                v = ladder._value(j)
+                points = {v.chi + i: e for i, e in v.exps.items()}
+                assert ladder.func(j) == dense(RefFactored(v.const, points, v.rest))
+                assert ladder.func(j) == expected[ladder.label][j]
 
 
 class TestTensorUnits:
