@@ -144,6 +144,9 @@ def mellin_module(m: CyclicPresentation) -> CyclicPresentation:
 # ---------------------------------------------------------------------------
 
 
+_F0, _F1 = Fraction(0), Fraction(1)  # shared defaults, so no call builds them
+
+
 class Factored:
     """A nonzero rational function kept factored on one orbit chi + Z:
     const * prod (s - chi - i)^exps[i] * rest.
@@ -161,7 +164,7 @@ class Factored:
 
     __slots__ = ("const", "chi", "exps", "rest", "_dense")
 
-    def __init__(self, const=1, exps=None, rest=None, chi=0):
+    def __init__(self, const=_F1, exps=None, rest=None, chi=_F0):
         chi, base = _orbit(chi)
         if base and exps:
             exps = {i + base: e for i, e in exps.items()}
@@ -205,7 +208,7 @@ class Factored:
             return self
         if self.rest is not None:  # its rational roots may lie on chi + Z
             return Factored.from_ratfun(self.to_ratfun(), chi)
-        moved = Factored(1, self.exps, None, self.chi).to_ratfun() if self.exps else None
+        moved = Factored(_F1, self.exps, None, self.chi).to_ratfun() if self.exps else None
         return Factored(self.const, None, moved, chi)
 
     def __mul__(self, other: "Factored") -> "Factored":
@@ -300,9 +303,9 @@ def _rest_inverse(a: RatFun | None) -> RatFun | None:
     return None if a is None else RatFun(a.den, a.num)
 
 
-def _linear(i: int, e: int = 1, chi=0) -> Factored:
+def _linear(i: int, e: int = 1, chi=_F0) -> Factored:
     """(s - chi - i)^e."""
-    return Factored(1, {i: e}, None, chi)
+    return Factored(_F1, {i: e}, None, chi)
 
 
 _ONE = Factored()

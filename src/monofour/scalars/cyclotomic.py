@@ -63,10 +63,11 @@ class CycScalar(ExactValue):
     lowest terms: the denominator is coprime to the numerators' content,
     and zero is 0/1, so equal values at one conductor have equal fields.
     `coeffs` is the same value as a tuple of Fractions, built on first
-    use.
+    use, and `_terms` the last expansion `sum_of_products` made of it,
+    so a value summed many times at one conductor is expanded once.
     """
 
-    __slots__ = ("conductor", "numerators", "denominator", "_coeffs")
+    __slots__ = ("conductor", "numerators", "denominator", "_coeffs", "_terms")
 
     def __init__(self, conductor: int, coeffs):
         phi = _phi(conductor)
@@ -221,6 +222,7 @@ def _init(out: CycScalar, conductor: int, nums, den: int) -> CycScalar:
     setter(out, "numerators", tuple(nums))
     setter(out, "denominator", den)
     setter(out, "_coeffs", None)
+    setter(out, "_terms", None)
     return out
 
 
@@ -287,10 +289,15 @@ def sum_of_products(pairs):
 
 def _spread(x, n: int) -> tuple[list[tuple[int, int]], int]:
     """The nonzero terms (exponent, numerator) of x in Z[x]/(x^n - 1),
-    zeta_m^i at x^(i n/m), and its denominator."""
+    zeta_m^i at x^(i n/m), and its denominator; a CycScalar keeps the
+    terms of its last n."""
     if isinstance(x, CycScalar):
-        stride = n // x.conductor
-        return [(i * stride, c) for i, c in enumerate(x.numerators) if c], x.denominator
+        memo = x._terms
+        if memo is None or memo[0] != n:
+            stride = n // x.conductor
+            memo = (n, [(i * stride, c) for i, c in enumerate(x.numerators) if c])
+            object.__setattr__(x, "_terms", memo)
+        return memo[1], x.denominator
     return ([(0, x.numerator)] if x else []), x.denominator
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .scalars import CycScalar, Fq, UnsupportedInputError, zeta
 from .scalars.cyclotomic import split_prime, sum_of_products
@@ -253,39 +253,47 @@ def _require_order(q: int, n: int) -> None:
 
 
 def four_B(f: TraceFunction) -> TraceFunction:
-    """Kernel transform: g(xi) = (-1)^d sum_v f(v) t_B(<v, xi>)."""
-    return _kernel_transform(f, t_B(f.field).values)
+    """Kernel transform: g(xi) = (-1)^d sum_v f(v) t_B(<v, xi>).
+
+    t_B is 1 - q [x = 1], so g(lam c) = (-1)^d (sum f - q B_c[lam^-1]),
+    B_c[b] the sum of f over <v, c> = b: O(1) per xi once the buckets of
+    its line exist.
+    """
+    q, inverses = f.q, f.field._inv[1:]
+    total = sum(val for val in f.values if val)
+    return _kernel_transform(f, lambda buckets: (
+        total - q * buckets[b] if b in buckets else total for b in inverses))
 
 
 def four_psi(f: TraceFunction) -> TraceFunction:
     """Additive-character transform: g(xi) = (-1)^d sum_v f(v) psi_1(<v, xi>)."""
     table = CharacterTable(f.field)
-    return _kernel_transform(f, [table.psi(a) for a in range(f.q)])
+    kernel = [table.psi(a) for a in range(f.q)]
+    return _kernel_transform(f, lambda buckets: (
+        sum_of_products((kernel[row[b]], t) for b, t in buckets.items())
+        for row in f.field._mul[1:]))
 
 
-def _kernel_transform(f: TraceFunction, kernel) -> TraceFunction:
-    """(-1)^d sum_v f(v) kernel[<v, xi>] for every xi.
+def _kernel_transform(f: TraceFunction, line_values) -> TraceFunction:
+    """(-1)^d sum_v f(v) kernel(<v, xi>) for every xi, one line through 0
+    at a time.
 
-    The dot row <., xi> sends each support point's value to the bucket
-    <v, xi>; the kernel is then applied once per bucket that received a
-    value, so a cyclotomic kernel costs at most q products per xi.
+    Since <v, lam c> = lam <v, c>, one pass over the support fills the
+    buckets B_c[b] = sum of f over <v, c> = b for the whole line of c;
+    line_values(B_c) yields the kernel sums at lam c, lam in
+    field.units() order.  Every sum still covers the whole support, so
+    each value has the type and conductor of the chained per-term sum.
     """
     field, d = f.field, f.rank
-    if len(f.values) <= _TABLE_POINTS:
-        dots = _index_tables(field, d)[0]
-    else:
-        dots = (_dot_row(field, xi) for xi in _points(f.q, d))
     support = [(i, val) for i, val in enumerate(f.values) if val]
-    out = []
-    for dot in dots:
+    out = [0] * len(f.values)
+    for dots, moved in _lines(field, d):
         buckets = {}
         for i, val in support:
-            a = dot[i]
-            buckets[a] = buckets[a] + val if a in buckets else val
-        acc = 0
-        for a, total in buckets.items():
-            acc = acc + kernel[a] * total
-        out.append(-acc if d % 2 else acc)
+            b = dots[i]
+            buckets[b] = buckets[b] + val if b in buckets else val
+        for i, g in zip(moved, line_values(buckets)):
+            out[i] = -g if d % 2 else g
     return TraceFunction(field, d, out)
 
 
@@ -293,61 +301,69 @@ def conv_Gm(g: TraceFunction, f: TraceFunction) -> TraceFunction:
     """Multiplicative convolution: (g * f)(v) = sum_{l != 0} g(l) f(l^-1 v).
 
     Each value is written in the conductor the full per-term sum has.
-    Rational tables are summed one unit at a time; with a cyclotomic
-    value, each sum is one sum_of_products.
+    On int tables f's support is spread along the lines through 0,
+    out[lam j] += g(lam) f(j), in O(|supp f| (q-1)) steps.  Otherwise
+    each value is one sum_of_products over the units, which for rational
+    tables is the chained sum, so g(lam) 0 is Fraction(0) when either
+    operand is a Fraction.
     """
     if g.rank != 1:
         raise ValueError("convolver must live on F_q")
     if g.field is not f.field:
         raise ValueError("field mismatch")
-    field, d, fvals = f.field, f.rank, f.values
-    scaled = _index_tables(field, d)[1] if len(fvals) <= _TABLE_POINTS else None
+    field, d, fvals, gvals = f.field, f.rank, f.values, g.values
+    # units() is 1..q-1, so mu c sits at position mu - 1 of its line
+    mul, units, lines = field._mul, field.units(), _lines(field, d)
+    out = [0] * len(fvals)
+    if all(type(x) is int for x in fvals + gvals):
+        terms = [(lam, gvals[lam]) for lam in units if gvals[lam]]
+        out[0] = fvals[0] * sum(gl for _, gl in terms)
+        for _, moved in lines[1:]:
+            for mu, j in zip(units, moved):
+                if fvals[j]:
+                    for lam, gl in terms:
+                        out[moved[mul[lam][mu] - 1]] += gl * fvals[j]
+        return TraceFunction(field, d, out)
     # a zero term adds no value, but a cyclotomic one can widen the
     # conductor of the sum; only terms that are rational zeros are skipped
     rational_f = not any(isinstance(x, CycScalar) for x in fvals)
     terms = [
-        (gl, scaled[lam] if scaled else _scaled_row(field, d, lam))
-        for lam, gl in enumerate(g.values)
+        (field._inv[lam], gl) for lam, gl in enumerate(gvals)
         if lam and (gl or not rational_f or isinstance(gl, CycScalar))
     ]
-    if rational_f and not any(isinstance(gl, CycScalar) for gl, _ in terms):
-        out = [0] * len(fvals)
-        for gl, moved in terms:
-            out = [acc + gl * fvals[j] for acc, j in zip(out, moved)]
-    else:
-        out = [
-            sum_of_products((gl, fvals[moved[v]]) for gl, moved in terms)
-            for v in range(len(fvals))
-        ]
+    out[0] = sum_of_products((gl, fvals[0]) for _, gl in terms)
+    for _, moved in lines[1:]:
+        for mu, v in zip(units, moved):
+            out[v] = sum_of_products((gl, fvals[moved[mul[li][mu] - 1]]) for li, gl in terms)
     return TraceFunction(field, d, out)
 
 
-_TABLE_POINTS = 256  # the index tables of F_q^d are cached up to this size
+_TABLE_POINTS = 256  # the line tables of F_q^d are cached up to this size
 
 
 @lru_cache(maxsize=16)
-def _index_tables(field: Fq, d: int) -> tuple[list, list]:
-    """Integer index tables of F_q^d, points in lexicographic order:
-    dots[c][v] = <v, c> = sum_i v_i c_i, and scaled[lam][v] = the index
-    of lam^-1 v (scaled[0] is None)."""
-    dots = [_dot_row(field, c) for c in _points(field.q, d)]
-    return dots, [None] + [_scaled_row(field, d, lam) for lam in field.units()]
+def _index_tables(field: Fq, d: int) -> list[tuple[list, list]]:
+    """The lines through 0 of F_q^d, each once, ordered by their first
+    point c in lexicographic order, as pairs (dots, moved): dots[v] =
+    <v, c> for every v in lexicographic order, and moved[k] the index of
+    lam c for the k-th unit lam in field.units() order.  The origin is
+    its own line, with moved = [0]."""
+    q, add, mul = field.q, field._add, field._mul
+    seen, lines = set(), []
+    for i, c in enumerate(_points(q, d)):
+        if i not in seen:
+            moved = [_index(q, [row[a] for a in c]) for row in mul[1:]] if i else [0]
+            seen.update(moved)
+            dots = [0]
+            for a in c:  # one coordinate at a time
+                dots = [add[x][y] for x in dots for y in mul[a]]
+            lines.append((dots, moved))
+    return lines
 
 
-def _dot_row(field: Fq, c) -> list[int]:
-    """<v, c> for every v in lexicographic order, one coordinate at a time."""
-    add, mul, row = field._add, field._mul, [0]
-    for ci in c:
-        row = [add[a][b] for a in row for b in mul[ci]]
-    return row
-
-
-def _scaled_row(field: Fq, d: int, lam: int) -> list[int]:
-    """The index of lam^-1 v for every v in lexicographic order."""
-    q, products, row = field.q, field._mul[field._inv[lam]], [0]
-    for _ in range(d):
-        row = [i * q + a for i in row for a in products]
-    return row
+def _lines(field: Fq, d: int) -> list[tuple[list, list]]:
+    """The line table of F_q^d, cached up to _TABLE_POINTS points."""
+    return (_index_tables if field.q**d <= _TABLE_POINTS else _index_tables.__wrapped__)(field, d)
 
 
 def kernel_pair_sum(q, d: int, w: tuple, u: tuple) -> int:
@@ -384,21 +400,11 @@ def _pair_sum_row(field: Fq, d: int, w: tuple, us) -> list[int]:
 
 
 def scaling_orbits(q, d: int) -> list[list[tuple]]:
-    """Orbits of the scaling action of F_q^x on nonzero points of F_q^d."""
+    """Orbits of the scaling action of F_q^x on nonzero points of F_q^d:
+    the lines through 0 but the origin, each in field.units() order."""
     field = Fq(q)
-    seen = set()
-    orbits = []
-    for p in _points(field.q, d):
-        if p in seen or all(c == 0 for c in p):
-            continue
-        orbit = []
-        for lam in field.units():
-            moved = tuple(field.mul(lam, c) for c in p)
-            if moved not in seen:
-                seen.add(moved)
-                orbit.append(moved)
-        orbits.append(orbit)
-    return orbits
+    points = _points(field.q, d)
+    return [[points[i] for i in moved] for _, moved in _lines(field, d)[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -485,15 +491,9 @@ def scaling_sum_zero_basis(q, d: int) -> list[TraceFunction]:
 
 
 def _in_scaling_sum_zero(f: TraceFunction) -> bool:
-    # the orbit points are points of F_q^d, so their values are read by
-    # index, without value()'s point check; the origin has index 0
-    q, values = f.q, f.values
-    if values[0]:
-        return False
-    for orbit in scaling_orbits(f.field, f.rank):
-        if sum(values[_index(q, v)] for v in orbit):
-            return False
-    return True
+    # the origin is the first line; every other line is a scaling orbit
+    values = f.values
+    return not any(sum(values[i] for i in moved) for _, moved in _lines(f.field, f.rank))
 
 
 def check_CV(q, d: int) -> dict:
@@ -792,21 +792,12 @@ def monodromic_span_basis(q, d: int, n: int) -> list[TraceFunction]:
     _require_order(q, n)
     table = CharacterTable(field)
     basis = [TraceFunction.delta(field, tuple([0] * d))]
-    orbits = scaling_orbits(field, d)
-    for orbit in orbits:
-        vals = [0] * q**d
-        for v in orbit:
-            vals[_index(q, v)] = 1
-        basis.append(TraceFunction(field, d, vals))
-    for k in table.chars_with_order_dividing(n):
-        if k % (q - 1) == 0:
-            continue
-        for orbit in orbits:
-            rep = orbit[0]
+    orbits = [moved for _, moved in _lines(field, d)[1:]]
+    for k in table.chars_with_order_dividing(n):  # k = 0 gives the indicators
+        for moved in orbits:
             vals = [0] * q**d
-            for lam in field.units():
-                moved = tuple(field.mul(lam, c) for c in rep)
-                vals[_index(q, moved)] = table.chi(k, lam)
+            for lam, i in zip(field.units(), moved):
+                vals[i] = table.chi(k, lam) if k else 1
             basis.append(TraceFunction(field, d, vals))
     return basis
 
@@ -820,11 +811,11 @@ def _cyc_rank(vectors) -> int:
     p = 1 mod N (cyclotomic.split_prime).  A minor that is nonzero mod p
     is nonzero, so each rank mod p is a lower bound, and one equal to
     min(rows, cols) is the rank.  Otherwise primes are added until their
-    product exceeds H^phi(N), H the product over rows of the l1 norm of
-    the row's numerators, and the largest rank seen is the rank: if a
-    nonzero r-minor D vanished mod every prime, their product would
-    divide the norm of D, while 0 < |N(D)| <= H^phi(N) by Hadamard's
-    bound in every complex embedding.
+    product exceeds H^phi(N), H the product of the r+1 largest l1 norms
+    of the rows' numerators, r the largest rank seen; then r is the
+    rank.  Only r+1 rows enter an (r+1)-minor D, so 0 < |N(D)| <= H^phi(N)
+    by Hadamard's bound in every complex embedding if D is nonzero, and
+    if it vanished mod every prime, their product would divide N(D).
     """
     cond = 1
     for vec in vectors:
@@ -832,7 +823,7 @@ def _cyc_rank(vectors) -> int:
             if isinstance(x, CycScalar):
                 cond = lcm(cond, x.conductor)
     # every entry as its nonzero terms (exponent of zeta_N, integer)
-    cleared, bound = [], 1
+    cleared, norms = [], []
     for vec in vectors:
         scale = lcm(*(x.denominator for x in vec))
         row, norm = [], 0
@@ -845,11 +836,12 @@ def _cyc_rank(vectors) -> int:
             norm += sum(abs(a) for _, a in terms)
             row.append(terms)
         cleared.append(row)
-        bound *= max(norm, 1)
-    bound **= len(zeta(cond).numerators)
+        norms.append(max(norm, 1))
+    norms.sort(reverse=True)
+    phi = len(zeta(cond).numerators)
     full = min(len(vectors), len(vectors[0])) if vectors else 0
     rank, modulus, i = 0, 1, 0
-    while rank < full and modulus <= bound:
+    while rank < full and modulus <= prod(norms[: rank + 1]) ** phi:
         p, omega = split_prime(cond, i)
         powers = [pow(omega, k, p) for k in range(cond)]
         rows = [

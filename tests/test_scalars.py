@@ -1739,6 +1739,18 @@ class TestCycRank:
             assert rank <= indep
 
 
+def test_cyc_rank_bound_covers_the_r_plus_1_largest_rows():
+    """det = p, the first split prime, on rows whose l1 norms are below
+    p, beside a zero row: p reads rank 1, and only a bound over the two
+    largest rows, whose product exceeds p, goes on to a second prime."""
+    p = cyclotomic.split_prime(1, 0)[0]
+    a = 2**31
+    d = p // a + 1
+    m = [[0, 0], [a, 1], [a * d - p, d]]
+    assert max(a + 1, a * d - p + d) < p
+    assert _cyc_rank(m) == 2 == flat_cyc_rank(m)
+
+
 @st.composite
 def operands(draw):
     """An int, a Fraction with a non-unit denominator, or a cyclotomic

@@ -218,6 +218,21 @@ class TestConvGm:
         g = conv_Gm(TraceFunction.delta(3, 2), f)
         assert g == TraceFunction.delta(3, (2, 1))
 
+    def test_fraction_zeros_keep_their_type(self):
+        # f is Fraction(0) on the line of (0, 1) and int 0 off its support
+        field = Fq(3)
+        vals = [0] * 9
+        vals[1] = vals[2] = Fraction(0)
+        vals[3] = 1
+        f = TraceFunction(field, 2, vals)
+        got = conv_Gm(t_B_units(field), f)
+        assert_same_table(got, ref_conv_Gm(t_B_units(field), f))
+        assert [type(v) for v in got.values] == [int, Fraction, Fraction] + [int] * 6
+        half = TraceFunction(field, 1, [0, Fraction(1, 2), 0])
+        got = conv_Gm(half, TraceFunction.delta(field, (1, 0)))
+        assert_same_table(got, ref_conv_Gm(half, TraceFunction.delta(field, (1, 0))))
+        assert all(type(v) is Fraction for v in got.values)
+
     def test_convolver_must_be_rank_one(self):
         with pytest.raises(ValueError):
             conv_Gm(TraceFunction.delta(3, (0, 0)), TraceFunction.delta(3, 0))
@@ -339,7 +354,9 @@ def ref_four_psi(f):
     return ref_kernel_transform(f, [table.psi(a) for a in range(f.q)])
 
 
-ORACLE_SPACES = [(q, d) for q in (2, 3, 4, 5, 7, 8, 9) for d in (1, 2)] + [(2, 3), (3, 3)]
+# (11, 1), (11, 2) and (16, 1) are the largest spaces the profile rows run
+ORACLE_SPACES = [(q, d) for q in (2, 3, 4, 5, 7, 8, 9, 11) for d in (1, 2)] + [
+    (16, 1), (2, 3), (3, 3)]
 VALUE_KINDS = ("int", "fraction", "cyclotomic", "mixed")
 
 
@@ -443,6 +460,52 @@ class TestTransformOracles:
         assert all(type(v) is int for v in four_B(TraceFunction.delta(5, 2)).values)
 
 
+class TestLineTable:
+    """The cached lines through 0, and the span basis read from them,
+    against constructions one field operation at a time."""
+
+    @pytest.mark.parametrize("q,d", ORACLE_SPACES)
+    def test_lines_cover_every_point_once(self, q, d):
+        field = Fq(q)
+        points = list(product(range(q), repeat=d))
+        lines = trace._lines(field, d)
+        covered = [i for _, moved in lines for i in moved]
+        assert sorted(covered) == list(range(q**d))
+        assert lines[0][1] == [0]
+        reps = [points[moved[0]] for _, moved in lines]
+        assert reps == sorted(reps)
+        for dots, moved in lines:
+            rep = points[moved[0]]
+            assert dots == [ref_dot(field, v, rep) for v in points]
+            if any(rep):
+                assert moved == [points.index(tuple(field.mul(lam, c) for c in rep))
+                                 for lam in field.units()]
+                assert rep == min(points[i] for i in moved)
+
+    @pytest.mark.parametrize("q,d,n", [(5, 2, 4), (4, 2, 3), (7, 1, 3)])
+    def test_span_basis_from_field_operations(self, q, d, n):
+        # int indicators, then one chi_k eigenfunction per orbit, orbits
+        # ordered by their first point
+        field, table = Fq(q), CharacterTable(q)
+        points = list(product(range(q), repeat=d))
+
+        def orbit(p):
+            return [tuple(field.mul(lam, c) for c in p) for lam in field.units()]
+
+        reps = [p for p in points if any(p) and min(orbit(p)) == p]
+        want = [TraceFunction.delta(field, (0,) * d)]
+        for k in table.chars_with_order_dividing(n):
+            for rep in reps:
+                vals = [0] * q**d
+                for lam, v in zip(field.units(), orbit(rep)):
+                    vals[points.index(v)] = table.chi(k, lam) if k else 1
+                want.append(TraceFunction(field, d, vals))
+        got = monodromic_span_basis(field, d, n)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_table(g, w)
+
+
 class TestIndexTables:
     """The cached F_q^d index tables, shared by every transform and
     convolution of one process, against the per-term references."""
@@ -531,6 +594,16 @@ class TestScalingSumZero:
         for f in scaling_sum_zero_basis(field, 1):
             assert f.value(0) == 0
             assert sum(f.value(x) for x in field.units()) == 0
+
+    @pytest.mark.parametrize("q,d", [(5, 1), (3, 2), (4, 2)])
+    def test_membership_reads_the_origin_and_every_orbit(self, q, d):
+        field = Fq(q)
+        basis = scaling_sum_zero_basis(field, d)
+        assert all(trace._in_scaling_sum_zero(f) for f in basis)
+        origin = TraceFunction.delta(field, (0,) * d)
+        assert not trace._in_scaling_sum_zero(origin)
+        assert not trace._in_scaling_sum_zero(basis[-1] + origin)
+        assert not trace._in_scaling_sum_zero(TraceFunction.delta(field, (1,) * d))
 
 
 class TestInvertedCharacterSum:
