@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .scalars import (
     Poly,
@@ -777,10 +778,11 @@ def windowed_equivariant(m: CyclicPresentation, N: int) -> EquivariantModule:
     if rel is None:
         return equivariant_free(nrows, "windowed free")
     levels = rel.levels()
+    zero = Poly()
     cols = []
     for a in range(-N, N + 1):
         if all(-N <= i + a <= N for i in levels):
-            col = [Poly() for _ in range(nrows)]
+            col = [zero] * nrows
             for i in levels:
                 col[i + a + N] = rel.coeff(i).shift(a)
             cols.append(col)
@@ -801,20 +803,38 @@ def monodromic_test(m: EquivariantModule) -> bool:
 def torsion_by_point_ranks(m: EquivariantModule) -> bool:
     """Independent torsion oracle: the rank over k(s) equals the maximal
     rank of evaluations at more points than any minor determinant has
-    roots."""
+    roots.
+
+    The points are s = 101, 102, ...; no rank exceeds min(rows, cols), so
+    the first point whose rank reaches it settles the answer.  Each row,
+    scaled by the lcm of its entries' denominators (which keeps the
+    rank), is evaluated in integers by Horner on the numerators, and
+    ranked by exact elimination, not by poly_rank's modular certificate.
+    """
     if m.nrows == 0:
         return True
     if m.ncols == 0:
         return False
-    rows = m.rows()
-    bound = sum(max((e.degree for e in row if not e.is_zero), default=0) for row in rows)
+    rows, bound = [], 0
+    for row in m.matrix:
+        den = lcm(*(e.den for e in row))
+        rows.append([(e.nums[::-1], den // e.den) for e in row])
+        bound += max((e.degree for e in row if not e.is_zero), default=0)
+    cap = min(m.nrows, m.ncols)
     best = 0
-    for k in range(bound + 1):
-        t = Fraction(101 + k)
-        num = [[entry.eval(t) for entry in row] for row in rows]
+    for t in range(101, 102 + bound):
+        num = []
+        for row in rows:
+            vals = []
+            for nums, scale in row:
+                acc = 0
+                for c in nums:
+                    acc = acc * t + c
+                vals.append(acc * scale)
+            num.append(vals)
         best = max(best, rational_rank(num))
-        if best == m.nrows:
-            return True
+        if best == cap:
+            break
     return best == m.nrows
 
 

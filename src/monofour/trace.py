@@ -810,12 +810,14 @@ def _cyc_rank(vectors) -> int:
     in Z[zeta_N], and sent to F_p by zeta_N -> omega for split primes
     p = 1 mod N (cyclotomic.split_prime).  A minor that is nonzero mod p
     is nonzero, so each rank mod p is a lower bound, and one equal to
-    min(rows, cols) is the rank.  Otherwise primes are added until their
-    product exceeds H^phi(N), H the product of the r+1 largest l1 norms
-    of the rows' numerators, r the largest rank seen; then r is the
-    rank.  Only r+1 rows enter an (r+1)-minor D, so 0 < |N(D)| <= H^phi(N)
-    by Hadamard's bound in every complex embedding if D is nonzero, and
-    if it vanished mod every prime, their product would divide N(D).
+    min(rows, cols) is the rank.  Otherwise primes are added until the
+    square of their product exceeds H^phi(N), H the product of the r+1
+    largest row scores s_i = sum_j l1(x_ij)^2 of the rows' numerators, r
+    the largest rank seen; then r is the rank.  Only r+1 rows enter an
+    (r+1)-minor D, and every complex embedding sends x_ij into the disc
+    of radius l1(x_ij), so 0 < |N(D)| <= H^(phi(N)/2) by Hadamard's bound
+    if D is nonzero; if it vanished mod every prime, their product would
+    divide N(D).  Comparing squares keeps the bound in integers.
     """
     cond = 1
     for vec in vectors:
@@ -823,25 +825,25 @@ def _cyc_rank(vectors) -> int:
             if isinstance(x, CycScalar):
                 cond = lcm(cond, x.conductor)
     # every entry as its nonzero terms (exponent of zeta_N, integer)
-    cleared, norms = [], []
+    cleared, scores = [], []
     for vec in vectors:
         scale = lcm(*(x.denominator for x in vec))
-        row, norm = [], 0
+        row, score = [], 0
         for x in vec:
             if isinstance(x, CycScalar):
                 stride, c = cond // x.conductor, scale // x.denominator
                 terms = [(i * stride, c * a) for i, a in enumerate(x.numerators) if a]
             else:
                 terms = [(0, x.numerator * (scale // x.denominator))] if x else []
-            norm += sum(abs(a) for _, a in terms)
+            score += sum(abs(a) for _, a in terms) ** 2
             row.append(terms)
         cleared.append(row)
-        norms.append(max(norm, 1))
-    norms.sort(reverse=True)
+        scores.append(max(score, 1))
+    scores.sort(reverse=True)
     phi = len(zeta(cond).numerators)
     full = min(len(vectors), len(vectors[0])) if vectors else 0
     rank, modulus, i = 0, 1, 0
-    while rank < full and modulus <= prod(norms[: rank + 1]) ** phi:
+    while rank < full and modulus**2 <= prod(scores[: rank + 1]) ** phi:
         p, omega = split_prime(cond, i)
         powers = [pow(omega, k, p) for k in range(cond)]
         rows = [

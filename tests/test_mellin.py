@@ -54,7 +54,15 @@ from monofour.mellin import (
 )
 from monofour import checks, mellin
 from monofour.ore import CyclicPresentation, ShiftOp, WeylOp, antipode, inversion_twist
-from monofour.scalars import Poly, RatFun, UnsupportedInputError, poly_gcd, poly_smith, ratfun
+from monofour.scalars import (
+    Poly,
+    RatFun,
+    UnsupportedInputError,
+    poly_gcd,
+    poly_smith,
+    ratfun,
+    rational_rank,
+)
 from monofour.scalars.poly import poly_lcm
 from monofour.scalars.ratfun import linear_factors
 
@@ -335,6 +343,150 @@ class TestMonodromicTest:
             v4 = monodromic_test(windowed_equivariant(pres, 4))
             v6 = monodromic_test(windowed_equivariant(pres, 6))
             assert v4 == v6
+
+
+def ref_torsion_by_point_ranks(m: EquivariantModule) -> bool:
+    """The evaluation-rank oracle as it was before it stopped at the rank
+    cap: Fraction evaluations at s = 101, 102, ..., through all bound + 1
+    points unless a rank reaches the row count."""
+    if m.nrows == 0:
+        return True
+    if m.ncols == 0:
+        return False
+    rows = m.rows()
+    bound = sum(max((e.degree for e in row if not e.is_zero), default=0) for row in rows)
+    best = 0
+    for k in range(bound + 1):
+        t = Fraction(101 + k)
+        num = [[entry.eval(t) for entry in row] for row in rows]
+        best = max(best, rational_rank(num))
+        if best == m.nrows:
+            return True
+    return best == m.nrows
+
+
+COEFFS = st.integers(-3, 3) | st.fractions(
+    min_value=-3, max_value=3, max_denominator=4
+)
+POLYS = st.lists(COEFFS, max_size=4).map(Poly)
+AT_101 = Poly((-101, 1))
+
+
+@st.composite
+def poly_matrices(draw):
+    """A Poly matrix, square, tall or wide, with at least one column."""
+    shape = draw(st.sampled_from(("square", "tall", "wide")))
+    small, large = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    rows, cols = {
+        "square": (small, small),
+        "tall": (small + large, small),
+        "wide": (small, small + large),
+    }[shape]
+    return [[draw(POLYS) for _ in range(cols)] for _ in range(rows)]
+
+
+@st.composite
+def windowed_presentations(draw):
+    """A random cyclic shift presentation, as mon-test draws them but with
+    rational coefficients, on windows 0-5."""
+    terms = {}
+    for j in draw(st.sets(st.integers(-2, 2), min_size=1, max_size=3)):
+        p = draw(POLYS)
+        if not p.is_zero:
+            terms[j] = p
+    rel = ShiftOp(terms)
+    pres = CyclicPresentation("shift", () if not rel.terms else (rel,))
+    return windowed_equivariant(pres, draw(st.integers(0, 5)))
+
+
+def _module(rows) -> EquivariantModule:
+    return EquivariantModule(len(rows), tuple(tuple(r) for r in rows))
+
+
+def _count_rational_rank(monkeypatch) -> list:
+    """Record the row count of every rational_rank call the oracle makes."""
+    calls = []
+    real = mellin.rational_rank
+
+    def counting(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(mellin, "rational_rank", counting)
+    return calls
+
+
+class TestTorsionByPointRanks:
+    """The oracle that stops at min(rows, cols) and evaluates in integers
+    gives the verdict of the reference that tries every point."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(windowed_presentations())
+    def test_windowed_presentations(self, em):
+        assert torsion_by_point_ranks(em) == ref_torsion_by_point_ranks(em)
+
+    @settings(max_examples=100, deadline=None)
+    @given(poly_matrices())
+    def test_random_matrices(self, rows):
+        em = _module(rows)
+        assert torsion_by_point_ranks(em) == ref_torsion_by_point_ranks(em)
+
+    @settings(max_examples=80, deadline=None)
+    @given(poly_matrices(), st.data())
+    def test_rank_drops_at_the_first_point(self, rows, data):
+        # one row vanishes at s = 101, so the first point stays below the
+        # cap whenever the rows are independent over k(s)
+        i = data.draw(st.integers(0, len(rows) - 1))
+        rows[i] = [AT_101 * e for e in rows[i]]
+        em = _module(rows)
+        assert torsion_by_point_ranks(em) == ref_torsion_by_point_ranks(em)
+
+    @settings(max_examples=80, deadline=None)
+    @given(poly_matrices(), st.data())
+    def test_dependent_row(self, rows, data):
+        # the last row becomes a Q[s]-combination of the others, with
+        # rational coefficients, so its entries' denominators differ
+        qs = [data.draw(POLYS) for _ in rows[:-1]]
+        rows[-1] = [
+            sum((q * r[k] for q, r in zip(qs, rows)), Poly()) for k in range(len(rows[0]))
+        ]
+        em = _module(rows)
+        assert torsion_by_point_ranks(em) == ref_torsion_by_point_ranks(em)
+        assert not torsion_by_point_ranks(em)
+
+    @settings(max_examples=40, deadline=None)
+    @given(poly_matrices(), st.data())
+    def test_zero_row(self, rows, data):
+        i = data.draw(st.integers(0, len(rows) - 1))
+        rows[i] = [Poly()] * len(rows[i])
+        em = _module(rows)
+        assert not torsion_by_point_ranks(em)
+        assert not ref_torsion_by_point_ranks(em)
+
+    def test_no_columns(self):
+        for em, torsion in (
+            (equivariant_free(1), False),
+            (equivariant_free(3), False),
+            (EquivariantModule(0, ()), True),
+        ):
+            assert torsion_by_point_ranks(em) == ref_torsion_by_point_ranks(em) == torsion
+
+    def test_goes_past_a_point_below_the_cap(self, monkeypatch):
+        calls = _count_rational_rank(monkeypatch)
+        assert torsion_by_point_ranks(_module([[AT_101, Poly((1,))], [Poly(), AT_101]]))
+        assert calls == [2, 2]
+        calls.clear()
+        assert not torsion_by_point_ranks(_module([[AT_101], [Poly((5, 1))]]))
+        assert calls == [2]
+
+    @pytest.mark.parametrize(
+        "params,limit",
+        [({"count": 20, "seed": 20260823}, 20), ({"count": 40, "window": 4}, 40)],
+    )
+    def test_mon_test_rank_calls(self, monkeypatch, params, limit):
+        calls = _count_rational_rank(monkeypatch)
+        assert checks.run_check("mon-test", params).verdict == "pass"
+        assert len(calls) <= limit
 
 
 class TestHomToFree:

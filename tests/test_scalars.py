@@ -1699,6 +1699,22 @@ class TestCycRank:
         assert _cyc_rank(m) == 1 == flat_cyc_rank(m)
         assert len(used) > 1  # 1 < min(3, 5), and the bound exceeds one prime
 
+    def test_mon_equivalence_prime_count(self, monkeypatch):
+        """Hadamard's l2 bound over the r+1 largest rows: the three
+        matrices of check_mon_equivalence(11, 2, 2) (50 x 121 combined,
+        rank 25, phi = 4) take 12 split primes in all."""
+        from monofour import trace
+
+        used = []
+
+        def counting(n, i):
+            used.append(i)
+            return cyclotomic.split_prime(n, i)
+
+        monkeypatch.setattr(trace, "split_prime", counting)
+        assert trace.check_mon_equivalence(11, 2, 2)["verdict"] is True
+        assert len(used) == 12
+
     @pytest.mark.parametrize("q,d,n", [(13, 1, 12), (7, 2, 6)])
     def test_mon_equivalence_matrices(self, q, d, n):
         for m in mon_equivalence_matrices(q, d, n):
