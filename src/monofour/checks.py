@@ -641,7 +641,7 @@ def profile_tasks(profile: str) -> list[tuple[str, dict]]:
 def run_all(profile: str = "quick", seed: int | None = None, jobs: int = 1) -> dict:
     """Run a profile's whole grid in the calling thread; deterministic
     merge order.  The checks are CPU-bound Python, so jobs is 1: any other
-    value is refused.
+    value is refused.  The parameter stays because the benchmark passes it.
 
     An unknown check id or parameter raises ValueError before that
     check's engine runs.  A check whose engine raises becomes an `error`

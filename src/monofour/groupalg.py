@@ -61,9 +61,6 @@ class GroupAlgebraElem:
                 terms.append(f"{head}t" + (f"^{i}" if i > 1 else ""))
         return " + ".join(terms) if terms else "0"
 
-    def __add__(self, other):
-        return ga_add(self, other)
-
     def __mul__(self, other):
         return ga_mul(self, other)
 
@@ -73,9 +70,6 @@ class GroupAlgebraElem:
             self.ell, self.r, self.n,
             tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
         )
-
-    def __neg__(self):
-        return GroupAlgebraElem(self.ell, self.r, self.n, tuple(-c for c in self.coeffs))
 
 
 def _check_match(a: GroupAlgebraElem, b: GroupAlgebraElem):
@@ -106,13 +100,6 @@ def sigma(ell: int, r: int, n: int) -> GroupAlgebraElem:
     return GroupAlgebraElem(ell, r, n, (1,) * n)
 
 
-def ga_add(a: GroupAlgebraElem, b: GroupAlgebraElem) -> GroupAlgebraElem:
-    _check_match(a, b)
-    return GroupAlgebraElem(
-        a.ell, a.r, a.n, tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
-    )
-
-
 def ga_mul(a: GroupAlgebraElem, b: GroupAlgebraElem) -> GroupAlgebraElem:
     _check_match(a, b)
     n = a.n
@@ -124,10 +111,6 @@ def ga_mul(a: GroupAlgebraElem, b: GroupAlgebraElem) -> GroupAlgebraElem:
             if y:
                 out[(i + j) % n] += x * y
     return GroupAlgebraElem(a.ell, a.r, a.n, tuple(out))
-
-
-def augmentation(a: GroupAlgebraElem) -> int:
-    return sum(a.coeffs) % a.modulus
 
 
 def transition(a: GroupAlgebraElem, n_target: int) -> GroupAlgebraElem:

@@ -25,9 +25,10 @@ only at the public boundary, and the RatFun views are expanded on first
 use.
 
 On top of these the module provides the canonical cyclic presentations
-(simple-pole kernel module, exponential modules on both sides of the
-Mellin identification, skyscraper towers), fibers, tensor products,
-torsion tests, and the named verification routines.
+(simple-pole kernel modules on both sides of the Mellin identification,
+the exponential module, skyscraper towers), lattice fibers, the tensor
+product of a skyscraper tower with a line, torsion tests, and the named
+verification routines.
 """
 
 from __future__ import annotations
@@ -110,11 +111,6 @@ def kernel_module() -> CyclicPresentation:
 def shift_exp_module() -> CyclicPresentation:
     """Exponential module on the shift side: relation 1 - T^-1 s."""
     return CyclicPresentation("shift", (1 - _Ti * _S,))
-
-
-def weyl_exp_module() -> CyclicPresentation:
-    """Exponential module on the differential side: relation 1 - dx."""
-    return CyclicPresentation("weyl", (1 - WeylOp.dx(),))
 
 
 def weyl_kernel_module() -> CyclicPresentation:
@@ -465,10 +461,6 @@ class Fiber:
         g = self._generator
         return g.to_ratfun() if isinstance(g, Factored) else g
 
-    @property
-    def is_zero(self) -> bool:
-        return self.length == 0
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Fiber):
             return NotImplemented
@@ -627,23 +619,6 @@ class SkyscraperFamily:
 
     def exponent_at(self, i: int) -> int:
         return self.exponents.get(i, 0)
-
-    def fiber(self, a, n: int = 1) -> Fiber:
-        a = frac(a)
-        d = a - self.chi
-        if d.denominator != 1:
-            return Fiber(point=a, order=n, rank=0, length=0)
-        i = int(d)
-        if abs(i) > self.radius:
-            raise WindowError(f"point {a} outside window of radius {self.radius}")
-        e = min(self.exponent_at(i), n)
-        return Fiber(
-            point=a,
-            order=n,
-            rank=1 if e else 0,
-            length=e,
-            generator_label=self.labels.get(i),
-        )
 
 
 def skyscraper_tower(chi, n: int, N: int) -> SkyscraperFamily:
@@ -843,48 +818,17 @@ def torsion_by_point_ranks(m: EquivariantModule) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def tensor_equivariant(m1, m2):
-    """Tensor product over k[s] with the diagonal semilinear shift action."""
-    if isinstance(m1, SkyscraperFamily) and isinstance(m2, SkyscraperFamily):
-        return _tensor_sky_sky(m1, m2)
-    if isinstance(m1, SkyscraperFamily) and isinstance(m2, (LadderFamily, WindowedLattice)):
-        return _tensor_sky_line(m1, m2)
-    if isinstance(m2, SkyscraperFamily) and isinstance(m1, (LadderFamily, WindowedLattice)):
-        return _tensor_sky_line(m2, m1)
-    if isinstance(m1, EquivariantModule) and isinstance(m2, EquivariantModule):
-        return _tensor_presentations(m1, m2)
-    raise UnsupportedInputError(
-        f"unsupported tensor operand kinds {type(m1).__name__}, {type(m2).__name__}"
-    )
-
-
-def _tensor_sky_sky(f1: SkyscraperFamily, f2: SkyscraperFamily) -> SkyscraperFamily:
-    if f1.radius != f2.radius:
-        raise WindowError("window mismatch in tensor product")
-    d = f1.chi - f2.chi
-    if d.denominator != 1:
-        return SkyscraperFamily(
-            f1.chi, f1.radius, {i: 0 for i in range(-f1.radius, f1.radius + 1)}
+def tensor_equivariant(m1, m2) -> SkyscraperFamily:
+    """Tensor product over k[s], with the diagonal semilinear shift action,
+    of a skyscraper window and a free-rank-one line (lattice or ladder),
+    in either order: fiberwise the line contributes a free rank-1 factor,
+    so the exponents survive and the units multiply."""
+    lines = (LadderFamily, WindowedLattice)
+    fam, line = (m2, m1) if isinstance(m2, SkyscraperFamily) else (m1, m2)
+    if not (isinstance(fam, SkyscraperFamily) and isinstance(line, lines)):
+        raise UnsupportedInputError(
+            f"unsupported tensor operand kinds {type(m1).__name__}, {type(m2).__name__}"
         )
-    shift = int(d)
-    exponents, labels, units = {}, {}, {}
-    for i in range(-f1.radius, f1.radius + 1):
-        e = min(f1.exponent_at(i), f2.exponent_at(i + shift))
-        exponents[i] = e
-        if e:
-            labels[i] = f"{f1.labels.get(i, '?')} (x) {f2.labels.get(i + shift, '?')}"
-    for i in range(-f1.radius + 1, f1.radius + 1):
-        u1 = f1.down_units.get(i)
-        u2 = f2.down_units.get(i + shift)
-        if u1 is not None and u2 is not None:
-            units[i] = u1 * u2
-    return SkyscraperFamily(f1.chi, f1.radius, exponents, labels, units)
-
-
-def _tensor_sky_line(fam: SkyscraperFamily, line) -> SkyscraperFamily:
-    """Tensor a skyscraper window with a free-rank-one line (lattice or
-    ladder): fiberwise the line contributes a free rank-1 factor, so the
-    exponents survive and the units multiply."""
     if line.radius < fam.radius:
         raise WindowError("window mismatch in tensor product")
     exponents, labels, units = {}, {}, {}
@@ -915,38 +859,6 @@ def _tensor_sky_line(fam: SkyscraperFamily, line) -> SkyscraperFamily:
             unit = ratio.eval(point)
         units[i] = base * unit
     return SkyscraperFamily(fam.chi, fam.radius, exponents, labels, units)
-
-
-def _tensor_presentations(m1: EquivariantModule, m2: EquivariantModule) -> EquivariantModule:
-    r1, r2 = m1.nrows, m2.nrows
-    a, b = m1.rows(), m2.rows()
-    c1 = m1.ncols
-    c2 = m2.ncols
-    nrows = r1 * r2
-    cols = []
-    for col in range(c1):
-        for j in range(r2):
-            vec = [Poly() for _ in range(nrows)]
-            for i in range(r1):
-                if not a[i][col].is_zero:
-                    vec[i * r2 + j] = a[i][col]
-            cols.append(vec)
-    for i in range(r1):
-        for col in range(c2):
-            vec = [Poly() for _ in range(nrows)]
-            for j in range(r2):
-                if not b[j][col].is_zero:
-                    vec[i * r2 + j] = b[j][col]
-            cols.append(vec)
-    matrix = tuple(tuple(col[r] for col in cols) for r in range(nrows))
-    return EquivariantModule(nrows, matrix, f"{m1.label} (x) {m2.label}")
-
-
-def fiber(m, a, n: int = 1) -> Fiber:
-    """Fiber of a windowed module at the point a, over k[s]/(s-a)^n."""
-    if isinstance(m, (WindowedLattice, LadderFamily, SkyscraperFamily)):
-        return m.fiber(a, n)
-    raise UnsupportedInputError(f"no fiber rule for {type(m).__name__}")
 
 
 # ---------------------------------------------------------------------------

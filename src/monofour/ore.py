@@ -114,7 +114,8 @@ class ShiftOp(ExactValue):
         return sorted(self.terms)
 
     def coeff(self, j: int) -> Poly:
-        return self.terms.get(j, Poly())
+        p = self.terms.get(j)
+        return Poly() if p is None else p
 
     def __eq__(self, other) -> bool:
         other = _coerce_shift(other)
@@ -261,14 +262,6 @@ class _WeylBase(ExactValue):
     def zero(cls, rank: int = 1) -> "_WeylBase":
         return cls(rank)
 
-    @classmethod
-    def monomial(cls, alpha, beta, c: Scalar = 1, rank: int | None = None) -> "_WeylBase":
-        alpha = (alpha,) if isinstance(alpha, int) else tuple(alpha)
-        beta = (beta,) if isinstance(beta, int) else tuple(beta)
-        if rank is None:
-            rank = len(alpha)
-        return cls(rank, {(alpha, beta): c})
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -386,10 +379,6 @@ class LaurentWeylOp(_WeylBase):
 
     __slots__ = ()
     laurent = True
-
-    @classmethod
-    def x_power(cls, a: int, c: Scalar = 1) -> "LaurentWeylOp":
-        return cls(1, {((a,), (0,)): c})
 
 
 def _coordinate(i: int, rank: int) -> tuple[int, ...]:

@@ -88,22 +88,3 @@ class CheckReport:
             indent=2 if pretty else None,
         )
 
-
-def validate_report_dict(d: dict) -> None:
-    """Schema check for a serialized report; raises ValueError on problems."""
-    required = {"check": str, "parameters": dict, "verdict": str, "statement": str}
-    for key, typ in required.items():
-        if key not in d:
-            raise ValueError(f"report missing field {key!r}")
-        if not isinstance(d[key], typ):
-            raise ValueError(f"report field {key!r} must be {typ.__name__}")
-    if "witness" not in d:
-        raise ValueError("report missing field 'witness'")
-    if d["verdict"] not in VERDICTS:
-        raise ValueError(f"verdict must be one of {VERDICTS}")
-    if not d["statement"]:
-        raise ValueError("statement must be nonempty")
-    try:
-        json.dumps(d)  # must be serializable as-is
-    except TypeError as exc:
-        raise ValueError(f"report is not JSON-serializable: {exc}") from exc

@@ -4,8 +4,8 @@ Smith normal forms, small finite fields, cyclotomic scalars."""
 from fractions import Fraction
 
 from .poly import Poly, frac, poly_gcd
-from .ratfun import RatFun, UnsupportedInputError, partial_fractions
-from .snf import int_smith, poly_rank, poly_smith, rational_rank
+from .ratfun import RatFun, UnsupportedInputError
+from .snf import poly_rank, rational_rank
 from .ffield import Fq
 from .cyclotomic import CycScalar, cyclotomic_poly, zeta
 
@@ -18,11 +18,8 @@ __all__ = [
     "Poly",
     "poly_gcd",
     "RatFun",
-    "partial_fractions",
     "UnsupportedInputError",
-    "poly_smith",
     "poly_rank",
-    "int_smith",
     "rational_rank",
     "Fq",
     "CycScalar",

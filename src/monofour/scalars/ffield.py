@@ -219,9 +219,6 @@ class Fq:
             total = self._add[total][acc]
         return total  # lies in the prime subfield, encoded as itself
 
-    def elements(self) -> range:
-        return range(self.q)
-
     def units(self) -> range:
         return range(1, self.q)
 

@@ -232,11 +232,6 @@ class Poly(ExactValue):
     def __mod__(self, other) -> "Poly":
         return divmod(self, other)[1]
 
-    def divides(self, other: "Poly") -> bool:
-        if self.is_zero:
-            return other.is_zero
-        return (other % self).is_zero
-
     def monic(self) -> "Poly":
         nums = self.nums
         if not nums:

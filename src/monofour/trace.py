@@ -106,21 +106,11 @@ class TraceFunction:
     def items(self):
         return zip(self.points(), self.values)
 
-    def support(self):
-        return [p for p, v in self.items() if v]
-
     # -- arithmetic -------------------------------------------------------
 
     def _compat(self, other: "TraceFunction"):
         if self.field is not other.field or self.rank != other.rank:
             raise ValueError("trace functions live on different spaces")
-
-    def __add__(self, other: "TraceFunction") -> "TraceFunction":
-        self._compat(other)
-        return TraceFunction(
-            self.field, self.rank,
-            [a + b for a, b in zip(self.values, other.values)],
-        )
 
     def __sub__(self, other: "TraceFunction") -> "TraceFunction":
         self._compat(other)
@@ -134,13 +124,6 @@ class TraceFunction:
 
     def scale(self, c) -> "TraceFunction":
         return TraceFunction(self.field, self.rank, [v * c for v in self.values])
-
-    def twisted(self, ts: TwistShift) -> "TraceFunction":
-        return self.scale(ts.scalar(self.q))
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.values)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TraceFunction):

@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 from monofour import checks, groupalg, mellin, trace
+from monofour.ore import CyclicPresentation
 from monofour.parser import parse_operator
 
 ACCEPTANCE_LINES = []
@@ -92,7 +93,7 @@ def test_criterion_05_shift_algebra_suite():
 
         # (a) symbol-exact images of the canonical differential modules
         mk = mellin.mellin_module(mellin.weyl_kernel_module())
-        me = mellin.mellin_module(mellin.weyl_exp_module())
+        me = mellin.mellin_module(CyclicPresentation("weyl", (parse_operator("1 - dx", "weyl"),)))
         if list(mk.relations) != [parse_operator("(s+1) - Ti*s", "shift")]:
             failures.append("kernel relation")
         if list(me.relations) != [parse_operator("1 - Ti*s", "shift")]:
@@ -168,8 +169,8 @@ def test_criterion_07_gauss_suite():
             fn = trace.power_count_trace(q, n)
             F = trace.CharacterTable(q).field
             zero = F.sub(F.e, F.e)
-            for x in F.elements():
-                count = sum(1 for y in F.elements() if F.pow(y, n) == x)
+            for x in range(F.q):
+                count = sum(1 for y in range(F.q) if F.pow(y, n) == x)
                 expected = count - 1 if x == zero else count
                 if fn.value((x,)) != expected:
                     failures.append(("oracle", q, n, x))

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from monofour import checks, groupalg, mellin, ore, trace
-from monofour.reports import validate_report_dict
+from test_reports import validate_report_dict
 from monofour.scalars import UnsupportedInputError
 
 ENGINES = {"trace": trace, "mellin": mellin, "ore": ore, "groupalg": groupalg}

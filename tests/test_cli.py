@@ -8,7 +8,7 @@ import pytest
 
 from monofour import checks, trace
 from monofour.cli import build_parser, main
-from monofour.reports import validate_report_dict
+from test_reports import validate_report_dict
 
 
 def run_cli(capsys, *argv):

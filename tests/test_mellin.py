@@ -28,7 +28,6 @@ from monofour.mellin import (
     euler_eigen_module,
     exp_ladder,
     exp_square_check,
-    fiber,
     fourier_B_monodromic,
     fourier_presentation,
     hom_to_free_vanishes,
@@ -48,7 +47,6 @@ from monofour.mellin import (
     tensor_equivariant,
     torsion_by_point_ranks,
     twisted_exp_ladder,
-    weyl_exp_module,
     weyl_kernel_module,
     windowed_equivariant,
 )
@@ -59,10 +57,10 @@ from monofour.scalars import (
     RatFun,
     UnsupportedInputError,
     poly_gcd,
-    poly_smith,
     ratfun,
     rational_rank,
 )
+from monofour.scalars.snf import poly_smith
 from monofour.scalars.poly import poly_lcm
 from monofour.scalars.ratfun import linear_factors
 
@@ -72,6 +70,7 @@ Ti = ShiftOp.t_power(-1)
 
 B_GEN = RatFun(1, Poly((1, 1)))  # 1/(s+1)
 FREE_SHIFT = CyclicPresentation("shift", ())
+WEYL_EXP = CyclicPresentation("weyl", (1 - WeylOp.dx(),))  # relation 1 - dx
 
 
 def s_plus(c) -> Poly:
@@ -199,75 +198,25 @@ class TestFiber:
         assert fib.generator == e.func(-3)
         assert fib.generator_label == "e[-3]"
 
-    def test_skyscraper_fiber_off_orbit_is_zero(self):
-        tower = skyscraper_tower(0, 1, 6)
-        fib = tower.fiber(Fraction(1, 2))
-        assert fib.rank == 0 and fib.is_zero
-
-    def test_skyscraper_fiber_length_truncates(self):
-        tower = skyscraper_tower(0, 3, 6)
-        assert tower.fiber(0, 2).length == 2
-        assert tower.fiber(1, 5).length == 3
-
     def test_fiber_outside_window_raises(self):
         lat = embed_in_Ks(kernel_module(), B_GEN, 4)
         with pytest.raises(WindowError):
             lat.fiber(20)
         with pytest.raises(WindowError):
-            skyscraper_tower(0, 1, 4).fiber(9)
-
-    def test_dispatch_function(self):
-        lat = embed_in_Ks(kernel_module(), B_GEN, 4)
-        assert fiber(lat, Fraction(1, 2)).rank == 1
-        with pytest.raises(UnsupportedInputError):
-            fiber(equivariant_free(1), 0)
+            exp_ladder(4).fiber(9)
 
 
 class TestTensor:
-    def test_skyscraper_orders_take_minimum(self):
-        t = tensor_equivariant(skyscraper_tower(0, 2, 6), skyscraper_tower(0, 1, 6))
-        assert all(t.exponent_at(i) == 1 for i in range(-6, 7))
-
-    def test_disjoint_orbits_tensor_to_zero(self):
-        t = tensor_equivariant(
-            skyscraper_tower(0, 1, 6), skyscraper_tower(Fraction(1, 2), 1, 6)
-        )
-        assert t.is_zero
-
-    def test_offset_orbit_alignment(self):
-        shifted = SkyscraperFamily(
-            Fraction(1), 2, {i: 1 for i in range(-2, 3)},
-            {i: "g" for i in range(-2, 3)}, {i: Fraction(1) for i in range(-1, 3)},
-        )
-        t = tensor_equivariant(shifted, skyscraper_tower(0, 1, 2))
-        assert t.exponent_at(1) == 1
-        assert t.exponent_at(2) == 0  # partner lies outside the window
-
     def test_window_mismatch_raises(self):
         with pytest.raises(WindowError):
-            tensor_equivariant(skyscraper_tower(0, 1, 3), skyscraper_tower(0, 1, 5))
+            tensor_equivariant(skyscraper_tower(0, 1, 5), pole_ladder(3))
 
-    def test_presentation_tensor_torsion(self):
-        cyc = CYCLIC_AT_ZERO
-        free = equivariant_free(1)
-        assert monodromic_test(tensor_equivariant(cyc, cyc))
-        assert monodromic_test(tensor_equivariant(cyc, free))
-        assert not monodromic_test(tensor_equivariant(free, free))
-
-    def test_fiber_commutes_with_tensor_on_skyscrapers(self):
-        rng = random.Random(20260823)
-        for _ in range(10):
-            e1 = {i: rng.randint(0, 3) for i in range(-3, 4)}
-            e2 = {i: rng.randint(0, 3) for i in range(-3, 4)}
-            u = {i: Fraction(rng.randint(1, 5)) for i in range(-2, 4)}
-            f1 = SkyscraperFamily(Fraction(0), 3, e1, {}, dict(u))
-            f2 = SkyscraperFamily(Fraction(0), 3, e2, {}, dict(u))
-            t = tensor_equivariant(f1, f2)
-            for a in range(-3, 4):
-                for n in (1, 2, 3):
-                    lhs = t.fiber(a, n).length
-                    rhs = min(f1.fiber(a, n).length, f2.fiber(a, n).length)
-                    assert lhs == rhs
+    def test_only_a_skyscraper_and_a_line_are_tensored(self):
+        tower, line = skyscraper_tower(0, 1, 3), pole_ladder(3)
+        for m1, m2 in ((tower, tower), (line, line), (CYCLIC_AT_ZERO, CYCLIC_AT_ZERO),
+                       (CYCLIC_AT_ZERO, line), (tower, equivariant_free(1))):
+            with pytest.raises(UnsupportedInputError, match="unsupported tensor operand kinds"):
+                tensor_equivariant(m1, m2)
 
 
 class TestMonodromicTest:
@@ -316,15 +265,14 @@ class TestMonodromicTest:
     def test_rank_test_agrees_with_smith_form(self):
         # Every module whose verdict is frozen above: the rank routine and
         # the Smith diagonal see the same rank, so each verdict is kept.
-        cyc, free = CYCLIC_AT_ZERO, equivariant_free(1)
         modules = [
             windowed_equivariant(CyclicPresentation("shift", (T - 1,)), 6),
             windowed_equivariant(CyclicPresentation("shift", (S - Fraction(1, 2),)), 6),
             windowed_equivariant(kernel_module(), 6),
             windowed_equivariant(shift_exp_module(), 4),
             SKYSCRAPER_WINDOW,
-            tensor_equivariant(cyc, cyc),
-            tensor_equivariant(cyc, free),
+            CYCLIC_AT_ZERO,
+            equivariant_free(1),
         ]
         for em in modules:
             _, d, _ = poly_smith(em.rows())
@@ -995,7 +943,7 @@ class TestFourierPresentation:
         assert [str(r) for r in out.relations] == ["dx"]
 
     def test_exp_maps_to_one_minus_x(self):
-        out = fourier_presentation(weyl_exp_module())
+        out = fourier_presentation(WEYL_EXP)
         assert out.relations == (WeylOp.one() - WeylOp.x(),)
 
     def test_twice_is_antipode_up_to_normalization(self):
@@ -1036,7 +984,7 @@ class TestFourierBMonodromic:
 
     def test_exp_module_refused(self):
         with pytest.raises(NotMonodromicError):
-            fourier_B_monodromic(weyl_exp_module())
+            fourier_B_monodromic(WEYL_EXP)
 
     def test_kernel_presentation_mellin_image(self):
         sh = mellin_module(weyl_kernel_module())

@@ -5,12 +5,28 @@ from fractions import Fraction
 
 import pytest
 
-from monofour.reports import (
-    CheckReport,
-    jsonable,
-    validate_report_dict,
-    verdict_label,
-)
+from monofour.reports import VERDICTS, CheckReport, jsonable, verdict_label
+
+
+def validate_report_dict(d: dict) -> None:
+    """Schema check for a serialized report, as the CLI prints it; raises
+    ValueError on problems."""
+    required = {"check": str, "parameters": dict, "verdict": str, "statement": str}
+    for key, typ in required.items():
+        if key not in d:
+            raise ValueError(f"report missing field {key!r}")
+        if not isinstance(d[key], typ):
+            raise ValueError(f"report field {key!r} must be {typ.__name__}")
+    if "witness" not in d:
+        raise ValueError("report missing field 'witness'")
+    if d["verdict"] not in VERDICTS:
+        raise ValueError(f"verdict must be one of {VERDICTS}")
+    if not d["statement"]:
+        raise ValueError("statement must be nonempty")
+    try:
+        json.dumps(d)  # must be serializable as-is
+    except TypeError as exc:
+        raise ValueError(f"report is not JSON-serializable: {exc}") from exc
 
 
 def make_report(verdict="pass", **overrides):
