@@ -430,10 +430,6 @@ class TwistedRankOneModule:
     n: int
     twist: int
 
-    @property
-    def generator(self) -> str:
-        return f"g[{self.twist}]"
-
 
 def twisted_transition(mod: TwistedRankOneModule, n_target: int) -> TwistedRankOneModule:
     if mod.n % n_target != 0:

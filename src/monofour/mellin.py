@@ -15,14 +15,13 @@ through three concrete windowed realizations:
   with recorded semilinear shift maps between consecutive fibers.
 
 Lattice generators and ladder functions are Factored values on one orbit
-chi + Z: a constant, a map from the int offsets i of the factors
-(s - chi - i) to exponents, and a residual without a root on the orbit
-(1 for every value the checks build).  The engine builds them from the
-linear factors it chooses, so products, shifts, valuations and fibers
-are dict operations on int keys and no root search runs on them; only a
-RatFun handed in from outside is factored, once.  Points become offsets
-only at the public boundary, and the RatFun views are expanded on first
-use.
+chi + Z: a constant and a map from the int offsets i of the factors
+(s - chi - i) to exponents.  The engine builds them from the linear
+factors it chooses, so products, shifts, valuations and fibers are dict
+operations on int keys and no root search runs on them; only a RatFun
+handed in from outside is factored, once, and refused unless all its
+roots are rational and on one orbit.  Points become offsets only at the
+public boundary, and the RatFun views are expanded on first use.
 
 On top of these the module provides the canonical cyclic presentations
 (simple-pole kernel modules on both sides of the Mellin identification,
@@ -42,11 +41,9 @@ from .scalars import (
     RatFun,
     UnsupportedInputError,
     frac,
-    poly_gcd,
     poly_rank,
     rational_rank,
 )
-from .scalars.poly import poly_lcm
 from .scalars.ratfun import _partial_fractions, linear_factors
 from .ore import (
     CyclicPresentation,
@@ -69,7 +66,7 @@ class WindowError(ValueError):
 
 
 class OrbitPointError(ValueError):
-    """A test point collides with the orbit or pole locus."""
+    """A test point lies on the lattice's orbit."""
 
 
 class NotMonodromicError(ValueError):
@@ -145,30 +142,26 @@ _F0, _F1 = Fraction(0), Fraction(1)  # shared defaults, so no call builds them
 
 
 class Factored:
-    """A nonzero rational function kept factored on one orbit chi + Z:
-    const * prod (s - chi - i)^exps[i] * rest.
+    """A nonzero rational function factored on one orbit chi + Z:
+    const * prod (s - chi - i)^exps[i].
 
     `chi` is the orbit's representative in [0, 1) (the constructor
-    reduces any other chi and moves the keys to match), `exps` maps int
-    offsets to nonzero exponents, and `rest` is None (for 1) or a RatFun,
-    monic above and below, without a root on chi + Z.  Every value the
-    checks build has `rest` None and never meets a root search.  A
-    product adds the maps and a shift moves the keys or the orbit.  A
-    product of values on two orbits lives on the left operand's orbit
-    (the right one's if the left is a constant), and the other factors
-    join `rest`; values on two orbits compare by expansion.
+    reduces any other chi and moves the keys to match), and `exps` maps
+    int offsets to nonzero exponents.  A product adds the maps and a
+    shift moves the keys or the orbit.  A constant lives on every orbit;
+    a product of two non-constant values on two orbits is refused, and
+    values on two orbits are equal only when both are the same constant.
     """
 
-    __slots__ = ("const", "chi", "exps", "rest", "_dense")
+    __slots__ = ("const", "chi", "exps", "_dense")
 
-    def __init__(self, const=_F1, exps=None, rest=None, chi=_F0):
+    def __init__(self, const=_F1, exps=None, chi=_F0):
         chi, base = _orbit(chi)
         if base and exps:
             exps = {i + base: e for i, e in exps.items()}
         object.__setattr__(self, "const", frac(const))
         object.__setattr__(self, "chi", chi)
         object.__setattr__(self, "exps", exps or {})
-        object.__setattr__(self, "rest", rest)
         object.__setattr__(self, "_dense", None)
 
     def __setattr__(self, name, value):
@@ -177,43 +170,42 @@ class Factored:
     @classmethod
     def from_ratfun(cls, f: RatFun, chi=None) -> "Factored":
         """Factor a nonzero RatFun by rational-root search on the orbit
-        chi + Z (by default that of its least rational pole, else Z): the
-        one place where a value is factored rather than built factored."""
+        chi + Z (by default that of its least pole, else of its least
+        zero, else Z): the one place where a value is factored rather
+        than built factored.  A factor without rational roots, or a root
+        off the orbit, is refused."""
         zeros, num = linear_factors(f.num)
-        poles, den = linear_factors(f.den)  # den is monic, so is this cofactor
-        chi = _orbit(min(poles, default=0) if chi is None else chi)[0]
-        const = num.lc
-        num = num * (1 / const)
+        poles, den = linear_factors(f.den)
+        if num.degree > 0 or den.degree > 0:
+            raise UnsupportedInputError(f"{f} has a factor without rational roots")
+        chi = _orbit(min(poles or zeros, default=0) if chi is None else chi)[0]
         exps = {}
         for roots, sign in ((zeros, 1), (poles, -1)):
             for a, m in roots.items():
                 u = a - chi
-                if u.denominator == 1:
-                    exps[u.numerator] = sign * m
-                elif sign > 0:
-                    num = num * _linear_power(a, m)
-                else:
-                    den = den * _linear_power(a, m)
-        rest = None if num.degree == den.degree == 0 else RatFun(num, den)
-        out = cls(const, exps, rest, chi)
+                if u.denominator != 1:
+                    raise UnsupportedInputError(
+                        f"{f} has the root {a} off the one orbit {chi} + Z")
+                exps[u.numerator] = sign * m
+        out = cls(num.lc, exps, chi)
         object.__setattr__(out, "_dense", f)
         return out
 
     def _on_orbit(self, chi: Fraction) -> "Factored":
-        """The same value keyed on the orbit of the representative chi."""
+        """The same value keyed on the orbit of the representative chi,
+        which only a constant can move to."""
         if chi == self.chi:
             return self
-        if self.rest is not None:  # its rational roots may lie on chi + Z
-            return Factored.from_ratfun(self.to_ratfun(), chi)
-        moved = Factored(_F1, self.exps, None, self.chi).to_ratfun() if self.exps else None
-        return Factored(self.const, None, moved, chi)
+        if self.exps:
+            raise UnsupportedInputError(f"{self} does not lie on the one orbit {chi} + Z")
+        return Factored(self.const, None, chi)
 
     def __mul__(self, other: "Factored") -> "Factored":
         if other.chi != self.chi:
-            if self.is_constant:
-                self = self._on_orbit(other.chi)
-            else:
+            if self.exps:
                 other = other._on_orbit(self.chi)
+            else:
+                self = self._on_orbit(other.chi)
         exps = dict(self.exps)
         for i, e in other.exps.items():
             e += exps.get(i, 0)
@@ -221,48 +213,40 @@ class Factored:
                 exps[i] = e
             else:
                 del exps[i]
-        return Factored(self.const * other.const, exps,
-                        _rest_product(self.rest, other.rest), self.chi)
+        return Factored(self.const * other.const, exps, self.chi)
 
     def __truediv__(self, other: "Factored") -> "Factored":
         inverse = {i: -e for i, e in other.exps.items()}
-        return self * Factored(1 / other.const, inverse, _rest_inverse(other.rest), other.chi)
+        return self * Factored(1 / other.const, inverse, other.chi)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Factored):
             return NotImplemented
-        if self.chi != other.chi:
-            return self.to_ratfun() == other.to_ratfun()
         return (self.const == other.const and self.exps == other.exps
-                and self.rest == other.rest)
+                and (self.chi == other.chi or not self.exps))
 
     def __repr__(self) -> str:
-        return f"Factored({self.const}, {self.exps}, {self.rest}, {self.chi})"
+        return f"Factored({self.const}, {self.exps}, {self.chi})"
 
     @property
     def is_constant(self) -> bool:
-        return not self.exps and self.rest is None
+        return not self.exps
 
     def shift(self, k) -> "Factored":
         """f(s + k): the factor (s - chi - i) becomes (s - (chi - k) - i),
         and the constructor reduces the orbit chi - k."""
-        rest = None if self.rest is None else self.rest.shift(k)
-        return Factored(self.const, self.exps, rest, self.chi - frac(k))
+        return Factored(self.const, self.exps, self.chi - frac(k))
 
     def valuation(self, a) -> int:
-        a = frac(a)
-        u = a - self.chi
-        if u.denominator == 1:
-            return self.exps.get(u.numerator, 0)
-        return 0 if self.rest is None else self.rest.valuation_at(a)
+        u = frac(a) - self.chi
+        return self.exps.get(u.numerator, 0) if u.denominator == 1 else 0
 
     def eval(self, a) -> Fraction:
-        a = frac(a)
-        u = a - self.chi
+        u = frac(a) - self.chi
         out = self.const
         for i, e in self.exps.items():
             out *= (u - i) ** e
-        return out if self.rest is None else out * self.rest.eval(a)
+        return out
 
     def to_ratfun(self) -> RatFun:
         if self._dense is None:
@@ -272,8 +256,6 @@ class Factored:
                     num = num * _linear_power(self.chi + i, e)
                 else:
                     den = den * _linear_power(self.chi + i, -e)
-            if self.rest is not None:
-                num, den = num * self.rest.num, den * self.rest.den
             object.__setattr__(self, "_dense", RatFun(num, den))
         return self._dense
 
@@ -286,23 +268,9 @@ def _orbit(chi) -> tuple[Fraction, int]:
     return (chi - base if base else chi), base
 
 
-def _rest_product(a: RatFun | None, b: RatFun | None) -> RatFun | None:
-    """The product of two residuals, None standing for 1."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    out = a * b
-    return None if out.num.degree == out.den.degree == 0 else out
-
-
-def _rest_inverse(a: RatFun | None) -> RatFun | None:
-    return None if a is None else RatFun(a.den, a.num)
-
-
 def _linear(i: int, e: int = 1, chi=_F0) -> Factored:
     """(s - chi - i)^e."""
-    return Factored(_F1, {i: e}, None, chi)
+    return Factored(_F1, {i: e}, chi)
 
 
 _ONE = Factored()
@@ -329,14 +297,13 @@ class WindowedLattice:
 
     Over the PID k[s] the lattice is free of rank one on its content
     generator (gcd of numerators over the common denominator).  The
-    generators are Factored values, moved onto the orbit of chi (a RatFun
-    one is factored once, here), and the window is kept as offsets from
-    the orbit's representative, so lattices at chi = 1/3 and 4/3 share
-    keys.  The content's map is the pointwise minimum of the generators'
-    maps, and its residual is gcd(residual numerators)/lcm(residual
-    denominators), 1 for every lattice the checks build; a point off the
-    orbit is answered from it.  `generators` and `content` are the
-    RatFuns, built on first use.
+    generators are Factored values on the orbit of chi (a RatFun one is
+    factored once, here; a generator off the orbit is refused), and the
+    window is kept as offsets from the orbit's representative, so
+    lattices at chi = 1/3 and 4/3 share keys.  The content's map is the
+    pointwise minimum of the generators' maps; at a point off the orbit
+    every valuation is 0.  `generators` and `content` are the RatFuns,
+    built on first use.
     """
 
     __slots__ = ("chi", "radius", "labels", "_base", "_gens", "_content", "_generators")
@@ -361,25 +328,13 @@ class WindowedLattice:
             v = min(g.exps[i] for g in gens)
             if v > 0:
                 exps[i] = v
-        rest = None
-        if any(g.rest is not None for g in gens):
-            one = Poly.const(1)
-            parts = [(one, one) if g.rest is None else (g.rest.num, g.rest.den) for g in gens]
-            num, den = parts[0]
-            for rest_num, rest_den in parts[1:]:
-                if num.degree > 0:  # both are monic, so gcd(1, p) = 1
-                    num = poly_gcd(num, rest_num)
-                if rest_den.degree > 0:
-                    den = poly_lcm(den, rest_den)
-            if num.degree > 0 or den.degree > 0:
-                rest = RatFun(num, den)
         const = gens[0].const if len(gens) == 1 else 1
         object.__setattr__(self, "chi", chi)
         object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "labels", tuple(labels))
         object.__setattr__(self, "_base", base)
         object.__setattr__(self, "_gens", gens)
-        object.__setattr__(self, "_content", Factored(const, exps, rest, orbit))
+        object.__setattr__(self, "_content", Factored(const, exps, orbit))
         object.__setattr__(self, "_generators", None)
 
     def __setattr__(self, name, value):
@@ -410,16 +365,12 @@ class WindowedLattice:
                 return True
             f = Factored.from_ratfun(f, own.chi)
         f = f._on_orbit(own.chi)
-        if any(f.exps.get(i, 0) < own.exps.get(i, 0) for i in f.exps.keys() | own.exps.keys()):
-            return False
-        quotient = _rest_product(f.rest, _rest_inverse(own.rest))
-        return quotient is None or quotient.is_poly
+        return all(f.exps.get(i, 0) >= own.exps.get(i, 0) for i in f.exps.keys() | own.exps.keys())
 
     def same_lattice(self, other: "WindowedLattice") -> bool:
         """Equality as submodules of k(s) (contents agree up to a rational)."""
-        mine = self._content
-        theirs = other._content._on_orbit(mine.chi)
-        return mine.exps == theirs.exps and mine.rest == theirs.rest
+        mine, theirs = self._content, other._content
+        return mine.exps == theirs.exps and (mine.chi == theirs.chi or not mine.exps)
 
     def agrees_on_points(self, other: "WindowedLattice", points) -> bool:
         return all(
@@ -436,7 +387,7 @@ class WindowedLattice:
         else:
             best = None
             for k, g in enumerate(self._gens):
-                v = g.exps.get(u.numerator, 0) if u.denominator == 1 else g.valuation(a)
+                v = g.exps.get(u.numerator, 0) if u.denominator == 1 else 0
                 if best is None or v <= best[0]:
                     best = (v, k)
             gen, label = self._gens[best[1]], self.labels[best[1]]
@@ -483,8 +434,7 @@ class LadderFamily:
 
     The s-action is literal multiplication; the shift action is recorded
     as index translation, which is semilinear but in general is not
-    argument translation on the functions.  The f_j are kept Factored;
-    `func` returns the RatFun, built on first use.
+    argument translation on the functions.  The f_j are kept Factored.
     """
 
     __slots__ = ("label", "chi", "radius", "_values", "_lattice")
@@ -504,9 +454,6 @@ class LadderFamily:
         if j not in self._values:
             raise WindowError(f"ladder index {j} outside window")
         return self._values[j]
-
-    def func(self, j: int) -> RatFun:
-        return self._value(j).to_ratfun()
 
     def indices(self) -> list[int]:
         return sorted(self._values)
@@ -580,13 +527,6 @@ def embed_in_Ks(m: CyclicPresentation, image_of_generator, N: int) -> WindowedLa
                 f"relation {r} does not annihilate the image: got {got}"
             )
     image = Factored.from_ratfun(f)  # on the orbit of its least pole
-    if image.rest is not None and image.rest.den.degree > 0:
-        irreducible = linear_factors(image.rest.den)[1]
-        if irreducible.degree > 0:
-            raise UnsupportedInputError(
-                f"image has a pole factor without rational roots: {irreducible}"
-            )
-        raise UnsupportedInputError("image poles do not lie on one orbit")
     poles = sorted(i for i, e in image.exps.items() if e < 0)
     k_lo, k_hi = (poles[-1] - N, poles[0] + N) if poles else (-N, N)
     if k_lo > k_hi:
@@ -612,10 +552,6 @@ class SkyscraperFamily:
     exponents: dict[int, int]
     labels: dict[int, str] = field(default_factory=dict)
     down_units: dict[int, Fraction] = field(default_factory=dict)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.exponents.values())
 
     def exponent_at(self, i: int) -> int:
         return self.exponents.get(i, 0)
@@ -886,12 +822,9 @@ def hom_to_free_vanishes(m: WindowedLattice, degree_bound: int):
         raise WindowError("window radius must exceed the degree bound")
     quotients = [g / m._content for g in m._gens]
     for q in quotients:
-        if any(e < 0 for e in q.exps.values()) or not (q.rest is None or q.rest.is_poly):
+        if any(e < 0 for e in q.exps.values()):
             raise AssertionError("generator/content must be polynomial")
-    max_degree = max(
-        sum(q.exps.values()) + (0 if q.rest is None else q.rest.num.degree)
-        for q in quotients
-    )
+    max_degree = max(sum(q.exps.values()) for q in quotients)
     if max_degree > degree_bound:
         return True, None
     return False, [q.to_ratfun().num for q in quotients]
@@ -905,11 +838,8 @@ def localization_identity_check(m: WindowedLattice, test_points) -> bool:
         a = frac(a)
         if (a - m.chi).denominator == 1:
             raise OrbitPointError(f"test point {a} lies on the orbit {m.chi} + Z")
-        if m.valuation(a) != 0:
-            raise OrbitPointError(f"test point {a} lies in the pole set")
-    content = m._content
-    return (content.rest is None or content.rest.num.degree == 0) and not any(
-        v > 0 and abs(i - m._base) > m.radius for i, v in content.exps.items()
+    return not any(
+        v > 0 and abs(i - m._base) > m.radius for i, v in m._content.exps.items()
     )
 
 
@@ -1024,18 +954,12 @@ def monodromization_check(chi, n: int, N: int) -> dict:
 def _family_isomorphism(f1: SkyscraperFamily, f2: SkyscraperFamily) -> dict:
     """Basis-level isomorphism of skyscraper families commuting with the
     recorded shift maps; exists iff aligned exponents agree and units are
-    nonzero, with the scaling sequence built inductively."""
-    if f1.radius != f2.radius:
+    nonzero, with the scaling sequence built inductively.  Both families
+    sit on the same window chi + [-N, N]."""
+    if (f1.chi, f1.radius) != (f2.chi, f2.radius):
         raise WindowError("window mismatch")
-    d = f1.chi - f2.chi
-    if d.denominator != 1:
-        return {"verdict": f1.is_zero and f2.is_zero, "reason": "disjoint orbits"}
-    shift = int(d)
     mismatches = [
-        i
-        for i in range(-f1.radius, f1.radius + 1)
-        if f1.exponent_at(i) != f2.exponent_at(i + shift)
-        and -f1.radius <= i + shift <= f1.radius
+        i for i in range(-f1.radius, f1.radius + 1) if f1.exponent_at(i) != f2.exponent_at(i)
     ]
     if mismatches:
         return {"verdict": False, "exponent_mismatch_at": mismatches}
@@ -1045,7 +969,7 @@ def _family_isomorphism(f1: SkyscraperFamily, f2: SkyscraperFamily) -> dict:
     ok = True
     for i in range(-f1.radius + 1, f1.radius + 1):
         u1 = f1.down_units.get(i)
-        u2 = f2.down_units.get(i + shift)
+        u2 = f2.down_units.get(i)
         if u1 is None or u2 is None or not f1.exponent_at(i):
             continue
         if u1 == 0 or u2 == 0:

@@ -102,10 +102,6 @@ class ShiftOp(ExactValue):
     def one(cls) -> "ShiftOp":
         return cls.t_power(0)
 
-    @classmethod
-    def zero(cls) -> "ShiftOp":
-        return cls()
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -257,10 +253,6 @@ class _WeylBase(ExactValue):
     @classmethod
     def one(cls, rank: int = 1) -> "_WeylBase":
         return cls.const(1, rank)
-
-    @classmethod
-    def zero(cls, rank: int = 1) -> "_WeylBase":
-        return cls(rank)
 
     @property
     def is_zero(self) -> bool:

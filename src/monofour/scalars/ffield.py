@@ -177,9 +177,6 @@ class Fq:
                 return g
         raise AssertionError("no multiplicative generator")
 
-    def add(self, a: int, b: int) -> int:
-        return self._add[a][b]
-
     def sub(self, a: int, b: int) -> int:
         return self._add[a][self._neg[b]]
 

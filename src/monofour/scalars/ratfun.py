@@ -54,10 +54,6 @@ class RatFun(ExactValue):
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    @classmethod
-    def from_poly(cls, p: Poly) -> "RatFun":
-        return cls(p, Poly.const(1))
-
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
@@ -108,20 +104,6 @@ class RatFun(ExactValue):
     def shift(self, c: Scalar) -> "RatFun":
         """Return f(s + c)."""
         return RatFun(self.num.shift(c), self.den.shift(c))
-
-    def valuation_at(self, a: Scalar) -> int:
-        """Order of vanishing at s = a; poles give negative values."""
-        if self.is_zero:
-            raise ValueError("valuation of zero is undefined")
-        a = plain(frac(a))
-        return (_deflate(list(self.num.nums), a)[0]
-                - _deflate(list(self.den.nums), a)[0])
-
-    def eval(self, a: Scalar) -> Fraction:
-        d = self.den.eval(a)
-        if d == 0:
-            raise ZeroDivisionError(f"pole at {a}")
-        return self.num.eval(a) / d
 
     def to_str(self, var: str = "s") -> str:
         if self.is_poly:

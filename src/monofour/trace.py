@@ -24,7 +24,6 @@ psi_1(a x) for a unit a, that is, psi_1 after the scaling x -> a x.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -35,20 +34,6 @@ from .scalars.cyclotomic import split_prime, sum_of_products
 from .scalars.snf import _rank_mod_p
 
 Scalar = object  # Fraction | int | CycScalar
-
-
-@dataclass(frozen=True)
-class TwistShift:
-    """Bookkeeping record for twist/shift scalars on trace functions.
-
-    One twist multiplies traces by 1/q; one shift multiplies by -1.
-    """
-
-    twist: int = 0
-    shift: int = 0
-
-    def scalar(self, q: int) -> Fraction:
-        return Fraction((-1) ** (self.shift % 2)) * Fraction(q) ** (-self.twist)
 
 
 class TraceFunction:
@@ -717,14 +702,15 @@ def diag_propB3(q, n: int) -> dict:
     _require_order(q, n)
     t0 = power_count_trace(field, n)
     lhs = conv_Gm(t0, t_B_units(field))
-    bookkeeping = TwistShift(twist=-1, shift=-2)
-    rhs_base = t0.scale(bookkeeping.scalar(q))
+    # One inverse twist multiplies traces by q, and two inverse shifts by
+    # (-1)^2 = 1.
+    rhs_base = t0.scale(Fraction(q))
     proportional, name, scalar = _proportionality(lhs, [("q_times_power_count", rhs_base)])
     return {
         "verdict": "diagnostic",
         "q": q,
         "n": n,
-        "twist_shift": {"twist": bookkeeping.twist, "shift": bookkeeping.shift},
+        "twist_shift": {"twist": -1, "shift": -2},
         "proportional": proportional,
         "candidate": name,
         "scalar": scalar,

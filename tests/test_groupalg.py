@@ -535,9 +535,6 @@ class TestUnitSurjectivity:
 
 
 class TestTwistedModules:
-    def test_generator_symbol(self):
-        assert TwistedRankOneModule(3, -1).generator == "g[-1]"
-
     def test_tensor_adds_twists(self):
         out = twisted_tensor(TwistedRankOneModule(6, 1), TwistedRankOneModule(3, -1))
         assert out == TwistedRankOneModule(3, 0)

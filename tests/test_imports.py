@@ -44,6 +44,7 @@ UNREAD_PUBLIC_ALLOWED = {
     "scalars/snf.py:int_smith",  # wrapped as scalars.snf.int_smith
     "scalars/ratfun.py:partial_fractions",  # wrapped as scalars.ratfun.partial_fractions
     "trace.py:kernel_pair_sum",  # wrapped as trace.kernel_pair_sum
+    "scalars/poly.py:poly_lcm",  # wrapped as scalars.poly.lcm
     "ore.py:inverse_mellin_op",  # wrapped, and run by operator-roundtrip
     "ore.py:to_laurent",  # operator-roundtrip checks inverse_mellin_op against it
     # Test oracles.

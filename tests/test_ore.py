@@ -104,7 +104,7 @@ class TestShiftAlgebra:
             assert a * (b + c) == a * b + a * c
 
     def test_str_forms(self):
-        assert ShiftOp.zero().to_str() == "0"
+        assert ShiftOp().to_str() == "0"
         assert S.to_str() == "s"
         assert T.to_str() == "T"
         assert Ti.to_str() == "Ti"
@@ -365,7 +365,7 @@ def ref_fourier_auto(w: WeylOp) -> WeylOp:
 
 
 def ref_mellin_op(w) -> ShiftOp:
-    out = ShiftOp.zero()
+    out = ShiftOp()
     for ((a,), (b,)), c in w.terms.items():
         out = out + ShiftOp({a - b: falling_poly(b) * c})
     return out
@@ -455,8 +455,8 @@ class TestValueProtocol:
             assert (str(w), repr(w)) == (want, f"{cls.__name__}({want})")
 
     def test_truth_subtraction_and_immutability(self):
-        for zero, value in ((ShiftOp.zero(), T * S), (WeylOp.zero(2), WeylOp.x(1, 2)),
-                            (LaurentWeylOp.zero(), x_power(-1))):
+        for zero, value in ((ShiftOp(), T * S), (WeylOp(2), WeylOp.x(1, 2)),
+                            (LaurentWeylOp(), x_power(-1))):
             assert not zero and value
             assert value - value == zero and 0 - value == -value
             assert repr(value) == f"{type(value).__name__}({value.to_str()})"
@@ -618,12 +618,12 @@ class TestTrustedConstructorOracle:
                 assert_normal(op)
 
     def test_constructors_in_normal_form(self):
-        ops = [ShiftOp.s(), ShiftOp.one(), ShiftOp.zero(), ShiftOp.t_power(-2, Fraction(1, 2)),
+        ops = [ShiftOp.s(), ShiftOp.one(), ShiftOp(), ShiftOp.t_power(-2, Fraction(1, 2)),
                ShiftOp.t_power(3, 0), ShiftOp.from_poly(Poly()), ShiftOp.from_poly(S.coeff(0)),
                ShiftOp.from_poly(Fraction(-2, 3))]
         for cls, rank in ((WeylOp, 1), (WeylOp, 3), (LaurentWeylOp, 1)):
             ops += [cls.x(rank - 1, rank), cls.dx(0, rank), cls.const(0, rank),
-                    cls.const(Fraction(3, 4), rank), cls.one(rank), cls.zero(rank)]
+                    cls.const(Fraction(3, 4), rank), cls.one(rank), cls(rank)]
         for op in ops:
             assert_normal(op)
 
@@ -645,7 +645,7 @@ class TestTrustedConstructorOracle:
     def test_laurent_rank_and_rank_mismatch_refused(self):
         L = LaurentWeylOp
         for make in (lambda: L.x(0, 2), lambda: L.dx(0, 2), lambda: L.const(1, 2),
-                     lambda: L.one(2), lambda: L.zero(2)):
+                     lambda: L.one(2), lambda: L(2)):
             with pytest.raises(ValueError, match="^the Laurent algebra is rank 1 only$"):
                 make()
         for a, b in ((WeylOp.x(0, 2), X), (X, WeylOp.dx(1, 2))):

@@ -251,7 +251,7 @@ class TestLiterals:
     def test_literals_meet_shift_atoms(self):
         assert parse_operator("2*T*1/2", "shift") == ShiftOp.t_power(1)
         assert parse_operator("(1/3)*s + 1", "shift") == ShiftOp({0: Poly((1, Fraction(1, 3)))})
-        assert parse_operator("T*3 - 3*T", "shift") == ShiftOp.zero()
+        assert parse_operator("T*3 - 3*T", "shift") == ShiftOp()
 
 
 # Relation literals the engines construct; the round-trip corpus must

@@ -19,7 +19,6 @@ from monofour.scalars import CycScalar, Fq, UnsupportedInputError, zeta
 from monofour.trace import (
     CharacterTable,
     TraceFunction,
-    TwistShift,
     check_BL2,
     check_CV,
     check_P2B,
@@ -108,14 +107,6 @@ class TestTraceFunction:
     def test_field_mismatch(self):
         with pytest.raises(ValueError):
             TraceFunction.delta(3, 0) - TraceFunction.delta(5, 0)
-
-
-class TestTwistShift:
-    def test_scalars(self):
-        assert TwistShift(0, 0).scalar(5) == 1
-        assert TwistShift(1, 0).scalar(5) == Fraction(1, 5)
-        assert TwistShift(0, 1).scalar(5) == -1
-        assert TwistShift(-1, -2).scalar(5) == 5
 
 
 class TestCharacterTable:
@@ -242,7 +233,7 @@ def brute_pair_sum(q, d, w, u):
     def dot(a, b):
         acc = 0
         for x, y in zip(a, b):
-            acc = field.add(acc, field.mul(x, y))
+            acc = field.sub(acc, field.neg(field.mul(x, y)))
         return acc
 
     acc = Fraction(0)
@@ -303,7 +294,7 @@ def ref_dot(field, v, xi):
     """<v, xi> = sum_i v_i xi_i, one field operation at a time."""
     acc = 0
     for vi, xi_i in zip(v, xi):
-        acc = field.add(acc, field.mul(vi, xi_i))
+        acc = field.sub(acc, field.neg(field.mul(vi, xi_i)))
     return acc
 
 
@@ -748,7 +739,6 @@ class TestRestrictedKernelDiagnostic:
     def test_twist_shift_recorded(self):
         report = diag_propB3(5, 1)
         assert report["twist_shift"] == {"twist": -1, "shift": -2}
-        assert TwistShift(-1, -2).scalar(5) == 5
 
 
 class TestEigenfunctionConvolution:
