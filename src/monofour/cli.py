@@ -4,8 +4,9 @@ Subcommands: `reduce` (parse + normal form), `mellin` (differential to
 shift operator), `fourier` (transform substitution), `trace` (value
 tables over a finite field), `verify` (one named check), `verify-all`
 (a whole profile grid).  Output is JSON on stdout, or aligned tables
-with --pretty.  Exit codes: 0 pass, 1 fail or usage/parse error,
-2 diagnostic-only verdict, 3 a check raised during `verify-all`.
+with --pretty.  Exit codes: 0 pass, 1 fail, 2 diagnostic-only verdict,
+3 a check raised during `verify-all`, 4 refused input (a usage error, an
+expression that does not parse, or a parameter out of range).
 """
 
 from __future__ import annotations
@@ -16,20 +17,18 @@ import sys
 
 from . import checks, ore, trace
 from .parser import OperatorSyntaxError, parse_operator
-from .reports import EXIT_CODES, jsonable
+from .reports import EXIT_CODES, EXIT_REFUSED, jsonable
 from .scalars import UnsupportedInputError
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Argument errors exit 1; code 2 is reserved for diagnostic verdicts."""
+    """Argument errors exit EXIT_REFUSED, as all refused input does, not
+    argparse's 2, the code of a diagnostic verdict."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self.exit_code_on_error(message))
-
-    def exit_code_on_error(self, message) -> int:
         print(f"error: {message}", file=sys.stderr)
-        return 1
+        raise SystemExit(EXIT_REFUSED)
 
 
 def _emit(payload: dict, pretty_lines=None, pretty: bool = False) -> None:
@@ -215,7 +214,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (OperatorSyntaxError, UnsupportedInputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_REFUSED
 
 
 if __name__ == "__main__":

@@ -444,12 +444,13 @@ def twisted_tensor(a: TwistedRankOneModule, b: TwistedRankOneModule) -> TwistedR
     return TwistedRankOneModule(b.n, a.twist + b.twist)
 
 
-def twisted_tensor_check(levels=(1, 2, 3, 6), twists=(-2, -1, 0, 1, 2)) -> dict:
+def twisted_tensor_check() -> dict:
     """Index arithmetic of the formal tensor: twists add, tensor is
     associative where levels nest, and the operation commutes with
     transition to a further level.  The attached scalar twist of the
     trace layer is recorded as bookkeeping, never verified here."""
     M = TwistedRankOneModule
+    levels, twists = (1, 2, 3, 6), (-2, -1, 0, 1, 2)
     additive = associative = compat = True
     nested = [(m, n) for m in levels for n in levels if m % n == 0]
     for (m, n), i, j in product(nested, twists, twists):

@@ -46,6 +46,7 @@ from .scalars import (
 )
 from .scalars.ratfun import _partial_fractions, linear_factors
 from .ore import (
+    TWIST_VARIANTS,
     CyclicPresentation,
     LaurentWeylOp,
     ShiftOp,
@@ -496,7 +497,7 @@ def exp_ladder(radius: int) -> LadderFamily:
 def twisted_exp_ladder(radius: int, variant: str = "affine") -> LadderFamily:
     """Inversion twist of the exponential ladder: f_0 = 1 and
     f_{j+1} = f_j/(s+j+1) (affine) or f_j/(s+j) (plain)."""
-    if variant not in ("affine", "plain"):
+    if variant not in TWIST_VARIANTS:
         raise ValueError(f"unknown twist variant {variant!r}")
     c = 1 if variant == "affine" else 0
     funcs = {0: _ONE}
@@ -598,11 +599,11 @@ def orbit_pole_lattice(chi: Fraction, n: int, N: int) -> WindowedLattice:
     return WindowedLattice(chi, N, gens, labels)
 
 
-def orbit_decomposition_check(chi, n: int, N: int, samples: int = 5) -> dict:
+def orbit_decomposition_check(chi, n: int, N: int) -> dict:
     """Verify that the windowed lattice of n-th order poles along chi + Z
     splits, modulo polynomials, as the direct sum of its principal parts.
 
-    Random combinations of the natural basis are decomposed by partial
+    Five random combinations of the natural basis are decomposed by partial
     fractions at the known poles and the coefficients must round-trip
     exactly.  The check runs in u = s - chi: s -> u + chi is a k-algebra
     isomorphism that moves the poles chi + i to i and keeps the
@@ -614,6 +615,7 @@ def orbit_decomposition_check(chi, n: int, N: int, samples: int = 5) -> dict:
     _require_window(n, N)
     frac(chi)  # refuses a chi that is not rational; nothing below reads it
     rng = random.Random(20260823)
+    samples = 5
     poles = dict.fromkeys(range(-N, N + 1), n)
     den = Poly.const(1)
     for i in range(-N, N + 1):

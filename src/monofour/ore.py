@@ -70,7 +70,65 @@ def _merged(pairs, start: dict | None = None) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-class ShiftOp(ExactValue):
+class _Operator(ExactValue):
+    """The value protocol of the operator algebras, written once.  A value
+    is a dict `terms` in normal form (see `_trusted`); a subclass supplies
+    `_coerce` (an operand as an operator of its own kind and rank, or
+    NotImplemented; `_coerce(1)` is the unit) and `_products` (the (key,
+    coefficient) terms of a product before they are summed)."""
+
+    __slots__ = ()
+    rank = None  # the shift algebra has none; the Weyl types shadow it with a slot
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.terms.items()))
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return _trusted(type(self), _merged(other.terms.items(), self.terms), self.rank)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _trusted(type(self), {k: -c for k, c in self.terms.items()}, self.rank)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a scalar commutes with every generator, so it scales each term
+            terms = {k: c * other for k, c in self.terms.items()} if other else {}
+            return _trusted(type(self), terms, self.rank)
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return _trusted(type(self), _merged(self._products(other)), self.rank)
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * other
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative operator power")
+        return binary_power(self, n, self._coerce(1))
+
+
+class ShiftOp(_Operator):
     """Element of the shift algebra in normal form sum_j T^j * p_j(s)."""
 
     __slots__ = ("terms",)
@@ -98,14 +156,6 @@ class ShiftOp(ExactValue):
         p = coeff if isinstance(coeff, Poly) else Poly.const(coeff)
         return _trusted(cls, {j: p} if p else {})
 
-    @classmethod
-    def one(cls) -> "ShiftOp":
-        return cls.t_power(0)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def levels(self) -> list[int]:
         return sorted(self.terms)
 
@@ -113,53 +163,18 @@ class ShiftOp(ExactValue):
         p = self.terms.get(j)
         return Poly() if p is None else p
 
-    def __eq__(self, other) -> bool:
-        other = _coerce_shift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
+    @staticmethod
+    def _coerce(other):
+        if isinstance(other, ShiftOp):
+            return other
+        if isinstance(other, (int, Fraction, Poly)):
+            return ShiftOp.from_poly(other)
+        return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other) -> "ShiftOp":
-        other = _coerce_shift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _trusted(ShiftOp, _merged(other.terms.items(), self.terms))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "ShiftOp":
-        return _trusted(ShiftOp, {j: -p for j, p in self.terms.items()})
-
-    def __mul__(self, other) -> "ShiftOp":
-        if isinstance(other, (int, Fraction)):
-            # a scalar commutes with T, so it scales every level
-            terms = {j: p * other for j, p in self.terms.items()} if other else {}
-            return _trusted(ShiftOp, terms)
-        other = _coerce_shift(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def _products(self, other) -> list:
         # (T^i p)(T^j q) = T^(i+j) p(s+j) q
-        return _trusted(ShiftOp, _merged(
-            (i + j, p.shift(j) * q)
-            for i, p in self.terms.items()
-            for j, q in other.terms.items()
-        ))
-
-    def __rmul__(self, other) -> "ShiftOp":
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        other = _coerce_shift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self
-
-    def __pow__(self, n: int) -> "ShiftOp":
-        if n < 0:
-            raise ValueError("use t_power for negative powers of T")
-        return binary_power(self, n, ShiftOp.one())
+        return [(i + j, p.shift(j) * q)
+                for i, p in self.terms.items() for j, q in other.terms.items()]
 
     def to_str(self) -> str:
         if self.is_zero:
@@ -187,15 +202,7 @@ class ShiftOp(ExactValue):
         return " + ".join(pieces)
 
 
-def _coerce_shift(x):
-    if isinstance(x, ShiftOp):
-        return x
-    if isinstance(x, (int, Fraction, Poly)):
-        return ShiftOp.from_poly(x)
-    return NotImplemented
-
-
-class _WeylBase(ExactValue):
+class _WeylBase(_Operator):
     """Shared implementation for the Weyl algebra and its Laurent variant."""
 
     __slots__ = ("rank", "terms")
@@ -250,14 +257,6 @@ class _WeylBase(ExactValue):
     def const(cls, c: Scalar, rank: int = 1) -> "_WeylBase":
         return cls._unit(rank, (0,) * rank, (0,) * rank, frac(c))
 
-    @classmethod
-    def one(cls, rank: int = 1) -> "_WeylBase":
-        return cls.const(1, rank)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def _coerce(self, other):
         if isinstance(other, (int, Fraction)):
             return type(self).const(other, self.rank)
@@ -267,54 +266,14 @@ class _WeylBase(ExactValue):
             return other
         return NotImplemented
 
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.rank, tuple(sorted(self.terms.items()))))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _trusted(type(self), _merged(other.terms.items(), self.terms), self.rank)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _trusted(type(self), {k: -c for k, c in self.terms.items()}, self.rank)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = frac(other)
-            terms = {k: v * c for k, v in self.terms.items()} if c else {}
-            return _trusted(type(self), terms, self.rank)
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def _products(self, other) -> list:
         pairs = []
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
                 c12 = c1 * c2
                 for alpha, beta, n in _normal_product(a1, b1, a2, b2):
                     pairs.append(((alpha, beta), c12 if n == 1 else c12 * n))
-        return _trusted(type(self), _merged(pairs), self.rank)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative operator power")
-        return binary_power(self, n, type(self).one(self.rank))
+        return pairs
 
     def _monomial_str(self, alpha, beta) -> str:
         parts = []

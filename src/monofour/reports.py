@@ -18,6 +18,7 @@ _ENGINE_VERDICTS = ("pass", "fail", "diagnostic")
 VERDICTS = _ENGINE_VERDICTS + ("error",)
 
 EXIT_CODES = {"pass": 0, "fail": 1, "diagnostic": 2, "error": 3}
+EXIT_REFUSED = 4  # the command line, an expression or a parameter was refused
 
 
 def verdict_label(value) -> str:

@@ -1,8 +1,10 @@
 """Exact cyclotomic scalars: elements of Q[x]/Phi_N(x).
 
-Mixed-conductor arithmetic promotes both operands to the least common
-multiple conductor via x -> x^(M/N), which is a ring embedding because a
-primitive M-th root raised to M/N is a primitive N-th root.
+Values of different conductors meet at the least common multiple N of
+their conductors: zeta_n^i is x^(i N/n) in Z[x]/(x^N - 1), a ring
+embedding because a primitive N-th root raised to N/n is a primitive
+n-th root.  A product, and a sum or comparison across conductors, is
+summed there by `sum_of_products` and folded into Q[x]/Phi_N once.
 """
 
 from __future__ import annotations
@@ -95,49 +97,25 @@ class CycScalar(ExactValue):
         nums[0] = c.numerator
         return _cyc(conductor, nums, c.denominator)
 
-    def promote(self, m: int) -> "CycScalar":
-        """Inflate to conductor m (the current conductor must divide m)."""
-        n = self.conductor
-        if m == n:
-            return self
-        if m % n != 0:
-            raise ValueError("can only promote to a multiple conductor")
-        stride = m // n
-        powers = _zeta_powers(m)
-        out = [0] * _phi(m)
-        for i, c in enumerate(self.numerators):
-            if c:
-                for j, z in enumerate(powers[i * stride]):
-                    if z:
-                        out[j] += c * z
-        return _cyc(m, out, self.denominator)
-
     # Operand tests name CycScalar first: isinstance returns at once on
     # an exact type match, while a miss against Fraction, an ABC, runs
     # ABCMeta.__instancecheck__.
 
-    def _pair(self, other) -> tuple["CycScalar", "CycScalar"]:
-        if not isinstance(other, CycScalar):
-            if isinstance(other, (int, Fraction)):
-                return self, CycScalar.from_rational(other, self.conductor)
-            raise TypeError(f"cannot combine CycScalar with {type(other).__name__}")
-        n, m = self.conductor, other.conductor
-        if n == m:
-            return self, other
-        l = lcm(n, m)
-        return self.promote(l), other.promote(l)
-
     def _plus(self, other, sign: int) -> "CycScalar":
-        """self + sign * other over the least common denominator."""
-        a, b = self._pair(other)
-        da, db = a.denominator, b.denominator
+        """self + sign * other over the least common denominator; across
+        conductors, one sum_of_products at the lcm."""
+        if not isinstance(other, CycScalar):
+            other = CycScalar.from_rational(other, self.conductor)
+        elif other.conductor != self.conductor:
+            return sum_of_products(((self, 1), (other, sign)))
+        da, db = self.denominator, other.denominator
         if da == db:
             sa, sb, den = 1, sign, da
         else:
             den = lcm(da, db)
             sa, sb = den // da, sign * (den // db)
-        nums = [x * sa + y * sb for x, y in zip(a.numerators, b.numerators)]
-        return _cyc(a.conductor, nums, den)
+        nums = [x * sa + y * sb for x, y in zip(self.numerators, other.numerators)]
+        return _cyc(self.conductor, nums, den)
 
     def __add__(self, other):
         if isinstance(other, (CycScalar, int, Fraction)):
@@ -155,34 +133,16 @@ class CycScalar(ExactValue):
         return NotImplemented
 
     def __mul__(self, other):
-        if not isinstance(other, CycScalar):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            c = other.numerator
-            return _cyc(
-                self.conductor,
-                [x * c for x in self.numerators],
-                self.denominator * other.denominator,
-            )
-        a, b = self._pair(other)
-        n = a.conductor
-        phi = len(a.numerators)
-        terms = [(j, y) for j, y in enumerate(b.numerators) if y]
-        prod = [0] * (2 * phi - 1)
-        for i, x in enumerate(a.numerators):
-            if x:
-                for j, y in terms:
-                    prod[i + j] += x * y
-        # x^k for k >= phi comes back below degree phi through the table
-        out = prod[:phi]
-        powers = _zeta_powers(n)
-        for k in range(phi, 2 * phi - 1):
-            c = prod[k]
-            if c:
-                for i, z in enumerate(powers[k % n]):
-                    if z:
-                        out[i] += c * z
-        return _cyc(n, out, a.denominator * b.denominator)
+        if isinstance(other, CycScalar):
+            return sum_of_products(((self, other),))
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        c = other.numerator
+        return _cyc(
+            self.conductor,
+            [x * c for x in self.numerators],
+            self.denominator * other.denominator,
+        )
 
     __rmul__ = __mul__
 
@@ -192,10 +152,13 @@ class CycScalar(ExactValue):
         return binary_power(self, n, CycScalar.from_rational(1, self.conductor))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (CycScalar, int, Fraction)):
-            a, b = self._pair(other)
-            return a.denominator == b.denominator and a.numerators == b.numerators
-        return NotImplemented
+        if not isinstance(other, CycScalar):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = CycScalar.from_rational(other, self.conductor)
+        elif other.conductor != self.conductor:
+            return not self._plus(other, -1)
+        return self.denominator == other.denominator and self.numerators == other.numerators
 
     __hash__ = None  # cross-conductor equality makes hashing unreliable
 

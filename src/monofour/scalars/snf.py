@@ -123,43 +123,13 @@ def poly_rank(m: Matrix) -> int:
     """Rank over Q(s) of a polynomial matrix.
 
     Full rank is certified mod CERT_PRIME at one point (_rank_at_point);
-    any other answer comes from fraction-free (Bareiss) elimination over
-    Q[s].  After k pivots every trailing entry is a (k+1)-minor of M, so
-    each update p*a_ik - a_i*a_rk divides exactly by the previous pivot;
-    a nonzero remainder means the elimination went wrong and raises.
+    any other answer comes from fraction-free elimination over Q[s]
+    (_bareiss_rank).
     """
     full = min(len(m), len(m[0])) if m else 0
     if full and _rank_at_point(m, CERT_PRIME) == full:
         return full
-    a = [list(row) for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    prev = Poly.const(1)
-    rank = 0
-    for c in range(cols):
-        if rank == rows:
-            break
-        piv = next((i for i in range(rank, rows) if not a[i][c].is_zero), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        top = a[rank]
-        p = top[c]
-        for i in range(rank + 1, rows):
-            row = a[i]
-            ai = row[c]
-            for k in range(c + 1, cols):
-                x = p * row[k]
-                if not (ai.is_zero or top[k].is_zero):
-                    x = x - ai * top[k]
-                if not x.is_zero:
-                    x, r = divmod(x, prev)
-                    if not r.is_zero:
-                        raise AssertionError("fraction-free elimination: inexact division")
-                row[k] = x
-        prev = p
-        rank += 1
-    return rank
+    return _bareiss_rank([list(row) for row in m])
 
 
 def _rank_at_point(m: Matrix, p: int) -> int | None:
@@ -207,22 +177,31 @@ def rational_rank(rows: list[list[Fraction]]) -> int:
     """Rank of a matrix with int or Fraction entries.
 
     Each row is scaled by the lcm of its denominators, which keeps the
-    rank, and the integer matrix goes through fraction-free (Bareiss)
-    elimination as in poly_rank: every division by the previous pivot is
-    exact, and a nonzero remainder raises.
+    rank, and the integer matrix goes through _bareiss_rank.
     """
     a = []
     for r in rows:
         den = lcm(*(x.denominator for x in r))
         a.append([x.numerator * (den // x.denominator) for x in r])
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
+    return _bareiss_rank(a)
+
+
+def _bareiss_rank(a: list[list]) -> int:
+    """Rank of a matrix over Z or Q[s] by fraction-free elimination
+    (Bareiss, Math. Comp. 22, 1968); the rows of `a` are replaced as it
+    runs.
+
+    After k pivots every trailing entry is a (k+1)-minor, so each update
+    p*a_ik - a_i*a_rk divides exactly by the previous pivot; a nonzero
+    remainder means the elimination went wrong and raises.
+    """
+    rows = len(a)
     prev = 1
     rank = 0
-    for c in range(ncols):
-        if rank == nrows:
+    for c in range(len(a[0]) if rows else 0):
+        if rank == rows:
             break
-        piv = next((i for i in range(rank, nrows) if a[i][c]), None)
+        piv = next((i for i in range(rank, rows) if a[i][c]), None)
         if piv is None:
             continue
         a[rank], a[piv] = a[piv], a[rank]
@@ -231,19 +210,16 @@ def rational_rank(rows: list[list[Fraction]]) -> int:
         tail = top[c + 1:]
         # column c is never read again, so only the entries right of it
         # are updated
-        for i in range(rank + 1, nrows):
+        for i in range(rank + 1, rows):
             row = a[i]
             ai = row[c]
             if ai:
                 new = [p * x - ai * y for x, y in zip(row[c + 1:], tail)]
             else:
                 new = [p * x for x in row[c + 1:]]
-            if prev != 1:
-                quo = [x // prev for x in new]
-                if any(x != y * prev for x, y in zip(new, quo)):
-                    raise AssertionError("fraction-free elimination: inexact division")
-                new = quo
-            row[c + 1:] = new
+            if any([x % prev for x in new]):
+                raise AssertionError("fraction-free elimination: inexact division")
+            row[c + 1:] = [x // prev for x in new]
         prev = p
         rank += 1
     return rank

@@ -383,11 +383,11 @@ EXHAUSTIVE_BOUND = 625
 _LITERAL_BOUND = 81  # apply four_B twice literally up to this space size
 
 
-def check_keythm(q, d: int, trials: int = 4, seed: int = 0) -> dict:
+def check_keythm(q, d: int, seed: int = 0) -> dict:
     """Transform-squared identity: four_B(four_B(f)) = -q^d conv(t_B|units, f).
 
     Exhaustive over the delta basis (plus a constant function) when
-    q^d <= 625; otherwise `trials` random integer-valued functions.
+    q^d <= 625; otherwise four random integer-valued functions.
     Small spaces apply the transform twice literally; larger ones use
     the exact linear-count expansion of the double sum.
 
@@ -429,7 +429,7 @@ def check_keythm(q, d: int, trials: int = 4, seed: int = 0) -> dict:
     else:
         mode = "random"
         rng = random.Random(seed)
-        for _ in range(trials):
+        for _ in range(4):
             cases.append(
                 TraceFunction(field, d, [rng.randint(-3, 3) for _ in range(qd)])
             )
@@ -518,10 +518,10 @@ def check_P2B(q) -> dict:
     }
 
 
-def check_BL2(q, d: int = 1, trials: int = 2, seed: int = 0) -> dict:
+def check_BL2(q, d: int = 1, seed: int = 0) -> dict:
     """Kernel transform factors through the character transform:
-    four_B(f) = -conv(l -> psi(-l^-1), four_psi(f)) on a delta basis.
-    d < 1 raises UnsupportedInputError."""
+    four_B(f) = -conv(l -> psi(-l^-1), four_psi(f)) on a delta basis, two
+    random functions and zero.  d < 1 raises UnsupportedInputError."""
     _require_dimension(d)
     field = Fq(q)
     if field.e != 1:
@@ -532,7 +532,7 @@ def check_BL2(q, d: int = 1, trials: int = 2, seed: int = 0) -> dict:
     g = TraceFunction(field, 1, gvals)
     cases = [TraceFunction.delta(field, w) for w in _points(q, d)]
     rng = random.Random(seed)
-    for _ in range(trials):
+    for _ in range(2):
         cases.append(
             TraceFunction(field, d, [rng.randint(-2, 2) for _ in range(q**d)])
         )

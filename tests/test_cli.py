@@ -8,7 +8,12 @@ import pytest
 
 from monofour import checks, trace
 from monofour.cli import build_parser, main
+from monofour.reports import EXIT_CODES, EXIT_REFUSED
 from test_reports import validate_report_dict
+
+# Refused input (usage errors, expressions that do not parse, parameters
+# out of range) exits EXIT_REFUSED.  The tests named `..._exits_1` keep
+# their names from when it shared the code 1 of a failed check.
 
 
 def run_cli(capsys, *argv):
@@ -43,22 +48,22 @@ class TestReduce:
 
     def test_syntax_error_exits_1(self, capsys):
         code, out, err = run_cli(capsys, "reduce", "--algebra", "shift", "s + +")
-        assert code == 1 and not out
+        assert code == EXIT_REFUSED and not out
         assert "offset 4" in err
 
     def test_zero_denominator_exits_1(self, capsys):
         code, out, err = run_cli(capsys, "reduce", "--algebra", "weyl", "2/0")
-        assert (code, out) == (1, "")
+        assert (code, out) == (EXIT_REFUSED, "")
         assert err == "error: zero denominator at offset 2\n"
 
     def test_superscript_exponent_exits_1_with_offset(self, capsys):
         code, out, err = run_cli(capsys, "reduce", "--algebra", "weyl", "x^\u00b2")
-        assert (code, out) == (1, "")
+        assert (code, out) == (EXIT_REFUSED, "")
         assert err == "error: unexpected character '\u00b2' at offset 2\n"
 
     def test_wrong_algebra_atom_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "reduce", "--algebra", "weyl", "T*s")
-        assert code == 1
+        assert code == EXIT_REFUSED
         assert "shift" in err
 
 
@@ -129,11 +134,11 @@ class TestTrace:
 
     def test_unknown_object_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "trace", "--q", "5", "--object", "Z")
-        assert code == 1 and "Z" in err
+        assert code == EXIT_REFUSED and "Z" in err
 
     def test_nonprime_power_q_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "trace", "--q", "6", "--object", "B")
-        assert code == 1 and err
+        assert code == EXIT_REFUSED and err
 
 
 class TestVerify:
@@ -190,11 +195,11 @@ class TestVerify:
 
     def test_inapplicable_flag_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "verify", "keythm", "--ell", "3")
-        assert code == 1 and "ell" in err
+        assert code == EXIT_REFUSED and "ell" in err
 
     def test_unknown_check_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "verify", "nonsense")
-        assert code == 1 and err
+        assert code == EXIT_REFUSED and err
 
     @pytest.mark.parametrize("argv, message", [
         (("appendix-augmentation", "--ell", "0"), "ell must be prime, got 0"),
@@ -206,7 +211,7 @@ class TestVerify:
     ])
     def test_refused_input_exits_1_without_traceback(self, capsys, argv, message):
         code, out, err = run_cli(capsys, "verify", *argv)
-        assert (code, out) == (1, "")
+        assert (code, out) == (EXIT_REFUSED, "")
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
@@ -290,22 +295,25 @@ class TestVerifyAll:
         monkeypatch.setattr(checks, "run_all", never)
         for jobs in ("1", "2", "0"):
             code, out, err = run_cli(capsys, "verify-all", "--jobs", jobs)
-            assert code == 1 and not out
+            assert code == EXIT_REFUSED and not out
             assert "unrecognized arguments: --jobs" in err
 
 
 class TestUsageErrors:
+    def test_refused_input_has_a_code_of_its_own(self):
+        assert EXIT_REFUSED == 4 and EXIT_REFUSED not in EXIT_CODES.values()
+
     def test_unknown_subcommand_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "bogus")
-        assert code == 1 and err
+        assert code == EXIT_REFUSED and err
 
     def test_missing_required_flag_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "reduce", "dx")
-        assert code == 1 and err
+        assert code == EXIT_REFUSED and err
 
     def test_no_subcommand_exits_1(self, capsys):
         code, _, err = run_cli(capsys)
-        assert code == 1 and err
+        assert code == EXIT_REFUSED and err
 
     def test_help_exits_0(self, capsys):
         code, out, _ = run_cli(capsys, "--help")

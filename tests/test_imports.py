@@ -1,7 +1,6 @@
 """Source hygiene: no module-level import that its module never uses,
-no private module-level name that no module of the package reads, no
-public function or method that nothing reads, and no dunder method
-written twice.
+no private module-level name that no module of the package reads, and
+no dunder method written twice.
 
 Deleting a function tends to leave its imports and its private helpers
 behind.  These tests read every module under src/monofour with the
@@ -12,47 +11,19 @@ constant (one leading underscore) that no module of the package reads,
 by name, attribute or import.  Names inside string annotations count as
 reads.  They also fail when two classes define a dunder method with the
 same body, docstrings aside: such a method belongs in a shared base class.
-
-The public-name scan fails on a public top-level function or public
-method (dunders aside) whose name is never read in the package, in
-`demos/`, in the README's fenced Python blocks or in the engine strings
-of the check registry, unless the short allow-list below names it.
-The scan matches by name, so a method counts as read when any
-attribute of that name is read anywhere.
+Public functions and methods are held to being run by an entry point,
+which test_reach.py checks.
 """
 
 import ast
-import re
 from pathlib import Path
 
 import pytest
 
 import monofour
-from monofour import checks
 
 PACKAGE = Path(monofour.__file__).parent
 MODULES = sorted(PACKAGE.rglob("*.py"))
-REPO = PACKAGE.parent.parent
-FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-# Public names that nothing in the package, the demos, the README or the
-# check registry reads, grouped by the reason each one stays.
-UNREAD_PUBLIC_ALLOWED = {
-    # Bound by perfbench/tracer.py or workloads.py; goes when a benchmark
-    # PR re-points the tracer (ROADMAP item 4).
-    "scalars/snf.py:poly_smith",  # wrapped as scalars.snf.poly_smith
-    "scalars/snf.py:int_smith",  # wrapped as scalars.snf.int_smith
-    "scalars/ratfun.py:partial_fractions",  # wrapped as scalars.ratfun.partial_fractions
-    "trace.py:kernel_pair_sum",  # wrapped as trace.kernel_pair_sum
-    "scalars/poly.py:poly_lcm",  # wrapped as scalars.poly.lcm
-    "ore.py:inverse_mellin_op",  # wrapped, and run by operator-roundtrip
-    "ore.py:to_laurent",  # operator-roundtrip checks inverse_mellin_op against it
-    # Test oracles.
-    "mellin.py:WindowedLattice.same_lattice",  # lattice equality in the Mellin tests
-    "mellin.py:WindowedLattice.window_points",  # the points the fiber oracles visit
-    # Reached by input.
-    "cli.py:_ArgumentParser.error",  # argparse calls it on a malformed command line
-}
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -155,43 +126,6 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
     ]
 
 
-def public_definitions(tree: ast.Module) -> list[str]:
-    """Top-level public functions and the public methods of top-level
-    classes, dunders aside, as `name` or `Class.name`."""
-    out = []
-    for node in tree.body:
-        if isinstance(node, FUNCTIONS) and not node.name.startswith("_"):
-            out.append(node.name)
-        elif isinstance(node, ast.ClassDef):
-            out += [f"{node.name}.{item.name}" for item in node.body
-                    if isinstance(item, FUNCTIONS) and not item.name.startswith("_")]
-    return out
-
-
-def unread_public_names(sources: dict[str, str], read_elsewhere=frozenset(),
-                        allowed=frozenset()) -> list[str]:
-    """`module:name` of each public definition whose name no module of
-    `sources` reads and `read_elsewhere` does not hold, unless `allowed`
-    names it."""
-    trees = {name: ast.parse(source) for name, source in sources.items()}
-    read = set(read_elsewhere).union(*(read_names(tree) for tree in trees.values()))
-    return [
-        f"{module}:{qualname}"
-        for module, tree in trees.items()
-        for qualname in public_definitions(tree)
-        if qualname.rsplit(".", 1)[-1] not in read and f"{module}:{qualname}" not in allowed
-    ]
-
-
-def names_read_outside_the_package() -> set[str]:
-    """Names read by the demos, the README's fenced Python blocks and the
-    engine strings of the check registry."""
-    texts = [p.read_text() for p in sorted((REPO / "demos").glob("*.py"))]
-    texts += re.findall(r"```python\n(.*?)```", (REPO / "README.md").read_text(), re.S)
-    read = set().union(*(read_names(ast.parse(text)) for text in texts))
-    return read | {spec.engine.split(".")[1] for spec in checks.CHECKS.values()}
-
-
 def _body_without_docstring(func: ast.FunctionDef) -> str:
     body = func.body
     if ast.get_docstring(func) is not None:
@@ -234,19 +168,6 @@ def test_every_private_name_is_read():
     assert unread_private_names(sources) == []
 
 
-def test_every_public_name_is_read():
-    sources = {p.relative_to(PACKAGE).as_posix(): p.read_text() for p in MODULES}
-    assert unread_public_names(
-        sources, names_read_outside_the_package(), UNREAD_PUBLIC_ALLOWED) == []
-
-
-def test_every_allowed_public_name_is_defined_and_unread():
-    # An entry goes from the allow-list once its name is read or deleted.
-    sources = {p.relative_to(PACKAGE).as_posix(): p.read_text() for p in MODULES}
-    unread = unread_public_names(sources, names_read_outside_the_package())
-    assert sorted(UNREAD_PUBLIC_ALLOWED) == sorted(unread)
-
-
 def test_no_dunder_method_is_written_twice():
     sources = {p.relative_to(PACKAGE).as_posix(): p.read_text() for p in MODULES}
     assert duplicated_dunders(sources) == []
@@ -283,23 +204,6 @@ class TestDetector:
             "b.py": "from . import a\n\ndef f(x: '_C') -> int:\n    return a._A + a._B\n",
         }
         assert unread_private_names(sources) == []
-
-    def test_flags_an_unread_public_function(self):
-        sources = {
-            "a.py": "def used():\n    return 1\n\ndef planted():\n    return 2\n\n"
-                    "class C:\n    def __len__(self):\n        return 0\n\n"
-                    "    def orphan(self):\n        return used()\n",
-        }
-        assert unread_public_names(sources) == ["a.py:planted", "a.py:C.orphan"]
-        assert unread_public_names(sources, {"planted"}, {"a.py:C.orphan"}) == []
-
-    def test_a_name_read_only_as_an_attribute_counts(self):
-        sources = {
-            "a.py": "class C:\n    def norm(self):\n        return 0\n\n"
-                    "def helper():\n    return 1\n",
-            "b.py": "from . import a\n\ndef run(c):\n    return c.norm() + a.helper()\n",
-        }
-        assert unread_public_names(sources) == ["b.py:run"]
 
     def test_flags_a_dunder_body_written_twice(self):
         sources = {

@@ -641,7 +641,7 @@ class TestLadders:
         # The inversion twist of the exponential relation rewrites
         # T^j (s+j) to T^(j-1); the affine ladder satisfies exactly that.
         rel = inversion_twist(shift_exp_module().single_relation())
-        assert rel == ShiftOp.one() - T * Poly((1, 1))
+        assert rel == 1 - T * Poly((1, 1))
         tw = twisted_exp_ladder(5)
         for j in range(-4, 5):
             assert func(tw, j) * s_plus(j) == func(tw, j - 1)
@@ -948,13 +948,13 @@ class TestFourierPresentation:
 
     def test_exp_maps_to_one_minus_x(self):
         out = fourier_presentation(WEYL_EXP)
-        assert out.relations == (WeylOp.one() - WeylOp.x(),)
+        assert out.relations == (1 - WeylOp.x(),)
 
     def test_twice_is_antipode_up_to_normalization(self):
         X, DX = WeylOp.x(), WeylOp.dx()
         samples = [
             X - 1,
-            WeylOp.one() - DX,
+            1 - DX,
             X * DX - Fraction(1, 2),
             DX * (X - 1),
             X * X + DX,
@@ -982,9 +982,9 @@ class TestFourierBMonodromic:
         assert out.relations == fourier_presentation(m).relations
 
     def test_zero_module_passes_through(self):
-        m = CyclicPresentation("weyl", (WeylOp.one(),))
+        m = CyclicPresentation("weyl", (WeylOp.const(1),))
         out = fourier_B_monodromic(m)
-        assert out.relations == (WeylOp.one(),)
+        assert out.relations == (WeylOp.const(1),)
 
     def test_exp_module_refused(self):
         with pytest.raises(NotMonodromicError):

@@ -2,15 +2,15 @@
 by some entry point.
 
 The test runs the entry points under `sys.setprofile`: `run_all` on
-the quick and full profiles, the five demos, and `cli.main` on the
-README and CI command lines, a power in the shift algebra, and one
-malformed command line.  Entered
-functions are keyed by their code object's file and first line, so a
-method counts as reached only when that very method runs, not when any
-attribute of the same name is read (which is all the static scan in
-test_imports.py can see).  A public non-dunder function or method of a
-top-level class that never runs fails the test, unless
-`UNENTERED_PUBLIC_ALLOWED` names it with its reason.
+the quick and full profiles, the five demos, the README's fenced Python
+blocks, and `cli.main` on the README and CI command lines, a power in
+the shift algebra, and one malformed command line.  Entered functions
+are keyed by their code object's file and first line, so a method
+counts as reached only when that very method runs, not when any
+attribute of the same name is read, as a scan of the source by name
+would count it.  A public non-dunder function or method of a top-level
+class that never runs fails the test, unless `UNENTERED_PUBLIC_ALLOWED`
+names it with its reason.
 """
 
 import ast
@@ -18,6 +18,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -28,29 +29,38 @@ import pytest
 
 from monofour import checks, cli
 
-from test_imports import FUNCTIONS, MODULES, PACKAGE, REPO, UNREAD_PUBLIC_ALLOWED
+from test_imports import MODULES, PACKAGE
+
+REPO = PACKAGE.parent.parent
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 # Public names that no entry point enters, by the reason each one stays.
-# Those the static scan finds unread are on UNREAD_PUBLIC_ALLOWED; the
-# rest are read by name somewhere, but never run.
 UNENTERED_PUBLIC_ALLOWED = {
-    *UNREAD_PUBLIC_ALLOWED,
-    # Bound by perfbench; goes when a benchmark PR re-points it.
-    "scalars/poly.py:Poly.coeffs",  # read by perfbench/exprs.py's shift action
+    # Bound by perfbench/tracer.py or workloads.py; goes when a benchmark
+    # change re-points the tracer (ROADMAP item 4).
+    "scalars/snf.py:poly_smith",  # wrapped as scalars.snf.poly_smith
+    "scalars/snf.py:int_smith",  # wrapped as scalars.snf.int_smith
+    "scalars/ratfun.py:partial_fractions",  # wrapped as scalars.ratfun.partial_fractions
     "scalars/ratfun.py:rational_roots",  # run only by the wrapped partial_fractions
+    "trace.py:kernel_pair_sum",  # wrapped as trace.kernel_pair_sum
+    "scalars/poly.py:poly_lcm",  # wrapped as scalars.poly.lcm
+    "scalars/poly.py:Poly.coeffs",  # read by perfbench/exprs.py's shift action
+    "ore.py:inverse_mellin_op",  # wrapped, and run by operator-roundtrip
+    "ore.py:to_laurent",  # operator-roundtrip checks inverse_mellin_op against it
     # Test oracles.
+    "mellin.py:WindowedLattice.same_lattice",  # lattice equality in the Mellin tests
+    "mellin.py:WindowedLattice.window_points",  # the points the fiber oracles visit
     "scalars/poly.py:Poly.eval",  # evaluation at a point in the Poly and ratfun tests
     "scalars/cyclotomic.py:CycScalar.coeffs",  # the Fraction view the cyclotomic oracles read
     "mellin.py:Fiber.generator",  # the RatFun the fiber tests compare, and Fiber.__eq__
     # Value protocol: ExactValue.__bool__ reads is_zero.
     "scalars/ratfun.py:RatFun.is_zero",
-    "ore.py:_WeylBase.is_zero",
     # Read by tests/test_acceptance.py.
     "scalars/ffield.py:Fq.sub",  # criterion 07's field axioms
 }
 
-# Command lines from the README and CI, a power in the shift algebra
-# (through ShiftOp.one), and one malformed command line.
+# Command lines from the README and CI, a power in the shift algebra,
+# and one malformed command line.
 COMMANDS = [line.split() for line in (
     "reduce --algebra shift (s*T+1)^2",
     "reduce --algebra shift (s+1)-Ti*s",
@@ -128,6 +138,8 @@ def run_entry_points():
         checks.run_all("full")
         for demo in sorted((REPO / "demos").glob("*.py")):
             runpy.run_path(str(demo), run_name="__main__")
+        for block in re.findall(r"```python\n(.*?)```", (REPO / "README.md").read_text(), re.S):
+            exec(compile(block, "README.md", "exec"), {})
         for argv in COMMANDS:
             cli.main(argv)
 
@@ -154,8 +166,8 @@ def test_every_public_function_is_entered(unentered):
 
 def test_every_allowed_name_is_defined_and_unentered(unentered):
     # An entry goes from the allow-list once an entry point runs it or it
-    # is deleted; test_imports.py checks the entries it shares.
-    assert sorted(UNENTERED_PUBLIC_ALLOWED - UNREAD_PUBLIC_ALLOWED - unentered) == []
+    # is deleted.
+    assert sorted(UNENTERED_PUBLIC_ALLOWED - unentered) == []
 
 
 class TestDetector:

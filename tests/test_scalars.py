@@ -3,6 +3,7 @@ import random
 import sys
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1047,7 +1048,8 @@ class TestCycScalar:
 
 
 # Reference oracles for the cached root-of-unity table: the Poly-remainder
-# forms of zeta, promote and the product, which reduce by Phi_n per call.
+# forms of zeta, of the embedding at a multiple conductor, and of the sum
+# and product, which reduce by Phi_n per call.
 
 
 def ref_zeta(n, k=1):
@@ -1068,6 +1070,12 @@ def ref_mul(a, b):
     m = a.conductor * b.conductor // gcd(a.conductor, b.conductor)
     pa, pb = Poly(ref_promote(a, m).coeffs), Poly(ref_promote(b, m).coeffs)
     return CycScalar(m, ((pa * pb) % cyclotomic_poly(m)).coeffs)
+
+
+def ref_plus(a, b, sign):
+    m = a.conductor * b.conductor // gcd(a.conductor, b.conductor)
+    pa, pb = Poly(ref_promote(a, m).coeffs), Poly(ref_promote(b, m).coeffs)
+    return CycScalar(m, ((pa + pb * sign) % cyclotomic_poly(m)).coeffs)
 
 
 # every conductor dividing p(q-1) for a field size q <= 11
@@ -1101,7 +1109,7 @@ class TestCyclotomicOracles:
             if m % n:
                 continue
             for x in (random_cyc(rng, n), zeta(n, rng.randrange(n)), CycScalar.from_rational(3, n)):
-                got, want = x.promote(m), ref_promote(x, m)
+                got, want = x + CycScalar(m, ()), ref_promote(x, m)
                 assert (got.conductor, got.coeffs) == (want.conductor, want.coeffs)
 
     @pytest.mark.parametrize("n", ORACLE_CONDUCTORS)
@@ -1112,8 +1120,15 @@ class TestCyclotomicOracles:
             if (n * m // gcd(n, m)) > 110:
                 continue
             a, b = random_cyc(rng, n), random_cyc(rng, m)
-            got, want = a * b, ref_mul(a, b)
-            assert (got.conductor, got.coeffs) == (want.conductor, want.coeffs)
+            for got, want in ((a * b, ref_mul(a, b)), (a + b, ref_plus(a, b, 1)),
+                              (a - b, ref_plus(a, b, -1))):
+                assert (got.conductor, got.coeffs) == (want.conductor, want.coeffs)
+            assert (a == b) is ref_plus(a, b, -1).is_zero
+            # a value equals its image at a multiple conductor, and
+            # differs from it after any change
+            image = ref_promote(a, n * m // gcd(n, m))
+            assert (a == image) is (image == a) is True
+            assert (a == image + zeta(m)) is (image + zeta(m) == a) is False
 
 
 # References for the integer layer: CycScalar as a tuple of Fractions and
@@ -1389,7 +1404,7 @@ class TestIntegerCyclotomicOracle:
             if m % n:
                 continue
             x = random_cyc(rng, n)
-            assert_matches_reference(x.promote(m), RefCycScalar(n, x.coeffs).promote(m))
+            assert_matches_reference(x + CycScalar(m, ()), RefCycScalar(n, x.coeffs).promote(m))
         for k in range(n):
             assert_matches_reference(zeta(n, k), RefCycScalar(n, _zeta_powers(n)[k]))
 
@@ -1494,6 +1509,26 @@ class TestRationalRankOracle:
             m = base + [[a - 3 * b for a, b in zip(base[0], base[1])]]
             assert rational_rank(m) == ref_rational_rank(m) == 4
 
+    def test_inexact_division_raises(self):
+        # rational_rank and poly_rank share one elimination loop.  Here a
+        # subtraction that comes out one too large spoils the 2-minors of
+        # the first step, so the next division, by the pivot 3, is inexact.
+        class Skewed(int):
+            def __mul__(self, other):
+                return Skewed(int(self) * int(other))
+
+            __rmul__ = __mul__
+
+            def __sub__(self, other):
+                return int(self) - int(other) + 1
+
+        m = [[3, 1, 2], [1, 2, 1], [2, 1, 5]]
+        assert rational_rank(m) == ref_rational_rank(m) == 3
+        skewed = [[SimpleNamespace(numerator=Skewed(x), denominator=1) for x in row]
+                  for row in m]
+        with pytest.raises(AssertionError, match="inexact division"):
+            rational_rank(skewed)
+
     def test_cyc_rank_on_planted_dependent_rows(self):
         rng = random.Random(74)
         for _ in range(25):
@@ -1536,7 +1571,7 @@ def flat_cyc_rank(vectors):
     rows = []
     for vec in vectors:
         promoted = [
-            x.promote(cond) if isinstance(x, CycScalar) else CycScalar.from_rational(x, cond)
+            ref_promote(x, cond) if isinstance(x, CycScalar) else CycScalar.from_rational(x, cond)
             for x in vec
         ]
         scale = 1
@@ -1597,8 +1632,6 @@ class TestOperandDispatch:
             assert z.__eq__(other) is NotImplemented
         with pytest.raises(TypeError):
             z + 1.5
-        with pytest.raises(TypeError):
-            z._pair(1.5)
 
     def test_cyclotomic_operands_run_no_abc_check(self):
         z, w, h = zeta(7), zeta(3), Fraction(1, 2)
@@ -1810,6 +1843,13 @@ class TestSumOfProducts:
     def test_matches_the_chained_sum(self, pairs):
         assert_same_scalar(sum_of_products(pairs), chained_sum(pairs))
         assert_same_scalar(sum_of_products(iter(pairs)), chained_sum(pairs))
+        # a product of two cyclotomic values is itself a sum_of_products,
+        # so the chained sum is also taken on the Fraction-tuple reference
+        def ref(x):
+            return RefCycScalar(x.conductor, x.coeffs) if isinstance(x, CycScalar) else x
+
+        assert_matches_reference(sum_of_products(pairs),
+                                 chained_sum([(ref(a), ref(b)) for a, b in pairs]))
 
     def test_seeded_sums_with_denominators(self):
         rng = random.Random(76)
