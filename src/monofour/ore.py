@@ -1,6 +1,7 @@
 """Noncommutative operator algebras.
 
-Two algebras are provided, with exact rational coefficients throughout:
+Two algebras are provided, with exact rational coefficients throughout
+(a Weyl coefficient is an int when integral, else a Fraction):
 
 * the shift algebra, generated by s, T, T^-1 with the commutation rule
   s*T = T*(s+1); normal form puts T-powers on the left and polynomials
@@ -25,7 +26,7 @@ from math import comb, factorial
 from typing import Union
 
 from .scalars import Poly, UnsupportedInputError, frac
-from .scalars.poly import ExactValue, _poly, binary_power, signed_sum, term_str
+from .scalars.poly import ExactValue, _poly, binary_power, plain, signed_sum, term_str
 
 Scalar = Union[int, Fraction]
 
@@ -52,8 +53,8 @@ def _trusted(cls, terms: dict, rank: int | None = None):
     """The operator of type `cls` (and `rank`, for the Weyl types) whose
     terms are `terms`, a dict already in normal form: no zero value,
     Poly values for ShiftOp, and for the Weyl types tuple keys of
-    length `rank` and Fraction values.  Nothing is checked; the public
-    constructors validate user input."""
+    length `rank` and int values, or a Fraction where not integral.
+    Nothing is checked; the public constructors validate user input."""
     out = object.__new__(cls)
     if rank is not None:
         object.__setattr__(out, "rank", rank)
@@ -62,20 +63,27 @@ def _trusted(cls, terms: dict, rank: int | None = None):
 
 
 def _merged(pairs, start: dict | None = None) -> dict:
-    """The (key, value) pairs summed per key onto a copy of `start`, with
-    the keys whose sum is zero dropped."""
+    """The (key, nonzero value) pairs summed per key onto a copy of
+    `start`: a key whose sum is zero is deleted, and an integral Fraction
+    is stored as an int."""
     out = dict(start) if start else {}
     for k, v in pairs:
-        out[k] = out[k] + v if k in out else v
-    return {k: v for k, v in out.items() if v}
+        if k in out:
+            v = out[k] + v
+            if not v:
+                del out[k]
+                continue
+        out[k] = plain(v) if type(v) is Fraction else v
+    return out
 
 
 class _Operator(ExactValue):
     """The value protocol of the operator algebras, written once.  A value
     is a dict `terms` in normal form (see `_trusted`); a subclass supplies
     `_coerce` (an operand as an operator of its own kind and rank, or
-    NotImplemented; `_coerce(1)` is the unit) and `_products` (the (key,
-    coefficient) terms of a product before they are summed)."""
+    NotImplemented; `_coerce(1)` is the unit), `_scalar_term` (a nonzero
+    scalar as the one (key, value) term it adds to a sum) and `_products`
+    (the (key, coefficient) terms of a product before they are summed)."""
 
     __slots__ = ()
     rank = None  # the shift algebra has none; the Weyl types shadow it with a slot
@@ -93,13 +101,26 @@ class _Operator(ExactValue):
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
 
+    def _plus(self, other, sign: int):
+        """self + sign * other, touching only the keys of other."""
+        if isinstance(other, (int, Fraction)):
+            pairs = (self._scalar_term(other if sign > 0 else -other),) if other else ()
+        else:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+            pairs = other.terms.items()
+            if sign < 0:
+                pairs = ((k, -c) for k, c in pairs)
+        return _trusted(type(self), _merged(pairs, self.terms), self.rank)
+
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _trusted(type(self), _merged(other.terms.items(), self.terms), self.rank)
+        return self._plus(other, 1)
 
     __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
 
     def __neg__(self):
         return _trusted(type(self), {k: -c for k, c in self.terms.items()}, self.rank)
@@ -107,7 +128,7 @@ class _Operator(ExactValue):
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             # a scalar commutes with every generator, so it scales each term
-            terms = {k: c * other for k, c in self.terms.items()} if other else {}
+            terms = _merged((k, c * other) for k, c in self.terms.items()) if other else {}
             return _trusted(type(self), terms, self.rank)
         other = self._coerce(other)
         if other is NotImplemented:
@@ -125,7 +146,7 @@ class _Operator(ExactValue):
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative operator power")
-        return binary_power(self, n, self._coerce(1))
+        return binary_power(self, n, None) if n else self._coerce(1)
 
 
 class ShiftOp(_Operator):
@@ -144,10 +165,6 @@ class ShiftOp(_Operator):
         object.__setattr__(self, "terms", clean)
 
     @classmethod
-    def from_poly(cls, p) -> "ShiftOp":
-        return cls.t_power(0, p)
-
-    @classmethod
     def s(cls) -> "ShiftOp":
         return _trusted(cls, {0: Poly.x()})
 
@@ -164,11 +181,15 @@ class ShiftOp(_Operator):
         return Poly() if p is None else p
 
     @staticmethod
+    def _scalar_term(c: Scalar) -> tuple:
+        return 0, _poly((c.numerator,), c.denominator)
+
+    @staticmethod
     def _coerce(other):
         if isinstance(other, ShiftOp):
             return other
         if isinstance(other, (int, Fraction, Poly)):
-            return ShiftOp.from_poly(other)
+            return ShiftOp.t_power(0, other)
         return NotImplemented
 
     def _products(self, other) -> list:
@@ -195,7 +216,7 @@ class ShiftOp(_Operator):
                 tpart = f"Ti^{-j}"
             if not tpart:
                 pieces.append(f"({p})" if many else str(p))
-            elif p == Poly.const(1):
+            elif p == 1:
                 pieces.append(tpart)
             else:
                 pieces.append(f"{tpart}*({p})")
@@ -210,7 +231,7 @@ class _WeylBase(_Operator):
 
     def __init__(self, rank: int = 1, terms=None):
         _require_rank(type(self), rank)
-        clean: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
+        pairs = []
         if terms:
             for key, c in terms.items():
                 alpha, beta = key
@@ -224,20 +245,12 @@ class _WeylBase(_Operator):
                     raise ValueError("negative power of x in the plain Weyl algebra")
                 c = frac(c)
                 if c:
-                    k = (alpha, beta)
-                    if k in clean:
-                        c = clean[k] + c
-                        if c:
-                            clean[k] = c
-                        else:
-                            del clean[k]
-                    else:
-                        clean[k] = c
+                    pairs.append(((alpha, beta), c))
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", _merged(pairs))
 
     @classmethod
-    def _unit(cls, rank: int, alpha: tuple, beta: tuple, c: Fraction) -> "_WeylBase":
+    def _unit(cls, rank: int, alpha: tuple, beta: tuple, c: Scalar) -> "_WeylBase":
         """c * x^alpha dx^beta, for multi-indices of length rank that are
         already valid."""
         _require_rank(cls, rank)
@@ -246,16 +259,20 @@ class _WeylBase(_Operator):
     @classmethod
     def x(cls, i: int = 0, rank: int = 1) -> "_WeylBase":
         alpha = _coordinate(i, rank)
-        return cls._unit(rank, alpha, (0,) * rank, Fraction(1))
+        return cls._unit(rank, alpha, (0,) * rank, 1)
 
     @classmethod
     def dx(cls, i: int = 0, rank: int = 1) -> "_WeylBase":
         beta = _coordinate(i, rank)
-        return cls._unit(rank, (0,) * rank, beta, Fraction(1))
+        return cls._unit(rank, (0,) * rank, beta, 1)
 
     @classmethod
     def const(cls, c: Scalar, rank: int = 1) -> "_WeylBase":
-        return cls._unit(rank, (0,) * rank, (0,) * rank, frac(c))
+        return cls._unit(rank, (0,) * rank, (0,) * rank, plain(frac(c)))
+
+    def _scalar_term(self, c: Scalar) -> tuple:
+        zero = (0,) * self.rank
+        return (zero, zero), plain(c)
 
     def _coerce(self, other):
         if isinstance(other, (int, Fraction)):
@@ -374,7 +391,7 @@ def inverse_mellin_op(sh: ShiftOp) -> LaurentWeylOp:
         values = [sum(c * i**k for k, c in enumerate(nums)) for i in range(len(nums))]
         for b in range(len(nums)):
             if values[0]:
-                terms[((j + b,), (b,))] = Fraction(values[0], p.den * factorial(b))
+                terms[((j + b,), (b,))] = plain(Fraction(values[0], p.den * factorial(b)))
             values = [y - x for x, y in zip(values, values[1:])]
     return _trusted(LaurentWeylOp, terms, 1)
 

@@ -12,8 +12,8 @@ from monofour.reports import EXIT_CODES, EXIT_REFUSED
 from test_reports import validate_report_dict
 
 # Refused input (usage errors, expressions that do not parse, parameters
-# out of range) exits EXIT_REFUSED.  The tests named `..._exits_1` keep
-# their names from when it shared the code 1 of a failed check.
+# out of range) exits EXIT_REFUSED, not the code 1 of a failed check; the
+# tests named `..._exits_refused` assert it.
 
 
 def run_cli(capsys, *argv):
@@ -46,22 +46,22 @@ class TestReduce:
         _, out, _ = run_cli(capsys, "reduce", "--algebra", "weyl", "x")
         assert out.strip() == json.dumps(json.loads(out), sort_keys=True)
 
-    def test_syntax_error_exits_1(self, capsys):
+    def test_syntax_error_exits_refused(self, capsys):
         code, out, err = run_cli(capsys, "reduce", "--algebra", "shift", "s + +")
         assert code == EXIT_REFUSED and not out
         assert "offset 4" in err
 
-    def test_zero_denominator_exits_1(self, capsys):
+    def test_zero_denominator_exits_refused(self, capsys):
         code, out, err = run_cli(capsys, "reduce", "--algebra", "weyl", "2/0")
         assert (code, out) == (EXIT_REFUSED, "")
         assert err == "error: zero denominator at offset 2\n"
 
-    def test_superscript_exponent_exits_1_with_offset(self, capsys):
+    def test_superscript_exponent_exits_refused_with_offset(self, capsys):
         code, out, err = run_cli(capsys, "reduce", "--algebra", "weyl", "x^\u00b2")
         assert (code, out) == (EXIT_REFUSED, "")
         assert err == "error: unexpected character '\u00b2' at offset 2\n"
 
-    def test_wrong_algebra_atom_exits_1(self, capsys):
+    def test_wrong_algebra_atom_exits_refused(self, capsys):
         code, _, err = run_cli(capsys, "reduce", "--algebra", "weyl", "T*s")
         assert code == EXIT_REFUSED
         assert "shift" in err
@@ -87,6 +87,17 @@ class TestMellinAndFourier:
         code, out, _ = run_cli(capsys, "fourier", "dx")
         assert code == 0
         assert json.loads(out)["transformed"] == "x"
+
+    @pytest.mark.parametrize("argv, key, want", [
+        (("reduce", "--algebra", "weyl", "1/2*x*dx + 1/2*x*dx - 3/2"), "normal_form",
+         "-3/2 + x*dx"),
+        (("fourier", "x*dx + 1/2*x*dx"), "transformed", "-3/2 - 3/2*x*dx"),
+        (("mellin", "2/4*x*dx+1/2*x*dx"), "shift_normal_form", "s"),
+    ])
+    def test_halves_summing_to_integers_print_as_before(self, capsys, argv, key, want):
+        # the lines CI runs through the installed entry point
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)[key] == want
 
     def test_fourier_rank_two_output_reparses(self, capsys):
         code, out, _ = run_cli(capsys, "fourier", "--rank", "2", "x*dx + dx2*x2")
@@ -132,11 +143,11 @@ class TestTrace:
         lines = [ln.split() for ln in out.strip().splitlines()[1:]]
         assert [ln[0] for ln in lines] == ["0", "1", "2"]
 
-    def test_unknown_object_exits_1(self, capsys):
+    def test_unknown_object_exits_refused(self, capsys):
         code, _, err = run_cli(capsys, "trace", "--q", "5", "--object", "Z")
         assert code == EXIT_REFUSED and "Z" in err
 
-    def test_nonprime_power_q_exits_1(self, capsys):
+    def test_nonprime_power_q_exits_refused(self, capsys):
         code, _, err = run_cli(capsys, "trace", "--q", "6", "--object", "B")
         assert code == EXIT_REFUSED and err
 
@@ -193,11 +204,11 @@ class TestVerify:
         for spec in checks.CHECKS.values():
             assert set(spec.defaults) <= set(options), spec.check_id
 
-    def test_inapplicable_flag_exits_1(self, capsys):
+    def test_inapplicable_flag_exits_refused(self, capsys):
         code, _, err = run_cli(capsys, "verify", "keythm", "--ell", "3")
         assert code == EXIT_REFUSED and "ell" in err
 
-    def test_unknown_check_exits_1(self, capsys):
+    def test_unknown_check_exits_refused(self, capsys):
         code, _, err = run_cli(capsys, "verify", "nonsense")
         assert code == EXIT_REFUSED and err
 
@@ -209,7 +220,7 @@ class TestVerify:
         (("lem-mon-shadow", "--q", "7", "--n", "3", "--chi", "1/2"),
          "chi = 1/2 must be an integer character index"),
     ])
-    def test_refused_input_exits_1_without_traceback(self, capsys, argv, message):
+    def test_bad_parameter_exits_refused_without_traceback(self, capsys, argv, message):
         code, out, err = run_cli(capsys, "verify", *argv)
         assert (code, out) == (EXIT_REFUSED, "")
         assert err.startswith("error: ") and message in err
@@ -303,15 +314,15 @@ class TestUsageErrors:
     def test_refused_input_has_a_code_of_its_own(self):
         assert EXIT_REFUSED == 4 and EXIT_REFUSED not in EXIT_CODES.values()
 
-    def test_unknown_subcommand_exits_1(self, capsys):
+    def test_unknown_subcommand_exits_refused(self, capsys):
         code, _, err = run_cli(capsys, "bogus")
         assert code == EXIT_REFUSED and err
 
-    def test_missing_required_flag_exits_1(self, capsys):
+    def test_missing_required_flag_exits_refused(self, capsys):
         code, _, err = run_cli(capsys, "reduce", "dx")
         assert code == EXIT_REFUSED and err
 
-    def test_no_subcommand_exits_1(self, capsys):
+    def test_no_subcommand_exits_refused(self, capsys):
         code, _, err = run_cli(capsys)
         assert code == EXIT_REFUSED and err
 

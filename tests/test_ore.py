@@ -12,7 +12,7 @@ import operator
 import random
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -78,8 +78,8 @@ class TestShiftAlgebra:
         assert Ti * T == 1
 
     def test_polynomials_commute(self):
-        p = ShiftOp.from_poly(Poly((1, 2, 3)))
-        q = ShiftOp.from_poly(Poly((-1, 0, 1)))
+        p = ShiftOp.t_power(0, Poly((1, 2, 3)))
+        q = ShiftOp.t_power(0, Poly((-1, 0, 1)))
         assert p * q == q * p
 
     def test_power(self):
@@ -574,7 +574,9 @@ def assert_normal(op):
     assert op.terms == ref_weyl_terms(type(op), op.rank, op.terms)
     assert op == type(op)(op.rank, op.terms)
     for (alpha, beta), c in op.terms.items():
-        assert type(c) is Fraction and c != 0
+        # an int when integral, else a Fraction with denominator > 1
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+        assert c != 0
         assert type(alpha) is tuple and type(beta) is tuple
         assert len(alpha) == len(beta) == op.rank
         assert all(type(e) is int for e in alpha + beta)
@@ -629,8 +631,8 @@ class TestTrustedConstructorOracle:
 
     def test_constructors_in_normal_form(self):
         ops = [ShiftOp.s(), ShiftOp.t_power(0), ShiftOp(), ShiftOp.t_power(-2, Fraction(1, 2)),
-               ShiftOp.t_power(3, 0), ShiftOp.from_poly(Poly()), ShiftOp.from_poly(S.coeff(0)),
-               ShiftOp.from_poly(Fraction(-2, 3))]
+               ShiftOp.t_power(3, 0), ShiftOp.t_power(0, Poly()), ShiftOp.t_power(0, S.coeff(0)),
+               ShiftOp.t_power(0, Fraction(-2, 3))]
         for cls, rank in ((WeylOp, 1), (WeylOp, 3), (LaurentWeylOp, 1)):
             ops += [cls.x(rank - 1, rank), cls.dx(0, rank), cls.const(0, rank),
                     cls.const(Fraction(3, 4), rank), cls.const(1, rank), cls(rank)]
@@ -729,7 +731,174 @@ class TestScalarPaths:
         for _ in range(200):
             a = rand_shift(rng)
             for c in (0, 1, -2, Fraction(3, 5), Fraction(-7, 2)):
-                want = a * ShiftOp.from_poly(c)
+                want = a * ShiftOp.t_power(0, c)
                 for got in (a * c, c * a):
                     assert got == want and str(got) == str(want)
                     assert_normal(got)
+
+
+# The Weyl arithmetic from before integral coefficients were held as ints,
+# kept as the reference: one Fraction per coefficient, a sum added onto a
+# copy and then cleared of zeros, and the Newton coefficients of the
+# inverse Mellin map divided out in Fractions.
+class RefWeyl:
+    """A Weyl or Laurent operator as a dict of Fraction coefficients."""
+
+    _monomial_str = _WeylBase._monomial_str
+
+    def __init__(self, rank, terms):
+        self.rank = rank
+        self.terms = {k: frac(c) for k, c in terms.items() if c}
+
+    @property
+    def is_zero(self):
+        return not self.terms
+
+    def _coerce(self, other):
+        if isinstance(other, (int, Fraction)):
+            zero = (0,) * self.rank
+            return RefWeyl(self.rank, {(zero, zero): other})
+        return other
+
+    def _summed(self, pairs):
+        out = dict(self.terms)
+        for k, v in pairs:
+            out[k] = out[k] + v if k in out else v
+        return RefWeyl(self.rank, out)
+
+    def __add__(self, other):
+        return self._summed(self._coerce(other).terms.items())
+
+    def __sub__(self, other):
+        return self._summed((k, -c) for k, c in self._coerce(other).terms.items())
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return RefWeyl(self.rank, {k: c * other for k, c in self.terms.items()})
+        return RefWeyl(self.rank, {})._summed(
+            ((alpha, beta), c1 * c2 * n)
+            for (a1, b1), c1 in self.terms.items()
+            for (a2, b2), c2 in other.terms.items()
+            for alpha, beta, n in ref_normal_product(a1, b1, a2, b2))
+
+    def fourier(self):
+        # x^alpha dx^beta -> (-1)^|alpha| dx^alpha x^beta, normal ordered
+        zero = (0,) * self.rank
+        return RefWeyl(self.rank, {})._summed(
+            ((a, b), c * (-1) ** sum(alpha) * n)
+            for (alpha, beta), c in self.terms.items()
+            for a, b, n in ref_normal_product(zero, alpha, beta, zero))
+
+    def __str__(self):
+        return ref_weyl_to_str(self)
+
+
+def ref_inverse_mellin(sh: ShiftOp) -> RefWeyl:
+    """p(s) = sum_b Delta^b p(0) / b! * s(s-1)...(s-b+1), in Fractions."""
+    terms = {}
+    for j, p in sh.terms.items():
+        values = [sum(c * i**k for k, c in enumerate(p.coeffs)) for i in range(p.degree + 1)]
+        for b in range(len(values)):
+            terms[((j + b,), (b,))] = values[0] / factorial(b)
+            values = [y - x for x, y in zip(values, values[1:])]
+    return RefWeyl(1, terms)
+
+
+def assert_matches_ref(got, want: RefWeyl):
+    assert got.terms == want.terms
+    assert str(got) == str(want)
+    assert_normal(got)
+
+
+HALVES = (1, -1, 2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(2, 3),
+          Fraction(-5, 3))
+
+
+class TestIntegerCoefficients:
+    @pytest.mark.parametrize("cls,rank,min_x", [
+        (WeylOp, 1, 0), (WeylOp, 2, 0), (WeylOp, 3, 0), (LaurentWeylOp, 1, -2),
+    ], ids=["weyl-rank1", "weyl-rank2", "weyl-rank3", "laurent"])
+    def test_arithmetic_matches_fraction_reference(self, cls, rank, min_x):
+        # halves and thirds, so that sums, products and scalings land on
+        # integers as well as off them
+        rng = random.Random(2400 + 10 * rank + min_x)
+
+        def draw():
+            terms = {}
+            for _ in range(rng.randint(0, 4)):
+                alpha = tuple(rng.randint(min_x, 2) for _ in range(rank))
+                beta = tuple(rng.randint(0, 2) for _ in range(rank))
+                terms[(alpha, beta)] = rng.choice(HALVES)
+            return cls(rank, terms), RefWeyl(rank, terms)
+
+        for _ in range(150):
+            (a, ra), (b, rb) = draw(), draw()
+            if rng.random() < 0.3:
+                b, rb = b - a * 2, rb - ra * 2  # a + b and a - b cancel terms
+            c = rng.choice(HALVES + (0, Fraction(4, 2)))
+            cases = [(a + b, ra + rb), (a - b, ra - rb), (b - a, rb - ra), (a * b, ra * rb),
+                     (a * c, ra * c), (c * a, ra * c), (a + c, ra + c), (c + a, ra + c),
+                     (a - c, ra - c), (c - a, c - ra)]
+            if cls is WeylOp:
+                cases += [(fourier_auto(a), ra.fourier()),
+                          (fourier_auto(fourier_auto(b)), rb.fourier().fourier())]
+            if rank == 1:
+                image = mellin_op(a)
+                cases.append((inverse_mellin_op(image), ref_inverse_mellin(image)))
+            for got, want in cases:
+                assert_matches_ref(got, want)
+
+    def test_inverse_mellin_matches_fraction_reference(self):
+        rng = random.Random(2450)
+        for _ in range(300):
+            sh = ShiftOp({rng.randint(-2, 2): Poly([rng.choice(HALVES + (0,))
+                                                    for _ in range(rng.randint(0, 4))])
+                          for _ in range(rng.randint(0, 3))})
+            assert_matches_ref(inverse_mellin_op(sh), ref_inverse_mellin(sh))
+
+    def test_each_normalising_step_gives_ints(self):
+        half, key = Fraction(1, 2), ((1,), (0,))
+        one = ((0,), (0,))
+        ops = {
+            "sum": half * X + half * X,
+            "difference": X * 2 - half * X - half * X,
+            "scalar product": (half * X) * 2,
+            "scalar on the left": 2 * (half * X),
+            "product": (half * X) * (2 * DX) - X * DX + X,
+            "constructor": WeylOp(1, {key: Fraction(2, 2)}),
+            "generator": X,
+        }
+        for name, op in ops.items():
+            assert op.terms == {key: 1} and type(op.terms[key]) is int, name
+        for op in (X + half + half, X + Fraction(2, 2), Fraction(4, 4) - -X,
+                   WeylOp.const(Fraction(4, 4)) + X):
+            assert type(op.terms[one]) is int and op.terms[one] == 1
+        assert type(DX.terms[((0,), (1,))]) is int
+        assert type(fourier_auto(half * X * X * 2).terms[((0,), (2,))]) is int
+        # 2*T^2*(s^2 - s) + Ti*(3) + s^3 - 1 has integer Newton coefficients
+        sh = 2 * T**2 * (S * S - S) + Ti * 3 + S**3 - 1
+        back = inverse_mellin_op(sh)
+        assert all(type(c) is int for c in back.terms.values()) and len(back.terms) == 6
+        assert mellin_op(back) == sh
+
+    def test_scalar_in_a_sum_adds_one_term(self, monkeypatch):
+        # the literal goes straight into the zero-exponent key: no constant
+        # operator is built on the way
+        def refuse(*args):
+            raise AssertionError("a constant operator was built")
+
+        for cls in (WeylOp, LaurentWeylOp):
+            monkeypatch.setattr(cls, "const", classmethod(refuse))
+        monkeypatch.setattr(ShiftOp, "t_power", classmethod(refuse))
+        w = WeylOp.x(0, 2) * WeylOp.dx(1, 2)
+        assert str(w + 1 - Fraction(3, 2)) == "-1/2 + x1*dx2"
+        assert str(Fraction(3, 2) - w) == "3/2 - x1*dx2"
+        assert str(LX + 2) == "2 + x"
+        assert str(T * S + 2 - Fraction(1, 3)) == "(5/3) + T*(s)"
+        assert str(1 - (S + 1)) == "-s"
+        assert S - S + 0 == ShiftOp() and str(0 + X - 0) == "x"
+        # a bool is an int, and adds as 1 did when it became a constant first
+        assert (str(X + True), str(True + S)) == ("1 + x", "1 + s")
