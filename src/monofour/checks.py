@@ -19,17 +19,7 @@ from . import groupalg, mellin, ore, trace
 from .ore import CyclicPresentation, ShiftOp, WeylOp, antipode, fourier_auto
 from .reports import VERDICTS, CheckReport, verdict_label
 from .scalars import Poly, RatFun, UnsupportedInputError, frac
-
-
-def _chi_fraction(value) -> Fraction:
-    """A chi parameter as a Fraction; a zero denominator or a literal that
-    is not a rational number is refused."""
-    if isinstance(value, Fraction):
-        return value
-    try:
-        return Fraction(str(value))
-    except (ValueError, ZeroDivisionError):
-        raise UnsupportedInputError(f"chi = {value!r} is not a rational number") from None
+from .scalars.ratfun import at_least, at_most, one_of, rational
 
 
 # ---------------------------------------------------------------------------
@@ -38,14 +28,6 @@ def _chi_fraction(value) -> Fraction:
 # string "diagnostic".  A check without a runner calls its engine with the
 # merged parameters, and the engine's report is its witness.
 # ---------------------------------------------------------------------------
-
-
-def _run_lem_mon_shadow(p):
-    chi = _chi_fraction(p["chi"])
-    if chi.denominator != 1:
-        raise UnsupportedInputError(f"chi = {chi} must be an integer character index")
-    rep = trace.check_lem_mon_shadow(p["q"], p["n"], int(chi))
-    return rep["verdict"], rep
 
 
 def _run_mellin_b_embed(p):
@@ -70,7 +52,7 @@ def _run_mellin_b_embed(p):
 
 
 def _run_propDmod1(p):
-    chi = _chi_fraction(p["chi"])
+    chi = rational("chi =", p["chi"])
     lattice = mellin.orbit_pole_lattice(chi, p["n"], p["window"])
     vanishes, images = mellin.hom_to_free_vanishes(lattice, p["degree_bound"])
     witness = {
@@ -84,7 +66,7 @@ def _run_propDmod1(p):
 
 
 def _run_propDmod2(p):
-    chi = _chi_fraction(p["chi"])
+    chi = rational("chi =", p["chi"])
     lattice = mellin.orbit_pole_lattice(chi, p["n"], p["window"])
     points = [chi + Fraction(2, 5), chi - Fraction(7, 5), chi + Fraction(1, 7)]
     ok = mellin.localization_identity_check(lattice, points)
@@ -98,7 +80,7 @@ def _run_propDmod2(p):
 
 
 def _run_propDmod3(p):
-    chi = _chi_fraction(p["chi"])
+    chi = rational("chi =", p["chi"])
     reports = {
         kind: mellin.skyscraper_freeness_check(kind, chi, p["n"], p["window"])
         for kind in ("kernel", "exp")
@@ -121,7 +103,7 @@ def _run_propDmod3(p):
 
 
 def _run_dmodmon(p):
-    chi = _chi_fraction(p["chi"])
+    chi = rational("chi =", p["chi"])
     rep = mellin.monodromization_check(chi, p["n"], p["window"])
     witness = {
         "chi": chi,
@@ -149,14 +131,8 @@ def _run_exp_square(p):
     return verdict, witness
 
 
-def _require_count(p) -> None:
-    """A sample of fewer than one case would pass or fail vacuously."""
-    if p["count"] < 1:
-        raise UnsupportedInputError(f"count must be at least 1, got {p['count']}")
-
-
 def _run_mon_test(p):
-    _require_count(p)
+    at_least("count =", p["count"], 1)  # fewer cases would pass vacuously
     rng = random.Random(p["seed"])
     agreements = 0
     cases = []
@@ -186,14 +162,8 @@ def _run_mon_test(p):
     return agreements == p["count"], witness
 
 
-def _run_eq3_decomp(p):
-    chi = _chi_fraction(p["chi"])
-    rep = mellin.orbit_decomposition_check(chi, p["n"], p["window"])
-    return rep["verdict"], rep
-
-
 def _run_fourier_antipode(p):
-    _require_count(p)
+    at_least("count =", p["count"], 1)
     rng = random.Random(p["seed"])
     failures = 0
     for _ in range(p["count"]):
@@ -210,7 +180,7 @@ def _run_fourier_antipode(p):
 
 
 def _run_fb_fl_agree(p):
-    chi = _chi_fraction(p["chi"])
+    chi = rational("chi =", p["chi"])
     module = mellin.euler_eigen_module(chi)
     transformed = mellin.fourier_B_monodromic(module, N=p["window"])
     try:
@@ -336,7 +306,6 @@ _SPECS = [
         "Convolution with the power-count kernel scales a character "
         "eigenfunction by q-1 inside its eigenspace and kills it outside.",
         {"q": 7, "n": 3, "chi": 2},
-        runner=_run_lem_mon_shadow,
     ),
     CheckSpec(
         "mellin-b-embed",
@@ -402,7 +371,6 @@ _SPECS = [
         "Partial fractions decompose the windowed orbit algebra into "
         "skyscraper summands with exact round-trip of coefficients.",
         {"chi": "0", "n": 2, "window": 5},
-        runner=_run_eq3_decomp,
     ),
     CheckSpec(
         "fourier-antipode",
@@ -461,16 +429,15 @@ CHECK_IDS = tuple(spec.check_id for spec in _SPECS)
 
 def _merged_params(check_id: str, params: dict | None) -> tuple[CheckSpec, dict]:
     """The check's spec and its defaults overridden by the given
-    parameters; unknown check ids and parameters raise ValueError."""
-    if check_id not in CHECKS:
-        raise ValueError(f"unknown check {check_id!r}")
-    spec = CHECKS[check_id]
+    parameters; unknown check ids and parameters raise
+    UnsupportedInputError."""
+    spec = CHECKS[one_of("check", check_id, CHECKS)]
     merged = dict(spec.defaults)
     for key, value in (params or {}).items():
         if value is None:
             continue
         if key not in spec.defaults:
-            raise ValueError(f"check {check_id!r} takes no parameter {key!r}")
+            raise UnsupportedInputError(f"check {check_id!r} takes no parameter {key!r}")
         merged[key] = value
     return spec, merged
 
@@ -633,9 +600,7 @@ PROFILES = {"quick": _quick_profile, "full": _full_profile}
 
 
 def profile_tasks(profile: str) -> list[tuple[str, dict]]:
-    if profile not in PROFILES:
-        raise ValueError(f"unknown profile {profile!r}")
-    return PROFILES[profile]()
+    return PROFILES[one_of("profile", profile, PROFILES)]()
 
 
 def run_all(profile: str = "quick", seed: int | None = None, jobs: int = 1) -> dict:
@@ -643,18 +608,16 @@ def run_all(profile: str = "quick", seed: int | None = None, jobs: int = 1) -> d
     merge order.  The checks are CPU-bound Python, so jobs is 1: any other
     value is refused.  The parameter stays because the benchmark passes it.
 
-    An unknown check id or parameter raises ValueError before that
-    check's engine runs.  A check whose engine raises becomes an `error`
-    report whose witness holds the exception's type and message, and the
-    run goes on; `monofour verify` on that check shows the traceback.  The
+    An unknown check id or parameter raises UnsupportedInputError before
+    that check's engine runs.  A check whose engine raises becomes an
+    `error` report whose witness holds the exception's type and message,
+    and the run goes on; `monofour verify` on that check shows the
+    traceback, or the one-line refusal of an UnsupportedInputError.  The
     run's verdict is `error` if any check raised, else `fail` if any failed.
     Each task goes through the module-global `run_check`, looked up per
     call, so a wrapper bound there sees every check of the run.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if jobs > 1:
-        raise ValueError(f"checks run serially; jobs must be 1, got {jobs}")
+    at_most("jobs =", at_least("jobs =", jobs, 1), 1)
     reports = []
     for check_id, params in profile_tasks(profile):
         spec, merged = _merged_params(check_id, params)

@@ -5,8 +5,10 @@ shift operator), `fourier` (transform substitution), `trace` (value
 tables over a finite field), `verify` (one named check), `verify-all`
 (a whole profile grid).  Output is JSON on stdout, or aligned tables
 with --pretty.  Exit codes: 0 pass, 1 fail, 2 diagnostic-only verdict,
-3 a check raised during `verify-all`, 4 refused input (a usage error, an
-expression that does not parse, or a parameter out of range).
+3 a check raised during `verify-all`, 4 refused input: a usage error, or
+an `UnsupportedInputError` (an expression that does not parse, or a
+parameter out of range).  Any other exception is a fault of the program
+and ends with its traceback.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ import json
 import sys
 
 from . import checks, ore, trace
-from .parser import OperatorSyntaxError, parse_operator
+from .parser import parse_operator
 from .reports import EXIT_CODES, EXIT_REFUSED, jsonable
 from .scalars import UnsupportedInputError
+from .scalars.ratfun import rational
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -85,7 +88,7 @@ def _trace_object(q: int, name: str):
     if name == "psi":
         return trace.CharacterTable(q).psi_function(), "additive character"
     if name.startswith("I0:"):
-        n = int(name.split(":", 1)[1])
+        n = rational("power-count exponent", name[3:], integral=True)
         return trace.power_count_trace(q, n), f"power-count kernel, exponent {n}"
     raise UnsupportedInputError(f"unknown trace object {name!r}")
 
@@ -212,7 +215,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (OperatorSyntaxError, UnsupportedInputError, ValueError) as exc:
+    except UnsupportedInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REFUSED
 

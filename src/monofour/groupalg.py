@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import gcd, isqrt
+from math import gcd
 
-from .scalars import UnsupportedInputError
+from .scalars.ratfun import at_least, at_most, divides, prime
 from .scalars.ffield import fp_rem
 
 
@@ -222,8 +222,11 @@ def augmentation_kernel_check(ell: int, r: int, n: int) -> dict:
     Both sides are realized as subgroups of (Z/l^r)^n; orders are
     compared exactly and membership is verified in both directions,
     alongside the explicit factorizations t^i - 1 = (t-1)(1+t+...+t^(i-1)).
+    A non-prime ell, r < 1 or n < 1 raises UnsupportedInputError.
     """
-    _require_levels(ell, r, n)
+    prime("ell", ell)
+    at_least("r =", r, 1)
+    at_least("n =", n, 1)
     L = ell**r
     kernel_gens = solve_mod_kernel([[1] * n], n, L)
     kernel_order = subgroup_order(kernel_gens, n, L)
@@ -265,17 +268,6 @@ def augmentation_kernel_check(ell: int, r: int, n: int) -> dict:
     }
 
 
-def _require_levels(ell: int, r: int, *levels: int) -> None:
-    """Refuse a non-prime ell, r < 1 or a level below 1: the checks work
-    over the residue field F_ell and in (Z/ell^r)[Z/n] with n >= 1."""
-    if ell < 2 or any(ell % p == 0 for p in range(2, isqrt(ell) + 1)):
-        raise UnsupportedInputError(f"ell must be prime, got {ell}")
-    if r < 1 or min(levels) < 1:
-        raise UnsupportedInputError(
-            f"need r >= 1 and levels >= 1, got r = {r} and levels {', '.join(map(str, levels))}"
-        )
-
-
 def pro_nzd_check(ell: int, r: int, n: int, m: int | None = None) -> dict:
     """The annihilator of t-1 one level up dies under transition.
 
@@ -283,15 +275,15 @@ def pro_nzd_check(ell: int, r: int, n: int, m: int | None = None) -> dict:
     exact linear algebra; its transition image at level n is then
     inspected.  A vanishing image witnesses that t-1 becomes a
     non-zero-divisor in the limit over levels; an insufficient m (the
-    negative control) leaves a visible nonzero image.  A non-prime ell or
-    a level below 1 raises UnsupportedInputError.
+    negative control) leaves a visible nonzero image.  A non-prime ell,
+    r < 1, n < 1 or an m that n does not divide raises UnsupportedInputError.
     """
-    _require_levels(ell, r, n)
+    prime("ell", ell)
+    at_least("r =", r, 1)
     L = ell**r
     if m is None:
         m = n * L
-    if m % n != 0:
-        raise UnsupportedInputError(f"m = {m} must be a multiple of n = {n}")
+    divides("n =", n, "m =", m)
     tm1 = t_gen(ell, r, m) - ga_one(ell, r, m)
     gens = solve_mod_kernel(_mult_matrix(tm1), m, L)
     order = subgroup_order(gens, m, L)
@@ -366,18 +358,16 @@ def unit_surjectivity_check(ell: int, r: int, n: int, nprime: int) -> dict:
 
     Small source rings are enumerated outright; larger ones are handled
     per target unit by searching its transition fiber, which is a coset
-    of the transition kernel.  A non-prime ell or a level below 1 raises
-    UnsupportedInputError.
+    of the transition kernel.  A non-prime ell, r < 1, an n that is not a
+    positive divisor of n' >= 1, n' above _UNIT_LEVEL_GUARD or ell^r above
+    _UNIT_MODULUS_GUARD raises UnsupportedInputError.
     """
-    _require_levels(ell, r, n, nprime)
-    L = ell**r
-    if nprime > _UNIT_LEVEL_GUARD or L > _UNIT_MODULUS_GUARD:
-        raise UnsupportedInputError(
-            f"size guard exceeded: need level <= {_UNIT_LEVEL_GUARD} and "
-            f"modulus <= {_UNIT_MODULUS_GUARD}"
-        )
-    if nprime % n != 0:
-        raise UnsupportedInputError(f"n = {n} must divide n' = {nprime}")
+    prime("ell", ell)
+    # ell >= 2, so no r above the guard's bit length fits, and ell**r stays small
+    at_most("r =", at_least("r =", r, 1), _UNIT_MODULUS_GUARD.bit_length())
+    L = at_most("modulus ell^r =", ell**r, _UNIT_MODULUS_GUARD)
+    at_most("n' =", at_least("n' =", nprime, 1), _UNIT_LEVEL_GUARD)
+    divides("n =", n, "n' =", nprime)
 
     report = {
         "ell": ell,

@@ -44,7 +44,8 @@ from .scalars import (
     poly_rank,
     rational_rank,
 )
-from .scalars.ratfun import _partial_fractions, linear_factors
+from .scalars.poly import Immutable
+from .scalars.ratfun import _partial_fractions, at_least, at_most, linear_factors, one_of, rational
 from .ore import (
     TWIST_VARIANTS,
     CyclicPresentation,
@@ -62,11 +63,11 @@ class NotAMorphismError(ValueError):
     """Proposed generator image is not annihilated by the relations."""
 
 
-class WindowError(ValueError):
+class WindowError(UnsupportedInputError):
     """A window is too small for the requested computation."""
 
 
-class OrbitPointError(ValueError):
+class OrbitPointError(UnsupportedInputError):
     """A test point lies on the lattice's orbit."""
 
 
@@ -142,7 +143,7 @@ def mellin_module(m: CyclicPresentation) -> CyclicPresentation:
 _F0, _F1 = Fraction(0), Fraction(1)  # shared defaults, so no call builds them
 
 
-class Factored:
+class Factored(Immutable):
     """A nonzero rational function factored on one orbit chi + Z:
     const * prod (s - chi - i)^exps[i].
 
@@ -164,9 +165,6 @@ class Factored:
         object.__setattr__(self, "chi", chi)
         object.__setattr__(self, "exps", exps or {})
         object.__setattr__(self, "_dense", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Factored values are immutable")
 
     @classmethod
     def from_ratfun(cls, f: RatFun, chi=None) -> "Factored":
@@ -293,7 +291,7 @@ def _factored(f, chi) -> Factored:
 # ---------------------------------------------------------------------------
 
 
-class WindowedLattice:
+class WindowedLattice(Immutable):
     """Finitely generated k[s]-submodule of k(s), windowed at chi + [-N, N].
 
     Over the PID k[s] the lattice is free of rank one on its content
@@ -337,9 +335,6 @@ class WindowedLattice:
         object.__setattr__(self, "_gens", gens)
         object.__setattr__(self, "_content", Factored(const, exps, orbit))
         object.__setattr__(self, "_generators", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WindowedLattice is immutable")
 
     @property
     def generators(self) -> tuple[RatFun, ...]:
@@ -430,26 +425,23 @@ class Fiber:
 # ---------------------------------------------------------------------------
 
 
-class LadderFamily:
+class LadderFamily(Immutable):
     """Window of rational functions f_j with the shift acting by j -> j+1.
 
     The s-action is literal multiplication; the shift action is recorded
     as index translation, which is semilinear but in general is not
-    argument translation on the functions.  The f_j are kept Factored.
+    argument translation on the functions.  The f_j are kept Factored,
+    on the orbit Z.
     """
 
-    __slots__ = ("label", "chi", "radius", "_values", "_lattice")
+    __slots__ = ("label", "radius", "_values", "_lattice")
 
-    def __init__(self, label: str, funcs: dict[int, Factored | RatFun], chi=0):
+    def __init__(self, label: str, funcs: dict[int, Factored | RatFun]):
         radius = max(abs(j) for j in funcs)
         object.__setattr__(self, "label", label)
-        object.__setattr__(self, "chi", frac(chi))
         object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "_values", {j: _factored(f, chi) for j, f in funcs.items()})
+        object.__setattr__(self, "_values", {j: _factored(f, _F0) for j, f in funcs.items()})
         object.__setattr__(self, "_lattice", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LadderFamily is immutable")
 
     def _value(self, j: int) -> Factored:
         if j not in self._values:
@@ -465,7 +457,7 @@ class LadderFamily:
         if self._lattice is None:
             idx = self.indices()
             object.__setattr__(self, "_lattice", WindowedLattice(
-                self.chi,
+                _F0,
                 self.radius,
                 [self._values[j] for j in idx],
                 [f"{self.label}[{j}]" for j in idx],
@@ -497,8 +489,7 @@ def exp_ladder(radius: int) -> LadderFamily:
 def twisted_exp_ladder(radius: int, variant: str = "affine") -> LadderFamily:
     """Inversion twist of the exponential ladder: f_0 = 1 and
     f_{j+1} = f_j/(s+j+1) (affine) or f_j/(s+j) (plain)."""
-    if variant not in TWIST_VARIANTS:
-        raise ValueError(f"unknown twist variant {variant!r}")
+    one_of("twist variant", variant, TWIST_VARIANTS)
     c = 1 if variant == "affine" else 0
     funcs = {0: _ONE}
     for j in range(0, radius):
@@ -563,9 +554,8 @@ def skyscraper_tower(chi, n: int, N: int) -> SkyscraperFamily:
     the principal parts of 1/(s-chi-i)^n; the shift maps are argument
     translation and carry unit 1."""
     chi = _normalize_chi(chi)
-    _require_window(n, N)
-    if n > MAX_FIBER_ORDER:
-        raise UnsupportedInputError(f"fiber order {n} outside 1..{MAX_FIBER_ORDER}")
+    at_most("fiber order", at_least("order n =", n, 1), MAX_FIBER_ORDER)
+    at_least("window radius", N, 0)
     exponents = {i: n for i in range(-N, N + 1)}
     labels = {i: f"1/(s-({chi}+{i}))^{n}" for i in range(-N, N + 1)}
     units = {i: Fraction(1) for i in range(-N + 1, N + 1)}
@@ -573,25 +563,14 @@ def skyscraper_tower(chi, n: int, N: int) -> SkyscraperFamily:
 
 
 def _normalize_chi(chi) -> Fraction:
-    chi = frac(chi)
+    chi = rational("chi =", chi)
     return Fraction(0) if chi.denominator == 1 else chi
-
-
-def _require_at_least(name: str, value: int, low: int) -> None:
-    """Refuse a parameter below `low`, which would leave nothing to check."""
-    if value < low:
-        raise UnsupportedInputError(f"{name} {value} must be at least {low}")
-
-
-def _require_window(n: int, N: int) -> None:
-    """Refuse a pole or fiber order n < 1 and a window radius N < 0."""
-    _require_at_least("order n =", n, 1)
-    _require_at_least("window radius", N, 0)
 
 
 def orbit_pole_lattice(chi: Fraction, n: int, N: int) -> WindowedLattice:
     """Lattice generated by the order-n poles along the orbit chi + Z."""
-    _require_window(n, N)
+    at_least("order n =", n, 1)
+    at_least("window radius", N, 0)
     gens, labels = [], []
     for i in range(-N, N + 1):
         gens.append(_linear(i, -n, chi))
@@ -599,7 +578,7 @@ def orbit_pole_lattice(chi: Fraction, n: int, N: int) -> WindowedLattice:
     return WindowedLattice(chi, N, gens, labels)
 
 
-def orbit_decomposition_check(chi, n: int, N: int) -> dict:
+def orbit_decomposition_check(chi, n: int, window: int) -> dict:
     """Verify that the windowed lattice of n-th order poles along chi + Z
     splits, modulo polynomials, as the direct sum of its principal parts.
 
@@ -612,8 +591,9 @@ def orbit_decomposition_check(chi, n: int, N: int) -> dict:
     """
     import random
 
-    _require_window(n, N)
-    frac(chi)  # refuses a chi that is not rational; nothing below reads it
+    at_least("order n =", n, 1)
+    N = at_least("window radius", window, 0)
+    rational("chi =", chi)  # nothing below reads it
     rng = random.Random(20260823)
     samples = 5
     poles = dict.fromkeys(range(-N, N + 1), n)
@@ -685,7 +665,7 @@ def windowed_equivariant(m: CyclicPresentation, N: int) -> EquivariantModule:
     window translates of the defining relation."""
     if m.algebra != "shift":
         raise UnsupportedInputError("windowing is defined for shift presentations")
-    _require_at_least("window radius", N, 0)
+    at_least("window radius", N, 0)
     rel = m.single_relation()
     nrows = 2 * N + 1
     if rel is None:
@@ -819,7 +799,7 @@ def hom_to_free_vanishes(m: WindowedLattice, degree_bound: int):
     Returns (verdict, witness) where a witness is a nonzero admissible
     list of generator images.
     """
-    _require_at_least("degree bound", degree_bound, 0)
+    at_least("degree bound", degree_bound, 0)
     if m.radius <= degree_bound:
         raise WindowError("window radius must exceed the degree bound")
     quotients = [g / m._content for g in m._gens]
@@ -861,12 +841,10 @@ def skyscraper_freeness_check(kind: str, chi, n: int, N: int) -> dict:
     generator at chi+i-1.  On the exponential ladder the shift is index
     translation by definition, so there is nothing to test.
     """
-    if kind not in _LADDERS:
-        raise UnsupportedInputError(f"unknown module kind {kind!r}")
+    one_of("module kind", kind, _LADDERS)
     chi = _normalize_chi(chi)
-    _require_window(n, N)
-    if n > MAX_FIBER_ORDER:
-        raise UnsupportedInputError(f"fiber order {n} outside 1..{MAX_FIBER_ORDER}")
+    at_most("fiber order", at_least("order n =", n, 1), MAX_FIBER_ORDER)
+    at_least("window radius", N, 0)
     ladder = _LADDERS[kind](N + 1)
     lattice = ladder.as_lattice()
     rows = []

@@ -27,6 +27,7 @@ from typing import Union
 
 from .scalars import Poly, UnsupportedInputError, frac
 from .scalars.poly import ExactValue, _poly, binary_power, plain, signed_sum, term_str
+from .scalars.ratfun import at_least, at_most, one_of
 
 Scalar = Union[int, Fraction]
 
@@ -144,8 +145,7 @@ class _Operator(ExactValue):
         return other * self
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative operator power")
+        at_least("operator power", n, 0)
         return binary_power(self, n, None) if n else self._coerce(1)
 
 
@@ -230,7 +230,8 @@ class _WeylBase(_Operator):
     laurent = False
 
     def __init__(self, rank: int = 1, terms=None):
-        _require_rank(type(self), rank)
+        if self.laurent:
+            at_most("Laurent rank", at_least("Laurent rank", rank, 1), 1)
         pairs = []
         if terms:
             for key, c in terms.items():
@@ -238,11 +239,11 @@ class _WeylBase(_Operator):
                 alpha = (alpha,) if isinstance(alpha, int) else tuple(alpha)
                 beta = (beta,) if isinstance(beta, int) else tuple(beta)
                 if len(alpha) != rank or len(beta) != rank:
-                    raise ValueError("multi-index length does not match rank")
+                    raise UnsupportedInputError("multi-index length does not match rank")
                 if any(b < 0 for b in beta):
-                    raise ValueError("negative power of dx")
+                    raise UnsupportedInputError("negative power of dx")
                 if not self.laurent and any(a < 0 for a in alpha):
-                    raise ValueError("negative power of x in the plain Weyl algebra")
+                    raise UnsupportedInputError("negative power of x in the plain Weyl algebra")
                 c = frac(c)
                 if c:
                     pairs.append(((alpha, beta), c))
@@ -253,7 +254,8 @@ class _WeylBase(_Operator):
     def _unit(cls, rank: int, alpha: tuple, beta: tuple, c: Scalar) -> "_WeylBase":
         """c * x^alpha dx^beta, for multi-indices of length rank that are
         already valid."""
-        _require_rank(cls, rank)
+        if cls.laurent:
+            at_most("Laurent rank", at_least("Laurent rank", rank, 1), 1)
         return _trusted(cls, {(alpha, beta): c} if c else {}, rank)
 
     @classmethod
@@ -351,21 +353,15 @@ class LaurentWeylOp(_WeylBase):
 
 def _coordinate(i: int, rank: int) -> tuple[int, ...]:
     """The multi-index of the i-th coordinate at the given rank."""
-    if rank < 1:
-        raise ValueError(f"rank {rank} must be at least 1")
+    at_least("rank", rank, 1)
     if not 0 <= i < rank:
-        raise ValueError(f"coordinate {i} outside 0..{rank - 1}")
+        raise UnsupportedInputError(f"coordinate {i} outside 0..{rank - 1}")
     return tuple(1 if k == i else 0 for k in range(rank))
-
-
-def _require_rank(cls, rank: int) -> None:
-    if cls.laurent and rank != 1:
-        raise ValueError("the Laurent algebra is rank 1 only")
 
 
 def to_laurent(w: WeylOp) -> LaurentWeylOp:
     if w.rank != 1:
-        raise ValueError("only rank-1 operators restrict to the torus")
+        raise UnsupportedInputError("only rank-1 operators restrict to the torus")
     return LaurentWeylOp(1, dict(w.terms))
 
 
@@ -375,7 +371,7 @@ def mellin_op(w: "LaurentWeylOp | WeylOp") -> ShiftOp:
     A normal-form monomial x^a dx^b maps to T^(a-b) * s(s-1)...(s-b+1).
     """
     if w.rank != 1:
-        raise ValueError("the Mellin identification is rank 1")
+        raise UnsupportedInputError("the Mellin identification is rank 1")
     return _trusted(ShiftOp, _merged(
         (a - b, falling_poly(b) * c) for ((a,), (b,)), c in w.terms.items()
     ))
@@ -434,8 +430,7 @@ def inversion_twist(sh: ShiftOp, variant: str = "affine") -> ShiftOp:
     by the exponential-square check, while the plain variant fails it.
     Both are involutions and preserve the defining commutation rule.
     """
-    if variant not in TWIST_VARIANTS:
-        raise ValueError(f"unknown twist variant {variant!r}")
+    one_of("twist variant", variant, TWIST_VARIANTS)
     c = -1 if variant == "affine" else 0
     out: dict[int, Poly] = {}
     for j, p in sh.terms.items():
@@ -460,8 +455,7 @@ class CyclicPresentation:
     rank: int = 1
 
     def __post_init__(self):
-        if self.algebra not in ("shift", "weyl", "laurent"):
-            raise ValueError(f"unknown algebra {self.algebra!r}")
+        one_of("algebra", self.algebra, ("shift", "weyl", "laurent"))
         object.__setattr__(self, "relations", tuple(self.relations))
 
     def single_relation(self):

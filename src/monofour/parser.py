@@ -17,13 +17,15 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .ore import ShiftOp, WeylOp
+from .scalars import UnsupportedInputError
+from .scalars.ratfun import at_least, at_most, one_of
 
 WEYL_ATOMS = ("x", "dx")
 SHIFT_ATOMS = ("s", "T", "Ti")
 ALGEBRAS = ("weyl", "shift")
 
 
-class OperatorSyntaxError(ValueError):
+class OperatorSyntaxError(UnsupportedInputError):
     """Malformed expression; `position` is the 0-based offset."""
 
     def __init__(self, message: str, position: int):
@@ -193,12 +195,10 @@ class _Parser:
 
 def parse_operator(text: str, algebra: str, rank: int = 1):
     """Parse an expression into a normalized operator of the given algebra."""
-    if algebra not in ALGEBRAS:
-        raise ValueError(f"algebra must be one of {ALGEBRAS}")
-    if rank < 1:
-        raise ValueError("rank must be positive")
-    if algebra == "shift" and rank != 1:
-        raise ValueError("the shift algebra has no higher-rank form")
+    one_of("algebra", algebra, ALGEBRAS)
+    at_least("rank", rank, 1)
+    if algebra == "shift":
+        at_most("shift algebra rank", rank, 1)
     parser = _Parser(_tokenize(text), algebra, rank)
     result = parser.expr()
     kind, _, position = parser.tokens[parser.pos]

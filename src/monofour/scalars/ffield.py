@@ -10,12 +10,13 @@ given (p, e) always yields the same tables.
 
 from __future__ import annotations
 
+from .ratfun import UnsupportedInputError, at_least, at_most
+
 _MAX_Q = 121
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
-        raise ValueError("field size must be at least 2")
+    at_least("field size", q, 2)
     p = None
     for cand in range(2, q + 1):
         if q % cand == 0:
@@ -27,7 +28,7 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
         n //= p
         e += 1
     if n != 1:
-        raise ValueError(f"{q} is not a prime power")
+        raise UnsupportedInputError(f"field size {q} is not a prime power")
     return p, e
 
 
@@ -116,9 +117,7 @@ class Fq:
         field = cls._cache.get(q)
         if field is None:
             # refuse q before caching, so a refused size leaves no entry
-            if q > _MAX_Q:
-                raise ValueError(f"field size {q} exceeds supported bound {_MAX_Q}")
-            _factor_prime_power(q)
+            _factor_prime_power(at_most("field size", q, _MAX_Q))
             field = cls._cache[q] = super().__new__(cls)
         return field
 

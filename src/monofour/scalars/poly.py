@@ -31,16 +31,23 @@ def binary_power(base, n: int, one):
         base = base * base
 
 
-class ExactValue:
-    """The value protocol shared by the exact types: immutable, true when
-    nonzero, subtraction through negation and addition, and printed by
-    `to_str()`.  A subclass defines `is_zero`, `__add__`, `__neg__` and
-    `to_str`; setting its slots goes through `object.__setattr__`."""
+class Immutable:
+    """A slots base that refuses attribute writes; a subclass sets its
+    slots through `object.__setattr__`."""
 
     __slots__ = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class ExactValue(Immutable):
+    """The value protocol shared by the exact types: immutable, true when
+    nonzero, subtraction through negation and addition, and printed by
+    `to_str()`.  A subclass defines `is_zero`, `__add__`, `__neg__` and
+    `to_str`."""
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return not self.is_zero

@@ -31,19 +31,21 @@ from math import gcd, lcm, prod
 
 from .scalars import CycScalar, Fq, UnsupportedInputError, zeta
 from .scalars.cyclotomic import split_prime, sum_of_products
+from .scalars.poly import Immutable
+from .scalars.ratfun import at_least, at_most, divides, prime, rational
 from .scalars.snf import _rank_mod_p
 
 Scalar = object  # Fraction | int | CycScalar
 
 
-class TraceFunction:
+class TraceFunction(Immutable):
     """Dense exact-valued function on F_q^d, points in lexicographic order.
     A rank d < 1 is refused."""
 
     __slots__ = ("field", "rank", "values")
 
     def __init__(self, q, rank: int, values):
-        _require_dimension(rank)
+        at_least("dimension d =", rank, 1)
         field = Fq(q)
         values = tuple(values)
         if len(values) != field.q**rank:
@@ -51,9 +53,6 @@ class TraceFunction:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TraceFunction is immutable")
 
     @property
     def q(self) -> int:
@@ -67,7 +66,7 @@ class TraceFunction:
 
     @classmethod
     def constant(cls, q, rank: int, value) -> "TraceFunction":
-        _require_dimension(rank)  # before q**rank sizes the table
+        at_least("dimension d =", rank, 1)  # before q**rank sizes the table
         field = Fq(q)
         return cls(field, rank, [value] * field.q**rank)
 
@@ -184,7 +183,7 @@ class CharacterTable:
         return m // gcd(k, m)
 
     def chars_with_order_dividing(self, n: int) -> list[int]:
-        _require_order(self.q, n)
+        divides("n =", n, "q-1 =", self.q - 1)
         return list(range(0, self.q - 1, (self.q - 1) // n))
 
 
@@ -207,17 +206,6 @@ def t_B_units(q) -> TraceFunction:
     vals = list(f.values)
     vals[0] = 0
     return TraceFunction(f.field, 1, vals)
-
-
-def _require_dimension(d: int) -> None:
-    if d < 1:
-        raise UnsupportedInputError(f"dimension d must be at least 1, got {d}")
-
-
-def _require_order(q: int, n: int) -> None:
-    """Refuse a character order n unless n >= 1 and n divides q-1."""
-    if n < 1 or (q - 1) % n:
-        raise UnsupportedInputError(f"n = {n} must be a positive divisor of q-1 = {q - 1}")
 
 
 def four_B(f: TraceFunction) -> TraceFunction:
@@ -343,7 +331,7 @@ def kernel_pair_sum(q, d: int, w: tuple, u: tuple) -> int:
     A rank d < 1, or a w or u that is not a point of F_q^d, raises
     UnsupportedInputError.
     """
-    _require_dimension(d)
+    at_least("dimension d =", d, 1)
     field = Fq(q)
     return _pair_sum_row(field, d, _point(field.q, w, d), [_point(field.q, u, d)])[0]
 
@@ -381,6 +369,17 @@ def scaling_orbits(q, d: int) -> list[list[tuple]]:
 
 EXHAUSTIVE_BOUND = 625
 _LITERAL_BOUND = 81  # apply four_B twice literally up to this space size
+# The largest q^d a check accepts: keythm's random mode up to 3^7, and the
+# exhaustive checks cv-equivalence, bl2 and mon-equivalence up to 2^8.
+KEYTHM_MAX_POINTS = 2187
+MAX_POINTS = 256
+
+
+def _space_size(field: Fq, d: int, bound: int) -> int:
+    """q^d, refused for d < 1 and above bound.  No d above the bound's bit
+    length fits for any q >= 2, so q**d is formed only below it."""
+    at_most("dimension d =", at_least("dimension d =", d, 1), bound.bit_length())
+    return at_most("q^d =", field.q**d, bound)
 
 
 def check_keythm(q, d: int, seed: int = 0) -> dict:
@@ -394,12 +393,12 @@ def check_keythm(q, d: int, seed: int = 0) -> dict:
     The identity needs <v, xi> = <xi, v>, which the dot product
     <v, xi> = sum_i v_i xi_i satisfies.  A nondegenerate form v^T P xi is
     the dot product after xi -> P xi, so another form adds no new case.
-    d < 1 raises UnsupportedInputError before any transform runs.
+    d < 1 and q^d above KEYTHM_MAX_POINTS raise UnsupportedInputError
+    before any transform runs.
     """
     field = Fq(q)
     q = field.q
-    _require_dimension(d)
-    qd = q**d
+    qd = _space_size(field, d, KEYTHM_MAX_POINTS)
     tjb = t_B_units(field)
     scale = -qd
     points = _points(q, d)
@@ -467,10 +466,10 @@ def _in_scaling_sum_zero(f: TraceFunction) -> bool:
 def check_CV(q, d: int) -> dict:
     """On the scaling-sum-zero subspace, four_B squares to q^(d+1) and
     preserves the subspace; a constant function is the negative control.
-    d < 1 raises UnsupportedInputError."""
-    _require_dimension(d)
+    d < 1 and q^d above MAX_POINTS raise UnsupportedInputError."""
     field = Fq(q)
     q = field.q
+    _space_size(field, d, MAX_POINTS)
     basis = scaling_sum_zero_basis(field, d)
     factor = q ** (d + 1)
     images = [four_B(f) for f in basis]
@@ -494,9 +493,7 @@ def check_P2B(q) -> dict:
     """Inverted-argument character sum reproduces -t_B:
     sum_{l != 0} psi(-l^-1) psi(l^-1 x) = -t_B(x), exactly in Z[zeta_p]."""
     field = Fq(q)
-    if field.e != 1:
-        raise ValueError("additive-character identity requires a prime field")
-    q = field.q
+    q = prime("q", field.q)
     table = CharacterTable(field)
     target = -t_B(field)
     values = []
@@ -521,12 +518,11 @@ def check_P2B(q) -> dict:
 def check_BL2(q, d: int = 1, seed: int = 0) -> dict:
     """Kernel transform factors through the character transform:
     four_B(f) = -conv(l -> psi(-l^-1), four_psi(f)) on a delta basis, two
-    random functions and zero.  d < 1 raises UnsupportedInputError."""
-    _require_dimension(d)
+    random functions and zero.  A q that is not prime, d < 1 and q^d above
+    MAX_POINTS raise UnsupportedInputError."""
     field = Fq(q)
-    if field.e != 1:
-        raise ValueError("requires a prime field")
-    q = field.q
+    q = prime("q", field.q)
+    _space_size(field, d, MAX_POINTS)
     table = CharacterTable(field)
     gvals = [0] + [table.psi(field.neg(field.inv(lam))) for lam in field.units()]
     g = TraceFunction(field, 1, gvals)
@@ -609,7 +605,7 @@ def gauss_suite(q, n: int) -> dict:
     dividing n; the convolution comparison is attached as a diagnostic."""
     field = Fq(q)
     q = field.q
-    _require_order(q, n)
+    divides("n =", n, "q-1 =", q - 1)
     table = CharacterTable(field)
     t0 = power_count_trace(field, n)
     chars = table.chars_with_order_dividing(n)
@@ -665,7 +661,7 @@ def gauss_g_diagnostic(q, n: int) -> dict:
     kernels; reports the measured scalar instead of asserting one."""
     field = Fq(q)
     q = field.q
-    _require_order(q, n)
+    divides("n =", n, "q-1 =", q - 1)
     t0 = power_count_trace(field, n)
     tG_full = four_psi(t0)
     gvals = list(tG_full.values)
@@ -699,7 +695,7 @@ def diag_propB3(q, n: int) -> dict:
     proportionality scalar is reported, not asserted."""
     field = Fq(q)
     q = field.q
-    _require_order(q, n)
+    divides("n =", n, "q-1 =", q - 1)
     t0 = power_count_trace(field, n)
     lhs = conv_Gm(t0, t_B_units(field))
     # One inverse twist multiplies traces by q, and two inverse shifts by
@@ -719,14 +715,16 @@ def diag_propB3(q, n: int) -> dict:
     }
 
 
-def check_lem_mon_shadow(q, n: int, chi_index: int) -> dict:
+def check_lem_mon_shadow(q, n: int, chi) -> dict:
     """Convolution with the power-count kernel acts on a character
     eigenfunction by the factor q-1 when the character's order divides n,
     and by 0 otherwise.  The corresponding limit statement carries the
-    factor q; the finite level sees q-1 and the report says so."""
+    factor q; the finite level sees q-1 and the report says so.  chi is
+    the character's index, an integer or its literal."""
+    chi_index = rational("chi =", chi, integral=True)
     field = Fq(q)
     q = field.q
-    _require_order(q, n)
+    divides("n =", n, "q-1 =", q - 1)
     table = CharacterTable(field)
     f = table.chi_function(chi_index)
     order = table.chi_order(chi_index)
@@ -758,7 +756,7 @@ def monodromic_span_basis(q, d: int, n: int) -> list[TraceFunction]:
     character of order dividing n."""
     field = Fq(q)
     q = field.q
-    _require_order(q, n)
+    divides("n =", n, "q-1 =", q - 1)
     table = CharacterTable(field)
     basis = [TraceFunction.delta(field, tuple([0] * d))]
     orbits = [moved for _, moved in _lines(field, d)[1:]]
@@ -828,10 +826,10 @@ def _cyc_rank(vectors) -> int:
 def check_mon_equivalence(q, d: int, n: int) -> dict:
     """The kernel transform restricted to the scaling-eigenfunction span
     is invertible over the cyclotomic field and preserves the span.
-    d < 1 raises UnsupportedInputError."""
-    _require_dimension(d)
+    d < 1 and q^d above MAX_POINTS raise UnsupportedInputError."""
     field = Fq(q)
     q = field.q
+    _space_size(field, d, MAX_POINTS)
     basis = monodromic_span_basis(field, d, n)
     images = [four_B(f) for f in basis]
     base_rows = [list(f.values) for f in basis]

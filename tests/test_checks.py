@@ -7,8 +7,10 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monofour import checks, groupalg, mellin, ore, trace
+from monofour.reports import CheckReport
 from test_reports import validate_report_dict
 from monofour.scalars import UnsupportedInputError
 
@@ -127,6 +129,13 @@ class TestRunCheck:
             ("cv-equivalence", {"d": -1}, (trace, "scaling_sum_zero_basis")),
             ("bl2", {"d": 0}, (trace, "CharacterTable")),
             ("bl2", {"d": -1}, (trace, "CharacterTable")),
+            # q^d above the size bounds: keythm grew without limit at 3^12
+            ("keythm", {"q": 3, "d": 12}, (trace, "t_B_units")),
+            ("keythm", {"q": 13, "d": 3}, (trace, "t_B_units")),
+            ("keythm", {"q": 3, "d": 100000}, (trace, "t_B_units")),
+            ("cv-equivalence", {"q": 17, "d": 2}, (trace, "scaling_sum_zero_basis")),
+            ("bl2", {"q": 17, "d": 2}, (trace, "CharacterTable")),
+            ("mon-equivalence", {"q": 7, "d": 3, "n": 2}, (trace, "monodromic_span_basis")),
         ],
     )
     def test_degenerate_parameters_refused_before_work(
@@ -205,8 +214,9 @@ class TestRunCheck:
         def work(*args, **kwargs):
             raise AssertionError("the engine ran on refused input")
 
-        monkeypatch.setattr(trace, "check_lem_mon_shadow", work)
-        with pytest.raises(UnsupportedInputError, match="must be an integer character index"):
+        monkeypatch.setattr(trace, "CharacterTable", work)
+        monkeypatch.setattr(trace, "power_count_trace", work)
+        with pytest.raises(UnsupportedInputError, match=f"^chi = {Fraction(chi)} must be an integer$"):
             checks.run_check("lem-mon-shadow", {"chi": chi})
 
     @pytest.mark.parametrize("chi, index", [(-1, -1), ("4/2", 2)])
@@ -214,6 +224,45 @@ class TestRunCheck:
         report = checks.run_check("lem-mon-shadow", {"q": 7, "n": 3, "chi": chi})
         assert report.verdict == "pass"
         assert report.witness["chi_index"] == index
+
+
+# Boundary values of every parameter a check reads: each domain's edge,
+# one step outside it, a non-rational and a zero-denominator chi.  Draws
+# inside the domains stay small: q^d <= 81, windows <= 4, counts <= 3.
+BOUNDARY_VALUES = {
+    "q": [2, 3, 4, 9, 1, 0, 6, 122],
+    "d": [1, 2, 0, -1],
+    "n": [1, 2, 4, 5, 0, -1],
+    "chi": ["0", "1/2", "-4/3", 2, Fraction(1, 3), "1/0", "half"],
+    "window": [0, 1, 3, 4, -1, 2],
+    "degree_bound": [0, 2, -1],
+    "count": [1, 3, 0, -1],
+    "seed": [0, 7],
+    "variant": ["affine", "plain", "x"],
+    "ell": [2, 3, 4, 1, 0],
+    "r": [1, 2, 3, 0, -1],
+    "nprime": [1, 6, 7, 0],
+}
+# (q, d) at the edge of the small draws, and just above the q^d bounds
+# (256 for cv-equivalence, bl2 and mon-equivalence; 2187 for keythm)
+SIZE_PAIRS = [(3, 4), (17, 2), (13, 3), (2, 12)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_boundary_draws_give_a_report_or_the_typed_refusal(data):
+    check_id = data.draw(st.sampled_from(checks.CHECK_IDS))
+    params = {
+        key: data.draw(st.sampled_from(BOUNDARY_VALUES[key]))
+        for key in sorted(checks.CHECKS[check_id].defaults)
+    }
+    if {"q", "d"} <= params.keys() and data.draw(st.booleans()):
+        params["q"], params["d"] = data.draw(st.sampled_from(SIZE_PAIRS))
+    try:
+        report = checks.run_check(check_id, params)
+    except UnsupportedInputError:
+        return
+    assert isinstance(report, CheckReport)
 
 
 class TestNegativeControls:
@@ -500,6 +549,6 @@ class TestRunAllSmall:
 
         monkeypatch.setattr(checks, "run_check", never)
         before = threading.active_count()
-        with pytest.raises(ValueError, match="must be 1"):
+        with pytest.raises(UnsupportedInputError, match="^jobs = 2 must be at most 1$"):
             checks.run_all("tiny", jobs=2)
         assert threading.active_count() == before

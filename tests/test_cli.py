@@ -213,15 +213,25 @@ class TestVerify:
         assert code == EXIT_REFUSED and err
 
     @pytest.mark.parametrize("argv, message", [
-        (("appendix-augmentation", "--ell", "0"), "ell must be prime, got 0"),
-        (("appendix-augmentation", "--n", "0"), "levels 0"),
-        (("mon-test", "--window", "-1"), "window radius -1 must be at least 0"),
-        (("propDmod1", "--degree-bound", "-1"), "degree bound -1 must be at least 0"),
-        (("lem-mon-shadow", "--q", "7", "--n", "3", "--chi", "1/2"),
-         "chi = 1/2 must be an integer character index"),
+        (("verify", "appendix-augmentation", "--ell", "0"), "ell must be prime, got 0"),
+        (("verify", "appendix-augmentation", "--n", "0"), "n = 0 must be at least 1"),
+        (("verify", "mon-test", "--window", "-1"), "window radius -1 must be at least 0"),
+        (("verify", "propDmod1", "--degree-bound", "-1"), "degree bound -1 must be at least 0"),
+        (("verify", "lem-mon-shadow", "--q", "7", "--n", "3", "--chi", "1/2"),
+         "chi = 1/2 must be an integer"),
+        # these raised a plain ValueError before every refusal was typed
+        (("trace", "--q", "5", "--object", "I0:x"),
+         "power-count exponent 'x' is not a rational number"),
+        (("fourier", "--rank", "0", "x"), "rank 0 must be at least 1"),
+        (("verify", "bl2", "--q", "4"), "q must be prime, got 4"),
+        (("verify", "exp-square", "--variant", "x"), "unknown twist variant 'x'"),
+        (("trace", "--q", "6", "--object", "B"), "field size 6 is not a prime power"),
+        (("verify", "keythm", "--ell", "3"), "check 'keythm' takes no parameter 'ell'"),
+        # keythm grew without limit here
+        (("verify", "keythm", "--q", "3", "--d", "12"), "q^d = 531441 must be at most 2187"),
     ])
     def test_bad_parameter_exits_refused_without_traceback(self, capsys, argv, message):
-        code, out, err = run_cli(capsys, "verify", *argv)
+        code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (EXIT_REFUSED, "")
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1 and "Traceback" not in err
@@ -298,6 +308,14 @@ class TestVerifyAll:
         monkeypatch.setattr(trace, "check_keythm", boom)
         with pytest.raises(ZeroDivisionError):
             main(["verify", "keythm", "--q", "2", "--d", "1"])
+
+    def test_an_untyped_value_error_is_a_fault_not_refused_input(self, monkeypatch):
+        def broken(**params):
+            raise ValueError("an internal invariant failed")
+
+        monkeypatch.setattr(trace, "check_keythm", broken)
+        with pytest.raises(ValueError, match="internal invariant"):
+            main(["verify", "keythm"])
 
     def test_jobs_flag_is_usage_error(self, capsys, monkeypatch):
         def never(*args, **kwargs):

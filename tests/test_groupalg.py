@@ -369,7 +369,7 @@ class TestAugmentationLevels:
     # modulus; each is now refused before any work runs
     @pytest.mark.parametrize("ell, r, n, message", [
         (0, 2, 3, "ell must be prime"),
-        (2, 2, 0, "levels 0"),
+        (2, 2, 0, "n = 0 must be at least 1"),
         (2, -1, 3, "r = -1"),
     ])
     def test_bad_levels_refused(self, monkeypatch, ell, r, n, message):

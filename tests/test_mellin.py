@@ -62,7 +62,7 @@ from monofour.scalars import (
 )
 from monofour.scalars.snf import poly_smith
 from monofour.scalars.poly import poly_lcm
-from monofour.scalars.ratfun import linear_factors
+from monofour.scalars.ratfun import at_least, linear_factors
 
 S = ShiftOp.s()
 T = ShiftOp.t_power(1)
@@ -634,8 +634,14 @@ class TestLadders:
         assert func(tw, -1) == RatFun(Poly((-1, 1)))
 
     def test_unknown_variant(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UnsupportedInputError, match="^unknown twist variant 'other'$"):
             twisted_exp_ladder(4, "other")
+
+    def test_immutable_with_the_type_name(self):
+        ladder = pole_ladder(2)
+        for value in (ladder, ladder.as_lattice(), ladder._value(0)):
+            with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+                value.radius = 1
 
     def test_twisted_relation_matches_twisted_presentation(self):
         # The inversion twist of the exponential relation rewrites
@@ -667,7 +673,7 @@ LADDERS = {
 def _fresh_lattice(ladder: LadderFamily) -> WindowedLattice:
     idx = ladder.indices()
     return WindowedLattice(
-        ladder.chi,
+        0,
         ladder.radius,
         [func(ladder, j) for j in idx],
         [f"{ladder.label}[{j}]" for j in idx],
@@ -859,7 +865,8 @@ def ref_orbit_decomposition_check(chi, n: int, N: int, samples: int = 5) -> dict
     """orbit_decomposition_check as it ran on the poles chi + i themselves,
     in Fraction arithmetic when chi is not an integer: the reference for
     the check in orbit coordinates."""
-    mellin._require_window(n, N)
+    at_least("order n =", n, 1)
+    at_least("window radius", N, 0)
     chi = mellin._normalize_chi(chi)
     rng = random.Random(20260823)
     points = [chi + i for i in range(-N, N + 1)]

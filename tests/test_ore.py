@@ -17,6 +17,7 @@ from math import comb, factorial
 import pytest
 
 from monofour.scalars import CycScalar, Poly, UnsupportedInputError, frac, zeta
+from monofour.scalars.ratfun import at_least, at_most
 from monofour.ore import (
     LaurentWeylOp,
     ShiftOp,
@@ -524,8 +525,8 @@ class TestBinaryPower:
 def ref_weyl_terms(cls, rank, terms):
     """The validated terms of `cls(rank, terms)`, as `_WeylBase.__init__`
     (and the Laurent rank check) computed them."""
-    if cls.laurent and rank != 1:
-        raise ValueError("the Laurent algebra is rank 1 only")
+    if cls.laurent:
+        at_most("Laurent rank", at_least("Laurent rank", rank, 1), 1)
     clean = {}
     if terms:
         for key, c in terms.items():
@@ -645,8 +646,8 @@ class TestTrustedConstructorOracle:
         (WeylOp, 1, {((-1,), (0,)): 1}, "negative power of x in the plain Weyl algebra"),
         (WeylOp, 2, {((0,), (0,)): 1}, "multi-index length does not match rank"),
         (WeylOp, 1, {((0, 0), (0,)): 1}, "multi-index length does not match rank"),
-        (LaurentWeylOp, 2, None, "the Laurent algebra is rank 1 only"),
-        (LaurentWeylOp, 3, {((0,), (0,)): 1}, "the Laurent algebra is rank 1 only"),
+        (LaurentWeylOp, 2, None, "Laurent rank 2 must be at most 1"),
+        (LaurentWeylOp, 3, {((0,), (0,)): 1}, "Laurent rank 3 must be at most 1"),
     ])
     def test_public_refusals_unchanged(self, cls, rank, terms, message):
         for build in (cls, lambda rank, terms: ref_weyl_terms(cls, rank, terms)):
@@ -658,7 +659,10 @@ class TestTrustedConstructorOracle:
         L = LaurentWeylOp
         for make in (lambda: L.x(0, 2), lambda: L.dx(0, 2), lambda: L.const(1, 2),
                      lambda: L(2)):
-            with pytest.raises(ValueError, match="^the Laurent algebra is rank 1 only$"):
+            with pytest.raises(UnsupportedInputError, match="^Laurent rank 2 must be at most 1$"):
+                make()
+        for make in (lambda: L.const(1, 0), lambda: L(0), lambda: L(-1, {})):
+            with pytest.raises(UnsupportedInputError, match="^Laurent rank -?[01] must be at least 1$"):
                 make()
         for a, b in ((WeylOp.x(0, 2), X), (X, WeylOp.dx(1, 2))):
             for op in (operator.add, operator.sub, operator.mul, operator.eq):

@@ -26,6 +26,7 @@ from monofour.parser import (
     parse_operator,
 )
 from monofour.scalars import Poly, frac
+from monofour.scalars.ratfun import at_least, at_most, one_of
 
 
 def rand_shift(rng, max_level=2, max_deg=2, max_terms=3):
@@ -495,12 +496,10 @@ class RefParser:
 
 
 def ref_parse_operator(text: str, algebra: str, rank: int = 1):
-    if algebra not in ALGEBRAS:
-        raise ValueError(f"algebra must be one of {ALGEBRAS}")
-    if rank < 1:
-        raise ValueError("rank must be positive")
-    if algebra == "shift" and rank != 1:
-        raise ValueError("the shift algebra has no higher-rank form")
+    one_of("algebra", algebra, ALGEBRAS)
+    at_least("rank", rank, 1)
+    if algebra == "shift":
+        at_most("shift algebra rank", rank, 1)
     parser = RefParser(ref_tokenize(text), algebra, rank)
     result = parser.expr()
     trailing = parser.peek()
