@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import groupalg, mellin, ore, trace
 from .ore import CyclicPresentation, ShiftOp, WeylOp, antipode, fourier_auto
 from .reports import VERDICTS, CheckReport, verdict_label
 from .scalars import Poly, RatFun, UnsupportedInputError, frac
+from .scalars.poly import Immutable
 from .scalars.ratfun import at_least, at_most, one_of, rational
 
 
@@ -221,14 +221,20 @@ def _run_appendix_nzd(p):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckSpec:
-    check_id: str
-    engine: str  # "module.operation" this check dispatches to
-    statement: str
-    defaults: dict
-    runner: object = None
-    seeded: bool = False
+class CheckSpec(Immutable):
+    """A named check; `engine` is the "module.operation" it dispatches to,
+    through `runner` when that is given."""
+
+    __slots__ = ("check_id", "engine", "statement", "defaults", "runner", "seeded")
+
+    def __init__(self, check_id: str, engine: str, statement: str, defaults: dict,
+                 runner=None, seeded: bool = False):
+        object.__setattr__(self, "check_id", check_id)
+        object.__setattr__(self, "engine", engine)
+        object.__setattr__(self, "statement", statement)
+        object.__setattr__(self, "defaults", defaults)
+        object.__setattr__(self, "runner", runner)
+        object.__setattr__(self, "seeded", seeded)
 
 
 _SPECS = [

@@ -6,9 +6,9 @@ tables over a finite field), `verify` (one named check), `verify-all`
 (a whole profile grid).  Output is JSON on stdout, or aligned tables
 with --pretty.  Exit codes: 0 pass, 1 fail, 2 diagnostic-only verdict,
 3 a check raised during `verify-all`, 4 refused input: a usage error, or
-an `UnsupportedInputError` (an expression that does not parse, or a
-parameter out of range).  Any other exception is a fault of the program
-and ends with its traceback.
+an `UnsupportedInputError` (an expression that does not parse, a result
+too long to print, or a parameter out of range).  Any other exception is
+a fault of the program and ends with its traceback.
 """
 
 from __future__ import annotations

@@ -16,34 +16,36 @@ polynomial gcds over the residue field F_l.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import gcd
 
+from .scalars.poly import Immutable
 from .scalars.ratfun import at_least, at_most, divides, prime
 from .scalars.ffield import fp_rem
 
 
-@dataclass(frozen=True)
-class GroupAlgebraElem:
-    """Element of (Z/ell^r)[Z/n] as a coefficient vector indexed by Z/n."""
+class GroupAlgebraElem(Immutable):
+    """Element of (Z/ell^r)[Z/n] as a coefficient vector indexed by Z/n,
+    each coefficient reduced into [0, ell^r)."""
 
-    ell: int
-    r: int
-    n: int
-    coeffs: tuple
+    __slots__ = ("ell", "r", "n", "coeffs")
 
-    def __post_init__(self):
-        if self.ell < 2 or self.r < 1 or self.n < 1:
+    def __init__(self, ell: int, r: int, n: int, coeffs):
+        if ell < 2 or r < 1 or n < 1:
             raise ValueError("need ell >= 2, r >= 1, n >= 1")
-        if len(self.coeffs) != self.n:
+        if len(coeffs) != n:
             raise ValueError("coefficient vector length must equal n")
-        L = self.modulus
-        object.__setattr__(self, "coeffs", tuple(int(c) % L for c in self.coeffs))
+        L = ell**r
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "coeffs", tuple(int(c) % L for c in coeffs))
 
-    @property
-    def modulus(self) -> int:
-        return self.ell**self.r
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GroupAlgebraElem):
+            return NotImplemented
+        return (self.ell, self.r, self.n, self.coeffs) == (
+            other.ell, other.r, other.n, other.coeffs)
 
     @property
     def is_zero(self) -> bool:
@@ -409,29 +411,22 @@ def unit_surjectivity_check(ell: int, r: int, n: int, nprime: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Twisted rank-one bookkeeping.
+# Twisted rank-one bookkeeping: a formal free rank-one module at level n
+# with an integer twist index is the pair (n, twist).
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwistedRankOneModule:
-    """Formal free rank-one module at level n with an integer twist index."""
-
-    n: int
-    twist: int
+def twisted_transition(mod: tuple[int, int], n_target: int) -> tuple[int, int]:
+    if mod[0] % n_target != 0:
+        raise ValueError(f"target level {n_target} does not divide {mod[0]}")
+    return n_target, mod[1]
 
 
-def twisted_transition(mod: TwistedRankOneModule, n_target: int) -> TwistedRankOneModule:
-    if mod.n % n_target != 0:
-        raise ValueError(f"target level {n_target} does not divide {mod.n}")
-    return TwistedRankOneModule(n_target, mod.twist)
-
-
-def twisted_tensor(a: TwistedRankOneModule, b: TwistedRankOneModule) -> TwistedRankOneModule:
+def twisted_tensor(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     """Tensor lands at the lower level and adds twist indices."""
-    if a.n % b.n != 0:
-        raise ValueError(f"lower level {b.n} must divide upper level {a.n}")
-    return TwistedRankOneModule(b.n, a.twist + b.twist)
+    if a[0] % b[0] != 0:
+        raise ValueError(f"lower level {b[0]} must divide upper level {a[0]}")
+    return b[0], a[1] + b[1]
 
 
 def twisted_tensor_check() -> dict:
@@ -439,27 +434,27 @@ def twisted_tensor_check() -> dict:
     associative where levels nest, and the operation commutes with
     transition to a further level.  The attached scalar twist of the
     trace layer is recorded as bookkeeping, never verified here."""
-    M = TwistedRankOneModule
     levels, twists = (1, 2, 3, 6), (-2, -1, 0, 1, 2)
     additive = associative = compat = True
     nested = [(m, n) for m in levels for n in levels if m % n == 0]
     for (m, n), i, j in product(nested, twists, twists):
-        out = twisted_tensor(M(m, i), M(n, j))
-        additive = additive and out == M(n, i + j)
+        out = twisted_tensor((m, i), (n, j))
+        additive = additive and out == (n, i + j)
         for k_level in (k for k in levels if n % k == 0):
             for k in twists[:2]:
-                left = twisted_tensor(out, M(k_level, k))
-                right = twisted_tensor(M(m, i), twisted_tensor(M(n, j), M(k_level, k)))
+                left = twisted_tensor(out, (k_level, k))
+                right = twisted_tensor((m, i), twisted_tensor((n, j), (k_level, k)))
                 associative = associative and left == right
-            via_transition = twisted_tensor(M(m, i), twisted_transition(M(n, j), k_level))
+            via_transition = twisted_tensor((m, i), twisted_transition((n, j), k_level))
             compat = compat and via_transition == twisted_transition(out, k_level)
-    example = twisted_tensor(TwistedRankOneModule(6, 1), TwistedRankOneModule(3, -1))
+    level, twist = twisted_tensor((6, 1), (3, -1))
     return {
-        "verdict": additive and associative and compat and example == TwistedRankOneModule(3, 0),
+        "verdict": additive and associative and compat and (level, twist) == (3, 0),
         "twists_add": additive,
         "associative": associative,
         "transition_compatible": compat,
-        "example": {"levels": [6, 3], "twists": [1, -1], "result_level": example.n, "result_twist": example.twist},
+        "example": {"levels": [6, 3], "twists": [1, -1], "result_level": level,
+                    "result_twist": twist},
         "note": "twist indices are formal bookkeeping; the attached scalar "
         "normalization lives in the trace diagnostics",
     }

@@ -19,14 +19,13 @@ dx^a x^b = sum_k C(a,k) b(b-1)...(b-k+1) x^(b-k) dx^(a-k).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from typing import Union
 
 from .scalars import Poly, UnsupportedInputError, frac
-from .scalars.poly import ExactValue, _poly, binary_power, plain, signed_sum, term_str
+from .scalars.poly import ExactValue, Immutable, _poly, binary_power, plain, signed_sum, term_str
 from .scalars.ratfun import at_least, at_most, one_of
 
 Scalar = Union[int, Fraction]
@@ -441,22 +440,19 @@ def inversion_twist(sh: ShiftOp, variant: str = "affine") -> ShiftOp:
     return ShiftOp(out)
 
 
-@dataclass(frozen=True)
-class CyclicPresentation:
+class CyclicPresentation(Immutable):
     """Cyclic right module D/(g)D over one of the operator algebras.
 
-    algebra is "shift", "weyl", or "laurent"; relations are stored in
-    normal form.  The zero relation presents the free module of rank 1;
-    a unit relation presents the zero module.
+    algebra is "shift" or "weyl"; relations are stored in normal form.
+    The zero relation presents the free module of rank 1; a unit relation
+    presents the zero module.
     """
 
-    algebra: str
-    relations: tuple
-    rank: int = 1
+    __slots__ = ("algebra", "relations")
 
-    def __post_init__(self):
-        one_of("algebra", self.algebra, ("shift", "weyl", "laurent"))
-        object.__setattr__(self, "relations", tuple(self.relations))
+    def __init__(self, algebra: str, relations):
+        object.__setattr__(self, "algebra", one_of("algebra", algebra, ("shift", "weyl")))
+        object.__setattr__(self, "relations", tuple(relations))
 
     def single_relation(self):
         nonzero = [r for r in self.relations if r]

@@ -40,7 +40,8 @@ class UnknownAtomError(OperatorSyntaxError):
 def _tokenize(text: str) -> list[tuple]:
     """(kind, value, offset) triples ending with an "end" token.  A number
     is an int, or a Fraction when it is written a/b; digits are what
-    `int()` reads (`str.isdecimal`), so `²` is an unexpected character."""
+    `int()` reads (`str.isdecimal`), so `²` is an unexpected character;
+    digits past the int-to-str digit limit are refused at their offset."""
     tokens = []
     append = tokens.append
     i = 0
@@ -56,19 +57,27 @@ def _tokenize(text: str) -> list[tuple]:
             j = i + 1
             while j < n and text[j].isdecimal():
                 j += 1
+            try:
+                num = int(text[i:j])
+            except ValueError:
+                raise OperatorSyntaxError(f"literal of {j - i} digits is too long", i) from None
             if j < n and text[j] == "/":
                 k = j + 1
                 while k < n and text[k].isdecimal():
                     k += 1
                 if k == j + 1:
                     raise OperatorSyntaxError("expected digits after '/'", j + 1)
-                den = int(text[j + 1 : k])
+                try:
+                    den = int(text[j + 1 : k])
+                except ValueError:
+                    raise OperatorSyntaxError(
+                        f"literal of {k - j - 1} digits is too long", j + 1) from None
                 if not den:
                     raise OperatorSyntaxError("zero denominator", j + 1)
-                append(("number", Fraction(int(text[i:j]), den), i))
+                append(("number", Fraction(num, den), i))
                 i = k
             else:
-                append(("number", int(text[i:j]), i))
+                append(("number", num, i))
                 i = j
         elif ch.isalpha():
             j = i + 1

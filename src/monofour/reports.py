@@ -11,8 +11,9 @@ for determinism strip the timing field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .scalars.poly import Immutable
 
 _ENGINE_VERDICTS = ("pass", "fail", "diagnostic")
 VERDICTS = _ENGINE_VERDICTS + ("error",)
@@ -53,18 +54,19 @@ def jsonable(obj):
     return str(obj)
 
 
-@dataclass
-class CheckReport:
-    check: str
-    parameters: dict
-    verdict: str
-    witness: object
-    statement: str
-    elapsed: float = 0.0
+class CheckReport(Immutable):
+    __slots__ = ("check", "parameters", "verdict", "witness", "statement", "elapsed")
 
-    def __post_init__(self):
-        if self.verdict not in VERDICTS:
+    def __init__(self, check: str, parameters: dict, verdict: str, witness, statement: str,
+                 elapsed: float = 0.0):
+        if verdict not in VERDICTS:
             raise ValueError(f"verdict must be one of {VERDICTS}")
+        object.__setattr__(self, "check", check)
+        object.__setattr__(self, "parameters", parameters)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "statement", statement)
+        object.__setattr__(self, "elapsed", elapsed)
 
     @property
     def exit_code(self) -> int:

@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Union
 
-from .poly import ExactValue, Poly, _poly, binary_power, frac
+from .poly import ExactValue, Poly, _cleared, _poly, binary_power, frac
 
 Scalar = Union[int, Fraction]
 
@@ -76,8 +76,7 @@ class CycScalar(ExactValue):
         cs = [frac(c) for c in coeffs]
         if len(cs) > phi:
             raise ValueError("representative too long for conductor")
-        den = lcm(*(c.denominator for c in cs))
-        nums = [c.numerator * (den // c.denominator) for c in cs]
+        nums, den = _cleared(cs)
         _init(self, conductor, nums + [0] * (phi - len(cs)), den)
 
     @property

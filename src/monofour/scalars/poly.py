@@ -31,6 +31,10 @@ def binary_power(base, n: int, one):
         base = base * base
 
 
+class UnsupportedInputError(ValueError):
+    """Raised when an input is outside the supported exact-computation range."""
+
+
 class Immutable:
     """A slots base that refuses attribute writes; a subclass sets its
     slots through `object.__setattr__`."""
@@ -66,14 +70,18 @@ class ExactValue(Immutable):
 
 
 def term_str(c, mono: str) -> str:
-    """The coefficient c times the printed monomial `mono` ('' for 1)."""
-    if not mono:
-        return str(c)
-    if c == 1:
-        return mono
-    if c == -1:
-        return f"-{mono}"
-    return f"{c}*{mono}"
+    """The coefficient c times the printed monomial `mono` ('' for 1); a
+    coefficient past the int-to-str digit limit is refused."""
+    try:
+        if not mono:
+            return str(c)
+        if c == 1:
+            return mono
+        if c == -1:
+            return f"-{mono}"
+        return f"{c}*{mono}"
+    except ValueError:
+        raise UnsupportedInputError("a coefficient is too long to print") from None
 
 
 def signed_sum(terms) -> str:

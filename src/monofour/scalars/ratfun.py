@@ -1,6 +1,6 @@
 """Rational functions in s over the rationals, with partial fractions;
-and the typed error, with its helpers, by which every module refuses
-input outside its domain."""
+and the helpers by which every module refuses input outside its domain
+with the typed error."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from .cyclotomic import _is_prime
 from .poly import (
     ExactValue,
     Poly,
+    UnsupportedInputError,
     frac,
     integer_coeffs,
     plain,
@@ -21,10 +22,6 @@ from .poly import (
 )
 
 Scalar = Union[int, Fraction]
-
-
-class UnsupportedInputError(ValueError):
-    """Raised when an input is outside the supported exact-computation range."""
 
 
 # The refusals.  Each returns the value it accepts, after one test, and

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
-from .poly import Poly, synthetic_division
+from .poly import Poly, _cleared, synthetic_division
 
 Matrix = list[list[Poly]]
 
@@ -179,11 +178,7 @@ def rational_rank(rows: list[list[Fraction]]) -> int:
     Each row is scaled by the lcm of its denominators, which keeps the
     rank, and the integer matrix goes through _bareiss_rank.
     """
-    a = []
-    for r in rows:
-        den = lcm(*(x.denominator for x in r))
-        a.append([x.numerator * (den // x.denominator) for x in r])
-    return _bareiss_rank(a)
+    return _bareiss_rank([_cleared(r)[0] for r in rows])
 
 
 def _bareiss_rank(a: list[list]) -> int:

@@ -35,8 +35,6 @@ from .scalars.poly import Immutable
 from .scalars.ratfun import at_least, at_most, divides, prime, rational
 from .scalars.snf import _rank_mod_p
 
-Scalar = object  # Fraction | int | CycScalar
-
 
 class TraceFunction(Immutable):
     """Dense exact-valued function on F_q^d, points in lexicographic order.

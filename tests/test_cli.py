@@ -229,6 +229,11 @@ class TestVerify:
         (("verify", "keythm", "--ell", "3"), "check 'keythm' takes no parameter 'ell'"),
         # keythm grew without limit here
         (("verify", "keythm", "--q", "3", "--d", "12"), "q^d = 531441 must be at most 2187"),
+        # past the int-to-str digit limit: these ended in a ValueError traceback
+        (("reduce", "--algebra", "weyl", "1" * 5000),
+         "literal of 5000 digits is too long at offset 0"),
+        (("reduce", "--algebra", "weyl", "3^10000"), "a coefficient is too long to print"),
+        (("mellin", "3^10000*x"), "a coefficient is too long to print"),
     ])
     def test_bad_parameter_exits_refused_without_traceback(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)

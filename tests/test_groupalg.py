@@ -17,7 +17,6 @@ from monofour.scalars import UnsupportedInputError, snf
 from monofour.scalars.snf import int_smith
 from monofour.groupalg import (
     GroupAlgebraElem,
-    TwistedRankOneModule,
     augmentation_kernel_check,
     ga_elem,
     ga_monomial,
@@ -536,23 +535,22 @@ class TestUnitSurjectivity:
 
 class TestTwistedModules:
     def test_tensor_adds_twists(self):
-        out = twisted_tensor(TwistedRankOneModule(6, 1), TwistedRankOneModule(3, -1))
-        assert out == TwistedRankOneModule(3, 0)
+        out = twisted_tensor((6, 1), (3, -1))
+        assert out == (3, 0)
 
     def test_unit_tensor(self):
-        out = twisted_tensor(TwistedRankOneModule(4, 0), TwistedRankOneModule(4, 0))
-        assert out.twist == 0
+        assert twisted_tensor((4, 0), (4, 0)) == (4, 0)
 
     def test_level_incompatibility(self):
         with pytest.raises(ValueError):
-            twisted_tensor(TwistedRankOneModule(4, 1), TwistedRankOneModule(3, 1))
+            twisted_tensor((4, 1), (3, 1))
         with pytest.raises(ValueError):
-            twisted_transition(TwistedRankOneModule(4, 1), 3)
+            twisted_transition((4, 1), 3)
 
     def test_associative(self):
-        a = TwistedRankOneModule(12, 2)
-        b = TwistedRankOneModule(6, -1)
-        c = TwistedRankOneModule(3, 1)
+        a = (12, 2)
+        b = (6, -1)
+        c = (3, 1)
         assert twisted_tensor(twisted_tensor(a, b), c) == twisted_tensor(
             a, twisted_tensor(b, c)
         )

@@ -11,11 +11,15 @@ constant (one leading underscore) that no module of the package reads,
 by name, attribute or import.  Names inside string annotations count as
 reads.  They also fail when two classes define a dunder method with the
 same body, docstrings aside: such a method belongs in a shared base class.
-Public functions and methods are held to being run by an entry point,
-which test_reach.py checks.
+One more test imports the package in a fresh interpreter and fails if
+that loads `dataclasses` or `inspect`.  Public functions and methods are
+held to being run by an entry point, which test_reach.py checks.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -171,6 +175,19 @@ def test_every_private_name_is_read():
 def test_no_dunder_method_is_written_twice():
     sources = {p.relative_to(PACKAGE).as_posix(): p.read_text() for p in MODULES}
     assert duplicated_dunders(sources) == []
+
+
+def test_start_up_loads_no_dataclasses():
+    # `dataclasses` pulls in inspect, ast, dis and tokenize, which cost
+    # about a tenth of the package's cold import; the records are slots
+    # classes instead.  A fresh interpreter, so no earlier import counts.
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    script = ("import sys, monofour.checks, monofour.cli\n"
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 class TestDetector:

@@ -9,6 +9,7 @@ judges the current one on seeded random and corrupted expressions.
 
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from monofour.parser import (
     _weyl_atom,
     parse_operator,
 )
-from monofour.scalars import Poly, frac
+from monofour.scalars import Poly, UnsupportedInputError, frac
 from monofour.scalars.ratfun import at_least, at_most, one_of
 
 
@@ -220,6 +221,34 @@ class TestErrors:
         assert parse_operator("\u0663*x", "weyl") == parse_operator("3*x", "weyl")
 
 
+class TestDigitLimit:
+    """The interpreter refuses int-to-str conversions past a digit limit
+    (4300 by default): such a literal is refused at its offset, and a
+    result with such a coefficient is refused when printed."""
+
+    @pytest.mark.parametrize("text,algebra,position", [
+        ("1" * 5000, "weyl", 0), ("x + 2/" + "3" * 5000, "weyl", 6),
+        ("s*" + "4" * 4301, "shift", 2),
+    ], ids=["integer", "denominator", "shift"])
+    def test_long_literal_refused_at_its_offset(self, text, algebra, position):
+        with pytest.raises(OperatorSyntaxError, match="digits is too long") as exc:
+            parse_operator(text, algebra)
+        assert exc.value.position == position
+
+    @pytest.mark.parametrize("text,algebra", [
+        ("3^10000", "weyl"), ("3^10000*x + dx", "weyl"), ("(1/3)^10000*x", "weyl"),
+        ("3^10000*s*T", "shift"),
+    ])
+    def test_long_coefficient_refused_when_printed(self, text, algebra):
+        op = parse_operator(text, algebra)
+        with pytest.raises(UnsupportedInputError, match="a coefficient is too long to print"):
+            str(op)
+
+    def test_literal_at_the_limit_still_parses(self):
+        text = "9" * (sys.get_int_max_str_digits() or 4300)
+        assert parse_operator(text, "weyl") == WeylOp.const(int(text))
+
+
 class TestLiterals:
     """An exponent is any literal whose value is a nonnegative integer,
     and a subexpression without atoms is a scalar of the algebra."""
@@ -341,6 +370,13 @@ class RefToken:
         self.position = position
 
 
+def ref_too_long(digits: int) -> bool:
+    """True when int() refuses a literal of this many digits (a limit of 0
+    means none)."""
+    limit = sys.get_int_max_str_digits()
+    return limit != 0 and digits > limit
+
+
 def ref_tokenize(text: str):
     tokens = []
     i = 0
@@ -354,12 +390,16 @@ def ref_tokenize(text: str):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            if ref_too_long(j - i):
+                raise OperatorSyntaxError(f"literal of {j - i} digits is too long", i)
             if j < n and text[j] == "/":
                 k = j + 1
                 while k < n and text[k].isdigit():
                     k += 1
                 if k == j + 1:
                     raise OperatorSyntaxError("expected digits after '/'", j + 1)
+                if ref_too_long(k - j - 1):
+                    raise OperatorSyntaxError(f"literal of {k - j - 1} digits is too long", j + 1)
                 den = int(text[j + 1 : k])
                 if not den:
                     raise OperatorSyntaxError("zero denominator", j + 1)
@@ -599,7 +639,10 @@ class TestReferenceParser:
         ("", "weyl", 1), ("x", "clifford", 1), ("x", "weyl", 0), ("s", "shift", 2),
         ("((x)", "weyl", 1), ("x)", "weyl", 1), ("3 3", "shift", 1), ("T^", "shift", 1),
         ("dx3", "weyl", 2), ("1/0", "shift", 1), ("x^-1", "weyl", 1), ("--2", "weyl", 3),
-    ])
+        # literals past the int-to-str digit limit, as numerator and as denominator
+        ("1" * 5000, "weyl", 1), ("x + 2/" + "3" * 5000, "weyl", 1),
+        ("s*" + "4" * 4301 + "/7", "shift", 1),
+    ], ids=lambda v: f"{len(v)} characters" if isinstance(v, str) and len(v) > 40 else None)
     def test_edge_cases(self, text, algebra, rank):
         assert outcome(parse_operator, text, algebra, rank) == outcome(
             ref_parse_operator, text, algebra, rank)

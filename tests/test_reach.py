@@ -37,7 +37,7 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 # Public names that no entry point enters, by the reason each one stays.
 UNENTERED_PUBLIC_ALLOWED = {
     # Bound by perfbench/tracer.py or workloads.py; goes when a benchmark
-    # change re-points the tracer (ROADMAP item 4).
+    # change re-points the tracer (ROADMAP item 3).
     "scalars/snf.py:poly_smith",  # wrapped as scalars.snf.poly_smith
     "scalars/snf.py:int_smith",  # wrapped as scalars.snf.int_smith
     "scalars/ratfun.py:partial_fractions",  # wrapped as scalars.ratfun.partial_fractions
@@ -87,6 +87,9 @@ COMMANDS = [line.split() for line in (
     "verify appendix-augmentation --ell 0",
     "verify appendix-units --ell 3 --r 2 --n 1 --nprime 5",
     "verify no-such-check",
+    "reduce --algebra weyl " + "1" * 5000,
+    "reduce --algebra weyl 3^10000",
+    "mellin 3^10000*x",
 )]
 
 
