@@ -12,20 +12,27 @@ Two algebras are provided, with exact rational coefficients throughout
 The module also houses the Mellin identification between the Laurent
 algebra and the shift algebra (x -> T, dx -> T^-1 s), the Fourier
 automorphism of the Weyl algebra (x -> -dx, dx -> x) and the inversion
-twist of the shift algebra.  Products and the Fourier map share one
+twist of the shift algebra.  Weyl products and the Fourier map share one
 normal-ordering kernel, the Leibniz rule
 dx^a x^b = sum_k C(a,k) b(b-1)...(b-k+1) x^(b-k) dx^(a-k).
+Shift products and the Mellin map share one level-sum kernel: their
+terms arrive as (T-level, int numerators, denominator) triples and are
+summed per level over the lcm of the denominators, one Poly per level.
+The inverse Mellin map reads its Newton coefficients off an int
+difference table, so both Mellin maps run on integer numerators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, lcm
 from typing import Union
 
 from .scalars import Poly, UnsupportedInputError, frac
-from .scalars.poly import ExactValue, Immutable, _poly, binary_power, plain, signed_sum, term_str
+from .scalars.poly import (
+    ExactValue, Immutable, _poly, binary_power, convolve, plain, signed_sum, taylor_coeffs, term_str,
+)
 from .scalars.ratfun import at_least, at_most, one_of
 
 Scalar = Union[int, Fraction]
@@ -77,13 +84,44 @@ def _merged(pairs, start: dict | None = None) -> dict:
     return out
 
 
+def _level_sums(triples) -> dict:
+    """The (level, nums, den) triples, each the Poly nums/den at T^level
+    with `nums` a list of ints the kernel may reuse, summed per level over
+    the lcm of the denominators: one Poly per nonzero level."""
+    acc: dict = {}
+    for j, nums, den in triples:
+        entry = acc.get(j)
+        if entry is None:
+            acc[j] = [nums, den]
+            continue
+        have, d = entry
+        if den != d:
+            m = lcm(d, den)
+            entry[0] = have = [x * (m // d) for x in have]
+            entry[1] = m
+            nums = [x * (m // den) for x in nums]
+        have.extend([0] * (len(nums) - len(have)))
+        for k, x in enumerate(nums):
+            have[k] += x
+    out = {}
+    for j, (nums, den) in acc.items():
+        p = _poly(nums, den)
+        if p.nums:
+            out[j] = p
+    return out
+
+
 class _Operator(ExactValue):
     """The value protocol of the operator algebras, written once.  A value
     is a dict `terms` in normal form (see `_trusted`); a subclass supplies
     `_coerce` (an operand as an operator of its own kind and rank, or
     NotImplemented; `_coerce(1)` is the unit), `_scalar_term` (a nonzero
     scalar as the one (key, value) term it adds to a sum) and `_products`
-    (the (key, coefficient) terms of a product before they are summed)."""
+    (the terms of a product, summed into normal form).
+
+    Operand tests name the operator first: isinstance returns at once on
+    an exact type match, while a miss against Fraction, an ABC, runs
+    ABCMeta.__instancecheck__."""
 
     __slots__ = ()
     rank = None  # the shift algebra has none; the Weyl types shadow it with a slot
@@ -103,15 +141,15 @@ class _Operator(ExactValue):
 
     def _plus(self, other, sign: int):
         """self + sign * other, touching only the keys of other."""
-        if isinstance(other, (int, Fraction)):
-            pairs = (self._scalar_term(other if sign > 0 else -other),) if other else ()
-        else:
+        if isinstance(other, _Operator) or not isinstance(other, (int, Fraction)):
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
             pairs = other.terms.items()
             if sign < 0:
                 pairs = ((k, -c) for k, c in pairs)
+        else:
+            pairs = (self._scalar_term(other if sign > 0 else -other),) if other else ()
         return _trusted(type(self), _merged(pairs, self.terms), self.rank)
 
     def __add__(self, other):
@@ -126,17 +164,17 @@ class _Operator(ExactValue):
         return _trusted(type(self), {k: -c for k, c in self.terms.items()}, self.rank)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            # a scalar commutes with every generator, so it scales each term
-            terms = _merged((k, c * other) for k, c in self.terms.items()) if other else {}
-            return _trusted(type(self), terms, self.rank)
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _trusted(type(self), _merged(self._products(other)), self.rank)
+        if isinstance(other, _Operator) or not isinstance(other, (int, Fraction)):
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+            return _trusted(type(self), self._products(other), self.rank)
+        # a scalar commutes with every generator, so it scales each term
+        terms = _merged((k, c * other) for k, c in self.terms.items()) if other else {}
+        return _trusted(type(self), terms, self.rank)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, _Operator) and isinstance(other, (int, Fraction)):
             return self * other
         other = self._coerce(other)
         if other is NotImplemented:
@@ -187,14 +225,19 @@ class ShiftOp(_Operator):
     def _coerce(other):
         if isinstance(other, ShiftOp):
             return other
-        if isinstance(other, (int, Fraction, Poly)):
+        if isinstance(other, (Poly, int, Fraction)):
             return ShiftOp.t_power(0, other)
         return NotImplemented
 
-    def _products(self, other) -> list:
-        # (T^i p)(T^j q) = T^(i+j) p(s+j) q
-        return [(i + j, p.shift(j) * q)
-                for i, p in self.terms.items() for j, q in other.terms.items()]
+    def _products(self, other) -> dict:
+        # (T^i p)(T^j q) = T^(i+j) p(s+j) q, on the numerators of p and q
+        triples = []
+        for i, p in self.terms.items():
+            a, da = p.nums, p.den
+            for j, q in other.terms.items():
+                shifted = taylor_coeffs(list(a), j) if j and len(a) > 1 else a
+                triples.append((i + j, convolve(shifted, q.nums), da * q.den))
+        return _level_sums(triples)
 
     def to_str(self) -> str:
         if self.is_zero:
@@ -276,22 +319,22 @@ class _WeylBase(_Operator):
         return (zero, zero), plain(c)
 
     def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return type(self).const(other, self.rank)
         if isinstance(other, type(self)):
             if other.rank != self.rank:
                 raise ValueError("rank mismatch")
             return other
+        if isinstance(other, (int, Fraction)):
+            return type(self).const(other, self.rank)
         return NotImplemented
 
-    def _products(self, other) -> list:
+    def _products(self, other) -> dict:
         pairs = []
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
                 c12 = c1 * c2
                 for alpha, beta, n in _normal_product(a1, b1, a2, b2):
                     pairs.append(((alpha, beta), c12 if n == 1 else c12 * n))
-        return pairs
+        return _merged(pairs)
 
     def _monomial_str(self, alpha, beta) -> str:
         parts = []
@@ -371,9 +414,17 @@ def mellin_op(w: "LaurentWeylOp | WeylOp") -> ShiftOp:
     """
     if w.rank != 1:
         raise UnsupportedInputError("the Mellin identification is rank 1")
-    return _trusted(ShiftOp, _merged(
-        (a - b, falling_poly(b) * c) for ((a,), (b,)), c in w.terms.items()
+    return _trusted(ShiftOp, _level_sums(
+        (a - b, [x * c.numerator for x in falling_poly(b).nums], c.denominator)
+        for ((a,), (b,)), c in w.terms.items()
     ))
+
+
+@lru_cache(maxsize=4096)
+def _laurent_key(a: int, b: int) -> tuple:
+    """The rank-1 key ((a,), (b,)) of x^a dx^b.  Memoised, so that the
+    results of the inverse Mellin map share their keys."""
+    return (a,), (b,)
 
 
 def inverse_mellin_op(sh: ShiftOp) -> LaurentWeylOp:
@@ -382,11 +433,21 @@ def inverse_mellin_op(sh: ShiftOp) -> LaurentWeylOp:
     for j, p in sh.terms.items():
         # p(s) = sum_b c_b * s(s-1)...(s-b+1) with c_b = Delta^b p(0) / b!,
         # read from one integer difference table of den*p(0), ..., den*p(deg)
-        nums = p.nums
-        values = [sum(c * i**k for k, c in enumerate(nums)) for i in range(len(nums))]
+        # (Horner on the numerators); a Fraction only where c_b is not an int
+        nums, den = p.nums, p.den
+        values = []
+        for i in range(len(nums)):
+            v = 0
+            for c in reversed(nums):
+                v = v * i + c
+            values.append(v)
         for b in range(len(nums)):
-            if values[0]:
-                terms[((j + b,), (b,))] = plain(Fraction(values[0], p.den * factorial(b)))
+            if b:
+                den *= b
+            v = values[0]
+            if v:
+                q, r = divmod(v, den)
+                terms[_laurent_key(j + b, b)] = Fraction(v, den) if r else q
             values = [y - x for x, y in zip(values, values[1:])]
     return _trusted(LaurentWeylOp, terms, 1)
 

@@ -213,6 +213,6 @@ def parse_operator(text: str, algebra: str, rank: int = 1):
     kind, _, position = parser.tokens[parser.pos]
     if kind != "end":
         raise OperatorSyntaxError(f"unexpected trailing {kind!r}", position)
-    if isinstance(result, (int, Fraction)):
-        return WeylOp.const(result, rank) if parser.weyl else ShiftOp.t_power(0, result)
-    return result
+    if isinstance(result, (WeylOp, ShiftOp)):
+        return result
+    return WeylOp.const(result, rank) if parser.weyl else ShiftOp.t_power(0, result)

@@ -171,15 +171,19 @@ class Poly(ExactValue):
             sa, sb = den // da, sign * (den // db)
         return _poly([x * sa + y * sb for x, y in zip_longest(a, b, fillvalue=0)], den)
 
+    # Operand tests name Poly first: isinstance returns at once on an
+    # exact type match, while a miss against Fraction, an ABC, runs
+    # ABCMeta.__instancecheck__.
+
     def __add__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction, Poly)):
+        if isinstance(other, (Poly, int, Fraction)):
             return self._plus(other, 1)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Poly":  # one pass, not through negation
-        if isinstance(other, (int, Fraction, Poly)):
+        if isinstance(other, (Poly, int, Fraction)):
             return self._plus(other, -1)
         return NotImplemented
 
@@ -188,15 +192,7 @@ class Poly(ExactValue):
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, Poly):
-            a, b = self.nums, other.nums
-            if not a or not b:
-                return _poly(())
-            out = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        out[i + j] += x * y
-            return _poly(out, self.den * other.den)
+            return _poly(convolve(self.nums, other.nums), self.den * other.den)
         if isinstance(other, (int, Fraction)):
             c = other.numerator
             return _poly([x * c for x in self.nums], self.den * other.denominator)
@@ -326,6 +322,19 @@ def _poly(nums, den: int = 1) -> Poly:
     trailing zeros allowed) and a positive int denominator.  Internal
     code that already holds ints builds its results through this."""
     return _init(object.__new__(Poly), nums, den)
+
+
+def convolve(a, b) -> list[int]:
+    """The coefficients of the product of two int coefficient sequences
+    (ascending); [] when either is empty."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 def plain(x: Fraction) -> int | Fraction:

@@ -11,6 +11,7 @@ round trips) are checked on deterministic pseudroandom samples.
 import operator
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from math import comb, factorial
 
@@ -23,7 +24,10 @@ from monofour.ore import (
     ShiftOp,
     WeylOp,
     _WeylBase,
+    _laurent_key,
+    _merged,
     _normal_product,
+    _trusted,
     antipode,
     falling,
     falling_poly,
@@ -819,6 +823,7 @@ def assert_matches_ref(got, want: RefWeyl):
 
 HALVES = (1, -1, 2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(2, 3),
           Fraction(-5, 3))
+SEVENTHS = (0, 1, -3, Fraction(1, 7), Fraction(-4, 7), Fraction(5, 2), Fraction(-1, 6))
 
 
 class TestIntegerCoefficients:
@@ -856,12 +861,43 @@ class TestIntegerCoefficients:
                 assert_matches_ref(got, want)
 
     def test_inverse_mellin_matches_fraction_reference(self):
+        # halves and thirds, then sevenths and degrees up to 5, so that
+        # Newton coefficients land off the integers at b >= 2 from levels
+        # with p.den > 1 as well as on them
         rng = random.Random(2450)
-        for _ in range(300):
-            sh = ShiftOp({rng.randint(-2, 2): Poly([rng.choice(HALVES + (0,))
-                                                    for _ in range(rng.randint(0, 4))])
+        pools = [(HALVES + (0,), 4)] * 300 + [(SEVENTHS, 6)] * 300
+        off_integers = 0
+        for pool, length in pools:
+            sh = ShiftOp({rng.randint(-2, 2): Poly([rng.choice(pool)
+                                                    for _ in range(rng.randint(0, length))])
                           for _ in range(rng.randint(0, 3))})
-            assert_matches_ref(inverse_mellin_op(sh), ref_inverse_mellin(sh))
+            got = inverse_mellin_op(sh)
+            assert_matches_ref(got, ref_inverse_mellin(sh))
+            for ((a,), (b,)), c in got.terms.items():
+                if b >= 2 and type(c) is Fraction and sh.terms[a - b].den > 1:
+                    off_integers += 1
+        assert off_integers >= 100
+
+    def test_inverse_mellin_keys_are_shared_and_fresh_equal(self):
+        sh = Fraction(1, 2) * T**2 * S**3 - Ti * (S - Fraction(2, 3)) + 5
+        first, second = inverse_mellin_op(sh), inverse_mellin_op(sh)
+        assert first == second and len(first.terms) == 6
+        for key, again in zip(sorted(first.terms), sorted(second.terms)):
+            (a,), (b,) = key
+            fresh = ((a,), (b,))
+            assert key == fresh and hash(key) == hash(fresh)
+            assert type(key) is tuple and all(type(part) is tuple for part in key)
+            assert key is again  # one cached key for both results
+        assert mellin_op(first) == sh
+
+    def test_key_cache_is_bounded(self):
+        maxsize = _laurent_key.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 1 << 16
+        for a in range(maxsize + 50):
+            _laurent_key(a, 1)
+        assert _laurent_key.cache_info().currsize <= maxsize
+        # a key evicted and built again is still the fresh tuple
+        assert _laurent_key(0, 1) == ((0,), (1,))
 
     def test_each_normalising_step_gives_ints(self):
         half, key = Fraction(1, 2), ((1,), (0,))
@@ -906,3 +942,73 @@ class TestIntegerCoefficients:
         assert S - S + 0 == ShiftOp() and str(0 + X - 0) == "x"
         # a bool is an int, and adds as 1 did when it became a constant first
         assert (str(X + True), str(True + S)) == ("1 + x", "1 + s")
+
+
+# The body of ShiftOp._products before the level-sum kernel, kept as the
+# reference: one shifted Poly product per pair of terms, the Polys summed
+# per level by _merged.
+def ref_shift_products(a: ShiftOp, b: ShiftOp) -> ShiftOp:
+    return _trusted(ShiftOp, _merged([(i + j, p.shift(j) * q)
+                                      for i, p in a.terms.items() for j, q in b.terms.items()]))
+
+
+def ref_shift_power(a: ShiftOp, n: int) -> ShiftOp:
+    return reduce(ref_shift_products, [a] * n, ShiftOp.t_power(0))
+
+
+def assert_same_shift(got: ShiftOp, want: ShiftOp):
+    assert got.terms == want.terms and str(got) == str(want)
+    assert_normal(got)
+
+
+class TestShiftLevelSums:
+    def test_products_and_powers_match_reference(self):
+        rng = random.Random(2700)
+        for _ in range(400):
+            a = seeded_operator(rng, ShiftOp, 1, 0)
+            b = seeded_operator(rng, ShiftOp, 1, 0)
+            if rng.random() < 0.2:
+                b = b - a
+            assert_same_shift(a * b, ref_shift_products(a, b))
+            assert_same_shift(b * a, ref_shift_products(b, a))
+            n = rng.randint(0, 3)
+            assert_same_shift(a ** n, ref_shift_power(a, n))
+
+    def test_denominators_meeting_on_one_level(self):
+        # level 0 receives 1/2 * 1/5 (over 10) from T*Ti and 1/3 * 1/2
+        # (over 6) from Ti*T, summed over 30
+        a = T * Fraction(1, 2) + Ti * Fraction(1, 3)
+        b = Ti * Fraction(1, 5) + T * Fraction(1, 2)
+        got = a * b
+        assert_same_shift(got, ref_shift_products(a, b))
+        assert got.coeff(0) == Fraction(4, 15)
+        # the command line that CI runs: denominators 2, 3 and 5 on level 0
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        c = (half * T + third * S) * (Ti * S + Fraction(1, 5)) - Fraction(1, 6) * S**2
+        assert str(c) == "Ti*(-1/3*s + 1/3*s^2) + (17/30*s - 1/6*s^2) + T*(1/10)"
+        left, right = half * T + third * S, Ti * S + Fraction(1, 5)
+        assert_same_shift(left * right, ref_shift_products(left, right))
+
+    def test_a_level_that_cancels_to_zero(self):
+        # 1/2 * 2/3 and 1/3 * -1 meet on level 0 and cancel
+        a = T * Fraction(1, 2) + Ti * Fraction(1, 3)
+        b = Ti * Fraction(2, 3) - T
+        got = a * b
+        assert_same_shift(got, ref_shift_products(a, b))
+        assert got.levels() == [-2, 2] and 0 not in got.terms
+        # s and -(s + 2) cancel on level 0 only after their Taylor shifts
+        # by 1 and -1: (Ti*s)(T) = s + 1 and (T*(s + 2))(Ti) = s + 1
+        a = Ti * S - T * (S + 2)
+        b = T + Ti
+        got = a * b
+        assert_same_shift(got, ref_shift_products(a, b))
+        assert got.levels() == [-2, 2] and 0 not in got.terms
+
+    def test_negative_levels(self):
+        a = Ti**2 * (Fraction(1, 2) * S + Fraction(1, 3))
+        b = Ti * (S**2 - Fraction(1, 5)) + T**3 * Fraction(2, 7)
+        for x, y in ((a, b), (b, a), (a, a), (b, b)):
+            got = x * y
+            assert_same_shift(got, ref_shift_products(x, y))
+        assert (a * b).levels() == [-3, 1] and (a * a).levels() == [-4]
+        assert_same_shift(a ** 3, ref_shift_power(a, 3))
