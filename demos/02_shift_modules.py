@@ -11,7 +11,8 @@ orbit chi + Z.
 from fractions import Fraction
 
 from monofour import mellin
-from monofour.scalars import Poly, RatFun
+from monofour.scalars.poly import Poly
+from monofour.scalars.ratfun import RatFun
 
 # The two canonical cyclic modules: the simple-pole kernel module with
 # relation (s+1) - Ti*s, and the exponential module with 1 - Ti*s.

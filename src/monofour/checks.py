@@ -17,9 +17,10 @@ from fractions import Fraction
 from . import groupalg, mellin, ore, trace
 from .ore import CyclicPresentation, ShiftOp, WeylOp, antipode, fourier_auto
 from .reports import VERDICTS, CheckReport, verdict_label
-from .scalars import Poly, RatFun, UnsupportedInputError, frac
-from .scalars.poly import Immutable
-from .scalars.ratfun import at_least, at_most, one_of, rational
+from .scalars.poly import (
+    Immutable, Poly, UnsupportedInputError, at_least, at_most, frac, one_of, rational,
+)
+from .scalars.ratfun import RatFun
 
 
 # ---------------------------------------------------------------------------
@@ -225,16 +226,19 @@ class CheckSpec(Immutable):
     """A named check; `engine` is the "module.operation" it dispatches to,
     through `runner` when that is given."""
 
-    __slots__ = ("check_id", "engine", "statement", "defaults", "runner", "seeded")
+    __slots__ = ("check_id", "engine", "statement", "defaults", "runner")
 
-    def __init__(self, check_id: str, engine: str, statement: str, defaults: dict,
-                 runner=None, seeded: bool = False):
+    def __init__(self, check_id: str, engine: str, statement: str, defaults: dict, runner=None):
         object.__setattr__(self, "check_id", check_id)
         object.__setattr__(self, "engine", engine)
         object.__setattr__(self, "statement", statement)
         object.__setattr__(self, "defaults", defaults)
         object.__setattr__(self, "runner", runner)
-        object.__setattr__(self, "seeded", seeded)
+
+    @property
+    def seeded(self) -> bool:
+        """Whether the check draws from a seed, which `run_all(seed=)` sets."""
+        return "seed" in self.defaults
 
 
 _SPECS = [
@@ -244,7 +248,6 @@ _SPECS = [
         "Applying the kernel transform twice equals -q^d times "
         "multiplicative convolution with the unit-restricted kernel.",
         {"q": 3, "d": 1, "seed": 0},
-        seeded=True,
     ),
     CheckSpec(
         "cv-equivalence",
@@ -266,7 +269,6 @@ _SPECS = [
         "The kernel transform factors as a multiplicative convolution "
         "applied after the additive-character transform.",
         {"q": 3, "d": 1, "seed": 0},
-        seeded=True,
     ),
     CheckSpec(
         "fbneq",
@@ -369,7 +371,6 @@ _SPECS = [
         "direct evaluation-rank oracle on random presentations.",
         {"count": 20, "window": 3, "seed": 20260823},
         runner=_run_mon_test,
-        seeded=True,
     ),
     CheckSpec(
         "eq3-decomp",
@@ -385,7 +386,6 @@ _SPECS = [
         "substitution on random differential operators.",
         {"count": 1000, "seed": 20260823},
         runner=_run_fourier_antipode,
-        seeded=True,
     ),
     CheckSpec(
         "fb-fl-agree",

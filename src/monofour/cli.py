@@ -20,8 +20,7 @@ import sys
 from . import checks, ore, trace
 from .parser import parse_operator
 from .reports import EXIT_CODES, EXIT_REFUSED, jsonable
-from .scalars import UnsupportedInputError
-from .scalars.ratfun import rational
+from .scalars.poly import UnsupportedInputError, rational
 
 
 class _ArgumentParser(argparse.ArgumentParser):

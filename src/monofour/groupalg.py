@@ -19,9 +19,8 @@ from __future__ import annotations
 from itertools import product
 from math import gcd
 
-from .scalars.poly import Immutable
-from .scalars.ratfun import at_least, at_most, divides, prime
 from .scalars.ffield import fp_rem
+from .scalars.poly import Immutable, at_least, at_most, divides, prime
 
 
 class GroupAlgebraElem(Immutable):

@@ -32,19 +32,15 @@ verification routines.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import lcm
 
-from .scalars import (
-    Poly,
-    RatFun,
-    UnsupportedInputError,
-    frac,
-    poly_rank,
-    rational_rank,
+from .scalars.poly import (
+    Immutable, Poly, UnsupportedInputError, at_least, at_most, frac, one_of, rational,
 )
-from .scalars.poly import Immutable
-from .scalars.ratfun import _partial_fractions, at_least, at_most, linear_factors, one_of, rational
+from .scalars.ratfun import RatFun, _partial_fractions, linear_factors
+from .scalars.snf import poly_rank, rational_rank
 from .ore import (
     TWIST_VARIANTS,
     CyclicPresentation,
@@ -592,8 +588,6 @@ def orbit_decomposition_check(chi, n: int, window: int) -> dict:
     coefficient of each 1/(s - chi - i)^k as that of 1/(u - i)^k, so the
     arithmetic, on integer poles, is the same for every chi.
     """
-    import random
-
     at_least("order n =", n, 1)
     N = at_least("window radius", window, 0)
     rational("chi =", chi)  # nothing below reads it

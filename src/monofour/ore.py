@@ -27,15 +27,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
-from typing import Union
 
-from .scalars import Poly, UnsupportedInputError, frac
 from .scalars.poly import (
-    ExactValue, Immutable, _poly, binary_power, convolve, plain, signed_sum, taylor_coeffs, term_str,
+    ExactValue, Immutable, Poly, Scalar, UnsupportedInputError, _poly, at_least, at_most,
+    binary_power, convolve, frac, one_of, plain, signed_sum, taylor_coeffs, term_str,
 )
-from .scalars.ratfun import at_least, at_most, one_of
-
-Scalar = Union[int, Fraction]
 
 
 def falling(a: int, k: int) -> int:

@@ -17,8 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .ore import ShiftOp, WeylOp
-from .scalars import UnsupportedInputError
-from .scalars.ratfun import at_least, at_most, one_of
+from .scalars.poly import UnsupportedInputError, at_least, at_most, one_of
 
 WEYL_ATOMS = ("x", "dx")
 SHIFT_ATOMS = ("s", "T", "Ti")

@@ -12,11 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Union
 
-from .poly import ExactValue, Poly, _cleared, _poly, binary_power, frac
-
-Scalar = Union[int, Fraction]
+from .poly import ExactValue, Poly, Scalar, _cleared, _is_prime, _poly, binary_power, frac
 
 
 @lru_cache(maxsize=None)
@@ -261,36 +258,6 @@ def _spread(x, n: int) -> tuple[list[tuple[int, int]], int]:
             object.__setattr__(x, "_terms", memo)
         return memo[1], x.denominator
     return ([(0, x.numerator)] if x else []), x.denominator
-
-
-# The first thirteen primes as Miller-Rabin bases decide primality for
-# every n < 3.3 * 10^24 (Sorenson and Webster, Math. Comp. 86, 2017),
-# far above the split primes below.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3 * 10^24."""
-    if n < 2:
-        return False
-    for b in _MR_BASES:
-        if n % b == 0:
-            return n == b
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 @lru_cache(maxsize=None)

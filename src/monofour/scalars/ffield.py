@@ -10,7 +10,7 @@ given (p, e) always yields the same tables.
 
 from __future__ import annotations
 
-from .ratfun import UnsupportedInputError, at_least, at_most
+from .poly import UnsupportedInputError, at_least, at_most, convolve
 
 _MAX_Q = 121
 
@@ -61,12 +61,7 @@ def fp_rem(a, b, p: int) -> list[int]:
 
 def _poly_mul_mod(a: list[int], b: list[int], modulus: list[int], p: int) -> list[int]:
     e = len(modulus) - 1
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    rem = fp_rem(out, modulus, p)
+    rem = fp_rem(convolve(a, b), modulus, p)
     return rem + [0] * (e - len(rem))
 
 

@@ -1,4 +1,5 @@
-"""Dense univariate polynomials over the rationals."""
+"""Dense univariate polynomials over the rationals; and the typed error,
+with the helpers by which every module refuses input outside its domain."""
 
 from __future__ import annotations
 
@@ -33,6 +34,86 @@ def binary_power(base, n: int, one):
 
 class UnsupportedInputError(ValueError):
     """Raised when an input is outside the supported exact-computation range."""
+
+
+# The refusals.  Each returns the value it accepts, after one test, and
+# builds its message only when it refuses; `name` is printed just before
+# the value, as in "window radius -1" or "n = 0".
+
+
+def at_least(name: str, value, low):
+    if value < low:
+        raise UnsupportedInputError(f"{name} {value} must be at least {low}")
+    return value
+
+
+def at_most(name: str, value, high):
+    if value > high:
+        raise UnsupportedInputError(f"{name} {value} must be at most {high}")
+    return value
+
+
+def divides(name: str, value: int, multiple_name: str, multiple: int) -> int:
+    if value < 1 or multiple % value:
+        raise UnsupportedInputError(
+            f"{name} {value} must be a positive divisor of {multiple_name} {multiple}")
+    return value
+
+
+def prime(name: str, value: int) -> int:
+    if not _is_prime(value):
+        raise UnsupportedInputError(f"{name} must be prime, got {value}")
+    return value
+
+
+def rational(name: str, value, integral: bool = False):
+    """value as a Fraction, read from its literal ('2/3', 4) unless it is
+    one; with `integral`, as an int, and a non-integer is refused."""
+    try:
+        x = value if isinstance(value, Fraction) else Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise UnsupportedInputError(f"{name} {value!r} is not a rational number") from None
+    if not integral:
+        return x
+    if x.denominator != 1:
+        raise UnsupportedInputError(f"{name} {x} must be an integer")
+    return x.numerator
+
+
+def one_of(name: str, value, choices):
+    if value not in choices:
+        raise UnsupportedInputError(f"unknown {name} {value!r}")
+    return value
+
+
+# The first thirteen primes as Miller-Rabin bases decide primality for
+# every n < 3.3 * 10^24 (Sorenson and Webster, Math. Comp. 86, 2017),
+# far above the split primes of cyclotomic.split_prime.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < 3.3 * 10^24."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class Immutable:

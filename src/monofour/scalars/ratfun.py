@@ -1,16 +1,13 @@
-"""Rational functions in s over the rationals, with partial fractions;
-and the helpers by which every module refuses input outside its domain
-with the typed error."""
+"""Rational functions in s over the rationals, with partial fractions."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
-from .cyclotomic import _is_prime
 from .poly import (
     ExactValue,
     Poly,
+    Scalar,
     UnsupportedInputError,
     frac,
     integer_coeffs,
@@ -20,58 +17,6 @@ from .poly import (
     synthetic_division,
     taylor_coeffs,
 )
-
-Scalar = Union[int, Fraction]
-
-
-# The refusals.  Each returns the value it accepts, after one test, and
-# builds its message only when it refuses; `name` is printed just before
-# the value, as in "window radius -1" or "n = 0".
-
-
-def at_least(name: str, value, low):
-    if value < low:
-        raise UnsupportedInputError(f"{name} {value} must be at least {low}")
-    return value
-
-
-def at_most(name: str, value, high):
-    if value > high:
-        raise UnsupportedInputError(f"{name} {value} must be at most {high}")
-    return value
-
-
-def divides(name: str, value: int, multiple_name: str, multiple: int) -> int:
-    if value < 1 or multiple % value:
-        raise UnsupportedInputError(
-            f"{name} {value} must be a positive divisor of {multiple_name} {multiple}")
-    return value
-
-
-def prime(name: str, value: int) -> int:
-    if not _is_prime(value):
-        raise UnsupportedInputError(f"{name} must be prime, got {value}")
-    return value
-
-
-def rational(name: str, value, integral: bool = False):
-    """value as a Fraction, read from its literal ('2/3', 4) unless it is
-    one; with `integral`, as an int, and a non-integer is refused."""
-    try:
-        x = value if isinstance(value, Fraction) else Fraction(str(value))
-    except (ValueError, ZeroDivisionError):
-        raise UnsupportedInputError(f"{name} {value!r} is not a rational number") from None
-    if not integral:
-        return x
-    if x.denominator != 1:
-        raise UnsupportedInputError(f"{name} {x} must be an integer")
-    return x.numerator
-
-
-def one_of(name: str, value, choices):
-    if value not in choices:
-        raise UnsupportedInputError(f"unknown {name} {value!r}")
-    return value
 
 
 def _coerce_poly(x) -> Poly:

@@ -29,10 +29,11 @@ from functools import lru_cache
 from itertools import product
 from math import gcd, lcm, prod
 
-from .scalars import CycScalar, Fq, UnsupportedInputError, zeta
-from .scalars.cyclotomic import split_prime, sum_of_products
-from .scalars.poly import Immutable
-from .scalars.ratfun import at_least, at_most, divides, prime, rational
+from .scalars.cyclotomic import CycScalar, split_prime, sum_of_products, zeta
+from .scalars.ffield import Fq
+from .scalars.poly import (
+    Immutable, UnsupportedInputError, at_least, at_most, divides, prime, rational,
+)
 from .scalars.snf import _rank_mod_p
 
 

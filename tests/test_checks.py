@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from monofour import checks, groupalg, mellin, ore, trace
 from monofour.reports import CheckReport
 from test_reports import validate_report_dict
-from monofour.scalars import UnsupportedInputError
+from monofour.scalars.poly import UnsupportedInputError
 
 ENGINES = {"trace": trace, "mellin": mellin, "ore": ore, "groupalg": groupalg}
 

@@ -13,7 +13,8 @@ from math import gcd
 import pytest
 
 from monofour import checks, groupalg
-from monofour.scalars import UnsupportedInputError, snf
+from monofour.scalars import snf
+from monofour.scalars.poly import UnsupportedInputError
 from monofour.scalars.snf import int_smith
 from monofour.groupalg import (
     GroupAlgebraElem,

@@ -10,9 +10,12 @@ through `__all__`, and on a top-level private function, class or
 constant (one leading underscore) that no module of the package reads,
 by name, attribute or import.  Names inside string annotations count as
 reads.  They also fail when two classes define a dunder method with the
-same body, docstrings aside: such a method belongs in a shared base class.
-One more test imports the package in a fresh interpreter and fails if
-that loads `dataclasses` or `inspect`.  Public functions and methods are
+same body, docstrings aside: such a method belongs in a shared base class,
+and on a relative import that takes a name from a module that only
+re-exports it: each name has one home and is imported from there.
+Two more tests import the package in a fresh interpreter: the checks and
+the CLI must not load `dataclasses` or `inspect`, and the operator path
+must load no scalar module but `poly`.  Public functions and methods are
 held to being run by an entry point, which test_reach.py checks.
 """
 
@@ -20,7 +23,7 @@ import ast
 import os
 import subprocess
 import sys
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import pytest
 
@@ -157,6 +160,57 @@ def duplicated_dunders(sources: dict[str, str]) -> list[str]:
     )
 
 
+def defined_names(tree: ast.Module) -> set[str]:
+    """Names a module defines at top level: functions, classes and
+    assignments, not imports."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                out |= {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+    return out
+
+
+def reexported_imports(sources: dict[str, str]) -> list[str]:
+    """Each relative `from X import name`, at any depth, where X neither
+    defines `name` at top level nor has a submodule `name`.  `sources`
+    maps paths relative to the package root to module sources."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    defined = {path: defined_names(tree) for path, tree in trees.items()}
+    out = []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or not node.level:
+                continue
+            base = PurePosixPath(path).parent
+            for _ in range(node.level - 1):
+                base = base.parent
+            if node.module:
+                base = base.joinpath(*node.module.split("."))
+            module = f"{base}.py" if f"{base}.py" in sources else str(base / "__init__.py")
+            for alias in node.names:
+                sub = base / alias.name
+                if (alias.name in defined.get(module, ())
+                        or f"{sub}.py" in sources or str(sub / "__init__.py") in sources):
+                    continue
+                out.append(f"{path} line {node.lineno}: {alias.name} from {module}")
+    return out
+
+
+def loaded_in_fresh_interpreter(imports: str, names) -> list[str]:
+    """Which of `names` are in sys.modules after `import <imports>` in a
+    new interpreter, so that no earlier import counts."""
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    script = f"import sys, {imports}\nprint(*sorted(set({sorted(names)!r}) & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    return proc.stdout.split()
+
+
 def test_every_module_is_scanned():
     names = {p.relative_to(PACKAGE).as_posix() for p in MODULES}
     assert {"ore.py", "mellin.py", "scalars/__init__.py"} <= names
@@ -177,17 +231,24 @@ def test_no_dunder_method_is_written_twice():
     assert duplicated_dunders(sources) == []
 
 
+def test_every_relative_import_names_the_defining_module():
+    sources = {p.relative_to(PACKAGE).as_posix(): p.read_text() for p in MODULES}
+    assert reexported_imports(sources) == []
+
+
 def test_start_up_loads_no_dataclasses():
     # `dataclasses` pulls in inspect, ast, dis and tokenize, which cost
     # about a tenth of the package's cold import; the records are slots
-    # classes instead.  A fresh interpreter, so no earlier import counts.
-    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    script = ("import sys, monofour.checks, monofour.cli\n"
-              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    assert proc.stdout.strip() == "[]"
+    # classes instead.
+    assert loaded_in_fresh_interpreter(
+        "monofour.checks, monofour.cli", {"dataclasses", "inspect"}) == []
+
+
+def test_operator_path_loads_no_other_scalar_module():
+    # The operators need Poly, the typed error and the refusal helpers,
+    # which all live in scalars.poly.
+    others = {f"monofour.scalars.{m}" for m in ("ratfun", "cyclotomic", "ffield", "snf")}
+    assert loaded_in_fresh_interpreter("monofour.ore, monofour.parser", others) == []
 
 
 class TestDetector:
@@ -231,6 +292,18 @@ class TestDetector:
                     "    def __str__(self):\n        return 'b'\n",
         }
         assert duplicated_dunders(sources) == ["__bool__: a.py:A, b.py:B"]
+
+    def test_flags_a_name_taken_through_a_reexport(self):
+        sources = {
+            "__init__.py": "",
+            "a.py": "from typing import Union\n\ndef f():\n    pass\n\nX: int = 1\nY, Z = 2, 3\n",
+            "pkg/__init__.py": "from ..a import f\n",
+            "pkg/b.py": "from . import c\nfrom .. import a, pkg\nfrom ..a import X, Z, f\n\n"
+                        "def g():\n    from . import f\n    from ..a import Union\n",
+            "pkg/c.py": "",
+        }
+        assert reexported_imports(sources) == [
+            "pkg/b.py line 6: f from pkg/__init__.py", "pkg/b.py line 7: Union from a.py"]
 
     def test_plain_methods_and_distinct_bodies_pass(self):
         sources = {

@@ -52,17 +52,10 @@ from monofour.mellin import (
 )
 from monofour import checks, mellin
 from monofour.ore import CyclicPresentation, ShiftOp, WeylOp, antipode, inversion_twist
-from monofour.scalars import (
-    Poly,
-    RatFun,
-    UnsupportedInputError,
-    poly_gcd,
-    ratfun,
-    rational_rank,
-)
-from monofour.scalars.snf import poly_smith
-from monofour.scalars.poly import poly_lcm
-from monofour.scalars.ratfun import at_least, linear_factors
+from monofour.scalars import ratfun
+from monofour.scalars.snf import poly_smith, rational_rank
+from monofour.scalars.poly import Poly, UnsupportedInputError, at_least, poly_gcd, poly_lcm
+from monofour.scalars.ratfun import RatFun, linear_factors
 
 S = ShiftOp.s()
 T = ShiftOp.t_power(1)

@@ -17,8 +17,8 @@ from math import comb, factorial
 
 import pytest
 
-from monofour.scalars import CycScalar, Poly, UnsupportedInputError, frac, zeta
-from monofour.scalars.ratfun import at_least, at_most
+from monofour.scalars.cyclotomic import CycScalar, zeta
+from monofour.scalars.poly import Poly, UnsupportedInputError, at_least, at_most, frac
 from monofour.ore import (
     LaurentWeylOp,
     ShiftOp,

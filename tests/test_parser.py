@@ -26,8 +26,7 @@ from monofour.parser import (
     _weyl_atom,
     parse_operator,
 )
-from monofour.scalars import Poly, UnsupportedInputError, frac
-from monofour.scalars.ratfun import at_least, at_most, one_of
+from monofour.scalars.poly import Poly, UnsupportedInputError, at_least, at_most, frac, one_of
 
 
 def rand_shift(rng, max_level=2, max_deg=2, max_terms=3):

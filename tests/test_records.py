@@ -23,7 +23,8 @@ from monofour.mellin import (
     tensor_equivariant,
 )
 from monofour.ore import CyclicPresentation, WeylOp
-from monofour.scalars import Poly, RatFun
+from monofour.scalars.poly import Poly
+from monofour.scalars.ratfun import RatFun
 
 
 @dataclass(frozen=True)

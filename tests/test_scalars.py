@@ -8,23 +8,16 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monofour.scalars import (
-    CycScalar,
-    Fq,
-    Poly,
-    RatFun,
-    UnsupportedInputError,
-    cyclotomic_poly,
-    poly_gcd,
-    poly_rank,
-    rational_rank,
-    zeta,
+from monofour.scalars import cyclotomic, ffield, poly, ratfun, snf
+from monofour.scalars.cyclotomic import (
+    CycScalar, _phi, _zeta_powers, cyclotomic_poly, sum_of_products, zeta,
 )
-from monofour.scalars import cyclotomic, ffield, ratfun, snf
-from monofour.scalars.cyclotomic import _phi, _zeta_powers, sum_of_products
-from monofour.scalars.poly import frac, integer_coeffs, synthetic_division, taylor_coeffs
-from monofour.scalars.snf import CERT_PRIME, int_smith, poly_smith
-from monofour.scalars.ratfun import linear_factors, partial_fractions, rational_roots
+from monofour.scalars.ffield import Fq
+from monofour.scalars.poly import (
+    Poly, UnsupportedInputError, frac, integer_coeffs, poly_gcd, synthetic_division, taylor_coeffs,
+)
+from monofour.scalars.snf import CERT_PRIME, int_smith, poly_rank, poly_smith, rational_rank
+from monofour.scalars.ratfun import RatFun, linear_factors, partial_fractions, rational_roots
 from monofour.mellin import EquivariantModule, torsion_by_point_ranks
 from monofour.trace import _cyc_rank, four_B, gauss_sum, monodromic_span_basis
 
@@ -1663,14 +1656,14 @@ class TestSplitPrimes:
                   3825123056546413051, 318665857834031151167461)
 
     def test_miller_rabin_matches_trial_division(self):
-        assert [n for n in range(3000) if cyclotomic._is_prime(n)] == [
+        assert [n for n in range(3000) if poly._is_prime(n)] == [
             n for n in range(3000) if trial_division_is_prime(n)]
 
     def test_miller_rabin_rejects_pseudoprimes(self):
         for n in self.COMPOSITES:
-            assert not cyclotomic._is_prime(n)
-        assert cyclotomic._is_prime(2**61 - 1) and cyclotomic._is_prime(CERT_PRIME)
-        assert not cyclotomic._is_prime((2**61 - 1) * 8191)
+            assert not poly._is_prime(n)
+        assert poly._is_prime(2**61 - 1) and poly._is_prime(CERT_PRIME)
+        assert not poly._is_prime((2**61 - 1) * 8191)
 
     @pytest.mark.parametrize("n", range(1, 31))
     def test_split_primes_carry_a_primitive_root(self, n):
@@ -1678,7 +1671,7 @@ class TestSplitPrimes:
         assert [p for p, _ in primes] == sorted({p for p, _ in primes})
         for p, omega in primes:
             assert 2**61 < p < 2**62 and (p - 1) % n == 0
-            assert cyclotomic._is_prime(p)
+            assert poly._is_prime(p)
             assert all(pow(a, p - 1, p) == 1 for a in (2, 3, 5, 7))
             assert pow(omega, n, p) == 1
             assert all(pow(omega, n // l, p) != 1 for l in prime_factors(n))

@@ -15,7 +15,9 @@ from itertools import product
 import pytest
 
 from monofour import trace
-from monofour.scalars import CycScalar, Fq, UnsupportedInputError, zeta
+from monofour.scalars.cyclotomic import CycScalar, zeta
+from monofour.scalars.ffield import Fq
+from monofour.scalars.poly import UnsupportedInputError
 from monofour.trace import (
     CharacterTable,
     TraceFunction,
