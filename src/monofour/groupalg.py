@@ -8,10 +8,11 @@ transition maps of the pro-system (so t-1 becomes a non-zero-divisor
 in the limit), unit groups map onto unit groups along transitions, and
 twist indices of formal rank-one modules add under tensor.
 
-All verifications are exact: subgroup orders, membership questions and
-kernels over Z/l^r reduce to Hermite triangularisation mod l^r, each
-kernel with a certificate checked at run time, and unit tests to
-polynomial gcds over the residue field F_l.
+All verifications are exact: subgroup orders and kernels over Z/l^r
+reduce to Hermite triangularisation mod l^r, each kernel with a
+certificate checked at run time, membership to one order comparison of
+the joined generators, and unit tests to polynomial gcds over the
+residue field F_l.
 """
 
 from __future__ import annotations
@@ -170,42 +171,41 @@ def _triangularise(rows, ncols: int, L: int) -> tuple[int, list[list[int]]]:
     row; the column adds the factor gcd(pivot, L) to the index, and
     L/gcd(pivot, L) times the pivot row, which vanishes in that column
     mod L, stays with the other rows.  Returns that index and the rows
-    left, which span the elements of the span that vanish there.
+    left, which span the elements of the span that vanish there.  Rows
+    keep their full length, zero before column k, so only a rewritten
+    row can turn zero; the scaled pivot row is zero when gcd(pivot, L) = 1.
     """
     index = 1
-    for _ in range(ncols):
+    if ncols:
+        rows = [row for row in rows if any(row)]
+    for k in range(ncols):
         pivot, rest = None, []
         for row in rows:
-            if pivot is None and row[0]:
+            if not row[k]:
+                rest.append(row)
+            elif pivot is None:
                 pivot = row
-                continue
-            while row[0]:
-                t = pivot[0] // row[0]
-                pivot, row = row, [(x - t * y) % L for x, y in zip(pivot, row)]
-            rest.append(row)
+            else:
+                while row[k]:
+                    t = pivot[k] // row[k]
+                    pivot, row = row, [(x - t * y) % L for x, y in zip(pivot, row)]
+                if any(row):
+                    rest.append(row)
         if pivot is None:
             index *= L
         else:
-            g = gcd(pivot[0], L)
+            g = gcd(pivot[k], L)
             index *= g
-            rest.append([(L // g) * x % L for x in pivot])
-        rows = [row[1:] for row in rest if any(row[1:])]
-    return index, rows
-
-
-def in_subgroup(gens, ncols: int, L: int, target) -> bool:
-    base = subgroup_order(gens, ncols, L)
-    return subgroup_order(list(gens) + [list(target)], ncols, L) == base
+            if g > 1 and any(row := [(L // g) * x % L for x in pivot]):
+                rest.append(row)
+        rows = rest
+    return index, [row[ncols:] for row in rows]
 
 
 def _mult_matrix(a: GroupAlgebraElem):
     """Integer matrix of multiplication by a on the coefficient lattice."""
-    n = a.n
-    mat = [[0] * n for _ in range(n)]
-    for j in range(n):
-        for i, c in enumerate(a.coeffs):
-            mat[(i + j) % n][j] += c
-    return mat
+    n, coeffs = a.n, a.coeffs
+    return [[coeffs[(i - j) % n] for j in range(n)] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +238,7 @@ def augmentation_kernel_check(ell: int, r: int, n: int) -> dict:
     ideal_order = subgroup_order(ideal_gens, n, L)
 
     ideal_in_kernel = all(sum(g) % L == 0 for g in ideal_gens)
-    kernel_in_ideal = all(in_subgroup(ideal_gens, n, L, g) for g in kernel_gens)
+    kernel_in_ideal = subgroup_order(ideal_gens + kernel_gens, n, L) == ideal_order
 
     basis = []
     factorizations_ok = True
@@ -289,7 +289,7 @@ def pro_nzd_check(ell: int, r: int, n: int, m: int | None = None) -> dict:
     gens = solve_mod_kernel(_mult_matrix(tm1), m, L)
     order = subgroup_order(gens, m, L)
     all_equal = all(len(set(g)) == 1 for g in gens)
-    contains_sigma = in_subgroup(gens, m, L, [1] * m)
+    contains_sigma = subgroup_order(gens + [[1] * m], m, L) == order
     images = [transition(GroupAlgebraElem(ell, r, m, tuple(g)), n) for g in gens]
     nonzero = [str(img) for img in images if not img.is_zero]
     sigma_image = transition(sigma(ell, r, m), n)

@@ -23,7 +23,6 @@ from monofour.groupalg import (
     ga_monomial,
     ga_mul,
     ga_one,
-    in_subgroup,
     is_unit,
     pro_nzd_check,
     sigma,
@@ -146,6 +145,13 @@ class TestTransition:
             transition(t_gen(2, 1, 6), 4)
 
 
+def in_subgroup(gens, ncols: int, L: int, target) -> bool:
+    """Membership oracle: the target joins the gens without raising the
+    order of the subgroup they generate."""
+    base = subgroup_order(gens, ncols, L)
+    return subgroup_order(list(gens) + [list(target)], ncols, L) == base
+
+
 class TestSubgroupHelpers:
     def test_sum_zero_kernel_order(self):
         gens = solve_mod_kernel([[1, 1, 1]], 3, 4)
@@ -160,9 +166,9 @@ class TestSubgroupHelpers:
         assert not in_subgroup(gens, 2, 4, [1, 1])
 
 
-def appendix_matrices(monkeypatch):
-    """(vectors, ncols, L) of every subgroup_order and solve_mod_kernel
-    call that the appendix rows of the full profile make."""
+def appendix_matrices(monkeypatch, names=("subgroup_order", "solve_mod_kernel"), profile="full"):
+    """(vectors, ncols, L) of every call to the named groupalg functions
+    that the appendix rows of the profile make."""
     seen = []
 
     def record(name):
@@ -174,13 +180,86 @@ def appendix_matrices(monkeypatch):
 
         monkeypatch.setattr(groupalg, name, wrapper)
 
-    record("subgroup_order")
-    record("solve_mod_kernel")
-    for check_id, params in checks.profile_tasks("full"):
+    for name in names:
+        record(name)
+    for check_id, params in checks.profile_tasks(profile):
         if check_id.startswith("appendix-"):
             checks.run_check(check_id, params)
     monkeypatch.undo()
     return seen
+
+
+def ref_triangularise(rows, ncols: int, L: int) -> tuple[int, list[list[int]]]:
+    """The earlier triangularisation, which cut the leading column off
+    every surviving row at every column."""
+    index = 1
+    for _ in range(ncols):
+        pivot, rest = None, []
+        for row in rows:
+            if pivot is None and row[0]:
+                pivot = row
+                continue
+            while row[0]:
+                t = pivot[0] // row[0]
+                pivot, row = row, [(x - t * y) % L for x, y in zip(pivot, row)]
+            rest.append(row)
+        if pivot is None:
+            index *= L
+        else:
+            g = gcd(pivot[0], L)
+            index *= g
+            rest.append([(L // g) * x % L for x in pivot])
+        rows = [row[1:] for row in rest if any(row[1:])]
+    return index, rows
+
+
+class TestTriangulariseReference:
+    """_triangularise walks full-length rows; the earlier column-cutting
+    loop must give the same index and the same rows in the same order."""
+
+    def test_every_matrix_of_the_full_profiles_appendix_rows(self, monkeypatch):
+        seen = appendix_matrices(monkeypatch, names=("_triangularise",))
+        assert len(seen) == 354
+        for rows, ncols, L in seen:
+            assert groupalg._triangularise(rows, ncols, L) == ref_triangularise(rows, ncols, L)
+
+    def test_seeded_random_matrices(self):
+        rng = random.Random(2029)
+        for k in range(2400):
+            L = rng.choice([1, 2, 4, 8, 9, 27, 12, 25])
+            ncols = rng.randint(0, 6)
+            width = ncols + rng.randint(0, 4)
+            # no rows, or up to four more rows than triangularised columns
+            nrows = 0 if k % 25 == 0 else rng.randint(1, ncols + 4)
+            rows = [[rng.randrange(L) for _ in range(width)] for _ in range(nrows)]
+            for row in rows:
+                if rng.random() < 0.15:
+                    row[:] = [0] * width
+            for j in range(width):
+                if rng.random() < 0.15:
+                    for row in rows:
+                        row[j] = 0
+            if nrows > 1 and rng.random() < 0.3:
+                rows[0] = [sum(rng.randint(-2, 2) * r[i] for r in rows[1:]) % L for i in range(width)]
+            assert groupalg._triangularise(rows, ncols, L) == ref_triangularise(rows, ncols, L)
+
+    def test_edge_cases(self):
+        for rows, ncols, L in [
+            ([], 3, 8),
+            ([[0, 0, 0]], 3, 4),
+            ([[0, 0], [0, 1]], 0, 4),
+            ([[2, 1], [0, 0], [6, 3]], 1, 8),
+            ([[3, 0, 1], [0, 0, 0], [5, 0, 0], [0, 0, 7]], 2, 9),
+            # solve_mod_kernel's identity block is not reduced when L = 1
+            ([[1, 0, 1, 0], [0, 1, 0, 1]], 2, 1),
+        ]:
+            assert groupalg._triangularise(rows, ncols, L) == ref_triangularise(rows, ncols, L)
+
+    def test_triangularisations_per_quick_appendix_pass(self, monkeypatch):
+        # the cost of the appendix rows as a count that does not vary:
+        # 492 while membership recomputed each base order, one
+        # triangularisation per subgroup order and kernel step now
+        assert len(appendix_matrices(monkeypatch, ("_triangularise",), "quick")) == 354
 
 
 def smith_subgroup_order(gens, ncols: int, L: int) -> int:
@@ -201,7 +280,7 @@ class TestSubgroupOrderOracle:
 
     def test_every_matrix_of_the_full_profiles_appendix_rows(self, monkeypatch):
         seen = appendix_matrices(monkeypatch)
-        assert len(seen) == 360
+        assert len(seen) == 222
         for vectors, ncols, L in seen:
             assert subgroup_order(vectors, ncols, L) == smith_subgroup_order(vectors, ncols, L)
 
@@ -252,7 +331,7 @@ class TestKernelOracle:
 
     def test_every_matrix_of_the_full_profiles_appendix_rows(self, monkeypatch):
         seen = appendix_matrices(monkeypatch)
-        assert len(seen) == 360
+        assert len(seen) == 222
         for rows, ncols, L in seen:
             assert_same_kernel(rows, ncols, L)
 
@@ -363,6 +442,15 @@ class TestAugmentationKernel:
             "verified": True,
         }
 
+    def test_kernel_generator_outside_the_ideal(self, monkeypatch):
+        # {x : x_0 = 0} has the kernel's order 16 but holds t, which is
+        # not in (t-1): only the joined order of ideal and kernel sees it
+        monkeypatch.setattr(groupalg, "solve_mod_kernel", lambda rows, ncols, L: [[0, 1, 0], [0, 0, 1]])
+        report = augmentation_kernel_check(2, 2, 3)
+        assert report["verdict"] is False
+        assert report["kernel_order"] == report["ideal_order"] == report["expected_order"] == 16
+        assert all(entry["verified"] for entry in report["basis"])
+
 
 class TestAugmentationLevels:
     # ell = 0 and n = 0 divided by zero, r = -1 failed on a Fraction
@@ -400,6 +488,17 @@ class TestProNzd:
         assert report["verdict"] is False
         assert report["sigma_image"] == "2 + 2*t + 2*t^2"
         assert report["nonzero_images"]
+
+    def test_annihilator_missing_sigma(self, monkeypatch):
+        # 2*sigma mod 4 is a constant vector whose span misses sigma; its
+        # images still vanish, so only the sigma flag flips
+        monkeypatch.setattr(groupalg, "solve_mod_kernel", lambda rows, ncols, L: [[2] * ncols])
+        report = pro_nzd_check(2, 2, 3)
+        assert report["annihilator_is_sigma_multiples"] is False
+        assert report["verdict"] is True
+        assert report["annihilator_order"] == 2
+        assert report["sigma_image"] == "0"
+        assert report["nonzero_images"] == []
 
     def test_doubling_suffices_at_modulus_two(self):
         # with modulus 2 the fiber size m/n = 2 already kills the image

@@ -85,6 +85,8 @@ COMMANDS = [line.split() for line in (
     "verify eq3-decomp --chi 4/3 --n 2 --window 3",
     "verify lem-mon-shadow --q 7 --n 3 --chi 1/2",
     "verify appendix-augmentation --ell 0",
+    "verify appendix-augmentation --ell 2 --r 3 --n 8",
+    "verify appendix-nzd --ell 2 --r 3 --n 3",
     "verify appendix-units --ell 3 --r 2 --n 1 --nprime 5",
     "verify no-such-check",
     "reduce --algebra weyl " + "1" * 5000,
