@@ -322,22 +322,25 @@ def is_unit(a: GroupAlgebraElem) -> bool:
     return len(f) == 1
 
 
-def _units_of(ell: int, r: int, n: int):
-    """The units of (Z/l^r)[Z/n] in lexicographic order."""
-    return (GroupAlgebraElem(ell, r, n, vec) for vec in _unit_vectors(ell, r, n))
-
-
-def _unit_vectors(ell: int, r: int, n: int):
-    """Coefficient tuples of the units of (Z/l^r)[Z/n] in lexicographic
-    order.  Since l generates a nilpotent ideal, a vector is a unit
-    exactly when its reduction mod l is, so the verdict is computed once
-    per residue; the two products below run in step."""
-    units = {
+def _unit_residues(ell: int, n: int) -> list[tuple[int, ...]]:
+    """Coefficient tuples of the units of F_l[Z/n] in lexicographic order."""
+    return [
         res for res in product(range(ell), repeat=n) if is_unit(GroupAlgebraElem(ell, 1, n, res))
-    }
+    ]
+
+
+def _units_of(ell: int, r: int, n: int):
+    """The units of (Z/l^r)[Z/n] in lexicographic order.  Since l
+    generates a nilpotent ideal, a vector is a unit exactly when its
+    reduction mod l is, so the verdict is computed once per residue; the
+    two products below run in step."""
+    units = set(_unit_residues(ell, n))
     residues = [c % ell for c in range(ell**r)]
     vectors = product(range(ell**r), repeat=n)
-    return (vec for vec, res in zip(vectors, product(residues, repeat=n)) if res in units)
+    return (
+        GroupAlgebraElem(ell, r, n, vec)
+        for vec, res in zip(vectors, product(residues, repeat=n)) if res in units
+    )
 
 
 def _coset_has_unit_preimage(u: GroupAlgebraElem, nprime: int) -> GroupAlgebraElem | None:
@@ -357,11 +360,16 @@ def _coset_has_unit_preimage(u: GroupAlgebraElem, nprime: int) -> GroupAlgebraEl
 def unit_surjectivity_check(ell: int, r: int, n: int, nprime: int) -> dict:
     """Every unit downstairs is the transition image of a unit upstairs.
 
-    Small source rings are enumerated outright; larger ones are handled
-    per target unit by searching its transition fiber, which is a coset
-    of the transition kernel.  A non-prime ell, r < 1, an n that is not a
-    positive divisor of n' >= 1, n' above _UNIT_LEVEL_GUARD or ell^r above
-    _UNIT_MODULUS_GUARD raises UnsupportedInputError.
+    A vector is a unit exactly when its residue mod l is, the transition
+    commutes with reduction mod l, and it maps l (Z/l^r)^n' onto
+    l (Z/l^r)^n.  So for small source rings (L^n' within the enumeration
+    budget) a target unit is hit exactly when its residue is the image
+    of a unit residue of F_l[Z/n'], which is enumerated, and there are
+    l^((r-1) n') source units above each unit residue.  Larger ones are
+    handled per target unit by searching its transition fiber, which is
+    a coset of the transition kernel.  A non-prime ell, r < 1, an n that
+    is not a positive divisor of n' >= 1, n' above _UNIT_LEVEL_GUARD or
+    ell^r above _UNIT_MODULUS_GUARD raises UnsupportedInputError.
     """
     prime("ell", ell)
     # ell >= 2, so no r above the guard's bit length fits, and ell**r stays small
@@ -385,17 +393,14 @@ def unit_surjectivity_check(ell: int, r: int, n: int, nprime: int) -> dict:
     report["target_units"] = len(target_units)
 
     if L**nprime <= _ENUMERATION_BUDGET:
-        hit = set()
-        source_units = 0
-        for vec in _unit_vectors(ell, r, nprime):
-            source_units += 1
-            hit.add(tuple(sum(vec[j::n]) % L for j in range(n)))
-        missed = [str(u) for u in target_units if u.coeffs not in hit]
+        residues = _unit_residues(ell, nprime)
+        hit = {tuple(sum(res[j::n]) % ell for j in range(n)) for res in residues}
+        missed = [str(u) for u in target_units if tuple(c % ell for c in u.coeffs) not in hit]
         report.update(
             {
                 "verdict": not missed,
                 "method": "enumeration",
-                "source_units": source_units,
+                "source_units": len(residues) * ell ** ((r - 1) * nprime),
                 "missed": missed,
             }
         )

@@ -5,6 +5,9 @@ their conductors: zeta_n^i is x^(i N/n) in Z[x]/(x^N - 1), a ring
 embedding because a primitive N-th root raised to N/n is a primitive
 n-th root.  A product, and a sum or comparison across conductors, is
 summed there by `sum_of_products` and folded into Q[x]/Phi_N once.
+Callers that already know N and sum many values over the same
+operands, the trace transforms, spread each operand once with
+`_spread` and hand the spread pairs to the kernel `_sum_spread`.
 """
 
 from __future__ import annotations
@@ -202,9 +205,8 @@ def sum_of_products(pairs):
     no pairs, and with a cyclotomic operand a CycScalar at the lcm N of
     every cyclotomic operand's conductor, zeros included.
 
-    With one, the terms are summed as integer numerators in
-    Z[x]/(x^N - 1) over one denominator, zeta_n^i at x^(i N/n), and
-    folded into Q[x]/Phi_N once, through _zeta_powers.
+    With one, every operand is spread into Z[x]/(x^N - 1), zeta_n^i at
+    x^(i N/n), and summed by _sum_spread.
     """
     pairs = list(pairs)
     n = 0  # the lcm of the cyclotomic conductors; 0 while there is none
@@ -215,11 +217,18 @@ def sum_of_products(pairs):
             n = lcm(n or 1, b.conductor)
     if not n:
         return sum(a * b for a, b in pairs)
+    return _sum_spread([(_spread(a, n), _spread(b, n)) for a, b in pairs], n)
+
+
+def _sum_spread(pairs, n: int) -> CycScalar:
+    """The CycScalar at conductor n summing a * b over pairs of operands
+    already spread into Z[x]/(x^n - 1), each a (terms, denominator) pair
+    as _spread gives it.  The products are summed as integer numerators
+    over one denominator and folded into Q[x]/Phi_n once, through
+    _zeta_powers."""
     acc = [0] * (2 * n - 1)
     den = 1
-    for a, b in pairs:
-        ta, da = _spread(a, n)
-        tb, db = _spread(b, n)
+    for (ta, da), (tb, db) in pairs:
         if not (ta and tb):
             continue
         d = da * db

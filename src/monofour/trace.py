@@ -29,7 +29,9 @@ from functools import lru_cache
 from itertools import product
 from math import gcd, lcm, prod
 
-from .scalars.cyclotomic import CycScalar, split_prime, sum_of_products, zeta
+from .scalars.cyclotomic import (
+    CycScalar, _spread, _sum_spread, split_prime, sum_of_products, zeta,
+)
 from .scalars.ffield import Fq
 from .scalars.poly import (
     Immutable, UnsupportedInputError, at_least, at_most, divides, prime, rational,
@@ -221,12 +223,25 @@ def four_B(f: TraceFunction) -> TraceFunction:
 
 
 def four_psi(f: TraceFunction) -> TraceFunction:
-    """Additive-character transform: g(xi) = (-1)^d sum_v f(v) psi_1(<v, xi>)."""
-    table = CharacterTable(f.field)
-    kernel = [table.psi(a) for a in range(f.q)]
-    return _kernel_transform(f, lambda buckets: (
-        sum_of_products((kernel[row[b]], t) for b, t in buckets.items())
-        for row in f.field._mul[1:]))
+    """Additive-character transform: g(xi) = (-1)^d sum_v f(v) psi_1(<v, xi>).
+
+    Every nonzero value lies in one bucket of each line, so each g(xi)
+    has the conductor N = lcm(p, conductors of f's nonzero values).
+    psi_1(a) is the single term x^(Tr(a) N/p) of Z[x]/(x^N - 1); each
+    line's buckets are spread once, and each xi is one _sum_spread.
+    """
+    field = f.field
+    n = lcm(field.p, *(v.conductor for v in f.values if isinstance(v, CycScalar) and v))
+    stride = n // field.p
+    psi = [([(field.frobenius_trace(a) * stride, 1)], 1) for a in range(f.q)]
+
+    def line_values(buckets):
+        if not buckets:  # the zero function: the empty sum is the int 0
+            return [0] * (f.q - 1)
+        spread = [(b, _spread(t, n)) for b, t in buckets.items()]
+        return (_sum_spread([(psi[row[b]], t) for b, t in spread], n) for row in field._mul[1:])
+
+    return _kernel_transform(f, line_values)
 
 
 def _kernel_transform(f: TraceFunction, line_values) -> TraceFunction:
@@ -258,9 +273,11 @@ def conv_Gm(g: TraceFunction, f: TraceFunction) -> TraceFunction:
     Each value is written in the conductor the full per-term sum has.
     On int tables f's support is spread along the lines through 0,
     out[lam j] += g(lam) f(j), in O(|supp f| (q-1)) steps.  Otherwise
-    each value is one sum_of_products over the units, which for rational
-    tables is the chained sum, so g(lam) 0 is Fraction(0) when either
-    operand is a Fraction.
+    every value on a line reads the same f values, so its conductor N is
+    the lcm of g's cyclotomic conductors and f's on that line: g is
+    spread once per N, f's line once, and each value is one _sum_spread.
+    A line with no cyclotomic value keeps the chained rational sum, so
+    g(lam) 0 is Fraction(0) when either operand is a Fraction.
     """
     if g.rank != 1:
         raise ValueError("convolver must live on F_q")
@@ -280,16 +297,34 @@ def conv_Gm(g: TraceFunction, f: TraceFunction) -> TraceFunction:
                         out[moved[mul[lam][mu] - 1]] += gl * fvals[j]
         return TraceFunction(field, d, out)
     # a zero term adds no value, but a cyclotomic one can widen the
-    # conductor of the sum; only terms that are rational zeros are skipped
+    # conductor of the sum; only terms that are rational zeros are skipped,
+    # and all q - 1 are kept once f has a cyclotomic value
     rational_f = not any(isinstance(x, CycScalar) for x in fvals)
     terms = [
         (field._inv[lam], gl) for lam, gl in enumerate(gvals)
         if lam and (gl or not rational_f or isinstance(gl, CycScalar))
     ]
-    out[0] = sum_of_products((gl, fvals[0]) for _, gl in terms)
+    g_conductors = [gl.conductor for _, gl in terms if isinstance(gl, CycScalar)]
+    g_spread = {}  # conductor -> g's terms spread at it
+
+    def line_sums(fline, picks):
+        """For each pick list, the sum of gl f(l^-1 v) over the terms, the
+        f values read from fline: the chained sum on a rational line,
+        else one _sum_spread at the line's conductor."""
+        conductors = g_conductors + [x.conductor for x in fline if isinstance(x, CycScalar)]
+        if not conductors:
+            return [sum(gl * fline[k] for (_, gl), k in zip(terms, ks)) for ks in picks]
+        n = lcm(*conductors)
+        if n not in g_spread:
+            g_spread[n] = [_spread(gl, n) for _, gl in terms]
+        gs, fs = g_spread[n], [_spread(x, n) for x in fline]
+        return [_sum_spread(zip(gs, [fs[k] for k in ks]), n) for ks in picks]
+
+    out[0] = line_sums([fvals[0]], [[0] * len(terms)])[0]
+    picks = [[mul[li][mu] - 1 for li, _ in terms] for mu in units]
     for _, moved in lines[1:]:
-        for mu, v in zip(units, moved):
-            out[v] = sum_of_products((gl, fvals[moved[mul[li][mu] - 1]]) for li, gl in terms)
+        for v, value in zip(moved, line_sums([fvals[j] for j in moved], picks)):
+            out[v] = value
     return TraceFunction(field, d, out)
 
 

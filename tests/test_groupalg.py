@@ -597,6 +597,70 @@ class TestUnitOracle:
                 assert is_unit(elem) == ref_is_unit(elem) == (c % ell != 0)
 
 
+def ref_unit_surjectivity(ell, r, n, nprime):
+    """The enumeration-branch report of unit_surjectivity_check, by walking
+    every unit of the source ring (Z/l^r)[Z/n'] through the transition."""
+    L = ell**r
+    target_units = list(groupalg._units_of(ell, r, n))
+    hit, source_units = set(), 0
+    for u in groupalg._units_of(ell, r, nprime):
+        source_units += 1
+        hit.add(tuple(sum(u.coeffs[j::n]) % L for j in range(n)))
+    missed = [str(u) for u in target_units if u.coeffs not in hit]
+    return {
+        "ell": ell,
+        "r": r,
+        "n": n,
+        "nprime": nprime,
+        "classical_case": all(groupalg._classical_flag(ell, m) for m in (n, nprime)),
+        "target_units": len(target_units),
+        "verdict": not missed,
+        "method": "enumeration",
+        "source_units": source_units,
+        "missed": missed,
+    }
+
+
+def enumeration_inputs():
+    """Every (l, r, n, n') the guards accept whose source ring fits the
+    enumeration budget, with n a proper divisor of n'."""
+    return [
+        (ell, r, n, nprime)
+        for ell in (2, 3, 5, 7) for r in (1, 2, 3) if ell**r <= groupalg._UNIT_MODULUS_GUARD
+        for nprime in range(2, groupalg._UNIT_LEVEL_GUARD + 1)
+        if ell ** (r * nprime) <= groupalg._ENUMERATION_BUDGET
+        for n in range(1, nprime) if nprime % n == 0
+    ]
+
+
+class TestUnitSurjectivityOracle:
+    def test_residue_rule_matches_the_enumeration(self):
+        inputs = enumeration_inputs()
+        assert len(inputs) == 45
+        for args in inputs:
+            report = unit_surjectivity_check(*args)
+            assert report == ref_unit_surjectivity(*args), args
+            assert report["missed"] == []
+
+    @pytest.mark.parametrize("args", [(3, 2, 2, 4), (2, 2, 3, 6), (2, 3, 1, 2), (5, 1, 2, 4)])
+    def test_a_dropped_residue_class_is_missed_alike(self, monkeypatch, args):
+        # no source unit may reduce onto the residue of 1 downstairs, so
+        # every target unit above that residue is missed
+        ell, r, n, nprime = args
+        real, one = groupalg.is_unit, (1,) + (0,) * (n - 1)
+
+        def is_unit(a):
+            if a.n == nprime and tuple(c % ell for c in transition(a, n).coeffs) == one:
+                return False
+            return real(a)
+
+        monkeypatch.setattr(groupalg, "is_unit", is_unit)
+        report = unit_surjectivity_check(*args)
+        assert report == ref_unit_surjectivity(*args)
+        assert report["verdict"] is False
+        assert len(report["missed"]) == ell ** ((r - 1) * n)
+
+
 class TestUnitSurjectivity:
     def test_frozen_examples(self):
         assert unit_surjectivity_check(2, 1, 1, 3)["verdict"] is True

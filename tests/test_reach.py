@@ -87,6 +87,8 @@ COMMANDS = [line.split() for line in (
     "verify appendix-augmentation --ell 0",
     "verify appendix-augmentation --ell 2 --r 3 --n 8",
     "verify appendix-nzd --ell 2 --r 3 --n 3",
+    "verify appendix-units --ell 3 --r 2 --n 2 --nprime 4",
+    "verify appendix-units --ell 2 --r 2 --n 3 --nprime 6",
     "verify appendix-units --ell 3 --r 2 --n 1 --nprime 5",
     "verify no-such-check",
     "reduce --algebra weyl " + "1" * 5000,

@@ -14,7 +14,8 @@ from itertools import product
 
 import pytest
 
-from monofour import trace
+from monofour import checks, trace
+from monofour.scalars import cyclotomic
 from monofour.scalars.cyclotomic import CycScalar, zeta
 from monofour.scalars.ffield import Fq
 from monofour.scalars.poly import UnsupportedInputError
@@ -443,6 +444,60 @@ class TestTransformOracles:
         monkeypatch.setattr(trace, "_LITERAL_BOUND", 0)
         assert check_keythm(field, d) == literal
 
+    @pytest.mark.parametrize("q,d", [(2, 2), (5, 1), (4, 2), (9, 1)])
+    def test_four_psi_of_zero_tables(self, q, d):
+        # no support: the int 0 everywhere, whatever the zeros' types
+        field = Fq(q)
+        zeros = [0, Fraction(0), zeta(max(q - 1, 1)) * 0, zeta(7) * 0]
+        for f in (TraceFunction.zero(field, d),
+                  TraceFunction(field, d, [zeros[i % 4] for i in range(q**d)])):
+            got = four_psi(f)
+            assert_same_table(got, ref_four_psi(f))
+            assert all(type(v) is int for v in got.values)
+        # next to a support, zeros are still outside it and add no conductor
+        f = TraceFunction(field, d, [0, 2] + [zeros[3]] * (q**d - 2))
+        got = four_psi(f)
+        assert_same_table(got, ref_four_psi(f))
+        assert {v.conductor for v in got.values} == {field.p}
+
+    @pytest.mark.parametrize("q,d", [(3, 2), (5, 1), (4, 2), (9, 1)])
+    def test_four_psi_of_fraction_tables(self, q, d):
+        field = Fq(q)
+        rng = random.Random(q * 10 + d)
+        f = TraceFunction(field, d, [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+                                     for _ in range(q**d)])
+        got = four_psi(f)
+        assert_same_table(got, ref_four_psi(f))
+        assert {v.conductor for v in got.values} == {field.p}
+
+    @pytest.mark.parametrize("q", [3, 4, 5, 7])
+    def test_conv_Gm_with_one_cyclotomic_line(self, q):
+        # f is cyclotomic on the line of (0, 1) only: with a rational g,
+        # every other line keeps the chained rational sum
+        field = Fq(q)
+        rng = random.Random(q)
+        line = set(field.units())  # (0, lam) sits at index lam
+        vals = [zeta(field.p, rng.randrange(field.p)) * rng.randint(1, 2) if i in line
+                else rng.choice((0, 1, -2, Fraction(1, 2), Fraction(0))) for i in range(q * q)]
+        f = TraceFunction(field, 2, vals)
+        for g in (t_B_units(field), TraceFunction(field, 1, [0, Fraction(1, 3)] + [0] * (q - 2))):
+            got = conv_Gm(g, f)
+            assert_same_table(got, ref_conv_Gm(g, f))
+            kinds = [isinstance(v, CycScalar) for v in got.values]
+            assert kinds == [i in line for i in range(q * q)]
+
+    @pytest.mark.parametrize("q,d", [(3, 2), (5, 1), (7, 1), (4, 2)])
+    def test_conv_Gm_with_cyclotomic_zeros_in_f(self, q, d):
+        # a zero adds nothing to a sum but its conductor, line by line
+        field = Fq(q)
+        rng = random.Random(q * 10 + d)
+        zeros = (zeta(3) * 0, zeta(5) * 0, zeta(field.p) * 0)
+        vals = [rng.choice(zeros + (0, 1, Fraction(-1, 2))) for _ in range(q**d)]
+        f = TraceFunction(field, d, vals)
+        table = CharacterTable(field)
+        for g in (t_B_units(field), table.psi_function(), table.chi_function(1)):
+            assert_same_table(conv_Gm(g, f), ref_conv_Gm(g, f))
+
     def test_tables_hold_ints(self):
         assert all(type(v) is int for v in t_B(5).values + t_B_units(5).values)
         assert all(type(v) is int for v in TraceFunction.delta(3, (1, 2)).values)
@@ -620,6 +675,29 @@ class TestTransformFactorization:
     def test_requires_prime_field(self):
         with pytest.raises(ValueError):
             check_BL2(9)
+
+
+# The _spread calls of the full profile's bl2 rows at seed 7: each line's
+# buckets are spread once for four_psi, and g once and each line of
+# four_psi(f) once for conv_Gm.
+BL2_FULL_SPREADS = 1883
+
+
+def test_bl2_spreads_each_operand_once_per_line(monkeypatch):
+    calls = []
+    real = cyclotomic._spread
+
+    def counted(x, n):
+        calls.append(n)
+        return real(x, n)
+
+    monkeypatch.setattr(cyclotomic, "_spread", counted)
+    monkeypatch.setattr(trace, "_spread", counted)
+    rows = [params for check_id, params in checks.profile_tasks("full") if check_id == "bl2"]
+    assert len(rows) == 6
+    for params in rows:
+        assert checks.run_check("bl2", dict(params, seed=7)).verdict == "pass"
+    assert len(calls) == BL2_FULL_SPREADS
 
 
 class TestValueSeparation:
