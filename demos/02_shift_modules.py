@@ -42,7 +42,13 @@ free = mellin.skyscraper_freeness_check("kernel", 0, 2, 4)
 print("fibers free     :", free["verdict"], "(ladder law:", free["ladder_law"], ")")
 
 # Tensoring a skyscraper tower with the kernel or exponential module
-# reproduces the tower — monodromization acts as the identity here.
+# reproduces the tower — monodromization acts as the identity here.  The
+# shift units of the tensored tower are derived from the line's fiber
+# generators: on the exponential ladder the step is argument translation
+# times s+1, so where the fiber generator is 1 the unit is s+1 at the point.
+tower = mellin.skyscraper_tower(0, 1, 3)
+exp_units = mellin.tensor_equivariant(tower, mellin.exp_ladder(4)).down_units
+print("exp units       :", [str(u) for _, u in sorted(exp_units.items())])
 mono = mellin.monodromization_check(Fraction(1, 2), 2, 5)
 print("monodromization :", mono["verdict"])
 

@@ -381,7 +381,7 @@ class WindowedLattice(Immutable):
                 if best is None or v <= best[0]:
                     best = (v, k)
             gen, label = self._gens[best[1]], self.labels[best[1]]
-        return Fiber(a, n, 1, n, gen, label)
+        return Fiber(a, n, gen, label)
 
 
 class Fiber(Immutable):
@@ -389,14 +389,12 @@ class Fiber(Immutable):
     fiber keeps its generator Factored; `generator` is its RatFun, built
     on first use."""
 
-    __slots__ = ("point", "order", "rank", "length", "_generator", "generator_label")
+    __slots__ = ("point", "order", "_generator", "generator_label")
 
-    def __init__(self, point: Fraction, order: int, rank: int, length: int,
-                 generator: Factored | RatFun, generator_label: str):
+    def __init__(self, point: Fraction, order: int, generator: Factored | RatFun,
+                 generator_label: str):
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "length", length)
         object.__setattr__(self, "_generator", generator)
         object.__setattr__(self, "generator_label", generator_label)
 
@@ -408,10 +406,8 @@ class Fiber(Immutable):
     def __eq__(self, other) -> bool:
         if not isinstance(other, Fiber):
             return NotImplemented
-        return (self.point, self.order, self.rank, self.length, self.generator,
-                self.generator_label) == (other.point, other.order, other.rank,
-                                          other.length, other.generator,
-                                          other.generator_label)
+        return (self.point, self.order, self.generator, self.generator_label) == (
+            other.point, other.order, other.generator, other.generator_label)
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +456,17 @@ class LadderFamily(Immutable):
 
     def fiber(self, a, n: int = 1) -> Fiber:
         return (self._lattice or self.as_lattice()).fiber(a, n)
+
+    def step_factor(self) -> Factored:
+        """The factor f_(j+1)(s)/f_j(s+1), which makes the index step
+        argument translation followed by multiplication: 1 on the pole
+        ladder, s+1 on the exponential one.  A ladder whose factor
+        depends on j is refused."""
+        values = self._values
+        factors = [values[j + 1] / values[j].shift(1) for j in values if j + 1 in values]
+        if any(f != factors[0] for f in factors):
+            raise UnsupportedInputError(f"ladder {self.label}'s step factor depends on the index")
+        return factors[0] if factors else _ONE
 
 
 def pole_ladder(radius: int) -> LadderFamily:
@@ -734,9 +741,11 @@ def torsion_by_point_ranks(m: EquivariantModule) -> bool:
 def tensor_equivariant(m1, m2) -> SkyscraperFamily:
     """Tensor product over k[s], with the diagonal semilinear shift action,
     of a skyscraper window and a free-rank-one line (lattice or ladder),
-    in either order: fiberwise the line contributes a free rank-1 factor
-    (a lattice fiber has rank one), so the order survives and the units
-    multiply."""
+    in either order: the order survives and the units multiply.  The
+    line's unit at chi+i is step(g_i)/g_(i-1) at chi+i-1, where g_i
+    generates its fiber at chi+i; the step is argument translation, times
+    LadderFamily.step_factor on a ladder.  A ratio with a zero or a pole
+    there maps no fiber onto the next, and records the unit 0."""
     lines = (LadderFamily, WindowedLattice)
     fam, line = (m2, m1) if isinstance(m2, SkyscraperFamily) else (m1, m2)
     if not (isinstance(fam, SkyscraperFamily) and isinstance(line, lines)):
@@ -750,17 +759,11 @@ def tensor_equivariant(m1, m2) -> SkyscraperFamily:
         fib = line.fiber(fam.chi + i, fam.order)
         gens[i] = fib._generator
         labels[i] = f"{fam.labels[i]} (x) {fib.generator_label}"
+    factor = line.step_factor() if isinstance(line, LadderFamily) else _ONE
     for i in range(-fam.radius + 1, fam.radius + 1):
-        if isinstance(line, LadderFamily):
-            # Index translation sends the fiber generator at chi+i to the
-            # one at chi+i-1 on the nose for the canonical ladders.
-            unit = Fraction(1)
-        else:
-            ratio = gens[i].shift(1) / gens[i - 1]
-            point = fam.chi + i - 1
-            if ratio.valuation(point) != 0:
-                raise UnsupportedInputError("shift does not carry generator to generator")
-            unit = ratio.eval(point)
+        ratio = gens[i].shift(1) * factor / gens[i - 1]
+        point = fam.chi + i - 1
+        unit = ratio.eval(point) if ratio.valuation(point) == 0 else _F0
         units[i] = fam.down_units[i] * unit
     return SkyscraperFamily(fam.chi, fam.radius, fam.order, labels, units)
 
@@ -889,10 +892,10 @@ def monodromization_check(chi, n: int, N: int) -> dict:
     and verify both results are isomorphic windowed families, with the
     free module as a control.
 
-    The verdict cannot be False: a tensored family copies the tower's
-    order, and every shift unit it records is 1 (the tower's units are 1,
-    and the ladders and the constant control line carry generator to
-    generator with unit 1), so the check passes or raises.
+    The tensored families' shift units are derived from the lines' fiber
+    generators (tensor_equivariant), so a step that is no isomorphism of
+    fibers records the unit 0 and fails; on the exponential ladder at
+    chi = 0, N = 3 they are -2, -1, 1, 1, 1, 1.
     """
     chi = _normalize_chi(chi)
     tower = skyscraper_tower(chi, n, N)
@@ -952,8 +955,6 @@ def exp_square_check(N: int, variant: str = "affine", control: bool = False) -> 
     lattice (all products g_k (s+k+1) equal to one common rational
     constant).  With control=True the twisted factor is replaced by the
     exponential ladder itself; no candidate then satisfies the relation.
-    `fiber_ranks_all_one` is always True: a lattice fiber is built with
-    rank 1 (WindowedLattice.fiber), so it records no test.
     """
     if N < 3:
         raise WindowError("need window radius at least 3 for the candidate search")
@@ -1003,9 +1004,6 @@ def exp_square_check(N: int, variant: str = "affine", control: bool = False) -> 
                 if stage["generates"] and stage["kernel_match"] and witness is None:
                     witness = (a, b)
             stages[f"({a},{b})"] = stage
-    fiber_ranks = all(
-        full.fiber(Fraction(m)).rank == 1 for m in range(-(N - 1), N)
-    )
     return {
         "verdict": witness is not None,
         "variant": "exp-control" if control else variant,
@@ -1013,7 +1011,6 @@ def exp_square_check(N: int, variant: str = "affine", control: bool = False) -> 
         "witness": list(witness) if witness else None,
         "relation_witnesses": [list(w) for w in relation_witnesses],
         "stages": stages,
-        "fiber_ranks_all_one": fiber_ranks,
     }
 
 

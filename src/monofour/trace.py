@@ -543,7 +543,6 @@ def check_P2B(q) -> dict:
     return {
         "verdict": ok,
         "q": q,
-        "psi_index": 1,  # psi_1; the key stays so that reports keep their bytes
         "value_at_0": str(values[0]),
         "value_at_1": str(values[1]),
     }

@@ -116,7 +116,7 @@ def test_criterion_05_shift_algebra_suite():
             failures.append("exp-square")
 
         # (f) transform substitution squared is the antipode
-        if checks.run_check("fourier-antipode", {"count": 1000}).verdict != "pass":
+        if checks.run_check("fourier-antipode").verdict != "pass":
             failures.append("fourier-antipode")
 
         # (g) torsion test agrees with the evaluation-rank oracle

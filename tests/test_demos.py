@@ -31,3 +31,5 @@ def test_demo_exits_0(demo):
     if demo.name.startswith("02"):
         # the kernel lattice content, built from its valuation map
         assert "content: (1)/(576*s - 820*s^3 + 273*s^5 - 30*s^7 + s^9)" in proc.stdout
+        # the exponential ladder's derived shift units at chi = 0, N = 3
+        assert "exp units       : ['-2', '-1', '1', '1', '1', '1']" in proc.stdout

@@ -682,9 +682,12 @@ class TestUnitSurjectivity:
             unit_surjectivity_check(2, 1, 2, 3)
 
     def test_coset_search_path(self):
-        report = unit_surjectivity_check(3, 2, 1, 5)
-        assert report["verdict"] is True
-        assert report["method"] == "coset_search"
+        # at ell = 7 the residue rule would walk 7^6 = 117 649 residues;
+        # the search stops at the first unit of each fiber
+        for args in ((3, 2, 1, 5), (7, 1, 1, 6), (7, 1, 3, 6)):
+            report = unit_surjectivity_check(*args)
+            assert report["verdict"] is True
+            assert report["method"] == "coset_search"
 
     def test_grid(self):
         for ell in (2, 3):

@@ -17,6 +17,7 @@ from math import comb, factorial
 
 import pytest
 
+from monofour import checks
 from monofour.scalars.cyclotomic import CycScalar, zeta
 from monofour.scalars.poly import Poly, UnsupportedInputError, at_least, at_most, frac
 from monofour.ore import (
@@ -256,6 +257,57 @@ class TestFourierAutomorphism:
         assert type(image) is LaurentWeylOp
         assert image == x_power(-3, -2) + LX * LDX
         assert antipode(image) == w
+
+
+def random_draw_failures(count: int, seed: int, antipode=antipode) -> int:
+    """Oracle of the fourier-antipode check's monomial basis: random sums
+    of one to three rank-1 monomials x^a dx^b, a, b <= 2, coefficients in
+    -3..3 (a repeated key overwrites, a zero coefficient drops), counting
+    those where the Fourier map twice differs from `antipode`."""
+    rng = random.Random(seed)
+    failures = 0
+    for _ in range(count):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            alpha = (rng.randint(0, 2),)
+            beta = (rng.randint(0, 2),)
+            terms[(alpha, beta)] = frac(rng.randint(-3, 3))
+        w = WeylOp(1, terms)
+        if fourier_auto(fourier_auto(w)) != antipode(w):
+            failures += 1
+    return failures
+
+
+def antipode_flipping(key):
+    """`antipode` with the sign of the monomial `key` flipped: a planted fault."""
+
+    def flipped(w):
+        terms = dict(antipode(w).terms)
+        if key in terms:
+            terms[key] = -terms[key]
+        return WeylOp(w.rank, terms)
+
+    return flipped
+
+
+class TestFourierAntipodeCheck:
+    @pytest.mark.parametrize("count, seed", [(1000, 20260823), (2000, 7)])
+    def test_random_draws_agree_with_the_basis_verdict(self, monkeypatch, count, seed):
+        assert random_draw_failures(count, seed) == 0
+        assert checks.run_check("fourier-antipode").verdict == "pass"
+        # one flipped rank-1 monomial: the draws that hold it fail, and so
+        # does the basis check
+        flipped = antipode_flipping(((1,), (2,)))
+        monkeypatch.setattr(checks, "antipode", flipped)
+        assert random_draw_failures(count, seed, flipped) > 0
+        assert checks.run_check("fourier-antipode").verdict == "fail"
+
+    def test_a_flipped_monomial_is_listed(self, monkeypatch):
+        # x1*dx2^2 flipped, and no other of the 90 monomials
+        monkeypatch.setattr(checks, "antipode", antipode_flipping(((1, 0), (0, 2))))
+        report = checks.run_check("fourier-antipode")
+        assert report.verdict == "fail"
+        assert report.witness == {"monomials": 90, "failures": ["x1*dx2^2"]}
 
 
 class TestInversionTwist:

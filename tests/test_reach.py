@@ -82,6 +82,8 @@ COMMANDS = [line.split() for line in (
     "verify propDmod3 --chi 1/2 --n 2 --window 4",
     "verify propDmod3 --chi 4/3 --n 2 --window 3",
     "verify dmodmon --chi 4/3 --n 2 --window 3",
+    "verify fourier-antipode",
+    "verify fourier-antipode --count 5",
     "verify eq3-decomp --chi 4/3 --n 2 --window 3",
     "verify lem-mon-shadow --q 7 --n 3 --chi 1/2",
     "verify appendix-augmentation --ell 0",

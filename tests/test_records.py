@@ -48,8 +48,6 @@ class RefSkyscraperFamily:
 class RefFiber:
     point: Fraction
     order: int
-    rank: int
-    length: int
     generator: RatFun
     generator_label: str
 
@@ -61,8 +59,7 @@ def ref(record):
     if isinstance(record, SkyscraperFamily):
         return RefSkyscraperFamily(record.chi, record.radius, record.order, record.labels,
                                    record.down_units)
-    return RefFiber(record.point, record.order, record.rank, record.length, record.generator,
-                    record.generator_label)
+    return RefFiber(record.point, record.order, record.generator, record.generator_label)
 
 
 def records():
@@ -72,7 +69,7 @@ def records():
         (checks.run_check("appendix-tensor"), "verdict"),
         (ga_elem(2, 2, 3, [1, 2, 3]), "coeffs"),
         (CyclicPresentation("weyl", (WeylOp.x(),)), "relations"),
-        (pole_ladder(2).fiber(1), "rank"),
+        (pole_ladder(2).fiber(1), "order"),
         (skyscraper_tower(0, 1, 2), "order"),
         (EquivariantModule(1, ((Poly.x(),),)), "nrows"),
     ]
@@ -107,8 +104,8 @@ def equality_pairs():
         (lattice.fiber(1, 2), lattice.fiber(1, 2)),
         (lattice.fiber(1), lattice.fiber(1, 2)),
         (lattice.fiber(1), lattice.fiber(2)),
-        (lattice.fiber(Fraction(1, 2)), Fiber(Fraction(1, 2), 1, 1, 1, RatFun(1), "1")),
-        (lattice.fiber(Fraction(1, 2)), Fiber(Fraction(1, 2), 1, 1, 1, RatFun(1), "one")),
+        (lattice.fiber(Fraction(1, 2)), Fiber(Fraction(1, 2), 1, RatFun(1), "1")),
+        (lattice.fiber(Fraction(1, 2)), Fiber(Fraction(1, 2), 1, RatFun(1), "one")),
     ]
 
 

@@ -663,6 +663,13 @@ class TestInvertedCharacterSum:
         with pytest.raises(ValueError):
             check_P2B(4)
 
+    def test_a_negated_kernel_fails(self, monkeypatch):
+        real = trace.t_B
+        monkeypatch.setattr(trace, "t_B", lambda field: -real(field))
+        report = check_P2B(5)
+        assert report["verdict"] is False
+        assert report["value_at_0"] == "-1"
+
 
 class TestTransformFactorization:
     @pytest.mark.parametrize("q", [3, 5, 7])
