@@ -130,8 +130,9 @@ def transition(a: GroupAlgebraElem, n_target: int) -> GroupAlgebraElem:
 # ---------------------------------------------------------------------------
 
 
-def solve_mod_kernel(rows, ncols: int, L: int) -> list[list[int]]:
-    """Generators of {x in (Z/L)^ncols : rows . x = 0 mod L}.
+def solve_mod_kernel(rows, ncols: int, L: int) -> tuple[list[list[int]], int]:
+    """Generators of {x in (Z/L)^ncols : rows . x = 0 mod L}, and the
+    order of that kernel.
 
     Row j of [rows^T | I] is (rows e_j, e_j), so those rows span the
     graph {(rows x, x)}; triangularising its left block mod L leaves rows
@@ -141,18 +142,19 @@ def solve_mod_kernel(rows, ncols: int, L: int) -> list[list[int]]:
     columns = [[r[j] % L for r in rows] for j in range(ncols)]
     graph = [col + [1 if i == j else 0 for i in range(ncols)] for j, col in enumerate(columns)]
     gens = _triangularise(graph, len(rows), L)[1]
-    _certify_kernel(rows, columns, gens, L)
-    return gens
+    return gens, L**ncols // _certify_kernel(rows, columns, gens, L)
 
 
-def _certify_kernel(rows, columns, gens, L: int) -> None:
-    """Raise AssertionError unless gens generate the kernel of rows mod L:
-    each is annihilated, and |<gens>| |im rows| = L^ncols."""
+def _certify_kernel(rows, columns, gens, L: int) -> int:
+    """The index of gens, as in subgroup_order.  Raise AssertionError
+    unless gens generate the kernel of rows mod L: each is annihilated,
+    and |<gens>| |im rows| = L^ncols."""
     if any(sum(a * x for a, x in zip(r, g)) % L for r in rows for g in gens):
         raise AssertionError("a kernel generator is not annihilated mod L")
     gens_index = _triangularise(gens, len(columns), L)[0]
     if gens_index * _triangularise(columns, len(rows), L)[0] != L ** len(rows):
         raise AssertionError("the kernel generators miss part of the kernel")
+    return gens_index
 
 
 def subgroup_order(gens, ncols: int, L: int) -> int:
@@ -229,8 +231,7 @@ def augmentation_kernel_check(ell: int, r: int, n: int) -> dict:
     at_least("r =", r, 1)
     at_least("n =", n, 1)
     L = ell**r
-    kernel_gens = solve_mod_kernel([[1] * n], n, L)
-    kernel_order = subgroup_order(kernel_gens, n, L)
+    kernel_gens, kernel_order = solve_mod_kernel([[1] * n], n, L)
     tm1 = t_gen(ell, r, n) - ga_one(ell, r, n)
     circulant = _mult_matrix(tm1)
     ideal_gens = [[circulant[i][j] for i in range(n)] for j in range(n)]
@@ -286,8 +287,7 @@ def pro_nzd_check(ell: int, r: int, n: int, m: int | None = None) -> dict:
         m = n * L
     divides("n =", n, "m =", m)
     tm1 = t_gen(ell, r, m) - ga_one(ell, r, m)
-    gens = solve_mod_kernel(_mult_matrix(tm1), m, L)
-    order = subgroup_order(gens, m, L)
+    gens, order = solve_mod_kernel(_mult_matrix(tm1), m, L)
     all_equal = all(len(set(g)) == 1 for g in gens)
     contains_sigma = subgroup_order(gens + [[1] * m], m, L) == order
     images = [transition(GroupAlgebraElem(ell, r, m, tuple(g)), n) for g in gens]

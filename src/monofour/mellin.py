@@ -2,7 +2,7 @@
 
 The shift algebra acts on the rational function field k(s) on the right by
 f*T = f(s+1), f*p(s) = p*f.  Cyclic shift-algebra modules are studied
-through three concrete windowed realizations:
+through two concrete windowed realizations:
 
 * WindowedLattice - a finitely generated k[s]-submodule of k(s), tracked
   inside a symmetric window of points chi + i, |i| <= N; over the PID
@@ -10,9 +10,7 @@ through three concrete windowed realizations:
 * LadderFamily - a line of rational functions f_j indexed by a window of
   integers, with the shift acting by index translation (semilinear in s);
   this realizes modules such as the exponential one whose shift action is
-  not argument translation;
-* SkyscraperFamily - a window of cyclic torsion fibers k[s]/(s-chi-i)^n
-  with recorded semilinear shift maps between consecutive fibers.
+  not argument translation.
 
 Lattice generators and ladder functions are Factored values on one orbit
 chi + Z: a constant and a map from the int offsets i of the factors
@@ -25,9 +23,9 @@ public boundary, and the RatFun views are expanded on first use.
 
 On top of these the module provides the canonical cyclic presentations
 (simple-pole kernel modules on both sides of the Mellin identification,
-the exponential module, skyscraper towers), lattice fibers, the tensor
-product of a skyscraper tower with a line, torsion tests, and the named
-verification routines.
+the exponential module), lattice fibers, the shift units of a skyscraper
+tower tensored with a line, torsion tests, and the named verification
+routines.
 """
 
 from __future__ import annotations
@@ -530,42 +528,8 @@ def embed_in_Ks(m: CyclicPresentation, image_of_generator, N: int) -> WindowedLa
 
 
 # ---------------------------------------------------------------------------
-# Skyscraper families.
+# Pole lattices along an orbit.
 # ---------------------------------------------------------------------------
-
-
-class SkyscraperFamily(Immutable):
-    """Window of cyclic torsion fibers k[s]/(s-chi-i)^order, |i| <= radius,
-    with the i-th generator named labels[i] and semilinear shift maps
-    sending it to down_units[i] times the (i-1)-th generator."""
-
-    __slots__ = ("chi", "radius", "order", "labels", "down_units")
-
-    def __init__(self, chi: Fraction, radius: int, order: int, labels: dict[int, str],
-                 down_units: dict[int, Fraction]):
-        object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "down_units", down_units)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SkyscraperFamily):
-            return NotImplemented
-        return (self.chi, self.radius, self.order, self.labels, self.down_units) == (
-            other.chi, other.radius, other.order, other.labels, other.down_units)
-
-
-def skyscraper_tower(chi, n: int, N: int) -> SkyscraperFamily:
-    """Windowed direct sum of k[s]/(s-chi-i)^n over |i| <= N, realized by
-    the principal parts of 1/(s-chi-i)^n; the shift maps are argument
-    translation and carry unit 1."""
-    chi = _normalize_chi(chi)
-    at_most("fiber order", at_least("order n =", n, 1), MAX_FIBER_ORDER)
-    at_least("window radius", N, 0)
-    labels = {i: f"1/(s-({chi}+{i}))^{n}" for i in range(-N, N + 1)}
-    units = {i: Fraction(1) for i in range(-N + 1, N + 1)}
-    return SkyscraperFamily(chi, N, n, labels, units)
 
 
 def _normalize_chi(chi) -> Fraction:
@@ -738,34 +702,25 @@ def torsion_by_point_ranks(m: EquivariantModule) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def tensor_equivariant(m1, m2) -> SkyscraperFamily:
-    """Tensor product over k[s], with the diagonal semilinear shift action,
-    of a skyscraper window and a free-rank-one line (lattice or ladder),
-    in either order: the order survives and the units multiply.  The
-    line's unit at chi+i is step(g_i)/g_(i-1) at chi+i-1, where g_i
-    generates its fiber at chi+i; the step is argument translation, times
-    LadderFamily.step_factor on a ladder.  A ratio with a zero or a pole
-    there maps no fiber onto the next, and records the unit 0."""
-    lines = (LadderFamily, WindowedLattice)
-    fam, line = (m2, m1) if isinstance(m2, SkyscraperFamily) else (m1, m2)
-    if not (isinstance(fam, SkyscraperFamily) and isinstance(line, lines)):
-        raise UnsupportedInputError(
-            f"unsupported tensor operand kinds {type(m1).__name__}, {type(m2).__name__}"
-        )
-    if line.radius < fam.radius:
+def tensor_equivariant(line, chi, N: int) -> dict[int, Fraction]:
+    """Shift units of the skyscraper tower k[s]/(s-chi-i)^n, |i| <= N
+    (unit 1 at every step), tensored over k[s] with a free-rank-one line,
+    a LadderFamily or a WindowedLattice, under the diagonal semilinear
+    shift action; the order n survives and plays no part.  The unit at
+    chi+i, -N < i <= N, is step(g_i)/g_(i-1) at chi+i-1, where g_i
+    generates the line's fiber at chi+i; the step is argument translation,
+    times LadderFamily.step_factor on a ladder.  A ratio with a zero or a
+    pole there maps no fiber onto the next, and records the unit 0."""
+    if line.radius < N:
         raise WindowError("window mismatch in tensor product")
-    labels, units, gens = {}, {}, {}
-    for i in range(-fam.radius, fam.radius + 1):
-        fib = line.fiber(fam.chi + i, fam.order)
-        gens[i] = fib._generator
-        labels[i] = f"{fam.labels[i]} (x) {fib.generator_label}"
+    gens = [line.fiber(chi + i)._generator for i in range(-N, N + 1)]
     factor = line.step_factor() if isinstance(line, LadderFamily) else _ONE
-    for i in range(-fam.radius + 1, fam.radius + 1):
-        ratio = gens[i].shift(1) * factor / gens[i - 1]
-        point = fam.chi + i - 1
-        unit = ratio.eval(point) if ratio.valuation(point) == 0 else _F0
-        units[i] = fam.down_units[i] * unit
-    return SkyscraperFamily(fam.chi, fam.radius, fam.order, labels, units)
+    units = {}
+    for i in range(-N + 1, N + 1):
+        ratio = gens[i + N].shift(1) * factor / gens[i + N - 1]
+        point = chi + i - 1
+        units[i] = ratio.eval(point) if ratio.valuation(point) == 0 else _F0
+    return units
 
 
 # ---------------------------------------------------------------------------
@@ -820,15 +775,14 @@ _LADDERS = {"kernel": pole_ladder, "exp": exp_ladder}
 def skyscraper_freeness_check(kind: str, chi, n: int, N: int) -> dict:
     """Check that every window fiber of the canonical module `kind`
     ("kernel" or "exp") is free of rank one on its named generator, and
-    that the shift carries each generator to the next with unit 1.
+    that the shift carries each generator to the next.
 
     The named generators are 1/(s-i) for the kernel module and the
     (-i-1)-st ladder element for the exponential module; in both cases
-    the shift carries the generator at chi+i to the one at chi+i-1 with
-    unit 1.  On the kernel ladder the shift is argument translation, so
-    the check tests that f(s + 1) of the generator at chi+i is the
-    generator at chi+i-1.  On the exponential ladder the shift is index
-    translation by definition, so there is nothing to test.
+    the shift, index translation, carries the generator at chi+i to the
+    one at chi+i-1.  The check tests that step as argument translation
+    times the module's factor, f_(j+1) = f_j(s+1) * step, with step 1 on
+    the kernel ladder and s+1 on the exponential one.
     """
     one_of("module kind", kind, _LADDERS)
     chi = _normalize_chi(chi)
@@ -870,9 +824,9 @@ def skyscraper_freeness_check(kind: str, chi, n: int, N: int) -> dict:
             prod = ladder._value(-i - 1) * _linear(i)
             if prod != _ONE:
                 ladder_law = False
-    steps = range(-N + 1, N + 1)
-    shift_ok = kind == "exp" or all(
-        ladder._value(-i - 1).shift(1) == ladder._value(-i) for i in steps
+    step = _ONE if kind == "kernel" else _linear(-1)
+    shift_ok = all(
+        ladder._value(-i - 1).shift(1) * step == ladder._value(-i) for i in range(-N + 1, N + 1)
     )
     verdict = all_free and ladder_law and shift_ok
     return {
@@ -889,57 +843,33 @@ def skyscraper_freeness_check(kind: str, chi, n: int, N: int) -> dict:
 
 def monodromization_check(chi, n: int, N: int) -> dict:
     """Tensor the skyscraper tower with the kernel and exponential modules
-    and verify both results are isomorphic windowed families, with the
-    free module as a control.
+    and verify both give back the tower, with the free module as a
+    control: the tensored tower is isomorphic to the tower exactly when
+    every shift unit is nonzero.
 
-    The tensored families' shift units are derived from the lines' fiber
-    generators (tensor_equivariant), so a step that is no isomorphism of
-    fibers records the unit 0 and fails; on the exponential ladder at
-    chi = 0, N = 3 they are -2, -1, 1, 1, 1, 1.
+    The units are derived from the lines' fiber generators
+    (tensor_equivariant), so a step that is no isomorphism of fibers
+    records the unit 0 and fails; on the exponential ladder at chi = 0,
+    N = 3 they are -2, -1, 1, 1, 1, 1.
     """
     chi = _normalize_chi(chi)
-    tower = skyscraper_tower(chi, n, N)
+    at_most("fiber order", at_least("order n =", n, 1), MAX_FIBER_ORDER)
+    at_least("window radius", N, 0)
+    lines = {kind: ladder(N + 1) for kind, ladder in _LADDERS.items()}
+    lines["control_free"] = WindowedLattice(chi, N + 1, [_ONE], ["1"])
     results = {}
-    overall = True
-    for kind in ("kernel", "exp"):
-        ladder = _LADDERS[kind](N + 1)
-        tensored = tensor_equivariant(tower, ladder)
-        iso = _family_isomorphism(tensored, tower)
-        results[kind] = iso
-        overall = overall and iso["verdict"]
-    control_line = WindowedLattice(chi, N + 1, [_ONE], ["1"])
-    control = _family_isomorphism(tensor_equivariant(tower, control_line), tower)
-    results["control_free"] = control
-    overall = overall and control["verdict"]
+    for kind, line in lines.items():
+        units = tensor_equivariant(line, chi, N)
+        results[kind] = {
+            "verdict": all(units.values()),
+            "units": {str(i): str(u) for i, u in units.items()},
+        }
     return {
-        "verdict": overall,
+        "verdict": all(rep["verdict"] for rep in results.values()),
         "chi": str(chi),
         "order": n,
         "window": N,
         **results,
-    }
-
-
-def _family_isomorphism(f1: SkyscraperFamily, f2: SkyscraperFamily) -> dict:
-    """Basis-level isomorphism of skyscraper families commuting with the
-    recorded shift maps; exists iff the orders agree and units are
-    nonzero, with the scaling sequence built inductively.  Both families
-    sit on the same window chi + [-N, N]."""
-    if (f1.chi, f1.radius) != (f2.chi, f2.radius):
-        raise WindowError("window mismatch")
-    c = Fraction(1)
-    scalars = {-f1.radius: c}
-    ok = f1.order == f2.order
-    for i in range(-f1.radius + 1, f1.radius + 1):
-        u1, u2 = f1.down_units[i], f2.down_units[i]
-        if not (ok and u1 and u2):
-            ok = False
-            break
-        c = c * u1 / u2
-        scalars[i] = c
-    return {
-        "verdict": ok,
-        "scalars": {str(k): str(v) for k, v in sorted(scalars.items())},
     }
 
 

@@ -181,6 +181,8 @@ class TestRunCheck:
             ("propDmod3", {"n": 0}, "order n = 0"),
             ("dmodmon", {"window": -1}, "window radius -1"),
             ("dmodmon", {"n": 0}, "order n = 0"),
+            ("dmodmon", {"n": 5}, "fiber order 5"),
+            ("dmodmon", {"chi": "half"}, "not a rational number"),
         ],
     )
     def test_window_and_order_refused_before_work(self, monkeypatch, check_id, params, message):
@@ -188,7 +190,8 @@ class TestRunCheck:
             raise AssertionError("the engine ran on refused input")
 
         monkeypatch.setattr(mellin, "WindowedLattice", work)
-        monkeypatch.setattr(mellin, "SkyscraperFamily", work)
+        monkeypatch.setattr(mellin, "LadderFamily", work)
+        monkeypatch.setattr(mellin, "tensor_equivariant", work)
         monkeypatch.setattr(mellin, "_partial_fractions", work)
         with pytest.raises(UnsupportedInputError, match=message):
             checks.run_check(check_id, params)

@@ -154,8 +154,8 @@ def in_subgroup(gens, ncols: int, L: int, target) -> bool:
 
 class TestSubgroupHelpers:
     def test_sum_zero_kernel_order(self):
-        gens = solve_mod_kernel([[1, 1, 1]], 3, 4)
-        assert subgroup_order(gens, 3, 4) == 16
+        gens, order = solve_mod_kernel([[1, 1, 1]], 3, 4)
+        assert subgroup_order(gens, 3, 4) == order == 16
 
     def test_subgroup_order_diagonal(self):
         assert subgroup_order([[2, 0], [0, 2]], 2, 4) == 4
@@ -219,7 +219,7 @@ class TestTriangulariseReference:
 
     def test_every_matrix_of_the_full_profiles_appendix_rows(self, monkeypatch):
         seen = appendix_matrices(monkeypatch, names=("_triangularise",))
-        assert len(seen) == 354
+        assert len(seen) == 288
         for rows, ncols, L in seen:
             assert groupalg._triangularise(rows, ncols, L) == ref_triangularise(rows, ncols, L)
 
@@ -257,9 +257,10 @@ class TestTriangulariseReference:
 
     def test_triangularisations_per_quick_appendix_pass(self, monkeypatch):
         # the cost of the appendix rows as a count that does not vary:
-        # 492 while membership recomputed each base order, one
-        # triangularisation per subgroup order and kernel step now
-        assert len(appendix_matrices(monkeypatch, ("_triangularise",), "quick")) == 354
+        # 492 while membership recomputed each base order, 354 while each
+        # kernel's order was triangularised again after its certificate,
+        # one triangularisation per subgroup order and kernel step now
+        assert len(appendix_matrices(monkeypatch, ("_triangularise",), "quick")) == 288
 
 
 def smith_subgroup_order(gens, ncols: int, L: int) -> int:
@@ -280,7 +281,7 @@ class TestSubgroupOrderOracle:
 
     def test_every_matrix_of_the_full_profiles_appendix_rows(self, monkeypatch):
         seen = appendix_matrices(monkeypatch)
-        assert len(seen) == 222
+        assert len(seen) == 156
         for vectors, ncols, L in seen:
             assert subgroup_order(vectors, ncols, L) == smith_subgroup_order(vectors, ncols, L)
 
@@ -318,9 +319,9 @@ def reference_solve_mod_kernel(rows, ncols: int, L: int) -> list[list[int]]:
 
 
 def assert_same_kernel(rows, ncols, L):
-    got = solve_mod_kernel(rows, ncols, L)
+    got, order = solve_mod_kernel(rows, ncols, L)
     want = reference_solve_mod_kernel(rows, ncols, L)
-    assert subgroup_order(got, ncols, L) == subgroup_order(want, ncols, L)
+    assert subgroup_order(got, ncols, L) == subgroup_order(want, ncols, L) == order
     assert all(in_subgroup(want, ncols, L, g) for g in got)
     assert all(in_subgroup(got, ncols, L, g) for g in want)
 
@@ -331,7 +332,7 @@ class TestKernelOracle:
 
     def test_every_matrix_of_the_full_profiles_appendix_rows(self, monkeypatch):
         seen = appendix_matrices(monkeypatch)
-        assert len(seen) == 222
+        assert len(seen) == 156
         for rows, ncols, L in seen:
             assert_same_kernel(rows, ncols, L)
 
@@ -350,11 +351,11 @@ class TestKernelOracle:
             assert_same_kernel(rows, ncols, L)
 
     def test_small_frozen_kernels(self):
-        assert solve_mod_kernel([], 2, 4) == [[1, 0], [0, 1]]
-        assert solve_mod_kernel([[0, 0]], 2, 4) == [[1, 0], [0, 1]]
-        assert solve_mod_kernel([[2]], 1, 4) == [[2]]
+        assert solve_mod_kernel([], 2, 4) == ([[1, 0], [0, 1]], 16)
+        assert solve_mod_kernel([[0, 0]], 2, 4) == ([[1, 0], [0, 1]], 16)
+        assert solve_mod_kernel([[2]], 1, 4) == ([[2]], 2)
         tm1 = t_gen(3, 2, 6) - ga_one(3, 2, 6)
-        assert solve_mod_kernel(groupalg._mult_matrix(tm1), 6, 9) == [[1] * 6]
+        assert solve_mod_kernel(groupalg._mult_matrix(tm1), 6, 9) == ([[1] * 6], 9)
 
     def test_certificate_catches_a_dropped_kernel_row(self, monkeypatch):
         real = groupalg._triangularise
@@ -445,7 +446,7 @@ class TestAugmentationKernel:
     def test_kernel_generator_outside_the_ideal(self, monkeypatch):
         # {x : x_0 = 0} has the kernel's order 16 but holds t, which is
         # not in (t-1): only the joined order of ideal and kernel sees it
-        monkeypatch.setattr(groupalg, "solve_mod_kernel", lambda rows, ncols, L: [[0, 1, 0], [0, 0, 1]])
+        monkeypatch.setattr(groupalg, "solve_mod_kernel", lambda rows, ncols, L: ([[0, 1, 0], [0, 0, 1]], 16))
         report = augmentation_kernel_check(2, 2, 3)
         assert report["verdict"] is False
         assert report["kernel_order"] == report["ideal_order"] == report["expected_order"] == 16
@@ -492,7 +493,7 @@ class TestProNzd:
     def test_annihilator_missing_sigma(self, monkeypatch):
         # 2*sigma mod 4 is a constant vector whose span misses sigma; its
         # images still vanish, so only the sigma flag flips
-        monkeypatch.setattr(groupalg, "solve_mod_kernel", lambda rows, ncols, L: [[2] * ncols])
+        monkeypatch.setattr(groupalg, "solve_mod_kernel", lambda rows, ncols, L: ([[2] * ncols], 2))
         report = pro_nzd_check(2, 2, 3)
         assert report["annihilator_is_sigma_multiples"] is False
         assert report["verdict"] is True

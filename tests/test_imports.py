@@ -16,7 +16,8 @@ re-exports it: each name has one home and is imported from there.
 Two more tests import the package in a fresh interpreter: the checks and
 the CLI must not load `dataclasses` or `inspect`, and the operator path
 must load no scalar module but `poly`.  Public functions and methods are
-held to being run by an entry point, which test_reach.py checks.
+held to being run by an entry point, which test_reach.py checks.  The
+package source, counted in lines, stays within the ROADMAP's budget.
 """
 
 import ast
@@ -249,6 +250,16 @@ def test_operator_path_loads_no_other_scalar_module():
     # which all live in scalars.poly.
     others = {f"monofour.scalars.{m}" for m in ("ratfun", "cyclotomic", "ffield", "snf")}
     assert loaded_in_fresh_interpreter("monofour.ore, monofour.parser", others) == []
+
+
+LINE_BUDGET = 5624  # ROADMAP's ceiling on the package source
+
+
+def test_source_stays_within_the_line_budget():
+    # counted as `wc -l src/monofour/*.py src/monofour/*/*.py` counts them
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(PACKAGE.glob("*/*.py"))
+    lines = sum(path.read_bytes().count(b"\n") for path in paths)
+    assert lines <= LINE_BUDGET, f"{lines} source lines, over the budget of {LINE_BUDGET}"
 
 
 class TestDetector:

@@ -20,7 +20,6 @@ from monofour.mellin import (
     NotAMorphismError,
     NotMonodromicError,
     OrbitPointError,
-    SkyscraperFamily,
     WindowError,
     WindowedLattice,
     embed_in_Ks,
@@ -43,7 +42,6 @@ from monofour.mellin import (
     rational_right_action,
     shift_exp_module,
     skyscraper_freeness_check,
-    skyscraper_tower,
     tensor_equivariant,
     torsion_by_point_ranks,
     twisted_exp_ladder,
@@ -208,14 +206,14 @@ class TestFiber:
 class TestTensor:
     def test_window_mismatch_raises(self):
         with pytest.raises(WindowError):
-            tensor_equivariant(skyscraper_tower(0, 1, 5), pole_ladder(3))
-
-    def test_only_a_skyscraper_and_a_line_are_tensored(self):
-        tower, line = skyscraper_tower(0, 1, 3), pole_ladder(3)
-        for m1, m2 in ((tower, tower), (line, line), (CYCLIC_AT_ZERO, CYCLIC_AT_ZERO),
-                       (CYCLIC_AT_ZERO, line), (tower, equivariant_free(1))):
-            with pytest.raises(UnsupportedInputError, match="unsupported tensor operand kinds"):
-                tensor_equivariant(m1, m2)
+            tensor_equivariant(pole_ladder(3), 0, 5)
+        with pytest.raises(WindowError):
+            tensor_equivariant(WindowedLattice(0, 2, [RatFun(1)]), 0, 3)
+        # at radius N the ladder has no pole at 3, so the fiber there is
+        # generated by 1 and the step from 1/(s-2) vanishes: the check
+        # takes its lines one wider than the tower
+        assert tensor_equivariant(pole_ladder(3), 0, 3) == {i: int(i < 3) for i in range(-2, 4)}
+        assert tensor_equivariant(pole_ladder(4), 0, 3) == {i: 1 for i in range(-2, 4)}
 
 
 class TestMonodromicTest:
@@ -503,6 +501,7 @@ class TestSkyscraperFreeness:
         rep = skyscraper_freeness_check("exp", Fraction(1, 2), 2, 4)
         assert rep["verdict"] is True
         assert rep["ladder_law"] is True
+        assert rep["shift_units_recorded"] is True  # f_(j+1) = f_j(s+1) (s+1)
         by_i = {row["i"]: row for row in rep["fibers"]}
         assert by_i[1]["generator"] == "e[-2]"
 
@@ -528,6 +527,23 @@ class TestSkyscraperFreeness:
         rep = skyscraper_freeness_check("kernel", 0, 1, 3)
         assert rep["shift_units_recorded"] is False and rep["verdict"] is False
 
+    def test_exp_shift_law_is_tested(self, monkeypatch):
+        # f_j = s e_j keeps the ladder law and every fiber free, but its
+        # step f_(j+1)/f_j(s+1) is s, not s+1
+        def scaled(radius):
+            e = exp_ladder(radius)
+            return LadderFamily("e", {j: mellin._linear(0) * e._value(j) for j in e.indices()})
+
+        monkeypatch.setitem(mellin._LADDERS, "exp", scaled)
+        rep = skyscraper_freeness_check("exp", 0, 1, 3)
+        assert rep["ladder_law"] is True
+        assert all(row["free_rank_one"] for row in rep["fibers"])
+        assert rep["shift_units_recorded"] is False and rep["verdict"] is False
+        report = checks.run_check("propDmod3", {"chi": "0", "n": 1, "window": 3})
+        assert report.verdict == "fail"
+        assert report.witness["kernel"]["verdict"] is True
+        assert report.witness["exp"]["verdict"] is False
+
     def test_bad_inputs(self):
         with pytest.raises(UnsupportedInputError):
             skyscraper_freeness_check("Q", 0, 1, 4)
@@ -552,11 +568,18 @@ class TestMonodromization:
         rep = monodromization_check(0, 1, 8)
         assert rep["control_free"]["verdict"] is True
 
-    def test_iso_scalars_nonzero(self):
+    def test_units_nonzero(self):
         rep = monodromization_check(Fraction(1, 3), 2, 4)
-        for key in ("kernel", "exp"):
-            for v in rep[key]["scalars"].values():
+        for key in ("kernel", "exp", "control_free"):
+            assert list(rep[key]) == ["verdict", "units"]
+            assert list(rep[key]["units"]) == [str(i) for i in range(-3, 5)]
+            for v in rep[key]["units"].values():
                 assert Fraction(v) != 0
+
+    def test_empty_window_has_no_units(self):
+        rep = monodromization_check(Fraction(1, 2), 4, 0)
+        assert rep["verdict"] is True
+        assert all(rep[key] == {"verdict": True, "units": {}} for key in ("kernel", "exp", "control_free"))
 
 
 class TestExpSquare:
@@ -1303,10 +1326,7 @@ class TestTensorUnits:
         consts = {k: Fraction(k + 5, 7 - k) for k in range(-3, 4)}
         gens = [RatFun(Poly.const(consts[k]), s_plus(-k)) for k in range(-3, 4)]
         line = WindowedLattice(0, 3, gens)
-        tower = skyscraper_tower(0, 2, 3)
-        t = tensor_equivariant(tower, line)
-        assert t.down_units == {k: consts[k] / consts[k - 1] for k in range(-2, 4)}
-        assert tensor_equivariant(line, tower) == t
+        assert tensor_equivariant(line, 0, 3) == {k: consts[k] / consts[k - 1] for k in range(-2, 4)}
 
     def test_ladder_units_are_derived_from_the_step_factor(self):
         assert pole_ladder(4).step_factor() == Factored()
@@ -1316,27 +1336,122 @@ class TestTensorUnits:
         # that the step carries one onto the next
         for chi, units in ((0, [-2, -1, 1, 1, 1, 1]),
                            (Fraction(1, 2), [Fraction(k, 2) for k in range(-3, 8, 2)])):
-            tower = skyscraper_tower(chi, 1, 3)
-            t = tensor_equivariant(tower, exp_ladder(4))
-            assert [t.down_units[i] for i in range(-2, 4)] == units
-            assert tensor_equivariant(tower, pole_ladder(4)).down_units == tower.down_units
+            assert list(tensor_equivariant(exp_ladder(4), chi, 3).values()) == units
+            assert tensor_equivariant(pole_ladder(4), chi, 3) == {i: 1 for i in range(-2, 4)}
 
     def test_a_step_with_a_zero_records_unit_zero(self):
         # f_j = s (s+1) ... (s+j-1) has step factor s; every fiber generator
         # is 1, so the unit at i is i - 1 and vanishes at i = 1
-        funcs = {0: RatFun(1)}
-        for j in range(4):
-            funcs[j + 1] = funcs[j] * RatFun(s_plus(j))
-        tower = skyscraper_tower(0, 2, 3)
-        t = tensor_equivariant(tower, LadderFamily("r", funcs))
-        assert t.down_units == {i: i - 1 for i in range(-2, 4)}
-        assert mellin._family_isomorphism(t, tower)["verdict"] is False
+        assert tensor_equivariant(rising_ladder(4), 0, 3) == {i: i - 1 for i in range(-2, 4)}
 
     def test_an_index_dependent_step_factor_is_refused(self):
-        # f_j = s^j: f_(j+1)(s)/f_j(s+1) = s^(j+1)/(s+1)^j
-        ladder = LadderFamily("p", {j: Factored(1, {0: j} if j else None) for j in range(-4, 5)})
         with pytest.raises(UnsupportedInputError, match="depends on the index"):
-            tensor_equivariant(skyscraper_tower(0, 1, 3), ladder)
+            tensor_equivariant(power_ladder(4), 0, 3)
+
+
+def rising_ladder(radius: int) -> LadderFamily:
+    """f_j = s (s+1) ... (s+j-1), j >= 0: step factor s."""
+    funcs = {0: RatFun(1)}
+    for j in range(radius):
+        funcs[j + 1] = funcs[j] * RatFun(s_plus(j))
+    return LadderFamily("r", funcs)
+
+
+def power_ladder(radius: int) -> LadderFamily:
+    """f_j = s^j: f_(j+1)(s)/f_j(s+1) = s^(j+1)/(s+1)^j depends on j."""
+    return LadderFamily("p", {j: Factored(1, {0: j} if j else None)
+                              for j in range(-radius, radius + 1)})
+
+
+class RefTower:
+    """The earlier skyscraper family record: a window of fibers
+    k[s]/(s-chi-i)^order with shift units down_units[i]."""
+
+    def __init__(self, chi, radius, order, labels, down_units):
+        self.chi, self.radius, self.order = chi, radius, order
+        self.labels, self.down_units = labels, down_units
+
+
+def ref_skyscraper_tower(chi, n: int, N: int) -> RefTower:
+    """The earlier tower: unit 1 at every step."""
+    chi = Fraction(chi)
+    chi = Fraction(0) if chi.denominator == 1 else chi
+    labels = {i: f"1/(s-({chi}+{i}))^{n}" for i in range(-N, N + 1)}
+    return RefTower(chi, N, n, labels, {i: Fraction(1) for i in range(-N + 1, N + 1)})
+
+
+def ref_tensor_equivariant(fam: RefTower, line) -> RefTower:
+    """The earlier tensor product of a tower and a line: the fiber
+    generators' ratios, times the tower's own units."""
+    if line.radius < fam.radius:
+        raise WindowError("window mismatch in tensor product")
+    labels, units, gens = {}, {}, {}
+    for i in range(-fam.radius, fam.radius + 1):
+        fib = line.fiber(fam.chi + i, fam.order)
+        gens[i] = fib._generator
+        labels[i] = f"{fam.labels[i]} (x) {fib.generator_label}"
+    factor = line.step_factor() if isinstance(line, LadderFamily) else Factored()
+    for i in range(-fam.radius + 1, fam.radius + 1):
+        ratio = gens[i].shift(1) * factor / gens[i - 1]
+        point = fam.chi + i - 1
+        unit = ratio.eval(point) if ratio.valuation(point) == 0 else Fraction(0)
+        units[i] = fam.down_units[i] * unit
+    return RefTower(fam.chi, fam.radius, fam.order, labels, units)
+
+
+def ref_family_isomorphism(f1: RefTower, f2: RefTower) -> bool:
+    """The earlier isomorphism test of two towers on one window: equal
+    orders, nonzero units, and the scaling sequence built inductively."""
+    assert (f1.chi, f1.radius) == (f2.chi, f2.radius)
+    c, ok = Fraction(1), f1.order == f2.order
+    for i in range(-f1.radius + 1, f1.radius + 1):
+        u1, u2 = f1.down_units[i], f2.down_units[i]
+        if not (ok and u1 and u2):
+            return False
+        c = c * u1 / u2
+    return ok
+
+
+def ref_units(chi, n: int, N: int, line) -> tuple[dict, bool]:
+    """Units and verdict of the line by the earlier pipeline."""
+    tower = ref_skyscraper_tower(chi, n, N)
+    tensored = ref_tensor_equivariant(tower, line)
+    return tensored.down_units, ref_family_isomorphism(tensored, tower)
+
+
+class TestTensorOracle:
+    """The units dict against the earlier tower, tensor and isomorphism."""
+
+    @pytest.mark.parametrize("profile", ["quick", "full"])
+    def test_every_dmodmon_row(self, profile):
+        rows = [p for cid, p in checks.profile_tasks(profile) if cid == "dmodmon"]
+        assert rows
+        for p in rows:
+            chi, n, N = Fraction(p["chi"]), p["n"], p["window"]
+            rep = monodromization_check(chi, n, N)
+            orbit = ref_skyscraper_tower(chi, n, N).chi
+            lines = {"kernel": pole_ladder(N + 1), "exp": exp_ladder(N + 1),
+                     "control_free": WindowedLattice(orbit, N + 1, [RatFun(1)])}
+            verdicts = []
+            for kind, line in lines.items():
+                units, verdict = ref_units(chi, n, N, line)
+                assert tensor_equivariant(line, orbit, N) == units
+                assert rep[kind] == {"verdict": verdict,
+                                     "units": {str(i): str(u) for i, u in units.items()}}
+                verdicts.append(verdict)
+            assert rep["verdict"] is all(verdicts)
+
+    def test_a_step_with_a_zero(self):
+        for chi in (0, Fraction(1, 2)):
+            units, verdict = ref_units(chi, 2, 3, rising_ladder(4))
+            assert tensor_equivariant(rising_ladder(4), chi, 3) == units
+            assert all(units.values()) is verdict is (chi != 0)
+
+    def test_an_index_dependent_step_factor_is_refused_by_both(self):
+        for units in (lambda: ref_units(0, 1, 3, power_ladder(4)),
+                      lambda: tensor_equivariant(power_ladder(4), 0, 3)):
+            with pytest.raises(UnsupportedInputError, match="depends on the index"):
+                units()
 
 
 def _count_linear_factors(monkeypatch) -> dict:

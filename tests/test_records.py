@@ -1,9 +1,9 @@
 """The records of the package are `Immutable` slots classes.
 
 Each one refuses attribute writes, as the frozen dataclass it replaced
-did.  Where something reads `==` (`GroupAlgebraElem`, `SkyscraperFamily`
-and `Fiber`), it is the field-by-field equality of that dataclass, which
-the reference dataclasses below still define.
+did.  Where something reads `==` (`GroupAlgebraElem` and `Fiber`), it
+is the field-by-field equality of that dataclass, which the reference
+dataclasses below still define.
 """
 
 from dataclasses import dataclass
@@ -15,12 +15,9 @@ from monofour import checks
 from monofour.groupalg import GroupAlgebraElem, ga_elem
 from monofour.mellin import (
     EquivariantModule,
+    Factored,
     Fiber,
-    SkyscraperFamily,
-    WindowedLattice,
     pole_ladder,
-    skyscraper_tower,
-    tensor_equivariant,
 )
 from monofour.ore import CyclicPresentation, WeylOp
 from monofour.scalars.poly import Poly
@@ -36,15 +33,6 @@ class RefGroupAlgebraElem:
 
 
 @dataclass(frozen=True)
-class RefSkyscraperFamily:
-    chi: Fraction
-    radius: int
-    order: int
-    labels: dict
-    down_units: dict
-
-
-@dataclass(frozen=True)
 class RefFiber:
     point: Fraction
     order: int
@@ -56,9 +44,6 @@ def ref(record):
     """The reference dataclass with the record's fields."""
     if isinstance(record, GroupAlgebraElem):
         return RefGroupAlgebraElem(record.ell, record.r, record.n, record.coeffs)
-    if isinstance(record, SkyscraperFamily):
-        return RefSkyscraperFamily(record.chi, record.radius, record.order, record.labels,
-                                   record.down_units)
     return RefFiber(record.point, record.order, record.generator, record.generator_label)
 
 
@@ -70,7 +55,6 @@ def records():
         (ga_elem(2, 2, 3, [1, 2, 3]), "coeffs"),
         (CyclicPresentation("weyl", (WeylOp.x(),)), "relations"),
         (pole_ladder(2).fiber(1), "order"),
-        (skyscraper_tower(0, 1, 2), "order"),
         (EquivariantModule(1, ((Poly.x(),),)), "nrows"),
     ]
 
@@ -88,19 +72,21 @@ def test_attribute_writes_are_refused(record, slot):
 def equality_pairs():
     """Pairs of records of one type, equal and unequal in each field."""
     a = ga_elem(3, 1, 2, [1, 2])
-    tower = skyscraper_tower(0, 2, 3)
-    line = WindowedLattice(0, 3, [RatFun(Poly.const(k + 5), Poly((-k, 1))) for k in range(-3, 4)])
-    lattice = pole_ladder(3).as_lattice()
+    ladder = pole_ladder(3)
+    lattice = ladder.as_lattice()
     return [
         (a, ga_elem(3, 1, 2, [4, -1])),  # equal once reduced mod 3
         (a, ga_elem(3, 1, 2, [2, 1])),
         (a, ga_elem(3, 2, 2, [1, 2])),
         (a, ga_elem(2, 1, 2, [1, 0])),
-        (tensor_equivariant(tower, line), tensor_equivariant(line, tower)),
-        (tower, skyscraper_tower(0, 2, 3)),
-        (tower, skyscraper_tower(0, 1, 3)),
-        (tower, skyscraper_tower(Fraction(1, 2), 2, 3)),
-        (tower, tensor_equivariant(tower, pole_ladder(3))),
+        (a, ga_elem(3, 1, 3, [1, 2, 0])),
+        (ladder.fiber(1, 2), lattice.fiber(1, 2)),
+        # a Factored generator and its RatFun are one generator
+        (Fiber(Fraction(1), 1, Factored(2, {-2: -1}), "g"),
+         Fiber(Fraction(1), 1, RatFun(Poly.const(2), Poly((2, 1))), "g")),
+        (Fiber(Fraction(1), 1, Factored(2, {-2: -1}), "g"),
+         Fiber(Fraction(1), 1, Factored(3, {-2: -1}), "g")),
+        (lattice.fiber(1), Fiber(Fraction(1), 1, RatFun(Poly.const(1), Poly((-1, 1))), "b[-2]")),
         (lattice.fiber(1, 2), lattice.fiber(1, 2)),
         (lattice.fiber(1), lattice.fiber(1, 2)),
         (lattice.fiber(1), lattice.fiber(2)),
@@ -118,14 +104,7 @@ def test_equality_is_the_dataclass_equality(left, right):
 
 def test_equal_records_are_found_equal():
     pairs = equality_pairs()
-    assert sum(left == right for left, right in pairs) == 5
+    assert sum(left == right for left, right in pairs) == 6
     assert ga_elem(2, 1, 3, [1, 0, 1]) != (1, 0, 1)
-    assert skyscraper_tower(0, 1, 1) != "tower"
-
-
-def test_skyscraper_family_fields():
-    tower = skyscraper_tower(Fraction(1, 3), 2, 1)
-    assert (tower.chi, tower.radius, tower.order) == (Fraction(1, 3), 1, 2)
-    assert tower.labels == {i: f"1/(s-(1/3+{i}))^2" for i in (-1, 0, 1)}
-    assert tower.down_units == {0: 1, 1: 1}
+    assert pole_ladder(1).fiber(0) != "fiber"
 
