@@ -13,13 +13,16 @@ through two concrete windowed realizations:
   not argument translation.
 
 Lattice generators and ladder functions are Factored values on one orbit
-chi + Z: a constant and a map from the int offsets i of the factors
-(s - chi - i) to exponents.  The engine builds them from the linear
-factors it chooses, so products, shifts, valuations and fibers are dict
+chi + Z: a constant (an int when integral) and a map from the int offsets
+i of the factors (s - chi - i) to exponents.  The engine builds them from
+the linear factors it chooses, through a trusted constructor that checks
+nothing, so products, int shifts, valuations and fibers are dict
 operations on int keys and no root search runs on them; only a RatFun
 handed in from outside is factored, once, and refused unless all its
-roots are rational and on one orbit.  Points become offsets only at the
-public boundary, and the RatFun views are expanded on first use.
+roots are rational and on one orbit.  Valuations, evaluations and fibers
+take the point chi + u as its offset u, an int on the orbit (a Fraction
+off it); a check turns its points into offsets once, and the RatFun
+views are expanded on first use.
 
 On top of these the module provides the canonical cyclic presentations
 (simple-pole kernel modules on both sides of the Mellin identification,
@@ -132,7 +135,7 @@ def mellin_module(m: CyclicPresentation) -> CyclicPresentation:
 # ---------------------------------------------------------------------------
 
 
-_F0, _F1 = Fraction(0), Fraction(1)  # shared defaults, so no call builds them
+_F0 = Fraction(0)  # Z's representative: `_orbit` returns this one object for Z
 
 
 class Factored(Immutable):
@@ -140,23 +143,37 @@ class Factored(Immutable):
     const * prod (s - chi - i)^exps[i].
 
     `chi` is the orbit's representative in [0, 1) (the constructor
-    reduces any other chi and moves the keys to match), and `exps` maps
-    int offsets to nonzero exponents.  A product adds the maps and a
-    shift moves the keys or the orbit.  A constant lives on every orbit;
-    a product of two non-constant values on two orbits is refused, and
-    values on two orbits are equal only when both are the same constant.
+    reduces any other chi and moves the keys to match), `exps` maps int
+    offsets to nonzero exponents, and `const` is an int when integral.
+    The point chi + u is read at its offset u: an int on the orbit, a
+    Fraction equal to no key off it.  Products, quotients and int shifts
+    build through `_trusted`; a non-integer shift moves the orbit.  A
+    constant lives on every orbit; a product of two non-constant values
+    on two orbits is refused, and values on two orbits are equal only
+    when both are the same constant.
     """
 
     __slots__ = ("const", "chi", "exps", "_dense")
 
-    def __init__(self, const=_F1, exps=None, chi=_F0):
+    def __init__(self, const=1, exps=None, chi=_F0):
         chi, base = _orbit(chi)
         if base and exps:
             exps = {i + base: e for i, e in exps.items()}
-        object.__setattr__(self, "const", frac(const))
+        object.__setattr__(self, "const", _int(frac(const)))
         object.__setattr__(self, "chi", chi)
         object.__setattr__(self, "exps", exps or {})
         object.__setattr__(self, "_dense", None)
+
+    @staticmethod
+    def _trusted(const, exps: dict, chi: Fraction) -> "Factored":
+        """The value with these slots, already in the constructor's form
+        (chi reduced, no zero exponent, const an int when integral)."""
+        out = object.__new__(Factored)
+        object.__setattr__(out, "const", const)
+        object.__setattr__(out, "chi", chi)
+        object.__setattr__(out, "exps", exps)
+        object.__setattr__(out, "_dense", None)
+        return out
 
     @classmethod
     def from_ratfun(cls, f: RatFun, chi=None) -> "Factored":
@@ -185,14 +202,14 @@ class Factored(Immutable):
     def _on_orbit(self, chi: Fraction) -> "Factored":
         """The same value keyed on the orbit of the representative chi,
         which only a constant can move to."""
-        if chi == self.chi:
+        if chi is self.chi or chi == self.chi:
             return self
         if self.exps:
             raise UnsupportedInputError(f"{self} does not lie on the one orbit {chi} + Z")
-        return Factored(self.const, None, chi)
+        return Factored._trusted(self.const, {}, chi)
 
     def __mul__(self, other: "Factored") -> "Factored":
-        if other.chi != self.chi:
+        if other.chi is not self.chi and other.chi != self.chi:
             if self.exps:
                 other = other._on_orbit(self.chi)
             else:
@@ -204,17 +221,18 @@ class Factored(Immutable):
                 exps[i] = e
             else:
                 del exps[i]
-        return Factored(self.const * other.const, exps, self.chi)
+        return Factored._trusted(_int(self.const * other.const), exps, self.chi)
 
     def __truediv__(self, other: "Factored") -> "Factored":
-        inverse = {i: -e for i, e in other.exps.items()}
-        return self * Factored(1 / other.const, inverse, other.chi)
+        c = other.const
+        inverse = c if c == 1 or c == -1 else _int(Fraction(1, c))
+        return self * Factored._trusted(inverse, {i: -e for i, e in other.exps.items()}, other.chi)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Factored):
             return NotImplemented
         return (self.const == other.const and self.exps == other.exps
-                and (self.chi == other.chi or not self.exps))
+                and (not self.exps or self.chi is other.chi or self.chi == other.chi))
 
     def __repr__(self) -> str:
         return f"Factored({self.const}, {self.exps}, {self.chi})"
@@ -224,20 +242,27 @@ class Factored(Immutable):
         return not self.exps
 
     def shift(self, k) -> "Factored":
-        """f(s + k): the factor (s - chi - i) becomes (s - (chi - k) - i),
-        and the constructor reduces the orbit chi - k."""
+        """f(s + k): the factor (s - chi - i) becomes (s - chi - (i - k)),
+        so an int k moves the keys; any other k moves the orbit to
+        chi - k, which the constructor reduces."""
+        if isinstance(k, int):
+            return Factored._trusted(self.const, {i - k: e for i, e in self.exps.items()}, self.chi)
         return Factored(self.const, self.exps, self.chi - frac(k))
 
-    def valuation(self, a) -> int:
-        u = frac(a) - self.chi
-        return self.exps.get(u.numerator, 0) if u.denominator == 1 else 0
+    def valuation(self, u) -> int:
+        """The valuation at the point chi + u."""
+        return self.exps.get(u, 0)
 
-    def eval(self, a) -> Fraction:
-        u = frac(a) - self.chi
-        out = self.const
+    def eval(self, u) -> Fraction:
+        """The value at the point chi + u, on ints where u is one: numerator
+        and denominator meet in one Fraction, never a float."""
+        num, den = self.const, 1
         for i, e in self.exps.items():
-            out *= (u - i) ** e
-        return out
+            if e > 0:
+                num *= (u - i) ** e
+            else:
+                den *= (u - i) ** -e
+        return Fraction(num, den)
 
     def to_ratfun(self) -> RatFun:
         if self._dense is None:
@@ -251,17 +276,22 @@ class Factored(Immutable):
         return self._dense
 
 
+def _int(c):
+    """The rational c as an int when it is integral, else as it is."""
+    return c.numerator if c.denominator == 1 else c
+
+
 def _orbit(chi) -> tuple[Fraction, int]:
     """The representative of the orbit chi + Z in [0, 1), and the offset
     of chi from it."""
     chi = frac(chi)
     base = chi.numerator // chi.denominator
-    return (chi - base if base else chi), base
+    return (_F0 if chi.denominator == 1 else chi - base if base else chi), base
 
 
 def _linear(i: int, e: int = 1, chi=_F0) -> Factored:
     """(s - chi - i)^e."""
-    return Factored(_F1, {i: e}, chi)
+    return Factored._trusted(1, {i: e}, _F0) if chi is _F0 else Factored(1, {i: e}, chi)
 
 
 _ONE = Factored()
@@ -289,15 +319,17 @@ class WindowedLattice(Immutable):
     Over the PID k[s] the lattice is free of rank one on its content
     generator (gcd of numerators over the common denominator).  The
     generators are Factored values on the orbit of chi (a RatFun one is
-    factored once, here; a generator off the orbit is refused), and the
-    window is kept as offsets from the orbit's representative, so
-    lattices at chi = 1/3 and 4/3 share keys.  The content's map is the
+    factored once, here; a generator off the orbit is refused), keyed by
+    offsets from the orbit's representative, so lattices at chi = 1/3 and
+    4/3 share keys; the window point chi + u is read at the offset u from
+    chi itself, its index in the window.  The content's map is the
     pointwise minimum of the generators' maps; at a point off the orbit
-    every valuation is 0.  `generators` and `content` are the RatFuns,
-    built on first use.
+    every valuation is 0.  Whether the lattice contains 1 (no positive
+    content exponent) is decided here, once.  `generators` and `content`
+    are the RatFuns, built on first use.
     """
 
-    __slots__ = ("chi", "radius", "labels", "_base", "_gens", "_content", "_generators")
+    __slots__ = ("chi", "radius", "labels", "_base", "_gens", "_content", "_has_one", "_generators")
 
     def __init__(self, chi, radius: int, generators, labels=None):
         chi = frac(chi)
@@ -325,7 +357,8 @@ class WindowedLattice(Immutable):
         object.__setattr__(self, "labels", tuple(labels))
         object.__setattr__(self, "_base", base)
         object.__setattr__(self, "_gens", gens)
-        object.__setattr__(self, "_content", Factored(const, exps, orbit))
+        object.__setattr__(self, "_content", Factored._trusted(const, exps, orbit))
+        object.__setattr__(self, "_has_one", all(e <= 0 for e in exps.values()))
         object.__setattr__(self, "_generators", None)
 
     @property
@@ -339,47 +372,35 @@ class WindowedLattice(Immutable):
         """The content generator, expanded from its factored form on first use."""
         return self._content.to_ratfun()
 
-    def window_points(self) -> list[Fraction]:
-        return [self.chi + i for i in range(-self.radius, self.radius + 1)]
-
-    def valuation(self, a) -> int:
-        return self._content.valuation(a)
-
-    def contains(self, f) -> bool:
-        own = self._content
-        if not isinstance(f, Factored):
-            f = _ratfun(f)
-            if f.num.is_zero:
-                return True
-            f = Factored.from_ratfun(f, own.chi)
-        f = f._on_orbit(own.chi)
-        return all(f.exps.get(i, 0) >= own.exps.get(i, 0) for i in f.exps.keys() | own.exps.keys())
+    def valuation(self, u) -> int:
+        """The valuation at the window point chi + u."""
+        return self._content.exps.get(u + self._base, 0)
 
     def same_lattice(self, other: "WindowedLattice") -> bool:
         """Equality as submodules of k(s) (contents agree up to a rational)."""
         mine, theirs = self._content, other._content
         return mine.exps == theirs.exps and (mine.chi == theirs.chi or not mine.exps)
 
-    def agrees_on_points(self, other: "WindowedLattice", points) -> bool:
-        return all(
-            self.valuation(a) == other.valuation(a) for a in points
-        )
+    def agrees_on_points(self, other: "WindowedLattice", offsets) -> bool:
+        """True iff two lattices with one chi have the same valuation at
+        the window point chi + u of each offset u."""
+        return all(self.valuation(u) == other.valuation(u) for u in offsets)
 
-    def fiber(self, a, n: int = 1) -> "Fiber":
-        a = frac(a)
-        u = a - self._content.chi
-        if u.denominator == 1 and abs(u.numerator - self._base) > self.radius:
-            raise WindowError(f"point {a} outside window of radius {self.radius}")
-        if self.valuation(a) == 0 and self.contains(_ONE):
-            gen, label = _ONE, "1"
-        else:
-            best = None
-            for k, g in enumerate(self._gens):
-                v = g.exps.get(u.numerator, 0) if u.denominator == 1 else 0
-                if best is None or v <= best[0]:
-                    best = (v, k)
-            gen, label = self._gens[best[1]], self.labels[best[1]]
-        return Fiber(a, n, gen, label)
+    def fiber(self, u, n: int = 1) -> "Fiber":
+        """The fiber at the window point chi + u: generated by 1 where the
+        content has valuation 0 and the lattice contains 1, else by the
+        last generator of least valuation."""
+        if u.denominator == 1 and abs(u) > self.radius:
+            raise WindowError(f"point {self.chi + u} outside window of radius {self.radius}")
+        v = u + self._base
+        if self._has_one and v not in self._content.exps:
+            return Fiber(self.chi + u, n, _ONE, "1")
+        best = None
+        for k, g in enumerate(self._gens):
+            e = g.exps.get(v, 0)
+            if best is None or e <= best[0]:
+                best = (e, k)
+        return Fiber(self.chi + u, n, self._gens[best[1]], self.labels[best[1]])
 
 
 class Fiber(Immutable):
@@ -422,7 +443,7 @@ class LadderFamily(Immutable):
     on the orbit Z.
     """
 
-    __slots__ = ("label", "radius", "_values", "_lattice")
+    __slots__ = ("label", "radius", "_values", "_lattice", "_step")
 
     def __init__(self, label: str, funcs: dict[int, Factored | RatFun]):
         radius = max(abs(j) for j in funcs)
@@ -430,6 +451,7 @@ class LadderFamily(Immutable):
         object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "_values", {j: _factored(f, _F0) for j, f in funcs.items()})
         object.__setattr__(self, "_lattice", None)
+        object.__setattr__(self, "_step", None)
 
     def _value(self, j: int) -> Factored:
         if j not in self._values:
@@ -452,19 +474,18 @@ class LadderFamily(Immutable):
             ))
         return self._lattice
 
-    def fiber(self, a, n: int = 1) -> Fiber:
-        return (self._lattice or self.as_lattice()).fiber(a, n)
-
     def step_factor(self) -> Factored:
         """The factor f_(j+1)(s)/f_j(s+1), which makes the index step
         argument translation followed by multiplication: 1 on the pole
-        ladder, s+1 on the exponential one.  A ladder whose factor
-        depends on j is refused."""
-        values = self._values
-        factors = [values[j + 1] / values[j].shift(1) for j in values if j + 1 in values]
-        if any(f != factors[0] for f in factors):
-            raise UnsupportedInputError(f"ladder {self.label}'s step factor depends on the index")
-        return factors[0] if factors else _ONE
+        ladder, s+1 on the exponential one; computed on the first call and
+        kept.  A ladder whose factor depends on j is refused."""
+        if self._step is None:
+            values = self._values
+            factors = [values[j + 1] / values[j].shift(1) for j in values if j + 1 in values]
+            if any(f != factors[0] for f in factors):
+                raise UnsupportedInputError(f"ladder {self.label}'s step factor depends on the index")
+            object.__setattr__(self, "_step", factors[0] if factors else _ONE)
+        return self._step
 
 
 def pole_ladder(radius: int) -> LadderFamily:
@@ -534,7 +555,7 @@ def embed_in_Ks(m: CyclicPresentation, image_of_generator, N: int) -> WindowedLa
 
 def _normalize_chi(chi) -> Fraction:
     chi = rational("chi =", chi)
-    return Fraction(0) if chi.denominator == 1 else chi
+    return _F0 if chi.denominator == 1 else chi
 
 
 def orbit_pole_lattice(chi: Fraction, n: int, N: int) -> WindowedLattice:
@@ -710,16 +731,21 @@ def tensor_equivariant(line, chi, N: int) -> dict[int, Fraction]:
     chi+i, -N < i <= N, is step(g_i)/g_(i-1) at chi+i-1, where g_i
     generates the line's fiber at chi+i; the step is argument translation,
     times LadderFamily.step_factor on a ladder.  A ratio with a zero or a
-    pole there maps no fiber onto the next, and records the unit 0."""
+    pole there maps no fiber onto the next, and records the unit 0.  The
+    points chi + i are read at their offsets from the line's chi, ints
+    when chi lies on its orbit."""
     if line.radius < N:
         raise WindowError("window mismatch in tensor product")
-    gens = [line.fiber(chi + i)._generator for i in range(-N, N + 1)]
-    factor = line.step_factor() if isinstance(line, LadderFamily) else _ONE
+    factor = _ONE
+    if isinstance(line, LadderFamily):
+        line, factor = line.as_lattice(), line.step_factor()
+    d = _int(frac(chi) - line.chi)
+    gens = [line.fiber(d + i)._generator for i in range(-N, N + 1)]
     units = {}
     for i in range(-N + 1, N + 1):
         ratio = gens[i + N].shift(1) * factor / gens[i + N - 1]
-        point = chi + i - 1
-        units[i] = ratio.eval(point) if ratio.valuation(point) == 0 else _F0
+        u = d + line._base + i - 1  # chi + i - 1 on the line's orbit, where the ratio lies
+        units[i] = ratio.eval(u) if ratio.valuation(u) == 0 else _F0
     return units
 
 
@@ -794,11 +820,12 @@ def skyscraper_freeness_check(kind: str, chi, n: int, N: int) -> dict:
     all_free = True
     for i in range(-N, N + 1):
         a = chi + i
+        u = _int(a)  # its offset from Z, where the ladder lies
         j = -i - 1
         named = ladder._value(j)
         named_label = f"{ladder.label}[{j}]"
-        v_named = named.valuation(a)
-        v_content = lattice.valuation(a)
+        v_named = named.valuation(u)
+        v_content = lattice.valuation(u)
         free = v_named == v_content
         all_free = all_free and free
         rows.append(
@@ -811,19 +838,12 @@ def skyscraper_freeness_check(kind: str, chi, n: int, N: int) -> dict:
                 "free_rank_one": free,
             }
         )
-    ladder_law = True
-    if kind == "exp":
-        for i in range(-N, N + 1):
-            lhs = ladder._value(-i)
-            rhs = ladder._value(-i - 1) * _linear(i)
-            if lhs != rhs:
-                ladder_law = False
-    else:
-        for i in range(-N, N + 1):
-            # The named generator at chi+i is 1/(s-i); (s-i) times it is 1.
-            prod = ladder._value(-i - 1) * _linear(i)
-            if prod != _ONE:
-                ladder_law = False
+    # (s-i) times the named generator at chi+i is the next ladder element
+    # on the exponential ladder, and 1 on the kernel one, where it is 1/(s-i)
+    ladder_law = all(
+        ladder._value(-i - 1) * _linear(i) == (ladder._value(-i) if kind == "exp" else _ONE)
+        for i in range(-N, N + 1)
+    )
     step = _ONE if kind == "kernel" else _linear(-1)
     shift_ok = all(
         ladder._value(-i - 1).shift(1) * step == ladder._value(-i) for i in range(-N + 1, N + 1)
@@ -890,15 +910,10 @@ def exp_square_check(N: int, variant: str = "affine", control: bool = False) -> 
         raise WindowError("need window radius at least 3 for the candidate search")
     left = exp_ladder(N) if control else twisted_exp_ladder(N, variant)
     right = exp_ladder(N)
-    products = []
-    labels = []
-    for a in range(-N, N + 1):
-        for b in range(-N, N + 1):
-            products.append(left._value(a) * right._value(b))
-            labels.append(f"{left.label}[{a}]*{right.label}[{b}]")
-    full = WindowedLattice(0, N, products, labels)
+    window = range(-N, N + 1)
+    full = WindowedLattice(0, N, [left._value(a) * right._value(b) for a in window for b in window])
     target = pole_ladder(N).as_lattice()
-    interior = [Fraction(m) for m in range(-(N - 1), N)]
+    interior = range(-(N - 1), N)  # offsets on Z, where every lattice here lies
     stages = {}
     witness = None
     relation_witnesses = []
@@ -911,18 +926,9 @@ def exp_square_check(N: int, variant: str = "affine", control: bool = False) -> 
             stage = {"relation": relation_ok}
             if relation_ok:
                 relation_witnesses.append((a, b))
-                ks = [
-                    k
-                    for k in range(-2 * N, 2 * N + 1)
-                    if -N <= a + k <= N and -N <= b + k <= N
-                ]
+                ks = [k for k in range(-2 * N, 2 * N + 1) if -N <= a + k <= N and -N <= b + k <= N]
                 orbit = {k: left._value(a + k) * right._value(b + k) for k in ks}
-                orbit_lat = WindowedLattice(
-                    0,
-                    N,
-                    [orbit[k] for k in ks],
-                    [f"T^{k}(g)" for k in ks],
-                )
+                orbit_lat = WindowedLattice(0, N, list(orbit.values()))
                 stage["generates"] = orbit_lat.agrees_on_points(full, interior)
                 vals = [orbit[k] * _linear(-k - 1) for k in ks]
                 same = all(v == vals[0] for v in vals)

@@ -13,6 +13,7 @@ where the problem was found.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -103,6 +104,15 @@ def _weyl_atom(base: str, i: int, rank: int) -> WeylOp:
     return make(i - 1, rank)
 
 
+def _refuse_unprintable_power(base, k: int) -> None:
+    """Refuse base^k before computing it when the numerator or denominator
+    b^k, at least 2^(k (bits - 1)), passes the int-to-str digit limit."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # none before 3.10.7
+    bits = max(abs(base.numerator), base.denominator).bit_length() - 1
+    if limit and k * bits * 0.30102 >= limit:  # 0.30102 < log10(2)
+        raise UnsupportedInputError("a coefficient is too long to print")
+
+
 class _Parser:
     """Recursive descent over the tokens.  A subexpression without atoms
     stays an int or Fraction; it becomes an operator only where it meets
@@ -157,6 +167,8 @@ class _Parser:
                     "exponent must be a nonnegative integer", position
                 )
             self.pos += 2
+            if type(base) in (int, Fraction):
+                _refuse_unprintable_power(base, int(value))
             base = base ** int(value)
         return base
 

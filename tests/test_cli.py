@@ -234,6 +234,9 @@ class TestVerify:
          "literal of 5000 digits is too long at offset 0"),
         (("reduce", "--algebra", "weyl", "3^10000"), "a coefficient is too long to print"),
         (("mellin", "3^10000*x"), "a coefficient is too long to print"),
+        # refused before the power is computed, even where it is then
+        # multiplied by 0
+        (("reduce", "--algebra", "weyl", "3^10000000*0"), "a coefficient is too long to print"),
     ])
     def test_bad_parameter_exits_refused_without_traceback(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)

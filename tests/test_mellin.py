@@ -68,6 +68,18 @@ def s_plus(c) -> Poly:
     return Poly((c, 1))
 
 
+def offset(a, chi):
+    """The point a as its offset from chi: an int on the orbit chi + Z,
+    else a Fraction."""
+    u = Fraction(a) - chi
+    return int(u) if u.denominator == 1 else u
+
+
+def window_points(lat: WindowedLattice) -> list[Fraction]:
+    """The points chi + i of the lattice's window."""
+    return [lat.chi + i for i in range(-lat.radius, lat.radius + 1)]
+
+
 def func(ladder: LadderFamily, j: int) -> RatFun:
     """The ladder's j-th function, expanded to a RatFun."""
     return ladder._value(j).to_ratfun()
@@ -191,7 +203,7 @@ class TestFiber:
 
     def test_exp_fiber_picks_deepest_ladder_element(self):
         e = exp_ladder(4)
-        fib = e.fiber(2)
+        fib = e.as_lattice().fiber(2)
         assert fib.generator == func(e, -3)
         assert fib.generator_label == "e[-3]"
 
@@ -200,7 +212,7 @@ class TestFiber:
         with pytest.raises(WindowError):
             lat.fiber(20)
         with pytest.raises(WindowError):
-            exp_ladder(4).fiber(9)
+            exp_ladder(4).as_lattice().fiber(9)
 
 
 class TestTensor:
@@ -693,16 +705,16 @@ class TestLadderLatticeCache:
     def test_fibers_match_fresh_lattice(self, kind):
         ladder = LADDERS[kind]()
         fresh = _fresh_lattice(ladder)
-        for a in fresh.window_points():
+        for u in range(-fresh.radius, fresh.radius + 1):
             for n in (1, 2):
-                assert ladder.fiber(a, n) == fresh.fiber(a, n)
+                assert ladder.as_lattice().fiber(u, n) == fresh.fiber(u, n)
         assert ladder.as_lattice().same_lattice(fresh)
 
     def test_lattice_is_built_lazily(self):
         ladder = exp_ladder(4)
         func(ladder, 2)
         assert ladder._lattice is None
-        ladder.fiber(0)
+        tensor_equivariant(ladder, 0, 3)
         assert ladder._lattice is ladder.as_lattice()
 
 
@@ -768,14 +780,16 @@ def assert_matches_reference(lat: WindowedLattice, extra_points=()):
     ref = reference_content(lat.generators)
     assert lat.content.num == ref.num
     assert lat.content.den == ref.den
-    for a in list(lat.window_points()) + list(extra_points):
+    for a in window_points(lat) + list(extra_points):
         a = Fraction(a)
-        assert lat.valuation(a) == reference_valuation(ref, a), a
+        u = offset(a, lat.chi)
+        assert lat.valuation(u) == reference_valuation(ref, a), a
         gen, label = reference_fiber_generator(lat, ref, a)
         for n in (1, 2):
-            assert lat.fiber(a, n) == Fiber(a, n, gen, label), a
-    assert lat.contains(RatFun(1)) == reference_contains(ref, RatFun(1))
-    assert lat.contains(ref) and lat.same_lattice(WindowedLattice(lat.chi, lat.radius, [ref]))
+            assert lat.fiber(u, n) == Fiber(a, n, gen, label), a
+    assert lat._has_one == reference_contains(ref, RatFun(1))
+    assert reference_contains(lat.content, ref)
+    assert lat.same_lattice(WindowedLattice(lat.chi, lat.radius, [ref]))
     return ref
 
 
@@ -835,10 +849,12 @@ class TestContentOracle:
         lat = _random_factor_lattice(rng, chi, rng.randint(2, 5))
         ref = assert_matches_reference(lat, off_orbit)
         other = _random_factor_lattice(rng, chi, lat.radius)
+        # f lies in the lattice exactly when adding it spans the same lattice
         for f in list(other.generators) + [RatFun(1), ref * s_plus(-chi - 1), ref / s_plus(3 - chi)]:
-            assert lat.contains(f) == reference_contains(ref, f)
+            spanned = WindowedLattice(chi, lat.radius, [*lat.generators, f])
+            assert spanned.same_lattice(lat) == reference_contains(ref, f)
         with pytest.raises(UnsupportedInputError, match="one orbit"):
-            lat.contains(ref * s_plus(-off_orbit[0]))
+            WindowedLattice(chi, lat.radius, [*lat.generators, ref * s_plus(-off_orbit[0])])
         assert lat.same_lattice(other) == (
             reference_contains(ref, reference_content(other.generators))
             and reference_contains(reference_content(other.generators), ref)
@@ -1006,12 +1022,12 @@ class TestFourierBMonodromic:
 
 
 # ---------------------------------------------------------------------------
-# Factored values against the point-keyed reference and dense RatFun
-# arithmetic.
+# Factored values against the point-keyed reference, the earlier validating
+# Factored and dense RatFun arithmetic.
 # ---------------------------------------------------------------------------
 
 
-class RefFactored:
+class PointFactored:
     """The Fraction-keyed Factored from before orbit coordinates, kept as
     the reference: const * prod (s - a)^exps[a] over rational points a."""
 
@@ -1021,7 +1037,7 @@ class RefFactored:
         self.const, self.exps = Fraction(const), exps or {}
 
     @classmethod
-    def from_ratfun(cls, f: RatFun) -> "RefFactored":
+    def from_ratfun(cls, f: RatFun) -> "PointFactored":
         zeros, num = linear_factors(f.num)
         poles, den = linear_factors(f.den)
         assert num.degree == den.degree == 0
@@ -1038,11 +1054,11 @@ class RefFactored:
                 exps[a] = e
             else:
                 del exps[a]
-        return RefFactored(self.const * other.const, exps)
+        return PointFactored(self.const * other.const, exps)
 
     def __truediv__(self, other):
         inverse = {a: -e for a, e in other.exps.items()}
-        return self * RefFactored(1 / other.const, inverse)
+        return self * PointFactored(1 / other.const, inverse)
 
     def __eq__(self, other):
         return (self.const, self.exps) == (other.const, other.exps)
@@ -1053,7 +1069,7 @@ class RefFactored:
 
     def shift(self, k):
         k = Fraction(k)
-        return RefFactored(self.const, {a - k: e for a, e in self.exps.items()})
+        return PointFactored(self.const, {a - k: e for a, e in self.exps.items()})
 
     def valuation(self, a):
         return self.exps.get(Fraction(a), 0)
@@ -1075,7 +1091,86 @@ class RefFactored:
         return RatFun(num, den)
 
 
-def on_orbit(ref: RefFactored, chi) -> Factored:
+def ref_orbit(chi) -> tuple[Fraction, int]:
+    chi = Fraction(chi)
+    base = chi.numerator // chi.denominator
+    return (chi - base if base else chi), base
+
+
+class RefFactored:
+    """Factored as it was before the trusted constructor, kept as the
+    reference: every value is built by the validating constructor, the
+    constant is always a Fraction, and points are Fractions."""
+
+    __slots__ = ("const", "chi", "exps")
+
+    def __init__(self, const=1, exps=None, chi=0):
+        chi, base = ref_orbit(chi)
+        if base and exps:
+            exps = {i + base: e for i, e in exps.items()}
+        self.const, self.chi, self.exps = Fraction(const), chi, exps or {}
+
+    @classmethod
+    def of(cls, v: Factored) -> "RefFactored":
+        return cls(v.const, dict(v.exps), v.chi)
+
+    def fields(self):
+        return self.const, self.exps, self.chi
+
+    def _on_orbit(self, chi):
+        if chi == self.chi:
+            return self
+        assert not self.exps, "a non-constant value cannot move orbits"
+        return RefFactored(self.const, None, chi)
+
+    def __mul__(self, other):
+        if other.chi != self.chi:
+            if self.exps:
+                other = other._on_orbit(self.chi)
+            else:
+                self = self._on_orbit(other.chi)
+        exps = dict(self.exps)
+        for i, e in other.exps.items():
+            e += exps.get(i, 0)
+            if e:
+                exps[i] = e
+            else:
+                del exps[i]
+        return RefFactored(self.const * other.const, exps, self.chi)
+
+    def __truediv__(self, other):
+        inverse = {i: -e for i, e in other.exps.items()}
+        return self * RefFactored(1 / other.const, inverse, other.chi)
+
+    def __eq__(self, other):
+        return (self.const == other.const and self.exps == other.exps
+                and (self.chi == other.chi or not self.exps))
+
+    def shift(self, k):
+        return RefFactored(self.const, self.exps, self.chi - Fraction(k))
+
+    def valuation(self, a):
+        u = Fraction(a) - self.chi
+        return self.exps.get(u.numerator, 0) if u.denominator == 1 else 0
+
+    def eval(self, a):
+        u = Fraction(a) - self.chi
+        out = self.const
+        for i, e in self.exps.items():
+            out *= (u - i) ** e
+        return out
+
+    def to_ratfun(self):
+        num, den = Poly.const(self.const), Poly.const(1)
+        for i, e in self.exps.items():
+            if e > 0:
+                num = num * s_plus(-self.chi - i) ** e
+            else:
+                den = den * s_plus(-self.chi - i) ** -e
+        return RatFun(num, den)
+
+
+def on_orbit(ref: PointFactored, chi) -> Factored:
     """The reference value keyed by offsets on chi + Z, built without a
     root search; every point of `ref` lies on the orbit."""
     exps = {}
@@ -1098,7 +1193,7 @@ def ref_values(draw, chi):
     for a in draw(st.lists(st.sampled_from(points), max_size=5, unique=True)):
         exps[a] = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
     const = Fraction(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 7)))
-    return RefFactored(const, exps)
+    return PointFactored(const, exps)
 
 
 @st.composite
@@ -1135,7 +1230,7 @@ class TestFactored:
         assert v.chi == chi and v.to_ratfun() == ref.to_ratfun() == f
         assert v.to_ratfun() is v.to_ratfun()
         assert Factored.from_ratfun(f, chi) == v
-        assert RefFactored.from_ratfun(f) == ref
+        assert PointFactored.from_ratfun(f) == ref
         assert v.is_constant == ref.is_constant
 
     @settings(max_examples=150, deadline=None)
@@ -1168,12 +1263,12 @@ class TestFactored:
     def test_valuation_and_eval(self, pair, a):
         chi, ref, v = pair
         for p in [a, *ref.exps, *OFF_ORBIT]:
-            assert v.valuation(p) == ref.valuation(p)
+            assert v.valuation(offset(p, v.chi)) == ref.valuation(p)
         if ref.valuation(a) < 0:
             with pytest.raises(ZeroDivisionError):
-                v.eval(a)
+                v.eval(offset(a, v.chi))
         else:
-            assert v.eval(a) == ref.eval(a)
+            assert v.eval(offset(a, v.chi)) == ref.eval(a)
 
     @settings(max_examples=100, deadline=None)
     @given(pairs(), st.data())
@@ -1192,7 +1287,7 @@ class TestFactored:
                 with pytest.raises(UnsupportedInputError, match="one orbit"):
                     op(u, v)
         c = Factored(ref_u.const)
-        assert (c * v).chi == other and c * v == on_orbit(RefFactored(ref_u.const) * ref_v, other)
+        assert (c * v).chi == other and c * v == on_orbit(PointFactored(ref_u.const) * ref_v, other)
         assert v * c == c * v
         # values on two orbits are equal only when both are the same constant
         assert (u == v) == (ref_u == ref_v and u.is_constant)
@@ -1223,12 +1318,13 @@ class TestFactored:
         assert lat._content.exps == {i: -2 for i in range(-2, 5)}
         assert all(g.chi == third for g in lat._gens)
         wider = orbit_pole_lattice(third, 2, 4)
-        assert lat.valuation(four_thirds + 3) == wider.valuation(four_thirds + 3) == -2
-        assert lat.fiber(four_thirds + 3) == wider.fiber(four_thirds + 3)
-        for outside in (four_thirds + 4, four_thirds - 4):
+        # 4/3 + 3 = 1/3 + 4: offset 3 on the one lattice, 4 on the other
+        assert lat.valuation(3) == wider.valuation(4) == -2
+        assert lat.fiber(3) == wider.fiber(4)
+        for outside in (4, -4):
             with pytest.raises(WindowError):
                 lat.fiber(outside)
-        wider.fiber(four_thirds - 4)  # third - 3 is inside the radius-4 window
+        wider.fiber(-3)  # 4/3 - 4 = 1/3 - 3 is inside the radius-4 window
         assert_matches_reference(lat, [four_thirds + Fraction(2, 5), Fraction(1, 2)])
         assert localization_identity_check(lat, [Fraction(1, 2)])
         # the window of radius 1 at 4/3 is 1/3 + {0, 1, 2}: a zero at 7/3 is
@@ -1254,10 +1350,13 @@ class TestFactored:
         built = orbit_pole_lattice(0, 2, 3)
         assert [built.valuation(a) for a in OFF_ORBIT] == [0] * len(OFF_ORBIT)
         assert built.fiber(Fraction(2, 5), 2) == Fiber(Fraction(2, 5), 2, RatFun(1), "1")
-        assert built.contains(Factored(1, {0: -1}, 0))
-        assert built.contains(Factored(5, None, Fraction(1, 2)))
+        # a value lies in the lattice exactly when adding it spans the same
+        # lattice; a constant crosses orbits, a pole on another orbit does not
+        assert WindowedLattice(0, 3, [*built._gens, Factored(1, {0: -1}, 0)]).same_lattice(built)
+        assert WindowedLattice(0, 3, [*built._gens, Factored(5, None, Fraction(1, 2))]).same_lattice(built)
+        assert built._has_one  # the window poles have only negative exponents
         with pytest.raises(UnsupportedInputError, match="one orbit"):
-            built.contains(Factored(1, {0: -1}, Fraction(1, 2)))
+            WindowedLattice(0, 3, [*built._gens, Factored(1, {0: -1}, Fraction(1, 2))])
 
     def test_lattice_of_factored_and_dense_generators_agree(self):
         rng = random.Random(20260823)
@@ -1265,14 +1364,16 @@ class TestFactored:
             refs = []
             for _ in range(4):
                 exps = {chi + rng.randint(-3, 3): rng.choice([-2, -1, 1, 2]) for _ in range(3)}
-                refs.append(RefFactored(rng.randint(1, 5), exps))
+                refs.append(PointFactored(rng.randint(1, 5), exps))
             factored = WindowedLattice(chi, 4, [on_orbit(g, chi) for g in refs])
             dense_lat = WindowedLattice(chi, 4, [dense(g) for g in refs])
             assert factored.generators == dense_lat.generators
             assert factored.content == dense_lat.content
             assert factored.same_lattice(dense_lat)
-            for a in factored.window_points() + OFF_ORBIT:
-                assert factored.fiber(a, 2) == dense_lat.fiber(a, 2)
+            for a in window_points(factored) + OFF_ORBIT:
+                u = offset(a, chi)
+                assert factored.fiber(u, 2) == dense_lat.fiber(u, 2)
+                assert factored.fiber(u, 2).point == a
             # lattices on two orbits are the same only when both contents
             # are constants
             other = ORBITS[(ORBITS.index(chi) + 1) % len(ORBITS)]
@@ -1315,18 +1416,213 @@ class TestFactored:
             for j in ladder.indices():
                 v = ladder._value(j)
                 points = {v.chi + i: e for i, e in v.exps.items()}
-                assert func(ladder, j) == dense(RefFactored(v.const, points))
+                assert func(ladder, j) == dense(PointFactored(v.const, points))
                 assert func(ladder, j) == expected[ladder.label][j]
+
+
+class TestIntConstantsAndOffsets:
+    """Constants are ints when integral, evaluation at an int offset is an
+    exact Fraction, and the trusted constructor gives the values the
+    validating one does."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pairs(), st.data())
+    def test_const_is_an_int_exactly_when_integral(self, pair, data):
+        chi, ref_u, u = pair
+        v = on_orbit(data.draw(ref_values(chi)), chi)
+        k = data.draw(SHIFTS)
+        for w in (u, v, u * v, u / v, v / u, u / u, u.shift(k), Factored(ref_u.const * 4)):
+            assert type(w.const) is (int if Fraction(w.const).denominator == 1 else Fraction), w
+
+    def test_integral_constants_stay_ints(self):
+        half, three = Factored(Fraction(1, 2), {0: 1}), Factored(3, {1: -1})
+        assert type(Factored(Fraction(4, 2)).const) is int
+        assert (half * Factored(2)).const == 1 and type((half * Factored(2)).const) is int
+        assert type((three / three).const) is int and type((three / half).const) is int
+        assert (Factored(-1) / Factored(-1, {2: 1})).const == 1
+        assert type((half / half).const) is int and (half / three).const == Fraction(1, 6)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pairs(), POINTS)
+    def test_eval_at_an_offset_is_an_exact_fraction(self, pair, a):
+        chi, ref, v = pair
+        for p in [a, *ref.exps, *(b + 1 for b in ref.exps)]:
+            if ref.valuation(p) >= 0:
+                got = v.eval(offset(p, chi))
+                assert type(got) is Fraction
+                assert got == ref.eval(p) == RefFactored.of(v).eval(p)
+
+    def test_int_constant_meets_a_negative_power(self):
+        # 2 / ((s - 1)^2 (s + 1)) at s = 3: int factors, one Fraction at the end
+        v = Factored(2, {1: -2, -1: -1})
+        assert type(v.const) is int
+        got = v.eval(3)
+        assert type(got) is Fraction and got == Fraction(1, 8)
+        assert type(Factored(1, {0: -1}).eval(2)) is Fraction
+        point = PointFactored(2, {Fraction(1): -2, Fraction(-1): -1})
+        assert v.eval(Fraction(1, 2)) == point.eval(Fraction(1, 2)) == Fraction(16, 3)
+        assert type(Factored(5).eval(0)) is Fraction
+
+    @settings(max_examples=150, deadline=None)
+    @given(pairs(), SHIFTS)
+    def test_trusted_values_equal_validated_ones(self, pair, k):
+        chi, ref, v = pair
+        for w in (v, v.shift(k), v * v, v / v, v.shift(2) / v):
+            trusted = Factored._trusted(w.const, dict(w.exps), w.chi)
+            validated = Factored(w.const, dict(w.exps), w.chi)
+            assert trusted == validated == w
+            assert (trusted.const, trusted.exps, trusted.chi) == (
+                validated.const, validated.exps, validated.chi)
+        # an int shift keeps the orbit and moves the keys
+        for m in (-2, 3):
+            assert v.shift(m).chi == chi and v.shift(m).exps == {i - m: e for i, e in v.exps.items()}
+            assert v.shift(m) == Factored(v.const, v.exps, chi - m)
+
+
+def record_factored() -> tuple[pytest.MonkeyPatch, list]:
+    """Patch Factored to log every value it builds, by either constructor,
+    and every product, quotient, comparison, shift, valuation and
+    evaluation, as (name, value, arguments, result)."""
+    mp, log = pytest.MonkeyPatch(), []
+
+    def wrap(name):
+        original = getattr(Factored, name)
+
+        def recording(self, *args):
+            out = original(self, *args)
+            log.append((name, self, args, out))
+            return out
+        mp.setattr(Factored, name, recording)
+
+    for name in ("__mul__", "__truediv__", "__eq__", "shift", "valuation", "eval"):
+        wrap(name)
+    trusted, init = Factored._trusted, Factored.__init__
+
+    def recording_trusted(*args):
+        out = trusted(*args)
+        log.append(("_trusted", out, args, out))
+        return out
+
+    def recording_init(self, *args):
+        init(self, *args)
+        log.append(("__init__", self, args, self))
+
+    mp.setattr(Factored, "_trusted", staticmethod(recording_trusted))
+    mp.setattr(Factored, "__init__", recording_init)
+    return mp, log
+
+
+def check_against_ref(log) -> int:
+    """Replay each logged operation on RefFactored, compare every result,
+    then compare each distinct value built with its RefFactored on
+    valuation, eval and to_ratfun around its support; returns the number
+    of distinct values."""
+    built = {}
+    for name, v, args, out in log:
+        ref = RefFactored.of(v)
+        if name == "_trusted":
+            assert RefFactored(*args).fields() == args  # already in the constructor's form
+            want = ref
+        elif name == "__init__":
+            want = RefFactored(*args)
+        elif name == "__mul__":
+            want = ref * RefFactored.of(args[0])
+        elif name == "__truediv__":
+            want = ref / RefFactored.of(args[0])
+        elif name == "shift":
+            want = ref.shift(args[0])
+        elif name == "__eq__":
+            if isinstance(args[0], Factored):
+                assert out == (ref == RefFactored.of(args[0]))
+            continue
+        elif name == "valuation":
+            assert out == ref.valuation(v.chi + args[0])
+            continue
+        else:
+            assert type(out) is Fraction and out == ref.eval(v.chi + args[0])
+            continue
+        assert (out.const, out.exps, out.chi) == want.fields()
+        assert type(out.const) is (int if want.const.denominator == 1 else Fraction)
+        built[(out.const, out.chi, tuple(sorted(out.exps.items())))] = out
+    for v in built.values():
+        ref = RefFactored.of(v)
+        assert v.to_ratfun() == ref.to_ratfun()
+        off = [v.chi + Fraction(1, 2), Fraction(-7, 3)]
+        for p in [v.chi + u for u in {0, *v.exps, *(i + 1 for i in v.exps)}] + off:
+            assert v.valuation(offset(p, v.chi)) == ref.valuation(p)
+        lo, hi = min(v.exps, default=0), max(v.exps, default=0)
+        for p in [v.chi + lo - 1, v.chi, v.chi + hi + 1] + off:
+            if ref.valuation(p) >= 0:
+                assert v.eval(offset(p, v.chi)) == ref.eval(p)
+    return len(built)
+
+
+MELLIN_TENSOR_ROWS = ("dmodmon", "propDmod3", "exp-square")
+
+
+class TestAgainstTheValidatingFactored:
+    """Every Factored value the Mellin rows of both profiles build, and
+    every operation on one, against the earlier validating Factored."""
+
+    @pytest.mark.parametrize("profile", ["quick", "full"])
+    def test_every_mellin_row(self, profile):
+        rows = [(cid, p) for cid, p in checks.profile_tasks(profile)
+                if checks.CHECKS[cid].engine.startswith("mellin.")]
+        mp, log = record_factored()
+        try:
+            for cid, p in rows:
+                assert checks.run_check(cid, p).verdict in ("pass", "diagnostic")
+        finally:
+            mp.undo()
+        names = {name for name, *_ in log}
+        assert names >= {"_trusted", "__init__", "__mul__", "__truediv__", "__eq__", "shift",
+                         "valuation", "eval"}
+        assert check_against_ref(log) > 500
+
+    def test_quick_tensor_rows_build_only_trusted_values(self):
+        # one pass of the quick dmodmon, propDmod3 and exp-square rows made
+        # 5 841 validating constructions before the trusted constructor
+        rows = [(cid, p) for cid, p in checks.profile_tasks("quick") if cid in MELLIN_TENSOR_ROWS]
+        assert len(rows) == 19
+        mp, log = record_factored()
+        try:
+            for cid, p in rows:
+                assert checks.run_check(cid, p).verdict == "pass"
+        finally:
+            mp.undo()
+        made = [name for name, *_ in log if name in ("__init__", "_trusted")]
+        assert (made.count("__init__"), made.count("_trusted")) == (0, 5739)
 
 
 class TestTensorUnits:
     def test_shift_unit_is_the_ratio_of_fiber_generators(self):
         # g_k = c_k/(s - k) generates the fiber at k, and T carries g_k to
         # (c_k/c_(k-1)) g_(k-1), so the tensored tower records that unit.
+        # At chi = 4/3 the offsets from the lattice's own chi are moved by
+        # its base 1 to reach the orbit 1/3 + Z, where the ratios lie.
         consts = {k: Fraction(k + 5, 7 - k) for k in range(-3, 4)}
-        gens = [RatFun(Poly.const(consts[k]), s_plus(-k)) for k in range(-3, 4)]
-        line = WindowedLattice(0, 3, gens)
-        assert tensor_equivariant(line, 0, 3) == {k: consts[k] / consts[k - 1] for k in range(-2, 4)}
+        for chi in (0, Fraction(4, 3), Fraction(-1, 2)):
+            gens = [RatFun(Poly.const(consts[k]), s_plus(-chi - k)) for k in range(-3, 4)]
+            line = WindowedLattice(chi, 3, gens)
+            want = {k: consts[k] / consts[k - 1] for k in range(-2, 4)}
+            assert tensor_equivariant(line, chi, 3) == want
+            if chi == Fraction(4, 3):
+                # a tower at 1/3 = 4/3 - 1 reads the same line one step down,
+                # and one at 1/3 - 3 leaves its window
+                assert tensor_equivariant(line, Fraction(1, 3), 2) == {
+                    i: want[i - 1] for i in range(-1, 3)}
+                with pytest.raises(WindowError):
+                    tensor_equivariant(line, Fraction(1, 3) - 3, 3)
+
+    def test_units_are_invariant_under_translation(self):
+        # the exponential lattice moved by 4/3, onto 1/3 + Z with base 1,
+        # under the tower moved alike: the ratios of its fiber generators
+        # have zeros and poles, read at the offsets base + i - 1
+        lat = exp_ladder(4).as_lattice()
+        moved = WindowedLattice(Fraction(4, 3), 4, [g.shift(Fraction(-4, 3)) for g in lat._gens])
+        units = tensor_equivariant(lat, 0, 3)
+        assert units == {-2: 1, -1: 1, 0: 0, 1: 1, 2: Fraction(1, 2), 3: Fraction(1, 3)}
+        assert tensor_equivariant(moved, Fraction(4, 3), 3) == units
 
     def test_ladder_units_are_derived_from_the_step_factor(self):
         assert pole_ladder(4).step_factor() == Factored()
@@ -1382,19 +1678,24 @@ def ref_skyscraper_tower(chi, n: int, N: int) -> RefTower:
 
 def ref_tensor_equivariant(fam: RefTower, line) -> RefTower:
     """The earlier tensor product of a tower and a line: the fiber
-    generators' ratios, times the tower's own units."""
+    generators' ratios, read as RatFuns at the points, times the tower's
+    own units."""
     if line.radius < fam.radius:
         raise WindowError("window mismatch in tensor product")
+    lat = line.as_lattice() if isinstance(line, LadderFamily) else line
     labels, units, gens = {}, {}, {}
     for i in range(-fam.radius, fam.radius + 1):
-        fib = line.fiber(fam.chi + i, fam.order)
+        fib = lat.fiber(offset(fam.chi + i, lat.chi), fam.order)
+        assert fib.point == fam.chi + i
         gens[i] = fib._generator
         labels[i] = f"{fam.labels[i]} (x) {fib.generator_label}"
     factor = line.step_factor() if isinstance(line, LadderFamily) else Factored()
     for i in range(-fam.radius + 1, fam.radius + 1):
-        ratio = gens[i].shift(1) * factor / gens[i - 1]
+        ratio = (gens[i].shift(1) * factor / gens[i - 1]).to_ratfun()
         point = fam.chi + i - 1
-        unit = ratio.eval(point) if ratio.valuation(point) == 0 else Fraction(0)
+        unit = Fraction(0)
+        if reference_valuation(ratio, point) == 0:
+            unit = Fraction(ratio.num.eval(point)) / ratio.den.eval(point)
         units[i] = fam.down_units[i] * unit
     return RefTower(fam.chi, fam.radius, fam.order, labels, units)
 
@@ -1502,6 +1803,8 @@ class TestNoRootSearchOnBuiltValues:
         assert calls["n"] == 4
         assert lat.fiber(Fraction(1, 2)).generator_label == "g1"
         assert lat.fiber(-1).generator_label == "g0"
-        assert lat.contains(Factored()) is False
+        assert lat._has_one is False
         assert calls["n"] == 4
-        assert lat.contains(RatFun(Poly.x() * 3)) and calls["n"] == 6
+        # s * 3 lies in the lattice; a RatFun generator is factored once
+        wider = WindowedLattice(0, 3, [*lat._gens, RatFun(Poly.x() * 3)])
+        assert wider.same_lattice(lat) and calls["n"] == 6

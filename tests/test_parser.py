@@ -10,6 +10,7 @@ judges the current one on seeded random and corrupted expressions.
 import random
 import re
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -242,6 +243,27 @@ class TestDigitLimit:
         op = parse_operator(text, algebra)
         with pytest.raises(UnsupportedInputError, match="a coefficient is too long to print"):
             str(op)
+
+    @pytest.mark.parametrize("text,algebra", [
+        ("3^100000000", "weyl"), ("3^100000000*0", "weyl"), ("(1/3)^100000000*x", "weyl"),
+        ("(3^100)^1000000*s", "shift"), ("2^14285", "weyl"),
+    ])
+    def test_unprintable_scalar_power_refused_before_it_is_computed(self, text, algebra):
+        # 3^100000000 would take minutes to compute; the refusal reads only
+        # the base's bit length and the exponent
+        start = time.process_time()
+        with pytest.raises(UnsupportedInputError, match="a coefficient is too long to print"):
+            parse_operator(text, algebra)
+        assert time.process_time() - start < 1.0
+
+    def test_power_below_the_bound_is_computed(self, monkeypatch):
+        # 2^14284 has 4300 digits and prints; 3^10000 passes the bound
+        # (k (bits - 1) log10 2 = 3010 digits) and is refused when printed
+        assert str(parse_operator("2^14284", "weyl")) == str(2**14284)
+        parse_operator("3^10000", "weyl")
+        # with no digit limit nothing is refused
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
+        assert parse_operator("2^20000", "weyl") == WeylOp.const(2**20000)
 
     def test_literal_at_the_limit_still_parses(self):
         text = "9" * (sys.get_int_max_str_digits() or 4300)

@@ -54,7 +54,7 @@ def records():
         (checks.run_check("appendix-tensor"), "verdict"),
         (ga_elem(2, 2, 3, [1, 2, 3]), "coeffs"),
         (CyclicPresentation("weyl", (WeylOp.x(),)), "relations"),
-        (pole_ladder(2).fiber(1), "order"),
+        (pole_ladder(2).as_lattice().fiber(1), "order"),
         (EquivariantModule(1, ((Poly.x(),),)), "nrows"),
     ]
 
@@ -80,7 +80,7 @@ def equality_pairs():
         (a, ga_elem(3, 2, 2, [1, 2])),
         (a, ga_elem(2, 1, 2, [1, 0])),
         (a, ga_elem(3, 1, 3, [1, 2, 0])),
-        (ladder.fiber(1, 2), lattice.fiber(1, 2)),
+        (pole_ladder(3).as_lattice().fiber(1, 2), lattice.fiber(1, 2)),
         # a Factored generator and its RatFun are one generator
         (Fiber(Fraction(1), 1, Factored(2, {-2: -1}), "g"),
          Fiber(Fraction(1), 1, RatFun(Poly.const(2), Poly((2, 1))), "g")),
@@ -106,5 +106,5 @@ def test_equal_records_are_found_equal():
     pairs = equality_pairs()
     assert sum(left == right for left, right in pairs) == 6
     assert ga_elem(2, 1, 3, [1, 0, 1]) != (1, 0, 1)
-    assert pole_ladder(1).fiber(0) != "fiber"
+    assert pole_ladder(1).as_lattice().fiber(0) != "fiber"
 
