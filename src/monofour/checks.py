@@ -84,7 +84,7 @@ def _run_propDmod2(p):
 def _run_propDmod3(p):
     chi = rational("chi =", p["chi"])
     reports = {
-        kind: mellin.skyscraper_freeness_check(kind, chi, p["n"], p["window"])
+        kind: mellin.skyscraper_freeness_check(kind, chi, p["window"])
         for kind in ("kernel", "exp")
     }
     verdict = all(rep["verdict"] for rep in reports.values())
@@ -99,17 +99,15 @@ def _run_propDmod3(p):
         for kind, rep in reports.items()
     }
     witness["chi"] = chi
-    witness["n"] = p["n"]
     witness["window"] = p["window"]
     return verdict, witness
 
 
 def _run_dmodmon(p):
     chi = rational("chi =", p["chi"])
-    rep = mellin.monodromization_check(chi, p["n"], p["window"])
+    rep = mellin.monodromization_check(chi, p["window"])
     witness = {
         "chi": chi,
-        "n": p["n"],
         "window": p["window"],
         "kernel_factor": rep["kernel"]["verdict"],
         "exp_factor": rep["exp"]["verdict"],
@@ -341,7 +339,7 @@ _SPECS = [
         "mellin.skyscraper_freeness_check",
         "Order-n skyscraper fibers of the kernel and exponential modules "
         "are free of rank one with the expected named generators.",
-        {"chi": "0", "n": 1, "window": 8},
+        {"chi": "0", "window": 8},
         runner=_run_propDmod3,
     ),
     CheckSpec(
@@ -349,7 +347,7 @@ _SPECS = [
         "mellin.monodromization_check",
         "Tensoring a skyscraper tower with the kernel or exponential "
         "module reproduces the tower, matching the free-module control.",
-        {"chi": "0", "n": 1, "window": 8},
+        {"chi": "0", "window": 8},
         runner=_run_dmodmon,
     ),
     CheckSpec(
@@ -374,7 +372,7 @@ _SPECS = [
         "mellin.orbit_decomposition_check",
         "Partial fractions decompose the windowed orbit algebra into "
         "skyscraper summands with exact round-trip of coefficients.",
-        {"chi": "0", "n": 2, "window": 5},
+        {"n": 2, "window": 5},
     ),
     CheckSpec(
         "fourier-antipode",
@@ -517,14 +515,12 @@ def _quick_profile() -> list[tuple[str, dict]]:
     ]
     tasks += _grid("propDmod1", [dict(row, degree_bound=5) for row in dmod_grid])
     tasks += _grid("propDmod2", dmod_grid)
-    tasks += _grid("propDmod3", dmod_grid)
-    tasks += _grid("dmodmon", dmod_grid)
+    tower_grid = [{"chi": chi, "window": 8} for chi in ("0", "1/2", "1/3")]
+    tasks += _grid("propDmod3", tower_grid)
+    tasks += _grid("dmodmon", tower_grid)
     tasks += _grid("exp-square", [{"window": 6}])
     tasks += _grid("mon-test", [{"count": 20}])
-    tasks += _grid(
-        "eq3-decomp",
-        [{"chi": "0", "n": 2, "window": 5}, {"chi": "1/2", "n": 3, "window": 4}],
-    )
+    tasks += _grid("eq3-decomp", [{"n": 2, "window": 5}, {"n": 3, "window": 4}])
     tasks += _grid("fourier-antipode", [{}])
     tasks += _grid("fb-fl-agree", [{"chi": "1/2"}])
     appendix_grid = [
@@ -583,17 +579,12 @@ def _full_profile() -> list[tuple[str, dict]]:
     ]
     tasks += _grid("propDmod1", [dict(row, degree_bound=5) for row in deep_grid])
     tasks += _grid("propDmod2", deep_grid)
-    tasks += _grid(
-        "propDmod3",
-        [{"chi": chi, "n": n, "window": 10} for chi in ("0", "1/2") for n in (2, 3)],
-    )
-    tasks += _grid(
-        "dmodmon",
-        [{"chi": chi, "n": n, "window": 10} for chi in ("0", "1/2") for n in (1, 3)],
-    )
+    tower_grid = [{"chi": chi, "window": 10} for chi in ("0", "1/2")]
+    tasks += _grid("propDmod3", tower_grid)
+    tasks += _grid("dmodmon", tower_grid)
     tasks += _grid("exp-square", [{"window": 8}, {"window": 10}])
     tasks += _grid("mon-test", [{"count": 40, "window": 4}])
-    tasks += _grid("eq3-decomp", [{"chi": "1/3", "n": 3, "window": 6}])
+    tasks += _grid("eq3-decomp", [{"n": 3, "window": 6}])
     tasks += _grid("fb-fl-agree", [{"chi": "1/3", "window": 8}])
     tasks += _grid("appendix-units", [{"ell": 2, "r": 2, "n": 3, "nprime": 6}, {"ell": 3, "r": 1, "n": 1, "nprime": 4}])
     return tasks

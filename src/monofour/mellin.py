@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import lcm
 
 from .scalars.poly import (
-    Immutable, Poly, UnsupportedInputError, at_least, at_most, frac, one_of, rational,
+    Immutable, Poly, UnsupportedInputError, at_least, frac, one_of, rational,
 )
 from .scalars.ratfun import RatFun, _partial_fractions, linear_factors
 from .scalars.snf import poly_rank, rational_rank
@@ -50,9 +50,6 @@ from .ore import (
     fourier_auto,
     mellin_op,
 )
-
-MAX_FIBER_ORDER = 4
-
 
 class NotAMorphismError(ValueError):
     """Proposed generator image is not annihilated by the relations."""
@@ -289,9 +286,9 @@ def _orbit(chi) -> tuple[Fraction, int]:
     return (_F0 if chi.denominator == 1 else chi - base if base else chi), base
 
 
-def _linear(i: int, e: int = 1, chi=_F0) -> Factored:
-    """(s - chi - i)^e."""
-    return Factored._trusted(1, {i: e}, _F0) if chi is _F0 else Factored(1, {i: e}, chi)
+def _linear(i: int, e: int = 1) -> Factored:
+    """(s - i)^e."""
+    return Factored._trusted(1, {i: e}, _F0)
 
 
 _ONE = Factored()
@@ -329,14 +326,12 @@ class WindowedLattice(Immutable):
     are the RatFuns, built on first use.
     """
 
-    __slots__ = ("chi", "radius", "labels", "_base", "_gens", "_content", "_has_one", "_generators")
+    __slots__ = ("chi", "radius", "_base", "_gens", "_content", "_has_one", "_generators")
 
-    def __init__(self, chi, radius: int, generators, labels=None):
+    def __init__(self, chi, radius: int, generators):
         chi = frac(chi)
         orbit, base = _orbit(chi)
         gens = tuple(_factored(g, orbit)._on_orbit(orbit) for g in generators)
-        if labels is None:
-            labels = tuple(f"g{k}" for k in range(len(gens)))
         if not gens:
             raise ValueError("empty lattice")
         # The pointwise minimum of the maps, a missing offset counting as 0:
@@ -354,7 +349,6 @@ class WindowedLattice(Immutable):
         const = gens[0].const if len(gens) == 1 else 1
         object.__setattr__(self, "chi", chi)
         object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "labels", tuple(labels))
         object.__setattr__(self, "_base", base)
         object.__setattr__(self, "_gens", gens)
         object.__setattr__(self, "_content", Factored._trusted(const, exps, orbit))
@@ -386,47 +380,17 @@ class WindowedLattice(Immutable):
         the window point chi + u of each offset u."""
         return all(self.valuation(u) == other.valuation(u) for u in offsets)
 
-    def fiber(self, u, n: int = 1) -> "Fiber":
-        """The fiber at the window point chi + u: generated by 1 where the
-        content has valuation 0 and the lattice contains 1, else by the
-        last generator of least valuation."""
+    def fiber(self, u) -> Factored:
+        """The generator of the fiber at the window point chi + u, over
+        k[s]/(s-chi-u)^n for every n: 1 where the content has valuation 0
+        and the lattice contains 1, else the last generator of least
+        valuation."""
         if u.denominator == 1 and abs(u) > self.radius:
             raise WindowError(f"point {self.chi + u} outside window of radius {self.radius}")
         v = u + self._base
         if self._has_one and v not in self._content.exps:
-            return Fiber(self.chi + u, n, _ONE, "1")
-        best = None
-        for k, g in enumerate(self._gens):
-            e = g.exps.get(v, 0)
-            if best is None or e <= best[0]:
-                best = (e, k)
-        return Fiber(self.chi + u, n, self._gens[best[1]], self.labels[best[1]])
-
-
-class Fiber(Immutable):
-    """Fiber of a windowed module at a point, over k[s]/(s-a)^n.  A lattice
-    fiber keeps its generator Factored; `generator` is its RatFun, built
-    on first use."""
-
-    __slots__ = ("point", "order", "_generator", "generator_label")
-
-    def __init__(self, point: Fraction, order: int, generator: Factored | RatFun,
-                 generator_label: str):
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_generator", generator)
-        object.__setattr__(self, "generator_label", generator_label)
-
-    @property
-    def generator(self) -> RatFun:
-        g = self._generator
-        return g.to_ratfun() if isinstance(g, Factored) else g
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Fiber):
-            return NotImplemented
-        return (self.point, self.order, self.generator, self.generator_label) == (
-            other.point, other.order, other.generator, other.generator_label)
+            return _ONE
+        return min(reversed(self._gens), key=lambda g: g.exps.get(v, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -465,13 +429,8 @@ class LadderFamily(Immutable):
         """The lattice spanned by the window, built on the first call and
         kept."""
         if self._lattice is None:
-            idx = self.indices()
             object.__setattr__(self, "_lattice", WindowedLattice(
-                _F0,
-                self.radius,
-                [self._values[j] for j in idx],
-                [f"{self.label}[{j}]" for j in idx],
-            ))
+                _F0, self.radius, [self._values[j] for j in self.indices()]))
         return self._lattice
 
     def step_factor(self) -> Factored:
@@ -543,9 +502,7 @@ def embed_in_Ks(m: CyclicPresentation, image_of_generator, N: int) -> WindowedLa
     k_lo, k_hi = (poles[-1] - N, poles[0] + N) if poles else (-N, N)
     if k_lo > k_hi:
         raise WindowError("window too small for the image's pole spread")
-    gens = [image.shift(k) for k in range(k_lo, k_hi + 1)]
-    labels = [f"g*T^{k}" for k in range(k_lo, k_hi + 1)]
-    return WindowedLattice(image.chi, N, gens, labels)
+    return WindowedLattice(image.chi, N, [image.shift(k) for k in range(k_lo, k_hi + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -562,14 +519,12 @@ def orbit_pole_lattice(chi: Fraction, n: int, N: int) -> WindowedLattice:
     """Lattice generated by the order-n poles along the orbit chi + Z."""
     at_least("order n =", n, 1)
     at_least("window radius", N, 0)
-    gens, labels = [], []
-    for i in range(-N, N + 1):
-        gens.append(_linear(i, -n, chi))
-        labels.append(f"1/(s-({chi + i}))^{n}")
-    return WindowedLattice(chi, N, gens, labels)
+    orbit, base = _orbit(chi)
+    return WindowedLattice(chi, N, [Factored._trusted(1, {i + base: -n}, orbit)
+                                    for i in range(-N, N + 1)])
 
 
-def orbit_decomposition_check(chi, n: int, window: int) -> dict:
+def orbit_decomposition_check(n: int, window: int) -> dict:
     """Verify that the windowed lattice of n-th order poles along chi + Z
     splits, modulo polynomials, as the direct sum of its principal parts.
 
@@ -578,11 +533,11 @@ def orbit_decomposition_check(chi, n: int, window: int) -> dict:
     exactly.  The check runs in u = s - chi: s -> u + chi is a k-algebra
     isomorphism that moves the poles chi + i to i and keeps the
     coefficient of each 1/(s - chi - i)^k as that of 1/(u - i)^k, so the
-    arithmetic, on integer poles, is the same for every chi.
+    arithmetic, on integer poles, and the verdict are the same for every
+    chi, and the check takes none.
     """
     at_least("order n =", n, 1)
     N = at_least("window radius", window, 0)
-    rational("chi =", chi)  # nothing below reads it
     rng = random.Random(20260823)
     samples = 5
     poles = dict.fromkeys(range(-N, N + 1), n)
@@ -727,20 +682,21 @@ def tensor_equivariant(line, chi, N: int) -> dict[int, Fraction]:
     """Shift units of the skyscraper tower k[s]/(s-chi-i)^n, |i| <= N
     (unit 1 at every step), tensored over k[s] with a free-rank-one line,
     a LadderFamily or a WindowedLattice, under the diagonal semilinear
-    shift action; the order n survives and plays no part.  The unit at
-    chi+i, -N < i <= N, is step(g_i)/g_(i-1) at chi+i-1, where g_i
-    generates the line's fiber at chi+i; the step is argument translation,
-    times LadderFamily.step_factor on a ladder.  A ratio with a zero or a
-    pole there maps no fiber onto the next, and records the unit 0.  The
-    points chi + i are read at their offsets from the line's chi, ints
-    when chi lies on its orbit."""
+    shift action.  The unit at chi+i, -N < i <= N, is step(g_i)/g_(i-1)
+    at chi+i-1, where g_i generates the line's fiber at chi+i; the step is
+    argument translation, times LadderFamily.step_factor on a ladder.  A
+    ratio with a zero or a pole there maps no fiber onto the next, and
+    records the unit 0.  The units are the same for every order n: an
+    element of k[s]/(s-a)^n is a unit exactly when its value at a is
+    nonzero.  The points chi + i are read at their offsets from the line's
+    chi, ints when chi lies on its orbit."""
     if line.radius < N:
         raise WindowError("window mismatch in tensor product")
     factor = _ONE
     if isinstance(line, LadderFamily):
         line, factor = line.as_lattice(), line.step_factor()
     d = _int(frac(chi) - line.chi)
-    gens = [line.fiber(d + i)._generator for i in range(-N, N + 1)]
+    gens = [line.fiber(d + i) for i in range(-N, N + 1)]
     units = {}
     for i in range(-N + 1, N + 1):
         ratio = gens[i + N].shift(1) * factor / gens[i + N - 1]
@@ -798,7 +754,7 @@ def localization_identity_check(m: WindowedLattice, test_points) -> bool:
 _LADDERS = {"kernel": pole_ladder, "exp": exp_ladder}
 
 
-def skyscraper_freeness_check(kind: str, chi, n: int, N: int) -> dict:
+def skyscraper_freeness_check(kind: str, chi, N: int) -> dict:
     """Check that every window fiber of the canonical module `kind`
     ("kernel" or "exp") is free of rank one on its named generator, and
     that the shift carries each generator to the next.
@@ -808,11 +764,12 @@ def skyscraper_freeness_check(kind: str, chi, n: int, N: int) -> dict:
     the shift, index translation, carries the generator at chi+i to the
     one at chi+i-1.  The check tests that step as argument translation
     times the module's factor, f_(j+1) = f_j(s+1) * step, with step 1 on
-    the kernel ladder and s+1 on the exponential one.
+    the kernel ladder and s+1 on the exponential one.  The verdict holds
+    for every fiber order n: a fiber L/(s-a)^n L is generated by g exactly
+    when g and the content have one valuation at a.
     """
     one_of("module kind", kind, _LADDERS)
     chi = _normalize_chi(chi)
-    at_most("fiber order", at_least("order n =", n, 1), MAX_FIBER_ORDER)
     at_least("window radius", N, 0)
     ladder = _LADDERS[kind](N + 1)
     lattice = ladder.as_lattice()
@@ -853,7 +810,6 @@ def skyscraper_freeness_check(kind: str, chi, n: int, N: int) -> dict:
         "verdict": verdict,
         "kind": kind,
         "chi": str(chi),
-        "order": n,
         "window": N,
         "fibers": rows,
         "ladder_law": ladder_law,
@@ -861,7 +817,7 @@ def skyscraper_freeness_check(kind: str, chi, n: int, N: int) -> dict:
     }
 
 
-def monodromization_check(chi, n: int, N: int) -> dict:
+def monodromization_check(chi, N: int) -> dict:
     """Tensor the skyscraper tower with the kernel and exponential modules
     and verify both give back the tower, with the free module as a
     control: the tensored tower is isomorphic to the tower exactly when
@@ -870,13 +826,13 @@ def monodromization_check(chi, n: int, N: int) -> dict:
     The units are derived from the lines' fiber generators
     (tensor_equivariant), so a step that is no isomorphism of fibers
     records the unit 0 and fails; on the exponential ladder at chi = 0,
-    N = 3 they are -2, -1, 1, 1, 1, 1.
+    N = 3 they are -2, -1, 1, 1, 1, 1.  The verdict holds for towers of
+    every fiber order n, since the units do not depend on it.
     """
     chi = _normalize_chi(chi)
-    at_most("fiber order", at_least("order n =", n, 1), MAX_FIBER_ORDER)
     at_least("window radius", N, 0)
     lines = {kind: ladder(N + 1) for kind, ladder in _LADDERS.items()}
-    lines["control_free"] = WindowedLattice(chi, N + 1, [_ONE], ["1"])
+    lines["control_free"] = WindowedLattice(chi, N + 1, [_ONE])
     results = {}
     for kind, line in lines.items():
         units = tensor_equivariant(line, chi, N)
@@ -887,7 +843,6 @@ def monodromization_check(chi, n: int, N: int) -> dict:
     return {
         "verdict": all(rep["verdict"] for rep in results.values()),
         "chi": str(chi),
-        "order": n,
         "window": N,
         **results,
     }

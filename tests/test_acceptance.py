@@ -103,13 +103,17 @@ def test_criterion_05_shift_algebra_suite():
         if checks.run_check("mellin-b-embed").verdict != "pass":
             failures.append("embed")
 
-        # (c, d) pole-lattice and monodromization grid
+        # (c, d) pole-lattice and monodromization grid; the skyscraper
+        # checks take no fiber order, their verdict being the same for all
         for chi in ("0", "1/2", "1/3"):
             for n in (1, 2, 3):
                 params = {"chi": chi, "n": n, "window": 8}
-                for cid in ("propDmod1", "propDmod2", "propDmod3", "dmodmon"):
+                for cid in ("propDmod1", "propDmod2"):
                     if checks.run_check(cid, dict(params)).verdict != "pass":
                         failures.append((cid, chi, n))
+            for cid in ("propDmod3", "dmodmon"):
+                if checks.run_check(cid, {"chi": chi, "window": 8}).verdict != "pass":
+                    failures.append((cid, chi))
 
         # (e) squared exponential witness with failing control
         if checks.run_check("exp-square", {"window": 6}).verdict != "pass":
@@ -144,11 +148,14 @@ def test_criterion_06_window_stability():
             mismatches.append("mellin-b-embed")
         for chi in ("0", "1/2", "1/3"):
             for n in (1, 2, 3):
-                for cid in ("propDmod1", "propDmod2", "propDmod3", "dmodmon"):
+                for cid in ("propDmod1", "propDmod2"):
                     a = verdict(cid, chi=chi, n=n, window=8)
                     b = verdict(cid, chi=chi, n=n, window=10)
                     if a != b:
                         mismatches.append((cid, chi, n))
+            for cid in ("propDmod3", "dmodmon"):
+                if verdict(cid, chi=chi, window=8) != verdict(cid, chi=chi, window=10):
+                    mismatches.append((cid, chi))
         if verdict("exp-square", window=6) != verdict("exp-square", window=8):
             mismatches.append("exp-square")
         if verdict("mon-test", window=3) != verdict("mon-test", window=5):

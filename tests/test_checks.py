@@ -165,7 +165,8 @@ class TestRunCheck:
 
 
     # a window radius below 0 or a pole order below 1 leaves nothing to
-    # check, and chi must be a rational literal
+    # check, and chi must be a rational literal; a check whose verdict is
+    # the same for every order or every chi takes none
     @pytest.mark.parametrize(
         "check_id, params, message",
         [
@@ -178,10 +179,10 @@ class TestRunCheck:
             ("propDmod2", {"n": 0}, "order n = 0"),
             ("propDmod2", {"window": -1}, "window radius -1"),
             ("propDmod3", {"window": -1}, "window radius -1"),
-            ("propDmod3", {"n": 0}, "order n = 0"),
+            ("propDmod3", {"n": 1}, "takes no parameter 'n'"),
             ("dmodmon", {"window": -1}, "window radius -1"),
-            ("dmodmon", {"n": 0}, "order n = 0"),
-            ("dmodmon", {"n": 5}, "fiber order 5"),
+            ("dmodmon", {"n": 2}, "takes no parameter 'n'"),
+            ("eq3-decomp", {"chi": "1/2"}, "takes no parameter 'chi'"),
             ("dmodmon", {"chi": "half"}, "not a rational number"),
         ],
     )
@@ -302,12 +303,12 @@ class TestNegativeControls:
             return mellin.LadderFamily("r", funcs)
 
         monkeypatch.setitem(mellin._LADDERS, "exp", rising_ladder)
-        report = checks.run_check("dmodmon", {"chi": "0", "n": 2, "window": 3})
+        report = checks.run_check("dmodmon", {"chi": "0", "window": 3})
         assert report.verdict == "fail"
         assert report.witness["exp_factor"] is False
         assert report.witness["kernel_factor"] and report.witness["free_control"]
         # off the integer orbit the factor s never vanishes
-        assert checks.run_check("dmodmon", {"chi": "1/2", "n": 2, "window": 3}).verdict == "pass"
+        assert checks.run_check("dmodmon", {"chi": "1/2", "window": 3}).verdict == "pass"
 
 
 class TestProfiles:
@@ -374,7 +375,7 @@ def test_number_theory_witnesses_are_pinned():
 # fb-fl-agree relations, the propDmod3 generators), so the digest pins the
 # printers of Poly, RatFun, ShiftOp and the Weyl operators.
 MELLIN_OPERATOR_QUICK_SEED7_SHA256 = (
-    "537ffe463e4cd05c1308cdde4f35810030c146572d655435da39616c77445e7b"
+    "ea36a78d14ad98783e050590f214168713e8c20cfe088891e60d5a4bf349e6a6"
 )
 
 
@@ -390,7 +391,7 @@ def test_mellin_and_operator_witnesses_are_pinned():
         report = checks.run_check(check_id, params)
         digest.update(json.dumps(report.to_dict(include_elapsed=False), sort_keys=True).encode())
         rows += 1
-    assert rows == 43
+    assert rows == 31
     assert digest.hexdigest() == MELLIN_OPERATOR_QUICK_SEED7_SHA256
 
 
@@ -399,7 +400,7 @@ def test_mellin_and_operator_witnesses_are_pinned():
 # radius 10 and 12 grids) are where poly_rank's full-rank certificate
 # does most of its work.
 MELLIN_OPERATOR_FULL_SEED7_SHA256 = (
-    "be614d10e6ac73bf4affd06026d2890ed489b17eb56394a94e9336fe84f65020"
+    "cd328aeb40a036572b604e78bb54f8f1e65d9d84dc1b1730a5b77c0ef7f7254d"
 )
 
 
@@ -415,7 +416,7 @@ def test_full_mellin_and_operator_witnesses_are_pinned():
         report = checks.run_check(check_id, params)
         digest.update(json.dumps(report.to_dict(include_elapsed=False), sort_keys=True).encode())
         rows += 1
-    assert rows == 93
+    assert rows == 77
     assert digest.hexdigest() == MELLIN_OPERATOR_FULL_SEED7_SHA256
 
 
@@ -424,7 +425,7 @@ def test_full_mellin_and_operator_witnesses_are_pinned():
 # elapsed time, as json.dumps(report, sort_keys=True), concatenated.  The
 # pins above cover full at seed 7 by engine; this adds quick's
 # number-theory rows and both unseeded runs.
-WHOLE_PROFILE_SHA256 = "c57c485ffd4931ecc384eaab0548297c9457fcc52afcca4819eb422f2f3171d7"
+WHOLE_PROFILE_SHA256 = "e6ff09812e9659f371648150e3c191ba426788b0e05e5b1884238b660ea6888e"
 
 
 def test_whole_profile_digest_is_pinned():

@@ -168,7 +168,7 @@ class TestVerify:
 
     def test_chi_flag_reaches_check(self, capsys):
         code, out, _ = run_cli(
-            capsys, "verify", "propDmod3", "--chi", "1/2", "--n", "2", "--window", "6"
+            capsys, "verify", "propDmod3", "--chi", "1/2", "--window", "6"
         )
         assert code == 0
         assert json.loads(out)["parameters"]["chi"] == "1/2"
@@ -237,6 +237,8 @@ class TestVerify:
         # refused before the power is computed, even where it is then
         # multiplied by 0
         (("reduce", "--algebra", "weyl", "3^10000000*0"), "a coefficient is too long to print"),
+        # the skyscraper checks' verdicts hold for every fiber order
+        (("verify", "dmodmon", "--n", "2"), "check 'dmodmon' takes no parameter 'n'"),
     ])
     def test_bad_parameter_exits_refused_without_traceback(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)

@@ -51,7 +51,6 @@ UNENTERED_PUBLIC_ALLOWED = {
     "mellin.py:WindowedLattice.same_lattice",  # lattice equality in the Mellin tests
     "scalars/poly.py:Poly.eval",  # evaluation at a point in the Poly and ratfun tests
     "scalars/cyclotomic.py:CycScalar.coeffs",  # the Fraction view the cyclotomic oracles read
-    "mellin.py:Fiber.generator",  # the RatFun the fiber tests compare, and Fiber.__eq__
     # Value protocol: ExactValue.__bool__ reads is_zero.
     "scalars/ratfun.py:RatFun.is_zero",
     # Read by tests/test_acceptance.py.
@@ -78,14 +77,15 @@ COMMANDS = [line.split() for line in (
     "verify mon-test --count 40 --window 6",
     "verify mellin-b-embed --window 4",
     "verify propDmod2 --chi 4/3 --n 2 --window 3",
-    "verify propDmod3 --chi 1/2 --n 2 --window 4",
-    "verify propDmod3 --chi 4/3 --n 2 --window 3",
-    "verify dmodmon --chi 4/3 --n 2 --window 3",
-    "verify dmodmon --chi 2/3 --n 4 --window 12",
+    "verify propDmod3 --chi 1/2 --window 4",
+    "verify propDmod3 --chi 4/3 --window 3",
+    "verify dmodmon --chi 4/3 --window 3",
+    "verify dmodmon --chi 2/3 --window 12",
+    "verify dmodmon --n 2",
     "verify exp-square --window 12",
     "verify fourier-antipode",
     "verify fourier-antipode --count 5",
-    "verify eq3-decomp --chi 4/3 --n 2 --window 3",
+    "verify eq3-decomp --n 2 --window 3",
     "verify lem-mon-shadow --q 7 --n 3 --chi 1/2",
     "verify appendix-augmentation --ell 0",
     "verify appendix-augmentation --ell 2 --r 3 --n 8",
